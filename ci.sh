@@ -20,3 +20,7 @@ go vet ./...
 # dropped errors corrupt log state (full errcheck runs in the CI lint job).
 go run ./cmd/errgate .
 go test -race -count=1 ./...
+# bench/ is a nested module the commands above never see, and it imports
+# internal packages: build, vet and test it so an API break fails here,
+# not in the benchmark's acceptance run.
+(cd bench && go vet . && go test -count=1 .)

@@ -19,7 +19,9 @@
 //
 // recovers every shard twice, verifies recovery is deterministic, and —
 // when a drain manifest exists — verifies the recovered digests match
-// the drained state exactly.
+// the drained state exactly. A tail mirror with a damaged record is
+// replayed up to it and reported on the shard's line (here and at boot)
+// as "tail damaged at record N, M records dropped".
 //
 // Standby (failover):
 //
@@ -52,6 +54,7 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"net"
 	"os"
 	"os/signal"
@@ -92,7 +95,7 @@ func main() {
 		GroupDeadline: 1024,
 	}
 	if *check {
-		os.Exit(runCheck(*dir, *shards, coreCfg))
+		os.Exit(runCheck(*dir, *shards, coreCfg, os.Stdout))
 	}
 
 	pol := logship.PolicyStall
@@ -143,8 +146,8 @@ func serveMain(addr, dir string, shards, slots int, shCfg lvmd.ShardConfig,
 	}
 	for i, info := range srv.RecoverInfos() {
 		if info.TailRecords > 0 || info.Seq > 0 {
-			fmt.Printf("lvmd: shard %d recovered seq=%d tail=%d records ckpt=%v\n",
-				i, info.Seq, info.TailRecords, info.FromCheckpoint)
+			fmt.Printf("lvmd: shard %d recovered seq=%d tail=%d records ckpt=%v%s\n",
+				i, info.Seq, info.TailRecords, info.FromCheckpoint, tailDamage(info))
 		}
 	}
 	ln, err := net.Listen("tcp", addr)
@@ -176,9 +179,20 @@ func serveMain(addr, dir string, shards, slots int, shCfg lvmd.ShardConfig,
 	return 0
 }
 
+// tailDamage renders a quarantined tail for the boot and -check lines
+// (empty on a clean recovery): which mirrored record stopped the replay
+// and how many records from there on were dropped.
+func tailDamage(info lvmd.RecoverInfo) string {
+	if !info.Quarantined() {
+		return ""
+	}
+	return fmt.Sprintf(", tail damaged at record %d, %d records dropped",
+		info.ReissuedRecords, info.TailRecords-info.ReissuedRecords)
+}
+
 // runCheck recovers every shard twice from the durable files, proving
 // recovery deterministic, and checks the drain manifest if one exists.
-func runCheck(dir string, shards int, coreCfg lvmd.CoreConfig) int {
+func runCheck(dir string, shards int, coreCfg lvmd.CoreConfig, out io.Writer) int {
 	var man *lvmd.DrainReport
 	if b, err := os.ReadFile(filepath.Join(dir, "manifest.json")); err == nil {
 		man = &lvmd.DrainReport{}
@@ -231,13 +245,13 @@ func runCheck(dir string, shards int, coreCfg lvmd.CoreConfig) int {
 				status = "ok, matches manifest"
 			}
 		}
-		fmt.Printf("lvmd: shard %d seq=%d tail=%d records: %s\n",
-			i, info1.Seq, info1.TailRecords, status)
+		fmt.Fprintf(out, "lvmd: shard %d seq=%d tail=%d records%s: %s\n",
+			i, info1.Seq, info1.TailRecords, tailDamage(info1), status)
 	}
 	if fail > 0 {
 		fmt.Fprintf(os.Stderr, "lvmd: check FAILED for %d shard(s)\n", fail)
 		return 1
 	}
-	fmt.Printf("lvmd: check passed for %d shards\n", shards)
+	fmt.Fprintf(out, "lvmd: check passed for %d shards\n", shards)
 	return 0
 }

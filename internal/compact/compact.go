@@ -448,36 +448,64 @@ type RecoverResult struct {
 	Epoch uint32
 }
 
+// errImageSize reports an elected checkpoint whose image is not the size
+// the caller's segment is.
+var errImageSize = errors.New("compact: checkpoint image size mismatch")
+
+// LoadCheckpoint elects the last committed checkpoint in the area at
+// (disk, base) and reads its image — no machine involved, so a restart
+// seeds a plain byte image and Recover a segment from the same routine.
+// It returns the image and the header fields a replay needs
+// (FromCheckpoint, Seq, Epoch, and Start = watermark − cutBase, the
+// physical log offset the image covers). Without a committed checkpoint
+// the image is nil and the result zero: replay from offset 0. A
+// committed checkpoint that is not size bytes is an error — its state
+// exists but cannot seed this segment, and a caller that owns the files
+// (the daemon) must not carry on as if they were empty.
+func LoadCheckpoint(disk ramdisk.Device, base uint64, size uint32) ([]byte, RecoverResult, error) {
+	var rr RecoverResult
+	st, ok, err := loadState(disk, base)
+	if err != nil || !ok {
+		return nil, rr, err
+	}
+	if st.imgLen != size {
+		return nil, rr, fmt.Errorf("%w: generation %d holds %d bytes, segment is %d",
+			errImageSize, st.seq, st.imgLen, size)
+	}
+	img := make([]byte, st.imgLen)
+	if err := disk.TryReadAt(nil, imgOff(base, st.slot, st.imgLen), img); err != nil {
+		return nil, rr, fmt.Errorf("compact: checkpoint image load: %w", err)
+	}
+	return img, RecoverResult{
+		FromCheckpoint: true,
+		Seq:            st.seq,
+		Epoch:          st.epoch,
+		Start:          uint32(st.watermark - st.cutBase),
+	}, nil
+}
+
 // Recover reconstructs Dst after a crash: load the last committed
 // checkpoint image (if any), then replay only the log tail past its
-// watermark — O(tail) instead of O(log). Without a usable checkpoint it
-// degrades to a full replay from offset 0. The replay itself never
-// panics on damaged input (see recovery.Replay); only device errors
-// reading the checkpoint area surface here.
+// watermark — O(tail) instead of O(log). Without a usable checkpoint
+// (none committed, or one of another segment size) it degrades to a full
+// replay from offset 0. The replay itself never panics on damaged input
+// (see recovery.Replay); only device errors reading the checkpoint area
+// surface here.
 func Recover(sys *core.System, o RecoverOptions) (RecoverResult, error) {
 	var rr RecoverResult
-	start := uint32(0)
 	if o.Disk != nil {
-		st, ok, err := loadState(o.Disk, o.DiskBase)
-		if err != nil {
+		img, loaded, err := LoadCheckpoint(o.Disk, o.DiskBase, o.Dst.Size())
+		if err != nil && !errors.Is(err, errImageSize) {
 			return rr, err
 		}
-		if ok && st.imgLen == o.Dst.Size() {
-			img := make([]byte, st.imgLen)
-			if err := o.Disk.TryReadAt(nil, imgOff(o.DiskBase, st.slot, st.imgLen), img); err != nil {
-				return rr, fmt.Errorf("compact: checkpoint image load: %w", err)
-			}
+		if img != nil {
 			o.Dst.RawWrite(0, img)
-			start = uint32(st.watermark - st.cutBase)
-			rr.FromCheckpoint = true
-			rr.Seq = st.seq
-			rr.Epoch = st.epoch
 		}
+		rr = loaded
 	}
-	rr.Start = start
 	rr.Result = recovery.Replay(sys, recovery.ReplayOptions{
 		Log: o.Log, Data: o.Data, Dst: o.Dst,
-		MarkerLimit: o.MarkerLimit, End: o.End, Start: start,
+		MarkerLimit: o.MarkerLimit, End: o.End, Start: rr.Start,
 	})
 	return rr, nil
 }

@@ -411,3 +411,44 @@ func TestManagerValidatesOptions(t *testing.T) {
 		t.Fatal("Compact succeeded without a device")
 	}
 }
+
+// TestLoadCheckpoint pins the machine-free loader Recover and the lvmd
+// restart share: nothing committed is a nil image, a committed
+// checkpoint comes back with its header fields, and one of another
+// segment size is refused — which Recover (and only Recover) degrades
+// to a full replay.
+func TestLoadCheckpoint(t *testing.T) {
+	sys, seg, ls, p, base, disk, m := rig(t, nil)
+	if img, rr, err := LoadCheckpoint(disk, 0, segSize); img != nil || rr != (RecoverResult{}) || err != nil {
+		t.Fatalf("empty disk: img=%d bytes rr=%+v err=%v", len(img), rr, err)
+	}
+
+	txn(sys, p, base, 1, map[uint32]uint32{0x100: 11})
+	m.SetEpoch(7)
+	if err := m.Checkpoint(p.CPU); err != nil {
+		t.Fatal(err)
+	}
+	watermark := sys.K.LogAppendOffset(ls)
+	txn(sys, p, base, 2, map[uint32]uint32{0x100: 12})
+
+	img, rr, err := LoadCheckpoint(disk, 0, segSize)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := RecoverResult{FromCheckpoint: true, Seq: 1, Epoch: 7, Start: watermark}
+	if rr != want {
+		t.Fatalf("rr = %+v, want %+v", rr, want)
+	}
+	if uint32(len(img)) != segSize || get32(img[0x100:]) != 11 {
+		t.Fatalf("image: %d bytes, [0x100]=%d", len(img), get32(img[0x100:]))
+	}
+
+	if _, _, err := LoadCheckpoint(disk, 0, segSize/2); !errors.Is(err, errImageSize) {
+		t.Fatalf("half-size segment: err = %v, want the size mismatch", err)
+	}
+	small := core.NewNamedSegment(sys, "small", segSize/2, nil)
+	rr, err = Recover(sys, RecoverOptions{Disk: disk, Log: ls, Data: seg, Dst: small, MarkerLimit: markerLimit})
+	if err != nil || rr.FromCheckpoint || rr.Start != 0 || rr.Txns != 2 {
+		t.Fatalf("Recover over a mismatched checkpoint: rr=%+v err=%v, want a full replay", rr, err)
+	}
+}

@@ -1,9 +1,10 @@
 // Package logcursor is the single validated cursor over the hardware
-// log's record stream. Four subsystems consume that stream — crash
+// log's record stream. Five subsystems consume that stream — crash
 // recovery's marker-protocol replay (internal/recovery, sequential and
 // page-partitioned parallel), log-shipping catch-up and replica apply
-// (internal/logship), the DSM consumer (internal/dsm), and compaction's
-// tail replay after checkpoint election (internal/compact) — and every
+// (internal/logship), the DSM consumer (internal/dsm), compaction's
+// tail replay after checkpoint election (internal/compact), and the
+// daemon's restart over its tail mirror (internal/lvmd) — and every
 // past divergence between their hand-rolled walks has been a shipped
 // bug. The paper's argument (Sections 2.4, 4.5) is that one log is the
 // single source of truth for recovery, replication, and distributed
@@ -86,8 +87,10 @@ func ValidWrite(off uint32, size uint16, segSize uint32) bool {
 	default:
 		return false
 	}
+	// Sizes are powers of two, so alignment is a mask; the range check
+	// is 64-bit so an offset near 2^32 cannot wrap back into bounds.
 	ws := uint32(size)
-	return off%ws == 0 && off+ws <= segSize
+	return off&(ws-1) == 0 && uint64(off)+uint64(ws) <= uint64(segSize)
 }
 
 // View selects how the Walker treats transaction bracketing.
@@ -164,7 +167,11 @@ func NewWalker(cfg Config) *Walker {
 
 // Feed consumes one record. It reports false once the walk has halted
 // (quarantine): the caller must stop feeding and call Finish.
-func (w *Walker) Feed(r Rec) bool {
+func (w *Walker) Feed(r Rec) bool { return w.feed(&r) }
+
+// feed is Feed on a caller-owned record (read, never retained): the
+// form Run's concrete loops use so no Rec is copied per record.
+func (w *Walker) feed(r *Rec) bool {
 	if w.halted {
 		return false
 	}
@@ -192,9 +199,12 @@ func (w *Walker) Feed(r Rec) bool {
 				w.st.NonMonotonicCommits++
 			}
 			w.st.Txns++
-			for _, b := range w.batch {
-				w.apply(b)
+			if w.cfg.Apply != nil {
+				for i := range w.batch {
+					w.cfg.Apply(w.batch[i])
+				}
 			}
+			w.st.Applied += len(w.batch)
 		}
 		// A begin marker after an uncommitted transaction drops that
 		// transaction's buffered writes, same as a commit flush.
@@ -202,10 +212,13 @@ func (w *Walker) Feed(r Rec) bool {
 		return true
 	}
 	if w.cfg.View == ApplyAll {
-		w.apply(r)
+		if w.cfg.Apply != nil {
+			w.cfg.Apply(*r)
+		}
+		w.st.Applied++
 		return true
 	}
-	w.batch = append(w.batch, r)
+	w.batch = append(w.batch, *r)
 	return true
 }
 
@@ -223,19 +236,12 @@ func (w *Walker) Finish() Stats {
 // Stats returns the walk counters accumulated so far.
 func (w *Walker) Stats() Stats { return w.st }
 
-func (w *Walker) apply(r Rec) {
-	if w.cfg.Apply != nil {
-		w.cfg.Apply(r)
-	}
-	w.st.Applied++
-}
-
-func (w *Walker) quarantine(r Rec) bool {
+func (w *Walker) quarantine(r *Rec) bool {
 	w.st.InvalidRecords++
 	w.st.QuarantinedFrom = r.LogOff
 	w.st.QuarantinedBytes = w.cfg.End - r.LogOff
 	w.st.IncompleteTail += len(w.batch)
-	w.st.Bad = r
+	w.st.Bad = *r
 	w.batch = nil
 	w.halted = true
 	return false
@@ -248,14 +254,20 @@ type Source interface {
 
 // Run drives every record of src through w and returns the final stats
 // — the whole cursor in one call for consumers that need no per-record
-// interleaving of their own.
+// interleaving of their own. A *BytesSource (the restart path's whole
+// tail) is walked through a concrete-typed loop: the same decode and
+// the same Walker, without an interface call and a Rec returned by
+// value per record.
 func Run(src Source, w *Walker) Stats {
+	if b, ok := src.(*BytesSource); ok {
+		var r Rec
+		for b.next(&r) && w.feed(&r) {
+		}
+		return w.Finish()
+	}
 	for {
 		r, ok := src.Next()
-		if !ok {
-			break
-		}
-		if !w.Feed(r) {
+		if !ok || !w.feed(&r) {
 			break
 		}
 	}

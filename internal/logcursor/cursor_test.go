@@ -1,6 +1,7 @@
 package logcursor
 
 import (
+	"reflect"
 	"testing"
 
 	"lvm/internal/core"
@@ -54,6 +55,9 @@ func TestValidWrite(t *testing.T) {
 		{0, 7, false},
 		{0, 8, false},
 		{^uint32(0) - 2, 4, false}, // off+size wraps
+		{^uint32(0) - 3, 4, false}, // aligned, and off+size wraps to 0
+		{^uint32(0) - 1, 2, false},
+		{^uint32(0), 1, false},
 	}
 	for _, c := range cases {
 		if got := ValidWrite(c.off, c.size, segSize); got != c.want {
@@ -246,6 +250,50 @@ func TestBytesSource(t *testing.T) {
 	}
 }
 
+// nextOnly hides a source's concrete type, forcing Run's generic loop.
+type nextOnly struct{ s Source }
+
+func (n nextOnly) Next() (Rec, bool) { return n.s.Next() }
+
+// TestRunBytesLoopMatchesGenericLoop pins Run's concrete *BytesSource
+// loop to the interface loop: same applied records, same Stats, on a
+// clean stream and on one that quarantines mid-transaction.
+func TestRunBytesLoopMatchesGenericLoop(t *testing.T) {
+	clean := wire(
+		logrec.Record{Addr: 0, Value: 1, WriteSize: 4},
+		logrec.Record{Addr: 0x100, Value: 11, WriteSize: 4},
+		logrec.Record{Addr: 0x102, Value: 0xBEEF, WriteSize: 2},
+		logrec.Record{Addr: 0, Value: 1 | MarkerCommit, WriteSize: 4},
+		logrec.Record{Addr: 0, Value: 2, WriteSize: 4},
+		logrec.Record{Addr: 0x200, Value: 21, WriteSize: 1},
+		logrec.Record{Addr: 0, Value: 2 | MarkerCommit, WriteSize: 4},
+		logrec.Record{Addr: 0, Value: 3, WriteSize: 4},
+		logrec.Record{Addr: 0x300, Value: 31, WriteSize: 4}, // never committed
+	)
+	damaged := append([]byte(nil), clean...)
+	damaged[5*logrec.Size+8] = 3 // bad size inside transaction 2
+	for name, b := range map[string][]byte{"clean": clean, "damaged": damaged} {
+		walk := func(src Source) ([]Rec, Stats) {
+			var got []Rec
+			w := NewWalker(Config{View: Committed, MarkerLimit: 16, End: uint32(len(b)),
+				Apply: func(r Rec) { got = append(got, r) }})
+			return got, Run(src, w)
+		}
+		fast, fastStats := walk(NewBytesSource(b, segSize))
+		slow, slowStats := walk(nextOnly{NewBytesSource(b, segSize)})
+		if !reflect.DeepEqual(fast, slow) || fastStats != slowStats {
+			t.Fatalf("%s: concrete loop diverges:\n %+v\n %+v", name, fastStats, slowStats)
+		}
+		if name == "damaged" && (!fastStats.Quarantined() || fastStats.QuarantinedFrom != 5*logrec.Size ||
+			fastStats.Applied != 2 || fastStats.IncompleteTail != 0) {
+			t.Fatalf("damaged stats: %+v", fastStats)
+		}
+		if name == "clean" && (fastStats.Applied != 3 || fastStats.Txns != 2 || fastStats.IncompleteTail != 1) {
+			t.Fatalf("clean stats: %+v", fastStats)
+		}
+	}
+}
+
 // machine boots a one-CPU system with a logged data segment.
 func machine(t *testing.T) (*core.System, *core.Segment, *core.Segment, *core.Process, core.Addr) {
 	t.Helper()
@@ -405,3 +453,32 @@ func TestWrapReaderAndEachData(t *testing.T) {
 type errSentinel struct{}
 
 func (errSentinel) Error() string { return "stop" }
+
+// BenchmarkRunBytes times the restart path's walk: a packed stream of
+// 64-record committed transactions through Run's *BytesSource loop.
+func BenchmarkRunBytes(b *testing.B) {
+	const segSize, txns, stores = 1 << 18, 1024, 62
+	var buf [logrec.Size]byte
+	stream := make([]byte, 0, txns*(stores+2)*logrec.Size)
+	put := func(off, val uint32) {
+		logrec.Record{Addr: off, Value: val, WriteSize: 4}.Encode(buf[:])
+		stream = append(stream, buf[:]...)
+	}
+	for t := uint32(1); t <= txns; t++ {
+		put(0, t)
+		for j := uint32(0); j < stores; j++ {
+			put(16+((t*stores+j)*4)%(segSize-16), t)
+		}
+		put(0, t|MarkerCommit)
+	}
+	img := make([]byte, segSize)
+	b.SetBytes(int64(len(stream)))
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		w := NewWalker(Config{View: Committed, MarkerLimit: 16, End: uint32(len(stream)),
+			Apply: func(r Rec) { img[r.Off] = byte(r.Value) }})
+		if st := Run(NewBytesSource(stream, segSize), w); st.Applied != txns*stores {
+			b.Fatalf("applied %d", st.Applied)
+		}
+	}
+}

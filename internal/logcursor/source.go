@@ -1,6 +1,8 @@
 package logcursor
 
 import (
+	"encoding/binary"
+
 	"lvm/internal/core"
 	"lvm/internal/logrec"
 )
@@ -104,22 +106,31 @@ func (s *BytesSource) End() uint32 {
 
 // Next yields the next record in the cursor's uniform form.
 func (s *BytesSource) Next() (Rec, bool) {
+	var r Rec
+	ok := s.next(&r)
+	return r, ok
+}
+
+// next decodes the next record into *r, reporting false at the end of
+// the stream (Next and Run's concrete loop share it). It reads only the
+// three wire fields the cursor uses (logrec's layout: address, value,
+// size), in place — a full logrec.Decode and a Rec built from it cost
+// about as much again per record on the restart walk.
+func (s *BytesSource) next(r *Rec) bool {
 	if s.off+logrec.Size > len(s.b) {
-		return Rec{}, false
+		return false
 	}
-	rec := logrec.Decode(s.b[s.off:])
-	r := Rec{
-		Off:    rec.Addr,
-		Value:  rec.Value,
-		Size:   rec.WriteSize,
-		LogOff: uint32(s.off),
-		Idx:    s.idx,
-		Valid:  ValidWrite(rec.Addr, rec.WriteSize, s.segSize),
-		Data:   true,
-	}
+	b := s.b[s.off : s.off+logrec.Size : s.off+logrec.Size]
+	r.Off = binary.LittleEndian.Uint32(b[0:])
+	r.Value = binary.LittleEndian.Uint32(b[4:])
+	r.Size = binary.LittleEndian.Uint16(b[8:])
+	r.LogOff = uint32(s.off)
+	r.Idx = s.idx
+	r.Valid = ValidWrite(r.Off, r.Size, s.segSize)
+	r.Data = true
 	s.off += logrec.Size
 	s.idx++
-	return r, true
+	return true
 }
 
 // Wire returns rec re-addressed to its segment offset — the canonical

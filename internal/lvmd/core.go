@@ -205,9 +205,8 @@ func slotBaseFor(slots int) uint32 {
 // so the shard's logical log offsets restart at zero in every layer
 // (checkpoint header, tail header, shipper base) in step.
 //
-// The bus-logger tuning stages stay off until EnableTuning: restart
-// re-issue (RecoverImage) and recovery tests need the log to mirror the
-// issued stores one-to-one.
+// The bus-logger tuning stages stay off until EnableTuning, so a core a
+// test drives directly logs one record per issued store.
 func NewCore(cfg CoreConfig, img []byte, seq uint32) (*ShardCore, error) {
 	if err := cfg.fill(); err != nil {
 		return nil, err
@@ -521,82 +520,84 @@ func (c *ShardCore) Digest() [32]byte {
 	return sha256.Sum256(buf)
 }
 
-// RecoverInfo reports what a restart recovery did.
+// RecoverInfo reports what a restart recovery did. Offsets in the
+// embedded result (Start, QuarantinedFrom) are tail-file offsets: byte k
+// of the mirror is byte k of the physical log.
 type RecoverInfo struct {
 	compact.RecoverResult
 	// TailRecords is how many mirrored records the tail file held;
-	// ReissuedRecords how many were re-issued (fewer after a torn or
-	// invalid record, which ends the re-issue like a quarantined tail).
+	// ReissuedRecords how many of them recovery accepted — all of them on
+	// a clean tail, those before the first invalid record on a damaged
+	// one (the rest are quarantined: Quarantined() reports it).
 	TailRecords     int
 	ReissuedRecords int
 	Seq             uint32
 }
 
 // RecoverImage reconstructs a shard's committed arena image from its
-// durable files without modifying them: the tail mirror is re-issued
-// as real stores through a throwaway machine (the log segment's record
-// addresses resolve only against live mappings, so persisted bytes
-// cannot be replayed directly), then compact.Recover seeds a fresh
-// segment from the last committed checkpoint and replays the
-// marker-committed tail past its watermark. Pure: calling it twice must
-// produce identical images — the -check mode's determinism probe.
+// durable files without modifying them, and without a machine: a log
+// record carries the address, the datum and its size, and the tail
+// mirror's addresses are already arena offsets, so the image is the last
+// committed checkpoint (compact.LoadCheckpoint) plus the mirrored bytes
+// past its watermark, walked by the shared cursor (marker-committed
+// transactions only) with each write applied straight into the image.
+// The first invalid record quarantines the rest of the tail: the image
+// is then checkpoint + committed prefix, and the info says where the
+// damage began. Pure: calling it twice must produce identical images —
+// the -check mode's determinism probe.
 func RecoverImage(cfg CoreConfig, tail *TailFile) ([]byte, RecoverInfo, error) {
 	var info RecoverInfo
-	if err := cfg.fill(); err != nil {
-		return nil, info, err
-	}
 	arenaSize, err := cfg.ArenaSize()
 	if err != nil {
 		return nil, info, err
 	}
-	// Boot the throwaway machine with tuning off: re-issue must append
-	// one log record per mirrored record, or the checkpoint watermark
-	// arithmetic stops lining up with physical offsets.
-	boot := cfg
-	boot.Tail = nil
-	boot.AbsorbWindow, boot.GroupSize, boot.GroupDeadline = 0, 0, 0
-	c, err := NewCore(boot, nil, 0)
+	if cfg.Disk == nil {
+		return nil, info, errors.New("lvmd: CoreConfig.Disk is required")
+	}
+	img, rr, err := compact.LoadCheckpoint(recovery.NewRetryDisk(cfg.Disk, nil, nil), cfg.DiskBase, arenaSize)
 	if err != nil {
 		return nil, info, err
+	}
+	if img == nil {
+		img = make([]byte, arenaSize)
 	}
 	records, err := tail.Load()
 	if err != nil {
 		return nil, info, err
 	}
-	info.TailRecords = len(records) / int(logrec.Size)
-	for off := 0; off+logrec.Size <= len(records); off += logrec.Size {
-		rec := logrec.Decode(records[off:])
-		if !recovery.ValidWrite(rec.Addr, rec.WriteSize, arenaSize) {
-			break // torn or damaged mirror: stop, like a quarantined tail
-		}
-		va := c.base + core.Addr(rec.Addr)
-		switch rec.WriteSize {
-		case 4:
-			c.P.Store32(va, rec.Value)
-		case 2:
-			c.P.Store16(va, uint16(rec.Value))
-		default:
-			c.P.Store8(va, uint8(rec.Value))
-		}
-		info.ReissuedRecords++
+	info.TailRecords = len(records) / logrec.Size
+	// Replay starts where the image stops: the checkpoint's watermark as
+	// a physical offset (record-aligned), clamped to the mirror's end. A
+	// crash between a checkpoint's seal and the tail cut leaves the start
+	// short of the true boundary; re-applying an in-order suffix of
+	// absolute writes the image already holds is idempotent.
+	rr.Start -= rr.Start % logrec.Size
+	if end := uint32(len(records)); rr.Start > end {
+		rr.Start = end
 	}
-	c.Sys.Sync()
-	if got := c.Sys.K.LogAppendOffset(c.LogSeg); got != uint32(info.ReissuedRecords)*uint32(logrec.Size) {
-		return nil, info, fmt.Errorf("lvmd: re-issued %d records but log holds %d bytes",
-			info.ReissuedRecords, got)
-	}
-	dst := core.NewNamedSegment(c.Sys, "lvmd-recover", arenaSize, nil)
-	rr, err := compact.Recover(c.Sys, compact.RecoverOptions{
-		Disk:     recovery.NewRetryDisk(cfg.Disk, nil, c.sh),
-		DiskBase: cfg.DiskBase,
-		Log:      c.LogSeg, Data: c.Arena, Dst: dst, MarkerLimit: MarkerLimit,
-	})
-	if err != nil {
-		return nil, info, err
+	src := logcursor.NewBytesSource(records[rr.Start:], arenaSize)
+	st := logcursor.Run(src, logcursor.NewWalker(logcursor.Config{
+		View:        logcursor.Committed,
+		MarkerLimit: MarkerLimit,
+		End:         src.End(),
+		Apply: func(r logcursor.Rec) {
+			switch r.Size {
+			case 4:
+				put32(img[r.Off:], r.Value)
+			case 2:
+				img[r.Off], img[r.Off+1] = byte(r.Value), byte(r.Value>>8)
+			default:
+				img[r.Off] = byte(r.Value)
+			}
+		},
+	}))
+	rr.Result = recovery.FromStats(st)
+	info.ReissuedRecords = info.TailRecords
+	if rr.Quarantined() {
+		rr.QuarantinedFrom += rr.Start
+		info.ReissuedRecords = int(rr.QuarantinedFrom / logrec.Size)
 	}
 	info.RecoverResult = rr
-	img := make([]byte, arenaSize)
-	dst.ReadInto(0, img)
 	// The transaction sequence resumes past both the image's marker word
 	// (the last marker the checkpoint captured) and the replayed tail.
 	info.Seq = get32(img) &^ recovery.MarkerCommit
@@ -604,7 +605,7 @@ func RecoverImage(cfg CoreConfig, tail *TailFile) ([]byte, RecoverInfo, error) {
 		info.Seq = rr.LastSeq
 	}
 	// Stamp the resolved sequence back into the marker word: replay never
-	// writes protocol words into Dst, so the image would otherwise keep the
+	// writes protocol words into the image, so it would otherwise keep the
 	// marker the checkpoint captured. A generation that serves no new
 	// transactions re-checkpoints its image verbatim, and the next recovery
 	// — with an empty tail and so no LastSeq to compensate — would report

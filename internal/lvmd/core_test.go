@@ -20,14 +20,14 @@ func testCfg(t *testing.T, dir string) (CoreConfig, *TailFile) {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { tail.Close() })
-	return CoreConfig{
-		Slots:    8,
-		SlotSize: 256,
-		LogPages: 16,
-		Disk:     disk,
-		Tail:     tail,
-	}, tail
+	cfg := smallCore
+	cfg.Disk, cfg.Tail = disk, tail
+	return cfg, tail
 }
+
+// smallCore is the tests' shard geometry: small enough that a few
+// hundred commits cross the compaction threshold.
+var smallCore = CoreConfig{Slots: 8, SlotSize: 256, LogPages: 16}
 
 // reopen recovers a shard from its durable files, as the daemon does on
 // restart.

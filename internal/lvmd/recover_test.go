@@ -1,0 +1,476 @@
+package lvmd
+
+import (
+	"bytes"
+	"errors"
+	"fmt"
+	"math/rand"
+	"os"
+	"path/filepath"
+	"reflect"
+	"testing"
+
+	"lvm/internal/core"
+	"lvm/internal/logrec"
+	"lvm/internal/ramdisk"
+	"lvm/internal/recovery"
+)
+
+// restartRig drives one ShardCore on the files in dir with a seeded op
+// stream and remembers, at every durability fence, what a restart must
+// reproduce: the arena bytes past the marker area and the sequence.
+type restartRig struct {
+	t    *testing.T
+	c    *ShardCore
+	rng  *rand.Rand
+	segs []uint64
+
+	fenced    []byte
+	fencedSeq uint32
+
+	commits, subword, checkpoints, compactions int
+}
+
+func (r *restartRig) fence() {
+	r.t.Helper()
+	if err := r.c.SyncBatch(); err != nil {
+		r.t.Fatalf("SyncBatch: %v", err)
+	}
+	r.fenced = make([]byte, r.c.Arena.Size()-MarkerLimit)
+	r.c.Arena.ReadInto(MarkerLimit, r.fenced)
+	r.fencedSeq = r.c.Seq()
+}
+
+func (r *restartRig) open() {
+	r.t.Helper()
+	if len(r.segs) == r.c.cfg.Slots {
+		return
+	}
+	id := uint64(len(r.segs)) + 1
+	if _, _, err := r.c.Open(id); err != nil {
+		r.t.Fatalf("Open(%d): %v", id, err)
+	}
+	r.segs = append(r.segs, id)
+}
+
+func (r *restartRig) seg() uint64 { return r.segs[r.rng.Intn(len(r.segs))] }
+
+// commit is one client transaction of 1–64 word stores.
+func (r *restartRig) commit() {
+	r.t.Helper()
+	writes := make([]Write, 1+r.rng.Intn(64))
+	for i := range writes {
+		writes[i] = Write{Off: uint32(r.rng.Intn(int(r.c.SlotSize()/4))) * 4, Val: r.rng.Uint32()}
+	}
+	if _, err := r.c.Commit(r.seg(), writes); err != nil {
+		r.t.Fatalf("Commit: %v", err)
+	}
+	r.commits++
+}
+
+// rawTxn issues a marker-bracketed transaction of byte and halfword
+// stores straight through the process (ShardCore.Commit only takes
+// words), optionally leaving it uncommitted.
+func (r *restartRig) rawTxn(commit bool) {
+	c := r.c
+	slot, _ := c.Lookup(r.seg())
+	va := c.base + core.Addr(c.SlotOff(slot))
+	c.seq++
+	c.P.Store32(c.base, c.seq&^recovery.MarkerCommit)
+	for i, n := 0, 1+r.rng.Intn(8); i < n; i++ {
+		off := core.Addr(r.rng.Intn(int(c.SlotSize())))
+		switch r.rng.Intn(3) {
+		case 0:
+			c.P.Store8(va+off, uint8(r.rng.Uint32()))
+		case 1:
+			c.P.Store16(va+off&^1, uint16(r.rng.Uint32()))
+		default:
+			c.P.Store32(va+off&^3, r.rng.Uint32())
+		}
+	}
+	if commit {
+		c.P.Store32(c.base, c.seq|recovery.MarkerCommit)
+		r.subword++
+	}
+}
+
+var errCrash = errors.New("crash injected before the log cut")
+
+// drive runs steps seeded ops, fencing after every few, then ends the
+// generation the way the row says. Compaction is tried at every fence,
+// as the shard loop does after each batch.
+func (r *restartRig) drive(steps int, ending string) {
+	r.t.Helper()
+	r.open()
+	for i := 0; i < steps; i++ {
+		switch p := r.rng.Intn(100); {
+		case p < 6:
+			r.open()
+		case p < 14:
+			r.rawTxn(true)
+		case p < 17:
+			r.fence()
+			if err := r.c.Checkpoint(); err != nil { // no truncation: replay starts mid-tail
+				r.t.Fatalf("Checkpoint: %v", err)
+			}
+			r.checkpoints++
+		default:
+			r.commit()
+		}
+		if r.rng.Intn(4) == 0 {
+			r.fence()
+			did, err := r.c.MaybeCompact()
+			if err != nil {
+				r.t.Fatalf("MaybeCompact: %v", err)
+			}
+			if did {
+				r.compactions++
+			}
+		}
+	}
+	r.fence()
+	switch ending {
+	case "clean":
+	case "uncommitted":
+		// A transaction whose begin marker and stores reached the mirror
+		// but whose commit marker never did.
+		r.rawTxn(false)
+		if err := r.c.SyncBatch(); err != nil {
+			r.t.Fatalf("SyncBatch: %v", err)
+		}
+	case "sealed-not-cut":
+		// The checkpoint seals (its header already names the post-cut
+		// base) and the process dies before the log and tail are cut.
+		r.commit()
+		r.fence()
+		r.c.Mgr.FailHook = func() error { return errCrash }
+		if err := r.c.Mgr.Compact(r.c.P.CPU); !errors.Is(err, errCrash) {
+			r.t.Fatalf("Compact = %v, want the injected crash", err)
+		}
+	default:
+		r.t.Fatalf("unknown ending %q", ending)
+	}
+}
+
+// TestRestartOracle is the restart path's oracle: whatever the op stream
+// and however the generation died, RecoverImage on the files reproduces
+// the last fenced arena and sequence, and does so twice identically. The
+// recovered image then boots the next generation, which is driven and
+// killed in turn.
+func TestRestartOracle(t *testing.T) {
+	tuned := func(c *CoreConfig) { c.AbsorbWindow, c.GroupSize, c.GroupDeadline = 8, 8, 1024 }
+	rows := []struct {
+		ending string
+		tune   func(*CoreConfig)
+	}{
+		{"clean", nil}, {"clean", tuned},
+		{"uncommitted", nil}, {"uncommitted", tuned},
+		{"sealed-not-cut", nil}, {"sealed-not-cut", tuned},
+	}
+	for ri, row := range rows {
+		for seed := int64(1); seed <= 4; seed++ {
+			t.Run(fmt.Sprintf("%s/tuned=%v/seed=%d", row.ending, row.tune != nil, seed), func(t *testing.T) {
+				dir := t.TempDir()
+				rig := &restartRig{t: t, rng: rand.New(rand.NewSource(seed*100 + int64(ri)))}
+				var img []byte
+				var seq uint32
+				for gen := 0; gen < 3; gen++ {
+					cfg, _ := testCfg(t, dir)
+					if row.tune != nil {
+						row.tune(&cfg)
+					}
+					c, err := NewCore(cfg, img, seq)
+					if err != nil {
+						t.Fatalf("generation %d NewCore: %v", gen, err)
+					}
+					c.EnableTuning()
+					rig.c = c
+					rig.drive(150, row.ending)
+
+					cfg2, tail2 := testCfg(t, dir)
+					var info RecoverInfo
+					img, info, err = RecoverImage(cfg2, tail2)
+					if err != nil {
+						t.Fatalf("generation %d RecoverImage: %v", gen, err)
+					}
+					if !bytes.Equal(img[MarkerLimit:], rig.fenced) {
+						t.Fatalf("generation %d: recovered arena differs from the last fenced snapshot", gen)
+					}
+					if info.Seq != rig.fencedSeq {
+						t.Fatalf("generation %d: recovered seq %d, fenced %d", gen, info.Seq, rig.fencedSeq)
+					}
+					if info.Quarantined() || info.ReissuedRecords != info.TailRecords {
+						t.Fatalf("generation %d: clean tail reported damaged: %+v", gen, info)
+					}
+					img2, info2, err := RecoverImage(cfg2, tail2)
+					if err != nil || !bytes.Equal(img, img2) || !reflect.DeepEqual(info, info2) {
+						t.Fatalf("generation %d: second recovery differs (%v):\n%+v\n%+v", gen, err, info, info2)
+					}
+					seq = info.Seq
+				}
+				if rig.commits == 0 || rig.subword == 0 || rig.checkpoints == 0 || rig.compactions == 0 {
+					t.Fatalf("op stream too thin to prove anything: %+v", *rig)
+				}
+			})
+		}
+	}
+}
+
+// refReplay is the fuzz and damage tests' independent statement of what
+// a restart must produce: base plus every marker-committed transaction
+// of body from start up to the first invalid record. It returns the
+// image, the index of that record (the record count on a clean body)
+// and the resolved sequence.
+func refReplay(base, body []byte, start int) ([]byte, int, uint32) {
+	img := append([]byte(nil), base...)
+	seq := get32(img) &^ recovery.MarkerCommit
+	var pending []logrec.Record
+	n := len(body) / logrec.Size
+	stop := n
+	for i := start / logrec.Size; i < n; i++ {
+		rec := logrec.Decode(body[i*logrec.Size:])
+		sz := uint64(rec.WriteSize)
+		ok := (sz == 1 || sz == 2 || sz == 4) && uint64(rec.Addr)%sz == 0 &&
+			uint64(rec.Addr)+sz <= uint64(len(img)) && (rec.Addr >= MarkerLimit || sz == 4)
+		if !ok {
+			stop = i
+			break
+		}
+		if rec.Addr >= MarkerLimit {
+			pending = append(pending, rec)
+			continue
+		}
+		if rec.Value&recovery.MarkerCommit != 0 {
+			for _, p := range pending {
+				copy(img[p.Addr:], p.ValueBytes())
+			}
+			if s := rec.Value &^ recovery.MarkerCommit; s > seq {
+				seq = s
+			}
+		}
+		pending = pending[:0]
+	}
+	if seq != 0 {
+		put32(img, seq|recovery.MarkerCommit)
+	}
+	return img, stop, seq
+}
+
+// tailBody builds a short real tail on a fresh core over cfg.Disk: a
+// few committed transactions (sub-word stores included) with two
+// non-truncating checkpoints among them, so both slots hold a valid
+// image and the elected one's replay starts mid-tail.
+func tailBody(t testing.TB, cfg CoreConfig) []byte {
+	t.Helper()
+	dir := t.TempDir()
+	tail, err := OpenTail(filepath.Join(dir, "tail"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer tail.Close()
+	cfg.Tail = tail
+	c, err := NewCore(cfg, nil, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rig := &restartRig{c: c, rng: rand.New(rand.NewSource(7))}
+	for seg := uint64(1); seg <= 3; seg++ {
+		if _, _, err := c.Open(seg); err != nil {
+			t.Fatal(err)
+		}
+		rig.segs = append(rig.segs, seg)
+	}
+	for i := 0; i < 6; i++ {
+		if _, err := c.Commit(rig.seg(), []Write{{Off: uint32(8 * i), Val: uint32(0x100 + i)}, {Off: 64, Val: uint32(i)}}); err != nil {
+			t.Fatal(err)
+		}
+		rig.rawTxn(true)
+		if i == 1 || i == 3 {
+			if err := c.SyncBatch(); err != nil {
+				t.Fatal(err)
+			}
+			if err := c.Checkpoint(); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	if err := c.SyncBatch(); err != nil {
+		t.Fatal(err)
+	}
+	body, err := tail.Load()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return body
+}
+
+// recoverBytes runs RecoverImage over a tail file holding exactly body.
+func recoverBytes(t testing.TB, cfg CoreConfig, path string, body []byte) ([]byte, RecoverInfo, error) {
+	t.Helper()
+	var hdr [tailHdrSize]byte
+	put32(hdr[:], tailMagic)
+	put32(hdr[4:], tailVersion)
+	if err := os.WriteFile(path, append(hdr[:], body...), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	tail, err := OpenTail(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer tail.Close()
+	return RecoverImage(cfg, tail)
+}
+
+// TestRecoverImageReportsDamagedTail pins the damage report: a bad
+// record mid-tail quarantines the rest, the info says where, and the
+// image is still exactly checkpoint + committed prefix.
+func TestRecoverImageReportsDamagedTail(t *testing.T) {
+	cfg := smallCore
+	disk := ramdisk.New()
+	cfg.Disk = disk
+	body := tailBody(t, cfg)
+	path := filepath.Join(t.TempDir(), "tail")
+
+	clean, cinfo, err := recoverBytes(t, cfg, path, body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !cinfo.FromCheckpoint || cinfo.Start == 0 || int(cinfo.Start) >= len(body) {
+		t.Fatalf("rig did not put the replay start mid-tail: %+v", cinfo)
+	}
+	if cinfo.Quarantined() || cinfo.ReissuedRecords != cinfo.TailRecords {
+		t.Fatalf("clean tail reported damaged: %+v", cinfo)
+	}
+
+	// Damage the size field of a record past the replay start, inside a
+	// later transaction.
+	bad := int(cinfo.Start)/logrec.Size + (cinfo.TailRecords-int(cinfo.Start)/logrec.Size)/2
+	damaged := append([]byte(nil), body...)
+	damaged[bad*logrec.Size+8] = 3
+	img, info, err := recoverBytes(t, cfg, path, damaged)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !info.Quarantined() || info.InvalidRecords != 1 {
+		t.Fatalf("damage not reported: %+v", info)
+	}
+	if info.QuarantinedFrom != uint32(bad*logrec.Size) {
+		t.Fatalf("QuarantinedFrom = %d, want tail offset %d", info.QuarantinedFrom, bad*logrec.Size)
+	}
+	if info.ReissuedRecords != bad || info.ReissuedRecords >= info.TailRecords {
+		t.Fatalf("ReissuedRecords = %d of %d, want %d", info.ReissuedRecords, info.TailRecords, bad)
+	}
+	// The same bytes cut off at the damage recover to the same image.
+	want, winfo, err := recoverBytes(t, cfg, path, body[:bad*logrec.Size])
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(img, want) || info.Seq != winfo.Seq {
+		t.Fatal("damaged tail did not recover to checkpoint + committed prefix")
+	}
+	if bytes.Equal(img, clean) {
+		t.Fatal("damage landed past the last commit: the test proves nothing")
+	}
+}
+
+// FuzzRecoverImageTail feeds RecoverImage arbitrary tail bytes and
+// arbitrary checkpoint header blocks over two valid images. It must
+// never panic or write outside the image, and whatever checkpoint it
+// elects, the result is that image plus the committed prefix of the tail
+// up to the first invalid record.
+func FuzzRecoverImageTail(f *testing.F) {
+	cfg := smallCore
+	seedDisk := ramdisk.New()
+	cfg.Disk = seedDisk
+	body := tailBody(f, cfg)
+	arena, err := cfg.ArenaSize()
+	if err != nil {
+		f.Fatal(err)
+	}
+	// The checkpoint area: two header blocks, then two block-aligned
+	// images (arena sizes are page multiples).
+	hdrs := make([]byte, 2*ramdisk.BlockSize)
+	imgs := make([]byte, 2*arena)
+	if err := seedDisk.TryReadAt(nil, 0, hdrs); err != nil {
+		f.Fatal(err)
+	}
+	if err := seedDisk.TryReadAt(nil, 2*ramdisk.BlockSize, imgs); err != nil {
+		f.Fatal(err)
+	}
+	// A header is 36 bytes; short seeds keep the engine's minimizer cheap.
+	h0, h1 := hdrs[:64], hdrs[ramdisk.BlockSize:ramdisk.BlockSize+64]
+
+	// Seeds: the clean tail, a torn final record, a halfword store into
+	// the marker word, a bad size mid-tail.
+	mutate := func(at int, size byte) []byte {
+		b := append([]byte(nil), body...)
+		b[at+8] = size
+		return b
+	}
+	mid := len(body) / 2 / logrec.Size * logrec.Size
+	marker := mid
+	for get32(body[marker:]) >= MarkerLimit {
+		marker += logrec.Size
+	}
+	torn, subMarker, badSize := body[:len(body)-5], mutate(marker, 2), mutate(mid, 3)
+	f.Add(body, h0, h1)
+	f.Add(torn, h0, h1)
+	f.Add(subMarker, h0, h1)
+	f.Add(badSize, h0, h1)
+	f.Add(body, h1, h0)
+	f.Add(body, []byte{}, []byte{})
+
+	path := filepath.Join(f.TempDir(), "tail")
+	f.Fuzz(func(t *testing.T, body, h0, h1 []byte) {
+		if len(body) > 1<<16 {
+			body = body[:1<<16]
+		}
+		disk := ramdisk.New()
+		for slot, h := range [][]byte{h0, h1} {
+			if len(h) > ramdisk.BlockSize {
+				h = h[:ramdisk.BlockSize]
+			}
+			if err := disk.TryWriteAt(nil, uint64(slot)*ramdisk.BlockSize, h); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := disk.TryWriteAt(nil, 2*ramdisk.BlockSize, imgs); err != nil {
+			t.Fatal(err)
+		}
+		cfg := smallCore
+		cfg.Disk = disk
+		img, info, err := recoverBytes(t, cfg, path, body)
+		if err != nil {
+			return // a sealed checkpoint of another arena size: refused, not guessed at
+		}
+		if uint32(len(img)) != arena {
+			t.Fatalf("image is %d bytes, arena %d", len(img), arena)
+		}
+		if info.TailRecords != len(body)/logrec.Size || info.ReissuedRecords > info.TailRecords {
+			t.Fatalf("record accounting: %+v over %d bytes", info, len(body))
+		}
+		if info.Start%logrec.Size != 0 || int(info.Start) > len(body) {
+			t.Fatalf("replay start %d over %d tail bytes", info.Start, len(body))
+		}
+		// Which slot the fuzzed headers elected is theirs to say; the
+		// image must be one of the two (or empty) plus the prefix.
+		bases := [][]byte{make([]byte, arena)}
+		if info.FromCheckpoint {
+			bases = [][]byte{imgs[:arena], imgs[arena:]}
+		}
+		want, stop, seq := refReplay(bases[0], body, int(info.Start))
+		if !bytes.Equal(img, want) && len(bases) == 2 {
+			want, stop, seq = refReplay(bases[1], body, int(info.Start))
+		}
+		if !bytes.Equal(img, want) {
+			t.Fatalf("image is not checkpoint + committed prefix (info %+v)", info)
+		}
+		if info.Seq != seq || info.ReissuedRecords != stop || info.Quarantined() != (stop < info.TailRecords) {
+			t.Fatalf("info %+v, want seq %d and %d accepted records", info, seq, stop)
+		}
+		img2, info2, err := recoverBytes(t, cfg, path, body)
+		if err != nil || !bytes.Equal(img, img2) || !reflect.DeepEqual(info, info2) {
+			t.Fatalf("second recovery differs: %v", err)
+		}
+	})
+}

@@ -128,53 +128,102 @@ type Server struct {
 }
 
 // NewServer recovers (or creates) every shard from cfg.Dir and starts
-// their goroutines. It does not accept connections until Serve.
+// their goroutines. It does not accept connections until Serve. Shards
+// boot concurrently, one goroutine each (open files, RecoverImage,
+// NewShard with its post-recovery checkpoint and tail reset), so restart
+// time is the slowest shard's, not the sum. Results land in
+// index-addressed slices; on failure every shard that did start is
+// closed, every opened file is closed, and the lowest-index shard's
+// error is returned.
 func NewServer(cfg ServerConfig) (*Server, error) {
+	s, err := bootServer(cfg)
+	if err != nil {
+		return nil, err
+	}
+	return s, nil
+}
+
+// bootServer is NewServer, except that on a shard boot failure it also
+// hands back the torn-down server so a test can see that nothing of it
+// is still running.
+func bootServer(cfg ServerConfig) (*Server, error) {
 	cfg.fill()
-	s := &Server{cfg: cfg, sessions: make(map[net.Conn]struct{}), reroute: make(map[uint64]int)}
+	n := cfg.Shards
+	s := &Server{
+		cfg:      cfg,
+		shards:   make([]*Shard, n),
+		disks:    make([]*FileDisk, n),
+		tails:    make([]*TailFile, n),
+		info:     make([]RecoverInfo, n),
+		sessions: make(map[net.Conn]struct{}),
+		reroute:  make(map[uint64]int),
+	}
 	if err := os.MkdirAll(cfg.Dir, 0o755); err != nil {
 		return nil, fmt.Errorf("lvmd: data dir: %w", err)
 	}
-	if cfg.Boot != nil && len(cfg.Boot) != cfg.Shards {
-		return nil, fmt.Errorf("lvmd: %d boot images for %d shards", len(cfg.Boot), cfg.Shards)
+	if cfg.Boot != nil && len(cfg.Boot) != n {
+		return nil, fmt.Errorf("lvmd: %d boot images for %d shards", len(cfg.Boot), n)
 	}
-	for i := 0; i < cfg.Shards; i++ {
-		disk, tail, err := openShardFiles(cfg.Dir, i)
+	errs := make([]error, n)
+	var wg sync.WaitGroup
+	for i := range errs {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			errs[i] = s.bootShard(i)
+		}()
+	}
+	wg.Wait()
+	for _, err := range errs {
 		if err != nil {
-			s.closeFiles()
-			return nil, err
-		}
-		s.disks, s.tails = append(s.disks, disk), append(s.tails, tail)
-		shCfg := cfg.Shard
-		shCfg.Core.Disk, shCfg.Core.Tail = disk, tail
-		var img []byte
-		var info RecoverInfo
-		if cfg.Boot != nil {
-			img, info = cfg.Boot[i].Img, RecoverInfo{Seq: cfg.Boot[i].Seq}
-			// The grant flows through the core so the post-recovery
-			// checkpoint persists it: a later restart of this daemon (no
-			// Boot) then elects past it instead of falling back to the
-			// checkpoint generation and fencing itself out.
-			shCfg.Core.Epoch = cfg.Boot[i].Epoch
-		} else {
-			img, info, err = RecoverImage(shCfg.Core, tail)
-			if err != nil {
-				s.closeFiles()
-				return nil, fmt.Errorf("lvmd: shard %d recovery: %w", i, err)
+			for _, sh := range s.shards {
+				if sh != nil {
+					sh.Close()
+				}
 			}
-		}
-		sh, err := NewShard(i, shCfg, img, info.Seq)
-		if err != nil {
 			s.closeFiles()
-			return nil, fmt.Errorf("lvmd: shard %d: %w", i, err)
+			return s, err
 		}
-		s.shards, s.info = append(s.shards, sh), append(s.info, info)
 	}
 	if err := s.scanOwnership(); err != nil {
 		s.Drain()
 		return nil, err
 	}
 	return s, nil
+}
+
+// bootShard opens shard i's files, recovers (or adopts the promoted
+// boot image) and starts the shard, filling slot i of the server's
+// per-shard slices. It touches no other slot, so boots run concurrently.
+func (s *Server) bootShard(i int) error {
+	disk, tail, err := openShardFiles(s.cfg.Dir, i)
+	if err != nil {
+		return err
+	}
+	s.disks[i], s.tails[i] = disk, tail
+	shCfg := s.cfg.Shard
+	shCfg.Core.Disk, shCfg.Core.Tail = disk, tail
+	var img []byte
+	var info RecoverInfo
+	if s.cfg.Boot != nil {
+		img, info = s.cfg.Boot[i].Img, RecoverInfo{Seq: s.cfg.Boot[i].Seq}
+		// The grant flows through the core so the post-recovery
+		// checkpoint persists it: a later restart of this daemon (no
+		// Boot) then elects past it instead of falling back to the
+		// checkpoint generation and fencing itself out.
+		shCfg.Core.Epoch = s.cfg.Boot[i].Epoch
+	} else {
+		img, info, err = RecoverImage(shCfg.Core, tail)
+		if err != nil {
+			return fmt.Errorf("lvmd: shard %d recovery: %w", i, err)
+		}
+	}
+	sh, err := NewShard(i, shCfg, img, info.Seq)
+	if err != nil {
+		return fmt.Errorf("lvmd: shard %d: %w", i, err)
+	}
+	s.shards[i], s.info[i] = sh, info
+	return nil
 }
 
 // scanOwnership rebuilds the migration route table from the recovered
@@ -248,12 +297,18 @@ func openShardFiles(dir string, i int) (*FileDisk, *TailFile, error) {
 	return disk, tail, nil
 }
 
+// closeFiles closes every shard file that was opened (a failed boot
+// leaves nil slots).
 func (s *Server) closeFiles() {
 	for _, d := range s.disks {
-		d.Close()
+		if d != nil {
+			d.Close()
+		}
 	}
 	for _, t := range s.tails {
-		t.Close()
+		if t != nil {
+			t.Close()
+		}
 	}
 }
 

@@ -2,11 +2,15 @@ package lvmd
 
 import (
 	"net"
+	"os"
+	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 
 	"lvm/internal/dsm"
 	"lvm/internal/logship"
+	"lvm/internal/ramdisk"
 )
 
 func testServer(t *testing.T, dir string, shards int) (*Server, logship.DialFunc) {
@@ -190,5 +194,59 @@ func TestServerStatsFrame(t *testing.T) {
 	}
 	if hs.Accepted == 0 || hs.Sessions == 0 {
 		t.Fatalf("stats: %+v", hs)
+	}
+}
+
+// TestBootFailureLeavesNothingRunning pins the boot-failure cleanup: a
+// shard that cannot recover must not leave its siblings' goroutines
+// running on closed files, and the error must name the failing shard.
+func TestBootFailureLeavesNothingRunning(t *testing.T) {
+	dir := t.TempDir()
+	srv, _ := testServer(t, dir, 3)
+	if rep := srv.Drain(); !rep.Drained {
+		t.Fatalf("drain not clean: %+v", rep)
+	}
+	// Corrupt the image length in both of shard 1's checkpoint headers:
+	// the sealed checkpoint no longer fits the arena, so recovery refuses.
+	f, err := os.OpenFile(filepath.Join(dir, "shard-1.ckpt"), os.O_RDWR, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for slot := int64(0); slot < 2; slot++ {
+		if _, err := f.WriteAt([]byte{0x10, 0, 0, 0}, slot*ramdisk.BlockSize+8); err != nil {
+			t.Fatal(err)
+		}
+	}
+	f.Close()
+
+	cfg := ServerConfig{Dir: dir, Shards: 3, Shard: ShardConfig{
+		Core: CoreConfig{Slots: 32, SlotSize: 1024, LogPages: 64}}}
+	s, err := bootServer(cfg)
+	if err == nil {
+		s.Drain()
+		t.Fatal("boot succeeded over a checkpoint that does not fit the arena")
+	}
+	if !strings.Contains(err.Error(), "shard 1 recovery") {
+		t.Fatalf("error does not name shard 1: %v", err)
+	}
+	if s.shards[1] != nil {
+		t.Fatal("the failed shard was started")
+	}
+	for _, i := range []int{0, 2} {
+		sh := s.shards[i]
+		if sh == nil {
+			t.Fatalf("shard %d never booted, so the test proves nothing", i)
+		}
+		select {
+		case <-sh.done:
+		default:
+			t.Fatalf("shard %d goroutine survived the failed boot", i)
+		}
+		if err := s.disks[i].f.Close(); err == nil {
+			t.Fatalf("shard %d checkpoint file left open", i)
+		}
+	}
+	if srv, err := NewServer(cfg); err == nil || srv != nil {
+		t.Fatalf("NewServer = %v, %v on the same files", srv, err)
 	}
 }

@@ -18,18 +18,19 @@ const (
 
 // TailFile durably mirrors one shard's physical log: the byte at file
 // offset tailHdrSize+k is the byte at physical log offset k, with record
-// address fields rewritten to segment offsets (physical addresses cannot
-// be resolved by a fresh boot). The header records cutBase — the logical
-// log offset of physical byte 0 — which matches the cutBase the shard's
-// checkpoint headers store, so a restart can re-issue the mirrored tail
-// through a fresh machine and hand compact.Recover a log whose offsets
-// line up with the checkpoint watermark.
+// address fields rewritten to arena offsets. Each 16-byte record
+// therefore carries everything a restart needs — where, what, how wide —
+// and RecoverImage replays the mirror as bytes over the checkpoint
+// image, starting at the checkpoint header's watermark − cutBase (the
+// mirror and the checkpoint headers share one physical-offset frame; the
+// header here records the same cutBase, the logical log offset of
+// physical byte 0).
 //
 // Compaction cuts rewrite the file through a temp-file rename, so a
 // crash leaves either the pre-cut or post-cut mirror, never a torn one.
-// A crash mid-append can leave a partial final record; Load truncates to
-// a record boundary — the partial record was never acked (the fsync that
-// would have acked it did not complete).
+// A crash mid-append can leave a partial final record; OpenTail sizes
+// the mirror to a record boundary — the partial record was never acked
+// (the fsync that would have acked it did not complete).
 type TailFile struct {
 	path    string
 	f       *os.File

@@ -6,8 +6,9 @@
 // compaction to a file-backed device) and one logship.Shipper
 // (replication subscribers) per shard. Segment IDs hash to shards;
 // client transactions apply behind the recovery marker protocol, so a
-// restart is per-shard compact.Recover and an acknowledged commit is
-// durable across SIGKILL.
+// restart is a per-shard byte replay of the tail mirror over the last
+// checkpoint image (RecoverImage) and an acknowledged commit is durable
+// across SIGKILL.
 //
 // The client protocol reuses the logship CRC framing (logship.Frame*
 // types). All payloads are little-endian, fixed layouts:

@@ -100,7 +100,7 @@ const (
 	LvmdBatches    // group-commit batches (one durability fence each)
 	LvmdReads      // consistent read operations served
 	LvmdTailBytes  // log bytes mirrored to the durable tail file
-	LvmdRecoveries // shard recoveries (restart = compact.Recover per shard)
+	LvmdRecoveries // shard recoveries (restart = one RecoverImage per shard)
 
 	// NumIDs is the counter-array length; keep it last.
 	NumIDs

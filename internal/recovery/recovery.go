@@ -155,19 +155,30 @@ func view(o ReplayOptions) logcursor.View {
 	return logcursor.Committed
 }
 
+// FromStats is the Result a cursor walk's stats describe. A machine-free
+// replay (lvmd.RecoverImage over the tail mirror's bytes) reports exactly
+// this; Replay adds the hardware lost-record count.
+func FromStats(st logcursor.Stats) Result {
+	return Result{
+		Scanned:             st.Scanned,
+		Applied:             st.Applied,
+		Skipped:             st.Skipped,
+		Txns:                st.Txns,
+		InvalidRecords:      st.InvalidRecords,
+		IncompleteTail:      st.IncompleteTail,
+		QuarantinedFrom:     st.QuarantinedFrom,
+		QuarantinedBytes:    st.QuarantinedBytes,
+		LastSeq:             st.LastSeq,
+		NonMonotonicCommits: st.NonMonotonicCommits,
+	}
+}
+
 // fillResult copies the cursor's walk stats into a Result and charges
 // the recovery metrics.
 func fillResult(res *Result, sh *metrics.Shard, st logcursor.Stats) {
-	res.Scanned = st.Scanned
-	res.Applied = st.Applied
-	res.Skipped = st.Skipped
-	res.Txns = st.Txns
-	res.InvalidRecords = st.InvalidRecords
-	res.IncompleteTail = st.IncompleteTail
-	res.QuarantinedFrom = st.QuarantinedFrom
-	res.QuarantinedBytes = st.QuarantinedBytes
-	res.LastSeq = st.LastSeq
-	res.NonMonotonicCommits = st.NonMonotonicCommits
+	lost := res.LostRecords
+	*res = FromStats(st)
+	res.LostRecords = lost
 	if st.InvalidRecords > 0 {
 		sh.Add(metrics.RecoveryInvalidRecords, uint64(st.InvalidRecords))
 		sh.Add(metrics.QuarantinedBytes, uint64(st.QuarantinedBytes))
