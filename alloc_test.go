@@ -1,8 +1,10 @@
 package lvm_test
 
 import (
+	"runtime"
 	"testing"
 
+	"lvm/internal/core"
 	"lvm/internal/experiments"
 )
 
@@ -28,4 +30,73 @@ func TestLoggedStoreZeroAlloc(t *testing.T) {
 	if err := sl.Err(); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// allocatedBy reports the host bytes f allocates (TotalAlloc only grows,
+// so a collection in the middle does not disturb the reading).
+func allocatedBy(f func()) uint64 {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	f()
+	runtime.ReadMemStats(&after)
+	return after.TotalAlloc - before.TotalAlloc
+}
+
+// TestNewSystemAllocBudget pins construction at "costs what it touches":
+// every point of every sweep boots a fresh machine, so a table sized for
+// the modelled capacity (the 32 K-entry PMT, a frame table for 64 MiB, a
+// trace ring nobody enabled) is paid hundreds of times per pass. Booting
+// any of the three machine kinds stays under 64 KiB (it was 680 KiB), and
+// a machine that has logged to 8 pages has grown by about those pages.
+func TestNewSystemAllocBudget(t *testing.T) {
+	const budget = 64 << 10
+	kinds := []struct {
+		name string
+		boot func(core.Config) *core.System
+	}{
+		{"NewSystem", core.NewSystem},
+		{"NewSystemOnChip", core.NewSystemOnChip},
+		{"NewSystemNoLogger", core.NewSystemNoLogger},
+	}
+	for _, k := range kinds {
+		var sys *core.System
+		got := allocatedBy(func() { sys = k.boot(core.Config{}) })
+		if got > budget {
+			t.Errorf("%s allocates %d B, budget %d", k.name, got, budget)
+		}
+		t.Logf("%s: %d B", k.name, got)
+		runtime.KeepAlive(sys)
+	}
+
+	// One logged store to each of 8 pages: the machine may grow by 4 KiB
+	// per frame it now holds (data pages, the log's first page, whatever
+	// the kernel keeps), the bookkeeping fitting in the boot budget's slack.
+	const pages = 8
+	var sys *core.System
+	got := allocatedBy(func() {
+		sys = core.NewSystem(core.Config{})
+		seg := core.NewStdSegment(sys, pages*core.PageSize, nil)
+		reg := core.NewStdRegion(sys, seg)
+		if err := reg.Log(core.NewLogSegment(sys, 4)); err != nil {
+			t.Fatal(err)
+		}
+		as := sys.NewAddressSpace()
+		base, err := reg.Bind(as, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		p := sys.NewProcess(0, as)
+		for i := 0; i < pages; i++ {
+			p.Store32(base+core.Addr(i*core.PageSize), uint32(i))
+		}
+		sys.Sync()
+	})
+	frames := sys.Machine().Phys.Allocated()
+	if frames < pages {
+		t.Fatalf("%d frames allocated after touching %d pages", frames, pages)
+	}
+	if limit := uint64(budget + frames*core.PageSize); got > limit {
+		t.Errorf("machine with %d touched frames allocates %d B, budget %d", frames, got, limit)
+	}
+	t.Logf("boot + %d touched frames: %d B", frames, got)
 }

@@ -12,6 +12,7 @@ package lvm_test
 import (
 	"testing"
 
+	"lvm/internal/core"
 	"lvm/internal/experiments"
 	"lvm/internal/timewarp"
 	"lvm/internal/tpca"
@@ -308,6 +309,18 @@ func BenchmarkSimulatorThroughput(b *testing.B) {
 		b.Fatal(err)
 	}
 }
+
+// BenchmarkNewSystem measures booting one machine. Every sweep point
+// boots its own, so B/op here times several hundred is a pass's fixed
+// allocation cost (TestNewSystemAllocBudget pins the bytes).
+func BenchmarkNewSystem(b *testing.B) {
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		sinkSystem = core.NewSystem(core.Config{})
+	}
+}
+
+var sinkSystem *core.System
 
 // BenchmarkExtensionOODB measures the object-database speedup at short
 // and long transactions (the Section 4.2 prediction that longer

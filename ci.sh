@@ -24,3 +24,7 @@ go test -race -count=1 ./...
 # internal packages: build, vet and test it so an API break fails here,
 # not in the benchmark's acceptance run.
 (cd bench && go vet . && go test -count=1 .)
+# bench/'s own tests sweep at reduced parameters and do not read
+# bench/golden/sweep.txt; this runs `lvmbench all`'s sections at their
+# default parameters and exits non-zero if any pass differs from it.
+sh bench/run.sh --workload sim_sweep --seed 1 --seconds 2 --trace 0 >/dev/null

@@ -1,0 +1,127 @@
+package experiments_test
+
+import (
+	"flag"
+	"fmt"
+	"os"
+	"path/filepath"
+	"strings"
+	"testing"
+
+	"lvm/internal/experiments"
+)
+
+var update = flag.Bool("update", false, "rewrite testdata/sweep_small.golden from this run")
+
+// sweepSmall regenerates every section of `lvmbench all`, in its order, at
+// the reduced parameters bench/ uses for smoke (events 20, iters 100,
+// txns 32, stride 9). Every number in it is a simulated cycle count or a
+// ratio of two, so the text is a function of the modelled machine alone.
+func sweepSmall() (string, error) {
+	const events, iters, txns, stride = 20, 100, 32, 9
+	var b strings.Builder
+	section := func(name, body string) { fmt.Fprintf(&b, "=== %s ===\n%s\n", name, body) }
+
+	section("table2", experiments.FormatTable2(experiments.Table2()))
+	t3, err := experiments.Table3(txns)
+	if err != nil {
+		return "", err
+	}
+	section("table3", experiments.FormatTable3(t3))
+	f7, err := experiments.Fig7(events)
+	if err != nil {
+		return "", err
+	}
+	section("fig7", experiments.FormatFig7(f7))
+	f8, err := experiments.Fig8(events)
+	if err != nil {
+		return "", err
+	}
+	section("fig8", experiments.FormatFig8(f8))
+	f9, err := experiments.Fig9()
+	if err != nil {
+		return "", err
+	}
+	section("fig9", experiments.FormatFig9(f9))
+	f10, err := experiments.Fig10(iters)
+	if err != nil {
+		return "", err
+	}
+	section("fig10", experiments.FormatFig10(f10))
+	f11, err := experiments.Fig11(experiments.Fig11ComputeSweep(stride), iters)
+	if err != nil {
+		return "", err
+	}
+	section("fig11", experiments.FormatFig11(f11))
+	section("fig12", experiments.FormatFig12(f11))
+	grain := []uint64{0, 10, 25, 50, 100, 200, 400, 800}
+	section("ablation-logger", experiments.FormatLoggerModels(experiments.LoggerModels(grain, iters)))
+	fs, err := experiments.FullStackOnChip(grain, iters)
+	if err != nil {
+		return "", err
+	}
+	section("ablation-onchip", experiments.FormatFullStack(fs))
+	cs, err := experiments.Consistency(200)
+	if err != nil {
+		return "", err
+	}
+	section("ablation-consistency", experiments.FormatConsistency(cs))
+	sr, err := experiments.SetRangeAblation(64)
+	if err != nil {
+		return "", err
+	}
+	section("ablation-setrange", experiments.FormatSetRange(sr))
+	ck, err := experiments.CheckpointStyles(64, []int{1, 2, 4, 8, 16, 32, 64})
+	if err != nil {
+		return "", err
+	}
+	section("ablation-checkpoint", experiments.FormatCheckpointStyles(ck))
+	ps, err := experiments.ParallelSim(4, 400, true)
+	if err != nil {
+		return "", err
+	}
+	section("extension-parallel", experiments.FormatParallelSim(ps))
+	od, err := experiments.OODB(nil, txns/8)
+	if err != nil {
+		return "", err
+	}
+	section("extension-oodb", experiments.FormatOODB(od))
+	return b.String(), nil
+}
+
+// TestSweepGolden puts the paper's currency into tier-1: the simulated
+// cycles behind every table, figure and ablation must not move unless a
+// change means them to (then: go test ./internal/experiments -run
+// TestSweepGolden -update, and say why in the PR). Frame numbering and
+// page-mapping-table conflicts feed these numbers, so host-side rework of
+// phys, hwlogger or vm that changes either shows up here.
+func TestSweepGolden(t *testing.T) {
+	got, err := sweepSmall()
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join("testdata", "sweep_small.golden")
+	if *update {
+		if err := os.MkdirAll("testdata", 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, []byte(got), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got == string(want) {
+		return
+	}
+	gl, wl := strings.Split(got, "\n"), strings.Split(string(want), "\n")
+	for i := 0; i < len(gl) && i < len(wl); i++ {
+		if gl[i] != wl[i] {
+			t.Fatalf("sweep differs from %s at line %d:\n got: %s\nwant: %s", path, i+1, gl[i], wl[i])
+		}
+	}
+	t.Fatalf("sweep differs from %s in length: got %d lines, want %d", path, len(gl), len(wl))
+}

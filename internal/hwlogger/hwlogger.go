@@ -114,6 +114,9 @@ type Logger struct {
 	bus *bus.Bus
 	mem *phys.Memory
 
+	// pmt models the 32 K-entry hardware table but is backed only up to
+	// the highest index ever loaded: an index at or past len(pmt) reads as
+	// the invalid entry the full table would hold there.
 	pmt      []PMTEntry
 	logTable []LogTableEntry
 
@@ -190,9 +193,9 @@ type Logger struct {
 	StallCycles     uint64
 
 	// ms is the metrics shard the logger charges hardware events to; tr
-	// is the (possibly nil) event tracer. New installs a private shard so
-	// increments never need a nil check; SetMetrics rebinds both to the
-	// owning machine's registry.
+	// is the (possibly nil) event tracer. New installs a bare private
+	// shard (no registry, no trace ring) so increments never need a nil
+	// check; SetMetrics rebinds both to the owning machine's registry.
 	ms *metrics.Shard
 	tr *metrics.Tracer
 }
@@ -202,12 +205,11 @@ func New(b *bus.Bus, mem *phys.Memory) *Logger {
 	return &Logger{
 		bus:       b,
 		mem:       mem,
-		pmt:       make([]PMTEntry, pmtEntries),
 		logTable:  make([]LogTableEntry, 256),
 		fifo:      make([]machine.LoggedWrite, cycles.LoggerFIFOEntries),
 		Capacity:  cycles.LoggerFIFOEntries,
 		Threshold: cycles.LoggerOverloadThreshold,
-		ms:        metrics.New(1).Shard(0),
+		ms:        new(metrics.Shard),
 	}
 }
 
@@ -231,7 +233,10 @@ func (l *Logger) FreeAt() uint64 { return l.freeAt }
 // LoadPMT installs a page-mapping-table entry for the given physical page,
 // returning the entry it displaced (valid==false if none).
 func (l *Logger) LoadPMT(ppn uint32, logIndex uint16) (displaced PMTEntry) {
-	idx := ppn & pmtIndexMask
+	idx := int(ppn & pmtIndexMask)
+	if idx >= len(l.pmt) {
+		l.pmt = append(l.pmt, make([]PMTEntry, idx+1-len(l.pmt))...)
+	}
 	displaced = l.pmt[idx]
 	l.pmt[idx] = PMTEntry{Valid: true, Absorb: true, Tag: uint8(ppn >> pmtIndexBits), LogIndex: logIndex}
 	return displaced
@@ -241,9 +246,8 @@ func (l *Logger) LoadPMT(ppn uint32, logIndex uint16) (displaced PMTEntry) {
 // entry, if one is present. The kernel clears it for pages holding
 // transaction marker words (see PMTEntry).
 func (l *Logger) SetPMTAbsorb(ppn uint32, absorb bool) {
-	idx := ppn & pmtIndexMask
-	if e := &l.pmt[idx]; e.Valid && e.Tag == uint8(ppn>>pmtIndexBits) {
-		e.Absorb = absorb
+	if _, ok := l.LookupPMT(ppn); ok {
+		l.pmt[ppn&pmtIndexMask].Absorb = absorb
 	}
 }
 
@@ -276,17 +280,19 @@ func (l *Logger) SetGroupCommit(n int, deadline uint64) {
 
 // InvalidatePMT removes the entry for ppn if it maps that page.
 func (l *Logger) InvalidatePMT(ppn uint32) {
-	idx := ppn & pmtIndexMask
-	if l.pmt[idx].Valid && l.pmt[idx].Tag == uint8(ppn>>pmtIndexBits) {
-		l.pmt[idx].Valid = false
+	if _, ok := l.LookupPMT(ppn); ok {
+		l.pmt[ppn&pmtIndexMask].Valid = false
 	}
 }
 
 // LookupPMT reports the log index for ppn, if mapped.
 func (l *Logger) LookupPMT(ppn uint32) (logIndex uint16, ok bool) {
-	e := l.pmt[ppn&pmtIndexMask]
-	if e.Valid && e.Tag == uint8(ppn>>pmtIndexBits) {
-		return e.LogIndex, true
+	// The length guard stands in for the slice bounds check (a lookup
+	// costs the compares it always did): an index never loaded misses.
+	if idx := int(ppn & pmtIndexMask); idx < len(l.pmt) {
+		if e := l.pmt[idx]; e.Valid && e.Tag == uint8(ppn>>pmtIndexBits) {
+			return e.LogIndex, true
+		}
 	}
 	return 0, false
 }
@@ -347,8 +353,11 @@ func (l *Logger) Snoop(w machine.LoggedWrite) (stallUntil uint64) {
 // barrier: it raises absorbBase past itself so no later write can coalesce
 // into an entry at or before it.
 func (l *Logger) tryAbsorb(w *machine.LoggedWrite) bool {
-	e := l.pmt[phys.PPN(w.Addr)&pmtIndexMask]
-	if !e.Valid || !e.Absorb || e.Tag != uint8(phys.PPN(w.Addr)>>pmtIndexBits) {
+	// LookupPMT's test plus the Absorb bit, spelled out so the hit path
+	// stays straight-line (an index never loaded is a miss: a barrier).
+	ppn := phys.PPN(w.Addr)
+	idx := int(ppn & pmtIndexMask)
+	if idx >= len(l.pmt) || !l.pmt[idx].Valid || !l.pmt[idx].Absorb || l.pmt[idx].Tag != uint8(ppn>>pmtIndexBits) {
 		l.absorbBase = l.headSeq + uint64(l.fifoLen) + 1
 		return false
 	}

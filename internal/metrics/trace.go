@@ -1,11 +1,12 @@
 package metrics
 
-// The event tracer is a fixed-capacity ring of fixed-size records:
-// enabling it never allocates after construction, and each Emit is a few
-// stores into the preallocated ring. It is for control-plane events (page
-// faults, logging faults, overloads, truncations, evictions), not for
-// per-store tracing — the per-store signal is what the counters and
-// histograms are for.
+// The event tracer is a fixed-capacity ring of fixed-size records. The
+// first Enable allocates the ring (almost no machine enables its tracer,
+// and a sweep builds hundreds of machines); nothing allocates after that,
+// and each Emit is a few stores into the ring. It is for control-plane
+// events (page faults, logging faults, overloads, truncations, evictions),
+// not for per-store tracing — the per-store signal is what the counters
+// and histograms are for.
 //
 // Two switches compile or gate it away:
 //
@@ -13,7 +14,7 @@ package metrics
 //     (traceBuilt is an untyped false constant, so the compiler deletes
 //     the body); and
 //   - at runtime the tracer starts disabled, so an Emit in a hot-ish path
-//     costs one predictable branch until EnableTrace is called.
+//     costs one predictable branch until Enable is called.
 
 // EventKind identifies a traced event.
 type EventKind uint16
@@ -72,19 +73,20 @@ type TraceEvent struct {
 // KindName is Kind.String, exported on the event for JSON consumers.
 func (e TraceEvent) KindName() string { return e.Kind.String() }
 
-// DefaultTraceCapacity is the ring size NewTracer/New use by default:
-// enough to hold the recent control-plane history of a long run without
-// measurable memory cost (4096 * 32 bytes).
+// DefaultTraceCapacity is the ring size New uses: enough to hold the
+// recent control-plane history of a long run. An enabled ring is
+// 4096 * 32 bytes = 128 KiB; a tracer that is never enabled holds none.
 const DefaultTraceCapacity = 4096
 
 // Tracer is the fixed-capacity ring. The zero capacity and nil tracer are
 // both valid and drop everything.
 type Tracer struct {
-	buf     []TraceEvent
-	head    int // index of oldest event
-	n       int // events currently held
-	dropped uint64
-	enabled bool
+	capacity int
+	buf      []TraceEvent // nil until the first Enable
+	head     int          // index of oldest event
+	n        int          // events currently held
+	dropped  uint64
+	enabled  bool
 }
 
 // NewTracer creates a disabled tracer with the given ring capacity.
@@ -92,15 +94,20 @@ func NewTracer(capacity int) *Tracer {
 	if capacity < 0 {
 		capacity = 0
 	}
-	return &Tracer{buf: make([]TraceEvent, capacity)}
+	return &Tracer{capacity: capacity}
 }
 
-// Enable turns event recording on. No-op when the binary was built with
-// the lvm_notrace tag.
+// Enable turns event recording on, allocating the ring the first time.
+// No-op (and no allocation) when the binary was built with the
+// lvm_notrace tag.
 func (t *Tracer) Enable() {
-	if t != nil {
-		t.enabled = traceBuilt
+	if !traceBuilt || t == nil {
+		return
 	}
+	if t.buf == nil {
+		t.buf = make([]TraceEvent, t.capacity)
+	}
+	t.enabled = true
 }
 
 // Disable turns event recording off.

@@ -1,8 +1,9 @@
 // Package phys models the physical memory of the simulated ParaDiGM
 // machine: a 32-bit physical address space divided into 4 KiB page frames.
 //
-// Frames are allocated lazily so that a Memory with a large nominal
-// capacity costs nothing until it is touched. The hardware logger and the
+// Frames are allocated lazily: a Memory's host cost is proportional to the
+// frames it has handed out (a pointer of frame table and 4 KiB of storage
+// each), not to its nominal capacity. The hardware logger and the
 // virtual-memory system both address this memory by physical address; the
 // logger's page-mapping table is keyed by the 20-bit physical page number.
 package phys
@@ -36,64 +37,75 @@ var ErrOutOfMemory = errors.New("phys: out of page frames")
 // Memory is the machine's physical memory: an array of page frames with a
 // simple free-list allocator. Frame 0 is reserved (never allocated) so that
 // physical address 0 can serve as an "invalid" sentinel.
+//
+// Frame numbering is part of the simulated machine, not a host detail: the
+// logger's page-mapping table is direct-mapped on the frame number, so the
+// order frames are handed out decides its conflicts and hence cycles.
+// Never-used frames go out low-to-high; released frames are reused first,
+// last-in-first-out.
 type Memory struct {
-	frames    []*[PageSize]byte
-	free      []uint32
-	allocated int
+	// frames[f] is frame f's storage, nil while f is not allocated. It
+	// covers frames below the lowest never-used one and grows on demand.
+	frames []*[PageSize]byte
+	// released is the LIFO of released frames, each with its storage kept
+	// for the next owner.
+	released  []releasedFrame
+	numFrames int
+}
+
+type releasedFrame struct {
+	frame uint32
+	page  *[PageSize]byte
 }
 
 // NewMemory creates a physical memory with the given number of 4 KiB page
-// frames. The frame storage is allocated lazily, on first Alloc of each
-// frame.
+// frames. Frame storage and its frame-table slot are allocated on the
+// first Alloc of each frame.
 func NewMemory(numFrames int) *Memory {
 	if numFrames < 2 {
 		numFrames = 2
 	}
-	m := &Memory{frames: make([]*[PageSize]byte, numFrames)}
-	m.free = make([]uint32, 0, numFrames-1)
-	// Keep allocation order low-to-high for reproducibility.
-	for f := numFrames - 1; f >= 1; f-- {
-		m.free = append(m.free, uint32(f))
-	}
-	return m
+	return &Memory{frames: make([]*[PageSize]byte, 1), numFrames: numFrames}
 }
 
 // NumFrames reports the total number of frames, including reserved frame 0.
-func (m *Memory) NumFrames() int { return len(m.frames) }
+func (m *Memory) NumFrames() int { return m.numFrames }
 
 // Allocated reports how many frames are currently allocated.
-func (m *Memory) Allocated() int { return m.allocated }
+func (m *Memory) Allocated() int { return len(m.frames) - 1 - len(m.released) }
 
 // Free reports how many frames remain allocatable.
-func (m *Memory) Free() int { return len(m.free) }
+func (m *Memory) Free() int { return m.numFrames - len(m.frames) + len(m.released) }
 
 // Alloc allocates one zeroed page frame and returns its frame number.
 func (m *Memory) Alloc() (uint32, error) {
-	if len(m.free) == 0 {
+	if n := len(m.released); n > 0 {
+		r := m.released[n-1]
+		m.released = m.released[:n-1]
+		*r.page = [PageSize]byte{}
+		m.frames[r.frame] = r.page
+		return r.frame, nil
+	}
+	if len(m.frames) == m.numFrames {
 		return 0, ErrOutOfMemory
 	}
-	f := m.free[len(m.free)-1]
-	m.free = m.free[:len(m.free)-1]
-	if m.frames[f] == nil {
-		m.frames[f] = new([PageSize]byte)
-	} else {
-		*m.frames[f] = [PageSize]byte{}
-	}
-	m.allocated++
-	return f, nil
+	m.frames = append(m.frames, new([PageSize]byte))
+	return uint32(len(m.frames) - 1), nil
 }
 
-// Release returns a frame to the free list. Releasing frame 0 or an
-// unallocated frame panics: it indicates a kernel bug.
+// Release returns a frame to the free list. Releasing frame 0 or a frame
+// that is not allocated (never handed out, or already released) panics:
+// it indicates a kernel bug.
 func (m *Memory) Release(frame uint32) {
-	if frame == 0 || int(frame) >= len(m.frames) || m.frames[frame] == nil {
+	if int(frame) >= len(m.frames) || m.frames[frame] == nil {
 		panic(fmt.Sprintf("phys: release of invalid frame %d", frame))
 	}
-	m.allocated--
-	m.free = append(m.free, frame)
+	m.released = append(m.released, releasedFrame{frame, m.frames[frame]})
+	m.frames[frame] = nil
 }
 
-// Frame returns the backing bytes of an allocated frame.
+// Frame returns the backing bytes of an allocated frame. A frame that was
+// never handed out, or has been released, panics.
 func (m *Memory) Frame(frame uint32) *[PageSize]byte {
 	if int(frame) >= len(m.frames) || m.frames[frame] == nil {
 		panic(fmt.Sprintf("phys: access to unallocated frame %d", frame))

@@ -1,6 +1,7 @@
 package phys
 
 import (
+	"math/rand"
 	"testing"
 	"testing/quick"
 )
@@ -139,5 +140,133 @@ func TestWrite32ReadBackProperty(t *testing.T) {
 	}
 	if err := quick.Check(prop, nil); err != nil {
 		t.Fatal(err)
+	}
+}
+
+func mustPanic(t *testing.T, what string, f func()) {
+	t.Helper()
+	defer func() {
+		if recover() == nil {
+			t.Fatalf("%s did not panic", what)
+		}
+	}()
+	f()
+}
+
+// TestReleaseAndFrameRejectFramesNotInUse: a frame that was never handed
+// out, or was already released, has no owner — releasing it again would
+// put it on the free list twice (two later owners of one frame), and
+// reading it would be a use after free.
+func TestReleaseAndFrameRejectFramesNotInUse(t *testing.T) {
+	m := NewMemory(8)
+	f, _ := m.Alloc()
+	g, _ := m.Alloc()
+	mustPanic(t, "Release of a never-allocated frame", func() { m.Release(g + 1) })
+	mustPanic(t, "Frame of a never-allocated frame", func() { m.Frame(g + 1) })
+	mustPanic(t, "Release past the last frame", func() { m.Release(8) })
+	mustPanic(t, "Frame(0)", func() { m.Frame(0) })
+
+	m.Release(f)
+	mustPanic(t, "second Release of one frame", func() { m.Release(f) })
+	mustPanic(t, "Frame of a released frame", func() { m.Frame(f) })
+	mustPanic(t, "Read32 of a released frame", func() { m.Read32(FrameBase(f)) })
+	if m.Allocated() != 1 || m.Free() != 6 {
+		t.Fatalf("after rejected releases: Allocated = %d, Free = %d, want 1, 6", m.Allocated(), m.Free())
+	}
+	// The frame has one slot on the free list: it comes back once.
+	if h, _ := m.Alloc(); h != f {
+		t.Fatalf("Alloc after release = %d, want %d", h, f)
+	}
+	if h, _ := m.Alloc(); h == f {
+		t.Fatalf("frame %d handed to two owners", f)
+	}
+}
+
+// freeListModel is the allocator phys had before its tables went
+// on-demand: every frame on an explicit free list, highest first, popped
+// from the end. Memory must hand out the same frame numbers as it does —
+// the logger's page-mapping table is direct-mapped on them.
+type freeListModel struct {
+	free      []uint32
+	allocated int
+}
+
+func newFreeListModel(numFrames int) *freeListModel {
+	if numFrames < 2 {
+		numFrames = 2
+	}
+	r := &freeListModel{}
+	for f := numFrames - 1; f >= 1; f-- {
+		r.free = append(r.free, uint32(f))
+	}
+	return r
+}
+
+func (r *freeListModel) alloc() (uint32, bool) {
+	if len(r.free) == 0 {
+		return 0, false
+	}
+	f := r.free[len(r.free)-1]
+	r.free = r.free[:len(r.free)-1]
+	r.allocated++
+	return f, true
+}
+
+func (r *freeListModel) release(f uint32) {
+	r.allocated--
+	r.free = append(r.free, f)
+}
+
+func TestAllocatorMatchesFreeListModel(t *testing.T) {
+	for _, numFrames := range []int{0, 2, 3, 7, 100, 1000} {
+		m, ref := NewMemory(numFrames), newFreeListModel(numFrames)
+		if m.NumFrames() != len(ref.free)+1 {
+			t.Fatalf("numFrames %d: NumFrames = %d, want %d", numFrames, m.NumFrames(), len(ref.free)+1)
+		}
+		rng := rand.New(rand.NewSource(int64(numFrames) + 1))
+		var held []uint32
+		ooms := 0
+		for step := 0; step < 100_000; step++ {
+			// Lean towards Alloc so the run reaches out-of-memory, then
+			// away from it so it also drains.
+			allocBias := 6
+			if step/10_000%2 == 1 {
+				allocBias = 3
+			}
+			if len(held) == 0 || rng.Intn(10) < allocBias {
+				want, ok := ref.alloc()
+				got, err := m.Alloc()
+				if (err == nil) != ok || (err != nil && err != ErrOutOfMemory) {
+					t.Fatalf("numFrames %d step %d: Alloc err = %v, model ok = %v", numFrames, step, err, ok)
+				}
+				if !ok {
+					ooms++
+				} else {
+					if got != want {
+						t.Fatalf("numFrames %d step %d: Alloc = %d, model %d", numFrames, step, got, want)
+					}
+					page := m.Frame(got)
+					if page[0] != 0 || page[PageSize-1] != 0 {
+						t.Fatalf("numFrames %d step %d: frame %d not zeroed", numFrames, step, got)
+					}
+					page[0], page[PageSize-1] = 0xAB, 0xCD
+					held = append(held, got)
+				}
+			} else {
+				i := rng.Intn(len(held))
+				f := held[i]
+				held[i] = held[len(held)-1]
+				held = held[:len(held)-1]
+				ref.release(f)
+				m.Release(f)
+			}
+			if m.Free() != len(ref.free) || m.Allocated() != ref.allocated {
+				t.Fatalf("numFrames %d step %d: Free, Allocated = %d, %d; model %d, %d",
+					numFrames, step, m.Free(), m.Allocated(), len(ref.free), ref.allocated)
+			}
+		}
+		if ooms == 0 {
+			t.Fatalf("numFrames %d: the run never reached out-of-memory", numFrames)
+		}
 	}
 }

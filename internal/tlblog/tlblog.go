@@ -100,7 +100,7 @@ func New(b *bus.Bus, mem *phys.Memory) *Logger {
 		desc:        make([]Descriptor, 64),
 		fifo:        make([]machine.LoggedWrite, DefaultWriteBuffer+1),
 		WriteBuffer: DefaultWriteBuffer,
-		ms:          metrics.New(1).Shard(0),
+		ms:          new(metrics.Shard),
 	}
 }
 
