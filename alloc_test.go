@@ -10,8 +10,9 @@ import (
 
 // TestLoggedStoreZeroAlloc pins the simulated store path at zero host
 // allocations per logged store once the workload is warm: the hardware
-// FIFOs are fixed-capacity rings, the log reader decodes into a scratch
-// buffer, and every frame the loop touches is already resident. A
+// FIFO rings have grown to the loop's high water, the log reader decodes
+// into a scratch buffer, and every frame the loop touches is already
+// resident and written. A
 // regression here silently caps simulator throughput, so it fails the
 // build rather than just showing up in -benchmem output.
 func TestLoggedStoreZeroAlloc(t *testing.T) {
@@ -45,11 +46,12 @@ func allocatedBy(f func()) uint64 {
 // TestNewSystemAllocBudget pins construction at "costs what it touches":
 // every point of every sweep boots a fresh machine, so a table sized for
 // the modelled capacity (the 32 K-entry PMT, a frame table for 64 MiB, a
-// trace ring nobody enabled) is paid hundreds of times per pass. Booting
-// any of the three machine kinds stays under 64 KiB (it was 680 KiB), and
-// a machine that has logged to 8 pages has grown by about those pages.
+// trace ring nobody enabled, the 819-entry FIFO) is paid hundreds of
+// times per pass. Booting any of the three machine kinds stays under
+// 32 KiB (it was 680 KiB, then 40 KiB), and a machine that has logged to
+// 8 pages has grown by about those pages.
 func TestNewSystemAllocBudget(t *testing.T) {
-	const budget = 64 << 10
+	const budget = 32 << 10
 	kinds := []struct {
 		name string
 		boot func(core.Config) *core.System
@@ -99,4 +101,38 @@ func TestNewSystemAllocBudget(t *testing.T) {
 		t.Errorf("machine with %d touched frames allocates %d B, budget %d", frames, got, limit)
 	}
 	t.Logf("boot + %d touched frames: %d B", frames, got)
+}
+
+// TestReadOnlyPagesAllocBudget pins demand-zero pages: a page a run only
+// reads is a frame number on phys's shared zero page, not 4 KiB of host
+// heap. Loading one word from each of 64 fresh pages of a bound region
+// costs their frame bookkeeping (it cost 271 192 B when every resident
+// frame had its own storage).
+func TestReadOnlyPagesAllocBudget(t *testing.T) {
+	const pages, budget = 64, 16 << 10
+	sys := core.NewSystem(core.Config{})
+	seg := core.NewStdSegment(sys, pages*core.PageSize, nil)
+	reg := core.NewStdRegion(sys, seg)
+	as := sys.NewAddressSpace()
+	p := sys.NewProcess(0, as)
+	base, err := reg.Bind(as, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var sum uint32
+	got := allocatedBy(func() {
+		for i := 0; i < pages; i++ {
+			sum += p.Load32(base + core.Addr(i*core.PageSize))
+		}
+	})
+	if sum != 0 {
+		t.Fatalf("fresh pages read %#x, want zeroes", sum)
+	}
+	if frames := sys.Machine().Phys.Allocated(); frames < pages {
+		t.Fatalf("%d frames allocated after loading from %d pages", frames, pages)
+	}
+	if got > budget {
+		t.Errorf("loading from %d fresh pages allocates %d B, budget %d", pages, got, budget)
+	}
+	t.Logf("load from %d fresh pages: %d B", pages, got)
 }

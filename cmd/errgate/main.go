@@ -27,6 +27,17 @@
 // silently drops the value — the software version of a FIFO overrun,
 // except nothing even increments a loss counter.
 //
+// One shape is flagged for any call, watched or not:
+//
+//	if _, err := f(); err == nil {
+//		_, err = g()                     // never read again
+//	} else if err != nil { ... }
+//
+// an err declared in an if/for/switch init, reassigned in the statement's
+// body and never read before its scope ends. That is how the tail-mirror
+// rewrite dropped a failed body write and renamed the short file over the
+// good mirror: the assignment looks handled, but nothing can observe it.
+//
 // Generated files (the standard "// Code generated ... DO NOT EDIT."
 // header before the package clause) are exempt: merge tables and other
 // emitted code answer to their generator, not to this gate.
@@ -176,6 +187,21 @@ func check(fset *token.FileSet, f *ast.File) []finding {
 			if isSwallow {
 				flag(stmt.Pos(), "%s tested only for success; failure path silently dropped", name)
 			}
+			for _, a := range deadErrAssigns(stmt, stmt.Init, stmt.Body, stmt.Else) {
+				flag(a.Pos(), "err declared in the if init is reassigned here and never read before its scope ends")
+			}
+		case *ast.ForStmt:
+			for _, a := range deadErrAssigns(stmt, stmt.Init, stmt.Body) {
+				flag(a.Pos(), "err declared in the for init is reassigned here and never read before its scope ends")
+			}
+		case *ast.SwitchStmt:
+			for _, a := range deadErrAssigns(stmt, stmt.Init, stmt.Body) {
+				flag(a.Pos(), "err declared in the switch init is reassigned here and never read before its scope ends")
+			}
+		case *ast.TypeSwitchStmt:
+			for _, a := range deadErrAssigns(stmt, stmt.Init, stmt.Body) {
+				flag(a.Pos(), "err declared in the switch init is reassigned here and never read before its scope ends")
+			}
 		case *ast.SelectStmt:
 			send, isDrop := droppedSend(stmt)
 			if isDrop {
@@ -319,4 +345,189 @@ func bodyOnlyFails(body *ast.BlockStmt) bool {
 func isIdentNamed(e ast.Expr, name string) bool {
 	id, isIdent := e.(*ast.Ident)
 	return isIdent && id.Name == name
+}
+
+// deadErrAssigns returns the plain assignments (`err = ...`) in bodies to
+// the err init declares after which nothing can read err before scope —
+// the if/for/switch owning init — ends. A read counts if it follows the
+// assignment in an enclosing block, sits in the condition or branches of
+// an if/switch whose own init holds the assignment, or anywhere in an
+// enclosing loop (the back edge). Without type information the check is
+// conservative: assignments inside function literals are not judged, and
+// an err re-declared in between counts as a read.
+func deadErrAssigns(scope, init ast.Stmt, bodies ...ast.Stmt) []*ast.AssignStmt {
+	if !declaresErr(init) {
+		return nil
+	}
+	var assigns []*ast.AssignStmt
+	for _, body := range bodies {
+		if body == nil {
+			continue
+		}
+		ast.Inspect(body, func(n ast.Node) bool {
+			switch n := n.(type) {
+			case *ast.FuncLit:
+				return false
+			case *ast.AssignStmt:
+				if n.Tok == token.ASSIGN && assignsErr(n) {
+					assigns = append(assigns, n)
+				}
+			}
+			return true
+		})
+	}
+	if len(assigns) == 0 {
+		return nil
+	}
+	parent := map[ast.Node]ast.Node{}
+	var stack []ast.Node
+	ast.Inspect(scope, func(n ast.Node) bool {
+		if n == nil {
+			stack = stack[:len(stack)-1]
+			return true
+		}
+		if len(stack) > 0 {
+			parent[n] = stack[len(stack)-1]
+		}
+		stack = append(stack, n)
+		return true
+	})
+	var dead []*ast.AssignStmt
+	for _, a := range assigns {
+		if !readAfter(a, scope, parent) {
+			dead = append(dead, a)
+		}
+	}
+	return dead
+}
+
+// readAfter walks from a up to scope, reporting whether err may be read
+// after a (see deadErrAssigns).
+func readAfter(a *ast.AssignStmt, scope ast.Node, parent map[ast.Node]ast.Node) bool {
+	child := ast.Node(a)
+	for n := parent[child]; n != nil; child, n = n, parent[n] {
+		read := false
+		switch p := n.(type) {
+		case *ast.BlockStmt:
+			read = readAfterIn(p.List, child)
+		case *ast.CaseClause:
+			read = readAfterIn(p.Body, child)
+		case *ast.CommClause:
+			if child == p.Comm {
+				read = readsErr(nodes(p.Body)...)
+			} else {
+				read = readAfterIn(p.Body, child)
+			}
+		case *ast.IfStmt:
+			if child == p.Init {
+				read = readsErr(p.Cond, p.Body, p.Else)
+			} else if p != scope && declaresErr(p.Init) {
+				return true // the assignment targets this shadowing err
+			}
+		case *ast.SwitchStmt:
+			if child == p.Init {
+				read = readsErr(p.Tag, p.Body)
+			} else if p != scope && declaresErr(p.Init) {
+				return true
+			}
+		case *ast.TypeSwitchStmt:
+			if child == p.Init {
+				read = readsErr(p.Assign, p.Body)
+			} else if p != scope && declaresErr(p.Init) {
+				return true
+			}
+		case *ast.ForStmt:
+			if p != scope && declaresErr(p.Init) {
+				return true
+			}
+			read = readsErr(p.Cond, p.Post, p.Body)
+		case *ast.RangeStmt:
+			read = readsErr(p.Body)
+		}
+		if read {
+			return true
+		}
+		if n == scope {
+			return false
+		}
+	}
+	return true
+}
+
+// readAfterIn reports whether a statement after child in list reads err
+// or, conservatively, whether err is re-declared before child (the
+// assignment then targets that shadow).
+func readAfterIn(list []ast.Stmt, child ast.Node) bool {
+	for i, s := range list {
+		if s == child {
+			return readsErr(nodes(list[i+1:])...)
+		}
+		if declaresErr(s) {
+			return true
+		}
+	}
+	return false
+}
+
+// readsErr reports whether any of ns mentions err other than as the
+// target of a plain assignment.
+func readsErr(ns ...ast.Node) bool {
+	found := false
+	for _, n := range ns {
+		if n == nil {
+			continue
+		}
+		ast.Inspect(n, func(n ast.Node) bool {
+			switch n := n.(type) {
+			case *ast.AssignStmt:
+				if n.Tok == token.ASSIGN {
+					for _, l := range n.Lhs {
+						found = found || !isIdentNamed(l, "err") && readsErr(l)
+					}
+					found = found || readsErr(nodes(n.Rhs)...)
+					return false
+				}
+			case *ast.Ident:
+				found = found || n.Name == "err"
+			}
+			return !found
+		})
+	}
+	return found
+}
+
+// declaresErr reports whether s is `err := ...` or `var err ...`.
+func declaresErr(s ast.Stmt) bool {
+	switch s := s.(type) {
+	case *ast.AssignStmt:
+		return s.Tok == token.DEFINE && assignsErr(s)
+	case *ast.DeclStmt:
+		if gd, isGen := s.Decl.(*ast.GenDecl); isGen && gd.Tok == token.VAR {
+			for _, spec := range gd.Specs {
+				for _, name := range spec.(*ast.ValueSpec).Names {
+					if name.Name == "err" {
+						return true
+					}
+				}
+			}
+		}
+	}
+	return false
+}
+
+func assignsErr(a *ast.AssignStmt) bool {
+	for _, l := range a.Lhs {
+		if isIdentNamed(l, "err") {
+			return true
+		}
+	}
+	return false
+}
+
+func nodes[T ast.Node](xs []T) []ast.Node {
+	out := make([]ast.Node, len(xs))
+	for i, x := range xs {
+		out[i] = x
+	}
+	return out
 }

@@ -17,8 +17,9 @@ var update = flag.Bool("update", false, "rewrite testdata/sweep_small.golden fro
 // the reduced parameters bench/ uses for smoke (events 20, iters 100,
 // txns 32, stride 9). Every number in it is a simulated cycle count or a
 // ratio of two, so the text is a function of the modelled machine alone.
-func sweepSmall() (string, error) {
-	const events, iters, txns, stride = 20, 100, 32, 9
+func sweepSmall() (string, error) { return sweep(20, 100, 32, 9) }
+
+func sweep(events, iters, txns, stride int) (string, error) {
 	var b strings.Builder
 	section := func(name, body string) { fmt.Fprintf(&b, "=== %s ===\n%s\n", name, body) }
 
@@ -124,4 +125,17 @@ func TestSweepGolden(t *testing.T) {
 		}
 	}
 	t.Fatalf("sweep differs from %s in length: got %d lines, want %d", path, len(gl), len(wl))
+}
+
+// BenchmarkSweepPass is one `lvmbench all` pass at its default parameters
+// (what bench/'s sim_sweep times), for -benchmem and -memprofile:
+//
+//	go test -run '^$' -bench SweepPass -benchmem ./internal/experiments
+func BenchmarkSweepPass(b *testing.B) {
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if _, err := sweep(300, 2000, 400, 3); err != nil {
+			b.Fatal(err)
+		}
+	}
 }

@@ -121,9 +121,10 @@ type Logger struct {
 	logTable []LogTableEntry
 
 	// fifo is the combined occupancy of the write FIFO and log-record
-	// FIFO (entries not yet DMAed): a fixed-capacity ring, like the
-	// hardware's 819-entry FIFO chips — steady-state pushes and pops
-	// never allocate.
+	// FIFO (entries not yet DMAed): a ring that starts at fifoInitial
+	// entries and doubles, up to Capacity, whenever a push finds it full.
+	// It grows only to the run's high-water mark, so steady-state pushes
+	// and pops never allocate; the modelled capacity is Capacity alone.
 	fifo     []machine.LoggedWrite
 	fifoHead int
 	fifoLen  int
@@ -200,13 +201,16 @@ type Logger struct {
 	tr *metrics.Tracer
 }
 
+// fifoInitial is the host ring's starting size (see Logger.fifo).
+const fifoInitial = 32
+
 // New creates a logger attached to the given bus and memory.
 func New(b *bus.Bus, mem *phys.Memory) *Logger {
 	return &Logger{
 		bus:       b,
 		mem:       mem,
 		logTable:  make([]LogTableEntry, 256),
-		fifo:      make([]machine.LoggedWrite, cycles.LoggerFIFOEntries),
+		fifo:      make([]machine.LoggedWrite, fifoInitial),
 		Capacity:  cycles.LoggerFIFOEntries,
 		Threshold: cycles.LoggerOverloadThreshold,
 		ms:        new(metrics.Shard),
@@ -489,13 +493,12 @@ func (l *Logger) push(w *machine.LoggedWrite) {
 		return
 	}
 	if l.fifoLen == len(l.fifo) {
-		// Capacity was raised past the ring's allocation (experiments
-		// resize the FIFO after New): re-linearize into a larger ring,
-		// once per resize.
-		grown := make([]machine.LoggedWrite, l.Capacity)
-		for i := 0; i < l.fifoLen; i++ {
-			grown[i] = l.fifo[(l.fifoHead+i)%len(l.fifo)]
-		}
+		// The ring is full below Capacity: re-linearize into one twice
+		// the size (clamped to Capacity, which experiments may raise
+		// after New).
+		grown := make([]machine.LoggedWrite, min(2*len(l.fifo), l.Capacity))
+		n := copy(grown, l.fifo[l.fifoHead:])
+		copy(grown[n:], l.fifo[:l.fifoHead])
 		l.fifo = grown
 		l.fifoHead = 0
 	}

@@ -142,30 +142,38 @@ func (t *TailFile) Reset(cutBase uint64) error {
 }
 
 // rewrite replaces the file with header(cutBase)+body via temp+rename.
+// Any failure before the rename removes the temp file and leaves the old
+// mirror, and t, untouched.
 func (t *TailFile) rewrite(cutBase uint64, body []byte) error {
 	tmpPath := t.path + ".tmp"
 	tmp, err := os.OpenFile(tmpPath, os.O_RDWR|os.O_CREATE|os.O_TRUNC, 0o644)
 	if err != nil {
 		return fmt.Errorf("lvmd: tail rewrite: %w", err)
 	}
+	fail := func(what string, err error) error {
+		tmp.Close()
+		os.Remove(tmpPath)
+		return fmt.Errorf("lvmd: tail rewrite %s: %w", what, err)
+	}
 	var hdr [tailHdrSize]byte
 	put32(hdr[:], tailMagic)
 	put32(hdr[4:], tailVersion)
 	put64(hdr[8:], cutBase)
-	if _, err := tmp.WriteAt(hdr[:], 0); err == nil && len(body) > 0 {
-		_, err = tmp.WriteAt(body, tailHdrSize)
-	} else if err != nil {
-		tmp.Close()
-		return fmt.Errorf("lvmd: tail rewrite: %w", err)
+	if _, err := tmp.WriteAt(hdr[:], 0); err != nil {
+		return fail("header", err)
+	}
+	if _, err := tmp.WriteAt(body, tailHdrSize); err != nil {
+		return fail("body", err)
 	}
 	if err := tmp.Sync(); err != nil {
-		tmp.Close()
-		return fmt.Errorf("lvmd: tail rewrite sync: %w", err)
+		return fail("sync", err)
 	}
 	if err := tmp.Close(); err != nil {
+		os.Remove(tmpPath)
 		return fmt.Errorf("lvmd: tail rewrite close: %w", err)
 	}
 	if err := os.Rename(tmpPath, t.path); err != nil {
+		os.Remove(tmpPath)
 		return fmt.Errorf("lvmd: tail rewrite rename: %w", err)
 	}
 	old := t.f

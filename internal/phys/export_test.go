@@ -1,0 +1,5 @@
+package phys
+
+// ZeroPageIsZero reports whether the shared zero page still reads all
+// zeroes, for the external test that runs the simulator over it.
+func ZeroPageIsZero() bool { return zeroPage == [PageSize]byte{} }

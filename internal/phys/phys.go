@@ -1,9 +1,11 @@
 // Package phys models the physical memory of the simulated ParaDiGM
 // machine: a 32-bit physical address space divided into 4 KiB page frames.
 //
-// Frames are allocated lazily: a Memory's host cost is proportional to the
-// frames it has handed out (a pointer of frame table and 4 KiB of storage
-// each), not to its nominal capacity. The hardware logger and the
+// Frames are allocated lazily and stored on first write: a Memory's host
+// cost is a frame-table pointer per frame it has handed out plus 4 KiB per
+// frame ever written, not its nominal capacity. A frame that has only been
+// read is backed by one shared all-zero page (the kernel's demand-zero
+// page); no pointer to it leaves this package. The hardware logger and the
 // virtual-memory system both address this memory by physical address; the
 // logger's page-mapping table is keyed by the 20-bit physical page number.
 package phys
@@ -44,8 +46,10 @@ var ErrOutOfMemory = errors.New("phys: out of page frames")
 // Never-used frames go out low-to-high; released frames are reused first,
 // last-in-first-out.
 type Memory struct {
-	// frames[f] is frame f's storage, nil while f is not allocated. It
-	// covers frames below the lowest never-used one and grows on demand.
+	// frames[f] is frame f's storage: nil while f is not allocated,
+	// &zeroPage until Frame, the write accessor, gives it its own (Read
+	// and Read32 copy out of it). It covers frames below the lowest
+	// never-used one and grows on demand.
 	frames []*[PageSize]byte
 	// released is the LIFO of released frames, each with its storage kept
 	// for the next owner.
@@ -53,14 +57,18 @@ type Memory struct {
 	numFrames int
 }
 
+// zeroPage backs every allocated, never-written frame. It is only ever
+// read: Frame replaces it before handing out a writable page.
+var zeroPage [PageSize]byte
+
 type releasedFrame struct {
 	frame uint32
 	page  *[PageSize]byte
 }
 
 // NewMemory creates a physical memory with the given number of 4 KiB page
-// frames. Frame storage and its frame-table slot are allocated on the
-// first Alloc of each frame.
+// frames. A frame's table slot is allocated on its first Alloc, its
+// storage on its first write.
 func NewMemory(numFrames int) *Memory {
 	if numFrames < 2 {
 		numFrames = 2
@@ -82,14 +90,16 @@ func (m *Memory) Alloc() (uint32, error) {
 	if n := len(m.released); n > 0 {
 		r := m.released[n-1]
 		m.released = m.released[:n-1]
-		*r.page = [PageSize]byte{}
+		if r.page != &zeroPage {
+			*r.page = [PageSize]byte{}
+		}
 		m.frames[r.frame] = r.page
 		return r.frame, nil
 	}
 	if len(m.frames) == m.numFrames {
 		return 0, ErrOutOfMemory
 	}
-	m.frames = append(m.frames, new([PageSize]byte))
+	m.frames = append(m.frames, &zeroPage)
 	return uint32(len(m.frames) - 1), nil
 }
 
@@ -104,9 +114,21 @@ func (m *Memory) Release(frame uint32) {
 	m.frames[frame] = nil
 }
 
-// Frame returns the backing bytes of an allocated frame. A frame that was
-// never handed out, or has been released, panics.
+// Frame returns the writable backing bytes of an allocated frame, giving
+// it its own storage on first use. A frame that was never handed out, or
+// has been released, panics.
 func (m *Memory) Frame(frame uint32) *[PageSize]byte {
+	p := m.page(frame)
+	if p == &zeroPage {
+		p = new([PageSize]byte)
+		m.frames[frame] = p
+	}
+	return p
+}
+
+// page returns an allocated frame's storage for reading: possibly the
+// shared zero page, so it must not escape the package.
+func (m *Memory) page(frame uint32) *[PageSize]byte {
 	if int(frame) >= len(m.frames) || m.frames[frame] == nil {
 		panic(fmt.Sprintf("phys: access to unallocated frame %d", frame))
 	}
@@ -120,7 +142,7 @@ func FrameBase(frame uint32) Addr { return Addr(frame) << PageShift }
 // must not cross a page boundary into an unallocated frame.
 func (m *Memory) Read(addr Addr, dst []byte) {
 	for len(dst) > 0 {
-		f := m.Frame(PPN(addr))
+		f := m.page(PPN(addr))
 		off := int(addr & PageMask)
 		n := copy(dst, f[off:])
 		dst = dst[n:]
@@ -154,7 +176,7 @@ func (m *Memory) WriteBlock16(addr Addr, src *[16]byte) {
 
 // Read32 reads a 32-bit little-endian word at addr.
 func (m *Memory) Read32(addr Addr) uint32 {
-	f := m.Frame(PPN(addr))
+	f := m.page(PPN(addr))
 	off := addr & PageMask
 	if off+4 <= PageSize {
 		b := f[off : off+4 : off+4]

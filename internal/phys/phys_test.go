@@ -270,3 +270,73 @@ func TestAllocatorMatchesFreeListModel(t *testing.T) {
 		}
 	}
 }
+
+// TestFramesStoreOnFirstWrite: an allocated frame reads as zeroes from
+// the shared zero page until its first write gives it storage of its own
+// — that frame only — and a written frame released and allocated again
+// reads zero while keeping its storage.
+func TestFramesStoreOnFirstWrite(t *testing.T) {
+	writes := map[string]func(m *Memory, f uint32){
+		"Write32":      func(m *Memory, f uint32) { m.Write32(FrameBase(f)+8, 0xDEADBEEF) },
+		"Write":        func(m *Memory, f uint32) { m.Write(FrameBase(f)+8, []byte{0xEF, 0xBE, 0xAD, 0xDE}) },
+		"WriteBlock16": func(m *Memory, f uint32) { m.WriteBlock16(FrameBase(f), &[16]byte{8: 0xEF, 0xBE, 0xAD, 0xDE}) },
+		"Frame":        func(m *Memory, f uint32) { copy(m.Frame(f)[8:], []byte{0xEF, 0xBE, 0xAD, 0xDE}) },
+	}
+	buf := make([]byte, PageSize)
+	readsZero := func(m *Memory, f uint32) bool {
+		for i := range buf {
+			buf[i] = 0xEE
+		}
+		m.Read(FrameBase(f), buf)
+		for _, b := range buf {
+			if b != 0 {
+				return false
+			}
+		}
+		return m.Read32(FrameBase(f)+PageSize-4) == 0
+	}
+	for name, write := range writes {
+		m := NewMemory(8)
+		var fs [3]uint32
+		for i := range fs {
+			fs[i], _ = m.Alloc()
+		}
+		shared := func(i int) bool { return m.frames[fs[i]] == &zeroPage }
+		if !shared(0) || !shared(1) || !shared(2) {
+			t.Fatalf("%s: a fresh frame has storage of its own", name)
+		}
+		// Reads copy out of the zero page: no storage, no allocation.
+		if n := testing.AllocsPerRun(10, func() { readsZero(m, fs[1]) }); n != 0 {
+			t.Fatalf("%s: reading a never-written frame allocates %v times", name, n)
+		}
+		if !readsZero(m, fs[1]) || !shared(1) {
+			t.Fatalf("%s: a read frame does not read zero from the zero page", name)
+		}
+
+		write(m, fs[1])
+		if shared(1) || !shared(0) || !shared(2) {
+			t.Fatalf("%s: after writing the middle frame, shared = %v %v %v", name, shared(0), shared(1), shared(2))
+		}
+		if got := m.Read32(FrameBase(fs[1]) + 8); got != 0xDEADBEEF {
+			t.Fatalf("%s: read back %#x", name, got)
+		}
+		if !ZeroPageIsZero() {
+			t.Fatalf("%s reached the shared zero page", name)
+		}
+
+		page := m.frames[fs[1]]
+		m.Release(fs[1])
+		if g, _ := m.Alloc(); g != fs[1] || m.frames[g] != page {
+			t.Fatalf("%s: Alloc after Release = %d (own storage kept: %v), want %d", name, g, m.frames[g] == page, fs[1])
+		}
+		if !readsZero(m, fs[1]) {
+			t.Fatalf("%s: a written frame reallocated does not read zero", name)
+		}
+
+		// A never-written frame goes round Release/Alloc on the zero page.
+		m.Release(fs[2])
+		if g, _ := m.Alloc(); g != fs[2] || !shared(2) {
+			t.Fatalf("%s: never-written frame %d came back as %d, shared %v", name, fs[2], g, shared(2))
+		}
+	}
+}

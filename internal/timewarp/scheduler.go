@@ -103,7 +103,10 @@ type Scheduler struct {
 	processed []processedEvent
 	lvt       VT
 	seq       uint32
-	curSent   *[]Event
+	// While Handle runs (sending), sends collect in sentBuf for step to
+	// hand over; pointing at the processedEvent would move it to the heap.
+	sending bool
+	sentBuf []Event
 
 	// lazyPrev holds, per undone-but-not-yet-re-executed event, the
 	// sends of its previous execution (lazy cancellation).
@@ -191,8 +194,8 @@ func (s *Scheduler) Send(t VT, obj uint32, data uint32) {
 	for i, prev := range s.curPrev {
 		if prev.Time == t && prev.Obj == obj && prev.Data == data {
 			s.curPrev = append(s.curPrev[:i], s.curPrev[i+1:]...)
-			if s.curSent != nil {
-				*s.curSent = append(*s.curSent, prev)
+			if s.sending {
+				s.sentBuf = append(s.sentBuf, prev)
 			}
 			s.p.Compute(SendCycles / 2)
 			s.Stats.LazyKept++
@@ -201,8 +204,8 @@ func (s *Scheduler) Send(t VT, obj uint32, data uint32) {
 	}
 	ev := Event{Time: t, ID: EventID{Sched: uint32(s.id), Seq: s.seq}, Obj: obj, Data: data}
 	s.seq++
-	if s.curSent != nil {
-		*s.curSent = append(*s.curSent, ev)
+	if s.sending {
+		s.sentBuf = append(s.sentBuf, ev)
 	}
 	s.p.Compute(SendCycles)
 	s.sim.deliver(ev)
@@ -250,9 +253,10 @@ func (s *Scheduler) step() bool {
 			s.curPrev = prev
 		}
 	}
-	s.curSent = &pe.sent
+	s.sending = true
 	s.sim.handler.Handle(s, ev)
-	s.curSent = nil
+	s.sending = false
+	pe.sent, s.sentBuf = s.sentBuf, nil
 	// Lazy cancellation: whatever the previous execution sent that this
 	// one did not gets cancelled now.
 	for _, stale := range s.curPrev {
@@ -335,6 +339,7 @@ func (s *Scheduler) rollback(ref Event) {
 		if pe.ev.before(ref) {
 			break
 		}
+		s.processed[len(s.processed)-1] = processedEvent{}
 		s.processed = s.processed[:len(s.processed)-1]
 		undone = append(undone, pe)
 	}
@@ -431,9 +436,7 @@ func (s *Scheduler) cult(gvt VT) {
 	}
 	if s.saver == SaverCopy {
 		// Fossil collection: saves older than GVT can never be needed.
-		if idx > 0 {
-			s.processed = append(s.processed[:0:0], s.processed[idx:]...)
-		}
+		s.dropProcessed(idx)
 		return
 	}
 	end := s.recordsIssued * logrec.Size
@@ -463,9 +466,7 @@ func (s *Scheduler) cult(gvt VT) {
 		s.ckptPos = end
 	}
 	s.ckptTime = gvt
-	if idx > 0 {
-		s.processed = append(s.processed[:0:0], s.processed[idx:]...)
-	}
+	s.dropProcessed(idx)
 	// Truncate when everything is consumed and nothing is outstanding.
 	// A refused truncation is not silent — it used to be tested only for
 	// success, which left ckptPos/recordsIssued pointing into a log that
@@ -480,4 +481,16 @@ func (s *Scheduler) cult(gvt VT) {
 			s.recordsIssued = 0
 		}
 	}
+}
+
+// dropProcessed collects the n oldest processed events as fossils,
+// compacting the list in place. The vacated tail is zeroed so no dropped
+// sent or save slice stays reachable through the backing array.
+func (s *Scheduler) dropProcessed(n int) {
+	if n == 0 {
+		return
+	}
+	kept := copy(s.processed, s.processed[n:])
+	clear(s.processed[kept:])
+	s.processed = s.processed[:kept]
 }

@@ -118,10 +118,20 @@ func (k *Kernel) Bcopy(cpu *machine.CPU, dst *Segment, dstOff uint32, src *Segme
 	if dstOff+n > dst.size || srcOff+n > src.size {
 		return fmt.Errorf("vm: Bcopy out of range")
 	}
-	buf := make([]byte, n)
-	src.readInto(srcOff, buf)
-	if err := dst.writeBytes(dstOff, buf); err != nil {
-		return err
+	// A page at a time through a stack buffer; within one segment with dst
+	// above src, from the end, so overlapping ranges copy like memmove.
+	var buf [PageSize]byte
+	for done := uint32(0); done < n; {
+		c := min(n-done, PageSize)
+		at := done
+		if src == dst && dstOff > srcOff {
+			at = n - done - c
+		}
+		src.readInto(srcOff+at, buf[:c])
+		if err := dst.writeBytes(dstOff+at, buf[:c]); err != nil {
+			return err
+		}
+		done += c
 	}
 	lines := uint64((n + LineSize - 1) / LineSize)
 	if cpu != nil {

@@ -5,6 +5,7 @@ import (
 
 	"lvm/internal/cycles"
 	"lvm/internal/hwlogger"
+	"lvm/internal/phys"
 )
 
 // SegmentManager implements user-level page-fault handling for a segment
@@ -252,7 +253,9 @@ func (s *Segment) ensureFrame(page uint32) (uint32, error) {
 		for j := range p.fromSource {
 			p.fromSource[j] = ^uint64(0)
 		}
-	} else {
+	} else if _, zero := s.mgr.(ZeroFill); !zero {
+		// ZeroFill's page is the frame as allocated; skipping the call
+		// keeps a read-only page on phys's shared zero page.
 		s.mgr.FillPage(s, page, s.k.M.Phys.Frame(f))
 	}
 	return f, nil
@@ -345,12 +348,12 @@ func (s *Segment) readPage(page, po uint32, dst []byte) {
 		}
 		return
 	}
+	base := phys.FrameBase(p.frame)
 	if s.source == nil {
-		copy(dst, s.k.M.Phys.Frame(p.frame)[po:po+uint32(len(dst))])
+		s.k.M.Phys.Read(base+po, dst)
 		return
 	}
 	// Resolve line by line.
-	f := s.k.M.Phys.Frame(p.frame)
 	for len(dst) > 0 {
 		line := po >> cycles.LineShift
 		lo := po & (LineSize - 1)
@@ -362,7 +365,7 @@ func (s *Segment) readPage(page, po uint32, dst []byte) {
 		if p.fromSource[w]&(1<<b) != 0 {
 			s.source.readInto(s.sourceOff+page*PageSize+po, dst[:n])
 		} else {
-			copy(dst[:n], f[po:po+n])
+			s.k.M.Phys.Read(base+po, dst[:n])
 		}
 		dst = dst[n:]
 		po += n
@@ -460,9 +463,7 @@ func (s *Segment) load32(page, po uint32) uint32 {
 			return s.source.Read32(s.sourceOff + page*PageSize + po)
 		}
 	}
-	f := s.k.M.Phys.Frame(p.frame)
-	b := f[po : po+4 : po+4]
-	return uint32(b[0]) | uint32(b[1])<<8 | uint32(b[2])<<16 | uint32(b[3])<<24
+	return s.k.M.Phys.Read32(phys.FrameBase(p.frame) + po)
 }
 
 func zero(b []byte) {

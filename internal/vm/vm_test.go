@@ -1,6 +1,7 @@
 package vm
 
 import (
+	"bytes"
 	"testing"
 
 	"lvm/internal/cycles"
@@ -570,6 +571,35 @@ func TestBcopyCopiesAndCharges(t *testing.T) {
 	}
 	if dst.Read32(0x100) != 0x100 {
 		t.Fatalf("bcopy data wrong")
+	}
+}
+
+// TestBcopyOverlapIsMemmove: Bcopy streams a page at a time, so a copy
+// within one segment whose ranges overlap must still read every byte
+// before overwriting it, in both directions and across page boundaries.
+func TestBcopyOverlapIsMemmove(t *testing.T) {
+	const size = 4 * PageSize
+	for _, c := range []struct{ src, dst, n uint32 }{
+		{0, 100, 2*PageSize + 7},
+		{100, 0, 2*PageSize + 7},
+		{5, PageSize + 3, 2 * PageSize},
+		{PageSize + 3, 5, 2 * PageSize},
+		{8, 8, PageSize},
+	} {
+		k := testKernel()
+		seg := k.NewSegment("seg", size, nil)
+		want := make([]byte, size)
+		for i := range want {
+			want[i] = byte(i*7 + i>>8)
+		}
+		seg.RawWrite(0, want)
+		copy(want[c.dst:c.dst+c.n], want[c.src:c.src+c.n])
+		if err := k.Bcopy(nil, seg, c.dst, seg, c.src, c.n); err != nil {
+			t.Fatal(err)
+		}
+		if got := seg.RawRead(0, size); !bytes.Equal(got, want) {
+			t.Fatalf("Bcopy(src %d, dst %d, n %d) differs from memmove", c.src, c.dst, c.n)
+		}
 	}
 }
 
