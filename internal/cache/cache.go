@@ -109,19 +109,6 @@ func (c *L1) LoadHit(addr uint32) bool {
 	return false
 }
 
-// WriteNoAllocate models a write-through store: the cached copy is updated
-// if the line is present, but a miss does not allocate. The bus word write
-// itself is charged by the machine, not here.
-func (c *L1) WriteNoAllocate(addr uint32) {
-	idx, tag := split(addr)
-	l := &c.lines[idx]
-	if l.valid && l.tag == tag {
-		// Write-through: the line stays clean (memory is updated by the
-		// bus write).
-		_ = l
-	}
-}
-
 // InvalidateAll empties the cache (context switch, explicit flush).
 func (c *L1) InvalidateAll() {
 	for i := range c.lines {

@@ -49,15 +49,6 @@ func TestCleanVictimNoWriteback(t *testing.T) {
 	}
 }
 
-func TestWriteNoAllocateDoesNotAllocate(t *testing.T) {
-	c := NewL1()
-	c.WriteNoAllocate(0x2000)
-	ev := c.Access(0x2000, false)
-	if ev.Hit {
-		t.Fatalf("write-through write allocated a line")
-	}
-}
-
 func TestInvalidatePage(t *testing.T) {
 	c := NewL1()
 	c.Access(0x3000, true)

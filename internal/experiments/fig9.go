@@ -26,11 +26,12 @@ var Fig9Sizes = []uint32{32 << 10, 512 << 10, 2 << 20}
 var Fig9DirtyFractions = []float64{0, 0.125, 0.25, 0.375, 0.5, 0.625, 0.75, 0.875, 1.0}
 
 // Fig9 measures every point. Each point dirties the leading fraction of a
-// deferred-copy destination (one word per 16-byte line marks the line
-// modified, as a store through the cache would), then measures the reset,
-// and compares with a bcopy of the whole segment. The three segment sizes
-// run in parallel; within one size the dirty fractions share a machine
-// and stay strictly sequential, so the measured cycles are unchanged.
+// deferred-copy destination with one uncharged raw word write per 16-byte
+// line (marking the line modified, as a store through the cache would),
+// then measures the reset, and compares with a bcopy of the whole
+// segment. Each segment size gets its own machine, and the pool starts the
+// largest first; within one size the dirty fractions share that machine
+// and run strictly in order, each reset undoing the previous dirtying.
 func Fig9() ([]Fig9Point, error) {
 	return sim.FlatMap(len(Fig9Sizes), func(i int) ([]Fig9Point, error) {
 		size := Fig9Sizes[i]

@@ -5,6 +5,7 @@ import (
 	"lvm/internal/ramdisk"
 	"lvm/internal/rlvm"
 	"lvm/internal/rvm"
+	"lvm/internal/sim"
 	"lvm/internal/tpca"
 )
 
@@ -29,65 +30,23 @@ type Table3Result struct {
 // branch) around each recoverable write, as in the prototype's benchmark.
 const loopOverheadCycles = 10
 
-// Table3 runs both measurements.
+// Table3 runs both measurements. Its four blocks (a single write and
+// TPC-A, each under RVM and RLVM) boot their own systems, so they run as
+// one sweep on the sim worker pool.
 func Table3(txns int) (Table3Result, error) {
 	var res Table3Result
-
-	// --- Single recoverable write ---
-	{
-		sys := core.NewSystemNoLogger(core.Config{NumCPUs: 1, MemFrames: 2048})
-		p := sys.NewProcess(0, sys.NewAddressSpace())
-		m, err := rvm.New(sys, p, 4*core.PageSize, ramdisk.New(), rvm.Options{})
-		if err != nil {
-			return res, err
-		}
-		if err := m.Begin(); err != nil {
-			return res, err
-		}
-		const n = 200
-		m.RecoverableWrite32(m.Base(), 0) // warm
-		start := p.Now()
-		for i := uint32(0); i < n; i++ {
-			p.Compute(loopOverheadCycles)
-			if err := m.RecoverableWrite32(m.Base(), i); err != nil {
-				return res, err
-			}
-		}
-		res.RVMWriteCycles = float64(p.Now()-start) / n
-	}
-	{
-		sys := core.NewSystem(core.Config{NumCPUs: 1, MemFrames: 4096})
-		p := sys.NewProcess(0, sys.NewAddressSpace())
-		m, err := rlvm.New(sys, p, 4*core.PageSize, ramdisk.New(), rlvm.Options{LogPages: 64})
-		if err != nil {
-			return res, err
-		}
-		if err := m.Begin(); err != nil {
-			return res, err
-		}
-		const n = 200
-		m.RecoverableWrite32(m.Base(), 0) // warm
-		start := p.Now()
-		for i := uint32(0); i < n; i++ {
-			p.Compute(loopOverheadCycles)
-			if err := m.RecoverableWrite32(m.Base(), i); err != nil {
-				return res, err
-			}
-		}
-		res.RLVMWriteCycles = float64(p.Now()-start) / n
-	}
-
-	// --- TPC-A ---
 	cfg := tpca.DefaultConfig()
 	if txns > 0 {
 		cfg.Txns = txns
 	}
-	rvmRes, _, err := tpca.RunRVM(cfg)
-	if err != nil {
-		return res, err
+	var rvmRes, rlvmRes tpca.Result
+	blocks := []func() error{
+		func() (err error) { res.RVMWriteCycles, err = rvmWriteCycles(); return err },
+		func() (err error) { res.RLVMWriteCycles, err = rlvmWriteCycles(); return err },
+		func() (err error) { rvmRes, _, err = tpca.RunRVM(cfg); return err },
+		func() (err error) { rlvmRes, _, err = tpca.RunRLVM(cfg); return err },
 	}
-	rlvmRes, _, err := tpca.RunRLVM(cfg)
-	if err != nil {
+	if err := sim.Do(len(blocks), func(i int) error { return blocks[i]() }); err != nil {
 		return res, err
 	}
 	res.RVMTPS = rvmRes.TPS
@@ -96,6 +55,54 @@ func Table3(txns int) (Table3Result, error) {
 	res.RVMInTxnFrac = rvmRes.InTxnFrac
 	res.RLVMInTxnFrac = rlvmRes.InTxnFrac
 	return res, nil
+}
+
+// rvmWriteCycles measures one recoverable write under RVM.
+func rvmWriteCycles() (float64, error) {
+	sys := core.NewSystemNoLogger(core.Config{NumCPUs: 1, MemFrames: 2048})
+	p := sys.NewProcess(0, sys.NewAddressSpace())
+	m, err := rvm.New(sys, p, 4*core.PageSize, ramdisk.New(), rvm.Options{})
+	if err != nil {
+		return 0, err
+	}
+	return singleWriteCycles(p, m)
+}
+
+// rlvmWriteCycles measures one recoverable write under RLVM.
+func rlvmWriteCycles() (float64, error) {
+	sys := core.NewSystem(core.Config{NumCPUs: 1, MemFrames: 4096})
+	p := sys.NewProcess(0, sys.NewAddressSpace())
+	m, err := rlvm.New(sys, p, 4*core.PageSize, ramdisk.New(), rlvm.Options{LogPages: 64})
+	if err != nil {
+		return 0, err
+	}
+	return singleWriteCycles(p, m)
+}
+
+// recoverableMemory is what the single-write measurement needs of RVM and
+// RLVM.
+type recoverableMemory interface {
+	Begin() error
+	Base() core.Addr
+	RecoverableWrite32(va core.Addr, v uint32) error
+}
+
+// singleWriteCycles opens a transaction and times 200 recoverable writes
+// to one word after a warming write.
+func singleWriteCycles(p *core.Process, m recoverableMemory) (float64, error) {
+	if err := m.Begin(); err != nil {
+		return 0, err
+	}
+	const n = 200
+	m.RecoverableWrite32(m.Base(), 0) // warm
+	start := p.Now()
+	for i := uint32(0); i < n; i++ {
+		p.Compute(loopOverheadCycles)
+		if err := m.RecoverableWrite32(m.Base(), i); err != nil {
+			return 0, err
+		}
+	}
+	return float64(p.Now()-start) / n, nil
 }
 
 // FormatTable3 renders the result alongside the paper's values.

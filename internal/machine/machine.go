@@ -233,8 +233,8 @@ func (c *CPU) WordWrite(paddr phys.Addr, vaddr uint32, value uint32, size uint16
 		done := grant + cycles.WordWriteThroughBus
 		c.StallCycles += grant - (c.Now + lead)
 		c.Now = done
-		// Update the L1 copy if present (write-through, no allocate).
-		c.D1.WriteNoAllocate(paddr)
+		// Write-through, no allocate: the L1 is untouched and a cached
+		// copy of the line stays clean, since the bus write updates memory.
 		if logged && c.m.Log != nil {
 			if stall := c.m.Log.Snoop(LoggedWrite{
 				Addr: paddr, VAddr: vaddr, Value: value, Size: size,

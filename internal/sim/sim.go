@@ -9,9 +9,11 @@
 // instance; only wall-clock time changes.
 //
 // Map runs a sweep on a pool of worker goroutines (default size
-// GOMAXPROCS, overridable with SetWorkers or lvmbench -parallel) and
-// collects results in input order, so the output of a parallel sweep is
-// byte-identical to a sequential one. The determinism regression test in
+// GOMAXPROCS, overridable with SetWorkers or lvmbench -parallel). The pool
+// dispatches points last to first, which is longest-first because every
+// sweep lists its points cheapest-first, and collects results in input
+// order, so the output of a parallel sweep is byte-identical to a
+// sequential one. The determinism regression test in
 // internal/experiments asserts exactly that for Figures 7 and 11.
 package sim
 
@@ -74,16 +76,19 @@ func MapWorkers[T any](workers, n int, fn func(i int) (T, error)) ([]T, error) {
 		}
 		return results, nil
 	}
+	// Indices go out last to first (longest-first, see the package doc),
+	// so the costliest point never starts last while the others idle.
 	errs := make([]error, n)
 	var next atomic.Int64
+	next.Store(int64(n))
 	var wg sync.WaitGroup
 	wg.Add(nw)
 	for w := 0; w < nw; w++ {
 		go func() {
 			defer wg.Done()
 			for {
-				i := int(next.Add(1)) - 1
-				if i >= n {
+				i := int(next.Add(-1))
+				if i < 0 {
 					return
 				}
 				results[i], errs[i] = fn(i)

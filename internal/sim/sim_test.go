@@ -3,6 +3,8 @@ package sim
 import (
 	"errors"
 	"fmt"
+	"slices"
+	"sync"
 	"sync/atomic"
 	"testing"
 )
@@ -57,6 +59,42 @@ func TestMapEachIndexOnce(t *testing.T) {
 		if n := calls[i].Load(); n != 1 {
 			t.Fatalf("index %d called %d times", i, n)
 		}
+	}
+}
+
+// TestMapWorkersLastFirst checks that the pool hands out the last indices
+// first. The first two calls wait for each other, so they are the two
+// workers' first claims whatever the goroutine scheduling.
+func TestMapWorkersLastFirst(t *testing.T) {
+	const n = 10
+	var mu sync.Mutex
+	var first []int
+	both := make(chan struct{})
+	out, err := MapWorkers(2, n, func(i int) (int, error) {
+		mu.Lock()
+		if len(first) < 2 {
+			first = append(first, i)
+			if len(first) == 2 {
+				close(both)
+			}
+			mu.Unlock()
+			<-both
+			return i, nil
+		}
+		mu.Unlock()
+		return i, nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, v := range out {
+		if v != i {
+			t.Fatalf("out[%d] = %d: results not in input order", i, v)
+		}
+	}
+	slices.Sort(first)
+	if !slices.Equal(first, []int{n - 2, n - 1}) {
+		t.Fatalf("first claims = %v, want [%d %d]", first, n-2, n-1)
 	}
 }
 

@@ -12,8 +12,6 @@
 // Figures 7 and 8.
 package timewarp
 
-import "container/heap"
-
 // VT is virtual time.
 type VT = uint32
 
@@ -65,31 +63,68 @@ func sameEvent(a, b Event) bool {
 	return a.ID == b.ID && a.Time == b.Time && a.Obj == b.Obj
 }
 
-// eventHeap is a min-heap of events by (Time, ID).
-type eventHeap []Event
+// inputQueue is a binary min-heap of events ordered by before, with
+// annihilation support. Its sift steps are container/heap's, typed, so
+// nothing is boxed and the layout matches a container/heap of the same
+// pushes and pops.
+type inputQueue struct{ h []Event }
 
-func (h eventHeap) Len() int            { return len(h) }
-func (h eventHeap) Less(i, j int) bool  { return h[i].before(h[j]) }
-func (h eventHeap) Swap(i, j int)       { h[i], h[j] = h[j], h[i] }
-func (h *eventHeap) Push(x interface{}) { *h = append(*h, x.(Event)) }
-func (h *eventHeap) Pop() interface{} {
-	old := *h
-	n := len(old)
-	e := old[n-1]
-	*h = old[:n-1]
+func (q *inputQueue) push(e Event) {
+	q.h = append(q.h, e)
+	q.up(len(q.h) - 1)
+}
+
+func (q *inputQueue) pop() (Event, bool) {
+	n := len(q.h) - 1
+	if n < 0 {
+		return Event{}, false
+	}
+	q.h[0], q.h[n] = q.h[n], q.h[0]
+	q.down(0, n)
+	return q.shrink(), true
+}
+
+// shrink drops and returns the last slot.
+func (q *inputQueue) shrink() Event {
+	n := len(q.h) - 1
+	e := q.h[n]
+	q.h = q.h[:n]
 	return e
 }
 
-// inputQueue wraps the heap with annihilation support.
-type inputQueue struct{ h eventHeap }
-
-func (q *inputQueue) push(e Event) { heap.Push(&q.h, e) }
-
-func (q *inputQueue) pop() (Event, bool) {
-	if len(q.h) == 0 {
-		return Event{}, false
+// up moves slot j toward the root while it orders before its parent.
+func (q *inputQueue) up(j int) {
+	h := q.h
+	for {
+		i := (j - 1) / 2
+		if i == j || !h[j].before(h[i]) {
+			return
+		}
+		h[i], h[j] = h[j], h[i]
+		j = i
 	}
-	return heap.Pop(&q.h).(Event), true
+}
+
+// down moves slot i0 toward the leaves of h[:n], reporting whether it
+// moved.
+func (q *inputQueue) down(i0, n int) bool {
+	h := q.h
+	i := i0
+	for {
+		j := 2*i + 1
+		if j >= n {
+			break
+		}
+		if j2 := j + 1; j2 < n && h[j2].before(h[j]) {
+			j = j2
+		}
+		if !h[j].before(h[i]) {
+			break
+		}
+		h[i], h[j] = h[j], h[i]
+		i = j
+	}
+	return i > i0
 }
 
 func (q *inputQueue) peek() (Event, bool) {
@@ -105,7 +140,13 @@ func (q *inputQueue) len() int { return len(q.h) }
 func (q *inputQueue) remove(id EventID) bool {
 	for i := range q.h {
 		if q.h[i].ID == id {
-			heap.Remove(&q.h, i)
+			if n := len(q.h) - 1; i != n {
+				q.h[i], q.h[n] = q.h[n], q.h[i]
+				if !q.down(i, n) {
+					q.up(i)
+				}
+			}
+			q.shrink()
 			return true
 		}
 	}

@@ -76,6 +76,29 @@ type processedEvent struct {
 	save     []byte // copy: the object's prior state
 }
 
+// arenaMaxChunk caps an arena chunk's length in elements.
+const arenaMaxChunk = 1 << 14
+
+// arena hands out capped sub-slices of a backing chunk, each once and
+// never reused. A full chunk is replaced by a fresh one (twice as long, up
+// to arenaMaxChunk), not grown in place, so earlier sub-slices keep their
+// contents; the garbage collector frees a chunk once no slice points into
+// it.
+type arena[T any] struct{ buf []T }
+
+// take returns a fresh n-element slice (nil for n == 0).
+func (a *arena[T]) take(n int) []T {
+	if n == 0 {
+		return nil
+	}
+	if len(a.buf)+n > cap(a.buf) {
+		a.buf = make([]T, 0, max(n, min(2*cap(a.buf), arenaMaxChunk)))
+	}
+	start := len(a.buf)
+	a.buf = a.buf[:start+n]
+	return a.buf[start : start+n : start+n]
+}
+
 // Scheduler is one TimeWarp scheduler: a simulated process owning a
 // partition of the objects, with the segment arrangement of Figure 3.
 type Scheduler struct {
@@ -104,9 +127,13 @@ type Scheduler struct {
 	lvt       VT
 	seq       uint32
 	// While Handle runs (sending), sends collect in sentBuf for step to
-	// hand over; pointing at the processedEvent would move it to the heap.
+	// copy out; pointing at the processedEvent would move it to the heap.
 	sending bool
 	sentBuf []Event
+	// sents and saves back every processed event's sent and save slices,
+	// so lazyPrev and rollback may hold them for as long as they like.
+	sents arena[Event]
+	saves arena[byte]
 
 	// lazyPrev holds, per undone-but-not-yet-re-executed event, the
 	// sends of its previous execution (lazy cancellation).
@@ -243,7 +270,8 @@ func (s *Scheduler) step() bool {
 		// Copy-based state saving: snapshot the target object.
 		local := s.local(ev.Obj)
 		off := markerBytes + local*s.sim.cfg.ObjectBytes
-		pe.save = s.working.RawRead(off, s.sim.cfg.ObjectBytes)
+		pe.save = s.saves.take(int(s.sim.cfg.ObjectBytes))
+		s.working.ReadInto(off, pe.save)
 		lines := uint64((s.sim.cfg.ObjectBytes + core.LineSize - 1) / core.LineSize)
 		s.p.Compute(SaveBookkeepingCycles + lines*cycles.BcopyLineCycles)
 	}
@@ -256,7 +284,9 @@ func (s *Scheduler) step() bool {
 	s.sending = true
 	s.sim.handler.Handle(s, ev)
 	s.sending = false
-	pe.sent, s.sentBuf = s.sentBuf, nil
+	pe.sent = s.sents.take(len(s.sentBuf))
+	copy(pe.sent, s.sentBuf)
+	s.sentBuf = s.sentBuf[:0]
 	// Lazy cancellation: whatever the previous execution sent that this
 	// one did not gets cancelled now.
 	for _, stale := range s.curPrev {

@@ -2,6 +2,7 @@ package vm
 
 import (
 	"fmt"
+	"math/bits"
 
 	"lvm/internal/cycles"
 	"lvm/internal/machine"
@@ -46,7 +47,7 @@ func (a *AddressSpace) ResetDeferredCopy(start, end Addr, cpu *machine.CPU) (Res
 		st.DirtyPages++
 		lines := 0
 		for w := range p.lineDirty {
-			lines += popcount(p.lineDirty[w])
+			lines += bits.OnesCount64(p.lineDirty[w])
 			p.lineDirty[w] = 0
 			p.fromSource[w] = ^uint64(0)
 		}
@@ -91,7 +92,7 @@ func (k *Kernel) ResetDeferredCopySegment(s *Segment, cpu *machine.CPU) (ResetSt
 		st.DirtyPages++
 		lines := 0
 		for w := range p.lineDirty {
-			lines += popcount(p.lineDirty[w])
+			lines += bits.OnesCount64(p.lineDirty[w])
 			p.lineDirty[w] = 0
 			p.fromSource[w] = ^uint64(0)
 		}

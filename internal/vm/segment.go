@@ -2,6 +2,7 @@ package vm
 
 import (
 	"fmt"
+	"math/bits"
 
 	"lvm/internal/cycles"
 	"lvm/internal/hwlogger"
@@ -293,16 +294,7 @@ func (s *Segment) DirtyLines(page uint32) int {
 	}
 	n := 0
 	for _, w := range s.pages[page].lineDirty {
-		n += popcount(w)
-	}
-	return n
-}
-
-func popcount(x uint64) int {
-	n := 0
-	for x != 0 {
-		x &= x - 1
-		n++
+		n += bits.OnesCount64(w)
 	}
 	return n
 }
@@ -411,17 +403,20 @@ func (s *Segment) writePage(page, po uint32, b []byte) error {
 		}
 		return nil
 	}
-	// Materialize each touched line from the source first, so that the
-	// unwritten bytes of a partially written line keep source data. This
-	// is the second-level cache's load-on-reference of Section 3.3,
-	// charged as part of the normal miss costs.
+	// Materialize each partially written line from the source first, so
+	// that its unwritten bytes keep source data. This is the second-level
+	// cache's load-on-reference of Section 3.3, charged as part of the
+	// normal miss costs. A line the write covers completely (Bcopy's case)
+	// has nothing to keep.
+	end := po + uint32(len(b))
 	first := po >> cycles.LineShift
-	last := (po + uint32(len(b)) - 1) >> cycles.LineShift
+	last := (end - 1) >> cycles.LineShift
 	for line := first; line <= last; line++ {
 		w, bit := lineIdx(line)
 		if p.fromSource[w]&(1<<bit) != 0 {
-			lo := line * LineSize
-			s.source.readInto(s.sourceOff+page*PageSize+lo, f[lo:lo+LineSize])
+			if lo := line * LineSize; lo < po || lo+LineSize > end {
+				s.fillLine(page, line, f)
+			}
 			p.fromSource[w] &^= 1 << bit
 		}
 		p.lineDirty[w] |= 1 << bit
@@ -430,8 +425,29 @@ func (s *Segment) writePage(page, po uint32, b []byte) error {
 	return nil
 }
 
-// store32 is the hot-path word store used by Process.Store32: it assumes
-// the page is resident and the offset word-aligned.
+// fillLine copies one line of a resident page from the deferred-copy
+// source into its frame f. When the source has no source of its own and
+// the line lies within one of its pages, that is a clear (source page not
+// resident) or one 16-byte copy; a chained or page-straddling source line
+// resolves through readInto.
+func (s *Segment) fillLine(page, line uint32, f *[PageSize]byte) {
+	lo := line * LineSize
+	dst := f[lo : lo+LineSize]
+	src := s.source
+	off := s.sourceOff + page*PageSize + lo
+	if sp := off >> PageShift; src.source == nil && off&PageMask <= PageSize-LineSize {
+		if sp >= uint32(len(src.pages)) || src.pages[sp].frame == 0 {
+			zero(dst)
+		} else {
+			src.k.M.Phys.Read(phys.FrameBase(src.pages[sp].frame)+(off&PageMask), dst)
+		}
+		return
+	}
+	src.readInto(off, dst)
+}
+
+// store32 is the hot-path word store used by Process.Store32 and
+// Write32: it assumes the page is resident and the offset word-aligned.
 func (s *Segment) store32(page, po uint32, v uint32) {
 	if s.wp != nil {
 		s.wp.fault(page)
@@ -442,8 +458,7 @@ func (s *Segment) store32(page, po uint32, v uint32) {
 	line := po >> cycles.LineShift
 	w, bit := lineIdx(line)
 	if s.source != nil && p.fromSource[w]&(1<<bit) != 0 {
-		lo := line * LineSize
-		s.source.readInto(s.sourceOff+page*PageSize+lo, f[lo:lo+LineSize])
+		s.fillLine(page, line, f)
 		p.fromSource[w] &^= 1 << bit
 	}
 	p.lineDirty[w] |= 1 << bit
@@ -502,8 +517,20 @@ func (s *Segment) Read32(off uint32) uint32 {
 	return uint32(b[0]) | uint32(b[1])<<8 | uint32(b[2])<<16 | uint32(b[3])<<24
 }
 
-// Write32 writes a little-endian word at off (raw).
+// Write32 writes a little-endian word at off (raw). An aligned in-range
+// word takes store32's path; anything else goes through RawWrite.
 func (s *Segment) Write32(off uint32, v uint32) {
+	if page := off >> PageShift; off&3 == 0 && page < uint32(len(s.pages)) {
+		if s.wp != nil {
+			// Save the page as RawWrite would: before it becomes resident.
+			s.wp.fault(page)
+		}
+		if _, err := s.ensureFrame(page); err != nil {
+			panic(err)
+		}
+		s.store32(page, off&PageMask, v)
+		return
+	}
 	b := [4]byte{byte(v), byte(v >> 8), byte(v >> 16), byte(v >> 24)}
 	s.RawWrite(off, b[:])
 }
