@@ -71,3 +71,35 @@ func TestCheckReportsTailDamage(t *testing.T) {
 		t.Fatalf("check line %q lacks %q", out.String(), want)
 	}
 }
+
+// TestCheckComparesWholeRecoverInfo pins the determinism probe to every
+// field of the recovery report: two recoveries that agree on the image
+// and the sequence but not on where the damage began, or on how many
+// records were re-issued, are not the same recovery.
+func TestCheckComparesWholeRecoverInfo(t *testing.T) {
+	img := make([]byte, 64)
+	var info lvmd.RecoverInfo
+	info.Seq, info.TailRecords, info.ReissuedRecords = 7, 16, 9
+	info.QuarantinedFrom, info.InvalidRecords, info.Txns = 9*16, 1, 2
+	if !sameRecovery(img, info, append([]byte(nil), img...), info) {
+		t.Fatal("identical recoveries reported different")
+	}
+	other := append([]byte(nil), img...)
+	other[lvmd.MarkerLimit] = 1
+	if sameRecovery(img, info, other, info) {
+		t.Fatal("different images reported the same")
+	}
+	for name, mutate := range map[string]func(*lvmd.RecoverInfo){
+		"quarantine offset": func(i *lvmd.RecoverInfo) { i.QuarantinedFrom += 16 },
+		"re-issued records": func(i *lvmd.RecoverInfo) { i.ReissuedRecords++ },
+		"tail records":      func(i *lvmd.RecoverInfo) { i.TailRecords++ },
+		"replayed txns":     func(i *lvmd.RecoverInfo) { i.Txns++ },
+		"sequence":          func(i *lvmd.RecoverInfo) { i.Seq++ },
+	} {
+		info2 := info
+		mutate(&info2)
+		if sameRecovery(img, info, img, info2) {
+			t.Errorf("recoveries differing in %s reported the same", name)
+		}
+	}
+}

@@ -17,7 +17,8 @@
 //
 //	lvmd -dir /var/lib/lvmd -check
 //
-// recovers every shard twice, verifies recovery is deterministic, and —
+// recovers every shard twice, verifies recovery is deterministic (the
+// same image and the same recovery report, quarantine included), and —
 // when a drain manifest exists — verifies the recovered digests match
 // the drained state exactly. A tail mirror with a damaged record is
 // replayed up to it and reported on the shard's line (here and at boot)
@@ -49,6 +50,7 @@
 package main
 
 import (
+	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
@@ -190,6 +192,13 @@ func tailDamage(info lvmd.RecoverInfo) string {
 		info.ReissuedRecords, info.TailRecords-info.ReissuedRecords)
 }
 
+// sameRecovery reports whether two recoveries of one shard agree: the
+// image past the marker area, and every field of the RecoverInfo — the
+// sequence, the quarantine offset and the record counts.
+func sameRecovery(img1 []byte, info1 lvmd.RecoverInfo, img2 []byte, info2 lvmd.RecoverInfo) bool {
+	return bytes.Equal(img1[lvmd.MarkerLimit:], img2[lvmd.MarkerLimit:]) && info1 == info2
+}
+
 // runCheck recovers every shard twice from the durable files, proving
 // recovery deterministic, and checks the drain manifest if one exists.
 func runCheck(dir string, shards int, coreCfg lvmd.CoreConfig, out io.Writer) int {
@@ -225,13 +234,12 @@ func runCheck(dir string, shards int, coreCfg lvmd.CoreConfig, out io.Writer) in
 			fail++
 			continue
 		}
-		d1 := sha256.Sum256(img1[lvmd.MarkerLimit:])
-		d2 := sha256.Sum256(img2[lvmd.MarkerLimit:])
-		if d1 != d2 || info1.Seq != info2.Seq {
+		if !sameRecovery(img1, info1, img2, info2) {
 			fmt.Fprintf(os.Stderr, "lvmd: shard %d recovery is NOT deterministic\n", i)
 			fail++
 			continue
 		}
+		d1 := sha256.Sum256(img1[lvmd.MarkerLimit:])
 		status := "ok"
 		if man != nil {
 			if i >= len(man.Shards) {

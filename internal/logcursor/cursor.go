@@ -29,6 +29,15 @@
 // the stream: nothing past the damage applies, and Stats reports the
 // quarantine anchor and extent. The walker never panics on damaged
 // input; degrade-don't-panic is the contract every consumer inherits.
+//
+// A packed byte stream of wire records (a logship batch, the lvmd tail
+// mirror) has one walk loop of its own, behind Run(*BytesSource) and
+// RunReader. It applies the same rules without building a Rec per
+// record: an open transaction's records are contiguous in the stream,
+// so it is buffered as a byte range — validated once as it is scanned,
+// decoded again only when its commit marker applies it. RunReader walks
+// an io.Reader through one fixed-size buffer, so a walk's memory is a
+// chunk, not the stream.
 package logcursor
 
 // MarkerCommit is the high bit of a marker-word value: set = the store
@@ -169,15 +178,16 @@ func NewWalker(cfg Config) *Walker {
 // (quarantine): the caller must stop feeding and call Finish.
 func (w *Walker) Feed(r Rec) bool { return w.feed(&r) }
 
-// feed is Feed on a caller-owned record (read, never retained): the
-// form Run's concrete loops use so no Rec is copied per record.
+// feed is Feed on a caller-owned record (read, never retained). It is
+// the generic Source walk; a byte stream goes through scan, which
+// applies the same rules to records it never copies out.
 func (w *Walker) feed(r *Rec) bool {
 	if w.halted {
 		return false
 	}
 	w.st.Scanned++
 	if !r.Valid {
-		return w.quarantine(r)
+		return w.quarantine(r, len(w.batch))
 	}
 	if !r.Data {
 		w.st.Skipped++
@@ -189,16 +199,10 @@ func (w *Walker) feed(r *Rec) bool {
 			// violation: no writer emits one, so it can only be damage.
 			// Treating it as a marker (or as data) would corrupt the
 			// transaction bracketing — quarantine instead.
-			return w.quarantine(r)
+			return w.quarantine(r, len(w.batch))
 		}
 		if r.Value&MarkerCommit != 0 {
-			seq := r.Value &^ MarkerCommit
-			if seq >= w.st.LastSeq {
-				w.st.LastSeq = seq
-			} else {
-				w.st.NonMonotonicCommits++
-			}
-			w.st.Txns++
+			w.commit(r.Value &^ MarkerCommit)
 			if w.cfg.Apply != nil {
 				for i := range w.batch {
 					w.cfg.Apply(w.batch[i])
@@ -222,11 +226,25 @@ func (w *Walker) feed(r *Rec) bool {
 	return true
 }
 
+// commit counts a commit marker carrying sequence number seq.
+func (w *Walker) commit(seq uint32) {
+	if seq >= w.st.LastSeq {
+		w.st.LastSeq = seq
+	} else {
+		w.st.NonMonotonicCommits++
+	}
+	w.st.Txns++
+}
+
 // Finish ends the walk: records still buffered without a commit marker
 // are discarded into IncompleteTail, and the final Stats are returned.
-func (w *Walker) Finish() Stats {
+func (w *Walker) Finish() Stats { return w.finish(len(w.batch)) }
+
+// finish is Finish with the walk's buffered record count (the batch, or
+// a byte stream's open transaction).
+func (w *Walker) finish(buffered int) Stats {
 	if !w.halted {
-		w.st.IncompleteTail += len(w.batch)
+		w.st.IncompleteTail += buffered
 		w.batch = nil
 		w.halted = true
 	}
@@ -236,11 +254,11 @@ func (w *Walker) Finish() Stats {
 // Stats returns the walk counters accumulated so far.
 func (w *Walker) Stats() Stats { return w.st }
 
-func (w *Walker) quarantine(r *Rec) bool {
+func (w *Walker) quarantine(r *Rec, buffered int) bool {
 	w.st.InvalidRecords++
 	w.st.QuarantinedFrom = r.LogOff
 	w.st.QuarantinedBytes = w.cfg.End - r.LogOff
-	w.st.IncompleteTail += len(w.batch)
+	w.st.IncompleteTail += buffered
 	w.st.Bad = *r
 	w.batch = nil
 	w.halted = true
@@ -254,16 +272,17 @@ type Source interface {
 
 // Run drives every record of src through w and returns the final stats
 // — the whole cursor in one call for consumers that need no per-record
-// interleaving of their own. A *BytesSource (the restart path's whole
-// tail) is walked through a concrete-typed loop: the same decode and
-// the same Walker, without an interface call and a Rec returned by
-// value per record.
+// interleaving of their own. A *BytesSource is walked by RunReader's
+// loop over its bytes as one final chunk: no copy, no interface call,
+// and no Rec built for a record until it is applied.
 func Run(src Source, w *Walker) Stats {
 	if b, ok := src.(*BytesSource); ok {
-		var r Rec
-		for b.next(&r) && w.feed(&r) {
+		s := &b.s
+		s.open = s.pos // records Next already yielded belong to no transaction here
+		if !w.halted {
+			w.scan(s)
 		}
-		return w.Finish()
+		return w.finish(s.pending())
 	}
 	for {
 		r, ok := src.Next()

@@ -1,8 +1,6 @@
 package logcursor
 
 import (
-	"encoding/binary"
-
 	"lvm/internal/core"
 	"lvm/internal/logrec"
 )
@@ -87,50 +85,30 @@ func (s *MachineSource) Next() (Rec, bool) {
 // size; there is no kernel to resolve addresses against, so every
 // record is Data.
 type BytesSource struct {
-	b       []byte
-	segSize uint32
-	off     int
-	idx     int
+	s stream
 }
 
 // NewBytesSource opens a source over b (whole records only; a trailing
 // partial record is ignored) for a data segment of segSize bytes.
 func NewBytesSource(b []byte, segSize uint32) *BytesSource {
-	return &BytesSource{b: b, segSize: segSize}
+	return &BytesSource{stream{buf: b, segSize: segSize}}
 }
 
 // End reports the byte length of the whole records in the stream.
-func (s *BytesSource) End() uint32 {
-	return uint32(len(s.b) - len(s.b)%logrec.Size)
+func (b *BytesSource) End() uint32 {
+	return uint32(len(b.s.buf) - len(b.s.buf)%logrec.Size)
 }
 
 // Next yields the next record in the cursor's uniform form.
-func (s *BytesSource) Next() (Rec, bool) {
-	var r Rec
-	ok := s.next(&r)
-	return r, ok
-}
-
-// next decodes the next record into *r, reporting false at the end of
-// the stream (Next and Run's concrete loop share it). It reads only the
-// three wire fields the cursor uses (logrec's layout: address, value,
-// size), in place — a full logrec.Decode and a Rec built from it cost
-// about as much again per record on the restart walk.
-func (s *BytesSource) next(r *Rec) bool {
-	if s.off+logrec.Size > len(s.b) {
-		return false
+func (b *BytesSource) Next() (Rec, bool) {
+	s := &b.s
+	if s.pos+logrec.Size > len(s.buf) {
+		return Rec{}, false
 	}
-	b := s.b[s.off : s.off+logrec.Size : s.off+logrec.Size]
-	r.Off = binary.LittleEndian.Uint32(b[0:])
-	r.Value = binary.LittleEndian.Uint32(b[4:])
-	r.Size = binary.LittleEndian.Uint16(b[8:])
-	r.LogOff = uint32(s.off)
-	r.Idx = s.idx
+	r := s.rec(s.pos, false)
 	r.Valid = ValidWrite(r.Off, r.Size, s.segSize)
-	r.Data = true
-	s.off += logrec.Size
-	s.idx++
-	return true
+	s.pos += logrec.Size
+	return r, true
 }
 
 // Wire returns rec re-addressed to its segment offset — the canonical

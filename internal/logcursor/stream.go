@@ -1,0 +1,139 @@
+package logcursor
+
+import (
+	"encoding/binary"
+	"io"
+
+	"lvm/internal/logrec"
+)
+
+// chunkSize is RunReader's refill unit: one read per 16 K records, and a
+// walk's memory is this buffer, not the stream.
+const chunkSize = 256 << 10
+
+// stream is the walk's position in a packed stream of 16-byte wire
+// records (logrec's layout, Addr already a data-segment offset) held in
+// one buffer: buf[0] is stream offset base and record ordinal idx, pos is
+// the next record to scan, and in the Committed view buf[open:pos] are
+// the open transaction's records — validated once, kept as bytes, and
+// decoded again only to apply them at the commit marker.
+type stream struct {
+	buf       []byte
+	segSize   uint32
+	base      uint32
+	idx       int
+	pos, open int
+}
+
+// rec decodes the record at buf[p:], whose validity the caller knows. It
+// reads only the three wire fields the cursor uses, in place: a full
+// logrec.Decode costs about as much again per record. The walk hands the
+// result straight to Apply: a local copy with a field set afterwards is
+// moved through the stack by a wide load over narrow stores, a
+// store-forwarding stall that doubled the committed walk's cost.
+func (s *stream) rec(p int, valid bool) Rec {
+	b := s.buf[p : p+logrec.Size : p+logrec.Size]
+	return Rec{
+		Off:    binary.LittleEndian.Uint32(b[0:]),
+		Value:  binary.LittleEndian.Uint32(b[4:]),
+		Size:   binary.LittleEndian.Uint16(b[8:]),
+		LogOff: s.base + uint32(p),
+		Idx:    s.idx + p/logrec.Size,
+		Valid:  valid,
+		Data:   true,
+	}
+}
+
+// pending is how many records the open transaction holds.
+func (s *stream) pending() int { return (s.pos - s.open) / logrec.Size }
+
+// scan is the one byte-stream walk: every whole record of buf[pos:]
+// through w, with Walker.feed's rules. It stops at the end of the buffer
+// (a partial record waits for the next refill) or at the first record
+// that quarantines the walk.
+func (w *Walker) scan(s *stream) {
+	committed, limit := w.cfg.View == Committed, w.cfg.MarkerLimit
+	for ; s.pos+logrec.Size <= len(s.buf); s.pos += logrec.Size {
+		b := s.buf[s.pos : s.pos+logrec.Size : s.pos+logrec.Size]
+		off, size := binary.LittleEndian.Uint32(b[0:]), binary.LittleEndian.Uint16(b[8:])
+		w.st.Scanned++
+		valid := ValidWrite(off, size, s.segSize)
+		if !valid || committed && off < limit && size != 4 {
+			r := s.rec(s.pos, valid)
+			w.quarantine(&r, s.pending())
+			return
+		}
+		if !committed {
+			if w.cfg.Apply != nil {
+				w.cfg.Apply(s.rec(s.pos, true))
+			}
+			w.st.Applied++
+			s.open = s.pos + logrec.Size
+			continue
+		}
+		if off >= limit {
+			continue // buffered: it stays in buf[open:pos]
+		}
+		if val := binary.LittleEndian.Uint32(b[4:]); val&MarkerCommit != 0 {
+			w.commit(val &^ MarkerCommit)
+			if w.cfg.Apply != nil {
+				for p := s.open; p < s.pos; p += logrec.Size {
+					w.cfg.Apply(s.rec(p, true))
+				}
+			}
+			w.st.Applied += s.pending()
+		}
+		s.open = s.pos + logrec.Size
+	}
+}
+
+// RunReader walks the packed wire records r yields, for a data segment
+// of segSize bytes, through w and returns the final stats — Run for a
+// stream too large to hold: memory is one chunkSize buffer however long
+// the stream. When the buffer fills, the open transaction's bytes and
+// any partial record move to its front; it doubles only when a single
+// open transaction fills it. Rec.LogOff, Idx and the quarantine anchor
+// are positions in the whole stream; a trailing partial record is
+// ignored. A read error other than io.EOF ends the walk there: it is
+// returned with the walk's stats up to it, and no transaction whose
+// commit marker lies past it is applied.
+func RunReader(r io.Reader, segSize uint32, w *Walker) (Stats, error) {
+	return runReader(r, segSize, w, chunkSize)
+}
+
+// runReader is RunReader with a first buffer of size bytes.
+func runReader(r io.Reader, segSize uint32, w *Walker, size int) (Stats, error) {
+	s := stream{buf: make([]byte, 0, size), segSize: segSize}
+	for !w.halted {
+		if len(s.buf) == cap(s.buf) {
+			s.shift()
+		}
+		n, err := r.Read(s.buf[len(s.buf):cap(s.buf)])
+		s.buf = s.buf[:len(s.buf)+n]
+		w.scan(&s)
+		if err == io.EOF {
+			break
+		}
+		if err != nil {
+			return w.finish(s.pending()), err
+		}
+	}
+	return w.finish(s.pending()), nil
+}
+
+// shift makes room in a full buffer: the bytes the walk still needs (the
+// open transaction's and a partial record's) move to the front, into a
+// buffer twice the size when they are the whole buffer.
+func (s *stream) shift() {
+	keep := s.buf[s.open:]
+	if s.open == 0 {
+		s.buf = make([]byte, len(keep), 2*cap(s.buf))
+	} else {
+		s.buf = s.buf[:len(keep)]
+	}
+	copy(s.buf, keep)
+	s.base += uint32(s.open)
+	s.idx += s.open / logrec.Size
+	s.pos -= s.open
+	s.open = 0
+}

@@ -1,0 +1,173 @@
+package logcursor
+
+import (
+	"bytes"
+	"errors"
+	"io"
+	"reflect"
+	"testing"
+	"testing/iotest"
+
+	"lvm/internal/logrec"
+)
+
+// fuzzStream turns fuzz bytes into a wire-record stream, three bytes per
+// record: the first picks the kind, the other two its offset and value.
+// Kinds cover begin and commit markers (commit sequences in any order),
+// word, halfword and byte stores, sub-word stores into the marker area,
+// bad sizes, and raw offsets (misaligned or out of range). torn%16 bytes
+// of a partial final record follow.
+func fuzzStream(ops []byte, torn uint8) []byte {
+	var out []byte
+	var buf [logrec.Size]byte
+	for i := 0; i+3 <= len(ops); i += 3 {
+		a, v := uint32(ops[i+1]), uint32(ops[i+2])
+		var r logrec.Record
+		switch ops[i] % 12 {
+		case 0:
+			r = logrec.Record{Addr: a % 4 * 4, Value: v, WriteSize: 4}
+		case 1:
+			r = logrec.Record{Addr: a % 4 * 4, Value: v | MarkerCommit, WriteSize: 4}
+		case 2, 3, 4:
+			r = logrec.Record{Addr: 16 + a*4, Value: v<<8 | a, WriteSize: 4}
+		case 5:
+			r = logrec.Record{Addr: 16 + a*2, Value: v, WriteSize: 2}
+		case 6:
+			r = logrec.Record{Addr: 16 + a, Value: v, WriteSize: 1}
+		case 7:
+			r = logrec.Record{Addr: a % 16 &^ 1, Value: v, WriteSize: 2 - uint16(a%2)}
+		case 8:
+			r = logrec.Record{Addr: 16 + a*4, Value: v, WriteSize: uint16(v % 9)}
+		case 9:
+			r = logrec.Record{Addr: a<<8 | v, Value: v, WriteSize: 4}
+		default:
+			r = logrec.Record{Addr: 16 + a*4, Value: v, WriteSize: 4}
+		}
+		r.Encode(buf[:])
+		out = append(out, buf[:]...)
+	}
+	return append(out, bytes.Repeat([]byte{0xA5}, int(torn%logrec.Size))...)
+}
+
+// splitReader yields b in pieces whose lengths the fuzzer picks.
+type splitReader struct {
+	b    []byte
+	cuts []byte
+	i    int
+}
+
+func (r *splitReader) Read(p []byte) (int, error) {
+	if len(r.b) == 0 {
+		return 0, io.EOF
+	}
+	n := len(r.b)
+	if len(r.cuts) > 0 {
+		n = int(r.cuts[r.i%len(r.cuts)])
+		r.i++
+	}
+	n = min(n, len(p), len(r.b))
+	copy(p, r.b[:n])
+	r.b = r.b[n:]
+	return n, nil
+}
+
+var errRead = errors.New("read failed")
+
+// walkWith runs one walk over a fresh walker and returns what it applied.
+func walkWith(view View, lim, end uint32, run func(*Walker) (Stats, error)) ([]Rec, Stats, error) {
+	var got []Rec
+	w := NewWalker(Config{View: view, MarkerLimit: lim, End: end,
+		Apply: func(r Rec) { got = append(got, r) }})
+	st, err := run(w)
+	return got, st, err
+}
+
+// FuzzRunChunked pins the byte-stream walk to the generic one. Each
+// stream is walked in every view three ways — the generic Source loop
+// over Walker.Feed (the reference), Run over one *BytesSource, and
+// RunReader behind readers that split it differently, at the real chunk
+// size and from a buffer of bufSize bytes, small enough that shifting
+// and growing happen on every few records. All must return equal Stats
+// and apply the same records. A reader failing after failAt bytes must
+// surface its error and match the reference walk of the bytes before it.
+func FuzzRunChunked(f *testing.F) {
+	txn := []byte{
+		0, 0, 1, // begin 1
+		2, 5, 11, // word store
+		5, 9, 12, // halfword store
+		6, 3, 13, // byte store
+		1, 0, 1, // commit 1
+		0, 1, 2, // begin 2 via marker word 4
+		2, 7, 21,
+		1, 1, 2, // commit 2
+	}
+	with := func(tail ...byte) []byte { return append(append([]byte{}, txn...), tail...) }
+	f.Add(txn, uint8(0), []byte{5, 17, 3}, uint16(100), uint8(40))
+	f.Add(txn, uint8(7), []byte{16}, uint16(0xFFFF), uint8(16))                         // torn final record
+	f.Add(with(0, 0, 3, 2, 4, 4, 1, 0, 1), uint8(0), []byte{1}, uint16(200), uint8(1))  // non-monotone commit
+	f.Add(with(0, 0, 4, 2, 1, 1, 7, 2, 9), uint8(0), []byte{33}, uint16(40), uint8(50)) // sub-word marker-area store
+	f.Add(with(0, 0, 4, 2, 1, 1, 8, 3, 7), uint8(3), []byte{}, uint16(120), uint8(8))   // bad size mid-transaction
+	f.Add(with(9, 0xFF, 0xFF), uint8(0), []byte{2, 250}, uint16(8), uint8(255))         // out of range
+	f.Fuzz(func(t *testing.T, ops []byte, torn uint8, cuts []byte, failAt uint16, bufSize uint8) {
+		if len(ops) > 3<<10 {
+			ops = ops[:3<<10]
+		}
+		for i := range cuts {
+			cuts[i] = max(cuts[i], 1)
+		}
+		stream := fuzzStream(ops, torn)
+		end := uint32(len(stream))
+		readers := map[string]func() io.Reader{
+			"one-byte": func() io.Reader { return iotest.OneByteReader(bytes.NewReader(stream)) },
+			"half":     func() io.Reader { return iotest.HalfReader(bytes.NewReader(stream)) },
+			"data-eof": func() io.Reader { return iotest.DataErrReader(bytes.NewReader(stream)) },
+			"split":    func() io.Reader { return &splitReader{b: stream, cuts: cuts} },
+		}
+		sizes := []int{chunkSize, 1 + int(bufSize)}
+		for _, c := range []struct {
+			name string
+			view View
+			lim  uint32
+		}{{"committed", Committed, 16}, {"apply-all", ApplyAll, 16}, {"no-markers", Committed, 0}} {
+			reference := func(b []byte) ([]Rec, Stats) {
+				got, st, _ := walkWith(c.view, c.lim, end, func(w *Walker) (Stats, error) {
+					return Run(nextOnly{NewBytesSource(b, segSize)}, w), nil
+				})
+				return got, st
+			}
+			want, wantSt := reference(stream)
+			got, st, _ := walkWith(c.view, c.lim, end, func(w *Walker) (Stats, error) {
+				return Run(NewBytesSource(stream, segSize), w), nil
+			})
+			if st != wantSt || !reflect.DeepEqual(got, want) {
+				t.Fatalf("%s: Run diverges from the reference:\n got %+v\nwant %+v", c.name, st, wantSt)
+			}
+			for name, open := range readers {
+				for _, size := range sizes {
+					got, st, err := walkWith(c.view, c.lim, end, func(w *Walker) (Stats, error) {
+						return runReader(open(), segSize, w, size)
+					})
+					if err != nil || st != wantSt || !reflect.DeepEqual(got, want) {
+						t.Fatalf("%s/%s/%d: RunReader diverges from the reference (err %v):\n got %+v\nwant %+v",
+							c.name, name, size, err, st, wantSt)
+					}
+				}
+			}
+			cut := int(failAt) % (len(stream) + 1)
+			want, wantSt = reference(stream[:cut])
+			for _, size := range sizes {
+				got, st, err := walkWith(c.view, c.lim, end, func(w *Walker) (Stats, error) {
+					r := io.MultiReader(&splitReader{b: stream[:cut], cuts: cuts}, iotest.ErrReader(errRead))
+					return runReader(r, segSize, w, size)
+				})
+				if st != wantSt || !reflect.DeepEqual(got, want) {
+					t.Fatalf("%s/%d: walk to a read error at %d diverges from the reference over the bytes before it:\n got %+v\nwant %+v",
+						c.name, size, cut, st, wantSt)
+				}
+				if !errors.Is(err, errRead) && (err != nil || !st.Quarantined()) {
+					t.Fatalf("%s/%d: read error at %d: RunReader returned %v", c.name, size, cut, err)
+				}
+			}
+		}
+	})
+}

@@ -539,12 +539,14 @@ type RecoverInfo struct {
 // record carries the address, the datum and its size, and the tail
 // mirror's addresses are already arena offsets, so the image is the last
 // committed checkpoint (compact.LoadCheckpoint) plus the mirrored bytes
-// past its watermark, walked by the shared cursor (marker-committed
-// transactions only) with each write applied straight into the image.
-// The first invalid record quarantines the rest of the tail: the image
-// is then checkpoint + committed prefix, and the info says where the
-// damage began. Pure: calling it twice must produce identical images —
-// the -check mode's determinism probe.
+// past its watermark, streamed from the file in fixed-size chunks
+// through the shared cursor (logcursor.RunReader; marker-committed
+// transactions only) with each write applied straight into the image,
+// so memory is the arena plus one chunk, not the tail. The first invalid
+// record quarantines the rest of the tail: the image is then checkpoint
+// + committed prefix, and the info says where the damage began. Pure:
+// calling it twice must produce identical images — the -check mode's
+// determinism probe.
 func RecoverImage(cfg CoreConfig, tail *TailFile) ([]byte, RecoverInfo, error) {
 	var info RecoverInfo
 	arenaSize, err := cfg.ArenaSize()
@@ -561,25 +563,21 @@ func RecoverImage(cfg CoreConfig, tail *TailFile) ([]byte, RecoverInfo, error) {
 	if img == nil {
 		img = make([]byte, arenaSize)
 	}
-	records, err := tail.Load()
-	if err != nil {
-		return nil, info, err
-	}
-	info.TailRecords = len(records) / logrec.Size
+	info.TailRecords = int(tail.size / logrec.Size)
 	// Replay starts where the image stops: the checkpoint's watermark as
 	// a physical offset (record-aligned), clamped to the mirror's end. A
 	// crash between a checkpoint's seal and the tail cut leaves the start
 	// short of the true boundary; re-applying an in-order suffix of
 	// absolute writes the image already holds is idempotent.
 	rr.Start -= rr.Start % logrec.Size
-	if end := uint32(len(records)); rr.Start > end {
-		rr.Start = end
+	if uint64(rr.Start) > tail.size {
+		rr.Start = uint32(tail.size)
 	}
-	src := logcursor.NewBytesSource(records[rr.Start:], arenaSize)
-	st := logcursor.Run(src, logcursor.NewWalker(logcursor.Config{
+	n := tail.size - uint64(rr.Start)
+	st, err := logcursor.RunReader(tail.section(uint64(rr.Start)), arenaSize, logcursor.NewWalker(logcursor.Config{
 		View:        logcursor.Committed,
 		MarkerLimit: MarkerLimit,
-		End:         src.End(),
+		End:         uint32(n),
 		Apply: func(r logcursor.Rec) {
 			switch r.Size {
 			case 4:
@@ -591,6 +589,14 @@ func RecoverImage(cfg CoreConfig, tail *TailFile) ([]byte, RecoverInfo, error) {
 			}
 		},
 	}))
+	if err != nil {
+		return nil, info, fmt.Errorf("lvmd: tail load: %w", err)
+	}
+	if !st.Quarantined() && uint64(st.Scanned)*logrec.Size != n {
+		// The file is shorter than OpenTail sized it (truncated under the
+		// open handle): an error, not a shorter tail.
+		return nil, info, fmt.Errorf("lvmd: tail load: %d of %d record bytes", uint64(st.Scanned)*logrec.Size, n)
+	}
 	rr.Result = recovery.FromStats(st)
 	info.ReissuedRecords = info.TailRecords
 	if rr.Quarantined() {

@@ -8,8 +8,10 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"runtime"
 	"testing"
 
+	"lvm/internal/compact"
 	"lvm/internal/core"
 	"lvm/internal/logrec"
 	"lvm/internal/ramdisk"
@@ -304,8 +306,8 @@ func tailBody(t testing.TB, cfg CoreConfig) []byte {
 	return body
 }
 
-// recoverBytes runs RecoverImage over a tail file holding exactly body.
-func recoverBytes(t testing.TB, cfg CoreConfig, path string, body []byte) ([]byte, RecoverInfo, error) {
+// openTailBytes writes a tail file holding exactly body and opens it.
+func openTailBytes(t testing.TB, path string, body []byte) *TailFile {
 	t.Helper()
 	var hdr [tailHdrSize]byte
 	put32(hdr[:], tailMagic)
@@ -317,6 +319,13 @@ func recoverBytes(t testing.TB, cfg CoreConfig, path string, body []byte) ([]byt
 	if err != nil {
 		t.Fatal(err)
 	}
+	return tail
+}
+
+// recoverBytes runs RecoverImage over a tail file holding exactly body.
+func recoverBytes(t testing.TB, cfg CoreConfig, path string, body []byte) ([]byte, RecoverInfo, error) {
+	t.Helper()
+	tail := openTailBytes(t, path, body)
 	defer tail.Close()
 	return RecoverImage(cfg, tail)
 }
@@ -473,4 +482,142 @@ func FuzzRecoverImageTail(f *testing.F) {
 			t.Fatalf("second recovery differs: %v", err)
 		}
 	})
+}
+
+// tailChunk is logcursor's refill unit (its unexported chunkSize), which
+// the tests below size their tails in.
+const tailChunk = 256 << 10
+
+// appendTxn appends one committed transaction of stores word stores at
+// random arena offsets past the marker area.
+func appendTxn(body []byte, rng *rand.Rand, arena, seq uint32, stores int) []byte {
+	var rec [logrec.Size]byte
+	put := func(off, val uint32) {
+		logrec.Record{Addr: off, Value: val, WriteSize: 4}.Encode(rec[:])
+		body = append(body, rec[:]...)
+	}
+	put(0, seq)
+	for i := 0; i < stores; i++ {
+		put(MarkerLimit+uint32(rng.Intn(int(arena-MarkerLimit)/4))*4, rng.Uint32())
+	}
+	put(0, seq|recovery.MarkerCommit)
+	return body
+}
+
+// TestRecoverImageCrossesChunks is the damage oracle over a tail of
+// several read chunks, with the damage in the fourth. The image,
+// sequence, accepted records and absolute quarantine offset must match
+// refReplay over the whole body, from a replay start mid-tail.
+func TestRecoverImageCrossesChunks(t *testing.T) {
+	cfg := smallCore
+	disk := ramdisk.New()
+	cfg.Disk = disk
+	arena, err := cfg.ArenaSize()
+	if err != nil {
+		t.Fatal(err)
+	}
+	body := tailBody(t, cfg)
+	base, rr, err := compact.LoadCheckpoint(disk, cfg.DiskBase, arena)
+	if err != nil || !rr.FromCheckpoint {
+		t.Fatalf("no checkpoint to start mid-tail from: %v", err)
+	}
+	start := int(rr.Start - rr.Start%logrec.Size)
+	// Transactions of 3–202 records, so each refill (the buffer filled
+	// from the oldest open transaction on) ends inside one, and one
+	// longer than a chunk, which the buffer must double to hold.
+	rng := rand.New(rand.NewSource(29))
+	long := false
+	for seq := uint32(1000); len(body) < start+4*tailChunk+tailChunk/2; seq++ {
+		stores := 1 + rng.Intn(200)
+		if seq == 1100 {
+			stores, long = tailChunk/logrec.Size+100, len(body) < start+tailChunk
+		}
+		body = appendTxn(body, rng, arena, seq, stores)
+	}
+	if !long {
+		t.Fatal("the long transaction does not straddle the first refill")
+	}
+	bad := (start + 3*tailChunk + tailChunk/2) / logrec.Size
+	for get32(body[bad*logrec.Size:]) < MarkerLimit {
+		bad++ // damage a store, inside a transaction
+	}
+	damaged := append([]byte(nil), body...)
+	damaged[bad*logrec.Size+8] = 3
+
+	path := filepath.Join(t.TempDir(), "tail")
+	for name, b := range map[string][]byte{"clean": body, "damaged": damaged} {
+		img, info, err := recoverBytes(t, cfg, path, b)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		want, stop, seq := refReplay(base, b, start)
+		if int(info.Start) != start || !bytes.Equal(img, want) || info.Seq != seq || info.ReissuedRecords != stop {
+			t.Fatalf("%s: info %+v, want start %d, seq %d, %d accepted records, and refReplay's image",
+				name, info, start, seq, stop)
+		}
+		wantFrom := recovery.NoQuarantine
+		if name == "damaged" {
+			wantFrom = uint32(bad * logrec.Size)
+		}
+		if info.QuarantinedFrom != wantFrom || (name == "damaged") != (stop == bad) {
+			t.Fatalf("%s: QuarantinedFrom %d, want %d (refReplay stopped at record %d)", name, info.QuarantinedFrom, wantFrom, stop)
+		}
+	}
+}
+
+// TestRecoverImageHeapBounded pins restart memory to the arena plus a
+// few read chunks, however long the tail: the mirror is streamed, never
+// loaded whole.
+func TestRecoverImageHeapBounded(t *testing.T) {
+	cfg := smallCore
+	cfg.Disk = ramdisk.New()
+	arena, err := cfg.ArenaSize()
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(8))
+	var body []byte
+	for seq := uint32(1); len(body) < 9*tailChunk; seq++ {
+		body = appendTxn(body, rng, arena, seq, 62)
+	}
+	tail := openTailBytes(t, filepath.Join(t.TempDir(), "tail"), body)
+	defer tail.Close()
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	_, info, err := RecoverImage(cfg, tail)
+	runtime.ReadMemStats(&after)
+	if err != nil || info.Quarantined() || info.ReissuedRecords != len(body)/logrec.Size {
+		t.Fatalf("recovery of a clean tail: %v, %+v", err, info)
+	}
+	if got, limit := after.TotalAlloc-before.TotalAlloc, uint64(arena)+4*tailChunk; got >= limit {
+		t.Fatalf("RecoverImage allocated %d bytes over a %d-byte tail, limit %d (arena + 4 chunks)", got, len(body), limit)
+	}
+}
+
+// BenchmarkRecoverImage times one shard's restart replay at the
+// recover_restart benchmark's size: 262 144 tail records in transactions
+// of 62 stores over its arena of 64 × 4 KiB slots, with no checkpoint.
+func BenchmarkRecoverImage(b *testing.B) {
+	cfg := CoreConfig{Slots: 64, SlotSize: 4096, LogPages: 8192, Disk: ramdisk.New()}
+	arena, err := cfg.ArenaSize()
+	if err != nil {
+		b.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(1))
+	var body []byte
+	for seq := uint32(1); seq <= 4096; seq++ {
+		body = appendTxn(body, rng, arena, seq, 62)
+	}
+	records := len(body) / logrec.Size
+	tail := openTailBytes(b, filepath.Join(b.TempDir(), "tail"), body)
+	defer tail.Close()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, info, err := RecoverImage(cfg, tail); err != nil || info.ReissuedRecords != records {
+			b.Fatalf("RecoverImage: %v, %+v", err, info)
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(records), "ns/record")
 }

@@ -2,6 +2,7 @@ package lvmd
 
 import (
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 
@@ -202,6 +203,11 @@ func (t *TailFile) Load() ([]byte, error) {
 		}
 	}
 	return body, nil
+}
+
+// section reads the flushed mirror bytes from offset from on.
+func (t *TailFile) section(from uint64) *io.SectionReader {
+	return io.NewSectionReader(t.f, int64(tailHdrSize+from), int64(t.size-from))
 }
 
 // Close closes the backing file.
