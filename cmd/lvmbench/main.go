@@ -94,12 +94,8 @@ Experiments (paper table/figure each regenerates):
   extension-parallel    complete 4-scheduler optimistic runs (rollbacks included)
   extension-oodb        OODB transaction-length sweep (RLVM advantage vs txn size)
   stats                 dump the metrics counter/histogram/trace snapshot
-  bench-json            write BENCH_lvm.json (host-side simulator perf baseline)
   crashtest             seeded fault-injection + crash-recovery matrix (-seeds, -short)
-  logship               log-shipping replication bench: records/sec + release latency vs replicas (-iters)
-  compact               recovery cost vs log length, bare vs checkpointed compaction (-iters)
-  failover              promotion at the acked watermark + live segment migration under load
-  all                   everything above (except bench-json, crashtest, logship, compact and failover)
+  all                   everything above (except stats and crashtest)
 
 Flags:
 `)
@@ -214,25 +210,9 @@ func run(name string) error {
 			return err
 		}
 		fmt.Print(experiments.FormatStats(r))
-	case "bench-json":
-		banner("Host-side performance baseline (BENCH_lvm.json)")
-		return benchJSON()
 	case "crashtest":
 		banner("Crash-recovery fault matrix (seeded, deterministic)")
 		return runCrashtest(*seeds, *short, *tmplOnly)
-	case "logship":
-		banner("Log-shipping replication: throughput and release latency vs replica count")
-		return runLogship(*iters)
-	case "compact":
-		banner("Checkpointed compaction: recovery cost vs log length")
-		return runCompactBench(*iters)
-	case "failover":
-		banner("Failover: promotion at the acked watermark + live segment migration")
-		var r benchReport
-		if err := failoverBench(&r); err != nil {
-			return err
-		}
-		printFailover(&r)
 	case "extension-oodb":
 		banner("Extension: object database, RLVM speedup vs transaction length (Section 4.2 prediction)")
 		pts, err := experiments.OODB(nil, *txns/8)

@@ -26,27 +26,25 @@
 //
 // Standby (failover):
 //
-//	lvmd -standby -upstream 127.0.0.1:7420 -addr 127.0.0.1:7421 -dir /var/lib/lvmd-b
+//	lvmd -standby -upstream 127.0.0.1:7420 -addr 127.0.0.1:7421 -dir /var/lib/lvmd-b -lease-ms 5000
 //
-// follows a primary with one subscribed replica per shard. With
-// -lease-ms N on both sides, the primary heartbeats an N-millisecond
-// serving lease down each subscription stream and the standby
-// acknowledges every beat; a standby that sees the lease expire on
-// every shard promotes itself with no operator signal, and a primary
-// that cannot prove the lease demotes itself and refuses writes —
-// whether its own renewal loop stalled (paused, wedged) or, once a
-// standby has subscribed, its beats stop being acknowledged (a network
-// partition: the loop is healthy, the messages are not). The evidence
-// rule assumes this topology — one promotable standby per primary; a
-// standby that unsubscribes for good also demotes the primary within
-// one TTL, which is the honest reading of losing your only witness.
-// SIGUSR1 still promotes manually (it is
-// deprecated once leases are configured): every replica rolls back to
-// its last transaction boundary and the promoted images start serving
-// on this daemon's own address, fenced one epoch above the dead
-// primary. With the primary running -sync-replicas (the batch fence
-// waits for replica acks before the commit is acknowledged), the
-// promoted daemon holds every acked write.
+// follows a primary with one subscribed replica per shard. -lease-ms N
+// is required, and the primary runs with the same flag: it heartbeats
+// an N-millisecond serving lease down each subscription stream and the
+// standby acknowledges every beat. A standby that sees the lease expire
+// on every shard promotes itself with no operator involvement: every
+// replica rolls back to its last transaction boundary and the promoted
+// images start serving on this daemon's own address, fenced one epoch
+// above the dead primary. A primary that cannot prove the lease demotes
+// itself and refuses writes — whether its own renewal loop stalled
+// (paused, wedged) or, once a standby has subscribed, its beats stop
+// being acknowledged (a network partition: the loop is healthy, the
+// messages are not). The evidence rule assumes this topology — one
+// promotable standby per primary; a standby that unsubscribes for good
+// also demotes the primary within one TTL, which is the honest reading
+// of losing your only witness. With the primary running -sync-replicas
+// (the batch fence waits for replica acks before the commit is
+// acknowledged), the promoted daemon holds every acked write.
 package main
 
 import (

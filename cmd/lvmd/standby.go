@@ -19,20 +19,15 @@ import (
 
 // runStandby follows a primary lvmd: one subscribed marker-tracking
 // replica per shard, kept connected (with the bounded-retry dialer)
-// until promotion or shutdown. Two things promote:
-//
-//   - Lease expiry (leaseTTL > 0): each replica feeds a lease.Monitor
-//     from the heartbeat frames the primary broadcasts down its
-//     subscription streams. When every shard's lease runs out — the
-//     primary died, wedged, or was partitioned away, and by the lease
-//     rule has already demoted itself — the standby promotes with no
-//     operator involvement. A monitor that never heard a beat never
-//     expires, so a standby that never reached its primary stays down.
-//
-//   - SIGUSR1 (deprecated): the operator signal from the pre-lease era.
-//     It still works — an operator who knows the primary is dead should
-//     not have to wait out a TTL — but with leases configured it earns
-//     a deprecation warning.
+// until promotion or shutdown. Lease expiry is the only thing that
+// promotes: each replica feeds a lease.Monitor from the heartbeat frames
+// the primary broadcasts down its subscription streams. When every
+// shard's lease runs out — the primary died, wedged, or was partitioned
+// away, and by the lease rule has already demoted itself — the standby
+// promotes with no operator involvement. A monitor that never heard a
+// beat never expires, so a standby that never reached its primary stays
+// down. Without a lease (leaseTTL <= 0) nothing could promote safely, so
+// the standby refuses to start.
 //
 // Promotion rolls every shard replica back to its last transaction
 // boundary and promotes it at its acked watermark; the promoted images
@@ -44,6 +39,10 @@ import (
 // SIGTERM/SIGINT exits without promoting.
 func runStandby(upstream string, shards int, shCfg lvmd.ShardConfig, leaseTTL time.Duration,
 	out io.Writer, serve func(boot []lvmd.BootShard) int) int {
+	if leaseTTL <= 0 {
+		fmt.Fprintln(os.Stderr, "lvmd: -standby needs -lease-ms")
+		return 2
+	}
 	arenaSize, err := shCfg.Core.ArenaSize()
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "lvmd: %v\n", err)
@@ -63,11 +62,9 @@ func runStandby(upstream string, shards int, shCfg lvmd.ShardConfig, leaseTTL ti
 			return 1
 		}
 		r.TrackMarkers(lvmd.MarkerLimit)
-		if leaseTTL > 0 {
-			m := lease.NewMonitor(lease.Wall{}, lease.Ticks(leaseTTL))
-			mons = append(mons, m)
-			r.TrackLease(m.Observe)
-		}
+		m := lease.NewMonitor(lease.Wall{}, lease.Ticks(leaseTTL))
+		mons = append(mons, m)
+		r.TrackLease(m.Observe)
 		reps[i] = r
 		wg.Add(1)
 		go func(r *logship.Replica) {
@@ -103,50 +100,45 @@ func runStandby(upstream string, shards int, shCfg lvmd.ShardConfig, leaseTTL ti
 		}(r)
 	}
 
-	// The signal handler is installed before the banner prints, so a test
-	// (or operator script) that waits for the banner may signal safely.
-	sig := make(chan os.Signal, 2)
-	signal.Notify(sig, syscall.SIGUSR1, syscall.SIGTERM, syscall.SIGINT)
+	sig := make(chan os.Signal, 1)
+	signal.Notify(sig, syscall.SIGTERM, syscall.SIGINT)
 
 	leaseCh := make(chan struct{})
 	watchStop := make(chan struct{})
-	if leaseTTL > 0 {
-		go func() {
-			iv := leaseTTL / 4
-			if iv <= 0 {
-				iv = time.Millisecond
-			}
-			t := time.NewTicker(iv)
-			defer t.Stop()
-			for {
-				select {
-				case <-t.C:
-					expired := 0
-					for _, m := range mons {
-						// Expired requires heard: promotion arms per shard
-						// only once that shard's primary proved itself on
-						// this very stream.
-						if m.Expired() {
-							expired++
-						}
+	go func() {
+		iv := leaseTTL / 4
+		if iv <= 0 {
+			iv = time.Millisecond
+		}
+		t := time.NewTicker(iv)
+		defer t.Stop()
+		for {
+			select {
+			case <-t.C:
+				expired := 0
+				for _, m := range mons {
+					// Expired requires heard: promotion arms per shard
+					// only once that shard's primary proved itself on
+					// this very stream.
+					if m.Expired() {
+						expired++
 					}
-					if expired == len(mons) {
-						close(leaseCh)
-						return
-					}
-				case <-watchStop:
+				}
+				if expired == len(mons) {
+					close(leaseCh)
 					return
 				}
+			case <-watchStop:
+				return
 			}
-		}()
-		fmt.Fprintf(out, "lvmd: standby lease detection armed (ttl=%v): expiry promotes automatically\n", leaseTTL)
-	}
+		}
+	}()
+	fmt.Fprintf(out, "lvmd: standby lease detection armed (ttl=%v): expiry promotes automatically\n", leaseTTL)
 	fmt.Fprintf(out, "lvmd: standby following %s with %d shard replicas\n", upstream, shards)
 
-	var got os.Signal
 	leaseFired := false
 	select {
-	case got = <-sig:
+	case <-sig:
 	case <-leaseCh:
 		leaseFired = true
 	}
@@ -156,22 +148,16 @@ func runStandby(upstream string, shards int, shCfg lvmd.ShardConfig, leaseTTL ti
 	close(dialStop)
 	wg.Wait()
 
-	switch {
-	case leaseFired:
-		fmt.Fprintln(out, "lvmd: primary lease expired on every shard: promoting automatically")
-	case got == syscall.SIGUSR1:
-		if leaseTTL > 0 {
-			fmt.Fprintln(out, "lvmd: warning: SIGUSR1 promotion is deprecated; a -lease-ms standby promotes itself on lease expiry")
-		}
-	default:
+	if !leaseFired {
 		fmt.Fprintln(out, "lvmd: standby exiting without promotion")
 		return 0
 	}
+	fmt.Fprintln(out, "lvmd: primary lease expired on every shard: promoting automatically")
 
 	// Promote every shard at its acked watermark. The authority is local:
-	// the lease expiry (or the operator's signal) IS the coordination in
-	// this topology (one standby per primary); the grant still bumps the
-	// epoch so the promoted shippers fence zombie-generation subscribers.
+	// the lease expiry IS the coordination in this topology (one standby
+	// per primary); the grant still bumps the epoch so the promoted
+	// shippers fence zombie-generation subscribers.
 	boot := make([]lvmd.BootShard, shards)
 	for i, r := range reps {
 		a := &logship.Authority{Cur: logship.Grant{Epoch: r.Epoch(), Token: 1}}

@@ -2,11 +2,10 @@ package main
 
 import (
 	"bytes"
+	"io"
 	"net"
-	"os"
 	"strings"
 	"sync"
-	"syscall"
 	"testing"
 	"time"
 
@@ -72,64 +71,24 @@ func waitFor(t *testing.T, what string, cond func() bool) {
 	}
 }
 
-// TestStandbySIGUSR1StillPromotes is the compatibility satellite: with
-// leases configured on both sides, the operator's SIGUSR1 still
-// promotes — and earns the deprecation warning.
-func TestStandbySIGUSR1StillPromotes(t *testing.T) {
-	ttl := 500 * time.Millisecond // long: the lease must not fire first
-	srv, addr := bootPrimary(t, ttl)
-	defer srv.Drain()
-
-	out := &syncBuf{}
-	bootCh := make(chan []lvmd.BootShard, 1)
+// TestStandbyRequiresLease: lease expiry is the only thing that
+// promotes, so a standby without a lease could never take over. It must
+// refuse to start, before dialing anything, instead of following forever.
+func TestStandbyRequiresLease(t *testing.T) {
 	rcCh := make(chan int, 1)
 	go func() {
-		rcCh <- runStandby(addr, 2, testShardCfg(ttl), ttl, out, func(boot []lvmd.BootShard) int {
-			bootCh <- boot
+		rcCh <- runStandby("127.0.0.1:1", 2, testShardCfg(0), 0, io.Discard, func([]lvmd.BootShard) int {
+			t.Error("a standby without a lease promoted")
 			return 0
 		})
 	}()
-
-	waitFor(t, "standby subscriptions", func() bool { return srv.Stats().Subscribers >= 2 })
-	cl, err := lvmd.DialClient(func() (net.Conn, error) { return net.Dial("tcp", addr) })
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := cl.Open(1); err != nil {
-		t.Fatal(err)
-	}
-	if err := cl.Commit(1, []lvmd.Write{{Off: 0, Val: 0xCAFE}}); err != nil {
-		t.Fatal(err)
-	}
-	cl.Close()
-
-	// The banner prints after the signal handler is installed.
-	waitFor(t, "standby banner", func() bool {
-		return strings.Contains(out.String(), "standby following")
-	})
-	if err := syscall.Kill(os.Getpid(), syscall.SIGUSR1); err != nil {
-		t.Fatal(err)
-	}
-
-	var boot []lvmd.BootShard
 	select {
-	case boot = <-bootCh:
-	case <-time.After(15 * time.Second):
-		t.Fatalf("standby never promoted on SIGUSR1; output:\n%s", out.String())
-	}
-	if rc := <-rcCh; rc != 0 {
-		t.Fatalf("runStandby rc = %d; output:\n%s", rc, out.String())
-	}
-	if !strings.Contains(out.String(), "SIGUSR1 promotion is deprecated") {
-		t.Fatalf("no deprecation warning with leases configured; output:\n%s", out.String())
-	}
-	if len(boot) != 2 {
-		t.Fatalf("promoted %d shards, want 2", len(boot))
-	}
-	for i, b := range boot {
-		if b.Epoch < 2 {
-			t.Fatalf("shard %d promoted epoch %d: not past the primary's", i, b.Epoch)
+	case rc := <-rcCh:
+		if rc == 0 {
+			t.Fatal("runStandby without a lease returned 0")
 		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("runStandby without a lease did not return")
 	}
 }
 
@@ -168,9 +127,6 @@ func TestStandbyLeasePromotesWithoutSignal(t *testing.T) {
 	}
 	if !strings.Contains(out.String(), "promoting automatically") {
 		t.Fatalf("promotion was not lease-driven; output:\n%s", out.String())
-	}
-	if strings.Contains(out.String(), "deprecated") {
-		t.Fatalf("deprecation warning on the signal-free path; output:\n%s", out.String())
 	}
 	if len(boot) != 2 {
 		t.Fatalf("promoted %d shards, want 2", len(boot))

@@ -52,10 +52,10 @@ func waitAck(ship *logship.Shipper, n uint64) bool {
 }
 
 // runLeaseExpiry is the automatic-failure-detection analogue of
-// runFailover: nobody sends SIGUSR1. The primary renews a serving lease
-// by heartbeat; it then "dies" with an unshipped tail, the manual clock
-// runs the lease out, and the standby's monitor — not an operator —
-// authorizes the promotion. The handshake is still killed at the phase
+// runFailover. The primary renews a serving lease by heartbeat; it then
+// "dies" with an unshipped tail, the manual clock runs the lease out,
+// and the standby's monitor — not an operator — authorizes the
+// promotion. The handshake is still killed at the phase
 // the seed selects and resumed. The verdict additionally demands:
 //
 //   - promotion REFUSES while the lease is current (no split-brain by

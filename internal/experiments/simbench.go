@@ -4,10 +4,11 @@ import "lvm/internal/core"
 
 // StoreLoop is the simulator-throughput workload shared by the
 // BenchmarkSimulatorThroughput benchmark, the zero-allocation regression
-// test and the `lvmbench bench-json` baseline: one process issuing a
-// logged store every 100 compute cycles across a 64-page region, with
-// the log truncated periodically so a bounded log segment absorbs an
-// unbounded run. It measures the Go simulator, not the modeled machine.
+// test, `lvmbench stats` and bench/'s sim_store workload: one process
+// issuing a logged store every 100 compute cycles across a 64-page
+// region, with the log truncated periodically so a bounded log segment
+// absorbs an unbounded run. It measures the Go simulator, not the
+// modeled machine.
 type StoreLoop struct {
 	Sys *core.System
 	P   *core.Process

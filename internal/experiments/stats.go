@@ -19,8 +19,9 @@ type StatsReport struct {
 }
 
 // Stats runs the standard logged-store workload (the same one the
-// zero-allocation gate and bench-json measure) for iters iterations with
-// event tracing enabled, and snapshots every counter the simulator keeps.
+// zero-allocation gate and bench/'s sim_store measure) for iters
+// iterations with event tracing enabled, and snapshots every counter the
+// simulator keeps.
 func Stats(iters int) (*StatsReport, error) {
 	sl, err := NewStoreLoop()
 	if err != nil {

@@ -1,7 +1,7 @@
 // Package lease adds automatic failure detection to the failover stack:
 // a serving lease the primary must renew within a bounded interval, and
-// a standby-side monitor that promotes when renewals stop — replacing
-// the operator's SIGUSR1 with the classic lease / fencing-token pattern.
+// a standby-side monitor that promotes when renewals stop — the classic
+// lease / fencing-token pattern, and the only way a standby promotes.
 //
 // A lease grant is just an epoch grant with a deadline. The Authority
 // here wraps logship.Authority: acquiring a lease prepares and commits a

@@ -72,7 +72,7 @@ func TestPromoteFromRecoveredPrimary(t *testing.T) {
 
 	// Promote: roll each replica back to its last committed marker,
 	// stamp the commit word, and boot a fresh server from the images —
-	// the same sequence cmd/lvmd's standby mode runs on SIGUSR1.
+	// the same sequence cmd/lvmd's standby mode runs on lease expiry.
 	boot := make([]BootShard, 2)
 	for i, r := range reps {
 		r.Kill()

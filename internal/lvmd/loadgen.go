@@ -53,8 +53,9 @@ func (c *Client) call(typ byte, payload []byte, wantTyp byte) ([]byte, error) {
 // off linearly, so a cutover in progress has time to flip the route.
 // movedChaseBudget bounds the chase in wall-clock terms as well — a
 // route that keeps answering Moved (however fast) must not spin the
-// client forever. The budget comfortably exceeds the benchgated
-// stop-and-copy cutover pause, so a healthy migration never trips it.
+// client forever. The budget comfortably exceeds the stop-and-copy
+// cutover pause (under a second, TestMigrateUnderLoad), so a healthy
+// migration never trips it.
 const (
 	movedRetries     = 10
 	movedChaseBudget = 2 * time.Second

@@ -9,7 +9,8 @@ import (
 // TestMigrateUnderLoad moves a hot segment between shards while the
 // loadgen fleet commits against it: no client may die, every
 // acknowledged word must read back through the post-migration routes,
-// and the convergence pause must be recorded.
+// and the convergence pause must be recorded and stay under a second —
+// a cutover that copies the world while frozen fails that bound.
 func TestMigrateUnderLoad(t *testing.T) {
 	dir := t.TempDir()
 	srv, dial := testServer(t, dir, 4)
@@ -34,7 +35,7 @@ func TestMigrateUnderLoad(t *testing.T) {
 
 	time.Sleep(120 * time.Millisecond) // let the fleet open and heat the segment
 	const segID = uint64(1)
-	from := srv.Owner(segID)
+	from := srv.route(segID).ID
 	to := (from + 1) % 4
 	rep, err := srv.Migrate(segID, to)
 	if err != nil {
@@ -54,7 +55,7 @@ func TestMigrateUnderLoad(t *testing.T) {
 	if o.res.Acked == 0 {
 		t.Fatal("fleet acked nothing")
 	}
-	if got := srv.Owner(segID); got != to {
+	if got := srv.route(segID).ID; got != to {
 		t.Fatalf("post-migration owner = shard %d, want %d", got, to)
 	}
 	if rep.From != from || rep.To != to {
@@ -62,6 +63,9 @@ func TestMigrateUnderLoad(t *testing.T) {
 	}
 	if rep.SnapshotBytes == 0 || rep.ChaseRounds == 0 || rep.PauseNS <= 0 {
 		t.Fatalf("report missing phase measurements: %+v", rep)
+	}
+	if pause := time.Duration(rep.PauseNS); pause >= time.Second {
+		t.Fatalf("convergence pause %v, want < 1s: the cutover froze the segment too long", pause)
 	}
 	if got := srv.Stats().Migrations; got != 1 {
 		t.Fatalf("migrations counter = %d, want 1", got)
@@ -103,7 +107,7 @@ func TestMigrateRestartPreservesRoute(t *testing.T) {
 	if err := c.Commit(segID, []Write{{Off: 0, Val: 0x11110000}, {Off: 8, Val: 0x22220000}}); err != nil {
 		t.Fatal(err)
 	}
-	from := srv.Owner(segID)
+	from := srv.route(segID).ID
 	to := (from + 1) % 4
 	if _, err := srv.Migrate(segID, to); err != nil {
 		t.Fatal(err)
@@ -118,7 +122,7 @@ func TestMigrateRestartPreservesRoute(t *testing.T) {
 	// destination, and the data (pre- and post-migration commits) reads
 	// back through the recovered route.
 	srv2, dial2 := testServer(t, dir, 4)
-	if got := srv2.Owner(segID); got != to {
+	if got := srv2.route(segID).ID; got != to {
 		t.Fatalf("recovered owner = shard %d, want destination %d", got, to)
 	}
 	c2, err := DialClient(dial2)
@@ -164,7 +168,7 @@ func TestMigrateRoundTrip(t *testing.T) {
 	if err := c.Commit(segID, []Write{{Off: 0, Val: 0xAB}}); err != nil {
 		t.Fatal(err)
 	}
-	home := srv.Owner(segID)
+	home := srv.route(segID).ID
 	away := (home + 1) % 2
 	if _, err := srv.Migrate(segID, away); err != nil {
 		t.Fatal(err)
@@ -172,7 +176,7 @@ func TestMigrateRoundTrip(t *testing.T) {
 	if _, err := srv.Migrate(segID, home); err != nil {
 		t.Fatalf("migrate back home: %v", err)
 	}
-	if got := srv.Owner(segID); got != home {
+	if got := srv.route(segID).ID; got != home {
 		t.Fatalf("owner after round trip = shard %d, want home %d", got, home)
 	}
 	srv.routeMu.Lock()
@@ -209,11 +213,11 @@ func TestMigrateErrors(t *testing.T) {
 	if _, err := srv.Migrate(segID, 99); err == nil || !strings.Contains(err.Error(), "unknown shard") {
 		t.Fatalf("unknown destination error = %v", err)
 	}
-	if _, err := srv.Migrate(segID, srv.Owner(segID)); err == nil || !strings.Contains(err.Error(), "already on shard") {
+	if _, err := srv.Migrate(segID, srv.route(segID).ID); err == nil || !strings.Contains(err.Error(), "already on shard") {
 		t.Fatalf("same-shard error = %v", err)
 	}
 	const unopened = uint64(6)
-	dst := (srv.Owner(unopened) + 1) % 2
+	dst := (srv.route(unopened).ID + 1) % 2
 	if _, err := srv.Migrate(unopened, dst); err == nil || !strings.Contains(err.Error(), "unopened segment") {
 		t.Fatalf("unopened segment error = %v", err)
 	}

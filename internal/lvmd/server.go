@@ -342,10 +342,6 @@ func (s *Server) route(segID uint64) *Shard {
 	return s.shards[s.homeShard(segID)]
 }
 
-// Owner reports the shard index currently serving segID (hash home or
-// migration override) — the `from` a Migrate caller plans around.
-func (s *Server) Owner(segID uint64) int { return s.route(segID).ID }
-
 // Serve accepts client connections until the listener closes (Drain).
 func (s *Server) Serve(ln net.Listener) {
 	s.ln = ln

@@ -10,6 +10,7 @@ import (
 
 	"lvm/internal/dsm"
 	"lvm/internal/logship"
+	"lvm/internal/metrics"
 	"lvm/internal/ramdisk"
 )
 
@@ -58,6 +59,17 @@ func TestServerLoadDrainRestart(t *testing.T) {
 	}
 	if len(rep.Shards) != 4 {
 		t.Fatalf("drain reported %d shards", len(rep.Shards))
+	}
+	// The live commit counter must have seen every acked commit: fewer
+	// means the metric is unwired on some path.
+	var commits uint64
+	for _, sh := range rep.Shards {
+		if sh.Metrics != nil {
+			commits += sh.Metrics.Counters[metrics.LvmdCommits.Name()]
+		}
+	}
+	if commits < res.Acked {
+		t.Fatalf("lvmd.commits = %d over all shards, below %d acked commits", commits, res.Acked)
 	}
 
 	// Restart: every shard must recover byte-identically to its drain

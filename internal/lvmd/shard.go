@@ -66,7 +66,8 @@ type ShardConfig struct {
 	// wedges), and once a standby has subscribed, some observer must
 	// keep acknowledging beats (catches partitions — a cut-off primary
 	// stops seeing acks and demotes within one TTL even though its own
-	// loop is healthy). 0 disables (the SIGUSR1-era behavior).
+	// loop is healthy). 0 disables the lease: nothing demotes the shard,
+	// and no lvmd standby may follow it.
 	LeaseTTL time.Duration
 	// LeaseClock injects the lease time source (default lease.Wall) so
 	// tests drive renewal and expiry deterministically.

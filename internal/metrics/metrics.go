@@ -381,14 +381,3 @@ func (r *Registry) Snapshot() *Snapshot {
 	}
 	return snap
 }
-
-// Nonzero returns the snapshot's non-zero counters (presentation helper).
-func (s *Snapshot) Nonzero() map[string]uint64 {
-	out := make(map[string]uint64, len(s.Counters))
-	for k, v := range s.Counters {
-		if v != 0 {
-			out[k] = v
-		}
-	}
-	return out
-}

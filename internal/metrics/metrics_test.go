@@ -66,16 +66,9 @@ func TestSnapshotAggregation(t *testing.T) {
 			t.Fatalf("bucket %d = %+v, want %+v", i, h.Buckets[i], b)
 		}
 	}
-	// A snapshot must marshal cleanly (bench-json embeds it).
+	// A snapshot must marshal cleanly (lvmd's drain manifest embeds it).
 	if _, err := json.Marshal(snap); err != nil {
 		t.Fatalf("marshal: %v", err)
-	}
-	nz := snap.Nonzero()
-	if _, ok := nz[metrics.HWOverloads.Name()]; ok {
-		t.Fatalf("Nonzero kept a zero counter")
-	}
-	if nz["test.collected"] != 99 {
-		t.Fatalf("Nonzero dropped a non-zero counter")
 	}
 }
 

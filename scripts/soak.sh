@@ -1,6 +1,6 @@
 #!/bin/sh
 # lvmd soak: serve over real TCP, drive an open fleet of clients, then
-# prove the two durability stories end to end:
+# prove three durability stories end to end:
 #
 #   Phase A (graceful): load, SIGTERM, assert a clean checkpoint-on-drain
 #   (manifest written, exit 0) and that `lvmd -check` recovers every
@@ -10,16 +10,12 @@
 #   SIGKILL mid-serve, restart, and replay the acked-write model against
 #   the recovered server — every acknowledged commit must read back.
 #
-#   Phase C (failover): restart with -sync-replicas, attach a standby
-#   daemon following every shard, load, SIGKILL the primary, promote the
-#   standby (SIGUSR1) at its acked watermarks, and replay the acked-write
-#   model against the promoted daemon — sync replication means the
-#   standby holds every acknowledged commit, so zero mismatches.
-#
-#   Phase D (lease failover): same topology but with -lease-ms on both
-#   sides and ZERO operator signals: SIGKILL the primary and the standby
-#   detects the missed lease renewals on its own, promotes itself, and
-#   the acked model replays clean against it.
+#   Phase D (lease failover): restart with -sync-replicas and -lease-ms,
+#   attach a standby daemon (same -lease-ms) following every shard, load,
+#   SIGKILL the primary; with ZERO operator signals the standby detects
+#   the missed lease renewals on its own, promotes itself at its acked
+#   watermarks, and the acked-write model replays clean against it —
+#   sync replication means the standby holds every acknowledged commit.
 #
 # Usage: scripts/soak.sh [out-dir]
 # Env: SOAK_CLIENTS (1000), SOAK_SEGMENTS (64), SOAK_DURATION (10s),
@@ -38,8 +34,7 @@ addr="${SOAK_ADDR:-127.0.0.1:7423}"
 addr2="${SOAK_ADDR2:-127.0.0.1:7424}"
 work=$(mktemp -d)
 data="$work/data"
-data2="$work/standby"
-data3="$work/standby-lease"
+data2="$work/standby-lease"
 mkdir -p "$out"
 
 # A thousand sockets on each side wants headroom over the usual 1024.
@@ -120,38 +115,12 @@ lvmd_pid=""
 cp "$data/manifest.json" "$out/manifest-final.json"
 "$work/lvmd" -dir "$data" -shards "$shards" -check
 
-echo "soak: phase C — sync-replicated primary, SIGKILL, promote standby, replay"
-start_lvmd "$out/lvmd-d.log" -sync-replicas
-"$work/lvmd" -standby -upstream "$addr" -addr "$addr2" -dir "$data2" \
-    -shards "$shards" >"$out/standby.log" 2>&1 &
-standby_pid=$!
-wait_log "$out/standby.log" "standby following" "$standby_pid"
-sleep 1 # let every shard replica subscribe before the first fenced ack
-"$work/lvmload" -addr "$addr" -clients "$clients" -segments "$segments" \
-    -duration 3s -strict \
-    -model "$out/model-c.json" -report "$out/report-c.json"
-kill -9 "$lvmd_pid"
-wait "$lvmd_pid" 2>/dev/null || true
-lvmd_pid=""
-
-kill -USR1 "$standby_pid"
-wait_log "$out/standby.log" "serving on" "$standby_pid"
-grep -q "promoted at watermark" "$out/standby.log" \
-    || { echo "soak: standby served without promoting" >&2; exit 1; }
-"$work/lvmload" -addr "$addr2" -replay "$out/model-c.json" -strict
-kill -TERM "$standby_pid"
-wait "$standby_pid" || { echo "soak: promoted drain failed" >&2; exit 1; }
-standby_pid=""
-[ -f "$data2/manifest.json" ] || { echo "soak: no promoted drain manifest" >&2; exit 1; }
-cp "$data2/manifest.json" "$out/manifest-promoted.json"
-"$work/lvmd" -dir "$data2" -shards "$shards" -check
-
 echo "soak: phase D — lease failover: SIGKILL primary, standby self-promotes, no signals"
 # A generous TTL keeps a loaded sync-replica fence (which can stall the
 # shard loop up to its ack wait) from reading as a dead primary.
 lease_ms=5000
 start_lvmd "$out/lvmd-lease.log" -sync-replicas -lease-ms "$lease_ms"
-"$work/lvmd" -standby -upstream "$addr" -addr "$addr2" -dir "$data3" \
+"$work/lvmd" -standby -upstream "$addr" -addr "$addr2" -dir "$data2" \
     -shards "$shards" -lease-ms "$lease_ms" >"$out/standby-lease.log" 2>&1 &
 standby_pid=$!
 wait_log "$out/standby-lease.log" "lease detection armed" "$standby_pid"
@@ -164,8 +133,8 @@ kill -9 "$lvmd_pid"
 wait "$lvmd_pid" 2>/dev/null || true
 lvmd_pid=""
 
-# No SIGUSR1, no operator, nothing: the standby notices the missed
-# renewals by itself, waits out the lease, and promotes.
+# No operator, nothing: the standby notices the missed renewals by
+# itself, waits out the lease, and promotes.
 wait_log "$out/standby-lease.log" "promoting automatically" "$standby_pid"
 wait_log "$out/standby-lease.log" "serving on" "$standby_pid"
 grep -q "promoted at watermark" "$out/standby-lease.log" \
@@ -174,8 +143,8 @@ grep -q "promoted at watermark" "$out/standby-lease.log" \
 kill -TERM "$standby_pid"
 wait "$standby_pid" || { echo "soak: lease-promoted drain failed" >&2; exit 1; }
 standby_pid=""
-[ -f "$data3/manifest.json" ] || { echo "soak: no lease-promoted drain manifest" >&2; exit 1; }
-cp "$data3/manifest.json" "$out/manifest-lease.json"
-"$work/lvmd" -dir "$data3" -shards "$shards" -check
+[ -f "$data2/manifest.json" ] || { echo "soak: no lease-promoted drain manifest" >&2; exit 1; }
+cp "$data2/manifest.json" "$out/manifest-lease.json"
+"$work/lvmd" -dir "$data2" -shards "$shards" -check
 
 echo "soak: PASS (artifacts in $out)"
