@@ -1,6 +1,7 @@
 package main
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
@@ -167,16 +168,11 @@ func runStandby(upstream string, shards int, shCfg lvmd.ShardConfig, leaseTTL ti
 			return 1
 		}
 		img := r.Image()
-		seq := le32(img) &^ recovery.MarkerCommit
-		stamp := seq | recovery.MarkerCommit
-		img[0], img[1], img[2], img[3] = byte(stamp), byte(stamp>>8), byte(stamp>>16), byte(stamp>>24)
+		seq := binary.LittleEndian.Uint32(img) &^ recovery.MarkerCommit
+		binary.LittleEndian.PutUint32(img, seq|recovery.MarkerCommit)
 		boot[i] = lvmd.BootShard{Img: img, Seq: seq, Epoch: res.Grant.Epoch}
 		fmt.Fprintf(out, "lvmd: shard %d promoted at watermark %d (seq=%d epoch=%d rolled=%d)\n",
 			i, res.Watermark, seq, res.Grant.Epoch, res.RolledBack)
 	}
 	return serve(boot)
-}
-
-func le32(b []byte) uint32 {
-	return uint32(b[0]) | uint32(b[1])<<8 | uint32(b[2])<<16 | uint32(b[3])<<24
 }

@@ -27,6 +27,7 @@
 package compact
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 
@@ -316,14 +317,14 @@ func (m *Manager) writeCheckpoint(cpu *machine.CPU, watermark, cutBase uint64) e
 	slot := uint64(seq & 1)
 	hdrOff := m.o.DiskBase + slot*ramdisk.BlockSize
 
-	var hdr [hdrSize]byte
-	put32(hdr[0:], Magic)
-	put32(hdr[hdrSeq:], seq)
-	put32(hdr[hdrImgLen:], m.o.Data.Size())
-	put32(hdr[hdrEpoch:], m.epoch)
-	put64(hdr[hdrWatermark:], watermark)
-	put64(hdr[hdrCutBase:], cutBase)
-	put32(hdr[hdrSeal:], 0)
+	var hdr [hdrSize]byte // seal word left zero: not yet committed
+	le := binary.LittleEndian
+	le.PutUint32(hdr[0:], Magic)
+	le.PutUint32(hdr[hdrSeq:], seq)
+	le.PutUint32(hdr[hdrImgLen:], m.o.Data.Size())
+	le.PutUint32(hdr[hdrEpoch:], m.epoch)
+	le.PutUint64(hdr[hdrWatermark:], watermark)
+	le.PutUint64(hdr[hdrCutBase:], cutBase)
 	if err := m.o.Disk.TryWriteAt(cpu, hdrOff, hdr[:]); err != nil {
 		return fmt.Errorf("compact: checkpoint header write: %w", err)
 	}
@@ -343,7 +344,7 @@ func (m *Manager) writeCheckpoint(cpu *machine.CPU, watermark, cutBase uint64) e
 	}
 
 	var seal [4]byte
-	put32(seal[:], seq|recovery.MarkerCommit)
+	binary.LittleEndian.PutUint32(seal[:], seq|recovery.MarkerCommit)
 	if err := m.o.Disk.TryWriteAt(cpu, hdrOff+hdrSeal, seal[:]); err != nil {
 		return fmt.Errorf("compact: checkpoint seal write: %w", err)
 	}
@@ -399,18 +400,19 @@ func loadState(disk ramdisk.Device, base uint64) (state, bool, error) {
 // decodeHeader validates one header against the marker protocol: magic,
 // a seal matching seq|MarkerCommit, and internally consistent offsets.
 func decodeHeader(slot uint64, hdr []byte) (state, bool) {
+	le := binary.LittleEndian
 	st := state{
 		slot:      slot,
-		seq:       get32(hdr[hdrSeq:]),
-		imgLen:    get32(hdr[hdrImgLen:]),
-		epoch:     get32(hdr[hdrEpoch:]),
-		watermark: get64(hdr[hdrWatermark:]),
-		cutBase:   get64(hdr[hdrCutBase:]),
+		seq:       le.Uint32(hdr[hdrSeq:]),
+		imgLen:    le.Uint32(hdr[hdrImgLen:]),
+		epoch:     le.Uint32(hdr[hdrEpoch:]),
+		watermark: le.Uint64(hdr[hdrWatermark:]),
+		cutBase:   le.Uint64(hdr[hdrCutBase:]),
 	}
-	if get32(hdr) != Magic || st.seq == 0 || st.imgLen == 0 {
+	if le.Uint32(hdr) != Magic || st.seq == 0 || st.imgLen == 0 {
 		return state{}, false
 	}
-	if get32(hdr[hdrSeal:]) != st.seq|recovery.MarkerCommit {
+	if le.Uint32(hdr[hdrSeal:]) != st.seq|recovery.MarkerCommit {
 		return state{}, false
 	}
 	if st.watermark < st.cutBase || st.watermark-st.cutBase > uint64(^uint32(0)) {
@@ -508,21 +510,4 @@ func Recover(sys *core.System, o RecoverOptions) (RecoverResult, error) {
 		MarkerLimit: o.MarkerLimit, End: o.End, Start: rr.Start,
 	})
 	return rr, nil
-}
-
-func put32(b []byte, v uint32) {
-	b[0], b[1], b[2], b[3] = byte(v), byte(v>>8), byte(v>>16), byte(v>>24)
-}
-
-func put64(b []byte, v uint64) {
-	put32(b, uint32(v))
-	put32(b[4:], uint32(v>>32))
-}
-
-func get32(b []byte) uint32 {
-	return uint32(b[0]) | uint32(b[1])<<8 | uint32(b[2])<<16 | uint32(b[3])<<24
-}
-
-func get64(b []byte) uint64 {
-	return uint64(get32(b)) | uint64(get32(b[4:]))<<32
 }

@@ -1,6 +1,8 @@
 package compact
 
 import (
+	"bytes"
+	"encoding/binary"
 	"errors"
 	"testing"
 
@@ -439,8 +441,8 @@ func TestLoadCheckpoint(t *testing.T) {
 	if rr != want {
 		t.Fatalf("rr = %+v, want %+v", rr, want)
 	}
-	if uint32(len(img)) != segSize || get32(img[0x100:]) != 11 {
-		t.Fatalf("image: %d bytes, [0x100]=%d", len(img), get32(img[0x100:]))
+	if uint32(len(img)) != segSize || binary.LittleEndian.Uint32(img[0x100:]) != 11 {
+		t.Fatalf("image: %d bytes, [0x100]=%d", len(img), binary.LittleEndian.Uint32(img[0x100:]))
 	}
 
 	if _, _, err := LoadCheckpoint(disk, 0, segSize/2); !errors.Is(err, errImageSize) {
@@ -451,4 +453,63 @@ func TestLoadCheckpoint(t *testing.T) {
 	if err != nil || rr.FromCheckpoint || rr.Start != 0 || rr.Txns != 2 {
 		t.Fatalf("Recover over a mismatched checkpoint: rr=%+v err=%v, want a full replay", rr, err)
 	}
+}
+
+// FuzzLoadCheckpoint feeds LoadCheckpoint two arbitrary slot headers and
+// seal words over slot images tagged with their slot number. It must
+// never panic, never elect a slot whose seal is not seq|MarkerCommit or
+// whose image is not size bytes, and of two valid slots elect the higher
+// generation.
+func FuzzLoadCheckpoint(f *testing.F) {
+	const size = 64
+	le := binary.LittleEndian
+	hdr := func(seq, imgLen uint32, watermark, cutBase uint64) []byte {
+		h := make([]byte, hdrSeal)
+		le.PutUint32(h, Magic)
+		le.PutUint32(h[hdrSeq:], seq)
+		le.PutUint32(h[hdrImgLen:], imgLen)
+		le.PutUint32(h[hdrEpoch:], 7)
+		le.PutUint64(h[hdrWatermark:], watermark)
+		le.PutUint64(h[hdrCutBase:], cutBase)
+		return h
+	}
+	seal := func(seq uint32) uint32 { return seq | recovery.MarkerCommit }
+	f.Add(hdr(1, size, 64, 0), seal(1), hdr(2, size, 256, 64), seal(2))
+	f.Add(hdr(5, size, 64, 0), seal(5), hdr(4, size, 32, 0), seal(4))
+	f.Add(hdr(3, size, 64, 0), uint32(0), hdr(2, size, 32, 0), seal(2))     // newer slot torn before its seal
+	f.Add(hdr(3, 2*size, 64, 0), seal(3), hdr(2, size, 32, 0), seal(2))     // newer slot of another size
+	f.Add(hdr(1, size, 0, 1<<40), seal(1), hdr(2, size, 1<<40, 0), seal(2)) // watermarks behind or far past the cut
+	f.Add([]byte{}, uint32(0), []byte{}, uint32(0))
+	f.Fuzz(func(t *testing.T, h0 []byte, seal0 uint32, h1 []byte, seal1 uint32) {
+		disk := ramdisk.New()
+		var seq, imgLen [2]uint32
+		var valid [2]bool
+		for slot, raw := range [2][]byte{h0, h1} {
+			var h [hdrSize]byte
+			copy(h[:hdrSeal], raw)
+			le.PutUint32(h[hdrSeal:], [2]uint32{seal0, seal1}[slot])
+			disk.WriteAt(nil, uint64(slot)*ramdisk.BlockSize, h[:])
+			disk.WriteAt(nil, imgOff(0, uint64(slot), size), bytes.Repeat([]byte{byte(slot + 1)}, size))
+			seq[slot], imgLen[slot] = le.Uint32(h[hdrSeq:]), le.Uint32(h[hdrImgLen:])
+			wm, cut := le.Uint64(h[hdrWatermark:]), le.Uint64(h[hdrCutBase:])
+			valid[slot] = le.Uint32(h[:]) == Magic && seq[slot] != 0 && imgLen[slot] == size &&
+				le.Uint32(h[hdrSeal:]) == seal(seq[slot]) && wm >= cut && wm-cut <= uint64(^uint32(0))
+		}
+		img, rr, err := LoadCheckpoint(disk, 0, size)
+		if img != nil {
+			slot := int(img[0]) - 1
+			if err != nil || len(img) != size || slot < 0 || slot > 1 || !bytes.Equal(img, bytes.Repeat(img[:1], size)) {
+				t.Fatalf("image of %d bytes tagged %d, err %v", len(img), img[0], err)
+			}
+			if !valid[slot] || rr.Seq != seq[slot] || !rr.FromCheckpoint {
+				t.Fatalf("elected slot %d (seq %d, %d-byte image, valid %v) as %+v", slot, seq[slot], imgLen[slot], valid[slot], rr)
+			}
+		}
+		if valid[0] && valid[1] {
+			want := max(seq[0], seq[1])
+			if err != nil || img == nil || rr.Seq != want {
+				t.Fatalf("two valid slots (seq %d, %d): elected %+v, err %v; want seq %d", seq[0], seq[1], rr, err, want)
+			}
+		}
+	})
 }

@@ -1,6 +1,7 @@
 package crashtest
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"time"
@@ -189,7 +190,7 @@ func runFailover(t template, plan fault.Plan, short bool) (outcome, uint64) {
 	img := r.Image()
 	diffs := 0
 	for off, val := range shadow {
-		if got := le32(img[off:]); got != val {
+		if got := binary.LittleEndian.Uint32(img[off:]); got != val {
 			diffs++
 		}
 	}
@@ -266,8 +267,4 @@ func runFailover(t template, plan fault.Plan, short bool) (outcome, uint64) {
 		line += " err=" + note
 	}
 	return outcome{line: line, ok: verdict == "RECOVERED"}, sys.Elapsed()
-}
-
-func le32(b []byte) uint32 {
-	return uint32(b[0]) | uint32(b[1])<<8 | uint32(b[2])<<16 | uint32(b[3])<<24
 }

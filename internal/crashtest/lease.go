@@ -1,6 +1,7 @@
 package crashtest
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"time"
@@ -11,6 +12,7 @@ import (
 	"lvm/internal/lease"
 	"lvm/internal/logship"
 	"lvm/internal/recovery"
+	"lvm/internal/wire"
 )
 
 // leaseTTL is the serving-lease TTL in manual-clock ticks. The clock
@@ -269,7 +271,7 @@ func runLeaseExpiry(t template, plan fault.Plan, short bool) (outcome, uint64) {
 	img := r.Image()
 	diffs := 0
 	for off, val := range shadow {
-		if got := le32(img[off:]); got != val {
+		if got := binary.LittleEndian.Uint32(img[off:]); got != val {
 			diffs++
 		}
 	}
@@ -449,8 +451,8 @@ func runLeasePartition(t template, plan fault.Plan, short bool) (outcome, uint64
 	}
 	// Its late beat — queued before the pause, delivered after — must
 	// not re-arm the superseded generation's deadline.
-	mon.Observe(logship.Beat{Kind: logship.BeatRenew, Epoch: res.Grant.Epoch, Seq: 1, TTL: leaseTTL})
-	mon.Observe(logship.Beat{Kind: logship.BeatRenew, Epoch: grant.Epoch, Seq: 99, TTL: leaseTTL})
+	mon.Observe(wire.Beat{Kind: wire.BeatRenew, Epoch: res.Grant.Epoch, Seq: 1, TTL: leaseTTL})
+	mon.Observe(wire.Beat{Kind: wire.BeatRenew, Epoch: grant.Epoch, Seq: 99, TTL: leaseTTL})
 	if mon.Stale() != 1 {
 		fail("late zombie beat not classified stale (stale=%d)", mon.Stale())
 	}
@@ -462,7 +464,7 @@ func runLeasePartition(t template, plan fault.Plan, short bool) (outcome, uint64
 	img := r.Image()
 	diffs := 0
 	for off, val := range shadow {
-		if got := le32(img[off:]); got != val {
+		if got := binary.LittleEndian.Uint32(img[off:]); got != val {
 			diffs++
 		}
 	}
@@ -677,7 +679,7 @@ func runLeaseDrop(t template, plan fault.Plan, short bool) (outcome, uint64) {
 	img := r.Image()
 	diffs := 0
 	for off, val := range shadow {
-		if got := le32(img[off:]); got != val {
+		if got := binary.LittleEndian.Uint32(img[off:]); got != val {
 			diffs++
 		}
 	}

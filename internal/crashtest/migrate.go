@@ -1,6 +1,7 @@
 package crashtest
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 
@@ -201,7 +202,7 @@ func runMigrate(t template, plan fault.Plan, short bool) (outcome, uint64) {
 		rimg := make([]byte, arenaSize)
 		dseg.ReadInto(0, rimg)
 		seq := rr.Result.LastSeq
-		if imgSeq := le32(rimg) &^ recovery.MarkerCommit; imgSeq > seq {
+		if imgSeq := binary.LittleEndian.Uint32(rimg) &^ recovery.MarkerCommit; imgSeq > seq {
 			seq = imgSeq
 		}
 		// Stamp a committed marker so the rebooted core resumes cleanly.
@@ -280,7 +281,7 @@ func runMigrate(t template, plan fault.Plan, short bool) (outcome, uint64) {
 				fail("owner read: %v", e)
 				break
 			}
-			if le32(b) != val {
+			if binary.LittleEndian.Uint32(b) != val {
 				diffs++
 			}
 		}
@@ -290,7 +291,7 @@ func runMigrate(t template, plan fault.Plan, short bool) (outcome, uint64) {
 				fail("bystander read: %v", e)
 				break
 			}
-			if le32(b) != val {
+			if binary.LittleEndian.Uint32(b) != val {
 				diffs++
 			}
 		}

@@ -17,6 +17,7 @@
 package dsm
 
 import (
+	"encoding/binary"
 	"fmt"
 
 	"lvm/internal/core"
@@ -149,7 +150,7 @@ func (m *MuninProducer) Release() (UpdateMsg, ReleaseStats) {
 			if cur[w] != twin[w] || cur[w+1] != twin[w+1] || cur[w+2] != twin[w+2] || cur[w+3] != twin[w+3] {
 				msg.Entries = append(msg.Entries, Entry{
 					Off: page*core.PageSize + uint32(w),
-					Val: le32(cur[w:]),
+					Val: binary.LittleEndian.Uint32(cur[w:]),
 				})
 			}
 		}
@@ -339,10 +340,6 @@ func (c *Consumer) Word(off uint32) uint32 { return c.seg.Read32(off) }
 // ReadInto copies replica bytes starting at off into b — the image dump
 // a failover uses to re-seed a new primary from a surviving replica.
 func (c *Consumer) ReadInto(off uint32, b []byte) { c.seg.ReadInto(off, b) }
-
-func le32(b []byte) uint32 {
-	return uint32(b[0]) | uint32(b[1])<<8 | uint32(b[2])<<16 | uint32(b[3])<<24
-}
 
 // Verify checks that the replica matches the producer's segment over
 // [0, size).

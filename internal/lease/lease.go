@@ -9,8 +9,8 @@
 // ErrFenced on a stale welcome, FencedHellos on a future-epoch hello,
 // the checkpointed serving epoch that survives restart — is what keeps a
 // paused-then-resumed primary from ever splitting the brain. Renewal is
-// cheap and grant-free: the holder broadcasts logship heartbeat frames
-// (logship.Beat) down the same subscription stream that ships log
+// cheap and grant-free: the holder broadcasts heartbeat frames
+// (wire.Beat) down the same logship subscription stream that ships log
 // batches, and each standby re-arms its expiry deadline at receipt.
 //
 // The safety argument needs no clock synchronization, only comparable
@@ -57,6 +57,7 @@ import (
 	"time"
 
 	"lvm/internal/logship"
+	"lvm/internal/wire"
 )
 
 // Clock is the injected time source, in abstract monotonic ticks. Wall
@@ -273,14 +274,14 @@ func NewHolder(clock Clock, ttl uint64, epoch uint32) *Holder {
 // demotes permanently (ok=false, every later call refuses too).
 // Otherwise it returns the heartbeat to broadcast: the first beat
 // announces the grant, later ones renew it.
-func (h *Holder) Renew(engaged bool, acked uint64) (b logship.Beat, ok bool) {
+func (h *Holder) Renew(engaged bool, acked uint64) (b wire.Beat, ok bool) {
 	if h.lost {
-		return logship.Beat{}, false
+		return wire.Beat{}, false
 	}
 	now := h.clock.Now()
 	if now-h.last > h.ttl {
 		h.lost = true
-		return logship.Beat{}, false
+		return wire.Beat{}, false
 	}
 	// Date the newest acknowledged beat by its issue tick. Acks for
 	// sequences never issued (a buggy or hostile consumer) are ignored;
@@ -302,7 +303,7 @@ func (h *Holder) Renew(engaged bool, acked uint64) (b logship.Beat, ok bool) {
 	}
 	if h.engaged && now-h.evidTick > h.ttl {
 		h.lost = true
-		return logship.Beat{}, false
+		return wire.Beat{}, false
 	}
 	h.last = now
 	h.seq++
@@ -312,11 +313,11 @@ func (h *Holder) Renew(engaged bool, acked uint64) (b logship.Beat, ok bool) {
 	for len(h.pending) > 0 && now-h.pending[0].tick > h.ttl {
 		h.pending = h.pending[1:]
 	}
-	kind := logship.BeatRenew
+	kind := wire.BeatRenew
 	if h.seq == 1 {
-		kind = logship.BeatGrant
+		kind = wire.BeatGrant
 	}
-	return logship.Beat{Kind: kind, Epoch: h.epoch, Seq: h.seq, TTL: h.ttl}, true
+	return wire.Beat{Kind: kind, Epoch: h.epoch, Seq: h.seq, TTL: h.ttl}, true
 }
 
 // Lost reports whether the holder missed a renewal and demoted itself.
@@ -356,7 +357,7 @@ func NewMonitor(clock Clock, ttl uint64) *Monitor {
 // (safe), but a single beat carrying a huge TTL — a -lease-ms mismatch,
 // a bug, a hostile peer — must not disable failover on this shard for
 // that long.
-func (m *Monitor) Observe(b logship.Beat) {
+func (m *Monitor) Observe(b wire.Beat) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	if b.Epoch < m.epoch {

@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"lvm/internal/logship"
+	"lvm/internal/wire"
 )
 
 func TestManualClock(t *testing.T) {
@@ -118,12 +119,12 @@ func TestHolderRenewAndLoss(t *testing.T) {
 	if !ok {
 		t.Fatal("first renew refused")
 	}
-	if b.Kind != logship.BeatGrant || b.Epoch != 7 || b.Seq != 1 || b.TTL != 100 {
+	if b.Kind != wire.BeatGrant || b.Epoch != 7 || b.Seq != 1 || b.TTL != 100 {
 		t.Fatalf("first beat = %+v", b)
 	}
 	clk.Advance(100) // exactly the TTL: still in time
 	b, ok = h.Renew(false, 0)
-	if !ok || b.Kind != logship.BeatRenew || b.Seq != 2 {
+	if !ok || b.Kind != wire.BeatRenew || b.Seq != 2 {
 		t.Fatalf("second beat = %+v, ok=%v", b, ok)
 	}
 	if h.Lost() || h.Beats() != 2 {
@@ -258,7 +259,7 @@ func TestMonitorObserveExpiry(t *testing.T) {
 		t.Fatal("silent monitor expired or heard")
 	}
 
-	m.Observe(logship.Beat{Kind: logship.BeatGrant, Epoch: 3, Seq: 1, TTL: 100})
+	m.Observe(wire.Beat{Kind: wire.BeatGrant, Epoch: 3, Seq: 1, TTL: 100})
 	if !m.Heard() || m.Expired() || m.Epoch() != 3 || m.Beats() != 1 {
 		t.Fatalf("after first beat: heard=%v expired=%v epoch=%d beats=%d",
 			m.Heard(), m.Expired(), m.Epoch(), m.Beats())
@@ -273,15 +274,15 @@ func TestMonitorObserveExpiry(t *testing.T) {
 	}
 
 	// A renewal re-arms.
-	m.Observe(logship.Beat{Kind: logship.BeatRenew, Epoch: 3, Seq: 2, TTL: 100})
+	m.Observe(wire.Beat{Kind: wire.BeatRenew, Epoch: 3, Seq: 2, TTL: 100})
 	if m.Expired() {
 		t.Fatal("renewed monitor still expired")
 	}
 
 	// Zombie beats (superseded epoch) are dropped, not re-armed.
-	m.Observe(logship.Beat{Kind: logship.BeatRenew, Epoch: 4, Seq: 1, TTL: 100})
+	m.Observe(wire.Beat{Kind: wire.BeatRenew, Epoch: 4, Seq: 1, TTL: 100})
 	clk.Advance(50)
-	m.Observe(logship.Beat{Kind: logship.BeatRenew, Epoch: 3, Seq: 9, TTL: 100})
+	m.Observe(wire.Beat{Kind: wire.BeatRenew, Epoch: 3, Seq: 9, TTL: 100})
 	if m.Stale() != 1 {
 		t.Fatalf("stale beats = %d, want 1", m.Stale())
 	}
@@ -302,14 +303,14 @@ func TestMonitorClampsWireTTL(t *testing.T) {
 	clk := NewManual(0)
 	m := NewMonitor(clk, 100)
 
-	m.Observe(logship.Beat{Kind: logship.BeatGrant, Epoch: 1, Seq: 1, TTL: 1 << 60})
+	m.Observe(wire.Beat{Kind: wire.BeatGrant, Epoch: 1, Seq: 1, TTL: 1 << 60})
 	clk.Advance(101)
 	if !m.Expired() {
 		t.Fatal("oversized wire TTL overrode the configured one: failover disabled")
 	}
 
 	// A zero wire TTL (malformed beat) clamps too, not "never expires".
-	m.Observe(logship.Beat{Kind: logship.BeatRenew, Epoch: 1, Seq: 2, TTL: 0})
+	m.Observe(wire.Beat{Kind: wire.BeatRenew, Epoch: 1, Seq: 2, TTL: 0})
 	if m.Expired() {
 		t.Fatal("renewal did not re-arm")
 	}
@@ -320,7 +321,7 @@ func TestMonitorClampsWireTTL(t *testing.T) {
 
 	// A primary configured SHORTER expires us early — the safe direction
 	// — so the wire TTL is honored when it is the smaller one.
-	m.Observe(logship.Beat{Kind: logship.BeatRenew, Epoch: 1, Seq: 3, TTL: 40})
+	m.Observe(wire.Beat{Kind: wire.BeatRenew, Epoch: 1, Seq: 3, TTL: 40})
 	clk.Advance(41)
 	if !m.Expired() {
 		t.Fatal("shorter wire TTL not honored")

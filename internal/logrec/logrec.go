@@ -19,7 +19,10 @@
 //	12      4     timestamp (6.25 MHz ticks)
 package logrec
 
-import "fmt"
+import (
+	"encoding/binary"
+	"fmt"
+)
 
 // Size is the size of one encoded log record in bytes.
 const Size = 16
@@ -36,22 +39,24 @@ type Record struct {
 // Encode writes the record into dst, which must be at least Size bytes.
 func (r Record) Encode(dst []byte) {
 	_ = dst[Size-1]
-	put32(dst[0:], r.Addr)
-	put32(dst[4:], r.Value)
-	put16(dst[8:], r.WriteSize)
-	put16(dst[10:], r.CPU)
-	put32(dst[12:], r.Timestamp)
+	le := binary.LittleEndian
+	le.PutUint32(dst[0:], r.Addr)
+	le.PutUint32(dst[4:], r.Value)
+	le.PutUint16(dst[8:], r.WriteSize)
+	le.PutUint16(dst[10:], r.CPU)
+	le.PutUint32(dst[12:], r.Timestamp)
 }
 
 // Decode parses a record from src, which must be at least Size bytes.
 func Decode(src []byte) Record {
 	_ = src[Size-1]
+	le := binary.LittleEndian
 	return Record{
-		Addr:      get32(src[0:]),
-		Value:     get32(src[4:]),
-		WriteSize: get16(src[8:]),
-		CPU:       get16(src[10:]),
-		Timestamp: get32(src[12:]),
+		Addr:      le.Uint32(src[0:]),
+		Value:     le.Uint32(src[4:]),
+		WriteSize: le.Uint16(src[8:]),
+		CPU:       le.Uint16(src[10:]),
+		Timestamp: le.Uint32(src[12:]),
 	}
 }
 
@@ -84,24 +89,4 @@ func DecodeAll(src []byte) []Record {
 		out = append(out, Decode(src[i*Size:]))
 	}
 	return out
-}
-
-func put32(b []byte, v uint32) {
-	b[0] = byte(v)
-	b[1] = byte(v >> 8)
-	b[2] = byte(v >> 16)
-	b[3] = byte(v >> 24)
-}
-
-func put16(b []byte, v uint16) {
-	b[0] = byte(v)
-	b[1] = byte(v >> 8)
-}
-
-func get32(b []byte) uint32 {
-	return uint32(b[0]) | uint32(b[1])<<8 | uint32(b[2])<<16 | uint32(b[3])<<24
-}
-
-func get16(b []byte) uint16 {
-	return uint16(b[0]) | uint16(b[1])<<8
 }

@@ -17,6 +17,7 @@ import (
 	"lvm/internal/logcursor"
 	"lvm/internal/logrec"
 	"lvm/internal/recovery"
+	"lvm/internal/wire"
 )
 
 // wireRec encodes one wire record (segment-offset addressed).
@@ -29,9 +30,9 @@ func wireRec(off, val uint32, size uint16) []byte {
 // legacyApplyBatch is Replica.applyBatch as it stood before the
 // logcursor unification, including its private marker rule in
 // legacyTrack.
-func legacyApplyBatch(r *Replica, h batchHeader, records []byte) bool {
-	for i := uint32(0); i < h.count; i++ {
-		rec := logrec.Decode(records[i*logrec.Size:])
+func legacyApplyBatch(r *Replica, b *wire.Batch) bool {
+	for i := uint32(0); i < b.Count; i++ {
+		rec := logrec.Decode(b.Records[i*logrec.Size:])
 		if !recovery.ValidWrite(rec.Addr, rec.WriteSize, r.size) {
 			return false
 		}
@@ -104,9 +105,9 @@ func TestApplyBatchMatchesLegacy(t *testing.T) {
 	cur := newBareReplica(t, size, true)
 	leg := newBareReplica(t, size, true)
 	for bi, b := range batches {
-		h := batchHeader{count: uint32(len(b) / logrec.Size)}
-		okC := cur.applyBatch(h, b)
-		okL := legacyApplyBatch(leg, h, b)
+		h := &wire.Batch{Count: uint32(len(b) / logrec.Size), Records: b}
+		okC := cur.applyBatch(h)
+		okL := legacyApplyBatch(leg, h)
 		if okC != okL {
 			t.Fatalf("batch %d verdicts differ: cursor %v legacy %v", bi, okC, okL)
 		}
@@ -149,7 +150,7 @@ func TestTrackMarkerAreaMatchesRecovery(t *testing.T) {
 	}
 	rep := newBareReplica(t, size, true)
 	b := bytes.Join(stream, nil)
-	if !rep.applyBatch(batchHeader{count: uint32(len(b) / logrec.Size)}, b) {
+	if !rep.applyBatch(&wire.Batch{Count: uint32(len(b) / logrec.Size), Records: b}) {
 		t.Fatalf("in-domain batch quarantined: %v", rep.err)
 	}
 	if _, err := rep.Rollback(); err != nil {

@@ -8,26 +8,8 @@ import (
 	"time"
 
 	"lvm/internal/dsm"
+	"lvm/internal/wire"
 )
-
-func TestBeatRoundTrip(t *testing.T) {
-	want := Beat{Kind: BeatRenew, Epoch: 7, Seq: 42, TTL: 5_000_000}
-	got, err := decodeBeat(encodeBeat(want))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got != want {
-		t.Fatalf("beat round trip: %+v != %+v", got, want)
-	}
-	if _, err := decodeBeat(make([]byte, beatSize-1)); err == nil {
-		t.Fatal("short beat payload accepted")
-	}
-	bad := encodeBeat(want)
-	bad[0] = 9
-	if _, err := decodeBeat(bad); !errors.Is(err, ErrCorrupt) {
-		t.Fatalf("bad beat kind error = %v, want ErrCorrupt", err)
-	}
-}
 
 // TestHeartbeatFlowsToObserver ships lease heartbeats interleaved with
 // batches: a tracking replica observes every beat in order, a
@@ -37,12 +19,12 @@ func TestHeartbeatFlowsToObserver(t *testing.T) {
 	_, prod, ship := newProducer(t, ln, Config{FlushRecords: 8, Epoch: 3})
 
 	var mu sync.Mutex
-	var beats []Beat
+	var beats []wire.Beat
 	ra, err := NewReplica(dial, shared)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ra.TrackLease(func(b Beat) {
+	ra.TrackLease(func(b wire.Beat) {
 		mu.Lock()
 		beats = append(beats, b)
 		mu.Unlock()
@@ -60,7 +42,7 @@ func TestHeartbeatFlowsToObserver(t *testing.T) {
 	if engaged, acked := ship.LeaseEvidence(); !engaged || acked != 0 {
 		t.Fatalf("evidence before first beat = engaged=%v acked=%d, want true/0", engaged, acked)
 	}
-	if err := ship.Heartbeat(Beat{Kind: BeatGrant, Epoch: 3, Seq: 1, TTL: 1000}); err != nil {
+	if err := ship.Heartbeat(wire.Beat{Kind: wire.BeatGrant, Epoch: 3, Seq: 1, TTL: 1000}); err != nil {
 		t.Fatal(err)
 	}
 	for i := uint32(0); i < 40; i++ {
@@ -69,7 +51,7 @@ func TestHeartbeatFlowsToObserver(t *testing.T) {
 	if err := ship.FlushAll(); err != nil {
 		t.Fatal(err)
 	}
-	if err := ship.Heartbeat(Beat{Kind: BeatRenew, Epoch: 3, Seq: 2, TTL: 1000}); err != nil {
+	if err := ship.Heartbeat(wire.Beat{Kind: wire.BeatRenew, Epoch: 3, Seq: 2, TTL: 1000}); err != nil {
 		t.Fatal(err)
 	}
 	for i := uint32(40); i < 60; i++ {
@@ -82,10 +64,10 @@ func TestHeartbeatFlowsToObserver(t *testing.T) {
 	}
 
 	mu.Lock()
-	got := append([]Beat(nil), beats...)
+	got := append([]wire.Beat(nil), beats...)
 	mu.Unlock()
-	if len(got) != 2 || got[0].Kind != BeatGrant || got[0].Seq != 1 ||
-		got[1].Kind != BeatRenew || got[1].Seq != 2 || got[1].Epoch != 3 {
+	if len(got) != 2 || got[0].Kind != wire.BeatGrant || got[0].Seq != 1 ||
+		got[1].Kind != wire.BeatRenew || got[1].Seq != 2 || got[1].Epoch != 3 {
 		t.Fatalf("observed beats = %+v, want grant seq 1 then renew seq 2", got)
 	}
 	if n := ra.Stats.BeatsSeen.Load(); n != 2 {
@@ -129,19 +111,19 @@ func TestCorruptBeatQuarantines(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r.TrackLease(func(Beat) { t.Error("corrupt beat reached the observer") })
+	r.TrackLease(func(wire.Beat) { t.Error("corrupt beat reached the observer") })
 	errc := make(chan error, 1)
 	go func() { errc <- r.Connect() }()
 	c := fakeServer(t, ln)
 	if err := <-errc; err != nil {
 		t.Fatal(err)
 	}
-	bad := encodeFrame(typeLease, make([]byte, beatSize-3)) // wrong size, valid CRC
+	bad := wire.Encode(&wire.Beat{Kind: 9, Epoch: 1, Seq: 1}) // unknown kind, valid CRC
 	if _, err := c.Write(bad); err != nil {
 		t.Fatal(err)
 	}
 	r.Kill()
-	if !errors.Is(r.Err(), ErrCorrupt) {
+	if !errors.Is(r.Err(), wire.ErrCorrupt) {
 		t.Fatalf("session error = %v, want ErrCorrupt", r.Err())
 	}
 	if r.Stats.QuarantinedFrames.Load() != 1 {

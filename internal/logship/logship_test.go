@@ -3,6 +3,7 @@ package logship
 import (
 	"errors"
 	"net"
+	"reflect"
 	"testing"
 	"time"
 
@@ -11,6 +12,7 @@ import (
 	"lvm/internal/dsm"
 	"lvm/internal/logrec"
 	"lvm/internal/ramdisk"
+	"lvm/internal/wire"
 )
 
 const shared = 8 * core.PageSize
@@ -151,11 +153,11 @@ func stuckConsumer(t *testing.T, dial DialFunc) net.Conn {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { c.Close() })
-	if _, err := c.Write(encodeFrame(typeHello, encodeHello(hello{segSize: shared}))); err != nil {
+	if _, err := c.Write(wire.Encode(&wire.Hello{SegSize: shared})); err != nil {
 		t.Fatal(err)
 	}
-	if typ, _, err := readFrame(c); err != nil || typ != typeWelcome {
-		t.Fatalf("handshake: type %d err %v", typ, err)
+	if m, err := wire.ReadMsg(c); err != nil || m.Type() != wire.TypeWelcome {
+		t.Fatalf("handshake: %T err %v", m, err)
 	}
 	return c
 }
@@ -217,17 +219,14 @@ func fakeServer(t *testing.T, ln net.Listener) net.Conn {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { c.Close() })
-	typ, payload, err := readFrame(c)
-	if err != nil || typ != typeHello {
-		t.Fatalf("hello: type %d err %v", typ, err)
+	m, err := wire.ReadMsg(c)
+	h, ok := m.(*wire.Hello)
+	if err != nil || !ok {
+		t.Fatalf("hello: %T err %v", m, err)
 	}
-	h, err := decodeHello(payload)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := c.Write(encodeFrame(typeWelcome, encodeWelcome(welcome{
-		startSeq: h.lastSeq, epoch: 1, segSize: h.segSize,
-	}))); err != nil {
+	if _, err := c.Write(wire.Encode(&wire.Welcome{
+		StartSeq: h.LastSeq, Epoch: 1, SegSize: h.SegSize,
+	})); err != nil {
 		t.Fatal(err)
 	}
 	return c
@@ -240,9 +239,9 @@ func encodeTestBatch(base, end uint64, recs ...logrec.Record) []byte {
 		rec.Encode(buf[:])
 		records = append(records, buf[:]...)
 	}
-	return encodeFrame(typeBatch, encodeBatch(batchHeader{
-		baseSeq: base, endSeq: end, count: uint32(len(recs)),
-	}, records))
+	return wire.Encode(&wire.Batch{
+		BaseSeq: base, EndSeq: end, Count: uint32(len(recs)), Records: records,
+	})
 }
 
 // TestReplicaQuarantinesCorruptFrame: a replica applies clean batches,
@@ -268,19 +267,17 @@ func TestReplicaQuarantinesCorruptFrame(t *testing.T) {
 	if _, err := c.Write(good); err != nil {
 		t.Fatal(err)
 	}
-	if typ, payload, err := readFrame(c); err != nil || typ != typeAck {
-		t.Fatalf("ack: type %d err %v", typ, err)
-	} else if seq, _ := decodeAck(payload); seq != 2 {
-		t.Fatalf("acked seq = %d, want 2", seq)
+	if m, err := wire.ReadMsg(c); err != nil || !reflect.DeepEqual(m, &wire.Ack{Seq: 2}) {
+		t.Fatalf("ack: %+v err %v, want seq 2", m, err)
 	}
 
 	bad := encodeTestBatch(2, 3, logrec.Record{Addr: 20, Value: 0x22222222, WriteSize: 4})
-	bad[headerSize] ^= 0x01 // corrupt the payload under the CRC
+	bad[wire.HeaderSize] ^= 0x01 // corrupt the payload under the CRC
 	if _, err := c.Write(bad); err != nil {
 		t.Fatal(err)
 	}
 	r.Kill() // joins the consume goroutine, which quarantined and exited
-	if !errors.Is(r.Err(), ErrCorrupt) {
+	if !errors.Is(r.Err(), wire.ErrCorrupt) {
 		t.Fatalf("session error = %v, want ErrCorrupt", r.Err())
 	}
 	if r.LastSeq() != 2 {

@@ -1,6 +1,7 @@
 package logship
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"net"
@@ -11,6 +12,7 @@ import (
 	"lvm/internal/dsm"
 	"lvm/internal/ramdisk"
 	"lvm/internal/recovery"
+	"lvm/internal/wire"
 )
 
 // markerLimit mirrors lvmd.MarkerLimit: the first 16 bytes of the
@@ -179,7 +181,7 @@ func TestPromoteRollsBackOpenTxn(t *testing.T) {
 	// The image must end at the last transaction boundary: the marker
 	// word reads the final committed sequence, not the open one.
 	img := r.Image()
-	if got, want := get32(img), uint32(3)|recovery.MarkerCommit; got != want {
+	if got, want := binary.LittleEndian.Uint32(img), uint32(3)|recovery.MarkerCommit; got != want {
 		t.Fatalf("marker word after rollback = %#x, want %#x", got, want)
 	}
 }
@@ -402,14 +404,14 @@ func TestReplicaFencesStaleWelcome(t *testing.T) {
 			return
 		}
 		defer c.Close()
-		if _, _, err := readFrame(c); err != nil {
+		if _, _, err := wire.ReadFrame(c); err != nil {
 			return
 		}
-		c.Write(encodeFrame(typeWelcome, encodeWelcome(welcome{
-			startSeq: 0,
-			epoch:    2, // behind the replica's generation
-			segSize:  shared,
-		})))
+		c.Write(wire.Encode(&wire.Welcome{
+			StartSeq: 0,
+			Epoch:    2, // behind the replica's generation
+			SegSize:  shared,
+		}))
 	}()
 
 	r, err := NewReplica(dial, shared)

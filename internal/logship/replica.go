@@ -4,13 +4,14 @@ import (
 	"errors"
 	"fmt"
 	"net"
+	"sync/atomic"
 	"time"
 
 	"lvm/internal/core"
 	"lvm/internal/dsm"
 	"lvm/internal/logcursor"
-	"lvm/internal/logrec"
 	"lvm/internal/recovery"
+	"lvm/internal/wire"
 )
 
 // Replica is one log-shipping consumer: its own simulated System holding
@@ -50,7 +51,7 @@ type Replica struct {
 	// leaseObs, when set by TrackLease, receives every lease heartbeat
 	// frame. Called from the consume goroutine; the observer (typically
 	// a lease.Monitor) must be safe for that.
-	leaseObs func(Beat)
+	leaseObs func(wire.Beat)
 
 	conn      net.Conn
 	done      chan struct{}
@@ -103,7 +104,7 @@ func (r *Replica) TrackMarkers(markerLimit uint32) { r.markerLimit = markerLimit
 // TrackLease routes serving-lease heartbeats (internal/lease) to obs —
 // typically a lease.Monitor's Observe. obs runs on the consume
 // goroutine. Call while disconnected, before Connect.
-func (r *Replica) TrackLease(obs func(Beat)) { r.leaseObs = obs }
+func (r *Replica) TrackLease(obs func(wire.Beat)) { r.leaseObs = obs }
 
 // System exposes the replica's simulated machine (for metrics snapshots).
 func (r *Replica) System() *core.System { return r.sys }
@@ -138,45 +139,41 @@ func (r *Replica) Connect() error {
 		// the delivery evidence the holder's renewal feeds on, and a
 		// transient subscriber (e.g. a segment migration) must not engage
 		// the holder or sustain its evidence.
-		flags |= helloObserver
+		flags |= wire.HelloObserver
 	}
-	if _, err := c.Write(encodeFrame(typeHello, encodeHello(hello{
-		lastSeq: r.lastSeq,
-		epoch:   r.epoch,
-		segSize: r.size,
-		flags:   flags,
-	}))); err != nil {
+	if _, err := c.Write(wire.Encode(&wire.Hello{
+		LastSeq: r.lastSeq,
+		Epoch:   r.epoch,
+		SegSize: r.size,
+		Flags:   flags,
+	})); err != nil {
 		c.Close()
 		return err
 	}
-	typ, payload, err := readFrame(c)
+	m, err := wire.ReadMsg(c)
 	if err != nil {
 		c.Close()
 		return err
 	}
-	if typ != typeWelcome {
+	w, ok := m.(*wire.Welcome)
+	if !ok {
 		c.Close()
-		return fmt.Errorf("logship: handshake got frame type %d", typ)
+		return fmt.Errorf("logship: handshake got %T, want a welcome", m)
 	}
-	w, err := decodeWelcome(payload)
-	if err != nil {
+	if w.SegSize != r.size {
 		c.Close()
-		return err
+		return fmt.Errorf("logship: shipper segment is %d bytes, replica is %d", w.SegSize, r.size)
 	}
-	if w.segSize != r.size {
-		c.Close()
-		return fmt.Errorf("logship: shipper segment is %d bytes, replica is %d", w.segSize, r.size)
-	}
-	if w.epoch < r.epoch {
+	if w.Epoch < r.epoch {
 		// Epochs only move forward: a shipper behind our generation is a
 		// zombie ex-primary, and following it would roll this replica
 		// back behind the promoted timeline it already acknowledged.
 		c.Close()
 		r.Stats.Fenced.Add(1)
-		return fmt.Errorf("%w: shipper at epoch %d, replica follows %d", ErrFenced, w.epoch, r.epoch)
+		return fmt.Errorf("%w: shipper at epoch %d, replica follows %d", ErrFenced, w.Epoch, r.epoch)
 	}
 	_ = c.SetDeadline(time.Time{})
-	if w.startSeq == 0 && (r.lastSeq > 0 || w.epoch != r.epoch) {
+	if w.StartSeq == 0 && (r.lastSeq > 0 || w.Epoch != r.epoch) {
 		// Full resync under a new log generation: replaying from the
 		// log start in order converges the replica regardless of its
 		// current contents.
@@ -185,7 +182,7 @@ func (r *Replica) Connect() error {
 		r.inflight = false
 		r.inflightUnknown = false
 	}
-	r.epoch = w.epoch
+	r.epoch = w.Epoch
 	if r.connected {
 		r.Stats.Reconnects.Add(1)
 	}
@@ -215,69 +212,61 @@ func (r *Replica) consume(c net.Conn) {
 	defer close(r.done)
 	defer c.Close()
 	for {
-		typ, payload, err := readFrame(c)
+		typ, payload, err := wire.ReadFrame(c)
+		var m wire.Msg
+		if err == nil {
+			r.Stats.BytesReceived.Add(uint64(wire.HeaderSize + len(payload) + wire.CRCSize))
+			m, err = wire.Decode(typ, payload)
+		}
 		if err != nil {
-			if errors.Is(err, ErrCorrupt) {
+			if errors.Is(err, wire.ErrCorrupt) {
 				r.Stats.QuarantinedFrames.Add(1)
 			}
 			r.err = err
 			return
 		}
-		r.Stats.BytesReceived.Add(uint64(headerSize + len(payload) + crcSize))
-		if typ == typeSnapshot {
-			if !r.applySnapshot(c, payload) {
-				return
-			}
-			continue
-		}
-		if typ == typeLease {
-			b, err := decodeBeat(payload)
-			if err != nil {
-				r.Stats.QuarantinedFrames.Add(1)
-				r.err = err
-				return
-			}
-			r.Stats.BeatsSeen.Add(1)
-			if r.leaseObs != nil {
-				r.leaseObs(b)
-				// Acknowledge after observing: once the ack reaches the
-				// shipper, this monitor's expiry deadline is provably at
-				// or beyond the holder's evidence deadline for this beat.
-				if !r.sendBeatAck(c, b.Seq) {
-					return
-				}
-			}
-			continue
-		}
-		if typ != typeBatch {
-			continue
-		}
-		h, records, err := decodeBatch(payload)
-		if err != nil {
-			r.Stats.QuarantinedFrames.Add(1)
-			r.err = err
-			return
-		}
-		if h.endSeq <= r.lastSeq {
-			// Duplicate delivery (e.g. a batch raced a reconnect):
-			// already applied, just re-ack so the shipper advances.
-			r.sendAck(c, r.lastSeq)
-			continue
-		}
-		if h.baseSeq > r.lastSeq {
-			r.Stats.QuarantinedFrames.Add(1)
-			r.Stats.QuarantinedRecords.Add(uint64(h.count))
-			r.err = fmt.Errorf("logship: gap: batch starts at seq %d, replica at %d", h.baseSeq, r.lastSeq)
-			return
-		}
-		if !r.applyBatch(h, records) {
-			return
-		}
-		r.lastSeq = h.endSeq
-		if !r.sendAck(c, h.endSeq) {
+		if !r.apply(c, m) {
 			return
 		}
 	}
+}
+
+// apply consumes one decoded frame; false ends the session (r.err says
+// why). Frames a replica does not consume are skipped.
+func (r *Replica) apply(c net.Conn, m wire.Msg) bool {
+	switch m := m.(type) {
+	case *wire.Snapshot:
+		return r.applySnapshot(c, m)
+	case *wire.Beat:
+		r.Stats.BeatsSeen.Add(1)
+		if r.leaseObs == nil {
+			return true
+		}
+		r.leaseObs(*m)
+		// Acknowledge after observing: once the ack reaches the shipper,
+		// this monitor's expiry deadline is provably at or beyond the
+		// holder's evidence deadline for this beat.
+		return r.send(c, &wire.BeatAck{Seq: m.Seq}, &r.Stats.BeatAcksSent)
+	case *wire.Batch:
+		if m.EndSeq <= r.lastSeq {
+			// Duplicate delivery (e.g. a batch raced a reconnect): already
+			// applied, just re-ack so the shipper advances.
+			r.send(c, &wire.Ack{Seq: r.lastSeq}, &r.Stats.AcksSent)
+			return true
+		}
+		if m.BaseSeq > r.lastSeq {
+			r.Stats.QuarantinedFrames.Add(1)
+			r.Stats.QuarantinedRecords.Add(uint64(m.Count))
+			r.err = fmt.Errorf("logship: gap: batch starts at seq %d, replica at %d", m.BaseSeq, r.lastSeq)
+			return false
+		}
+		if !r.applyBatch(m) {
+			return false
+		}
+		r.lastSeq = m.EndSeq
+		return r.send(c, &wire.Ack{Seq: m.EndSeq}, &r.Stats.AcksSent)
+	}
+	return true
 }
 
 // applySnapshot applies one chunk of a catch-up segment image (shipped
@@ -287,26 +276,20 @@ func (r *Replica) consume(c net.Conn) {
 // overwrite raw: the image is at least as new as anything the replica
 // holds, and records newer than coverSeq that it happens to include are
 // re-asserted by the batches that follow.
-func (r *Replica) applySnapshot(c net.Conn, payload []byte) bool {
-	h, data, err := decodeSnapshot(payload)
-	if err != nil {
+func (r *Replica) applySnapshot(c net.Conn, h *wire.Snapshot) bool {
+	if h.SegSize != r.size {
 		r.Stats.QuarantinedFrames.Add(1)
-		r.err = err
+		r.err = fmt.Errorf("logship: snapshot of a %d-byte segment, replica is %d", h.SegSize, r.size)
 		return false
 	}
-	if h.segSize != r.size {
-		r.Stats.QuarantinedFrames.Add(1)
-		r.err = fmt.Errorf("logship: snapshot of a %d-byte segment, replica is %d", h.segSize, r.size)
-		return false
-	}
-	r.cons.ApplyImage(h.off, data)
-	r.Stats.SnapshotBytes.Add(uint64(len(data)))
-	if uint64(h.off)+uint64(len(data)) < uint64(h.segSize) {
+	r.cons.ApplyImage(h.Off, h.Data)
+	r.Stats.SnapshotBytes.Add(uint64(len(h.Data)))
+	if uint64(h.Off)+uint64(len(h.Data)) < uint64(h.SegSize) {
 		return true // more chunks coming
 	}
 	r.Stats.SnapshotsApplied.Add(1)
-	if h.coverSeq > r.lastSeq {
-		r.lastSeq = h.coverSeq
+	if h.CoverSeq > r.lastSeq {
+		r.lastSeq = h.CoverSeq
 	}
 	if r.markerLimit > 0 {
 		// The image replaced whatever transaction state we were tracking.
@@ -318,7 +301,7 @@ func (r *Replica) applySnapshot(c net.Conn, payload []byte) bool {
 		m := r.cons.Word(0)
 		r.inflightUnknown = m != 0 && m&recovery.MarkerCommit == 0
 	}
-	return r.sendAck(c, r.lastSeq)
+	return r.send(c, &wire.Ack{Seq: r.lastSeq}, &r.Stats.AcksSent)
 }
 
 // applyBatch validates and applies every record of a batch through the
@@ -326,8 +309,8 @@ func (r *Replica) applySnapshot(c net.Conn, payload []byte) bool {
 // producer's marker words; rollback is the undo ledger's job). The first
 // invalid record quarantines the remainder, reports false, and leaves
 // lastSeq untouched so the batch is not acked.
-func (r *Replica) applyBatch(h batchHeader, records []byte) bool {
-	src := logcursor.NewBytesSource(records[:int(h.count)*logrec.Size], r.size)
+func (r *Replica) applyBatch(b *wire.Batch) bool {
+	src := logcursor.NewBytesSource(b.Records, r.size)
 	w := logcursor.NewWalker(logcursor.Config{
 		View: logcursor.ApplyAll,
 		End:  src.End(),
@@ -341,9 +324,9 @@ func (r *Replica) applyBatch(h batchHeader, records []byte) bool {
 	})
 	if st := logcursor.Run(src, w); st.Quarantined() {
 		r.Stats.QuarantinedFrames.Add(1)
-		r.Stats.QuarantinedRecords.Add(uint64(int(h.count) - st.Bad.Idx))
+		r.Stats.QuarantinedRecords.Add(uint64(int(b.Count) - st.Bad.Idx))
 		r.err = fmt.Errorf("logship: invalid record %d/%d (off %#x size %d): quarantined",
-			st.Bad.Idx, h.count, st.Bad.Off, st.Bad.Size)
+			st.Bad.Idx, b.Count, st.Bad.Off, st.Bad.Size)
 		return false
 	}
 	r.Stats.BatchesApplied.Add(1)
@@ -427,22 +410,13 @@ func (r *Replica) SetEpoch(e uint32) {
 // consume goroutine is running.
 func (r *Replica) Done() <-chan struct{} { return r.done }
 
-func (r *Replica) sendAck(c net.Conn, seq uint64) bool {
-	if _, err := c.Write(encodeFrame(typeAck, encodeAck(seq))); err != nil {
+// send writes one acknowledgement frame (an ack, or the beat-ack that is
+// the delivery-evidence half of the beat round trip) and counts it.
+func (r *Replica) send(c net.Conn, m wire.Msg, sent *atomic.Uint64) bool {
+	if _, err := c.Write(wire.Encode(m)); err != nil {
 		r.err = err
 		return false
 	}
-	r.Stats.AcksSent.Add(1)
-	return true
-}
-
-// sendBeatAck acknowledges receipt of lease beat seq — the delivery
-// evidence half of the beat round trip (Shipper.LeaseEvidence).
-func (r *Replica) sendBeatAck(c net.Conn, seq uint64) bool {
-	if _, err := c.Write(encodeFrame(typeBeatAck, encodeAck(seq))); err != nil {
-		r.err = err
-		return false
-	}
-	r.Stats.BeatAcksSent.Add(1)
+	sent.Add(1)
 	return true
 }

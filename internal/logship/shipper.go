@@ -1,3 +1,30 @@
+// Package logship ships LVM log records from a producer System to N
+// replica consumers over a real transport — the first piece of the
+// codebase that moves log data between independent systems instead of
+// simulating consistency inside one address space (Section 2.6's
+// log-based distributed consistency, scaled out).
+//
+// The design follows the paper's observation that the hardware log is
+// already the enumerated update set: the producer's write path is
+// untouched (logged stores stay zero-allocation), and a shipping layer
+// drains the log into framed batches of 16-byte records on the producer's
+// thread, bounded per consumer by an in-flight window. Replicas apply
+// records through the existing dsm.Consumer machinery, validate each one
+// with the crash-recovery rules (recovery.ValidWrite), quarantine on
+// torn or corrupt frames, and resume from their last acknowledged
+// sequence number after a crash or disconnect — the same
+// degrade-don't-panic posture as internal/recovery.Replay.
+//
+// Frames and payload layouts (types 1–7) live in internal/wire. A
+// replica opens with a hello (last acked sequence, epoch), the shipper
+// answers with a welcome (where shipping resumes), then batches flow down
+// and acks flow up. A stale-epoch hello forces a full resync; a cursor
+// below the compaction cut is caught up with snapshot chunks of the
+// current segment image, acked only when the final chunk lands. Lease
+// frames carry the serving-lease heartbeat (internal/lease) in-stream
+// with the data whose authority it asserts; an observer (hello flag)
+// answers each with a beat-ack, which feeds LeaseEvidence. Record
+// addresses are rewritten to segment offsets before shipping.
 package logship
 
 import (
@@ -10,6 +37,7 @@ import (
 	"lvm/internal/core"
 	"lvm/internal/logcursor"
 	"lvm/internal/logrec"
+	"lvm/internal/wire"
 )
 
 // Policy says what the shipper does when a consumer's in-flight window is
@@ -200,23 +228,49 @@ func (s *Shipper) acceptLoop() {
 	}
 }
 
+// Adopt hands the shipper a connection that was accepted elsewhere (the
+// lvmd daemon accepts every client on one listener and routes subscribe
+// frames here). The connection runs the normal hello/welcome handshake
+// and joins the broadcast set exactly as if it had arrived on the
+// shipper's own listener. Safe from any goroutine; a shipper that is
+// already closed just closes the connection.
+func (s *Shipper) Adopt(c net.Conn) {
+	s.mu.Lock()
+	select {
+	case <-s.closed:
+		s.mu.Unlock()
+		c.Close()
+		return
+	default:
+	}
+	s.wg.Add(1)
+	s.mu.Unlock()
+	go s.handshake(c)
+}
+
+// negotiateStart decides where shipping resumes for a replica that said
+// hello: from its last acked sequence when the log generation matches and
+// the claim is plausible, from zero (full resync) otherwise.
+func negotiateStart(h wire.Hello, curEpoch uint32, curSeq uint64) uint64 {
+	if h.Epoch != curEpoch || h.LastSeq > curSeq {
+		return 0
+	}
+	return h.LastSeq
+}
+
 // handshake runs the hello/welcome exchange on a fresh connection and
 // queues it for admission by the pump.
 func (s *Shipper) handshake(c net.Conn) {
 	defer s.wg.Done()
 	deadline := time.Now().Add(s.cfg.HandshakeTimeout)
 	_ = c.SetDeadline(deadline)
-	typ, payload, err := readFrame(c)
-	if err != nil || typ != typeHello {
+	m, err := wire.ReadMsg(c)
+	h, ok := m.(*wire.Hello)
+	if err != nil || !ok || h.SegSize != s.data.Size() {
 		c.Close()
 		return
 	}
-	h, err := decodeHello(payload)
-	if err != nil || h.segSize != s.data.Size() {
-		c.Close()
-		return
-	}
-	if h.epoch > s.epoch.Load() {
+	if h.Epoch > s.epoch.Load() {
 		// The consumer follows a later generation than ours, which means
 		// a promotion happened and we are the zombie ex-primary. Refuse
 		// the session: feeding it would roll the consumer back behind the
@@ -226,20 +280,20 @@ func (s *Shipper) handshake(c net.Conn) {
 		// dead socket and stops redialing a shipper that will never feed
 		// it.
 		s.Stats.FencedHellos.Add(1)
-		_, _ = c.Write(encodeFrame(typeWelcome, encodeWelcome(welcome{ //errgate:ok — refusal courtesy; the close below is the real act
-			startSeq: h.lastSeq,
-			epoch:    s.epoch.Load(),
-			segSize:  s.data.Size(),
-		})))
+		_, _ = c.Write(wire.Encode(&wire.Welcome{ //errgate:ok — refusal courtesy; the close below is the real act
+			StartSeq: h.LastSeq,
+			Epoch:    s.epoch.Load(),
+			SegSize:  s.data.Size(),
+		}))
 		c.Close()
 		return
 	}
-	start := negotiateStart(h, s.epoch.Load(), s.seq.Load())
+	start := negotiateStart(*h, s.epoch.Load(), s.seq.Load())
 	sc := &shipConn{
 		c:        c,
 		ch:       make(chan []byte, s.cfg.Window),
 		start:    start,
-		observer: h.flags&helloObserver != 0,
+		observer: h.Flags&wire.HelloObserver != 0,
 		stop:     make(chan struct{}),
 	}
 	sc.acked.Store(start)
@@ -260,17 +314,17 @@ func (s *Shipper) handshake(c net.Conn) {
 		sc.kill()
 		return
 	}
-	if _, err := c.Write(encodeFrame(typeWelcome, encodeWelcome(welcome{
-		startSeq: start,
-		epoch:    s.epoch.Load(),
-		segSize:  s.data.Size(),
-	}))); err != nil {
+	if _, err := c.Write(wire.Encode(&wire.Welcome{
+		StartSeq: start,
+		Epoch:    s.epoch.Load(),
+		SegSize:  s.data.Size(),
+	})); err != nil {
 		sc.kill()
 		return
 	}
 	_ = c.SetDeadline(time.Time{})
 	s.Stats.Joins.Add(1)
-	if h.lastSeq > 0 || h.epoch > 0 {
+	if h.LastSeq > 0 || h.Epoch > 0 {
 		s.Stats.Reconnects.Add(1)
 	}
 	s.wg.Add(2)
@@ -313,45 +367,31 @@ func (s *Shipper) connWriter(c *shipConn) {
 func (s *Shipper) connAcks(c *shipConn) {
 	defer s.wg.Done()
 	for {
-		typ, payload, err := readFrame(c.c)
+		m, err := wire.ReadMsg(c.c)
 		if err != nil {
 			c.kill()
 			s.ping()
 			return
 		}
-		if typ == typeBeatAck {
-			seq, err := decodeAck(payload)
-			if err != nil {
-				c.kill()
-				s.ping()
-				return
-			}
+		switch m := m.(type) {
+		case *wire.BeatAck:
 			if c.observer {
 				// CAS-max: acks from concurrent observers may race.
 				for {
 					cur := s.beatAck.Load()
-					if seq <= cur || s.beatAck.CompareAndSwap(cur, seq) {
+					if m.Seq <= cur || s.beatAck.CompareAndSwap(cur, m.Seq) {
 						break
 					}
 				}
 				s.Stats.BeatAcks.Add(1)
 			}
-			continue
-		}
-		if typ != typeAck {
-			continue
-		}
-		seq, err := decodeAck(payload)
-		if err != nil {
-			c.kill()
+		case *wire.Ack:
+			if m.Seq > c.acked.Load() {
+				c.acked.Store(m.Seq)
+			}
+			s.Stats.AcksReceived.Add(1)
 			s.ping()
-			return
 		}
-		if seq > c.acked.Load() {
-			c.acked.Store(seq)
-		}
-		s.Stats.AcksReceived.Add(1)
-		s.ping()
 	}
 }
 
@@ -410,11 +450,12 @@ func (s *Shipper) seal() {
 	if endSeq == s.sealedSeq && s.batchCount == 0 {
 		return
 	}
-	frame := encodeFrame(typeBatch, encodeBatch(batchHeader{
-		baseSeq: s.sealedSeq,
-		endSeq:  endSeq,
-		count:   uint32(s.batchCount),
-	}, s.batch))
+	frame := wire.Encode(&wire.Batch{
+		BaseSeq: s.sealedSeq,
+		EndSeq:  endSeq,
+		Count:   uint32(s.batchCount),
+		Records: s.batch,
+	})
 	s.Stats.BatchesShipped.Add(1)
 	s.Stats.RecordsShipped.Add(uint64(s.batchCount))
 	for _, c := range s.conns {
@@ -510,11 +551,12 @@ func (s *Shipper) catchUp(c *shipConn) error {
 	count := 0
 	flush := func() {
 		end := logBase + uint64(r.Offset())/logrec.Size
-		frame := encodeFrame(typeBatch, encodeBatch(batchHeader{
-			baseSeq: base,
-			endSeq:  end,
-			count:   uint32(count),
-		}, records))
+		frame := wire.Encode(&wire.Batch{
+			BaseSeq: base,
+			EndSeq:  end,
+			Count:   uint32(count),
+			Records: records,
+		})
 		s.Stats.BatchesShipped.Add(1)
 		s.Stats.CatchupRecords.Add(uint64(count))
 		s.offer(c, frame)
@@ -541,6 +583,34 @@ func (s *Shipper) catchUp(c *shipConn) error {
 	return nil
 }
 
+// physRange maps the logical sequence range [start, end) onto physical
+// byte offsets of the log segment, given the compaction base (the
+// logical sequence of physical byte 0) and the segment size. All
+// arithmetic is 64-bit: sequences grow without bound once the log is
+// compacted, so narrowing before the multiply (the old
+// uint32(seq)*logrec.Size) computes garbage offsets for seq >= 2^28.
+// Out-of-range inputs — a cursor below the base (those records were cut)
+// or beyond the log — are explicit errors, never a wrapped offset.
+func physRange(start, end, base uint64, logSize uint32) (lo, hi uint32, err error) {
+	if start < base {
+		return 0, 0, fmt.Errorf("logship: catch-up start seq %d predates compaction base %d", start, base)
+	}
+	if end < start {
+		return 0, 0, fmt.Errorf("logship: catch-up range [%d,%d) is inverted", start, end)
+	}
+	lo64 := (start - base) * logrec.Size
+	hi64 := (end - base) * logrec.Size
+	if hi64 > uint64(logSize) {
+		return 0, 0, fmt.Errorf("logship: catch-up range [%d,%d) ends %d bytes into a %d-byte log",
+			start, end, hi64, logSize)
+	}
+	return uint32(lo64), uint32(hi64), nil
+}
+
+// snapChunkBytes bounds one snapshot chunk, comfortably under
+// wire.MaxPayload.
+const snapChunkBytes = 64 * 1024
+
 // shipSnapshot streams the producer's current segment image to one
 // consumer in chunked snapshot frames. coverSeq is the sealed cursor:
 // the image reflects at least every record below it (it may also carry
@@ -559,11 +629,12 @@ func (s *Shipper) shipSnapshot(c *shipConn) {
 			n = size - off
 		}
 		s.data.ReadInto(off, buf[:n])
-		frame := encodeFrame(typeSnapshot, encodeSnapshot(snapHeader{
-			coverSeq: cover,
-			segSize:  size,
-			off:      off,
-		}, buf[:n]))
+		frame := wire.Encode(&wire.Snapshot{
+			CoverSeq: cover,
+			SegSize:  size,
+			Off:      off,
+			Data:     buf[:n],
+		})
 		s.offer(c, frame)
 		off += n
 	}
@@ -586,8 +657,8 @@ func (s *Shipper) shipSnapshot(c *shipConn) {
 // in its evidence, skewing the two deadlines apart. Call LeaseEvidence
 // first (lvmd.shard does) so a standby that subscribed to an idle
 // primary still hears renewals. Producer thread only.
-func (s *Shipper) Heartbeat(b Beat) error {
-	frame := encodeFrame(typeLease, encodeBeat(b))
+func (s *Shipper) Heartbeat(b wire.Beat) error {
+	frame := wire.Encode(&b)
 	for _, c := range s.conns {
 		if c.dead.Load() {
 			continue

@@ -2,6 +2,7 @@ package lvmd
 
 import (
 	"crypto/sha256"
+	"encoding/binary"
 	"errors"
 	"fmt"
 
@@ -12,6 +13,7 @@ import (
 	"lvm/internal/metrics"
 	"lvm/internal/ramdisk"
 	"lvm/internal/recovery"
+	"lvm/internal/wire"
 )
 
 // MarkerLimit is the marker-word area of every shard arena: stores below
@@ -45,6 +47,9 @@ const (
 	receivingBit = uint64(1) << 62
 	dirFlagMask  = movedBit | receivingBit
 )
+
+// maxSlotSize is the largest slot a read response can carry whole.
+var maxSlotSize = uint32(wire.MaxPayload - wire.Size(&wire.ReadResp{}))
 
 // CoreConfig sizes one shard's deterministic simulation.
 type CoreConfig struct {
@@ -88,6 +93,12 @@ func (c *CoreConfig) fill() error {
 	}
 	if c.SlotSize%4 != 0 {
 		return fmt.Errorf("lvmd: slot size %d is not word-aligned", c.SlotSize)
+	}
+	if c.SlotSize > maxSlotSize {
+		// A whole-slot read must fit one response frame; a larger slot
+		// would send a frame every client rejects, desynchronizing the
+		// connection.
+		return fmt.Errorf("lvmd: slot size %d exceeds %d, the most one read-response frame carries", c.SlotSize, maxSlotSize)
 	}
 	if c.LogPages == 0 {
 		c.LogPages = 1024
@@ -307,7 +318,7 @@ func NewCore(cfg CoreConfig, img []byte, seq uint32) (*ShardCore, error) {
 func (c *ShardCore) rebuildSlots(img []byte) {
 	for i := 0; i < c.cfg.Slots; i++ {
 		off := MarkerLimit + uint32(i)*dirEntryBytes
-		e := get64(img[off:])
+		e := binary.LittleEndian.Uint64(img[off:])
 		if e == 0 {
 			break // entries are allocated densely
 		}
@@ -581,9 +592,9 @@ func RecoverImage(cfg CoreConfig, tail *TailFile) ([]byte, RecoverInfo, error) {
 		Apply: func(r logcursor.Rec) {
 			switch r.Size {
 			case 4:
-				put32(img[r.Off:], r.Value)
+				binary.LittleEndian.PutUint32(img[r.Off:], r.Value)
 			case 2:
-				img[r.Off], img[r.Off+1] = byte(r.Value), byte(r.Value>>8)
+				binary.LittleEndian.PutUint16(img[r.Off:], uint16(r.Value))
 			default:
 				img[r.Off] = byte(r.Value)
 			}
@@ -606,7 +617,7 @@ func RecoverImage(cfg CoreConfig, tail *TailFile) ([]byte, RecoverInfo, error) {
 	info.RecoverResult = rr
 	// The transaction sequence resumes past both the image's marker word
 	// (the last marker the checkpoint captured) and the replayed tail.
-	info.Seq = get32(img) &^ recovery.MarkerCommit
+	info.Seq = binary.LittleEndian.Uint32(img) &^ recovery.MarkerCommit
 	if rr.LastSeq > info.Seq {
 		info.Seq = rr.LastSeq
 	}
@@ -617,7 +628,7 @@ func RecoverImage(cfg CoreConfig, tail *TailFile) ([]byte, RecoverInfo, error) {
 	// — with an empty tail and so no LastSeq to compensate — would report
 	// the stale sequence.
 	if info.Seq != 0 {
-		put32(img, info.Seq|recovery.MarkerCommit)
+		binary.LittleEndian.PutUint32(img, info.Seq|recovery.MarkerCommit)
 	}
 	return img, info, nil
 }

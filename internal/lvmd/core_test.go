@@ -3,6 +3,7 @@ package lvmd
 import (
 	"bytes"
 	"crypto/sha256"
+	"encoding/binary"
 	"fmt"
 	"path/filepath"
 	"testing"
@@ -100,7 +101,7 @@ func TestCoreCommitRestartRecover(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := get32(b); got != 8 { // last i with seg 1 was i=8
+	if got := binary.LittleEndian.Uint32(b); got != 8 { // last i with seg 1 was i=8
 		t.Fatalf("read back %d, want 8", got)
 	}
 }

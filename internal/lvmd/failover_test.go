@@ -1,6 +1,7 @@
 package lvmd
 
 import (
+	"encoding/binary"
 	"testing"
 	"time"
 
@@ -83,8 +84,8 @@ func TestPromoteFromRecoveredPrimary(t *testing.T) {
 			t.Fatalf("replica %d seeded without a snapshot: recovered state was never shipped", i)
 		}
 		img := r.Image()
-		seq := get32(img) &^ 0x80000000
-		put32(img, seq|0x80000000)
+		seq := binary.LittleEndian.Uint32(img) &^ 0x80000000
+		binary.LittleEndian.PutUint32(img, seq|0x80000000)
 		boot[i] = BootShard{Img: img, Seq: seq, Epoch: r.Epoch() + 1}
 	}
 	srv.Drain()

@@ -1,6 +1,7 @@
 package lvmd
 
 import (
+	"encoding/binary"
 	"errors"
 	"strings"
 	"testing"
@@ -8,6 +9,7 @@ import (
 
 	"lvm/internal/lease"
 	"lvm/internal/logship"
+	"lvm/internal/wire"
 )
 
 // TestShardLeaseDemotion: a shard whose lease clock jumps past the TTL
@@ -69,7 +71,7 @@ func TestShardLeaseDemotion(t *testing.T) {
 	if err != nil {
 		t.Fatalf("read on a demoted shard: %v", err)
 	}
-	if got := get32(b); got != 0xAA {
+	if got := binary.LittleEndian.Uint32(b); got != 0xAA {
 		t.Fatalf("demoted read = %#x, want the pre-demotion ack %#x", got, 0xAA)
 	}
 
@@ -136,7 +138,7 @@ func TestShardDemotesBeforeAckAfterPause(t *testing.T) {
 	if err != nil {
 		t.Fatalf("read on a demoted shard: %v", err)
 	}
-	if got := get32(b); got != 0xAA {
+	if got := binary.LittleEndian.Uint32(b); got != 0xAA {
 		t.Fatalf("demoted read = %#x, want the pre-demotion ack %#x", got, 0xAA)
 	}
 	srv.Drain()
@@ -215,16 +217,13 @@ func TestMovedChaseExhausted(t *testing.T) {
 		}
 		defer conn.Close()
 		for {
-			typ, p, err := logship.ReadFrame(conn)
-			if err != nil {
+			m, err := wire.ReadMsg(conn)
+			open, ok := m.(*wire.Open)
+			if err != nil || !ok {
 				return
 			}
-			if typ != logship.FrameOpen {
-				return
-			}
-			segID, _ := decodeOpen(p)
-			resp := encodeOpenResp(openResp{segID: segID, status: StatusMoved})
-			if _, err := conn.Write(logship.EncodeFrame(logship.FrameOpenResp, resp)); err != nil {
+			resp := &wire.OpenResp{SegID: open.SegID, Status: StatusMoved}
+			if _, err := conn.Write(wire.Encode(resp)); err != nil {
 				return
 			}
 		}

@@ -2,6 +2,7 @@ package lvmd
 
 import (
 	"bufio"
+	"encoding/binary"
 	"encoding/json"
 	"fmt"
 	"math/bits"
@@ -12,6 +13,7 @@ import (
 	"time"
 
 	"lvm/internal/logship"
+	"lvm/internal/wire"
 )
 
 // Client is one synchronous lvmd protocol client: one in-flight request
@@ -21,6 +23,7 @@ type Client struct {
 	conn net.Conn
 	r    *bufio.Reader
 	seq  uint64
+	buf  []byte // a commit's request frames, reused across commits
 }
 
 // DialClient connects and returns a protocol client.
@@ -34,18 +37,38 @@ func DialClient(dial logship.DialFunc) (*Client, error) {
 
 func (c *Client) Close() error { return c.conn.Close() }
 
-func (c *Client) call(typ byte, payload []byte, wantTyp byte) ([]byte, error) {
-	if _, err := c.conn.Write(logship.EncodeFrame(typ, payload)); err != nil {
-		return nil, err
+// SubscribeDialer wraps a client-port dialer into a replication dialer
+// for one shard: each connection opens with a subscribe frame, after
+// which the server hands the socket to that shard's shipper and the
+// logship handshake proceeds as usual. This is how a standby daemon
+// follows a primary — one subscribed replica per shard.
+func SubscribeDialer(dial logship.DialFunc, shard uint32) logship.DialFunc {
+	return func() (net.Conn, error) {
+		conn, err := dial()
+		if err != nil {
+			return nil, err
+		}
+		if _, err := conn.Write(wire.Encode(&wire.Subscribe{Shard: shard})); err != nil {
+			conn.Close()
+			return nil, err
+		}
+		return conn, nil
 	}
-	gotTyp, resp, err := logship.ReadFrame(c.r)
-	if err != nil {
-		return nil, err
+}
+
+// call writes a request's frames and reads the one response, which must
+// be a T.
+func call[T wire.Msg](c *Client, frames []byte) (T, error) {
+	var resp T
+	if _, err := c.conn.Write(frames); err != nil {
+		return resp, err
 	}
-	if gotTyp != wantTyp {
-		return nil, fmt.Errorf("lvmd: got frame %d, want %d", gotTyp, wantTyp)
+	m, err := wire.ReadMsg(c.r)
+	resp, ok := m.(T)
+	if err == nil && !ok {
+		err = fmt.Errorf("lvmd: got %T, want %T", m, resp)
 	}
-	return resp, nil
+	return resp, err
 }
 
 // movedRetries bounds how many times a client chases a migrating
@@ -103,24 +126,20 @@ func (ch *movedChase) again(seg uint64) error {
 func (c *Client) Open(segID uint64) (slotSize uint32, err error) {
 	var chase movedChase
 	for {
-		p, err := c.call(logship.FrameOpen, encodeOpen(segID), logship.FrameOpenResp)
+		resp, err := call[*wire.OpenResp](c, wire.Encode(&wire.Open{SegID: segID}))
 		if err != nil {
 			return 0, err
 		}
-		resp, err := decodeOpenResp(p)
-		if err != nil {
-			return 0, err
-		}
-		if resp.status == StatusMoved {
+		if resp.Status == StatusMoved {
 			if err := chase.again(segID); err != nil {
 				return 0, err
 			}
 			continue
 		}
-		if resp.status != StatusOK {
-			return 0, fmt.Errorf("lvmd: open segment %d: status %d", segID, resp.status)
+		if resp.Status != StatusOK {
+			return 0, fmt.Errorf("lvmd: open segment %d: status %d", segID, resp.Status)
 		}
-		return resp.slotSize, nil
+		return resp.SlotSize, nil
 	}
 }
 
@@ -135,78 +154,63 @@ func (c *Client) Commit(segID uint64, writes []Write) error {
 		if err != nil {
 			return err
 		}
-		if resp.status == StatusMoved {
+		if resp.Status == StatusMoved {
 			if err := chase.again(segID); err != nil {
 				return err
 			}
 			continue
 		}
-		if resp.status != StatusOK {
-			return fmt.Errorf("lvmd: commit segment %d: status %d", segID, resp.status)
+		if resp.Status != StatusOK {
+			return fmt.Errorf("lvmd: commit segment %d: status %d", segID, resp.Status)
 		}
-		if resp.clientSeq != c.seq {
-			return fmt.Errorf("lvmd: commit ack for seq %d, want %d", resp.clientSeq, c.seq)
+		if resp.ClientSeq != c.seq {
+			return fmt.Errorf("lvmd: commit ack for seq %d, want %d", resp.ClientSeq, c.seq)
 		}
 		return nil
 	}
 }
 
-func (c *Client) commitOnce(segID uint64, writes []Write) (commitResp, error) {
-	var buf []byte
+func (c *Client) commitOnce(segID uint64, writes []Write) (*wire.CommitResp, error) {
+	buf := c.buf[:0]
+	st := &wire.Store{SegID: segID}
 	for _, w := range writes {
-		buf = append(buf, logship.EncodeFrame(logship.FrameStore,
-			encodeStore(storeReq{segID: segID, off: w.Off, val: w.Val}))...)
+		st.Off, st.Val = w.Off, w.Val
+		buf = append(buf, wire.Encode(st)...)
 	}
 	c.seq++
-	buf = append(buf, logship.EncodeFrame(logship.FrameCommit,
-		encodeCommit(commitReq{segID: segID, clientSeq: c.seq}))...)
-	if _, err := c.conn.Write(buf); err != nil {
-		return commitResp{}, err
-	}
-	typ, p, err := logship.ReadFrame(c.r)
-	if err != nil {
-		return commitResp{}, err
-	}
-	if typ != logship.FrameCommitResp {
-		return commitResp{}, fmt.Errorf("lvmd: got frame %d, want commit response", typ)
-	}
-	return decodeCommitResp(p)
+	c.buf = append(buf, wire.Encode(&wire.Commit{SegID: segID, ClientSeq: c.seq})...)
+	return call[*wire.CommitResp](c, c.buf)
 }
 
 // Read returns committed segment bytes.
 func (c *Client) Read(segID uint64, off, n uint32) ([]byte, error) {
 	var chase movedChase
 	for {
-		p, err := c.call(logship.FrameRead, encodeRead(readReq{segID: segID, off: off, n: n}),
-			logship.FrameReadResp)
+		resp, err := call[*wire.ReadResp](c, wire.Encode(&wire.Read{SegID: segID, Off: off, N: n}))
 		if err != nil {
 			return nil, err
 		}
-		resp, err := decodeReadResp(p)
-		if err != nil {
-			return nil, err
-		}
-		if resp.status == StatusMoved {
+		if resp.Status == StatusMoved {
 			if err := chase.again(segID); err != nil {
 				return nil, err
 			}
 			continue
 		}
-		if resp.status != StatusOK {
-			return nil, fmt.Errorf("lvmd: read segment %d: status %d", segID, resp.status)
+		if resp.Status != StatusOK {
+			return nil, fmt.Errorf("lvmd: read segment %d: status %d", segID, resp.Status)
 		}
-		return resp.data, nil
+		return resp.Data, nil
 	}
 }
 
 // Stats fetches the daemon's host counters.
 func (c *Client) Stats() (HostStats, error) {
 	var hs HostStats
-	p, err := c.call(logship.FrameStats, nil, logship.FrameStatsResp)
+	resp, err := call[*wire.StatsResp](c, wire.Encode(&wire.Stats{}))
 	if err != nil {
 		return hs, err
 	}
-	err = json.Unmarshal(p, &hs)
+	err = json.Unmarshal(resp.JSON, &hs)
 	return hs, err
 }
 
@@ -402,7 +406,7 @@ func RunLoad(cfg LoadConfig) (LoadResult, *Model, error) {
 						deaths.Add(1)
 						return
 					}
-					if want != nil && want.HasAck && !modelAccepts(want, get32(b)) {
+					if want != nil && want.HasAck && !modelAccepts(want, binary.LittleEndian.Uint32(b)) {
 						readErrs.Add(1)
 					}
 					continue
@@ -519,7 +523,7 @@ func VerifyModel(dial logship.DialFunc, m *Model) (checked int, mismatches []str
 			return checked, mismatches, fmt.Errorf("read %d/%d: %w", e.Seg, e.Off, err)
 		}
 		checked++
-		if got := get32(b); !modelAccepts(e, got) {
+		if got := binary.LittleEndian.Uint32(b); !modelAccepts(e, got) {
 			mismatches = append(mismatches, fmt.Sprintf(
 				"seg %d off %d: got %#x, want acked %#x (in-doubt %v)",
 				e.Seg, e.Off, got, e.Acked, e.InDoubt))

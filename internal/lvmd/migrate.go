@@ -1,6 +1,7 @@
 package lvmd
 
 import (
+	"encoding/binary"
 	"fmt"
 	"sort"
 	"time"
@@ -117,7 +118,7 @@ func (c *ShardCore) ImportImage(segID uint64, img []byte) error {
 	c.writeDirEntry(slot, segID|receivingBit)
 	va := c.base + core.Addr(c.SlotOff(slot))
 	for off := uint32(0); off < c.cfg.SlotSize; off += 4 {
-		c.P.Store32(va+core.Addr(off), get32(img[off:]))
+		c.P.Store32(va+core.Addr(off), binary.LittleEndian.Uint32(img[off:]))
 	}
 	c.P.Store32(c.base, c.seq|recovery.MarkerCommit) // commit
 	c.slots[segID] = slot

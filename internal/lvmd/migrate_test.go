@@ -1,6 +1,7 @@
 package lvmd
 
 import (
+	"encoding/binary"
 	"strings"
 	"testing"
 	"time"
@@ -136,7 +137,7 @@ func TestMigrateRestartPreservesRoute(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	words := []uint32{get32(b), get32(b[4:]), get32(b[8:])}
+	words := []uint32{binary.LittleEndian.Uint32(b), binary.LittleEndian.Uint32(b[4:]), binary.LittleEndian.Uint32(b[8:])}
 	want := []uint32{0x11110000, 0x33330000, 0x22220000}
 	for i := range want {
 		if words[i] != want[i] {
@@ -189,7 +190,7 @@ func TestMigrateRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := get32(b); got != 0xAB {
+	if got := binary.LittleEndian.Uint32(b); got != 0xAB {
 		t.Fatalf("word after round trip = %#x, want 0xAB", got)
 	}
 	c.Close()

@@ -2,6 +2,7 @@ package lvmd
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"math/rand"
@@ -225,7 +226,7 @@ func TestRestartOracle(t *testing.T) {
 // and the resolved sequence.
 func refReplay(base, body []byte, start int) ([]byte, int, uint32) {
 	img := append([]byte(nil), base...)
-	seq := get32(img) &^ recovery.MarkerCommit
+	seq := binary.LittleEndian.Uint32(img) &^ recovery.MarkerCommit
 	var pending []logrec.Record
 	n := len(body) / logrec.Size
 	stop := n
@@ -253,7 +254,7 @@ func refReplay(base, body []byte, start int) ([]byte, int, uint32) {
 		pending = pending[:0]
 	}
 	if seq != 0 {
-		put32(img, seq|recovery.MarkerCommit)
+		binary.LittleEndian.PutUint32(img, seq|recovery.MarkerCommit)
 	}
 	return img, stop, seq
 }
@@ -309,9 +310,7 @@ func tailBody(t testing.TB, cfg CoreConfig) []byte {
 // openTailBytes writes a tail file holding exactly body and opens it.
 func openTailBytes(t testing.TB, path string, body []byte) *TailFile {
 	t.Helper()
-	var hdr [tailHdrSize]byte
-	put32(hdr[:], tailMagic)
-	put32(hdr[4:], tailVersion)
+	hdr := tailHeader(0)
 	if err := os.WriteFile(path, append(hdr[:], body...), 0o644); err != nil {
 		t.Fatal(err)
 	}
@@ -418,7 +417,7 @@ func FuzzRecoverImageTail(f *testing.F) {
 	}
 	mid := len(body) / 2 / logrec.Size * logrec.Size
 	marker := mid
-	for get32(body[marker:]) >= MarkerLimit {
+	for binary.LittleEndian.Uint32(body[marker:]) >= MarkerLimit {
 		marker += logrec.Size
 	}
 	torn, subMarker, badSize := body[:len(body)-5], mutate(marker, 2), mutate(mid, 3)
@@ -538,7 +537,7 @@ func TestRecoverImageCrossesChunks(t *testing.T) {
 		t.Fatal("the long transaction does not straddle the first refill")
 	}
 	bad := (start + 3*tailChunk + tailChunk/2) / logrec.Size
-	for get32(body[bad*logrec.Size:]) < MarkerLimit {
+	for binary.LittleEndian.Uint32(body[bad*logrec.Size:]) < MarkerLimit {
 		bad++ // damage a store, inside a transaction
 	}
 	damaged := append([]byte(nil), body...)

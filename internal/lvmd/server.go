@@ -1,3 +1,20 @@
+// Package lvmd is the multi-tenant logged-memory server: a long-running
+// daemon hosting many independent logged segments across shard groups.
+// Each shard is one deterministic simulated System — an arena segment
+// carved into tenant slots, logged into one hardware log — owned by a
+// single-writer goroutine, with one compact.Manager (checkpointed
+// compaction to a file-backed device) and one logship.Shipper
+// (replication subscribers) per shard. Segment IDs hash to shards;
+// client transactions apply behind the recovery marker protocol, so a
+// restart is a per-shard byte replay of the tail mirror over the last
+// checkpoint image (RecoverImage) and an acknowledged commit is durable
+// across SIGKILL.
+//
+// The client protocol shares the replication CRC framing; its frame
+// types (16–25) and payload layouts live in internal/wire. A session
+// opens segments, buffers stores, and commits them as one transaction;
+// reads return committed bytes; a subscribe frame hands the connection
+// to one shard's shipper; stats returns a JSON metrics snapshot.
 package lvmd
 
 import (
@@ -15,6 +32,18 @@ import (
 
 	"lvm/internal/logship"
 	"lvm/internal/metrics"
+	"lvm/internal/wire"
+)
+
+// Status codes carried by OpenResp/CommitResp/ReadResp.
+const (
+	StatusOK       = byte(0)
+	StatusNoSlot   = byte(1) // shard's slot directory is full
+	StatusBad      = byte(2) // malformed or out-of-range request
+	StatusDraining = byte(3) // server is shutting down
+	StatusUnknown  = byte(4) // segment was never opened on this connection
+	StatusMoved    = byte(5) // segment migrated (or is mid-cutover): re-resolve and retry
+	StatusDemoted  = byte(6) // serving lease lost: writes refused until the host restarts as primary
 )
 
 // ServerConfig tunes the daemon.
@@ -395,15 +424,16 @@ func (s *Server) session(conn net.Conn) {
 	// sits behind the idle deadline so a half-open or silent client is
 	// reaped instead of pinning this goroutine forever.
 	_ = conn.SetReadDeadline(time.Now().Add(s.cfg.IdleTimeout)) //errgate:ok — a conn that can't set deadlines fails the read instead
-	typ, payload, err := logship.ReadFrame(conn)
+	typ, payload, err := wire.ReadFrame(conn)
 	if err != nil {
 		s.noteIdle(err)
 		conn.Close()
 		return
 	}
-	if typ == logship.FrameSubscribe {
-		shardID, err := decodeSubscribe(payload)
-		if err != nil || shardID >= uint32(len(s.shards)) || s.draining.Load() {
+	if typ == wire.TypeSubscribe {
+		m, err := wire.Decode(typ, payload)
+		sub, _ := m.(*wire.Subscribe)
+		if err != nil || sub.Shard >= uint32(len(s.shards)) || s.draining.Load() {
 			s.badFrames.Add(1)
 			conn.Close()
 			return
@@ -413,7 +443,7 @@ func (s *Server) session(conn net.Conn) {
 		_ = conn.SetReadDeadline(time.Time{}) //errgate:ok — the shipper re-arms its own deadline
 		s.subscribers.Add(1)
 		s.untrack(conn) // the shipper owns (and will close) it now
-		s.shards[shardID].Adopt(conn)
+		s.shards[sub.Shard].Adopt(conn)
 		return
 	}
 
@@ -439,8 +469,7 @@ func (s *Server) session(conn net.Conn) {
 			}
 		}
 	}()
-	send := func(typ byte, payload []byte) {
-		frame := logship.EncodeFrame(typ, payload)
+	send := func(frame []byte) {
 		if s.cfg.Policy == logship.PolicyDrop {
 			select {
 			case out <- frame:
@@ -470,7 +499,7 @@ func (s *Server) session(conn net.Conn) {
 			break
 		}
 		_ = conn.SetReadDeadline(time.Now().Add(s.cfg.IdleTimeout)) //errgate:ok — a conn that can't set deadlines fails the read instead
-		typ, payload, err = logship.ReadFrame(r)
+		typ, payload, err = wire.ReadFrame(r)
 		if err != nil {
 			s.noteIdle(err)
 			break
@@ -498,72 +527,56 @@ func (s *Server) stall() time.Duration {
 }
 
 func (s *Server) handleFrame(conn net.Conn, typ byte, payload []byte,
-	pending map[uint64][]Write, send func(byte, []byte)) error {
+	pending map[uint64][]Write, send func([]byte)) error {
+	m, err := wire.Decode(typ, payload)
+	if err != nil {
+		s.badFrames.Add(1)
+		return err
+	}
 	draining := s.draining.Load()
-	switch typ {
-	case logship.FrameOpen:
-		segID, err := decodeOpen(payload)
-		if err != nil {
-			s.badFrames.Add(1)
-			return err
-		}
+	switch m := m.(type) {
+	case *wire.Open:
 		if draining {
 			s.refused.Add(1)
-			send(logship.FrameOpenResp, encodeOpenResp(openResp{segID: segID, status: StatusDraining}))
+			send(wire.Encode(&wire.OpenResp{SegID: m.SegID, Status: StatusDraining}))
 			return nil
 		}
-		sh := s.route(segID)
-		if !sh.submit(shardOp{kind: opOpen, segID: segID, t0: time.Now(), reply: send}, s.stall()) {
+		sh := s.route(m.SegID)
+		if !sh.submit(shardOp{kind: opOpen, segID: m.SegID, t0: time.Now(), reply: send}, s.stall()) {
 			return s.overloaded(conn)
 		}
-	case logship.FrameStore:
-		st, err := decodeStore(payload)
-		if err != nil {
-			s.badFrames.Add(1)
-			return err
-		}
-		buf := pending[st.segID]
+	case *wire.Store:
+		buf := pending[m.SegID]
 		if len(buf) >= s.cfg.MaxTxnStores {
 			s.badFrames.Add(1)
 			return fmt.Errorf("lvmd: transaction exceeds %d stores", s.cfg.MaxTxnStores)
 		}
-		pending[st.segID] = append(buf, Write{Off: st.off, Val: st.val})
-	case logship.FrameCommit:
-		cr, err := decodeCommit(payload)
-		if err != nil {
-			s.badFrames.Add(1)
-			return err
-		}
-		writes := pending[cr.segID]
-		delete(pending, cr.segID)
+		pending[m.SegID] = append(buf, Write{Off: m.Off, Val: m.Val})
+	case *wire.Commit:
+		writes := pending[m.SegID]
+		delete(pending, m.SegID)
 		if draining {
 			s.refused.Add(1)
-			send(logship.FrameCommitResp, encodeCommitResp(commitResp{
-				segID: cr.segID, clientSeq: cr.clientSeq, status: StatusDraining}))
+			send(wire.Encode(&wire.CommitResp{SegID: m.SegID, ClientSeq: m.ClientSeq, Status: StatusDraining}))
 			return nil
 		}
-		sh := s.route(cr.segID)
-		if !sh.submit(shardOp{kind: opCommit, segID: cr.segID, writes: writes,
-			clientSeq: cr.clientSeq, t0: time.Now(), reply: send}, s.stall()) {
+		sh := s.route(m.SegID)
+		if !sh.submit(shardOp{kind: opCommit, segID: m.SegID, writes: writes,
+			clientSeq: m.ClientSeq, t0: time.Now(), reply: send}, s.stall()) {
 			return s.overloaded(conn)
 		}
-	case logship.FrameRead:
-		rr, err := decodeRead(payload)
-		if err != nil {
-			s.badFrames.Add(1)
-			return err
-		}
-		sh := s.route(rr.segID)
-		if !sh.submit(shardOp{kind: opRead, segID: rr.segID, off: rr.off, n: rr.n,
+	case *wire.Read:
+		sh := s.route(m.SegID)
+		if !sh.submit(shardOp{kind: opRead, segID: m.SegID, off: m.Off, n: m.N,
 			t0: time.Now(), reply: send}, s.stall()) {
 			return s.overloaded(conn)
 		}
-	case logship.FrameStats:
+	case *wire.Stats:
 		b, err := json.Marshal(s.Stats())
 		if err != nil {
 			return err
 		}
-		send(logship.FrameStatsResp, b)
+		send(wire.Encode(&wire.StatsResp{JSON: b}))
 	default:
 		s.badFrames.Add(1)
 		return fmt.Errorf("lvmd: unexpected frame type %d", typ)

@@ -1,7 +1,6 @@
 package lvmd
 
 import (
-	"net"
 	"os"
 	"path/filepath"
 	"strings"
@@ -106,21 +105,11 @@ func TestServerSubscriber(t *testing.T) {
 	dir := t.TempDir()
 	srv, dial := testServer(t, dir, 2)
 
-	// A subscriber dials the client port and speaks FrameSubscribe first;
+	// A subscriber dials the client port and sends a subscribe frame first;
 	// the daemon hands the raw connection to the shard's shipper and the
 	// logship protocol takes over.
 	shardID := uint32(0)
-	subDial := func() (net.Conn, error) {
-		conn, err := dial()
-		if err != nil {
-			return nil, err
-		}
-		if _, err := conn.Write(logship.EncodeFrame(logship.FrameSubscribe, encodeSubscribe(shardID))); err != nil {
-			conn.Close()
-			return nil, err
-		}
-		return conn, nil
-	}
+	subDial := SubscribeDialer(dial, shardID)
 	arenaSize, err := CoreConfig{Slots: 32, SlotSize: 1024, LogPages: 64}.ArenaSize()
 	if err != nil {
 		t.Fatal(err)
@@ -260,5 +249,45 @@ func TestBootFailureLeavesNothingRunning(t *testing.T) {
 	}
 	if srv, err := NewServer(cfg); err == nil || srv != nil {
 		t.Fatalf("NewServer = %v, %v on the same files", srv, err)
+	}
+}
+
+// TestSlotSizeFitsOneFrame: a slot too large for one read-response frame
+// is refused at boot — serving it would send a whole-slot read over the
+// frame cap, which the client rejects and which desynchronizes the
+// connection for every later frame. The largest accepted slot reads back
+// whole, twice on one connection.
+func TestSlotSizeFitsOneFrame(t *testing.T) {
+	cfg := func(slot uint32) ServerConfig {
+		return ServerConfig{Dir: t.TempDir(), Shards: 1,
+			Shard: ShardConfig{Core: CoreConfig{Slots: 1, SlotSize: slot, LogPages: 16}}}
+	}
+	if srv, err := NewServer(cfg(2 << 20)); err == nil {
+		srv.Drain()
+		t.Fatal("NewServer accepted a 2 MiB slot")
+	}
+	if srv, err := NewServer(cfg(maxSlotSize + 4)); err == nil {
+		srv.Drain()
+		t.Fatalf("NewServer accepted a %d-byte slot", maxSlotSize+4)
+	}
+	srv, err := NewServer(cfg(maxSlotSize))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Drain()
+	ln, dial := logship.NewMemTransport()
+	srv.Serve(ln)
+	cl, err := DialClient(dial)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cl.Close()
+	if _, err := cl.Open(1); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 2; i++ {
+		if b, err := cl.Read(1, 0, maxSlotSize); err != nil || len(b) != int(maxSlotSize) {
+			t.Fatalf("whole-slot read %d: %d bytes, err %v", i, len(b), err)
+		}
 	}
 }

@@ -9,6 +9,7 @@ import (
 	"lvm/internal/lease"
 	"lvm/internal/logship"
 	"lvm/internal/metrics"
+	"lvm/internal/wire"
 )
 
 // opKind discriminates shard queue entries.
@@ -24,7 +25,7 @@ const (
 )
 
 // shardOp is one client request routed to a shard's single-writer
-// goroutine. reply delivers the response frame; it must not block
+// goroutine. reply delivers the encoded response frame; it must not block
 // indefinitely (sessions enqueue with their own backpressure policy).
 type shardOp struct {
 	kind      opKind
@@ -33,7 +34,7 @@ type shardOp struct {
 	clientSeq uint64
 	off, n    uint32
 	t0        time.Time
-	reply     func(typ byte, payload []byte)
+	reply     func(frame []byte)
 	// fn is the opFunc body; it reports whether it mutated the core (so
 	// the batch fence runs before its reply).
 	fn func(c *ShardCore) bool
@@ -246,15 +247,14 @@ func (s *Shard) run() {
 
 // staged is a response held back until the batch's durability fence.
 type staged struct {
-	typ     byte
-	payload []byte
-	t0      time.Time
-	commit  bool
+	frame  []byte
+	t0     time.Time
+	commit bool
 	// mut marks a successful mutation ack (open or commit). If the lease
 	// is found lost after the fence, these replies are suppressed — the
 	// client sees an in-doubt request, never an ack from a fenced zombie.
 	mut   bool
-	reply func(byte, []byte)
+	reply func([]byte)
 }
 
 func (s *Shard) process(batch []shardOp) {
@@ -285,42 +285,42 @@ func (s *Shard) process(batch []shardOp) {
 		switch op.kind {
 		case opOpen:
 			slot, _, err := c.Open(op.segID)
-			resp := openResp{
-				segID:     op.segID,
-				slotSize:  c.SlotSize(),
-				arenaSize: c.Arena.Size(),
-				shard:     byte(s.ID),
+			resp := wire.OpenResp{
+				SegID:     op.segID,
+				SlotSize:  c.SlotSize(),
+				ArenaSize: c.Arena.Size(),
+				Shard:     byte(s.ID),
 			}
 			switch {
 			case err == ErrNoSlot:
-				resp.status = StatusNoSlot
+				resp.Status = StatusNoSlot
 			case err == ErrMoved:
-				resp.status = StatusMoved
+				resp.Status = StatusMoved
 			case err != nil:
-				resp.status = StatusBad
+				resp.Status = StatusBad
 			default:
-				resp.slotOff = c.SlotOff(slot)
+				resp.SlotOff = c.SlotOff(slot)
 				mutated = true
 			}
-			out = append(out, staged{typ: logship.FrameOpenResp, payload: encodeOpenResp(resp),
-				t0: op.t0, mut: resp.status == StatusOK, reply: op.reply})
+			out = append(out, staged{frame: wire.Encode(&resp),
+				t0: op.t0, mut: resp.Status == StatusOK, reply: op.reply})
 		case opCommit:
 			seq, err := c.Commit(op.segID, op.writes)
-			resp := commitResp{segID: op.segID, clientSeq: op.clientSeq, shardSeq: seq}
+			resp := wire.CommitResp{SegID: op.segID, ClientSeq: op.clientSeq, ShardSeq: seq}
 			switch {
 			case err == ErrMoved:
-				resp.status = StatusMoved
+				resp.Status = StatusMoved
 			case err != nil:
 				if _, known := c.Lookup(op.segID); !known {
-					resp.status = StatusUnknown
+					resp.Status = StatusUnknown
 				} else {
-					resp.status = StatusBad
+					resp.Status = StatusBad
 				}
 			default:
 				mutated = true
 			}
-			out = append(out, staged{typ: logship.FrameCommitResp, payload: encodeCommitResp(resp),
-				t0: op.t0, commit: resp.status == StatusOK, mut: resp.status == StatusOK,
+			out = append(out, staged{frame: wire.Encode(&resp),
+				t0: op.t0, commit: resp.Status == StatusOK, mut: resp.Status == StatusOK,
 				reply: op.reply})
 		case opRead:
 			out = append(out, staged{t0: op.t0, reply: op.reply})
@@ -359,25 +359,22 @@ func (s *Shard) process(batch []shardOp) {
 	// Reads run after the fence: a client that commits then reads (even
 	// on another connection) sees its acked writes.
 	for bi, op := range batch {
-		if op.kind != opRead || out[bi].typ != 0 {
+		if op.kind != opRead || out[bi].frame != nil {
 			continue
 		}
 		data, err := c.Read(op.segID, op.off, op.n)
-		resp := readResp{segID: op.segID, off: op.off, data: data}
+		resp := wire.ReadResp{SegID: op.segID, Off: op.off, Data: data}
 		switch {
 		case err == ErrMoved:
-			resp.status = StatusMoved
-			resp.data = nil
+			resp.Status = StatusMoved
 		case err != nil:
 			if _, known := c.Lookup(op.segID); !known {
-				resp.status = StatusUnknown
+				resp.Status = StatusUnknown
 			} else {
-				resp.status = StatusBad
+				resp.Status = StatusBad
 			}
-			resp.data = nil
 		}
-		out[bi] = staged{typ: logship.FrameReadResp,
-			payload: encodeReadResp(resp), t0: op.t0, reply: op.reply}
+		out[bi] = staged{frame: wire.Encode(&resp), t0: op.t0, reply: op.reply}
 	}
 	for _, r := range out {
 		if r.reply == nil {
@@ -391,7 +388,7 @@ func (s *Shard) process(batch []shardOp) {
 		if r.commit {
 			c.sh.Observe(metrics.HistLvmdCommitAck, uint64(time.Since(r.t0).Nanoseconds()))
 		}
-		r.reply(r.typ, r.payload)
+		r.reply(r.frame)
 	}
 	// A refused compaction costs log headroom, not correctness; the next
 	// batch retries. A full log that then loses records fails SyncBatch.
@@ -429,19 +426,18 @@ func (s *Shard) Demoted() bool { return s.demoted.Load() }
 
 // refuse stages an error response matching the op's expected frame type.
 func (s *Shard) refuse(op shardOp, status byte) staged {
+	var resp wire.Msg
 	switch op.kind {
 	case opOpen:
-		return staged{typ: logship.FrameOpenResp, t0: op.t0, reply: op.reply,
-			payload: encodeOpenResp(openResp{segID: op.segID, status: status, shard: byte(s.ID)})}
+		resp = &wire.OpenResp{SegID: op.segID, Status: status, Shard: byte(s.ID)}
 	case opCommit:
-		return staged{typ: logship.FrameCommitResp, t0: op.t0, reply: op.reply,
-			payload: encodeCommitResp(commitResp{segID: op.segID, clientSeq: op.clientSeq, status: status})}
+		resp = &wire.CommitResp{SegID: op.segID, ClientSeq: op.clientSeq, Status: status}
 	case opFunc:
 		return staged{t0: op.t0, reply: op.reply}
 	default:
-		return staged{typ: logship.FrameReadResp, t0: op.t0, reply: op.reply,
-			payload: encodeReadResp(readResp{segID: op.segID, off: op.off, status: status})}
+		resp = &wire.ReadResp{SegID: op.segID, Off: op.off, Status: status}
 	}
+	return staged{frame: wire.Encode(resp), t0: op.t0, reply: op.reply}
 }
 
 // fail marks the shard broken: the durability fence failed, so none of
@@ -506,7 +502,7 @@ func (s *Shard) Exec(fn func(c *ShardCore) bool, stall time.Duration) (bool, err
 		kind:  opFunc,
 		t0:    time.Now(),
 		fn:    func(c *ShardCore) bool { ran = true; return fn(c) },
-		reply: func(byte, []byte) { close(done) },
+		reply: func([]byte) { close(done) },
 	}
 	if !s.submit(op, stall) {
 		return false, fmt.Errorf("lvmd: shard %d queue full", s.ID)

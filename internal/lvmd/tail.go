@@ -1,6 +1,7 @@
 package lvmd
 
 import (
+	"encoding/binary"
 	"fmt"
 	"io"
 	"os"
@@ -65,21 +66,26 @@ func OpenTail(path string) (*TailFile, error) {
 		f.Close()
 		return nil, fmt.Errorf("lvmd: tail header read: %w", err)
 	}
-	if get32(hdr[:]) != tailMagic || get32(hdr[4:]) != tailVersion {
+	t.cutBase = binary.LittleEndian.Uint64(hdr[8:])
+	if hdr != tailHeader(t.cutBase) { // magic or version differs
 		f.Close()
 		return nil, fmt.Errorf("lvmd: tail file %s: bad header", path)
 	}
-	t.cutBase = get64(hdr[8:])
 	body := uint64(st.Size()) - tailHdrSize
 	t.size = body - body%logrec.Size // ignore a torn final record
 	return t, nil
 }
 
+// tailHeader is the file preamble: magic(4) version(4) cutBase(8).
+func tailHeader(cutBase uint64) (hdr [tailHdrSize]byte) {
+	binary.LittleEndian.PutUint32(hdr[:], tailMagic)
+	binary.LittleEndian.PutUint32(hdr[4:], tailVersion)
+	binary.LittleEndian.PutUint64(hdr[8:], cutBase)
+	return hdr
+}
+
 func (t *TailFile) writeHeader(cutBase uint64) error {
-	var hdr [tailHdrSize]byte
-	put32(hdr[:], tailMagic)
-	put32(hdr[4:], tailVersion)
-	put64(hdr[8:], cutBase)
+	hdr := tailHeader(cutBase)
 	if _, err := t.f.WriteAt(hdr[:], 0); err != nil {
 		return fmt.Errorf("lvmd: tail header write: %w", err)
 	}
@@ -156,10 +162,7 @@ func (t *TailFile) rewrite(cutBase uint64, body []byte) error {
 		os.Remove(tmpPath)
 		return fmt.Errorf("lvmd: tail rewrite %s: %w", what, err)
 	}
-	var hdr [tailHdrSize]byte
-	put32(hdr[:], tailMagic)
-	put32(hdr[4:], tailVersion)
-	put64(hdr[8:], cutBase)
+	hdr := tailHeader(cutBase)
 	if _, err := tmp.WriteAt(hdr[:], 0); err != nil {
 		return fail("header", err)
 	}

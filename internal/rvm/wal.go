@@ -58,19 +58,19 @@ func (w *WAL) AppendCommit(cpu *machine.CPU, seq uint32, ranges []WALRange) erro
 		size += 8 + len(r.Data)
 	}
 	buf := make([]byte, 0, size)
-	buf = le32(buf, walMagic)
-	buf = le32(buf, seq)
-	buf = le32(buf, uint32(len(ranges)))
+	buf = binary.LittleEndian.AppendUint32(buf, walMagic)
+	buf = binary.LittleEndian.AppendUint32(buf, seq)
+	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(ranges)))
 	for _, r := range ranges {
-		buf = le32(buf, r.Off)
-		buf = le32(buf, uint32(len(r.Data)))
+		buf = binary.LittleEndian.AppendUint32(buf, r.Off)
+		buf = binary.LittleEndian.AppendUint32(buf, uint32(len(r.Data)))
 		buf = append(buf, r.Data...)
 	}
 	if err := w.disk.TryWriteAt(cpu, w.base+w.tail, buf); err != nil {
 		return fmt.Errorf("rvm: wal append: %w", err)
 	}
 	var seal []byte
-	seal = le32(seal, walMagic)
+	seal = binary.LittleEndian.AppendUint32(seal, walMagic)
 	if err := w.disk.TryWriteAt(cpu, w.base+w.tail+uint64(len(buf)), seal); err != nil {
 		return fmt.Errorf("rvm: wal seal: %w", err)
 	}
@@ -155,8 +155,4 @@ func (w *WAL) Reset(cpu *machine.CPU) error {
 	}
 	w.tail = 0
 	return nil
-}
-
-func le32(b []byte, v uint32) []byte {
-	return append(b, byte(v), byte(v>>8), byte(v>>16), byte(v>>24))
 }
