@@ -286,9 +286,10 @@ func (in *Injector) Report() *Report { return &in.report }
 // being killed again.
 func (in *Injector) SetRecoveryMode(on bool) { in.recovery = on }
 
-// Arm installs the plan's hooks: the machine cycle watch, the hardware
-// logger's DMA hook and fault/overload handler wraps, and the ramdisk
-// failure hook. ls/data/markerLimit describe the logged segment pair
+// Arm installs the plan's hooks: the machine cycle watch, the logger's
+// DMA hook (either logger), the bus logger's fault/overload handler wraps
+// (the on-chip logger has neither, Section 4.6), and the ramdisk failure
+// hook. ls/data/markerLimit describe the logged segment pair
 // under test (both may be nil for disk-only plans). Arm charges no
 // cycles and, for triggers the plan leaves at zero, installs nothing.
 func (in *Injector) Arm(sys *core.System, disk *ramdisk.Disk, ls, data *core.Segment, markerLimit uint32) {
@@ -304,12 +305,12 @@ func (in *Injector) Arm(sys *core.System, disk *ramdisk.Disk, ls, data *core.Seg
 			in.crash("cycle-watch", c.Now)
 		})
 	}
+	if c := sys.K.LogCore(); c != nil && (in.plan.DropEveryN > 0 || in.plan.CorruptEveryN > 0) {
+		c.DMAHook = in.dmaHook
+	}
 	if log := sys.K.Log; log != nil {
 		if in.plan.OverloadThreshold > 0 {
 			log.Threshold = in.plan.OverloadThreshold
-		}
-		if in.plan.DropEveryN > 0 || in.plan.CorruptEveryN > 0 {
-			log.DMAHook = in.dmaHook
 		}
 		if in.plan.CrashAtFault > 0 {
 			in.savedFault = log.OnFault
@@ -350,8 +351,10 @@ func (in *Injector) Disarm() {
 		return
 	}
 	in.sys.Machine().SetCycleWatch(0, nil)
+	if c := in.sys.K.LogCore(); c != nil {
+		c.DMAHook = nil
+	}
 	if log := in.sys.K.Log; log != nil {
-		log.DMAHook = nil
 		if in.savedFault != nil {
 			log.OnFault = in.savedFault
 			in.savedFault = nil
@@ -366,8 +369,8 @@ func (in *Injector) Disarm() {
 	}
 }
 
-// dmaHook implements drop/corrupt injection on the hardware logger's
-// record DMA path.
+// dmaHook implements drop/corrupt injection on the logger's record DMA
+// path (either logger: the hook lives in the shared logcore.Core).
 func (in *Injector) dmaHook(rec *logrec.Record, dst phys.Addr) (drop bool) {
 	in.records++
 	in.report.RecordsSeen++
@@ -407,9 +410,10 @@ func (in *Injector) recordDamage(kind DamageKind, orig, now logrec.Record, dst p
 	return d
 }
 
-// resolveTarget maps a record's address to its data-segment range.
+// resolveTarget maps a record's address (physical, or virtual on chip) to
+// its data-segment range.
 func (in *Injector) resolveTarget(rec logrec.Record) (off, size uint32, marker bool) {
-	seg, segOff, ok := in.sys.K.ReverseTranslate(rec.Addr)
+	seg, segOff, ok := in.sys.K.ResolveLogAddr(in.ls, rec.Addr)
 	if !ok || seg != in.data {
 		return noOff, 0, false
 	}
@@ -464,8 +468,8 @@ func (in *Injector) crash(cause string, cycle uint64) {
 	in.sh.Inc(metrics.FaultsInjected)
 
 	k := in.sys.K
-	if k.Log != nil {
-		k.Log.PendingWrites(func(w machine.LoggedWrite) {
+	if c := k.LogCore(); c != nil {
+		c.PendingWrites(func(w machine.LoggedWrite) {
 			seg, segOff, ok := k.ReverseTranslate(w.Addr)
 			if !ok || seg != in.data {
 				return
@@ -483,7 +487,7 @@ func (in *Injector) crash(cause string, cycle uint64) {
 				Marker:    segOff < in.markerLimit,
 			})
 		})
-		k.Log.DiscardPending()
+		c.DiscardPending()
 	}
 	if in.plan.TruncateTailBytes > 0 && in.ls != nil {
 		in.truncateTail()

@@ -303,3 +303,51 @@ func TestReportExplains(t *testing.T) {
 		}
 	}
 }
+
+// TestOnChipLoggerIsInjectable: the drop/corrupt hook and the crash-time
+// capture of in-flight writes reach the Section 4.6 on-chip logger too,
+// with ground truth resolved through its virtual-address records.
+func TestOnChipLoggerIsInjectable(t *testing.T) {
+	sys := core.NewSystemOnChip(core.Config{NumCPUs: 1, MemFrames: 1024})
+	seg := core.NewNamedSegment(sys, "ft-chip", 16*core.PageSize, nil)
+	reg := core.NewStdRegion(sys, seg)
+	ls := core.NewLogSegment(sys, 32) // room for every record: none absorbed
+	if err := reg.Log(ls); err != nil {
+		t.Fatal(err)
+	}
+	as := sys.NewAddressSpace()
+	base, err := reg.Bind(as, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := sys.NewProcess(0, as)
+	in := New(Plan{Seed: 8, DropEveryN: 10, CorruptEveryN: 7, CrashAtCycle: 20_000})
+	in.Arm(sys, nil, ls, seg, 16)
+	func() {
+		defer func() {
+			if _, ok := recover().(*Crash); !ok {
+				t.Errorf("expected a crash")
+			}
+		}()
+		for i := uint32(0); i < 100_000; i++ {
+			p.Store32(base+16+(i%1000)*4, i)
+			if i%16 == 0 {
+				p.Compute(1) // a watch site: logged stores stay write-back on chip
+			}
+		}
+	}()
+	rep := in.Report()
+	if rep.RecordsSeen == 0 || rep.Dropped != rep.RecordsSeen/10 || rep.Corrupted == 0 {
+		t.Fatalf("seen %d, dropped %d, corrupted %d: the hook never reached the on-chip logger",
+			rep.RecordsSeen, rep.Dropped, rep.Corrupted)
+	}
+	for _, d := range rep.Damage {
+		if d.SegOff == noOff || d.LogOff == noOff {
+			t.Fatalf("damage not resolved through the virtual record address: %+v", d)
+		}
+	}
+	if len(rep.InFlight) == 0 || sys.K.Chip.Pending() != 0 {
+		t.Fatalf("in-flight %d, still buffered %d: the crash did not capture the write buffer",
+			len(rep.InFlight), sys.K.Chip.Pending())
+	}
+}

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"lvm/internal/cycles"
+	"lvm/internal/logcore"
 	"lvm/internal/machine"
 	"lvm/internal/phys"
 )
@@ -16,6 +17,7 @@ import (
 // past 32, 64, 128 and 256 entries up to the overload threshold; every
 // step the two must agree on FIFO order, absorbBase, the absorption
 // outcome, Pending, the overload stall, and at the end on the log bytes.
+// (logcore's TestRingGrowsToHighWater checks the ring sizes themselves.)
 func TestFIFOGrowthMatchesFullRing(t *testing.T) {
 	const (
 		dataPage   = 1
@@ -29,7 +31,12 @@ func TestFIFOGrowthMatchesFullRing(t *testing.T) {
 	}
 	var rigs [2]rig
 	for i := range rigs {
-		l, mem, _ := newRig(t, frames)
+		l, mem, b := newRig(t, frames)
+		if i == 1 {
+			m := model
+			m.Ring = cycles.LoggerFIFOEntries
+			l.Core = logcore.New(b, mem, m)
+		}
 		l.LoadPMT(dataPage, 0)
 		l.LoadPMT(markerPage, 0)
 		l.SetPMTAbsorb(markerPage, false)
@@ -52,10 +59,6 @@ func TestFIFOGrowthMatchesFullRing(t *testing.T) {
 		rigs[i] = rig{l, mem}
 	}
 	small, full := rigs[0].l, rigs[1].l
-	full.fifo = make([]machine.LoggedWrite, cycles.LoggerFIFOEntries)
-	if len(small.fifo) != fifoInitial {
-		t.Fatalf("a new logger's ring has %d entries, want %d", len(small.fifo), fifoInitial)
-	}
 
 	pending := func(l *Logger) []machine.LoggedWrite {
 		var out []machine.LoggedWrite
@@ -64,7 +67,6 @@ func TestFIFOGrowthMatchesFullRing(t *testing.T) {
 	}
 	rng := rand.New(rand.NewSource(25))
 	var now uint64
-	grewTo := map[int]bool{}
 	highWater := 0
 	for step := 0; step < 30_000; step++ {
 		// Alternate bursts (one store a cycle: the FIFO fills) with quiet
@@ -90,11 +92,11 @@ func TestFIFOGrowthMatchesFullRing(t *testing.T) {
 		if (small.RecordsAbsorbed != absorbed) != (full.RecordsAbsorbed != absorbed) {
 			t.Fatalf("step %d: absorption differs", step)
 		}
-		if small.Pending() != full.Pending() || small.headSeq != full.headSeq || small.absorbBase != full.absorbBase ||
-			small.Overloads != full.Overloads || small.RecordsWritten != full.RecordsWritten || small.freeAt != full.freeAt {
-			t.Fatalf("step %d: Pending %d/%d headSeq %d/%d absorbBase %d/%d overloads %d/%d written %d/%d freeAt %d/%d",
-				step, small.Pending(), full.Pending(), small.headSeq, full.headSeq, small.absorbBase, full.absorbBase,
-				small.Overloads, full.Overloads, small.RecordsWritten, full.RecordsWritten, small.freeAt, full.freeAt)
+		if small.Pending() != full.Pending() || small.Seq() != full.Seq() || small.absorbBase != full.absorbBase ||
+			small.Overloads != full.Overloads || small.RecordsWritten != full.RecordsWritten || small.FreeAt() != full.FreeAt() {
+			t.Fatalf("step %d: Pending %d/%d Seq %d/%d absorbBase %d/%d overloads %d/%d written %d/%d FreeAt %d/%d",
+				step, small.Pending(), full.Pending(), small.Seq(), full.Seq(), small.absorbBase, full.absorbBase,
+				small.Overloads, full.Overloads, small.RecordsWritten, full.RecordsWritten, small.FreeAt(), full.FreeAt())
 		}
 		ps, pf := pending(small), pending(full)
 		for i := range ps {
@@ -102,17 +104,11 @@ func TestFIFOGrowthMatchesFullRing(t *testing.T) {
 				t.Fatalf("step %d: FIFO entry %d = %+v, full ring %+v", step, i, ps[i], pf[i])
 			}
 		}
-		grewTo[len(small.fifo)] = true
 		highWater = max(highWater, small.Pending())
 	}
 	small.DrainAll()
 	full.DrainAll()
 
-	for _, n := range []int{64, 128, 256} {
-		if !grewTo[n] {
-			t.Errorf("the ring never grew to %d entries (sizes seen %v)", n, grewTo)
-		}
-	}
 	// Snoop drains on reaching the threshold, so the high water seen
 	// between steps is one below it.
 	if small.Overloads == 0 || highWater != small.Threshold-1 {
@@ -121,9 +117,6 @@ func TestFIFOGrowthMatchesFullRing(t *testing.T) {
 	if small.RecordsAbsorbed == 0 || small.GroupCommits != full.GroupCommits || small.RecordsLost != full.RecordsLost {
 		t.Errorf("absorbed %d, group commits %d/%d, lost %d/%d",
 			small.RecordsAbsorbed, small.GroupCommits, full.GroupCommits, small.RecordsLost, full.RecordsLost)
-	}
-	if len(small.fifo) > small.Capacity {
-		t.Errorf("ring grew to %d entries, past Capacity %d", len(small.fifo), small.Capacity)
 	}
 	a, b := make([]byte, phys.PageSize), make([]byte, phys.PageSize)
 	for f := uint32(logFirst); f < frames; f++ {
@@ -135,9 +128,8 @@ func TestFIFOGrowthMatchesFullRing(t *testing.T) {
 	}
 }
 
-// TestFIFOGrowthClampsToRaisedCapacity: growth doubles, but never past a
-// Capacity an experiment set after New, and a ring at Capacity drops
-// (with accounting) rather than growing.
+// TestFIFOGrowthClampsToRaisedCapacity: a FIFO at a Capacity an experiment
+// raised after New drops (with accounting) rather than growing past it.
 func TestFIFOGrowthClampsToRaisedCapacity(t *testing.T) {
 	l, _, _ := newRig(t, 4)
 	l.LoadPMT(1, 0)
@@ -146,7 +138,7 @@ func TestFIFOGrowthClampsToRaisedCapacity(t *testing.T) {
 	for i := 0; i < 120; i++ {
 		snoopW(l, 0x1000+uint32(i)*4, uint32(i), uint64(i))
 	}
-	if l.Pending() != 100 || len(l.fifo) != 100 || l.RecordsLost != 20 {
-		t.Fatalf("Pending %d, ring %d, lost %d; want 100, 100, 20", l.Pending(), len(l.fifo), l.RecordsLost)
+	if l.Pending() != 100 || l.RecordsLost != 20 {
+		t.Fatalf("Pending %d, lost %d; want 100, 20", l.Pending(), l.RecordsLost)
 	}
 }

@@ -21,11 +21,17 @@
 // The FIFOs hold 819 entries; when occupancy exceeds 512 the logger is
 // "overloaded" and interrupts the kernel, which suspends all processes
 // that might generate log data until the FIFOs drain (Section 3.1.3).
+//
+// The FIFO, the record DMA and the loss ledger are logcore.Core, shared
+// with the on-chip logger of Section 4.6 (package tlblog).
 package hwlogger
 
 import (
+	"encoding/binary"
+
 	"lvm/internal/bus"
 	"lvm/internal/cycles"
+	"lvm/internal/logcore"
 	"lvm/internal/logrec"
 	"lvm/internal/machine"
 	"lvm/internal/metrics"
@@ -110,9 +116,12 @@ type Fault struct {
 type FaultHandler func(l *Logger, f Fault) bool
 
 // Logger is the hardware logger device. It satisfies machine.LogDevice.
+// Its FIFO, record DMA and loss ledger are the shared logcore.Core; the
+// rest is what the bus prototype adds: the physical-page tables and their
+// faults, the overload interrupt, and the absorb, group-commit and
+// output-mode extensions.
 type Logger struct {
-	bus *bus.Bus
-	mem *phys.Memory
+	logcore.Core
 
 	// pmt models the 32 K-entry hardware table but is backed only up to
 	// the highest index ever loaded: an index at or past len(pmt) reads as
@@ -120,32 +129,21 @@ type Logger struct {
 	pmt      []PMTEntry
 	logTable []LogTableEntry
 
-	// fifo is the combined occupancy of the write FIFO and log-record
-	// FIFO (entries not yet DMAed): a ring that starts at fifoInitial
-	// entries and doubles, up to Capacity, whenever a push finds it full.
-	// It grows only to the run's high-water mark, so steady-state pushes
-	// and pops never allocate; the modelled capacity is Capacity alone.
-	fifo     []machine.LoggedWrite
-	fifoHead int
-	fifoLen  int
-
 	// Write absorption (disabled when absorbWindow == 0): a snooped write
 	// whose address matches a pending FIFO entry within the youngest
 	// absorbWindow entries overwrites that entry's value instead of
-	// enqueueing a new one. headSeq is the absolute (monotonic) sequence
-	// number of the FIFO head entry; absorbBase is the absolute sequence
-	// below which entries may never be absorbed into — it is raised past
-	// any write to a no-absorb page (a barrier), so coalescing can never
-	// move a store across a transaction marker.
+	// enqueueing a new one. absorbBase is the absolute sequence number
+	// (Core.Seq) below which entries may never be absorbed into — it is
+	// raised past any write to a no-absorb page (a barrier), so coalescing
+	// can never move a store across a transaction marker.
 	absorbWindow int
-	headSeq      uint64
 	absorbBase   uint64
 	// absorbSig is a host-side fast-miss filter: one bit per hashed word
-	// address (addr>>2, mod 64) of every entry currently queued. It is a
-	// superset of the absorbable window — a clear bit proves no match and
-	// skips the scan; a set bit (possibly stale) just falls through to
-	// the exact scan. Cleared whenever the ring empties. It never changes
-	// simulated behavior, only host time.
+	// address (addr>>2, mod 64) of every entry queued since the FIFO was
+	// last empty. It is a superset of the absorbable window — a clear bit
+	// proves no match and skips the scan; a set bit (possibly stale) just
+	// falls through to the exact scan. It never changes simulated
+	// behavior, only host time.
 	absorbSig uint64
 
 	// Group commit (disabled when groupSize <= 1): instead of DMAing each
@@ -156,9 +154,6 @@ type Logger struct {
 	groupSize     int
 	groupDeadline uint64
 
-	// freeAt is when the logger engine finishes its current service.
-	freeAt uint64
-
 	// OnFault is the kernel's logging-fault handler.
 	OnFault FaultHandler
 	// OnOverload, if set, is invoked on each overload event with the
@@ -167,70 +162,44 @@ type Logger struct {
 	// If nil, the default adds cycles.OverloadKernelCycles.
 	OnOverload func(drainedAt uint64) (resumeAt uint64)
 
-	// DMAHook, when non-nil, observes each record-mode DMA just before the
-	// 16-byte record reaches memory at dst. The hook may mutate the record
-	// (bit corruption) or return drop=true to lose it entirely (the drop
-	// is tallied through the normal lost-record accounting). It is the
-	// fault injector's insertion point; nil (the default) costs the DMA
-	// path one predictable branch.
-	DMAHook func(rec *logrec.Record, dst phys.Addr) (drop bool)
-	// hookRec is the scratch record handed to DMAHook: hooks mutate it in
-	// place, and keeping it on the Logger (rather than taking the address
-	// of a local) keeps the record-mode DMA path allocation-free.
-	hookRec logrec.Record
-
 	// Capacity and threshold, configurable for experiments; defaults are
 	// the prototype's 819/512.
 	Capacity  int
 	Threshold int
 
-	// Stats.
-	RecordsWritten  uint64
-	RecordsLost     uint64
+	// Stats (records written and lost are on the Core's ledger).
 	RecordsAbsorbed uint64
 	GroupCommits    uint64
 	Overloads       uint64
 	Faults          uint64
 	StallCycles     uint64
-
-	// ms is the metrics shard the logger charges hardware events to; tr
-	// is the (possibly nil) event tracer. New installs a bare private
-	// shard (no registry, no trace ring) so increments never need a nil
-	// check; SetMetrics rebinds both to the owning machine's registry.
-	ms *metrics.Shard
-	tr *metrics.Tracer
 }
 
-// fifoInitial is the host ring's starting size (see Logger.fifo).
+// fifoInitial is the host ring's starting size (see logcore.Core).
 const fifoInitial = 32
+
+// model is the bus logger's side of the shared core: records carry the
+// physical address, each service starts with the 15-cycle table lookup,
+// and the record DMA completes 18 cycles after its grant, 8 of them on
+// the bus — 33 cycles per uncontended record.
+var model = logcore.Model{
+	Lead:  cycles.LoggerLookupCycles,
+	Bus:   cycles.LogRecordDMABus,
+	Tail:  cycles.LogRecordDMATotal - cycles.LogRecordDMABus,
+	Ring:  fifoInitial,
+	DMAed: metrics.HWRecordsDMAed,
+	Lost:  metrics.HWRecordsLost,
+}
 
 // New creates a logger attached to the given bus and memory.
 func New(b *bus.Bus, mem *phys.Memory) *Logger {
 	return &Logger{
-		bus:       b,
-		mem:       mem,
+		Core:      logcore.New(b, mem, model),
 		logTable:  make([]LogTableEntry, 256),
-		fifo:      make([]machine.LoggedWrite, fifoInitial),
 		Capacity:  cycles.LoggerFIFOEntries,
 		Threshold: cycles.LoggerOverloadThreshold,
-		ms:        new(metrics.Shard),
 	}
 }
-
-// SetMetrics points the logger's hardware-event counters at sh (typically
-// the machine's device shard) and its trace emissions at tr (may be nil).
-func (l *Logger) SetMetrics(sh *metrics.Shard, tr *metrics.Tracer) {
-	if sh != nil {
-		l.ms = sh
-	}
-	l.tr = tr
-}
-
-// Pending reports the current combined FIFO occupancy.
-func (l *Logger) Pending() int { return l.fifoLen }
-
-// FreeAt reports when the logger engine is next idle.
-func (l *Logger) FreeAt() uint64 { return l.freeAt }
 
 // --- Kernel-facing table management (Section 3.2) ---
 
@@ -322,32 +291,39 @@ func (l *Logger) NumLogs() int { return len(l.logTable) }
 // kernel, which suspends the processors until the FIFOs drain; Snoop
 // models that by returning the resume cycle.
 func (l *Logger) Snoop(w machine.LoggedWrite) (stallUntil uint64) {
+	ms := l.Shard()
+	ms.Inc(metrics.HWSnoops)
 	if l.absorbWindow > 0 && l.tryAbsorb(&w) {
 		l.RecordsAbsorbed++
-		l.ms.Inc(metrics.HWSnoops)
-		l.ms.Inc(metrics.HWRecordsAbsorbed)
+		ms.Inc(metrics.HWRecordsAbsorbed)
 		return w.Time
 	}
-	l.push(&w)
-	l.ms.Inc(metrics.HWSnoops)
-	l.ms.Observe(metrics.HistFIFODepth, uint64(l.fifoLen))
-	l.ms.SetMax(metrics.HWFIFOHighWater, uint64(l.fifoLen))
-	if l.Pending() >= l.Threshold {
-		l.Overloads++
-		l.ms.Inc(metrics.HWOverloads)
-		drained := l.DrainAll()
-		resume := drained + cycles.OverloadKernelCycles
-		if l.OnOverload != nil {
-			resume = l.OnOverload(drained)
-		}
-		if resume > w.Time {
-			l.StallCycles += resume - w.Time
-			l.ms.Add(metrics.HWOverloadDrainCycles, resume-w.Time)
-		}
-		l.tr.Emit(w.Time, metrics.EvOverload, int(w.CPU), drained, resume)
-		return resume
+	if l.Pending() == 0 {
+		l.absorbSig = 0
 	}
-	return w.Time
+	l.absorbSig |= 1 << ((uint32(w.Addr) >> 2) & 63)
+	// A FIFO at Capacity cannot happen with threshold < capacity, but an
+	// experiment that disables overloads drops (on the ledger) here.
+	l.Push(&w, l.Capacity)
+	depth := uint64(l.Pending())
+	ms.Observe(metrics.HistFIFODepth, depth)
+	ms.SetMax(metrics.HWFIFOHighWater, depth)
+	if l.Pending() < l.Threshold {
+		return w.Time
+	}
+	l.Overloads++
+	ms.Inc(metrics.HWOverloads)
+	drained := l.DrainAll()
+	resume := drained + cycles.OverloadKernelCycles
+	if l.OnOverload != nil {
+		resume = l.OnOverload(drained)
+	}
+	if resume > w.Time {
+		l.StallCycles += resume - w.Time
+		ms.Add(metrics.HWOverloadDrainCycles, resume-w.Time)
+	}
+	l.Tracer().Emit(w.Time, metrics.EvOverload, int(w.CPU), drained, resume)
+	return resume
 }
 
 // tryAbsorb attempts to coalesce w into a pending FIFO entry: the youngest
@@ -361,52 +337,34 @@ func (l *Logger) tryAbsorb(w *machine.LoggedWrite) bool {
 	// stays straight-line (an index never loaded is a miss: a barrier).
 	ppn := phys.PPN(w.Addr)
 	idx := int(ppn & pmtIndexMask)
+	top := l.Seq() + uint64(l.Pending())
 	if idx >= len(l.pmt) || !l.pmt[idx].Valid || !l.pmt[idx].Absorb || l.pmt[idx].Tag != uint8(ppn>>pmtIndexBits) {
-		l.absorbBase = l.headSeq + uint64(l.fifoLen) + 1
+		l.absorbBase = top + 1
 		return false
 	}
 	if l.absorbSig&(1<<((uint32(w.Addr)>>2)&63)) == 0 {
 		return false
 	}
-	top := l.headSeq + uint64(l.fifoLen)
-	floor := l.headSeq
-	if l.absorbBase > floor {
-		floor = l.absorbBase
-	}
+	floor := max(l.Seq(), l.absorbBase)
 	if floor >= top {
 		return false
 	}
-	count := int(top - floor)
-	if count > l.absorbWindow {
-		count = l.absorbWindow
-	}
-	// Walk ring slots directly, newest first.
-	i := l.fifoHead + l.fifoLen - 1
-	if i >= len(l.fifo) {
-		i -= len(l.fifo)
-	}
-	for ; count > 0; count-- {
-		fe := &l.fifo[i]
-		if fe.Addr == w.Addr && fe.Size == w.Size {
+	// Newest first, down to the window or the floor.
+	for i, n := l.Pending()-1, min(int(top-floor), l.absorbWindow); n > 0; i, n = i-1, n-1 {
+		if fe := l.At(i); fe.Addr == w.Addr && fe.Size == w.Size {
 			// Keep the original entry's position and timestamp; only the
 			// datum changes — exactly what a hardware FIFO cell rewrite
 			// would do.
 			fe.Value = w.Value
 			return true
 		}
-		i--
-		if i < 0 {
-			i = len(l.fifo) - 1
-		}
 	}
 	return false
 }
 
 // PumpUntil services queued writes whose DMA would request the bus before
-// cycle t (the arrival time of the next competing bus request). Records
-// whose bus request would come later wait their turn: arbitration is
-// first-come-first-served by request time, so the logger does not reserve
-// future bus slots ahead of an earlier CPU request.
+// cycle t (the arrival time of the next competing bus request; see
+// logcore.Core.Due).
 //
 // Under group commit a record additionally waits until its batch is ready:
 // either groupSize records are queued, or the head record has aged
@@ -416,33 +374,20 @@ func (l *Logger) PumpUntil(t uint64) {
 		l.pumpGrouped(t)
 		return
 	}
-	for l.Pending() > 0 {
-		start := l.freeAt
-		if e := l.fifo[l.fifoHead]; e.Time > start {
-			start = e.Time
-		}
-		if start+cycles.LoggerLookupCycles >= t {
-			return
-		}
+	for l.Due(t) {
 		l.serviceOne()
 	}
 }
 
 func (l *Logger) pumpGrouped(t uint64) {
 	for l.Pending() > 0 {
-		head := &l.fifo[l.fifoHead]
 		// The batch is ready at the earlier of "groupSize records queued"
 		// (the arrival of the Nth) and "the head aged out".
-		ready := head.Time + l.groupDeadline
-		if l.fifoLen >= l.groupSize {
-			if nt := l.nthTime(l.groupSize - 1); nt < ready {
-				ready = nt
-			}
+		ready := l.At(0).Time + l.groupDeadline
+		if l.Pending() >= l.groupSize {
+			ready = min(ready, l.At(l.groupSize-1).Time)
 		}
-		start := l.freeAt
-		if ready > start {
-			start = ready
-		}
+		start := max(l.FreeAt(), ready)
 		if start+cycles.LoggerLookupCycles >= t {
 			return
 		}
@@ -450,184 +395,95 @@ func (l *Logger) pumpGrouped(t uint64) {
 	}
 }
 
-// nthTime returns the snoop time of the i-th queued entry (0 = head).
-func (l *Logger) nthTime(i int) uint64 {
-	idx := l.fifoHead + i
-	if idx >= len(l.fifo) {
-		idx -= len(l.fifo)
-	}
-	return l.fifo[idx].Time
-}
-
 // DrainAll services everything queued and returns the idle cycle.
 func (l *Logger) DrainAll() uint64 {
 	for l.Pending() > 0 {
 		if l.groupSize > 1 {
-			start := l.freeAt
-			if e := l.fifo[l.fifoHead]; e.Time > start {
-				start = e.Time
-			}
-			l.serviceBatch(start, true)
+			l.serviceBatch(l.Start(l.At(0)), true)
 		} else {
 			l.serviceOne()
 		}
 	}
-	return l.freeAt
+	return l.FreeAt()
 }
 
-func (l *Logger) push(w *machine.LoggedWrite) {
-	if l.fifoLen >= l.Capacity {
-		// Cannot happen with threshold < capacity, but never lose the
-		// accounting if an experiment disables overloads.
-		l.recordLost()
-		return
-	}
-	l.absorbSig |= 1 << ((uint32(w.Addr) >> 2) & 63)
-	if l.fifoLen == 0 {
-		// Empty ring: rewind so the common drained-between-stores case
-		// keeps reusing the same few slots instead of streaming through
-		// the whole ring (which evicts it from the host's L1).
-		l.fifoHead = 0
-		l.fifo[0] = *w
-		l.fifoLen = 1
-		return
-	}
-	if l.fifoLen == len(l.fifo) {
-		// The ring is full below Capacity: re-linearize into one twice
-		// the size (clamped to Capacity, which experiments may raise
-		// after New).
-		grown := make([]machine.LoggedWrite, min(2*len(l.fifo), l.Capacity))
-		n := copy(grown, l.fifo[l.fifoHead:])
-		copy(grown[n:], l.fifo[:l.fifoHead])
-		l.fifo = grown
-		l.fifoHead = 0
-	}
-	idx := l.fifoHead + l.fifoLen
-	if idx >= len(l.fifo) {
-		idx -= len(l.fifo)
-	}
-	l.fifo[idx] = *w
-	l.fifoLen++
+// fault raises a logging fault to the kernel at cycle at and reports
+// whether the kernel repaired the tables.
+func (l *Logger) fault(f Fault, counter metrics.ID, at uint64) bool {
+	l.Faults++
+	l.Shard().Inc(counter)
+	l.Tracer().Emit(at, metrics.EvLoggingFault, int(f.Write.CPU), uint64(f.Kind), uint64(f.PPN))
+	return l.OnFault != nil && l.OnFault(l, f)
 }
 
-func (l *Logger) pop() machine.LoggedWrite {
-	w := l.fifo[l.fifoHead]
-	l.fifoHead++
-	if l.fifoHead == len(l.fifo) {
-		l.fifoHead = 0
+// route finds e's log-table entry: a PMT lookup, then a log-table lookup,
+// either of which may raise a logging fault the kernel must repair, each
+// costing LoggingFaultCycles from start. It returns the entry (nil when
+// the record is lost) and the cycle at which service continues.
+func (l *Logger) route(e *machine.LoggedWrite, start uint64) (*LogTableEntry, uint64) {
+	ppn := phys.PPN(e.Addr)
+	logIndex, ok := l.LookupPMT(ppn)
+	if !ok {
+		repaired := l.fault(Fault{Kind: FaultMissingPMT, PPN: ppn, Write: *e}, metrics.HWLoggingFaultsPMT, start)
+		start += cycles.LoggingFaultCycles
+		if !repaired {
+			return nil, start
+		}
+		if logIndex, ok = l.LookupPMT(ppn); !ok {
+			return nil, start
+		}
 	}
-	l.fifoLen--
-	l.headSeq++
-	if l.fifoLen == 0 {
-		l.absorbSig = 0
+	if lt := &l.logTable[logIndex]; lt.Valid {
+		return lt, start
 	}
-	return w
+	repaired := l.fault(Fault{Kind: FaultInvalidLogAddr, PPN: ppn, LogIndex: logIndex, Write: *e}, metrics.HWLoggingFaultsLogAddr, start)
+	start += cycles.LoggingFaultCycles
+	if lt := &l.logTable[logIndex]; repaired && lt.Valid {
+		return lt, start
+	}
+	return nil, start
+}
+
+// advance moves a log's head past n bytes; a head that reaches a page
+// boundary invalidates itself, so the log's next write faults.
+func (lt *LogTableEntry) advance(n phys.Addr) {
+	if n == 0 {
+		return
+	}
+	lt.Addr += n
+	if lt.Addr&phys.PageMask == 0 {
+		lt.Valid = false
+	}
 }
 
 // serviceOne processes the FIFO head: PMT lookup, log-table lookup, record
 // assembly, and DMA, raising logging faults to the kernel as needed.
 func (l *Logger) serviceOne() {
-	e := l.pop()
-	start := l.freeAt
-	if e.Time > start {
-		start = e.Time
+	e := l.Pop()
+	lt, start := l.route(&e, l.Start(&e))
+	if lt == nil {
+		l.Lose()
+		l.Finish(start)
+		return
 	}
-
-	ppn := phys.PPN(e.Addr)
-	logIndex, ok := l.LookupPMT(ppn)
-	if !ok {
-		l.Faults++
-		l.ms.Inc(metrics.HWLoggingFaultsPMT)
-		l.tr.Emit(start, metrics.EvLoggingFault, int(e.CPU), uint64(FaultMissingPMT), uint64(ppn))
-		start += cycles.LoggingFaultCycles
-		if l.OnFault == nil || !l.OnFault(l, Fault{Kind: FaultMissingPMT, PPN: ppn, Write: e}) {
-			l.recordLost()
-			l.freeAt = start
-			return
-		}
-		logIndex, ok = l.LookupPMT(ppn)
-		if !ok {
-			l.recordLost()
-			l.freeAt = start
-			return
-		}
-	}
-	lt := &l.logTable[logIndex]
-	if !lt.Valid {
-		l.Faults++
-		l.ms.Inc(metrics.HWLoggingFaultsLogAddr)
-		l.tr.Emit(start, metrics.EvLoggingFault, int(e.CPU), uint64(FaultInvalidLogAddr), uint64(ppn))
-		start += cycles.LoggingFaultCycles
-		if l.OnFault == nil || !l.OnFault(l, Fault{Kind: FaultInvalidLogAddr, PPN: ppn, LogIndex: logIndex, Write: e}) {
-			l.recordLost()
-			l.freeAt = start
-			return
-		}
-		lt = &l.logTable[logIndex]
-		if !lt.Valid {
-			l.recordLost()
-			l.freeAt = start
-			return
-		}
-	}
-
-	// Internal lookup/assembly time, then the DMA. The DMA holds the bus
-	// for LogRecordDMABus cycles and completes LogRecordDMATotal cycles
-	// after it begins, so one uncontended record service costs
-	// LoggerLookupCycles + LogRecordDMATotal = 33 cycles.
-	dmaReady := start + cycles.LoggerLookupCycles
-	grant := l.bus.Acquire(dmaReady, cycles.LogRecordDMABus)
-	complete := grant + cycles.LogRecordDMATotal
-	l.ms.Add(metrics.HWDMAWaitCycles, grant-dmaReady)
-
+	wait, complete := l.Transfer(start, 1)
+	l.Shard().Add(metrics.HWDMAWaitCycles, wait)
 	switch lt.Mode {
 	case ModeRecord:
-		rec := logrec.Record{
-			Addr:      e.Addr,
-			Value:     e.Value,
-			WriteSize: e.Size,
-			CPU:       e.CPU,
-			Timestamp: cycles.ToTimestamp(e.Time),
-		}
-		if l.DMAHook != nil {
-			l.hookRec = rec
-			if l.DMAHook(&l.hookRec, lt.Addr) {
-				// The DMA transfer was lost: the head does not advance,
-				// so later records close the gap and the log stays dense.
-				l.recordLost()
-				l.freeAt = complete
-				return
-			}
-			rec = l.hookRec
-		}
-		var buf [logrec.Size]byte
-		rec.Encode(buf[:])
-		l.mem.WriteBlock16(lt.Addr, &buf)
-		lt.Addr += logrec.Size
-		if lt.Addr&phys.PageMask == 0 {
-			lt.Valid = false
+		if l.Put(&e, lt.Addr) {
+			lt.advance(logrec.Size)
 		}
 	case ModeDirect:
-		dst := lt.Addr + (e.Addr & phys.PageMask)
 		var buf [4]byte
-		n := int(e.Size)
-		if n > 4 {
-			n = 4
-		}
-		for i := 0; i < n; i++ {
-			buf[i] = byte(e.Value >> (8 * i))
-		}
-		l.mem.Write(dst, buf[:n])
+		binary.LittleEndian.PutUint32(buf[:], e.Value)
+		l.Memory().Write(lt.Addr+(e.Addr&phys.PageMask), buf[:min(int(e.Size), 4)])
+		l.Written(1)
 	case ModeIndexed:
-		l.mem.Write32(lt.Addr, e.Value)
-		lt.Addr += 4
-		if lt.Addr&phys.PageMask == 0 {
-			lt.Valid = false
-		}
+		l.Memory().Write32(lt.Addr, e.Value)
+		lt.advance(4)
+		l.Written(1)
 	}
-	l.RecordsWritten++
-	l.ms.Inc(metrics.HWRecordsDMAed)
-	l.freeAt = complete
+	l.Finish(complete)
 }
 
 // serviceBatch drains up to groupSize FIFO-head records as one group
@@ -641,7 +497,7 @@ func (l *Logger) serviceOne() {
 // fault handling — or a non-record-mode log — falls back to the
 // per-record path, which charges the full fault cost.
 func (l *Logger) serviceBatch(start uint64, drain bool) {
-	head := &l.fifo[l.fifoHead]
+	head := l.At(0)
 	logIndex, ok := l.LookupPMT(phys.PPN(head.Addr))
 	if !ok {
 		l.serviceOne()
@@ -654,137 +510,27 @@ func (l *Logger) serviceBatch(start uint64, drain bool) {
 	}
 	room := int((phys.PageSize - uint32(lt.Addr&phys.PageMask)) / logrec.Size)
 	n := 1
-	youngest := head.Time
-	for n < l.groupSize && n < l.fifoLen && n < room {
-		idx := l.fifoHead + n
-		if idx >= len(l.fifo) {
-			idx -= len(l.fifo)
-		}
-		e := &l.fifo[idx]
+	oldest, youngest := head.Time, head.Time
+	for n < l.groupSize && n < l.Pending() && n < room {
+		e := l.At(n)
 		if !drain && e.Time > start {
 			break
 		}
 		if li, ok2 := l.LookupPMT(phys.PPN(e.Addr)); !ok2 || li != logIndex {
 			break
 		}
-		if e.Time > youngest {
-			youngest = e.Time
-		}
+		youngest = max(youngest, e.Time)
 		n++
 	}
-	if youngest > start {
-		start = youngest
-	}
+	start = max(start, youngest)
 
-	// One lookup, then one DMA transfer of n records: the bus is held for
-	// n×LogRecordDMABus cycles, and the transfer completes one DMA setup
-	// (LogRecordDMATotal − LogRecordDMABus cycles) after the grant plus
-	// the bus time. For n == 1 this is exactly the per-record cost.
-	dmaReady := start + cycles.LoggerLookupCycles
-	busCycles := uint32(n) * cycles.LogRecordDMABus
-	grant := l.bus.Acquire(dmaReady, busCycles)
-	complete := grant + (cycles.LogRecordDMATotal - cycles.LogRecordDMABus) + uint64(busCycles)
-	l.ms.Add(metrics.HWDMAWaitCycles, grant-dmaReady)
-
-	oldest := head.Time
-	frame := l.mem.Frame(phys.PPN(lt.Addr))
-	off := int(lt.Addr & phys.PageMask)
-	written := 0
-	if l.DMAHook == nil {
-		// Fast path: encode straight out of the ring and advance the head
-		// once for the whole batch.
-		idx := l.fifoHead
-		for i := 0; i < n; i++ {
-			e := &l.fifo[idx]
-			rec := logrec.Record{
-				Addr:      e.Addr,
-				Value:     e.Value,
-				WriteSize: e.Size,
-				CPU:       e.CPU,
-				Timestamp: cycles.ToTimestamp(e.Time),
-			}
-			rec.Encode(frame[off+written : off+written+logrec.Size])
-			written += logrec.Size
-			idx++
-			if idx == len(l.fifo) {
-				idx = 0
-			}
-		}
-		l.fifoHead = idx
-		l.fifoLen -= n
-		l.headSeq += uint64(n)
-		if l.fifoLen == 0 {
-			l.absorbSig = 0
-		}
-		l.RecordsWritten += uint64(n)
-		l.ms.Add(metrics.HWRecordsDMAed, uint64(n))
-	} else {
-		for i := 0; i < n; i++ {
-			e := l.pop()
-			rec := logrec.Record{
-				Addr:      e.Addr,
-				Value:     e.Value,
-				WriteSize: e.Size,
-				CPU:       e.CPU,
-				Timestamp: cycles.ToTimestamp(e.Time),
-			}
-			l.hookRec = rec
-			if l.DMAHook(&l.hookRec, lt.Addr+phys.Addr(written)) {
-				// This record's transfer was lost: the later batch members
-				// close the gap so the log stays dense.
-				l.recordLost()
-				continue
-			}
-			rec = l.hookRec
-			rec.Encode(frame[off+written : off+written+logrec.Size])
-			written += logrec.Size
-			l.RecordsWritten++
-			l.ms.Inc(metrics.HWRecordsDMAed)
-		}
-	}
-	if written > 0 {
-		lt.Addr += phys.Addr(written)
-		if lt.Addr&phys.PageMask == 0 {
-			lt.Valid = false
-		}
-	}
+	wait, complete := l.Transfer(start, n)
+	l.Shard().Add(metrics.HWDMAWaitCycles, wait)
+	lt.advance(l.PutRun(n, lt.Addr))
 	l.GroupCommits++
-	l.ms.Inc(metrics.HWGroupCommits)
-	l.ms.Observe(metrics.HistBatchSize, uint64(n))
-	l.ms.Observe(metrics.HistCommitLatency, complete-oldest)
-	l.freeAt = complete
-}
-
-// recordLost tallies a dropped record in both the legacy stats field and
-// the metrics shard.
-func (l *Logger) recordLost() {
-	l.RecordsLost++
-	l.ms.Inc(metrics.HWRecordsLost)
-}
-
-// PendingWrites visits every FIFO entry not yet DMAed, oldest first,
-// without consuming them (crash forensics: the fault injector captures
-// the in-flight writes a power loss would destroy).
-func (l *Logger) PendingWrites(fn func(w machine.LoggedWrite)) {
-	for i := 0; i < l.fifoLen; i++ {
-		idx := l.fifoHead + i
-		if idx >= len(l.fifo) {
-			idx -= len(l.fifo)
-		}
-		fn(l.fifo[idx])
-	}
-}
-
-// DiscardPending empties the FIFOs without DMAing the queued records,
-// modeling the loss of the volatile FIFO chips at a crash. It returns the
-// number of entries discarded; the caller (the fault injector) owns the
-// accounting of what was lost.
-func (l *Logger) DiscardPending() int {
-	n := l.fifoLen
-	l.headSeq += uint64(n)
-	l.absorbBase = l.headSeq
-	l.absorbSig = 0
-	l.fifoLen = 0
-	l.fifoHead = 0
-	return n
+	ms := l.Shard()
+	ms.Inc(metrics.HWGroupCommits)
+	ms.Observe(metrics.HistBatchSize, uint64(n))
+	ms.Observe(metrics.HistCommitLatency, complete-oldest)
+	l.Finish(complete)
 }

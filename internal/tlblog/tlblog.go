@@ -4,7 +4,9 @@
 // entries... TLB entries are extended to contain a log table index and the
 // log table is stored inside the CPU."
 //
-// Differences from the prototype bus logger (package hwlogger):
+// Its write buffer, record DMA and loss ledger are logcore.Core, shared with
+// the prototype bus logger (package hwlogger); what differs is what
+// Section 4.6 changes:
 //
 //   - Records carry the *virtual* address of the write, so per-region
 //     logging works directly and no reverse translation is needed.
@@ -24,8 +26,11 @@
 package tlblog
 
 import (
+	"math"
+
 	"lvm/internal/bus"
 	"lvm/internal/cycles"
+	"lvm/internal/logcore"
 	"lvm/internal/logrec"
 	"lvm/internal/machine"
 	"lvm/internal/metrics"
@@ -45,10 +50,11 @@ type Descriptor struct {
 	Limit phys.Addr
 }
 
-// Logger is the on-chip logging unit. It satisfies machine.LogDevice.
+// Logger is the on-chip logging unit. It satisfies machine.LogDevice. Its
+// write buffer, record DMA and loss ledger are the shared logcore.Core;
+// what is its own is the TLB tag, the descriptor table and the stall.
 type Logger struct {
-	bus *bus.Bus
-	mem *phys.Memory
+	logcore.Core
 
 	// tlb maps virtual page number -> log descriptor index. (A real TLB
 	// is a cache over page tables; the map stands in for the whole
@@ -60,57 +66,34 @@ type Logger struct {
 	// drop further records for that log.
 	OnFull func(l *Logger, logIndex uint16) bool
 
-	// DMAHook, when non-nil, observes each record just before it is
-	// written to memory at dst; it may mutate the record or return
-	// drop=true to lose it. Fault-injection insertion point, mirroring
-	// hwlogger.Logger.DMAHook.
-	DMAHook func(rec *logrec.Record, dst phys.Addr) (drop bool)
-	// hookRec is the scratch record handed to DMAHook (keeps the drain
-	// path allocation-free; see hwlogger.Logger.hookRec).
-	hookRec logrec.Record
-
 	// WriteBuffer is the stall threshold (entries buffered on chip).
 	WriteBuffer int
 
-	// fifo is a ring: Snoop drains back down to WriteBuffer entries, so
-	// occupancy never exceeds WriteBuffer+1 and steady-state pushes do
-	// not allocate.
-	fifo     []machine.LoggedWrite
-	fifoHead int
-	fifoLen  int
-	freeAt   uint64
+	// StallEvents counts write-buffer-full processor stalls (records
+	// written and lost are on the Core's ledger).
+	StallEvents uint64
+}
 
-	// Stats.
-	RecordsWritten uint64
-	RecordsLost    uint64
-	StallEvents    uint64
-
-	// ms/tr: metrics shard and (possibly nil) tracer; see
-	// hwlogger.Logger.SetMetrics for the wiring convention.
-	ms *metrics.Shard
-	tr *metrics.Tracer
+// model is the on-chip unit's side of the shared core: records carry the
+// virtual address, and with the tables on chip a record costs just its
+// 16-byte block write (9 cycles, 8 of them on the bus).
+var model = logcore.Model{
+	Virtual: true,
+	Lead:    cycles.BlockWriteTotal - cycles.BlockWriteBus,
+	Bus:     cycles.BlockWriteBus,
+	Ring:    DefaultWriteBuffer + 1,
+	DMAed:   metrics.ChipRecordsDMAed,
+	Lost:    metrics.ChipRecordsLost,
 }
 
 // New creates an on-chip logger for the given bus and memory.
 func New(b *bus.Bus, mem *phys.Memory) *Logger {
 	return &Logger{
-		bus:         b,
-		mem:         mem,
+		Core:        logcore.New(b, mem, model),
 		tlb:         make(map[uint32]uint16),
 		desc:        make([]Descriptor, 64),
-		fifo:        make([]machine.LoggedWrite, DefaultWriteBuffer+1),
 		WriteBuffer: DefaultWriteBuffer,
-		ms:          new(metrics.Shard),
 	}
-}
-
-// SetMetrics points the on-chip unit's counters at sh and its trace
-// emissions at tr (may be nil).
-func (l *Logger) SetMetrics(sh *metrics.Shard, tr *metrics.Tracer) {
-	if sh != nil {
-		l.ms = sh
-	}
-	l.tr = tr
 }
 
 // MapPage associates a virtual page (by its 20-bit VPN) with a log
@@ -132,151 +115,71 @@ func (l *Logger) Descriptor(logIndex uint16) Descriptor { return l.desc[logIndex
 // (after OnFull declines).
 func (l *Logger) Invalidate(logIndex uint16) { l.desc[logIndex] = Descriptor{} }
 
-func (l *Logger) pending() int { return l.fifoLen }
-
-func (l *Logger) push(w machine.LoggedWrite) {
-	if l.fifoLen == 0 {
-		// Empty ring: rewind to keep the drained steady state in the
-		// same host cache lines.
-		l.fifoHead = 0
-	} else if l.fifoLen == len(l.fifo) {
-		// WriteBuffer was raised after New: grow the ring once.
-		n := 2 * len(l.fifo)
-		if n < l.WriteBuffer+1 {
-			n = l.WriteBuffer + 1
-		}
-		if n == 0 {
-			n = 1
-		}
-		grown := make([]machine.LoggedWrite, n)
-		for i := 0; i < l.fifoLen; i++ {
-			grown[i] = l.fifo[(l.fifoHead+i)%len(l.fifo)]
-		}
-		l.fifo = grown
-		l.fifoHead = 0
-	}
-	idx := l.fifoHead + l.fifoLen
-	if idx >= len(l.fifo) {
-		idx -= len(l.fifo)
-	}
-	l.fifo[idx] = w
-	l.fifoLen++
-}
-
 // Snoop accepts a logged write. If the on-chip write buffer is full the
 // CPU stalls until the oldest buffered record drains.
 func (l *Logger) Snoop(w machine.LoggedWrite) (stallUntil uint64) {
-	l.push(w)
+	// The buffer stalls instead of overflowing, so the push never refuses.
+	l.Push(&w, math.MaxInt)
 	stall := w.Time
-	for l.pending() > l.WriteBuffer {
+	for l.Pending() > l.WriteBuffer {
 		l.serviceOne()
 		l.StallEvents++
-		l.ms.Inc(metrics.ChipStallEvents)
-		if l.freeAt > stall {
-			stall = l.freeAt
-		}
+		l.Shard().Inc(metrics.ChipStallEvents)
+		stall = max(stall, l.FreeAt())
 	}
 	if stall > w.Time {
-		l.ms.Add(metrics.ChipStallCycles, stall-w.Time)
-		l.tr.Emit(w.Time, metrics.EvChipStall, int(w.CPU), stall-w.Time, 0)
+		l.Shard().Add(metrics.ChipStallCycles, stall-w.Time)
+		l.Tracer().Emit(w.Time, metrics.EvChipStall, int(w.CPU), stall-w.Time, 0)
 	}
 	return stall
 }
 
 // PumpUntil drains buffered records whose bus request precedes cycle t
-// (first-come-first-served arbitration with the CPUs).
+// (see logcore.Core.Due).
 func (l *Logger) PumpUntil(t uint64) {
-	lead := uint64(cycles.BlockWriteTotal - cycles.BlockWriteBus)
-	for l.pending() > 0 {
-		start := l.freeAt
-		if e := l.fifo[l.fifoHead]; e.Time > start {
-			start = e.Time
-		}
-		if start+lead >= t {
-			return
-		}
+	for l.Due(t) {
 		l.serviceOne()
 	}
 }
 
 // DrainAll drains everything and returns the idle cycle.
 func (l *Logger) DrainAll() uint64 {
-	for l.pending() > 0 {
+	for l.Pending() > 0 {
 		l.serviceOne()
 	}
-	return l.freeAt
+	return l.FreeAt()
 }
 
-func (l *Logger) serviceOne() {
-	e := l.fifo[l.fifoHead]
-	l.fifoHead++
-	if l.fifoHead == len(l.fifo) {
-		l.fifoHead = 0
-	}
-	l.fifoLen--
-	start := l.freeAt
-	if e.Time > start {
-		start = e.Time
-	}
+// room reports whether d can take one more record.
+func (d *Descriptor) room() bool { return d.Valid && d.Addr+logrec.Size <= d.Limit }
 
+// serviceOne writes the oldest buffered record: TLB tag, then descriptor,
+// then one block write — no lookup latency, the tables are on chip.
+func (l *Logger) serviceOne() {
+	e := l.Pop()
+	start := l.Start(&e)
 	idx, ok := l.tlb[e.VAddr>>phys.PageShift]
-	if !ok {
-		l.ms.Inc(metrics.ChipDescMisses)
-		l.recordLost()
-		l.freeAt = start
+	d := &l.desc[idx]
+	switch {
+	case !ok:
+		l.Shard().Inc(metrics.ChipDescMisses)
+		d = nil
+	case d.room():
+		l.Shard().Inc(metrics.ChipDescHits)
+	default:
+		l.Shard().Inc(metrics.ChipDescMisses)
+		if l.OnFull == nil || !l.OnFull(l, idx) || !l.desc[idx].room() {
+			d = nil
+		}
+	}
+	if d == nil {
+		l.Lose()
+		l.Finish(start)
 		return
 	}
-	d := &l.desc[idx]
-	if !d.Valid || d.Addr+logrec.Size > d.Limit {
-		l.ms.Inc(metrics.ChipDescMisses)
-		if l.OnFull == nil || !l.OnFull(l, idx) {
-			l.recordLost()
-			l.freeAt = start
-			return
-		}
-		d = &l.desc[idx]
-		if !d.Valid || d.Addr+logrec.Size > d.Limit {
-			l.recordLost()
-			l.freeAt = start
-			return
-		}
-	} else {
-		l.ms.Inc(metrics.ChipDescHits)
+	_, complete := l.Transfer(start, 1)
+	if l.Put(&e, d.Addr) {
+		d.Addr += logrec.Size
 	}
-
-	// One 16-byte block write over the bus; no lookup latency (on-chip
-	// tables).
-	grant := l.bus.Acquire(start+uint64(cycles.BlockWriteTotal-cycles.BlockWriteBus), cycles.BlockWriteBus)
-	complete := grant + cycles.BlockWriteBus
-
-	rec := logrec.Record{
-		Addr:      e.VAddr, // virtual address, Section 4.6
-		Value:     e.Value,
-		WriteSize: e.Size,
-		CPU:       e.CPU,
-		Timestamp: cycles.ToTimestamp(e.Time),
-	}
-	if l.DMAHook != nil {
-		l.hookRec = rec
-		if l.DMAHook(&l.hookRec, d.Addr) {
-			l.recordLost()
-			l.freeAt = complete
-			return
-		}
-		rec = l.hookRec
-	}
-	var buf [logrec.Size]byte
-	rec.Encode(buf[:])
-	l.mem.WriteBlock16(d.Addr, &buf)
-	d.Addr += logrec.Size
-	l.RecordsWritten++
-	l.ms.Inc(metrics.ChipRecordsDMAed)
-	l.freeAt = complete
-}
-
-// recordLost tallies a dropped record in both the legacy stats field and
-// the metrics shard.
-func (l *Logger) recordLost() {
-	l.RecordsLost++
-	l.ms.Inc(metrics.ChipRecordsLost)
+	l.Finish(complete)
 }

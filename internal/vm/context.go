@@ -75,16 +75,9 @@ func (k *Kernel) Deactivate(s *Segment) {
 	if !s.logged {
 		return
 	}
-	if s.logTo != nil {
-		s.logTo.savedOff = k.LogAppendOffset(s.logTo)
-	}
 	k.Sync()
 	if s.logTo != nil {
-		s.logTo.savedOff = k.LogAppendOffset(s.logTo)
-		if s.logTo.logIdxValid {
-			k.Log.InvalidateLog(s.logTo.logIndex)
-		}
-		s.logTo.started = false
+		k.parkLog(s.logTo)
 	}
 	for page := range s.pages {
 		if f := s.pages[page].frame; f != 0 {

@@ -25,6 +25,8 @@ import (
 
 	"lvm/internal/cycles"
 	"lvm/internal/hwlogger"
+	"lvm/internal/logcore"
+	"lvm/internal/logrec"
 	"lvm/internal/machine"
 	"lvm/internal/metrics"
 	"lvm/internal/phys"
@@ -82,22 +84,9 @@ type Kernel struct {
 // NewKernel builds a machine per cfg, attaches a hardware logger to its
 // bus, and wires the kernel's fault handlers into it.
 func NewKernel(cfg machine.Config) *Kernel {
-	m := machine.New(cfg)
-	k := &Kernel{
-		M:      m,
-		Log:    hwlogger.New(m.Bus, m.Phys),
-		owners: make(map[uint32]frameOwner),
-	}
-	m.Log = k.Log
-	k.Log.SetMetrics(m.DeviceShard(), m.Metrics.Tracer())
-	for i := k.Log.NumLogs() - 1; i >= 0; i-- {
-		k.freeLogIdx = append(k.freeLogIdx, uint16(i))
-	}
-	f, err := m.Phys.Alloc()
-	if err != nil {
-		panic("vm: cannot allocate absorb frame")
-	}
-	k.absorbFrame = f
+	k := NewKernelNoLogger(cfg)
+	k.Log = hwlogger.New(k.M.Bus, k.M.Phys)
+	k.attachLogger(k.Log, k.Log.NumLogs())
 	k.Log.OnFault = k.handleLoggingFault
 	k.Log.OnOverload = func(drained uint64) uint64 {
 		k.Overloads++
@@ -105,7 +94,6 @@ func NewKernel(cfg machine.Config) *Kernel {
 		k.M.StallAll(resume)
 		return resume
 	}
-	m.Metrics.AddCollector(k.collectStats)
 	return k
 }
 
@@ -116,6 +104,21 @@ func NewKernelNoLogger(cfg machine.Config) *Kernel {
 	k := &Kernel{M: m, owners: make(map[uint32]frameOwner)}
 	m.Metrics.AddCollector(k.collectStats)
 	return k
+}
+
+// attachLogger makes dev (k.Log or k.Chip) the machine's logging device,
+// with logs hardware log indices and the absorb frame.
+func (k *Kernel) attachLogger(dev machine.LogDevice, logs int) {
+	k.M.Log = dev
+	k.LogCore().SetMetrics(k.M.DeviceShard(), k.M.Metrics.Tracer())
+	for i := logs - 1; i >= 0; i-- {
+		k.freeLogIdx = append(k.freeLogIdx, uint16(i))
+	}
+	f, err := k.M.Phys.Alloc()
+	if err != nil {
+		panic("vm: cannot allocate absorb frame")
+	}
+	k.absorbFrame = f
 }
 
 // collectStats publishes the kernel-level aggregates that live in kernel
@@ -152,13 +155,18 @@ func (k *Kernel) allocLogIndex() (uint16, error) {
 }
 
 func (k *Kernel) releaseLogIndex(i uint16) {
+	k.invalidateLogHead(i)
+	k.freeLogIdx = append(k.freeLogIdx, i)
+}
+
+// invalidateLogHead disables a hardware log's head.
+func (k *Kernel) invalidateLogHead(i uint16) {
 	if k.Log != nil {
 		k.Log.InvalidateLog(i)
 	}
 	if k.Chip != nil {
 		k.Chip.Invalidate(i)
 	}
-	k.freeLogIdx = append(k.freeLogIdx, i)
 }
 
 // kshard picks the metrics shard kernel work is charged to: the faulting
@@ -218,18 +226,56 @@ func (k *Kernel) handleLoggingFault(l *hwlogger.Logger, f hwlogger.Fault) bool {
 	case hwlogger.FaultInvalidLogAddr:
 		// The log address crossed a page boundary: move the head to the
 		// log segment's next page, or to the absorb page.
-		for _, s := range k.segments {
-			if s.isLog && s.logIdxValid && s.logIndex == f.LogIndex {
-				s.loggingFaults++
-				return k.advanceLogHead(s)
-			}
-		}
-		return false
+		return k.advanceLogIndex(f.LogIndex)
 	}
 	return false
 }
 
-// advanceLogHead points the hardware log head at the next page of the log
+// LogCore is the logging device's shared FIFO, record DMA and loss
+// ledger, whichever logger the machine has; nil without one.
+func (k *Kernel) LogCore() *logcore.Core {
+	switch {
+	case k.Log != nil:
+		return &k.Log.Core
+	case k.Chip != nil:
+		return &k.Chip.Core
+	}
+	return nil
+}
+
+// logHead reads a log's device head: the physical address of its next
+// record and whether the head has room for it. The bus logger's head
+// invalidates itself at a page crossing; the on-chip descriptor stops at
+// its limit, which the kernel always sets at the end of a page.
+func (k *Kernel) logHead(ls *Segment) (addr phys.Addr, room bool) {
+	if k.Chip != nil {
+		d := k.Chip.Descriptor(ls.logIndex)
+		return d.Addr, d.Valid && d.Addr+logrec.Size <= d.Limit
+	}
+	h := k.Log.LogHead(ls.logIndex)
+	return h.Addr, h.Valid
+}
+
+// pointLogHead points a log's device head at addr, with room to the end
+// of addr's page.
+func (k *Kernel) pointLogHead(ls *Segment, addr phys.Addr) {
+	if k.Chip != nil {
+		k.Chip.SetDescriptor(ls.logIndex, addr, phys.PageBase(addr)+PageSize)
+	} else {
+		k.Log.SetLogHead(ls.logIndex, addr, ls.logMode)
+	}
+}
+
+// headPageOff is how many bytes of its current page a log's head has
+// filled: PageSize once the page is full.
+func (k *Kernel) headPageOff(ls *Segment) uint32 {
+	if addr, room := k.logHead(ls); room {
+		return addr & PageMask
+	}
+	return PageSize
+}
+
+// advanceLogHead points the log's device head at the next page of the log
 // segment, or at the kernel's absorb page when the user has not provided
 // one ("If the user has not provided a page, the kernel uses a default log
 // page to absorb the log records... Log records may be lost in this
@@ -238,7 +284,7 @@ func (k *Kernel) advanceLogHead(ls *Segment) bool {
 	if ls == nil || !ls.logIdxValid {
 		return false
 	}
-	k.accountAbsorbLoss(ls)
+	k.settleAbsorbLoss(ls)
 	if ls.nextPage < ls.NumPages() {
 		frame, err := ls.ensureFrame(ls.nextPage)
 		if err != nil {
@@ -246,8 +292,7 @@ func (k *Kernel) advanceLogHead(ls *Segment) bool {
 		}
 		ls.hwPage = ls.nextPage
 		ls.nextPage++
-		ls.absorbing = false
-		k.Log.SetLogHead(ls.logIndex, phys.FrameBase(frame), ls.logMode)
+		k.pointLogHead(ls, phys.FrameBase(frame))
 		k.M.DeviceShard().Inc(metrics.VMLogHeadAdvances)
 		k.tracer().Emit(k.M.MaxNow(), metrics.EvLogAdvance, -1, uint64(ls.id), uint64(ls.hwPage))
 		return true
@@ -255,77 +300,81 @@ func (k *Kernel) advanceLogHead(ls *Segment) bool {
 	// Absorb: records land in the absorb frame and are lost.
 	k.AbsorbedPages++
 	ls.absorbing = true
-	k.Log.SetLogHead(ls.logIndex, phys.FrameBase(k.absorbFrame), ls.logMode)
+	k.pointLogHead(ls, phys.FrameBase(k.absorbFrame))
 	k.M.DeviceShard().Inc(metrics.VMAbsorbedPages)
 	k.tracer().Emit(k.M.MaxNow(), metrics.EvLogAbsorb, -1, uint64(ls.id), 0)
 	return true
 }
 
-// accountAbsorbLoss tallies the records that landed in the absorb frame
-// since it was last loaded for this log.
-func (k *Kernel) accountAbsorbLoss(ls *Segment) {
-	if !ls.absorbing || k.Log == nil {
-		return
+// advanceLogIndex is the kernel's answer to a log head with no room
+// (the bus logger's invalid-log-address fault, the on-chip logger's
+// OnFull): it advances the log that owns the hardware index.
+func (k *Kernel) advanceLogIndex(logIndex uint16) bool {
+	for _, s := range k.segments {
+		if s.isLog && s.logIdxValid && s.logIndex == logIndex {
+			s.loggingFaults++
+			return k.advanceLogHead(s)
+		}
 	}
-	h := k.Log.LogHead(ls.logIndex)
-	if h.Valid {
-		ls.lostRecords += uint64(h.Addr-phys.FrameBase(k.absorbFrame)) / uint64(ls.recordSize())
-	} else {
-		// The absorb page filled completely before the head was moved.
-		ls.lostRecords += uint64(PageSize / ls.recordSize())
+	return false
+}
+
+// settleAbsorbLoss ends an absorb episode: the records the head wrote into
+// the absorb frame go on the log's loss ledger. Every path that moves or
+// parks the head settles first, so each absorbed record counts once.
+func (k *Kernel) settleAbsorbLoss(ls *Segment) {
+	if ls.absorbing {
+		ls.lostRecords += uint64(k.headPageOff(ls) / ls.recordSize())
+		ls.absorbing = false
 	}
 }
 
-// setLogHeadAt points the hardware head at byte offset off of the log
+// setLogHeadAt points the device head at byte offset off of the log
 // segment (used when logging is (re-)enabled: the head resumes at the end
-// of the log segment data, Section 3.2).
+// of the log segment data, Section 3.2). An offset past the segment's end
+// starts the head on the absorb page.
 func (k *Kernel) setLogHeadAt(ls *Segment, off uint32) error {
-	k.accountAbsorbLoss(ls)
-	page := off >> PageShift
-	if page >= ls.NumPages() {
-		// Already full: absorb from the start.
+	k.settleAbsorbLoss(ls)
+	if page := off >> PageShift; page >= ls.NumPages() {
 		ls.nextPage = ls.NumPages()
-		return boolErr(k.advanceLogHead(ls), "vm: cannot start log head")
+		if !k.advanceLogHead(ls) {
+			return fmt.Errorf("vm: cannot start log head")
+		}
+	} else {
+		frame, err := ls.ensureFrame(page)
+		if err != nil {
+			return err
+		}
+		ls.hwPage = page
+		ls.nextPage = page + 1
+		k.pointLogHead(ls, phys.FrameBase(frame)+(off&PageMask))
 	}
-	frame, err := ls.ensureFrame(page)
-	if err != nil {
-		return err
-	}
-	ls.hwPage = page
-	ls.nextPage = page + 1
-	ls.absorbing = false
 	ls.started = true
-	k.Log.SetLogHead(ls.logIndex, phys.FrameBase(frame)+(off&PageMask), ls.logMode)
 	return nil
 }
 
-func boolErr(ok bool, msg string) error {
-	if !ok {
-		return fmt.Errorf("%s", msg)
+// parkLog stops a log's device head (logging disabled), saving its
+// append offset and settling its absorb loss.
+func (k *Kernel) parkLog(ls *Segment) {
+	ls.savedOff = k.LogAppendOffset(ls)
+	k.settleAbsorbLoss(ls)
+	if ls.logIdxValid {
+		k.invalidateLogHead(ls.logIndex)
 	}
-	return nil
+	ls.started = false
 }
 
 // LogAppendOffset reports the byte offset within the log segment at which
 // the next record will be written (i.e. the current end of the log data).
 // Call Sync first to account for in-flight records.
 func (k *Kernel) LogAppendOffset(ls *Segment) uint32 {
-	if k.Chip != nil {
-		return k.chipAppendOffset(ls)
-	}
-	if !ls.logIdxValid || !ls.started {
+	switch {
+	case !ls.logIdxValid || !ls.started:
 		return ls.savedOff
-	}
-	if ls.absorbing {
+	case ls.absorbing:
 		return ls.NumPages() * PageSize
 	}
-	h := k.Log.LogHead(ls.logIndex)
-	if !h.Valid {
-		// The head invalidated itself at a page crossing: the page
-		// before nextPage is full.
-		return ls.nextPage * PageSize
-	}
-	return ls.hwPage*PageSize + (h.Addr & PageMask)
+	return ls.hwPage*PageSize + k.headPageOff(ls)
 }
 
 // TruncateLog discards the contents of a log segment and moves the append
@@ -347,9 +396,6 @@ func (k *Kernel) RewindLog(ls *Segment, off uint32) error {
 	k.tracer().Emit(k.M.MaxNow(), metrics.EvLogRewind, -1, uint64(ls.id), uint64(off))
 	if !ls.logIdxValid {
 		return nil
-	}
-	if k.Chip != nil {
-		return k.setChipHeadAt(ls, off)
 	}
 	return k.setLogHeadAt(ls, off)
 }

@@ -5,7 +5,6 @@ import (
 
 	"lvm/internal/machine"
 	"lvm/internal/metrics"
-	"lvm/internal/phys"
 	"lvm/internal/tlblog"
 )
 
@@ -29,24 +28,10 @@ import (
 // NewKernelOnChip builds a machine whose logging device is the
 // next-generation on-chip logger.
 func NewKernelOnChip(cfg machine.Config) *Kernel {
-	m := machine.New(cfg)
-	k := &Kernel{
-		M:      m,
-		owners: make(map[uint32]frameOwner),
-	}
-	k.Chip = tlblog.New(m.Bus, m.Phys)
-	m.Log = k.Chip
-	k.Chip.SetMetrics(m.DeviceShard(), m.Metrics.Tracer())
-	for i := 63; i >= 0; i-- {
-		k.freeLogIdx = append(k.freeLogIdx, uint16(i))
-	}
-	f, err := m.Phys.Alloc()
-	if err != nil {
-		panic("vm: cannot allocate absorb frame")
-	}
-	k.absorbFrame = f
+	k := NewKernelNoLogger(cfg)
+	k.Chip = tlblog.New(k.M.Bus, k.M.Phys)
+	k.attachLogger(k.Chip, 64) // the on-chip descriptor table's 64 entries
 	k.Chip.OnFull = k.handleChipFull
-	m.Metrics.AddCollector(k.collectStats)
 	return k
 }
 
@@ -56,95 +41,10 @@ func (k *Kernel) OnChip() bool { return k.Chip != nil }
 // handleChipFull advances a log to its next page when the descriptor's
 // space is exhausted (the on-chip analogue of the invalid-log-address
 // logging fault).
-func (k *Kernel) handleChipFull(l *tlblog.Logger, logIndex uint16) bool {
+func (k *Kernel) handleChipFull(_ *tlblog.Logger, logIndex uint16) bool {
 	k.LoggingFaults++
 	k.M.DeviceShard().Inc(metrics.VMLoggingFaults)
-	for _, s := range k.segments {
-		if s.isLog && s.logIdxValid && s.logIndex == logIndex && s.started {
-			s.loggingFaults++
-			return k.advanceChipHead(s)
-		}
-	}
-	return false
-}
-
-// advanceChipHead points the log descriptor at the log segment's next
-// page, or at the absorb page when the user has not extended the segment.
-func (k *Kernel) advanceChipHead(ls *Segment) bool {
-	if ls == nil || !ls.logIdxValid {
-		return false
-	}
-	k.accountChipAbsorbLoss(ls)
-	if ls.nextPage < ls.NumPages() {
-		frame, err := ls.ensureFrame(ls.nextPage)
-		if err != nil {
-			return false
-		}
-		ls.hwPage = ls.nextPage
-		ls.nextPage++
-		ls.absorbing = false
-		base := phys.FrameBase(frame)
-		k.Chip.SetDescriptor(ls.logIndex, base, base+PageSize)
-		k.M.DeviceShard().Inc(metrics.VMLogHeadAdvances)
-		k.tracer().Emit(k.M.MaxNow(), metrics.EvLogAdvance, -1, uint64(ls.id), uint64(ls.hwPage))
-		return true
-	}
-	k.AbsorbedPages++
-	ls.absorbing = true
-	base := phys.FrameBase(k.absorbFrame)
-	k.Chip.SetDescriptor(ls.logIndex, base, base+PageSize)
-	k.M.DeviceShard().Inc(metrics.VMAbsorbedPages)
-	k.tracer().Emit(k.M.MaxNow(), metrics.EvLogAbsorb, -1, uint64(ls.id), 0)
-	return true
-}
-
-// setChipHeadAt positions the descriptor at byte offset off of the log
-// segment.
-func (k *Kernel) setChipHeadAt(ls *Segment, off uint32) error {
-	k.accountChipAbsorbLoss(ls)
-	page := off >> PageShift
-	if page >= ls.NumPages() {
-		ls.nextPage = ls.NumPages()
-		if !k.advanceChipHead(ls) {
-			return fmt.Errorf("vm: cannot start on-chip log head")
-		}
-		return nil
-	}
-	frame, err := ls.ensureFrame(page)
-	if err != nil {
-		return err
-	}
-	ls.hwPage = page
-	ls.nextPage = page + 1
-	ls.absorbing = false
-	ls.started = true
-	base := phys.FrameBase(frame)
-	k.Chip.SetDescriptor(ls.logIndex, base+(off&PageMask), base+PageSize)
-	return nil
-}
-
-// accountChipAbsorbLoss tallies records lost to the absorb page.
-func (k *Kernel) accountChipAbsorbLoss(ls *Segment) {
-	if !ls.absorbing || k.Chip == nil {
-		return
-	}
-	d := k.Chip.Descriptor(ls.logIndex)
-	ls.lostRecords += uint64(d.Addr-phys.FrameBase(k.absorbFrame)) / uint64(ls.recordSize())
-}
-
-// chipAppendOffset is LogAppendOffset for on-chip logs.
-func (k *Kernel) chipAppendOffset(ls *Segment) uint32 {
-	if !ls.logIdxValid || !ls.started {
-		return ls.savedOff
-	}
-	if ls.absorbing {
-		return ls.NumPages() * PageSize
-	}
-	d := k.Chip.Descriptor(ls.logIndex)
-	if !d.Valid {
-		return ls.savedOff
-	}
-	return ls.hwPage*PageSize + (d.Addr & PageMask)
+	return k.advanceLogIndex(logIndex)
 }
 
 // logOnChip enables logging for a region under the on-chip design: the
@@ -163,7 +63,7 @@ func (k *Kernel) logOnChip(r *Region, ls *Segment) error {
 		ls.logIndex = idx
 		ls.logIdxValid = true
 	}
-	if err := k.setChipHeadAt(ls, ls.savedOff); err != nil {
+	if err := k.setLogHeadAt(ls, ls.savedOff); err != nil {
 		return err
 	}
 	r.logSeg = ls
@@ -188,11 +88,7 @@ func (r *Region) mapChipPages() {
 func (k *Kernel) unlogOnChip(r *Region) {
 	ls := r.logSeg
 	k.Sync()
-	ls.savedOff = k.chipAppendOffset(ls)
-	if ls.logIdxValid {
-		k.Chip.Invalidate(ls.logIndex)
-	}
-	ls.started = false
+	k.parkLog(ls)
 	if r.as != nil {
 		npages := (r.size + PageSize - 1) / PageSize
 		for p := uint32(0); p < npages; p++ {
@@ -210,6 +106,9 @@ func (k *Kernel) unlogOnChip(r *Region) {
 // logger (whose records hold virtual addresses).
 func (k *Kernel) ResolveLogAddr(ls *Segment, addr uint32) (seg *Segment, off uint32, ok bool) {
 	if k.Chip != nil {
+		if ls == nil {
+			return nil, 0, false
+		}
 		r := ls.loggedRegion
 		if r == nil || addr < r.base || addr >= r.base+r.size {
 			return nil, 0, false

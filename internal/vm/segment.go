@@ -156,22 +156,8 @@ func (s *Segment) IsLog() bool { return s.isLog }
 // account for in-flight records.
 func (s *Segment) LostRecords() uint64 {
 	n := s.lostRecords
-	if !s.isLog || !s.logIdxValid || !s.absorbing {
-		return n
-	}
-	switch {
-	case s.k.Log != nil:
-		h := s.k.Log.LogHead(s.logIndex)
-		if h.Valid {
-			n += uint64(h.Addr&PageMask) / uint64(s.recordSize())
-		} else {
-			n += uint64(PageSize / s.recordSize())
-		}
-	case s.k.Chip != nil:
-		d := s.k.Chip.Descriptor(s.logIndex)
-		if d.Valid {
-			n += uint64(d.Addr&PageMask) / uint64(s.recordSize())
-		}
+	if s.isLog && s.logIdxValid && s.absorbing {
+		n += uint64(s.k.headPageOff(s) / s.recordSize())
 	}
 	return n
 }
@@ -225,11 +211,7 @@ func (s *Segment) Extend(n uint32) uint32 {
 	s.pages = append(s.pages, make([]pageInfo, n)...)
 	s.size += n * PageSize
 	if s.isLog && s.logIdxValid && s.absorbing {
-		if s.k.Chip != nil {
-			s.k.advanceChipHead(s)
-		} else {
-			s.k.advanceLogHead(s)
-		}
+		s.k.advanceLogHead(s)
 	}
 	return s.size
 }
