@@ -52,6 +52,13 @@ const Magic = uint32(0x5043564C)
 //	16 u64 watermark  logical log offset the image covers
 //	24 u64 cutBase    logical offset of physical log byte 0 at commit
 //	32 u32 seal       seq|recovery.MarkerCommit once committed, 0 while open
+//
+// Bytes 64..72 of either header block may hold an epoch stamp (StampEpoch):
+//
+//	64 u32 StampMagic
+//	68 u32 epoch      a fencing epoch served without a checkpoint
+//
+// Header writes never reach past byte 36, so a stamp survives them.
 const (
 	hdrSeq       = 4
 	hdrImgLen    = 8
@@ -60,7 +67,12 @@ const (
 	hdrCutBase   = 24
 	hdrSeal      = 32
 	hdrSize      = 36
+	hdrStamp     = 64
+	hdrRead      = hdrStamp + 8 // header plus stamp: one read per block
 )
+
+// StampMagic marks an epoch stamp, "LVEP" little-endian.
+const StampMagic = uint32(0x5045564C)
 
 // Shipper is the producer-side replication surface a compaction must
 // respect and notify. *logship.Shipper implements it; the indirection
@@ -138,11 +150,11 @@ type Manager struct {
 
 // New creates a manager. With a Disk it resumes the committed checkpoint
 // generation so new checkpoints never lose the highest-seq slot election
-// to a stale slot. It performs no recovery and trusts that the current
-// log contents match the manager's (zero) cutBase: a caller restarting
-// after a crash must first reconstruct state with Recover and then
-// either truncate the log (TruncateAll) or re-checkpoint before relying
-// on compaction again.
+// to a stale slot, and the highest epoch the headers and stamps hold. It
+// performs no recovery and trusts that the current log contents match
+// the manager's seeded cutBase: a caller restarting after a crash must
+// first reconstruct state with Recover and then either truncate the log
+// (TruncateAll) or re-checkpoint before relying on compaction again.
 func New(sys *core.System, o Options) (*Manager, error) {
 	if o.Log == nil {
 		return nil, errors.New("compact: Options.Log is required")
@@ -161,10 +173,8 @@ func New(sys *core.System, o Options) (*Manager, error) {
 		}
 		if ok {
 			m.seq = st.seq
-			if st.epoch > m.epoch {
-				m.epoch = st.epoch
-			}
 		}
+		m.epoch = max(m.epoch, st.epoch, st.stamped)
 	}
 	return m, nil
 }
@@ -173,7 +183,8 @@ func New(sys *core.System, o Options) (*Manager, error) {
 func (m *Manager) Seq() uint32 { return m.seq }
 
 // Epoch reports the fencing epoch the next checkpoint will stamp: the
-// maximum of the Options seed and the last committed header's epoch.
+// maximum of the Options seed, the last committed header's epoch and
+// any epoch stamp.
 func (m *Manager) Epoch() uint32 { return m.epoch }
 
 // SetEpoch raises the fencing epoch stamped into checkpoint headers.
@@ -187,6 +198,28 @@ func (m *Manager) SetEpoch(e uint32) {
 
 // CutBase reports the logical log offset of physical byte 0.
 func (m *Manager) CutBase() uint64 { return m.cutBase }
+
+// StampEpoch makes the current epoch durable without a checkpoint: one
+// 8-byte write into the header block the next checkpoint will overwrite
+// (the older slot's, so a torn sector can cost only the older image),
+// then one sync. New reads the highest stamp back. A restart that keeps
+// its checkpoint and log uses it to persist the epoch it serves.
+func (m *Manager) StampEpoch(cpu *machine.CPU) error {
+	if m.o.Disk == nil {
+		return errors.New("compact: no checkpoint device configured")
+	}
+	var stamp [8]byte
+	binary.LittleEndian.PutUint32(stamp[:], StampMagic)
+	binary.LittleEndian.PutUint32(stamp[4:], m.epoch)
+	slot := uint64((m.seq + 1) & 1)
+	if err := m.o.Disk.TryWriteAt(cpu, m.o.DiskBase+slot*ramdisk.BlockSize+hdrStamp, stamp[:]); err != nil {
+		return fmt.Errorf("compact: epoch stamp write: %w", err)
+	}
+	if err := m.o.Disk.TrySync(cpu); err != nil {
+		return fmt.Errorf("compact: epoch stamp sync: %w", err)
+	}
+	return nil
+}
 
 // Checkpoint snapshots the data segment behind a marker-word commit
 // without truncating anything. cpu (may be nil) is charged the device
@@ -375,25 +408,32 @@ type state struct {
 	epoch     uint32
 	watermark uint64
 	cutBase   uint64
+	stamped   uint32 // highest epoch stamp in either header block
 }
 
 // loadState reads both slots and returns the committed checkpoint with
 // the highest generation, ok=false when neither slot holds one (a fresh
-// disk, or every checkpoint was interrupted before its seal).
+// disk, or every checkpoint was interrupted before its seal). Either way
+// its stamped field is the highest epoch stamp either block holds.
 func loadState(disk ramdisk.Device, base uint64) (state, bool, error) {
 	var best state
 	found := false
+	stamped := uint32(0)
 	for slot := uint64(0); slot < 2; slot++ {
-		var hdr [hdrSize]byte
+		var hdr [hdrRead]byte
 		if err := disk.TryReadAt(nil, base+slot*ramdisk.BlockSize, hdr[:]); err != nil {
 			return state{}, false, fmt.Errorf("compact: checkpoint header read: %w", err)
 		}
-		st, ok := decodeHeader(slot, hdr[:])
+		st, ok := decodeHeader(slot, hdr[:hdrSize])
 		if ok && (!found || st.seq > best.seq) {
 			best = st
 			found = true
 		}
+		if binary.LittleEndian.Uint32(hdr[hdrStamp:]) == StampMagic {
+			stamped = max(stamped, binary.LittleEndian.Uint32(hdr[hdrStamp+4:]))
+		}
 	}
+	best.stamped = stamped
 	return best, found, nil
 }
 
@@ -448,6 +488,10 @@ type RecoverResult struct {
 	// legacy header or without a checkpoint) — the floor a restarted
 	// primary must serve strictly above.
 	Epoch uint32
+	// Watermark is the logical log offset the image covers (0 without a
+	// checkpoint): a caller that keeps the log in its own logical frame
+	// resumes replay there.
+	Watermark uint64
 }
 
 // errImageSize reports an elected checkpoint whose image is not the size
@@ -458,9 +502,10 @@ var errImageSize = errors.New("compact: checkpoint image size mismatch")
 // (disk, base) and reads its image — no machine involved, so a restart
 // seeds a plain byte image and Recover a segment from the same routine.
 // It returns the image and the header fields a replay needs
-// (FromCheckpoint, Seq, Epoch, and Start = watermark − cutBase, the
-// physical log offset the image covers). Without a committed checkpoint
-// the image is nil and the result zero: replay from offset 0. A
+// (FromCheckpoint, Seq, Epoch, Watermark, and Start = watermark −
+// cutBase, the physical log offset the image covers). Without a
+// committed checkpoint the image is nil and the result zero: replay
+// from offset 0. A
 // committed checkpoint that is not size bytes is an error — its state
 // exists but cannot seed this segment, and a caller that owns the files
 // (the daemon) must not carry on as if they were empty.
@@ -483,6 +528,7 @@ func LoadCheckpoint(disk ramdisk.Device, base uint64, size uint32) ([]byte, Reco
 		Seq:            st.seq,
 		Epoch:          st.epoch,
 		Start:          uint32(st.watermark - st.cutBase),
+		Watermark:      st.watermark,
 	}, nil
 }
 

@@ -300,6 +300,56 @@ func TestNewResumesCommittedGeneration(t *testing.T) {
 	}
 }
 
+// TestStampEpoch: an epoch stamp persists an epoch no checkpoint
+// carries, survives the next checkpoint's writes to its header block,
+// and leaves slot election and the committed image alone.
+func TestStampEpoch(t *testing.T) {
+	sys, seg, ls, p, base, disk, m := rig(t, nil)
+	txn(sys, p, base, 1, map[uint32]uint32{0x100: 11})
+	if err := m.Checkpoint(p.CPU); err != nil {
+		t.Fatal(err)
+	}
+	// stale knows nothing of the stamp: its next header carries epoch 0.
+	stale, err := New(sys, Options{Data: seg, Log: ls, Disk: disk})
+	if err != nil {
+		t.Fatal(err)
+	}
+	m.SetEpoch(9)
+	syncs := disk.Syncs
+	if err := m.StampEpoch(p.CPU); err != nil {
+		t.Fatal(err)
+	}
+	if disk.Syncs != syncs+1 {
+		t.Fatalf("StampEpoch synced %d times, want 1", disk.Syncs-syncs)
+	}
+	reopen := func(seq uint32) *Manager {
+		t.Helper()
+		m2, err := New(sys, Options{Data: seg, Log: ls, Disk: disk})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if m2.Epoch() != 9 || m2.Seq() != seq {
+			t.Fatalf("resumed epoch %d seq %d, want 9 and %d", m2.Epoch(), m2.Seq(), seq)
+		}
+		return m2
+	}
+	reopen(1)
+	img, rr, err := LoadCheckpoint(disk, 0, segSize)
+	if err != nil || rr.Seq != 1 || rr.Epoch != 0 || binary.LittleEndian.Uint32(img[0x100:]) != 11 {
+		t.Fatalf("the stamp moved the committed checkpoint: %+v, %v", rr, err)
+	}
+
+	// The next checkpoint opens, fills and seals the block the stamp is in.
+	txn(sys, p, base, 2, map[uint32]uint32{0x100: 12})
+	if err := stale.Checkpoint(p.CPU); err != nil {
+		t.Fatal(err)
+	}
+	if _, rr, err := LoadCheckpoint(disk, 0, segSize); err != nil || rr.Seq != 2 || rr.Epoch != 0 {
+		t.Fatalf("checkpoint over the stamped block: %+v, %v", rr, err)
+	}
+	reopen(2)
+}
+
 func TestEpochPersistsAcrossCheckpoints(t *testing.T) {
 	sys, seg, ls, p, base, disk, m := rig(t, nil)
 	txn(sys, p, base, 1, map[uint32]uint32{0x100: 11})
@@ -437,7 +487,7 @@ func TestLoadCheckpoint(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := RecoverResult{FromCheckpoint: true, Seq: 1, Epoch: 7, Start: watermark}
+	want := RecoverResult{FromCheckpoint: true, Seq: 1, Epoch: 7, Start: watermark, Watermark: uint64(watermark)}
 	if rr != want {
 		t.Fatalf("rr = %+v, want %+v", rr, want)
 	}

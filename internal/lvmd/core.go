@@ -10,6 +10,7 @@ import (
 	"lvm/internal/core"
 	"lvm/internal/logcursor"
 	"lvm/internal/logrec"
+	"lvm/internal/machine"
 	"lvm/internal/metrics"
 	"lvm/internal/ramdisk"
 	"lvm/internal/recovery"
@@ -63,16 +64,17 @@ type CoreConfig struct {
 	Disk ramdisk.Device
 	// DiskBase is the checkpoint area's offset on Disk.
 	DiskBase uint64
-	// Tail, when non-nil, durably mirrors the physical log for restart
-	// recovery. nil runs the shard without cross-process durability (the
-	// crashtest scenario recovers in-process from the surviving log).
+	// Tail, when non-nil, durably mirrors the log for restart recovery.
+	// nil runs the shard without cross-process durability (the crashtest
+	// scenario recovers in-process from the surviving log).
 	Tail *TailFile
 	// Epoch, when non-zero, is an explicit fencing epoch from a promotion
-	// grant: the shard serves exactly it. Zero lets NewCore elect one
-	// strictly above both the checkpoint generation and the epoch the
-	// last committed checkpoint persisted, so a restarted shard — even
-	// one that was promoted to a high granted epoch in a previous life —
-	// is never fenced out by replicas floored at that epoch.
+	// grant: the shard serves exactly it. Zero lets the core elect one
+	// strictly above the checkpoint generation, the epoch the last
+	// committed checkpoint persisted and the epoch the tail header
+	// persisted, so a restarted shard — even one that was promoted to a
+	// high granted epoch in a previous life — is never fenced out by
+	// replicas floored at that epoch.
 	Epoch uint32
 	// AbsorbWindow/GroupSize/GroupDeadline tune the bus logger once
 	// EnableTuning is called (zero values leave the stage off).
@@ -150,10 +152,10 @@ type ShardCore struct {
 	lost    uint64 // LostRecords watermark already accounted
 }
 
-// coreShip is the compact.Shipper the manager notifies: it keeps the
-// tail mirror and the optional replication shipper in step with every
-// physical cut, and re-seeks the capture reader (offsets slide with the
-// log).
+// coreShip is the compact.Shipper the manager notifies: it cuts the
+// tail mirror up to the manager's new logical base, forwards the cut to
+// the optional replication shipper, and re-seeks the capture reader
+// (physical offsets slide with the log).
 type coreShip struct {
 	c   *ShardCore
 	ext compact.Shipper // the shard's logship.Shipper, when serving
@@ -168,7 +170,7 @@ func (s *coreShip) MinAcked() uint64 {
 
 func (s *coreShip) Compacted(cutRecords uint64) error {
 	if s.c.cfg.Tail != nil {
-		if err := s.c.cfg.Tail.Cut(cutRecords * logrec.Size); err != nil {
+		if err := s.c.cutTail(); err != nil {
 			return err
 		}
 		s.c.reader.Sync()
@@ -208,17 +210,46 @@ func slotBaseFor(slots int) uint32 {
 	return (b + 15) &^ 15
 }
 
-// NewCore boots a fresh shard. img, when non-nil, is a recovered arena
-// image (RecoverImage): it is installed raw, the slot directory and
-// transaction sequence are rebuilt from it, and — because the recovered
-// state must be durable before anything is acknowledged on top of it —
-// a fresh-generation checkpoint is committed and the tail mirror reset,
-// so the shard's logical log offsets restart at zero in every layer
-// (checkpoint header, tail header, shipper base) in step.
+// NewCore boots a fresh shard (img nil), or one from an arena image
+// whose provenance it cannot check — a promoted replica's, or any image
+// not paired with the RecoverImage walk of this shard's own files. Such
+// an image is installed raw, the slot directory and transaction sequence
+// are rebuilt from it, and, because the state must be durable before
+// anything is acknowledged on top of it, a checkpoint of it is committed
+// and then the tail mirror is emptied (RestartCore's rewriting path).
 //
 // The bus-logger tuning stages stay off until EnableTuning, so a core a
 // test drives directly logs one record per issued store.
 func NewCore(cfg CoreConfig, img []byte, seq uint32) (*ShardCore, error) {
+	return RestartCore(cfg, img, RecoverInfo{Seq: seq})
+}
+
+// RestartCore boots a shard from RecoverImage's result over the same
+// cfg.Disk and cfg.Tail. The serving epoch is elected first: a grant
+// (cfg.Epoch) exactly, otherwise one past the checkpoint generation and
+// every epoch the checkpoint area persisted (headers and stamps).
+//
+// When the walk was intact (info.Intact), the sealed checkpoint plus the
+// mirror already are the recovered state, in one logical frame. The
+// core keeps the checkpoint and the mirror as they are, seeds its log's
+// logical base at the mirror's end, and makes the elected epoch durable
+// with one epoch stamp in the checkpoint area and one sync
+// (compact.Manager.StampEpoch). The stamp goes to the small checkpoint
+// file rather than the mirror's header: a sync of the mirror would also
+// wait for whatever of its megabytes is not yet on disk.
+//
+// Otherwise (a quarantined walk, or a checkpoint outside the mirror's
+// frame) it rewrites: a checkpoint of the image first, at logical offset
+// L = max(mirror end, checkpoint watermark), then the mirror is reset to
+// start at L. The frame therefore only moves forward, and a crash
+// between the two steps finds a checkpoint whose watermark lies at or
+// past the old mirror's end — nothing of the old mirror is replayed. An image with transactions but
+// no logical history in this directory (a promoted replica booting in a
+// fresh one) opens its frame at seq records, so the shipper's base is
+// past zero and a fresh subscriber is caught up by snapshot.
+//
+// lvmd.restart_syncs counts the fsyncs either path issued.
+func RestartCore(cfg CoreConfig, img []byte, info RecoverInfo) (*ShardCore, error) {
 	if err := cfg.fill(); err != nil {
 		return nil, err
 	}
@@ -232,6 +263,19 @@ func NewCore(cfg CoreConfig, img []byte, seq uint32) (*ShardCore, error) {
 	if img != nil && uint32(len(img)) != arenaSize {
 		return nil, fmt.Errorf("lvmd: recovered image %d bytes, arena %d", len(img), arenaSize)
 	}
+	keep := img != nil && info.Intact && cfg.Tail != nil
+	// base is the logical log offset of the new log's byte 0.
+	var base uint64
+	if cfg.Tail != nil {
+		base = cfg.Tail.CutBase() + cfg.Tail.Size()
+		if img != nil && !keep {
+			base = max(base, info.Watermark)
+			if base == 0 {
+				base = uint64(info.Seq) * logrec.Size
+			}
+		}
+	}
+	disk := &syncCounter{Device: cfg.Disk}
 	arenaPages := (arenaSize + core.PageSize - 1) / core.PageSize
 	sys := core.NewSystem(core.Config{
 		NumCPUs:   1,
@@ -245,7 +289,7 @@ func NewCore(cfg CoreConfig, img []byte, seq uint32) (*ShardCore, error) {
 		return nil, fmt.Errorf("lvmd: log binding: %w", err)
 	}
 	as := sys.NewAddressSpace()
-	base, err := reg.Bind(as, 0)
+	va, err := reg.Bind(as, 0)
 	if err != nil {
 		return nil, fmt.Errorf("lvmd: arena binding: %w", err)
 	}
@@ -255,7 +299,7 @@ func NewCore(cfg CoreConfig, img []byte, seq uint32) (*ShardCore, error) {
 		LogSeg:    ls,
 		P:         sys.NewProcess(0, as),
 		cfg:       cfg,
-		base:      base,
+		base:      va,
 		slotBase:  slotBaseFor(cfg.Slots),
 		slots:     make(map[uint64]uint32),
 		moved:     make(map[uint64]uint32),
@@ -264,51 +308,64 @@ func NewCore(cfg CoreConfig, img []byte, seq uint32) (*ShardCore, error) {
 	}
 	c.ship = &coreShip{c: c}
 	c.Mgr, err = compact.New(sys, compact.Options{
-		Data: arena, Log: ls, Disk: cfg.Disk, DiskBase: cfg.DiskBase, Ship: c.ship,
+		Data: arena, Log: ls, Disk: disk, DiskBase: cfg.DiskBase, Ship: c.ship, CutBase: base,
 	})
 	if err != nil {
 		return nil, err
 	}
-	// Serving-epoch election, before any checkpoint can stamp it: an
-	// explicit grant serves exactly; otherwise advance strictly past both
-	// the committed checkpoint generation and the epoch the last committed
-	// header persisted. A shard promoted to a high granted epoch in a
-	// previous incarnation therefore restarts above it instead of falling
-	// back to the generation and being fenced out by its own replicas.
-	// (Legacy headers read epoch 0, reproducing the old generation-as-
-	// epoch numbering exactly.)
+	// Serving-epoch election, before anything can persist it: an explicit
+	// grant serves exactly; otherwise advance strictly past the committed
+	// checkpoint generation and every epoch an earlier incarnation
+	// persisted (Mgr.Epoch: checkpoint headers and epoch stamps). A shard
+	// promoted to a high granted epoch in a previous incarnation therefore
+	// restarts above it instead of being fenced out by its own replicas.
+	// (Legacy headers read epoch 0, reproducing the generation-as-epoch
+	// numbering.)
 	if cfg.Epoch != 0 {
 		c.Mgr.SetEpoch(cfg.Epoch)
 	} else {
-		e := c.Mgr.Seq() + 1
-		if pe := c.Mgr.Epoch(); pe >= e {
-			e = pe + 1
-		}
-		c.Mgr.SetEpoch(e)
+		c.Mgr.SetEpoch(max(c.Mgr.Seq(), c.Mgr.Epoch()) + 1)
 	}
 	if cfg.Tail != nil {
 		c.reader = core.NewLogReader(sys, ls)
 	}
-	if img != nil {
-		arena.RawWrite(0, img)
-		c.seq = seq
-		c.rebuildSlots(img)
-		c.sh.Inc(metrics.LvmdRecoveries)
-		// Durability order: the new-generation checkpoint commits first
-		// (covering the whole recovered state), the tail resets second. A
-		// crash between the two replays the old tail over the new image —
-		// an in-order re-application of transactions the image already
-		// holds, which is idempotent.
+	if img == nil {
+		return c, nil
+	}
+	arena.RawWrite(0, img)
+	c.seq = info.Seq
+	c.rebuildSlots(img)
+	c.sh.Inc(metrics.LvmdRecoveries)
+	var tailSyncs uint64
+	if keep {
+		if err := c.Mgr.StampEpoch(nil); err != nil {
+			return nil, fmt.Errorf("lvmd: restart epoch: %w", err)
+		}
+	} else {
 		if err := c.Mgr.Checkpoint(nil); err != nil {
 			return nil, fmt.Errorf("lvmd: post-recovery checkpoint: %w", err)
 		}
-		if cfg.Tail != nil {
-			if err := cfg.Tail.Reset(0); err != nil {
+		if t := cfg.Tail; t != nil {
+			before := t.Syncs()
+			if err := t.Reset(base); err != nil {
 				return nil, fmt.Errorf("lvmd: post-recovery tail reset: %w", err)
 			}
+			tailSyncs = t.Syncs() - before
 		}
 	}
+	c.sh.Add(metrics.LvmdRestartSyncs, disk.syncs+tailSyncs)
 	return c, nil
+}
+
+// syncCounter counts a checkpoint device's syncs (lvmd.restart_syncs).
+type syncCounter struct {
+	ramdisk.Device
+	syncs uint64
+}
+
+func (d *syncCounter) TrySync(cpu *machine.CPU) error {
+	d.syncs++
+	return d.Device.TrySync(cpu)
 }
 
 // rebuildSlots reconstructs the segID→slot map from a recovered image's
@@ -503,19 +560,36 @@ func (c *ShardCore) SyncBatch() error {
 	return nil
 }
 
-// MaybeCompact runs a checkpoint-and-truncate cycle once the log tail
-// passes half the log's capacity. A refused compaction (e.g. a device
-// error) leaves the log intact and recovery falls back to a longer
-// replay; it is reported but not fatal.
+// MaybeCompact runs a checkpoint-and-truncate cycle once the log tail,
+// or the tail mirror, passes half the log's capacity. The mirror can be
+// the longer one: a restart keeps earlier generations' records in it.
+// A refused compaction (e.g. a device error) leaves the log intact and
+// recovery falls back to a longer replay; it is reported but not fatal.
 func (c *ShardCore) MaybeCompact() (bool, error) {
+	half := uint64(c.cfg.LogPages) * uint64(core.PageSize) / 2
 	end := c.Sys.K.LogAppendOffset(c.LogSeg)
-	if uint64(end) < uint64(c.cfg.LogPages)*uint64(core.PageSize)/2 {
+	t := c.cfg.Tail
+	if uint64(end) < half && (t == nil || t.Size() < half) {
 		return false, nil
 	}
 	if err := c.Mgr.Compact(c.P.CPU); err != nil {
 		return false, err
 	}
+	if t != nil && t.CutBase() < c.Mgr.CutBase() {
+		// The log cut nothing (so nothing called Compacted), but the
+		// checkpoint just committed covers every record below the base.
+		return true, c.cutTail()
+	}
 	return true, nil
+}
+
+// cutTail drops the mirror's records below the manager's logical base:
+// the current generation's that a compaction cut, and any earlier
+// generations' a restart kept (or a failed cut left). One frame, one
+// rule.
+func (c *ShardCore) cutTail() error {
+	t := c.cfg.Tail
+	return t.Cut(c.Mgr.CutBase() - t.CutBase())
 }
 
 // Checkpoint commits a checkpoint image without truncating (drain path:
@@ -533,7 +607,7 @@ func (c *ShardCore) Digest() [32]byte {
 
 // RecoverInfo reports what a restart recovery did. Offsets in the
 // embedded result (Start, QuarantinedFrom) are tail-file offsets: byte k
-// of the mirror is byte k of the physical log.
+// of the mirror is logical log byte CutBase+k; Watermark is logical.
 type RecoverInfo struct {
 	compact.RecoverResult
 	// TailRecords is how many mirrored records the tail file held;
@@ -543,6 +617,12 @@ type RecoverInfo struct {
 	TailRecords     int
 	ReissuedRecords int
 	Seq             uint32
+	// Intact reports that the files already are the recovered state in
+	// one logical frame: nothing quarantined, the checkpoint's watermark
+	// (0 without one) inside the mirror's span, and a mirror that is
+	// empty only if nothing was ever committed. RestartCore keeps such
+	// files as they are.
+	Intact bool
 }
 
 // RecoverImage reconstructs a shard's committed arena image from its
@@ -575,17 +655,20 @@ func RecoverImage(cfg CoreConfig, tail *TailFile) ([]byte, RecoverInfo, error) {
 		img = make([]byte, arenaSize)
 	}
 	info.TailRecords = int(tail.size / logrec.Size)
-	// Replay starts where the image stops: the checkpoint's watermark as
-	// a physical offset (record-aligned), clamped to the mirror's end. A
-	// crash between a checkpoint's seal and the tail cut leaves the start
-	// short of the true boundary; re-applying an in-order suffix of
-	// absolute writes the image already holds is idempotent.
-	rr.Start -= rr.Start % logrec.Size
-	if uint64(rr.Start) > tail.size {
-		rr.Start = uint32(tail.size)
+	// Replay starts where the image stops: the checkpoint's logical
+	// watermark in the mirror's frame, clamped to the mirror's end. (A
+	// watermark below the mirror's base is left only by the older
+	// restart that checkpointed at offset 0 and died before resetting the
+	// tail: that image already holds the mirror, and replaying the mirror
+	// from its start re-applies writes the image holds.)
+	start := uint64(0)
+	if rr.Watermark > tail.cutBase {
+		start = min(rr.Watermark-tail.cutBase, tail.size)
 	}
-	n := tail.size - uint64(rr.Start)
-	st, err := logcursor.RunReader(tail.section(uint64(rr.Start)), arenaSize, logcursor.NewWalker(logcursor.Config{
+	start -= start % logrec.Size
+	rr.Start = uint32(start)
+	n := tail.size - start
+	st, err := logcursor.RunReader(tail.section(start), arenaSize, logcursor.NewWalker(logcursor.Config{
 		View:        logcursor.Committed,
 		MarkerLimit: MarkerLimit,
 		End:         uint32(n),
@@ -630,5 +713,8 @@ func RecoverImage(cfg CoreConfig, tail *TailFile) ([]byte, RecoverInfo, error) {
 	if info.Seq != 0 {
 		binary.LittleEndian.PutUint32(img, info.Seq|recovery.MarkerCommit)
 	}
+	end := tail.cutBase + tail.size
+	info.Intact = !rr.Quarantined() && tail.cutBase <= rr.Watermark && rr.Watermark <= end &&
+		(end > 0 || info.Seq == 0)
 	return img, info, nil
 }

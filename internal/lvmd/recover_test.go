@@ -15,6 +15,7 @@ import (
 	"lvm/internal/compact"
 	"lvm/internal/core"
 	"lvm/internal/logrec"
+	"lvm/internal/metrics"
 	"lvm/internal/ramdisk"
 	"lvm/internal/recovery"
 )
@@ -155,67 +156,140 @@ func (r *restartRig) drive(steps int, ending string) {
 	}
 }
 
+// recover runs RecoverImage on the rig's files and checks it against the
+// last fence: the arena past the marker area, the sequence, a clean walk,
+// and a second walk that agrees. It returns what the next generation
+// boots from.
+func (r *restartRig) recover(dir, what string) ([]byte, RecoverInfo) {
+	r.t.Helper()
+	cfg, tail := testCfg(r.t, dir)
+	img, info, err := RecoverImage(cfg, tail)
+	if err != nil {
+		r.t.Fatalf("%s: RecoverImage: %v", what, err)
+	}
+	if !bytes.Equal(img[MarkerLimit:], r.fenced) {
+		r.t.Fatalf("%s: recovered arena differs from the last fenced snapshot", what)
+	}
+	if info.Seq != r.fencedSeq {
+		r.t.Fatalf("%s: recovered seq %d, fenced %d", what, info.Seq, r.fencedSeq)
+	}
+	if info.Quarantined() || info.ReissuedRecords != info.TailRecords || !info.Intact {
+		r.t.Fatalf("%s: clean tail reported damaged: %+v", what, info)
+	}
+	img2, info2, err := RecoverImage(cfg, tail)
+	if err != nil || !bytes.Equal(img, img2) || !reflect.DeepEqual(info, info2) {
+		r.t.Fatalf("%s: second recovery differs (%v):\n%+v\n%+v", what, err, info, info2)
+	}
+	return img, info
+}
+
+// boot restarts the shard the way the daemon does (RestartCore over a
+// RecoverImage result; a fresh core for a nil image).
+func (r *restartRig) boot(dir string, tune func(*CoreConfig), img []byte, info RecoverInfo) *ShardCore {
+	r.t.Helper()
+	cfg, _ := testCfg(r.t, dir)
+	if tune != nil {
+		tune(&cfg)
+	}
+	c, err := RestartCore(cfg, img, info)
+	if err != nil {
+		r.t.Fatalf("RestartCore: %v", err)
+	}
+	c.EnableTuning()
+	if img != nil {
+		if got := c.sh.Get(metrics.LvmdRestartSyncs); got != 1 {
+			r.t.Fatalf("intact restart issued %d syncs, want 1 (the epoch)", got)
+		}
+	}
+	return c
+}
+
 // TestRestartOracle is the restart path's oracle: whatever the op stream
 // and however the generation died, RecoverImage on the files reproduces
 // the last fenced arena and sequence, and does so twice identically. The
-// recovered image then boots the next generation, which is driven and
-// killed in turn.
+// recovered image then boots the next generation through RestartCore,
+// which keeps the files (one epoch sync), so every later generation's
+// records continue the earlier ones' in one mirror. Endings:
+//
+//   - clean, uncommitted, sealed-not-cut: how a driven generation dies
+//     (drive);
+//   - kill-after-epoch: the next generation dies right after its epoch
+//     sync, before its first commit; the files must recover to the same
+//     state, and the generation after it elects a later epoch;
+//   - idle-restarts: two restarts that drain without a commit in between;
+//   - uncommitted-then-commit: an open transaction ends the mirror and
+//     the next generation's first commit follows it directly; the open
+//     one must be dropped at the new begin marker, not merged into it.
 func TestRestartOracle(t *testing.T) {
 	tuned := func(c *CoreConfig) { c.AbsorbWindow, c.GroupSize, c.GroupDeadline = 8, 8, 1024 }
-	rows := []struct {
-		ending string
-		tune   func(*CoreConfig)
-	}{
-		{"clean", nil}, {"clean", tuned},
-		{"uncommitted", nil}, {"uncommitted", tuned},
-		{"sealed-not-cut", nil}, {"sealed-not-cut", tuned},
-	}
-	for ri, row := range rows {
-		for seed := int64(1); seed <= 4; seed++ {
-			t.Run(fmt.Sprintf("%s/tuned=%v/seed=%d", row.ending, row.tune != nil, seed), func(t *testing.T) {
-				dir := t.TempDir()
-				rig := &restartRig{t: t, rng: rand.New(rand.NewSource(seed*100 + int64(ri)))}
-				var img []byte
-				var seq uint32
-				for gen := 0; gen < 3; gen++ {
-					cfg, _ := testCfg(t, dir)
-					if row.tune != nil {
-						row.tune(&cfg)
-					}
-					c, err := NewCore(cfg, img, seq)
-					if err != nil {
-						t.Fatalf("generation %d NewCore: %v", gen, err)
-					}
-					c.EnableTuning()
-					rig.c = c
-					rig.drive(150, row.ending)
-
-					cfg2, tail2 := testCfg(t, dir)
-					var info RecoverInfo
-					img, info, err = RecoverImage(cfg2, tail2)
-					if err != nil {
-						t.Fatalf("generation %d RecoverImage: %v", gen, err)
-					}
-					if !bytes.Equal(img[MarkerLimit:], rig.fenced) {
-						t.Fatalf("generation %d: recovered arena differs from the last fenced snapshot", gen)
-					}
-					if info.Seq != rig.fencedSeq {
-						t.Fatalf("generation %d: recovered seq %d, fenced %d", gen, info.Seq, rig.fencedSeq)
-					}
-					if info.Quarantined() || info.ReissuedRecords != info.TailRecords {
-						t.Fatalf("generation %d: clean tail reported damaged: %+v", gen, info)
-					}
-					img2, info2, err := RecoverImage(cfg2, tail2)
-					if err != nil || !bytes.Equal(img, img2) || !reflect.DeepEqual(info, info2) {
-						t.Fatalf("generation %d: second recovery differs (%v):\n%+v\n%+v", gen, err, info, info2)
-					}
-					seq = info.Seq
-				}
-				if rig.commits == 0 || rig.subword == 0 || rig.checkpoints == 0 || rig.compactions == 0 {
-					t.Fatalf("op stream too thin to prove anything: %+v", *rig)
-				}
-			})
+	endings := []string{"clean", "uncommitted", "sealed-not-cut",
+		"kill-after-epoch", "idle-restarts", "uncommitted-then-commit"}
+	for ei, ending := range endings {
+		for ti, tune := range []func(*CoreConfig){nil, tuned} {
+			for seed := int64(1); seed <= 4; seed++ {
+				t.Run(fmt.Sprintf("%s/tuned=%v/seed=%d", ending, tune != nil, seed), func(t *testing.T) {
+					restartOracle(t, ending, tune, seed*100+int64(2*ei+ti))
+				})
+			}
 		}
+	}
+}
+
+func restartOracle(t *testing.T, ending string, tune func(*CoreConfig), seed int64) {
+	dir := t.TempDir()
+	rig := &restartRig{t: t, rng: rand.New(rand.NewSource(seed))}
+	driveEnding := ending
+	switch ending {
+	case "kill-after-epoch", "idle-restarts":
+		driveEnding = "clean"
+	case "uncommitted-then-commit":
+		driveEnding = "uncommitted"
+	}
+	var img []byte
+	var info RecoverInfo
+	for gen := 0; gen < 3; gen++ {
+		rig.c = rig.boot(dir, tune, img, info)
+		if gen > 0 && ending == "uncommitted-then-commit" {
+			rig.commit()
+			rig.fence()
+			rig.recover(dir, fmt.Sprintf("generation %d, first commit", gen))
+		}
+		rig.drive(150, driveEnding)
+		what := fmt.Sprintf("generation %d", gen)
+		img, info = rig.recover(dir, what)
+		switch ending {
+		case "kill-after-epoch":
+			killed := rig.boot(dir, tune, img, info)
+			img, info = rig.recover(dir, what+", killed after its epoch sync")
+			cfg, _ := testCfg(t, dir)
+			next, err := RestartCore(cfg, img, info)
+			if err != nil {
+				t.Fatalf("%s: RestartCore after a killed one: %v", what, err)
+			}
+			if next.Mgr.Epoch() <= killed.Mgr.Epoch() {
+				t.Fatalf("%s: the restart after a killed one elects %d, not past %d",
+					what, next.Mgr.Epoch(), killed.Mgr.Epoch())
+			}
+			img, info = rig.recover(dir, what+", after the election probe")
+		case "idle-restarts":
+			for i := 0; i < 2; i++ {
+				rig.c = rig.boot(dir, tune, img, info)
+				rig.fence()
+				if err := rig.c.Checkpoint(); err != nil {
+					t.Fatalf("%s: idle drain: %v", what, err)
+				}
+				img, info = rig.recover(dir, fmt.Sprintf("%s, idle restart %d", what, i+1))
+				// The drain's checkpoint covers the whole mirror: replay
+				// starts exactly at its end.
+				if info.Scanned != 0 || int(info.Start) != info.TailRecords*logrec.Size {
+					t.Fatalf("%s: walk after an idle drain starts at %d of %d records and scans %d",
+						what, info.Start/logrec.Size, info.TailRecords, info.Scanned)
+				}
+			}
+		}
+	}
+	if rig.commits == 0 || rig.subword == 0 || rig.checkpoints == 0 || rig.compactions == 0 {
+		t.Fatalf("op stream too thin to prove anything: %+v", *rig)
 	}
 }
 
@@ -421,6 +495,24 @@ func FuzzRecoverImageTail(f *testing.F) {
 		marker += logrec.Size
 	}
 	torn, subMarker, badSize := body[:len(body)-5], mutate(marker, 2), mutate(mid, 3)
+	// A restart that kept the mirror: the old generation ends in an open
+	// transaction, and the new one's first transaction reuses its
+	// sequence. The open stores must be dropped at the new begin marker.
+	_, _, last := refReplay(make([]byte, arena), body, 0)
+	rng := rand.New(rand.NewSource(38))
+	var rec [logrec.Size]byte
+	nextGen := append([]byte(nil), body...)
+	for _, r := range []logrec.Record{
+		{Addr: 0, Value: last + 1, WriteSize: 4},
+		{Addr: MarkerLimit + 8, Value: 0xDEAD, WriteSize: 4},
+		{Addr: MarkerLimit + 13, Value: 0xEE, WriteSize: 1},
+	} {
+		r.Encode(rec[:])
+		nextGen = append(nextGen, rec[:]...)
+	}
+	nextGen = appendTxn(nextGen, rng, arena, last+1, 3)
+	f.Add(nextGen, h0, h1)
+	f.Add(nextGen, h1, h0)
 	f.Add(body, h0, h1)
 	f.Add(torn, h0, h1)
 	f.Add(subMarker, h0, h1)

@@ -159,11 +159,11 @@ type Server struct {
 // NewServer recovers (or creates) every shard from cfg.Dir and starts
 // their goroutines. It does not accept connections until Serve. Shards
 // boot concurrently, one goroutine each (open files, RecoverImage,
-// NewShard with its post-recovery checkpoint and tail reset), so restart
-// time is the slowest shard's, not the sum. Results land in
-// index-addressed slices; on failure every shard that did start is
-// closed, every opened file is closed, and the lowest-index shard's
-// error is returned.
+// NewShard with its epoch sync — or, after a damaged walk, its
+// checkpoint and tail reset), so restart time is the slowest shard's,
+// not the sum. Results land in index-addressed slices; on failure every
+// shard that did start is closed, every opened file is closed, and the
+// lowest-index shard's error is returned.
 func NewServer(cfg ServerConfig) (*Server, error) {
 	s, err := bootServer(cfg)
 	if err != nil {
@@ -236,10 +236,10 @@ func (s *Server) bootShard(i int) error {
 	var info RecoverInfo
 	if s.cfg.Boot != nil {
 		img, info = s.cfg.Boot[i].Img, RecoverInfo{Seq: s.cfg.Boot[i].Seq}
-		// The grant flows through the core so the post-recovery
-		// checkpoint persists it: a later restart of this daemon (no
-		// Boot) then elects past it instead of falling back to the
-		// checkpoint generation and fencing itself out.
+		// The grant flows through the core so the promoted image's
+		// checkpoint and tail reset persist it: a later restart of this
+		// daemon (no Boot) then elects past it instead of falling back to
+		// the checkpoint generation and fencing itself out.
 		shCfg.Core.Epoch = s.cfg.Boot[i].Epoch
 	} else {
 		img, info, err = RecoverImage(shCfg.Core, tail)
@@ -247,7 +247,7 @@ func (s *Server) bootShard(i int) error {
 			return fmt.Errorf("lvmd: shard %d recovery: %w", i, err)
 		}
 	}
-	sh, err := NewShard(i, shCfg, img, info.Seq)
+	sh, err := NewShard(i, shCfg, img, info)
 	if err != nil {
 		return fmt.Errorf("lvmd: shard %d: %w", i, err)
 	}

@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"lvm/internal/lease"
+	"lvm/internal/logrec"
 	"lvm/internal/logship"
 	"lvm/internal/metrics"
 	"lvm/internal/wire"
@@ -111,11 +112,12 @@ type Shard struct {
 	demoted atomic.Bool
 }
 
-// NewShard boots a shard around an optionally-recovered core (img/seq
-// from RecoverImage, nil/0 for a fresh shard) and starts its goroutine.
-func NewShard(id int, cfg ShardConfig, img []byte, seq uint32) (*Shard, error) {
+// NewShard boots a shard around an optionally-recovered core (img/info
+// from RecoverImage, or a promoted image with only info.Seq set; nil for
+// a fresh shard) and starts its goroutine.
+func NewShard(id int, cfg ShardConfig, img []byte, info RecoverInfo) (*Shard, error) {
 	cfg.fill()
-	c, err := NewCore(cfg.Core, img, seq)
+	c, err := RestartCore(cfg.Core, img, info)
 	if err != nil {
 		return nil, err
 	}
@@ -126,19 +128,20 @@ func NewShard(id int, cfg ShardConfig, img []byte, seq uint32) (*Shard, error) {
 		ops:  make(chan shardOp, cfg.QueueDepth),
 		done: make(chan struct{}),
 	}
-	// A recovered arena (slot directory + tenant data) precedes anything
-	// in the truncated hardware log, so the shipper's logical cursor must
-	// start past it: a fresh subscriber is then caught up by snapshot
-	// instead of a log replay that never contained the pre-existing
-	// state. The serving epoch is the core's election (NewCore): a
-	// promotion grant exactly, otherwise strictly past both the resumed
-	// checkpoint generation and the epoch the last committed checkpoint
-	// persisted — so each restart renumbers the stream, subscribers of an
-	// earlier boot full-resync rather than resume against a renumbered
-	// log, and a once-promoted shard is never fenced out by replicas
-	// floored at its granted epoch.
-	if cfg.Ship.StartSeq == 0 && seq != 0 {
-		cfg.Ship.StartSeq = uint64(seq)
+	// The shipper numbers records in the manager's logical frame, so the
+	// ack bound a compaction reads (MinAcked) and the cut it forwards
+	// (Compacted) mean the same records. A recovered arena precedes the
+	// new log, whose base is past zero whenever anything was ever
+	// committed: a fresh subscriber is then caught up by snapshot instead
+	// of a log replay that never contained the pre-existing state. The
+	// serving epoch is the core's election (RestartCore): a promotion
+	// grant exactly, otherwise strictly past every epoch an earlier
+	// incarnation persisted — so each restart renumbers the stream,
+	// subscribers of an earlier boot full-resync rather than resume
+	// against a renumbered log, and a once-promoted shard is never fenced
+	// out by replicas floored at its granted epoch.
+	if cfg.Ship.StartSeq == 0 {
+		cfg.Ship.StartSeq = c.Mgr.CutBase() / logrec.Size
 	}
 	if cfg.Ship.Epoch == 0 {
 		cfg.Ship.Epoch = c.Mgr.Epoch()

@@ -18,27 +18,30 @@ const (
 	tailHdrSize = 16
 )
 
-// TailFile durably mirrors one shard's physical log: the byte at file
-// offset tailHdrSize+k is the byte at physical log offset k, with record
-// address fields rewritten to arena offsets. Each 16-byte record
-// therefore carries everything a restart needs — where, what, how wide —
-// and RecoverImage replays the mirror as bytes over the checkpoint
-// image, starting at the checkpoint header's watermark − cutBase (the
-// mirror and the checkpoint headers share one physical-offset frame; the
-// header here records the same cutBase, the logical log offset of
-// physical byte 0).
+// TailFile durably mirrors one shard's log in the log's logical frame:
+// the record at file offset tailHdrSize+k is the record at logical log
+// offset cutBase+k, with its address field rewritten to an arena offset.
+// Each 16-byte record therefore carries everything a restart needs —
+// where, what, how wide — and RecoverImage replays the mirror as bytes
+// over the checkpoint image, starting at the checkpoint header's logical
+// watermark − cutBase. The frame outlives the process: a restart that
+// keeps the mirror seeds the new log's logical base at the mirror's end
+// (cutBase + Size), so the next generation's records continue it, and a
+// compaction cuts the mirror up to the manager's new logical base,
+// dropping earlier generations' records with the current one's.
 //
-// Compaction cuts rewrite the file through a temp-file rename, so a
-// crash leaves either the pre-cut or post-cut mirror, never a torn one.
-// A crash mid-append can leave a partial final record; OpenTail sizes
-// the mirror to a record boundary — the partial record was never acked
-// (the fsync that would have acked it did not complete).
+// Cuts and resets rewrite the file through a temp-file rename, so a
+// crash leaves either the old or the new mirror, never a torn one. A
+// crash mid-append can leave a partial final record; OpenTail sizes the
+// mirror to a record boundary — the partial record was never acked (the
+// fsync that would have acked it did not complete).
 type TailFile struct {
 	path    string
 	f       *os.File
 	cutBase uint64
 	size    uint64 // record bytes currently in the file (excl. header)
 	buf     []byte // appended but not yet flushed
+	syncs   uint64 // fsyncs issued, the file's and its directory's
 }
 
 // OpenTail opens (creating if needed) the tail file and reads its
@@ -96,6 +99,10 @@ func (t *TailFile) writeHeader(cutBase uint64) error {
 // CutBase reports the logical log offset of the first mirrored byte.
 func (t *TailFile) CutBase() uint64 { return t.cutBase }
 
+// Syncs reports how many fsyncs the file has issued (its own and its
+// directory's).
+func (t *TailFile) Syncs() uint64 { return t.syncs }
+
 // Size reports the mirrored record bytes (buffered appends included).
 func (t *TailFile) Size() uint64 { return t.size + uint64(len(t.buf)) }
 
@@ -114,6 +121,7 @@ func (t *TailFile) Flush() error {
 		t.size += uint64(len(t.buf))
 		t.buf = t.buf[:0]
 	}
+	t.syncs++
 	if err := t.f.Sync(); err != nil {
 		return fmt.Errorf("lvmd: tail fsync: %w", err)
 	}
@@ -141,8 +149,9 @@ func (t *TailFile) Cut(cutBytes uint64) error {
 	return t.rewrite(t.cutBase+cutBytes, body)
 }
 
-// Reset empties the mirror and moves cutBase (restart recovery: the
-// whole reconstructed log was truncated and re-checkpointed).
+// Reset empties the mirror and moves cutBase (a restart that
+// re-checkpointed the recovered state: the new log starts at logical
+// offset cutBase).
 func (t *TailFile) Reset(cutBase uint64) error {
 	t.buf = t.buf[:0]
 	return t.rewrite(cutBase, nil)
@@ -169,6 +178,7 @@ func (t *TailFile) rewrite(cutBase uint64, body []byte) error {
 	if _, err := tmp.WriteAt(body, tailHdrSize); err != nil {
 		return fail("body", err)
 	}
+	t.syncs++
 	if err := tmp.Sync(); err != nil {
 		return fail("sync", err)
 	}
@@ -191,6 +201,7 @@ func (t *TailFile) rewrite(cutBase uint64, body []byte) error {
 	t.size = uint64(len(body))
 	// Make the rename durable (directory entry).
 	if dir, err := os.Open(filepath.Dir(t.path)); err == nil {
+		t.syncs++
 		_ = dir.Sync() //errgate:ok — best-effort directory fsync; data durability is the file's own fsync
 		dir.Close()
 	}

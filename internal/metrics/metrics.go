@@ -94,13 +94,14 @@ const (
 
 	// Multi-tenant logged-memory serving (internal/lvmd): per-shard
 	// counters the daemon merges across shard systems into one snapshot.
-	LvmdOpens      // segment-open transactions applied
-	LvmdCommits    // client commit transactions applied
-	LvmdStores     // data-word stores applied inside commits
-	LvmdBatches    // group-commit batches (one durability fence each)
-	LvmdReads      // consistent read operations served
-	LvmdTailBytes  // log bytes mirrored to the durable tail file
-	LvmdRecoveries // shard recoveries (restart = one RecoverImage per shard)
+	LvmdOpens        // segment-open transactions applied
+	LvmdCommits      // client commit transactions applied
+	LvmdStores       // data-word stores applied inside commits
+	LvmdBatches      // group-commit batches (one durability fence each)
+	LvmdReads        // consistent read operations served
+	LvmdTailBytes    // log bytes mirrored to the durable tail file
+	LvmdRecoveries   // shard recoveries (restart = one RecoverImage per shard)
+	LvmdRestartSyncs // fsyncs a restart issued before serving (checkpoint device + tail)
 
 	// NumIDs is the counter-array length; keep it last.
 	NumIDs
@@ -165,13 +166,14 @@ var counterMeta = [NumIDs]struct {
 	CompactTruncateFailures: {"compact.truncate_failures", KindSum},
 	RecoverySkippedBytes:    {"recovery.replay_skipped_bytes", KindSum},
 
-	LvmdOpens:      {"lvmd.opens", KindSum},
-	LvmdCommits:    {"lvmd.commits", KindSum},
-	LvmdStores:     {"lvmd.stores", KindSum},
-	LvmdBatches:    {"lvmd.batches", KindSum},
-	LvmdReads:      {"lvmd.reads", KindSum},
-	LvmdTailBytes:  {"lvmd.tail_bytes", KindSum},
-	LvmdRecoveries: {"lvmd.recoveries", KindSum},
+	LvmdOpens:        {"lvmd.opens", KindSum},
+	LvmdCommits:      {"lvmd.commits", KindSum},
+	LvmdStores:       {"lvmd.stores", KindSum},
+	LvmdBatches:      {"lvmd.batches", KindSum},
+	LvmdReads:        {"lvmd.reads", KindSum},
+	LvmdTailBytes:    {"lvmd.tail_bytes", KindSum},
+	LvmdRecoveries:   {"lvmd.recoveries", KindSum},
+	LvmdRestartSyncs: {"lvmd.restart_syncs", KindSum},
 }
 
 // Name returns a counter's snapshot name.
