@@ -20,11 +20,12 @@ go vet ./...
 # dropped errors corrupt log state (full errcheck runs in the CI lint job).
 go run ./cmd/errgate .
 go test -race -count=1 ./...
-# The benchmarks that size sweep-pass, restart-replay and whole-restart
-# host cost must keep compiling and running; one iteration, no timing
-# claims.
+# The benchmarks that size sweep-pass, restart-replay (one shard's, and
+# the walk into each sink) and whole-restart host cost must keep
+# compiling and running; one iteration, no timing claims.
 go test -run '^$' -bench SweepPass -benchtime 1x ./internal/experiments
 go test -run '^$' -bench RecoverImage -benchtime 1x ./internal/lvmd
+go test -run '^$' -bench RunBytes -benchtime 1x ./internal/logcursor
 go test -run '^$' -bench NewServerRestart -benchtime 1x ./internal/lvmd
 # bench/ is a nested module the commands above never see, and it imports
 # internal packages: build, vet and test it so an API break fails here,

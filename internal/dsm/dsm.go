@@ -305,7 +305,7 @@ func (c *Consumer) Apply(msg UpdateMsg) {
 // value bytes land at their segment offset, so sub-word writes merge into
 // the replica's prior contents exactly as the original store did. This is
 // the apply path of the logship replication layer; validation (size,
-// alignment, bounds) is the caller's job (recovery.ValidWrite).
+// alignment, bounds) is the caller's job (logcursor.ValidWrite).
 func (c *Consumer) ApplyRecord(off uint32, val uint32, size uint16) {
 	start := c.p.Now()
 	c.p.Compute(ApplyWordCycles)

@@ -35,9 +35,11 @@
 // RunReader. It applies the same rules without building a Rec per
 // record: an open transaction's records are contiguous in the stream,
 // so it is buffered as a byte range — validated once as it is scanned,
-// decoded again only when its commit marker applies it. RunReader walks
-// an io.Reader through one fixed-size buffer, so a walk's memory is a
-// chunk, not the stream.
+// decoded again only when its commit marker applies it. With an Image
+// sink (Config.Image) no Rec is built at all: each applied write is
+// stored from the stream's bytes straight into the image. RunReader
+// walks an io.Reader through one fixed-size buffer, so a walk's memory
+// is a chunk, not the stream.
 package logcursor
 
 // MarkerCommit is the high bit of a marker-word value: set = the store
@@ -122,9 +124,16 @@ type Config struct {
 	// End is the log end offset, used to size the quarantined extent
 	// (QuarantinedBytes = End - quarantine anchor).
 	End uint32
-	// Apply receives each record to apply, in log order. nil = dry run
-	// (validate and count only).
+	// Apply receives each record to apply, in log order. nil with no
+	// Image = dry run (validate and count only).
 	Apply func(Rec)
+	// Image is the other sink: each write the walk applies is stored
+	// straight into Image[Off:] — Size bytes of Value, little-endian —
+	// with the same records in the same order Apply would get, but no
+	// Rec built and no call made per record. Validation bounds a write
+	// by the walked segment's size, so Image must span the segment.
+	// Apply and Image are mutually exclusive.
+	Image []byte
 }
 
 // Stats reports what one walk did and what it could not recover. The
@@ -132,7 +141,7 @@ type Config struct {
 // Result from these counters.
 type Stats struct {
 	Scanned        int // records fed to the walker
-	Applied        int // records handed to Apply
+	Applied        int // records applied (handed to Apply or stored into Image)
 	Skipped        int // records resolving to other segments
 	Txns           int // committed transactions walked
 	InvalidRecords int // records rejected (0 or 1: the first halts the walk)
@@ -169,8 +178,12 @@ type Walker struct {
 	halted bool
 }
 
-// NewWalker builds a walker over cfg.
+// NewWalker builds a walker over cfg. It panics on a config that sets
+// both Apply and Image: a walk has one sink.
 func NewWalker(cfg Config) *Walker {
+	if cfg.Apply != nil && cfg.Image != nil {
+		panic("logcursor: Config sets both Apply and Image")
+	}
 	return &Walker{cfg: cfg, st: Stats{QuarantinedFrom: NoQuarantine}}
 }
 
@@ -203,10 +216,8 @@ func (w *Walker) feed(r *Rec) bool {
 		}
 		if r.Value&MarkerCommit != 0 {
 			w.commit(r.Value &^ MarkerCommit)
-			if w.cfg.Apply != nil {
-				for i := range w.batch {
-					w.cfg.Apply(w.batch[i])
-				}
+			for i := range w.batch {
+				w.apply(&w.batch[i])
 			}
 			w.st.Applied += len(w.batch)
 		}
@@ -216,14 +227,21 @@ func (w *Walker) feed(r *Rec) bool {
 		return true
 	}
 	if w.cfg.View == ApplyAll {
-		if w.cfg.Apply != nil {
-			w.cfg.Apply(*r)
-		}
+		w.apply(r)
 		w.st.Applied++
 		return true
 	}
 	w.batch = append(w.batch, *r)
 	return true
+}
+
+// apply hands r to the walk's sink.
+func (w *Walker) apply(r *Rec) {
+	if w.cfg.Image != nil {
+		put(w.cfg.Image, r.Off, r.Value, r.Size)
+	} else if w.cfg.Apply != nil {
+		w.cfg.Apply(*r)
+	}
 }
 
 // commit counts a commit marker carrying sequence number seq.

@@ -195,6 +195,15 @@ func TestWalkerDryRunAndStats(t *testing.T) {
 	}
 }
 
+func TestWalkerRefusesTwoSinks(t *testing.T) {
+	defer func() {
+		if recover() == nil {
+			t.Fatal("NewWalker accepted a config with both Apply and Image")
+		}
+	}()
+	NewWalker(Config{Apply: func(Rec) {}, Image: make([]byte, segSize)})
+}
+
 func TestWalkerNoMarkerLimitBuffersForever(t *testing.T) {
 	// MarkerLimit 0 in the Committed view: nothing ever commits, every
 	// data record lands in the incomplete tail.
@@ -455,7 +464,8 @@ type errSentinel struct{}
 func (errSentinel) Error() string { return "stop" }
 
 // BenchmarkRunBytes times the restart path's walk: a packed stream of
-// 64-record committed transactions through Run's *BytesSource loop.
+// 64-record committed transactions through Run's *BytesSource loop, into
+// each sink — an Apply closure, and an Image the walk stores into itself.
 func BenchmarkRunBytes(b *testing.B) {
 	const segSize, txns, stores = 1 << 18, 1024, 62
 	var buf [logrec.Size]byte
@@ -472,13 +482,22 @@ func BenchmarkRunBytes(b *testing.B) {
 		put(0, t|MarkerCommit)
 	}
 	img := make([]byte, segSize)
-	b.SetBytes(int64(len(stream)))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		w := NewWalker(Config{View: Committed, MarkerLimit: 16, End: uint32(len(stream)),
-			Apply: func(r Rec) { img[r.Off] = byte(r.Value) }})
-		if st := Run(NewBytesSource(stream, segSize), w); st.Applied != txns*stores {
-			b.Fatalf("applied %d", st.Applied)
-		}
+	for _, sink := range []struct {
+		name string
+		cfg  Config
+	}{
+		{"apply", Config{Apply: func(r Rec) { img[r.Off] = byte(r.Value) }}},
+		{"image", Config{Image: img}},
+	} {
+		b.Run(sink.name, func(b *testing.B) {
+			cfg := sink.cfg
+			cfg.View, cfg.MarkerLimit, cfg.End = Committed, 16, uint32(len(stream))
+			b.SetBytes(int64(len(stream)))
+			for i := 0; i < b.N; i++ {
+				if st := Run(NewBytesSource(stream, segSize), NewWalker(cfg)); st.Applied != txns*stores {
+					b.Fatalf("applied %d", st.Applied)
+				}
+			}
+		})
 	}
 }

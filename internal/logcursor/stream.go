@@ -50,9 +50,11 @@ func (s *stream) pending() int { return (s.pos - s.open) / logrec.Size }
 // scan is the one byte-stream walk: every whole record of buf[pos:]
 // through w, with Walker.feed's rules. It stops at the end of the buffer
 // (a partial record waits for the next refill) or at the first record
-// that quarantines the walk.
+// that quarantines the walk. With an Image sink it stores each applied
+// write from the buffer's bytes; only Apply gets a Rec.
 func (w *Walker) scan(s *stream) {
 	committed, limit := w.cfg.View == Committed, w.cfg.MarkerLimit
+	img, apply := w.cfg.Image, w.cfg.Apply
 	for ; s.pos+logrec.Size <= len(s.buf); s.pos += logrec.Size {
 		b := s.buf[s.pos : s.pos+logrec.Size : s.pos+logrec.Size]
 		off, size := binary.LittleEndian.Uint32(b[0:]), binary.LittleEndian.Uint16(b[8:])
@@ -64,8 +66,10 @@ func (w *Walker) scan(s *stream) {
 			return
 		}
 		if !committed {
-			if w.cfg.Apply != nil {
-				w.cfg.Apply(s.rec(s.pos, true))
+			if img != nil {
+				put(img, off, binary.LittleEndian.Uint32(b[4:]), size)
+			} else if apply != nil {
+				apply(s.rec(s.pos, true))
 			}
 			w.st.Applied++
 			s.open = s.pos + logrec.Size
@@ -76,14 +80,33 @@ func (w *Walker) scan(s *stream) {
 		}
 		if val := binary.LittleEndian.Uint32(b[4:]); val&MarkerCommit != 0 {
 			w.commit(val &^ MarkerCommit)
-			if w.cfg.Apply != nil {
+			if img != nil {
 				for p := s.open; p < s.pos; p += logrec.Size {
-					w.cfg.Apply(s.rec(p, true))
+					r := s.buf[p : p+logrec.Size : p+logrec.Size]
+					put(img, binary.LittleEndian.Uint32(r[0:]), binary.LittleEndian.Uint32(r[4:]), binary.LittleEndian.Uint16(r[8:]))
+				}
+			} else if apply != nil {
+				for p := s.open; p < s.pos; p += logrec.Size {
+					apply(s.rec(p, true))
 				}
 			}
 			w.st.Applied += s.pending()
 		}
 		s.open = s.pos + logrec.Size
+	}
+}
+
+// put stores a write of size bytes of val at img[off:], little-endian.
+// The write passed ValidWrite against a segment img spans, so it is in
+// bounds.
+func put(img []byte, off, val uint32, size uint16) {
+	switch size {
+	case 4:
+		binary.LittleEndian.PutUint32(img[off:], val)
+	case 2:
+		binary.LittleEndian.PutUint16(img[off:], uint16(val))
+	default:
+		img[off] = byte(val)
 	}
 }
 

@@ -3,6 +3,7 @@ package logcursor
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"io"
 	"reflect"
 	"testing"
@@ -14,9 +15,10 @@ import (
 // fuzzStream turns fuzz bytes into a wire-record stream, three bytes per
 // record: the first picks the kind, the other two its offset and value.
 // Kinds cover begin and commit markers (commit sequences in any order),
-// word, halfword and byte stores, sub-word stores into the marker area,
-// bad sizes, and raw offsets (misaligned or out of range). torn%16 bytes
-// of a partial final record follow.
+// word, halfword and byte stores (anywhere, or in the segment's last
+// word), sub-word stores into the marker area, bad sizes, and raw
+// offsets (misaligned or out of range). torn%16 bytes of a partial final
+// record follow.
 func fuzzStream(ops []byte, torn uint8) []byte {
 	var out []byte
 	var buf [logrec.Size]byte
@@ -40,6 +42,9 @@ func fuzzStream(ops []byte, torn uint8) []byte {
 			r = logrec.Record{Addr: 16 + a*4, Value: v, WriteSize: uint16(v % 9)}
 		case 9:
 			r = logrec.Record{Addr: a<<8 | v, Value: v, WriteSize: 4}
+		case 10:
+			size := uint32(1) << (v % 3)
+			r = logrec.Record{Addr: segSize - 4 + a%4&^(size-1), Value: v<<16 | a<<8 | v, WriteSize: uint16(size)}
 		default:
 			r = logrec.Record{Addr: 16 + a*4, Value: v, WriteSize: 4}
 		}
@@ -82,14 +87,36 @@ func walkWith(view View, lim, end uint32, run func(*Walker) (Stats, error)) ([]R
 	return got, st, err
 }
 
+// walkImage runs one walk over a fresh walker whose sink is a zero
+// segment image, and returns the image.
+func walkImage(view View, lim, end uint32, run func(*Walker) (Stats, error)) ([]byte, Stats, error) {
+	img := make([]byte, segSize)
+	st, err := run(NewWalker(Config{View: view, MarkerLimit: lim, End: end, Image: img}))
+	return img, st, err
+}
+
+// imageOf applies recs in order to a zero segment image, byte by byte.
+func imageOf(recs []Rec) []byte {
+	img := make([]byte, segSize)
+	for _, r := range recs {
+		for k := range uint32(r.Size) {
+			img[r.Off+k] = byte(r.Value >> (8 * k))
+		}
+	}
+	return img
+}
+
 // FuzzRunChunked pins the byte-stream walk to the generic one. Each
 // stream is walked in every view three ways — the generic Source loop
 // over Walker.Feed (the reference), Run over one *BytesSource, and
 // RunReader behind readers that split it differently, at the real chunk
 // size and from a buffer of bufSize bytes, small enough that shifting
-// and growing happen on every few records. All must return equal Stats
-// and apply the same records. A reader failing after failAt bytes must
-// surface its error and match the reference walk of the bytes before it.
+// and growing happen on every few records. Every walk runs into both
+// sinks: with Apply it must get the reference's records, with Image it
+// must write them, applied in order to a zero image, and either way it
+// must return the reference's Stats. A reader failing after failAt bytes
+// must surface its error and match the reference walk of the bytes
+// before it.
 func FuzzRunChunked(f *testing.F) {
 	txn := []byte{
 		0, 0, 1, // begin 1
@@ -108,6 +135,10 @@ func FuzzRunChunked(f *testing.F) {
 	f.Add(with(0, 0, 4, 2, 1, 1, 7, 2, 9), uint8(0), []byte{33}, uint16(40), uint8(50)) // sub-word marker-area store
 	f.Add(with(0, 0, 4, 2, 1, 1, 8, 3, 7), uint8(3), []byte{}, uint16(120), uint8(8))   // bad size mid-transaction
 	f.Add(with(9, 0xFF, 0xFF), uint8(0), []byte{2, 250}, uint16(8), uint8(255))         // out of range
+	// A word store in the segment's last word, then a byte and a
+	// halfword store over parts of it.
+	f.Add(with(0, 0, 3, 10, 0, 0x35, 10, 3, 0x30, 10, 1, 0x31, 1, 0, 3),
+		uint8(0), []byte{7, 3}, uint16(300), uint8(20))
 	f.Fuzz(func(t *testing.T, ops []byte, torn uint8, cuts []byte, failAt uint16, bufSize uint8) {
 		if len(ops) > 3<<10 {
 			ops = ops[:3<<10]
@@ -135,37 +166,57 @@ func FuzzRunChunked(f *testing.F) {
 				})
 				return got, st
 			}
+			// walk runs run into each sink, fails unless both walks match
+			// the reference, and returns their errors.
+			walk := func(what string, want []Rec, wantSt Stats, run func(*Walker) (Stats, error)) []error {
+				t.Helper()
+				got, st, err := walkWith(c.view, c.lim, end, run)
+				if st != wantSt || !reflect.DeepEqual(got, want) {
+					t.Fatalf("%s/%s: Apply walk diverges from the reference (err %v):\n got %+v\nwant %+v", c.name, what, err, st, wantSt)
+				}
+				img, st, imgErr := walkImage(c.view, c.lim, end, run)
+				if st != wantSt {
+					t.Fatalf("%s/%s: Image walk's stats diverge from the reference (err %v):\n got %+v\nwant %+v", c.name, what, imgErr, st, wantSt)
+				}
+				if wantImg := imageOf(want); !bytes.Equal(img, wantImg) {
+					i := 0
+					for img[i] == wantImg[i] {
+						i++
+					}
+					t.Fatalf("%s/%s: Image walk wrote %#x at offset %d; the reference's records write %#x", c.name, what, img[i], i, wantImg[i])
+				}
+				return []error{err, imgErr}
+			}
 			want, wantSt := reference(stream)
-			got, st, _ := walkWith(c.view, c.lim, end, func(w *Walker) (Stats, error) {
+			walk("reference", want, wantSt, func(w *Walker) (Stats, error) {
+				return Run(nextOnly{NewBytesSource(stream, segSize)}, w), nil
+			})
+			walk("Run", want, wantSt, func(w *Walker) (Stats, error) {
 				return Run(NewBytesSource(stream, segSize), w), nil
 			})
-			if st != wantSt || !reflect.DeepEqual(got, want) {
-				t.Fatalf("%s: Run diverges from the reference:\n got %+v\nwant %+v", c.name, st, wantSt)
-			}
 			for name, open := range readers {
 				for _, size := range sizes {
-					got, st, err := walkWith(c.view, c.lim, end, func(w *Walker) (Stats, error) {
+					what := fmt.Sprintf("RunReader/%s/%d", name, size)
+					for _, err := range walk(what, want, wantSt, func(w *Walker) (Stats, error) {
 						return runReader(open(), segSize, w, size)
-					})
-					if err != nil || st != wantSt || !reflect.DeepEqual(got, want) {
-						t.Fatalf("%s/%s/%d: RunReader diverges from the reference (err %v):\n got %+v\nwant %+v",
-							c.name, name, size, err, st, wantSt)
+					}) {
+						if err != nil {
+							t.Fatalf("%s/%s: %v", c.name, what, err)
+						}
 					}
 				}
 			}
 			cut := int(failAt) % (len(stream) + 1)
 			want, wantSt = reference(stream[:cut])
 			for _, size := range sizes {
-				got, st, err := walkWith(c.view, c.lim, end, func(w *Walker) (Stats, error) {
+				what := fmt.Sprintf("read error at %d/%d", cut, size)
+				for _, err := range walk(what, want, wantSt, func(w *Walker) (Stats, error) {
 					r := io.MultiReader(&splitReader{b: stream[:cut], cuts: cuts}, iotest.ErrReader(errRead))
 					return runReader(r, segSize, w, size)
-				})
-				if st != wantSt || !reflect.DeepEqual(got, want) {
-					t.Fatalf("%s/%d: walk to a read error at %d diverges from the reference over the bytes before it:\n got %+v\nwant %+v",
-						c.name, size, cut, st, wantSt)
-				}
-				if !errors.Is(err, errRead) && (err != nil || !st.Quarantined()) {
-					t.Fatalf("%s/%d: read error at %d: RunReader returned %v", c.name, size, cut, err)
+				}) {
+					if !errors.Is(err, errRead) && (err != nil || !wantSt.Quarantined()) {
+						t.Fatalf("%s/%s: RunReader returned %v", c.name, what, err)
+					}
 				}
 			}
 		}

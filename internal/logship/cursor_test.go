@@ -33,7 +33,7 @@ func wireRec(off, val uint32, size uint16) []byte {
 func legacyApplyBatch(r *Replica, b *wire.Batch) bool {
 	for i := uint32(0); i < b.Count; i++ {
 		rec := logrec.Decode(b.Records[i*logrec.Size:])
-		if !recovery.ValidWrite(rec.Addr, rec.WriteSize, r.size) {
+		if !logcursor.ValidWrite(rec.Addr, rec.WriteSize, r.size) {
 			return false
 		}
 		if r.markerLimit > 0 {

@@ -10,7 +10,7 @@
 // drains the log into framed batches of 16-byte records on the producer's
 // thread, bounded per consumer by an in-flight window. Replicas apply
 // records through the existing dsm.Consumer machinery, validate each one
-// with the crash-recovery rules (recovery.ValidWrite), quarantine on
+// with the crash-recovery rules (logcursor.ValidWrite), quarantine on
 // torn or corrupt frames, and resume from their last acknowledged
 // sequence number after a crash or disconnect — the same
 // degrade-don't-panic posture as internal/recovery.Replay.

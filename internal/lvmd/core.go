@@ -632,10 +632,12 @@ type RecoverInfo struct {
 // committed checkpoint (compact.LoadCheckpoint) plus the mirrored bytes
 // past its watermark, streamed from the file in fixed-size chunks
 // through the shared cursor (logcursor.RunReader; marker-committed
-// transactions only) with each write applied straight into the image,
-// so memory is the arena plus one chunk, not the tail. The first invalid
-// record quarantines the rest of the tail: the image is then checkpoint
-// + committed prefix, and the info says where the damage began. Pure:
+// transactions only) into an image sink (logcursor.Config.Image): the
+// walk stores each committed write from the chunk's bytes straight into
+// the image, with no per-record Rec or call, and memory is the arena
+// plus one chunk, not the tail. The first invalid record quarantines
+// the rest of the tail: the image is then checkpoint + committed
+// prefix, and the info says where the damage began. Pure:
 // calling it twice must produce identical images — the -check mode's
 // determinism probe.
 func RecoverImage(cfg CoreConfig, tail *TailFile) ([]byte, RecoverInfo, error) {
@@ -672,16 +674,7 @@ func RecoverImage(cfg CoreConfig, tail *TailFile) ([]byte, RecoverInfo, error) {
 		View:        logcursor.Committed,
 		MarkerLimit: MarkerLimit,
 		End:         uint32(n),
-		Apply: func(r logcursor.Rec) {
-			switch r.Size {
-			case 4:
-				binary.LittleEndian.PutUint32(img[r.Off:], r.Value)
-			case 2:
-				binary.LittleEndian.PutUint16(img[r.Off:], uint16(r.Value))
-			default:
-				img[r.Off] = byte(r.Value)
-			}
-		},
+		Image:       img,
 	}))
 	if err != nil {
 		return nil, info, fmt.Errorf("lvmd: tail load: %w", err)

@@ -157,9 +157,11 @@ func (t *TailFile) Reset(cutBase uint64) error {
 	return t.rewrite(cutBase, nil)
 }
 
-// rewrite replaces the file with header(cutBase)+body via temp+rename.
-// Any failure before the rename removes the temp file and leaves the old
-// mirror, and t, untouched.
+// rewrite replaces the file with header(cutBase)+body via temp+rename,
+// and the temp file's handle becomes the mirror's: there is no reopen
+// that could fail after the rename and leave t writing to the unlinked
+// old file. Any failure before the rename removes the temp file and
+// leaves the old mirror, and t, untouched.
 func (t *TailFile) rewrite(cutBase uint64, body []byte) error {
 	tmpPath := t.path + ".tmp"
 	tmp, err := os.OpenFile(tmpPath, os.O_RDWR|os.O_CREATE|os.O_TRUNC, 0o644)
@@ -182,21 +184,11 @@ func (t *TailFile) rewrite(cutBase uint64, body []byte) error {
 	if err := tmp.Sync(); err != nil {
 		return fail("sync", err)
 	}
-	if err := tmp.Close(); err != nil {
-		os.Remove(tmpPath)
-		return fmt.Errorf("lvmd: tail rewrite close: %w", err)
-	}
 	if err := os.Rename(tmpPath, t.path); err != nil {
-		os.Remove(tmpPath)
-		return fmt.Errorf("lvmd: tail rewrite rename: %w", err)
+		return fail("rename", err)
 	}
-	old := t.f
-	f, err := os.OpenFile(t.path, os.O_RDWR, 0o644)
-	if err != nil {
-		return fmt.Errorf("lvmd: tail reopen: %w", err)
-	}
-	old.Close()
-	t.f = f
+	t.f.Close()
+	t.f = tmp
 	t.cutBase = cutBase
 	t.size = uint64(len(body))
 	// Make the rename durable (directory entry).

@@ -74,3 +74,77 @@ func TestTailCutFailureKeepsMirror(t *testing.T) {
 		t.Fatalf("after the retried Cut, Load = %x, %v, cutBase %d", got, err, tail.CutBase())
 	}
 }
+
+// TestTailRewriteAdoptsTempFile: after a Cut and after a Reset the
+// mirror's open handle is the file at its path — the renamed temp file,
+// not the unlinked old one — so records flushed afterwards are the ones a
+// restart reads back.
+func TestTailRewriteAdoptsTempFile(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "tail")
+	tail, err := OpenTail(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer tail.Close()
+	recs := make([]byte, 6*logrec.Size)
+	for i := range recs {
+		recs[i] = byte(i + 1)
+	}
+	sameFile := func(when string) {
+		t.Helper()
+		open, err := tail.f.Stat()
+		if err != nil {
+			t.Fatal(err)
+		}
+		onDisk, err := os.Stat(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !os.SameFile(open, onDisk) {
+			t.Fatalf("after %s the open handle is not the file at %s", when, path)
+		}
+	}
+	reopened := func() ([]byte, uint64) {
+		t.Helper()
+		r, err := OpenTail(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer r.Close()
+		got, err := r.Load()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return got, r.CutBase()
+	}
+
+	tail.Append(recs[:4*logrec.Size])
+	if err := tail.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	if err := tail.Cut(2 * logrec.Size); err != nil {
+		t.Fatal(err)
+	}
+	sameFile("Cut")
+	tail.Append(recs[4*logrec.Size:])
+	if err := tail.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	if got, base := reopened(); !bytes.Equal(got, recs[2*logrec.Size:]) || base != 2*logrec.Size {
+		t.Fatalf("after Cut and Flush a fresh OpenTail reads %x at cutBase %d; want %x at %d",
+			got, base, recs[2*logrec.Size:], 2*logrec.Size)
+	}
+
+	if err := tail.Reset(100 * logrec.Size); err != nil {
+		t.Fatal(err)
+	}
+	sameFile("Reset")
+	tail.Append(recs[:logrec.Size])
+	if err := tail.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	if got, base := reopened(); !bytes.Equal(got, recs[:logrec.Size]) || base != 100*logrec.Size {
+		t.Fatalf("after Reset and Flush a fresh OpenTail reads %x at cutBase %d; want %x at %d",
+			got, base, recs[:logrec.Size], 100*logrec.Size)
+	}
+}

@@ -16,6 +16,7 @@ import (
 	"testing"
 
 	"lvm/internal/core"
+	"lvm/internal/logcursor"
 	"lvm/internal/logrec"
 )
 
@@ -23,7 +24,7 @@ func legacyValid(rec core.Record) bool {
 	if rec.Seg == nil {
 		return false
 	}
-	if !ValidWrite(rec.SegOff, rec.WriteSize, rec.Seg.Size()) {
+	if !logcursor.ValidWrite(rec.SegOff, rec.WriteSize, rec.Seg.Size()) {
 		return false
 	}
 	if rec.Seg.IsLog() {

@@ -199,13 +199,6 @@ func applyRecTo(dst *core.Segment, off, value uint32, size uint16) {
 	dst.RawWrite(off, buf[:n])
 }
 
-// ValidWrite reports whether (off, size) can describe a real logged write
-// into a segment of segSize bytes. It is logcursor.ValidWrite, re-exported
-// where the recovery-facing callers historically found it.
-func ValidWrite(off uint32, size uint16, segSize uint32) bool {
-	return logcursor.ValidWrite(off, size, segSize)
-}
-
 // Policy bounds the retry loop of a RetryDisk.
 type Policy struct {
 	// Attempts is the total number of tries per operation (default 5).
