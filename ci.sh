@@ -20,6 +20,17 @@ go vet ./...
 # dropped errors corrupt log state (full errcheck runs in the CI lint job).
 go run ./cmd/errgate .
 go test -race -count=1 ./...
+# Every package the build covers must also have a test, so a demo or a
+# command cannot rot unnoticed. Exempt: lvmbench's main, which only
+# dispatches to the experiments package and bench/ (both tested), and
+# lvmload, whose tests await a hermetic black-box process harness.
+untested=$(go list -f '{{if not (or .TestGoFiles .XTestGoFiles)}}{{.ImportPath}}{{end}}' ./... |
+    grep -vx -e '' -e lvm/cmd/lvmbench -e lvm/cmd/lvmload || true)
+if [ -n "$untested" ]; then
+    echo "packages without tests:" >&2
+    echo "$untested" >&2
+    exit 1
+fi
 # The benchmarks that size sweep-pass, restart-replay (one shard's, and
 # the walk into each sink) and whole-restart host cost must keep
 # compiling and running; one iteration, no timing claims.

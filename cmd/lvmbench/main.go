@@ -8,8 +8,10 @@
 //	lvmbench all
 //
 // Experiments: table2, table3, fig7, fig8, fig9, fig10, fig11, fig12,
-// ablation-logger, ablation-consistency, ablation-setrange,
-// ablation-checkpoint.
+// ablation-logger, ablation-onchip, ablation-consistency,
+// ablation-setrange, ablation-checkpoint, extension-parallel and
+// extension-oodb; all runs every one of them. stats dumps the metrics
+// snapshot and crashtest runs the fault-injection matrix.
 package main
 
 import (

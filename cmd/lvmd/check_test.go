@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"encoding/json"
 	"os"
 	"path/filepath"
 	"strings"
@@ -100,6 +101,37 @@ func TestCheckComparesWholeRecoverInfo(t *testing.T) {
 		mutate(&info2)
 		if sameRecovery(img, info, img, info2) {
 			t.Errorf("recoveries differing in %s reported the same", name)
+		}
+	}
+}
+
+// TestCheckRefusesShardCountMismatch drains two shards to a manifest and
+// requires -check with any other shard count to fail: a manifest vouches
+// for every shard it lists, and checking a prefix would leave the rest
+// unverified.
+func TestCheckRefusesShardCountMismatch(t *testing.T) {
+	dir := t.TempDir()
+	cfg := lvmd.CoreConfig{Slots: 8, SlotSize: 256, LogPages: 16}
+	srv, err := lvmd.NewServer(lvmd.ServerConfig{Dir: dir, Shards: 2, Shard: lvmd.ShardConfig{Core: cfg}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := json.Marshal(srv.Drain())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(dir, "manifest.json"), b, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	var out bytes.Buffer
+	if code := runCheck(dir, 2, cfg, &out); code != 0 || strings.Count(out.String(), "matches manifest") != 2 {
+		t.Fatalf("-shards 2: exit %d, output %q", code, out.String())
+	}
+	for _, shards := range []int{1, 3} {
+		out.Reset()
+		if code := runCheck(dir, shards, cfg, &out); code == 0 {
+			t.Errorf("-shards %d against a 2-shard manifest passed: %q", shards, out.String())
 		}
 	}
 }

@@ -207,6 +207,13 @@ func runCheck(dir string, shards int, coreCfg lvmd.CoreConfig, out io.Writer) in
 			fmt.Fprintf(os.Stderr, "lvmd: manifest unreadable: %v\n", err)
 			return 1
 		}
+		// A manifest vouches for every shard it lists; checking fewer
+		// would leave the rest unverified.
+		if len(man.Shards) != shards {
+			fmt.Fprintf(os.Stderr, "lvmd: check FAILED: manifest lists %d shards, -shards is %d\n",
+				len(man.Shards), shards)
+			return 1
+		}
 	}
 	fail := 0
 	for i := 0; i < shards; i++ {
@@ -240,10 +247,7 @@ func runCheck(dir string, shards int, coreCfg lvmd.CoreConfig, out io.Writer) in
 		d1 := sha256.Sum256(img1[lvmd.MarkerLimit:])
 		status := "ok"
 		if man != nil {
-			if i >= len(man.Shards) {
-				status = "NOT IN MANIFEST"
-				fail++
-			} else if got := hex.EncodeToString(d1[:]); got != man.Shards[i].Digest ||
+			if got := hex.EncodeToString(d1[:]); got != man.Shards[i].Digest ||
 				info1.Seq != man.Shards[i].Seq {
 				status = fmt.Sprintf("MISMATCH vs manifest (seq %d vs %d)", info1.Seq, man.Shards[i].Seq)
 				fail++

@@ -2,6 +2,7 @@ package core_test
 
 import (
 	"fmt"
+	"strings"
 
 	"lvm/internal/core"
 )
@@ -84,4 +85,108 @@ func ExampleLogReader_ApplyWhile() {
 	fmt.Println("applied", n, "records:", ckpt.Read32(0), ckpt.Read32(4))
 	// Output:
 	// applied 2 records: 7 8
+}
+
+// Example_visualize is the visualization use of Section 2.6: "A program
+// supporting visualization can set the segment containing its state to
+// be logged. A separate process can then interpret this log and display
+// the visual representation of the program."
+//
+// The simulation draws a bouncing particle into a state region logged in
+// direct-mapped mode, so each store lands at the same offset of the log
+// segment, the mapped frame buffer. The display renders every frame from
+// that log segment and never touches the application's memory. A second
+// region, logged in indexed mode, streams the particle's positions as
+// bare values for a telemetry consumer. No application cycle is spent
+// rendering.
+func Example_visualize() {
+	const gridW, gridH, frames = 32, 8, 2
+	sys := core.NewSystem(core.DefaultConfig())
+
+	state := core.NewNamedSegment(sys, "sim-state", core.PageSize, nil)
+	reg := core.NewStdRegion(sys, state)
+	reg.SetLogMode(core.ModeDirect)
+	display := core.NewLogSegment(sys, 1)
+	if err := reg.Log(display); err != nil {
+		panic(err)
+	}
+	coords := core.NewNamedSegment(sys, "coords", core.PageSize, nil)
+	creg := core.NewStdRegion(sys, coords)
+	creg.SetLogMode(core.ModeIndexed)
+	stream := core.NewLogSegment(sys, 4)
+	if err := creg.Log(stream); err != nil {
+		panic(err)
+	}
+	as := sys.NewAddressSpace()
+	base, err := reg.Bind(as, 0)
+	if err != nil {
+		panic(err)
+	}
+	cbase, err := creg.Bind(as, 0)
+	if err != nil {
+		panic(err)
+	}
+	p := sys.NewProcess(0, as)
+
+	x, y, dx, dy := 2, 1, 3, 1
+	for f := 0; f < frames; f++ {
+		p.Compute(2000) // the physics
+		// Erase, move, draw: ordinary stores into the state region.
+		p.Store8(base+uint32(y*gridW+x), 0)
+		x += dx
+		y += dy
+		if x <= 0 || x >= gridW-1 {
+			dx = -dx
+			x += 2 * dx
+		}
+		if y <= 0 || y >= gridH-1 {
+			dy = -dy
+			y += 2 * dy
+		}
+		p.Store8(base+uint32(y*gridW+x), 1)
+		p.Store32(cbase, uint32(x)<<16|uint32(y))
+
+		// The display process synchronizes only on the end of the log.
+		sys.Sync()
+		fmt.Printf("frame %d:\n", f)
+		for row := 0; row < gridH; row++ {
+			line := display.RawRead(uint32(row*gridW), gridW)
+			out := make([]byte, gridW)
+			for i, b := range line {
+				out[i] = '.'
+				if b != 0 {
+					out[i] = '*'
+				}
+			}
+			fmt.Printf("  %s\n", out)
+		}
+	}
+
+	var pos []string
+	for _, v := range core.ReadIndexed(sys, stream) {
+		pos = append(pos, fmt.Sprintf("(%d,%d)", v>>16, v&0xFFFF))
+	}
+	fmt.Printf("indexed telemetry stream (%d positions): %s\n", len(pos), strings.Join(pos, " "))
+	fmt.Printf("application cycles: %d\n", p.Now())
+	// Output:
+	// frame 0:
+	//   ................................
+	//   ................................
+	//   .....*..........................
+	//   ................................
+	//   ................................
+	//   ................................
+	//   ................................
+	//   ................................
+	// frame 1:
+	//   ................................
+	//   ................................
+	//   ................................
+	//   ........*.......................
+	//   ................................
+	//   ................................
+	//   ................................
+	//   ................................
+	// indexed telemetry stream (2 positions): (5,2) (8,3)
+	// application cycles: 10276
 }
