@@ -35,9 +35,6 @@ func (a *Arena) Alloc(size, align uint32) (Addr, error) {
 	return va, nil
 }
 
-// Used reports how many bytes of the region the arena has handed out.
-func (a *Arena) Used() uint32 { return a.next - a.r.Base() }
-
 // Reset makes the whole region available again.
 func (a *Arena) Reset() { a.next = a.r.Base() }
 

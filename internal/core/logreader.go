@@ -117,18 +117,6 @@ func (r *LogReader) Next() (rec Record, ok bool) {
 	return rec, true
 }
 
-// All returns every remaining record.
-func (r *LogReader) All() []Record {
-	out := make([]Record, 0, r.Remaining())
-	for {
-		rec, ok := r.Next()
-		if !ok {
-			return out
-		}
-		out = append(out, rec)
-	}
-}
-
 // Apply replays a record into dst at the record's segment offset: the
 // basic operation of checkpoint roll-forward ("the scheduler applies all
 // logged updates older than T to the checkpoint segment", Section 2.4).

@@ -33,8 +33,8 @@ type Options struct {
 	// Short shrinks the workloads (CI smoke).
 	Short bool
 	// Only, when non-empty, restricts the matrix to templates whose name
-	// contains it (the CI failover job runs just the failover and
-	// migration rows at full depth).
+	// contains it (the CI failover job runs just the failover rows at full
+	// depth).
 	Only string
 }
 
@@ -68,6 +68,21 @@ type template struct {
 	// inside the WAL-reset-to-log-truncation window. Called after
 	// Injector.Arm with the engine under test.
 	armExtra func(in *fault.Injector, eng engine, plan fault.Plan)
+}
+
+// retiredRow is the table position of a deleted template. A plan's
+// workload seed derives from its row's position (runPlan), so the rows
+// after it keep the index they had while it existed: deleting a row must
+// not rewrite the report lines of every row behind it.
+const retiredRow = 20
+
+// seedIndex is row ti's position in the table as it stood before
+// retiredRow was deleted.
+func seedIndex(ti int) int {
+	if ti >= retiredRow {
+		return ti + 1
+	}
+	return ti
 }
 
 func templates() []template {
@@ -198,10 +213,6 @@ func templates() []template {
 		// primary coexist.
 		{name: "failover/partition-drop", scenario: "lease-drop", maxBatch: 8,
 			plan: func(seed, dry uint64) fault.Plan { return fault.Plan{CrashAtCycle: seed} }},
-		// Live migration killed at each cut of the cutover fence sequence;
-		// the segment must be recoverable from exactly one side.
-		{name: "lvmd/crash-mid-migration", scenario: "migrate", maxBatch: 8,
-			plan: func(seed, dry uint64) fault.Plan { return fault.Plan{CrashAtCycle: seed} }},
 		{name: "compact/clean", scenario: "compact", maxBatch: 24,
 			plan: func(seed, dry uint64) fault.Plan { return fault.Plan{} }},
 		{name: "compact/crash-diskop", scenario: "compact", maxBatch: 24,
@@ -232,8 +243,8 @@ func Run(opts Options, w io.Writer) (bool, error) {
 		}
 		for seed := 0; seed < opts.Seeds; seed++ {
 			plans++
-			o1 := runPlan(t, ti, uint64(seed), opts.Short)
-			o2 := runPlan(t, ti, uint64(seed), opts.Short)
+			o1 := runPlan(t, seedIndex(ti), uint64(seed), opts.Short)
+			o2 := runPlan(t, seedIndex(ti), uint64(seed), opts.Short)
 			fmt.Fprintln(w, o1.line)
 			if o1.line != o2.line {
 				nondet++
@@ -307,8 +318,6 @@ func runScenario(t template, plan fault.Plan, short bool) (outcome, uint64) {
 		return runLeasePartition(t, plan, short)
 	case "lease-drop":
 		return runLeaseDrop(t, plan, short)
-	case "migrate":
-		return runMigrate(t, plan, short)
 	}
 	return runTPCA(t, plan, short)
 }

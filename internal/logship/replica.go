@@ -137,8 +137,8 @@ func (r *Replica) Connect() error {
 	if r.leaseObs != nil {
 		// Only lease observers advertise themselves: their beat-acks are
 		// the delivery evidence the holder's renewal feeds on, and a
-		// transient subscriber (e.g. a segment migration) must not engage
-		// the holder or sustain its evidence.
+		// transient subscriber (e.g. a one-off catch-up reader) must not
+		// engage the holder or sustain its evidence.
 		flags |= wire.HelloObserver
 	}
 	if _, err := c.Write(wire.Encode(&wire.Hello{

@@ -30,24 +30,12 @@ const MarkerLimit = uint32(16)
 // consistent.
 const dirEntryBytes = uint32(8)
 
-// Directory entry flag bits. Segment IDs must stay below receivingBit;
-// the top two bits carry migration state, which recovers with the data
-// because the entry is rewritten inside marker transactions:
-//
-//	id            — this shard owns and serves the segment
-//	id|movedBit   — tombstone: the segment migrated away (slot retired)
-//	id|receivingBit — inbound copy: data is being imported; it serves
-//	                  only if the source's tombstone committed first
-//
-// The cutover order (destination data fenced, then source tombstone,
-// then destination activation) makes the crash rule single-valued: an
-// untombstoned source always wins, and a receiving copy wins only when
-// the source's tombstone proves the destination copy was complete.
-const (
-	movedBit     = uint64(1) << 63
-	receivingBit = uint64(1) << 62
-	dirFlagMask  = movedBit | receivingBit
-)
+// dirFlagMask covers the top two bits of a directory entry, which are
+// reserved: Open refuses segment IDs that reach them, and a recovered
+// directory with either bit set is refused at boot. (An earlier format
+// used them to mark a slot its segment had left or was still arriving
+// in; no slot in such a state can be served.)
+const dirFlagMask = uint64(3) << 62
 
 // maxSlotSize is the largest slot a read response can carry whole.
 var maxSlotSize = uint32(wire.MaxPayload - wire.Size(&wire.ReadResp{}))
@@ -133,17 +121,6 @@ type ShardCore struct {
 	seq      uint32
 	slots    map[uint64]uint32 // segID → slot index
 	nextSlot uint32
-
-	// Migration state. moved holds tombstoned entries (segment migrated
-	// away); receiving marks slots whose data arrived by migration but
-	// whose entry has not been activated yet. frozen/captureID/captureBuf
-	// are volatile: a crash un-freezes and drops the capture, which is
-	// safe because an unfinished migration resolves to the source.
-	moved      map[uint64]uint32
-	receiving  map[uint64]bool
-	frozen     uint64
-	captureID  uint64
-	captureBuf []Write
 
 	reader  *core.LogReader // tail-capture cursor (Tail != nil only)
 	ship    *coreShip
@@ -294,17 +271,15 @@ func RestartCore(cfg CoreConfig, img []byte, info RecoverInfo) (*ShardCore, erro
 		return nil, fmt.Errorf("lvmd: arena binding: %w", err)
 	}
 	c := &ShardCore{
-		Sys:       sys,
-		Arena:     arena,
-		LogSeg:    ls,
-		P:         sys.NewProcess(0, as),
-		cfg:       cfg,
-		base:      va,
-		slotBase:  slotBaseFor(cfg.Slots),
-		slots:     make(map[uint64]uint32),
-		moved:     make(map[uint64]uint32),
-		receiving: make(map[uint64]bool),
-		sh:        sys.DeviceShard(),
+		Sys:      sys,
+		Arena:    arena,
+		LogSeg:   ls,
+		P:        sys.NewProcess(0, as),
+		cfg:      cfg,
+		base:     va,
+		slotBase: slotBaseFor(cfg.Slots),
+		slots:    make(map[uint64]uint32),
+		sh:       sys.DeviceShard(),
 	}
 	c.ship = &coreShip{c: c}
 	c.Mgr, err = compact.New(sys, compact.Options{
@@ -332,9 +307,11 @@ func RestartCore(cfg CoreConfig, img []byte, info RecoverInfo) (*ShardCore, erro
 	if img == nil {
 		return c, nil
 	}
+	if err := c.rebuildSlots(img); err != nil {
+		return nil, err
+	}
 	arena.RawWrite(0, img)
 	c.seq = info.Seq
-	c.rebuildSlots(img)
 	c.sh.Inc(metrics.LvmdRecoveries)
 	var tailSyncs uint64
 	if keep {
@@ -368,29 +345,39 @@ func (d *syncCounter) TrySync(cpu *machine.CPU) error {
 	return d.Device.TrySync(cpu)
 }
 
-// rebuildSlots reconstructs the segID→slot map from a recovered image's
-// directory region. Tombstoned entries keep their slot retired; a
-// receiving entry holds real data and is mapped so the ownership scan
-// can serve it if the source proved the copy complete.
-func (c *ShardCore) rebuildSlots(img []byte) {
-	for i := 0; i < c.cfg.Slots; i++ {
-		off := MarkerLimit + uint32(i)*dirEntryBytes
-		e := binary.LittleEndian.Uint64(img[off:])
-		if e == 0 {
-			break // entries are allocated densely
-		}
-		id := e &^ dirFlagMask
-		switch {
-		case e&movedBit != 0:
-			c.moved[id] = uint32(i)
-		case e&receivingBit != 0:
-			c.slots[id] = uint32(i)
-			c.receiving[id] = true
-		default:
-			c.slots[id] = uint32(i)
-		}
-		c.nextSlot = uint32(i) + 1
+// readDirectory decodes a recovered image's slot directory of `slots`
+// entries: ids[k] is the segment in slot k. Entries are allocated
+// densely, so the first zero entry ends it. An entry with a reserved
+// flag bit set is refused: no segment ID may carry one.
+func readDirectory(img []byte, slots int) (ids []uint64, err error) {
+	if end := int(MarkerLimit) + slots*int(dirEntryBytes); len(img) < end {
+		return nil, fmt.Errorf("lvmd: %d-byte image is shorter than its %d-slot directory", len(img), slots)
 	}
+	for i := 0; i < slots; i++ {
+		e := binary.LittleEndian.Uint64(img[MarkerLimit+uint32(i)*dirEntryBytes:])
+		if e == 0 {
+			break
+		}
+		if e&dirFlagMask != 0 {
+			return nil, fmt.Errorf("lvmd: slot directory entry %d (%#x) has reserved flag bits set", i, e)
+		}
+		ids = append(ids, e)
+	}
+	return ids, nil
+}
+
+// rebuildSlots reconstructs the segID→slot map from a recovered image's
+// directory region.
+func (c *ShardCore) rebuildSlots(img []byte) error {
+	ids, err := readDirectory(img, c.cfg.Slots)
+	if err != nil {
+		return err
+	}
+	for slot, id := range ids {
+		c.slots[id] = uint32(slot)
+	}
+	c.nextSlot = uint32(len(ids))
+	return nil
 }
 
 // EnableTuning turns on the configured write-absorption and group-commit
@@ -431,11 +418,6 @@ func (c *ShardCore) Lookup(segID uint64) (uint32, bool) {
 // ErrNoSlot reports a full slot directory.
 var ErrNoSlot = errors.New("lvmd: shard slot directory full")
 
-// ErrMoved reports an operation on a segment this shard no longer (or
-// not yet) serves: it migrated away, or is frozen mid-cutover. The
-// server answers StatusMoved and the client re-resolves its route.
-var ErrMoved = errors.New("lvmd: segment moved")
-
 // Open maps segID to a slot, allocating one inside a marker-bracketed
 // transaction on first open (the directory write recovers with the
 // data). The allocation is durable only after the next SyncBatch; the
@@ -449,9 +431,6 @@ func (c *ShardCore) Open(segID uint64) (slot uint32, existed bool, err error) {
 	}
 	if s, ok := c.slots[segID]; ok {
 		return s, true, nil
-	}
-	if _, gone := c.moved[segID]; gone {
-		return 0, false, ErrMoved
 	}
 	if int(c.nextSlot) >= c.cfg.Slots {
 		return 0, false, ErrNoSlot
@@ -475,13 +454,7 @@ func (c *ShardCore) Open(segID uint64) (slot uint32, existed bool, err error) {
 func (c *ShardCore) Commit(segID uint64, writes []Write) (uint32, error) {
 	slot, ok := c.slots[segID]
 	if !ok {
-		if _, gone := c.moved[segID]; gone {
-			return 0, ErrMoved
-		}
 		return 0, fmt.Errorf("lvmd: commit to unopened segment %d", segID)
-	}
-	if c.frozen == segID {
-		return 0, ErrMoved
 	}
 	for _, w := range writes {
 		if w.Off%4 != 0 || w.Off+4 > c.cfg.SlotSize {
@@ -495,9 +468,6 @@ func (c *ShardCore) Commit(segID uint64, writes []Write) (uint32, error) {
 		c.P.Store32(va+core.Addr(w.Off), w.Val)
 	}
 	c.P.Store32(c.base, c.seq|recovery.MarkerCommit) // commit
-	if c.captureID == segID && segID != 0 {
-		c.captureBuf = append(c.captureBuf, writes...)
-	}
 	c.sh.Inc(metrics.LvmdCommits)
 	c.sh.Add(metrics.LvmdStores, uint64(len(writes)))
 	return c.seq, nil
@@ -509,9 +479,6 @@ func (c *ShardCore) Commit(segID uint64, writes []Write) (uint32, error) {
 func (c *ShardCore) Read(segID uint64, off, n uint32) ([]byte, error) {
 	slot, ok := c.slots[segID]
 	if !ok {
-		if _, gone := c.moved[segID]; gone {
-			return nil, ErrMoved
-		}
 		return nil, fmt.Errorf("lvmd: read of unopened segment %d", segID)
 	}
 	if off+n < off || off+n > c.cfg.SlotSize {

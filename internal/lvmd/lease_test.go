@@ -2,14 +2,12 @@ package lvmd
 
 import (
 	"encoding/binary"
-	"errors"
 	"strings"
 	"testing"
 	"time"
 
 	"lvm/internal/lease"
 	"lvm/internal/logship"
-	"lvm/internal/wire"
 )
 
 // TestShardLeaseDemotion: a shard whose lease clock jumps past the TTL
@@ -201,59 +199,6 @@ func TestServerIdleDeadline(t *testing.T) {
 	// The reaped socket is actually dead, not just counted.
 	if err := silent.Commit(1, []Write{{Off: 4, Val: 9}}); err == nil {
 		t.Fatal("silent client's connection survived the idle deadline")
-	}
-}
-
-// TestMovedChaseExhausted: a route that keeps answering StatusMoved
-// surfaces the typed MovedError — unwrapping to ErrMoved — after the
-// bounded retry schedule, instead of spinning forever.
-func TestMovedChaseExhausted(t *testing.T) {
-	ln, dial := logship.NewMemTransport()
-	defer ln.Close()
-	go func() {
-		conn, err := ln.Accept()
-		if err != nil {
-			return
-		}
-		defer conn.Close()
-		for {
-			m, err := wire.ReadMsg(conn)
-			open, ok := m.(*wire.Open)
-			if err != nil || !ok {
-				return
-			}
-			resp := &wire.OpenResp{SegID: open.SegID, Status: StatusMoved}
-			if _, err := conn.Write(wire.Encode(resp)); err != nil {
-				return
-			}
-		}
-	}()
-
-	cl, err := DialClient(dial)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer cl.Close()
-	_, err = cl.Open(7)
-	if err == nil {
-		t.Fatal("open against a permanently-moved route succeeded")
-	}
-	if !errors.Is(err, ErrMoved) {
-		t.Fatalf("chase exhaustion error = %v, does not unwrap to ErrMoved", err)
-	}
-	var me *MovedError
-	if !errors.As(err, &me) {
-		t.Fatalf("chase exhaustion error = %T, want *MovedError", err)
-	}
-	if me.Seg != 7 || me.Attempts != movedRetries+1 || me.Elapsed <= 0 {
-		t.Fatalf("MovedError = %+v", me)
-	}
-
-	// The wall-clock budget trips even when the retry count has not:
-	// exercised directly so the test does not sleep out the real budget.
-	ch := movedChase{start: time.Now().Add(-movedChaseBudget - time.Second), attempts: 1}
-	if err := ch.again(9); err == nil || !errors.Is(err, ErrMoved) {
-		t.Fatalf("time-budget exhaustion = %v, want MovedError", err)
 	}
 }
 

@@ -71,106 +71,21 @@ func call[T wire.Msg](c *Client, frames []byte) (T, error) {
 	return resp, err
 }
 
-// movedRetries bounds how many times a client chases a migrating
-// segment (StatusMoved) before surfacing the error; each retry backs
-// off linearly, so a cutover in progress has time to flip the route.
-// movedChaseBudget bounds the chase in wall-clock terms as well — a
-// route that keeps answering Moved (however fast) must not spin the
-// client forever. The budget comfortably exceeds the stop-and-copy
-// cutover pause (under a second, TestMigrateUnderLoad), so a healthy
-// migration never trips it.
-const (
-	movedRetries     = 10
-	movedChaseBudget = 2 * time.Second
-)
-
-// MovedError reports a moved-chase that exhausted its retry or time
-// budget: the segment kept answering StatusMoved. It unwraps to
-// ErrMoved so callers can distinguish routing churn from I/O failure
-// with errors.Is.
-type MovedError struct {
-	Seg      uint64
-	Attempts int
-	Elapsed  time.Duration
-}
-
-func (e *MovedError) Error() string {
-	return fmt.Sprintf("lvmd: segment %d still moving after %d attempts over %v",
-		e.Seg, e.Attempts, e.Elapsed.Round(time.Millisecond))
-}
-
-// Unwrap ties the chase exhaustion to the core's ErrMoved sentinel.
-func (e *MovedError) Unwrap() error { return ErrMoved }
-
-// movedChase tracks one operation's pursuit of a migrating segment.
-type movedChase struct {
-	start    time.Time
-	attempts int
-}
-
-// again backs off linearly and reports nil to retry; an exhausted
-// attempt count or time budget returns the typed MovedError instead.
-func (ch *movedChase) again(seg uint64) error {
-	if ch.attempts == 0 {
-		ch.start = time.Now()
-	}
-	ch.attempts++
-	if ch.attempts > movedRetries || time.Since(ch.start) > movedChaseBudget {
-		return &MovedError{Seg: seg, Attempts: ch.attempts, Elapsed: time.Since(ch.start)}
-	}
-	time.Sleep(time.Duration(ch.attempts) * time.Millisecond)
-	return nil
-}
-
 // Open maps a segment, returning its slot geometry.
 func (c *Client) Open(segID uint64) (slotSize uint32, err error) {
-	var chase movedChase
-	for {
-		resp, err := call[*wire.OpenResp](c, wire.Encode(&wire.Open{SegID: segID}))
-		if err != nil {
-			return 0, err
-		}
-		if resp.Status == StatusMoved {
-			if err := chase.again(segID); err != nil {
-				return 0, err
-			}
-			continue
-		}
-		if resp.Status != StatusOK {
-			return 0, fmt.Errorf("lvmd: open segment %d: status %d", segID, resp.Status)
-		}
-		return resp.SlotSize, nil
+	resp, err := call[*wire.OpenResp](c, wire.Encode(&wire.Open{SegID: segID}))
+	if err != nil {
+		return 0, err
 	}
+	if resp.Status != StatusOK {
+		return 0, fmt.Errorf("lvmd: open segment %d: status %d", segID, resp.Status)
+	}
+	return resp.SlotSize, nil
 }
 
 // Commit sends the transaction's stores and its commit, and waits for
-// the durable acknowledgement. A StatusMoved answer (the segment is
-// migrating) retries the whole transaction — the moved attempt did not
-// commit — against the server's updated route.
+// the durable acknowledgement.
 func (c *Client) Commit(segID uint64, writes []Write) error {
-	var chase movedChase
-	for {
-		resp, err := c.commitOnce(segID, writes)
-		if err != nil {
-			return err
-		}
-		if resp.Status == StatusMoved {
-			if err := chase.again(segID); err != nil {
-				return err
-			}
-			continue
-		}
-		if resp.Status != StatusOK {
-			return fmt.Errorf("lvmd: commit segment %d: status %d", segID, resp.Status)
-		}
-		if resp.ClientSeq != c.seq {
-			return fmt.Errorf("lvmd: commit ack for seq %d, want %d", resp.ClientSeq, c.seq)
-		}
-		return nil
-	}
-}
-
-func (c *Client) commitOnce(segID uint64, writes []Write) (*wire.CommitResp, error) {
 	buf := c.buf[:0]
 	st := &wire.Store{SegID: segID}
 	for _, w := range writes {
@@ -179,28 +94,29 @@ func (c *Client) commitOnce(segID uint64, writes []Write) (*wire.CommitResp, err
 	}
 	c.seq++
 	c.buf = append(buf, wire.Encode(&wire.Commit{SegID: segID, ClientSeq: c.seq})...)
-	return call[*wire.CommitResp](c, c.buf)
+	resp, err := call[*wire.CommitResp](c, c.buf)
+	if err != nil {
+		return err
+	}
+	if resp.Status != StatusOK {
+		return fmt.Errorf("lvmd: commit segment %d: status %d", segID, resp.Status)
+	}
+	if resp.ClientSeq != c.seq {
+		return fmt.Errorf("lvmd: commit ack for seq %d, want %d", resp.ClientSeq, c.seq)
+	}
+	return nil
 }
 
 // Read returns committed segment bytes.
 func (c *Client) Read(segID uint64, off, n uint32) ([]byte, error) {
-	var chase movedChase
-	for {
-		resp, err := call[*wire.ReadResp](c, wire.Encode(&wire.Read{SegID: segID, Off: off, N: n}))
-		if err != nil {
-			return nil, err
-		}
-		if resp.Status == StatusMoved {
-			if err := chase.again(segID); err != nil {
-				return nil, err
-			}
-			continue
-		}
-		if resp.Status != StatusOK {
-			return nil, fmt.Errorf("lvmd: read segment %d: status %d", segID, resp.Status)
-		}
-		return resp.Data, nil
+	resp, err := call[*wire.ReadResp](c, wire.Encode(&wire.Read{SegID: segID, Off: off, N: n}))
+	if err != nil {
+		return nil, err
 	}
+	if resp.Status != StatusOK {
+		return nil, fmt.Errorf("lvmd: read segment %d: status %d", segID, resp.Status)
+	}
+	return resp.Data, nil
 }
 
 // Stats fetches the daemon's host counters.

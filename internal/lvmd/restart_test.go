@@ -1,6 +1,7 @@
 package lvmd
 
 import (
+	"bytes"
 	"fmt"
 	"io"
 	"net"
@@ -15,9 +16,10 @@ import (
 )
 
 // crashImage writes a daemon data directory as a SIGKILL leaves it: each
-// shard's core opened segments and committed transactions of 62 word
-// stores, fenced every batch, and never drained, so no checkpoint exists
-// and every record is in the tail mirror.
+// shard's core opened the first three segment IDs whose hash home it is
+// and committed transactions of 62 word stores, fenced every batch, and
+// never drained, so no checkpoint exists and every record is in the tail
+// mirror.
 func crashImage(tb testing.TB, dir string, shards int, cfg CoreConfig, commits int) {
 	tb.Helper()
 	for i := 0; i < shards; i++ {
@@ -31,11 +33,15 @@ func crashImage(tb testing.TB, dir string, shards int, cfg CoreConfig, commits i
 		if err != nil {
 			tb.Fatal(err)
 		}
-		segs := []uint64{uint64(100*i + 1), uint64(100*i + 2), uint64(100*i + 3)}
-		for _, id := range segs {
+		var segs []uint64
+		for id := uint64(1); len(segs) < 3; id++ {
+			if homeShard(id, shards) != i {
+				continue
+			}
 			if _, _, err := c.Open(id); err != nil {
 				tb.Fatal(err)
 			}
+			segs = append(segs, id)
 		}
 		writes := make([]Write, 62)
 		for n := 0; n < commits; n++ {
@@ -331,7 +337,7 @@ func TestRestartShipFrame(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer s.Close()
+	booted := s.Core.Mgr.Stats.Checkpoints // the loop has run no op yet
 
 	// A standby that subscribed at the restart point, then stopped acking.
 	at := s.Shipper.Base()
@@ -346,29 +352,32 @@ func TestRestartShipFrame(t *testing.T) {
 		t.Fatalf("welcome %+v (%v), want a stream from %d", m, err, at)
 	}
 	go io.Copy(io.Discard, standby)
-	defer standby.Close()
 
+	// Commits go through the shard's op queue, as a client's do, and each
+	// waits for its acknowledgement.
+	acks := make(chan []byte, 1)
 	for i := 0; i < 80; i++ { // 2560 records, past the 2048-record threshold
-		ok, err := s.Exec(func(c *ShardCore) bool {
-			w := make([]Write, 30)
-			for k := range w {
-				w[k] = Write{Off: uint32(k * 4), Val: uint32(i<<8 | k)}
-			}
-			_, err := c.Commit(1, w)
-			return err == nil
-		}, time.Second)
-		if err != nil || !ok {
-			t.Fatalf("commit %d: %v", i, err)
+		w := make([]Write, 30)
+		for k := range w {
+			w[k] = Write{Off: uint32(k * 4), Val: uint32(i<<8 | k)}
+		}
+		op := shardOp{kind: opCommit, segID: 1, writes: w, t0: time.Now(),
+			reply: func(f []byte) { acks <- f }}
+		if !s.submit(op, time.Second) {
+			t.Fatalf("commit %d: queue full", i)
+		}
+		m, err := wire.ReadMsg(bytes.NewReader(<-acks))
+		if r, ok := m.(*wire.CommitResp); err != nil || !ok || r.Status != StatusOK {
+			t.Fatalf("commit %d: %+v (%v)", i, m, err)
 		}
 	}
-	var cut, base, checkpoints uint64
-	if _, err := s.Exec(func(c *ShardCore) bool {
-		cut, base, checkpoints = c.Mgr.CutBase(), s.Shipper.Base(), c.Mgr.Stats.Checkpoints
-		return false
-	}, time.Second); err != nil {
-		t.Fatal(err)
-	}
-	if checkpoints == 0 {
+	// The shard's state is the test's to read once Close returns. The
+	// drain commits one checkpoint and cuts nothing; a compaction is any
+	// checkpoint beyond it.
+	standby.Close()
+	s.Close()
+	cut, base := s.Core.Mgr.CutBase(), s.Shipper.Base()
+	if s.Core.Mgr.Stats.Checkpoints-booted < 2 {
 		t.Fatal("no compaction ran: the test proves nothing")
 	}
 	if base > at {

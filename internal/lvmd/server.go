@@ -23,6 +23,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io/fs"
 	"net"
 	"os"
 	"path/filepath"
@@ -42,8 +43,9 @@ const (
 	StatusBad      = byte(2) // malformed or out-of-range request
 	StatusDraining = byte(3) // server is shutting down
 	StatusUnknown  = byte(4) // segment was never opened on this connection
-	StatusMoved    = byte(5) // segment migrated (or is mid-cutover): re-resolve and retry
-	StatusDemoted  = byte(6) // serving lease lost: writes refused until the host restarts as primary
+	// 5 is retired, never reused: an older client reads it as "re-resolve
+	// the segment's shard and retry".
+	StatusDemoted = byte(6) // serving lease lost: writes refused until the host restarts as primary
 )
 
 // ServerConfig tunes the daemon.
@@ -118,7 +120,6 @@ type HostStats struct {
 	KilledDrop   uint64 `json:"killed_drop"`
 	BadFrames    uint64 `json:"bad_frames"`
 	RefusedDrain uint64 `json:"refused_drain"`
-	Migrations   uint64 `json:"migrations"`
 	IdleExpired  uint64 `json:"idle_expired"`
 }
 
@@ -138,13 +139,6 @@ type Server struct {
 	acceptWG sync.WaitGroup
 	sessWG   sync.WaitGroup
 
-	// reroute overrides the hash route for migrated segments: segID →
-	// shard index of the current owner. Rebuilt from the directory marks
-	// at boot, updated at each cutover flip.
-	routeMu sync.RWMutex
-	reroute map[uint64]int
-	migMu   sync.Mutex // serializes migrations
-
 	accepted    atomic.Uint64
 	sessionsNow atomic.Int64
 	subscribers atomic.Uint64
@@ -152,7 +146,6 @@ type Server struct {
 	killedDrop  atomic.Uint64
 	badFrames   atomic.Uint64
 	refused     atomic.Uint64
-	migrations  atomic.Uint64
 	idleExpired atomic.Uint64
 }
 
@@ -177,6 +170,9 @@ func NewServer(cfg ServerConfig) (*Server, error) {
 // is still running.
 func bootServer(cfg ServerConfig) (*Server, error) {
 	cfg.fill()
+	if err := cfg.Shard.Core.fill(); err != nil {
+		return nil, err
+	}
 	n := cfg.Shards
 	s := &Server{
 		cfg:      cfg,
@@ -185,13 +181,29 @@ func bootServer(cfg ServerConfig) (*Server, error) {
 		tails:    make([]*TailFile, n),
 		info:     make([]RecoverInfo, n),
 		sessions: make(map[net.Conn]struct{}),
-		reroute:  make(map[uint64]int),
 	}
 	if err := os.MkdirAll(cfg.Dir, 0o755); err != nil {
 		return nil, fmt.Errorf("lvmd: data dir: %w", err)
 	}
 	if cfg.Boot != nil && len(cfg.Boot) != n {
 		return nil, fmt.Errorf("lvmd: %d boot images for %d shards", len(cfg.Boot), n)
+	}
+	// Shard n's files mean the directory was written with more shards:
+	// booting without them would silently drop their tenants. Files this
+	// boot creates are noted so a failed boot can remove them again and
+	// leave no stray shard behind for the next boot to trip over.
+	var created []string
+	for i := 0; i <= n; i++ {
+		for _, name := range shardFileNames(i) {
+			path := filepath.Join(cfg.Dir, name)
+			_, err := os.Stat(path)
+			switch {
+			case i == n && err == nil:
+				return nil, fmt.Errorf("lvmd: %s holds %s, so it was written with more than %d shards", cfg.Dir, name, n)
+			case i < n && errors.Is(err, fs.ErrNotExist):
+				created = append(created, path)
+			}
+		}
 	}
 	errs := make([]error, n)
 	var wg sync.WaitGroup
@@ -211,12 +223,11 @@ func bootServer(cfg ServerConfig) (*Server, error) {
 				}
 			}
 			s.closeFiles()
+			for _, path := range created {
+				_ = os.Remove(path) // best effort: the boot error is the one to report
+			}
 			return s, err
 		}
-	}
-	if err := s.scanOwnership(); err != nil {
-		s.Drain()
-		return nil, err
 	}
 	return s, nil
 }
@@ -247,6 +258,9 @@ func (s *Server) bootShard(i int) error {
 			return fmt.Errorf("lvmd: shard %d recovery: %w", i, err)
 		}
 	}
+	if err := s.checkHomes(i, img); err != nil {
+		return err
+	}
 	sh, err := NewShard(i, shCfg, img, info)
 	if err != nil {
 		return fmt.Errorf("lvmd: shard %d: %w", i, err)
@@ -255,70 +269,40 @@ func (s *Server) bootShard(i int) error {
 	return nil
 }
 
-// scanOwnership rebuilds the migration route table from the recovered
-// directories and resolves a crash mid-migration: an untombstoned owner
-// always serves; a receiving copy serves — and is activated — only when
-// no owner claims the segment (the source's tombstone committed, which
-// by the cutover's fence order proves this copy is complete).
-func (s *Server) scanOwnership() error {
-	owners := make(map[uint64]int)
-	recv := make(map[uint64]int)
-	for i, sh := range s.shards {
-		var tenants []uint64
-		var receiving map[uint64]bool
-		ran, err := sh.Exec(func(c *ShardCore) bool {
-			tenants = c.Tenants()
-			receiving = make(map[uint64]bool, len(tenants))
-			for _, id := range tenants {
-				receiving[id] = c.Receiving(id)
-			}
-			return false
-		}, s.cfg.StallTimeout)
-		if err != nil || !ran {
-			return fmt.Errorf("lvmd: shard %d ownership scan failed", i)
-		}
-		for _, id := range tenants {
-			if receiving[id] {
-				recv[id] = i
-			} else {
-				owners[id] = i
-			}
-		}
+// checkHomes refuses shard i's recovered image if its directory holds a
+// tenant whose hash home is another shard — what a directory written at
+// a different shard count looks like. Served anyway, that tenant's data
+// would be unreachable and an Open on its home would allocate a fresh,
+// empty segment. Runs before the shard's goroutine starts.
+func (s *Server) checkHomes(i int, img []byte) error {
+	if img == nil {
+		return nil
 	}
-	for id, i := range owners {
-		if s.homeShard(id) != i {
-			s.reroute[id] = i
-		}
+	ids, err := readDirectory(img, s.cfg.Shard.Core.Slots)
+	if err != nil {
+		return fmt.Errorf("lvmd: shard %d: %w", i, err)
 	}
-	for id, i := range recv {
-		if _, owned := owners[id]; owned {
-			continue // migration aborted: the copy is inert, the owner serves
-		}
-		sh := s.shards[i]
-		var aerr error
-		ran, err := sh.Exec(func(c *ShardCore) bool {
-			aerr = c.Activate(id)
-			return aerr == nil
-		}, s.cfg.StallTimeout)
-		if err != nil || !ran {
-			return fmt.Errorf("lvmd: shard %d activation failed", i)
-		}
-		if aerr != nil {
-			return fmt.Errorf("lvmd: segment %d activation: %w", id, aerr)
-		}
-		if s.homeShard(id) != i {
-			s.reroute[id] = i
+	for _, id := range ids {
+		if h := homeShard(id, len(s.shards)); h != i {
+			return fmt.Errorf("lvmd: segment %d is on shard %d but hashes to shard %d of %d: the directory was written with a different shard count",
+				id, i, h, len(s.shards))
 		}
 	}
 	return nil
 }
 
+// shardFileNames names shard i's checkpoint and tail files.
+func shardFileNames(i int) [2]string {
+	return [2]string{fmt.Sprintf("shard-%d.ckpt", i), fmt.Sprintf("shard-%d.tail", i)}
+}
+
 func openShardFiles(dir string, i int) (*FileDisk, *TailFile, error) {
-	disk, err := OpenFileDisk(filepath.Join(dir, fmt.Sprintf("shard-%d.ckpt", i)))
+	names := shardFileNames(i)
+	disk, err := OpenFileDisk(filepath.Join(dir, names[0]))
 	if err != nil {
 		return nil, nil, err
 	}
-	tail, err := OpenTail(filepath.Join(dir, fmt.Sprintf("shard-%d.tail", i)))
+	tail, err := OpenTail(filepath.Join(dir, names[1]))
 	if err != nil {
 		disk.Close()
 		return nil, nil, err
@@ -347,29 +331,22 @@ func (s *Server) RecoverInfos() []RecoverInfo { return s.info }
 // Shards reports the shard count.
 func (s *Server) Shards() int { return len(s.shards) }
 
-// homeShard is a segment ID's hash home (splitmix finalizer — the same
-// hash everywhere, or restarts would scatter tenants).
-func (s *Server) homeShard(segID uint64) int {
+// homeShard is a segment ID's hash home among `shards` shards (splitmix
+// finalizer — the same hash everywhere, or restarts would scatter
+// tenants).
+func homeShard(segID uint64, shards int) int {
 	h := segID
 	h ^= h >> 30
 	h *= 0xBF58476D1CE4E5B9
 	h ^= h >> 27
 	h *= 0x94D049BB133111EB
 	h ^= h >> 31
-	return int(h % uint64(len(s.shards)))
+	return int(h % uint64(shards))
 }
 
-// route resolves a segment ID to its current owner: the migration
-// override if one exists, the hash home otherwise.
-func (s *Server) route(segID uint64) *Shard {
-	s.routeMu.RLock()
-	i, ok := s.reroute[segID]
-	s.routeMu.RUnlock()
-	if ok {
-		return s.shards[i]
-	}
-	return s.shards[s.homeShard(segID)]
-}
+// route resolves a segment ID to the one shard that serves it, its
+// hash home.
+func (s *Server) route(segID uint64) *Shard { return s.shards[homeShard(segID, len(s.shards))] }
 
 // Serve accepts client connections until the listener closes (Drain).
 func (s *Server) Serve(ln net.Listener) {
@@ -607,7 +584,6 @@ func (s *Server) Stats() HostStats {
 		KilledDrop:   s.killedDrop.Load(),
 		BadFrames:    s.badFrames.Load(),
 		RefusedDrain: s.refused.Load(),
-		Migrations:   s.migrations.Load(),
 		IdleExpired:  s.idleExpired.Load(),
 	}
 }

@@ -7,10 +7,12 @@ import (
 	"testing"
 	"time"
 
+	"lvm/internal/core"
 	"lvm/internal/dsm"
 	"lvm/internal/logship"
 	"lvm/internal/metrics"
 	"lvm/internal/ramdisk"
+	"lvm/internal/recovery"
 )
 
 func testServer(t *testing.T, dir string, shards int) (*Server, logship.DialFunc) {
@@ -99,6 +101,109 @@ func TestServerLoadDrainRestart(t *testing.T) {
 		t.Fatal("model verified nothing")
 	}
 	srv3.Drain()
+}
+
+// TestBootRefusesOtherShardCount: a directory drained by a 4-shard
+// server holds every tenant on its hash home among four shards. Booted
+// with two shards (shard-2 and shard-3 files left over) or eight
+// (tenants off their 8-shard homes), some tenant's data would be
+// unreachable and an Open of it would allocate a fresh, empty segment on
+// its new home, so both boots fail. Neither leaves a file behind: four
+// shards boot afterwards and read every word back.
+func TestBootRefusesOtherShardCount(t *testing.T) {
+	dir := t.TempDir()
+	srv, dial := testServer(t, dir, 4)
+	res, model, err := RunLoad(LoadConfig{
+		Dial:            dial,
+		Clients:         16,
+		Segments:        16,
+		Duration:        100 * time.Millisecond,
+		StoresPerCommit: 4,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Acked == 0 || res.Deaths != 0 {
+		t.Fatalf("load: %+v", res)
+	}
+	if rep := srv.Drain(); !rep.Drained {
+		t.Fatalf("drain not clean: %+v", rep)
+	}
+	before, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		shards int
+		want   string
+	}{{2, "shard-2.ckpt"}, {8, "hashes to shard"}} {
+		s, err := NewServer(ServerConfig{Dir: dir, Shards: tc.shards, Shard: ShardConfig{
+			Core: CoreConfig{Slots: 32, SlotSize: 1024, LogPages: 64}}})
+		if err == nil {
+			s.Drain()
+			t.Fatalf("a 4-shard directory booted with %d shards", tc.shards)
+		}
+		if !strings.Contains(err.Error(), tc.want) {
+			t.Fatalf("%d shards: error %q does not mention %q", tc.shards, err, tc.want)
+		}
+		after, err := os.ReadDir(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(after) != len(before) {
+			t.Fatalf("%d shards: the refused boot left %d files where there were %d", tc.shards, len(after), len(before))
+		}
+	}
+
+	srv2, dial2 := testServer(t, dir, 4)
+	defer srv2.Drain()
+	checked, bad, err := VerifyModel(dial2, model)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(bad) > 0 || checked == 0 {
+		t.Fatalf("model verify: %d/%d words wrong %v", len(bad), checked, bad)
+	}
+}
+
+// TestBootRefusesFlaggedDirectory: a slot-directory entry with a reserved
+// flag bit set is refused at boot, not served as if the bit meant
+// nothing. The entry is written the way Open writes one, inside a marker
+// transaction, so it recovers from the tail like any directory write.
+func TestBootRefusesFlaggedDirectory(t *testing.T) {
+	dir := t.TempDir()
+	cfg := CoreConfig{Slots: 4, SlotSize: 256, LogPages: 16}
+	disk, tail, err := openShardFiles(dir, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cc := cfg
+	cc.Disk, cc.Tail = disk, tail
+	c, err := NewCore(cc, nil, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := c.Open(1); err != nil {
+		t.Fatal(err)
+	}
+	c.seq++
+	c.P.Store32(c.base, c.seq&^recovery.MarkerCommit)
+	c.P.Store32(c.base+core.Addr(MarkerLimit+4), 1<<31) // entry 0's top bit
+	c.P.Store32(c.base, c.seq|recovery.MarkerCommit)
+	if err := c.SyncBatch(); err != nil {
+		t.Fatal(err)
+	}
+	disk.Close()
+	tail.Close()
+
+	s, err := NewServer(ServerConfig{Dir: dir, Shards: 1, Shard: ShardConfig{Core: cfg}})
+	if err == nil {
+		s.Drain()
+		t.Fatal("a directory entry with a reserved flag bit booted")
+	}
+	if !strings.Contains(err.Error(), "reserved flag bits") {
+		t.Fatalf("error %q does not name the reserved flag bits", err)
+	}
 }
 
 func TestServerSubscriber(t *testing.T) {

@@ -20,9 +20,6 @@ const (
 	opOpen opKind = iota
 	opCommit
 	opRead
-	// opFunc runs an arbitrary function on the shard goroutine behind the
-	// batch fence — the migration driver's doorway into a live core.
-	opFunc
 )
 
 // shardOp is one client request routed to a shard's single-writer
@@ -36,9 +33,6 @@ type shardOp struct {
 	off, n    uint32
 	t0        time.Time
 	reply     func(frame []byte)
-	// fn is the opFunc body; it reports whether it mutated the core (so
-	// the batch fence runs before its reply).
-	fn func(c *ShardCore) bool
 }
 
 // ShardConfig tunes one serving shard.
@@ -297,8 +291,6 @@ func (s *Shard) process(batch []shardOp) {
 			switch {
 			case err == ErrNoSlot:
 				resp.Status = StatusNoSlot
-			case err == ErrMoved:
-				resp.Status = StatusMoved
 			case err != nil:
 				resp.Status = StatusBad
 			default:
@@ -310,27 +302,15 @@ func (s *Shard) process(batch []shardOp) {
 		case opCommit:
 			seq, err := c.Commit(op.segID, op.writes)
 			resp := wire.CommitResp{SegID: op.segID, ClientSeq: op.clientSeq, ShardSeq: seq}
-			switch {
-			case err == ErrMoved:
-				resp.Status = StatusMoved
-			case err != nil:
-				if _, known := c.Lookup(op.segID); !known {
-					resp.Status = StatusUnknown
-				} else {
-					resp.Status = StatusBad
-				}
-			default:
+			if err != nil {
+				resp.Status = s.opStatus(op.segID)
+			} else {
 				mutated = true
 			}
 			out = append(out, staged{frame: wire.Encode(&resp),
 				t0: op.t0, commit: resp.Status == StatusOK, mut: resp.Status == StatusOK,
 				reply: op.reply})
 		case opRead:
-			out = append(out, staged{t0: op.t0, reply: op.reply})
-		case opFunc:
-			if op.fn(c) {
-				mutated = true
-			}
 			out = append(out, staged{t0: op.t0, reply: op.reply})
 		}
 	}
@@ -367,25 +347,13 @@ func (s *Shard) process(batch []shardOp) {
 		}
 		data, err := c.Read(op.segID, op.off, op.n)
 		resp := wire.ReadResp{SegID: op.segID, Off: op.off, Data: data}
-		switch {
-		case err == ErrMoved:
-			resp.Status = StatusMoved
-		case err != nil:
-			if _, known := c.Lookup(op.segID); !known {
-				resp.Status = StatusUnknown
-			} else {
-				resp.Status = StatusBad
-			}
+		if err != nil {
+			resp.Status = s.opStatus(op.segID)
 		}
 		out[bi] = staged{frame: wire.Encode(&resp), t0: op.t0, reply: op.reply}
 	}
 	for _, r := range out {
-		if r.reply == nil {
-			continue
-		}
-		if leaseLost && r.mut {
-			// opFunc replies are never suppressed (Exec would hang); they
-			// carry no client-visible ack.
+		if r.reply == nil || leaseLost && r.mut {
 			continue
 		}
 		if r.commit {
@@ -427,6 +395,15 @@ func (s *Shard) leaseTick() {
 // refuses writes.
 func (s *Shard) Demoted() bool { return s.demoted.Load() }
 
+// opStatus classifies a failed commit or read: a segment this shard has
+// no slot for is unknown, anything else a bad request.
+func (s *Shard) opStatus(segID uint64) byte {
+	if _, known := s.Core.Lookup(segID); !known {
+		return StatusUnknown
+	}
+	return StatusBad
+}
+
 // refuse stages an error response matching the op's expected frame type.
 func (s *Shard) refuse(op shardOp, status byte) staged {
 	var resp wire.Msg
@@ -435,8 +412,6 @@ func (s *Shard) refuse(op shardOp, status byte) staged {
 		resp = &wire.OpenResp{SegID: op.segID, Status: status, Shard: byte(s.ID)}
 	case opCommit:
 		resp = &wire.CommitResp{SegID: op.segID, ClientSeq: op.clientSeq, Status: status}
-	case opFunc:
-		return staged{t0: op.t0, reply: op.reply}
 	default:
 		resp = &wire.ReadResp{SegID: op.segID, Off: op.off, Status: status}
 	}
@@ -492,24 +467,3 @@ func (s *Shard) Digest() [32]byte { return s.digest }
 
 // Adopt hands a subscriber connection to the shard's shipper.
 func (s *Shard) Adopt(conn net.Conn) { s.Shipper.Adopt(conn) }
-
-// Exec runs fn on the shard goroutine and returns once it (and, if it
-// mutated the core, the batch durability fence behind it) completed.
-// ok=false means the shard refused it (failed or draining). This is the
-// migration driver's phase primitive: each phase is one Exec, so phase
-// ordering is fence ordering.
-func (s *Shard) Exec(fn func(c *ShardCore) bool, stall time.Duration) (bool, error) {
-	done := make(chan struct{})
-	ran := false
-	op := shardOp{
-		kind:  opFunc,
-		t0:    time.Now(),
-		fn:    func(c *ShardCore) bool { ran = true; return fn(c) },
-		reply: func([]byte) { close(done) },
-	}
-	if !s.submit(op, stall) {
-		return false, fmt.Errorf("lvmd: shard %d queue full", s.ID)
-	}
-	<-done
-	return ran, nil
-}

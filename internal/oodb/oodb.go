@@ -250,9 +250,6 @@ func (s *Store) Field(id, f uint32) uint32 {
 	return s.p.Load32(s.objVA(id) + 8 + f*4)
 }
 
-// Key reads the key of object id.
-func (s *Store) Key(id uint32) uint32 { return s.p.Load32(s.objVA(id)) }
-
 // Update writes field f of object id.
 func (s *Store) Update(id, f uint32, v uint32) error {
 	if !s.inTxn {

@@ -178,9 +178,6 @@ func newScheduler(sim *Sim, id int) (*Scheduler, error) {
 	return s, nil
 }
 
-// LVT returns the scheduler's local virtual time (Section 2.4).
-func (s *Scheduler) LVT() VT { return s.lvt }
-
 // Process exposes the scheduler's simulated process (for examples).
 func (s *Scheduler) Process() *core.Process { return s.p }
 

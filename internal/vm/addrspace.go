@@ -53,9 +53,6 @@ func (k *Kernel) NewAddressSpace() *AddressSpace {
 // Kernel returns the owning kernel.
 func (a *AddressSpace) Kernel() *Kernel { return a.k }
 
-// Regions returns the regions bound into this address space.
-func (a *AddressSpace) Regions() []*Region { return a.regions }
-
 // Region represents a mapping of a segment into an address space
 // (Section 2.1). A region becomes active when bound. Logging is specified
 // at the region level (Region::log, Table 1) and can be enabled and

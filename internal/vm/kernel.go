@@ -217,7 +217,6 @@ func (k *Kernel) handleLoggingFault(l *hwlogger.Logger, f hwlogger.Fault) bool {
 		if !found || !o.seg.logged {
 			return false
 		}
-		o.seg.loggingFaults++
 		k.loadPMT(o.seg, o.page, f.PPN, o.seg.logIndex)
 		if !l.LogHead(o.seg.logIndex).Valid {
 			return k.advanceLogHead(o.seg.logTo)
@@ -312,7 +311,6 @@ func (k *Kernel) advanceLogHead(ls *Segment) bool {
 func (k *Kernel) advanceLogIndex(logIndex uint16) bool {
 	for _, s := range k.segments {
 		if s.isLog && s.logIdxValid && s.logIndex == logIndex {
-			s.loggingFaults++
 			return k.advanceLogHead(s)
 		}
 	}

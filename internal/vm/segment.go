@@ -82,11 +82,6 @@ type Segment struct {
 	started      bool   // hardware head has been initialized
 	savedOff     uint32 // append offset saved while logging is disabled
 
-	// loggingFaults counts the logging faults this segment was involved
-	// in: PMT reloads for data segments, page-crossing head advances for
-	// log segments (Section 3.2).
-	loggingFaults uint64
-
 	// noAbsorbLimit: offsets below this are transaction marker words, so
 	// pages overlapping [0, noAbsorbLimit) get their PMT absorb-enable
 	// bit cleared — their writes are absorption barriers.
@@ -106,9 +101,6 @@ func (s *Segment) SetNoAbsorbLimit(limit uint32) { s.noAbsorbLimit = limit }
 // write-protect checkpointer (its fault hook mutates shared state).
 // Partitioned parallel recovery checks this before fanning out.
 func (s *Segment) ParallelApplySafe() bool { return s.source == nil && s.wp == nil }
-
-// LoggingFaultCount reports how many logging faults involved this segment.
-func (s *Segment) LoggingFaultCount() uint64 { return s.loggingFaults }
 
 // NewSegment creates a memory segment of the given size (rounded up to a
 // whole number of pages). mgr may be nil for zero-fill.
