@@ -122,6 +122,45 @@ func TestShipKillReconnect(t *testing.T) {
 	if rb.System().MetricsSnapshot().Counters["logship.replica_records_applied"] == 0 {
 		t.Fatal("replica snapshot missing logship counters")
 	}
+
+	// Both replicas die. Flushes with no consumer attached encode no
+	// batch, yet every record they pass over reaches B when it rejoins.
+	ra.Kill()
+	rb.Kill()
+	for ship.Consumers() > 0 {
+		select {
+		case <-ship.ack: // connAcks pings once it has killed its conn
+		case <-time.After(5 * time.Second):
+			t.Fatalf("%d consumers still live after both replicas died", ship.Consumers())
+		}
+	}
+	batches, caught := ship.Stats.BatchesShipped.Load(), ship.Stats.CatchupRecords.Load()
+	for i := uint32(160); i < 220; i++ {
+		write(i)
+		if i%10 == 9 {
+			if err := ship.Flush(); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	if err := ship.FlushAll(); err != nil {
+		t.Fatal(err)
+	}
+	if got := ship.Stats.BatchesShipped.Load(); got != batches {
+		t.Fatalf("idle flushes shipped %d batches to no consumer", got-batches)
+	}
+	if err := rb.Connect(); err != nil {
+		t.Fatal(err)
+	}
+	if err := ship.ReleaseShip(5 * time.Second); err != nil {
+		t.Fatal(err)
+	}
+	if err := dsm.Verify(prod.Segment(), rb.Consumer(), shared); err != nil {
+		t.Fatalf("replica B after the idle stretch: %v", err)
+	}
+	if got := ship.Stats.CatchupRecords.Load() - caught; got < 60 {
+		t.Fatalf("rejoin caught up %d records, want the 60 written while idle", got)
+	}
 }
 
 // TestShipTCPSmoke runs one replica over real TCP loopback.

@@ -404,13 +404,24 @@ func (s *Shipper) ping() {
 
 // Flush drains the producer's log into batches and broadcasts every
 // sealed batch; a partial batch stays open for the next Flush. It also
-// admits consumers that connected since the last pump. Producer thread
-// only.
+// admits consumers that connected since the last pump. With no consumer
+// attached and nothing open it encodes nothing: the cursor jumps to the
+// log end, and a consumer that joins later is caught up from the log
+// (admitJoins). Producer thread only.
 func (s *Shipper) Flush() error {
 	if err := s.admitJoins(); err != nil {
 		return err
 	}
 	s.reader.Sync()
+	if len(s.conns) == 0 && s.batchCount == 0 {
+		end := s.reader.End() / logrec.Size * logrec.Size
+		if err := s.reader.Seek(end); err != nil {
+			return fmt.Errorf("logship: idle skip to log end: %w", err)
+		}
+		s.sealedSeq = s.base.Load() + uint64(end)/logrec.Size
+		s.seq.Store(s.sealedSeq)
+		return nil
+	}
 	var scratch [logrec.Size]byte
 	if err := logcursor.EachData(s.reader, s.data, func(rec core.Record, isData bool) error {
 		if isData {

@@ -23,7 +23,7 @@ type Client struct {
 	conn net.Conn
 	r    *bufio.Reader
 	seq  uint64
-	buf  []byte // a commit's request frames, reused across commits
+	buf  []byte // a commit's writes tail, reused across commits
 }
 
 // DialClient connects and returns a protocol client.
@@ -83,18 +83,16 @@ func (c *Client) Open(segID uint64) (slotSize uint32, err error) {
 	return resp.SlotSize, nil
 }
 
-// Commit sends the transaction's stores and its commit, and waits for
-// the durable acknowledgement.
+// Commit sends the transaction as one commit frame carrying its writes,
+// and waits for the durable acknowledgement.
 func (c *Client) Commit(segID uint64, writes []Write) error {
 	buf := c.buf[:0]
-	st := &wire.Store{SegID: segID}
 	for _, w := range writes {
-		st.Off, st.Val = w.Off, w.Val
-		buf = append(buf, wire.Encode(st)...)
+		buf = wire.AppendWrite(buf, w.Off, w.Val)
 	}
+	c.buf = buf
 	c.seq++
-	c.buf = append(buf, wire.Encode(&wire.Commit{SegID: segID, ClientSeq: c.seq})...)
-	resp, err := call[*wire.CommitResp](c, c.buf)
+	resp, err := call[*wire.CommitResp](c, wire.Encode(&wire.Commit{SegID: segID, ClientSeq: c.seq, Writes: buf}))
 	if err != nil {
 		return err
 	}

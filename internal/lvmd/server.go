@@ -12,9 +12,10 @@
 //
 // The client protocol shares the replication CRC framing; its frame
 // types (16–25) and payload layouts live in internal/wire. A session
-// opens segments, buffers stores, and commits them as one transaction;
-// reads return committed bytes; a subscribe frame hands the connection
-// to one shard's shipper; stats returns a JSON metrics snapshot.
+// opens segments and commits transactions, each one frame carrying all
+// of its writes; reads return committed bytes; a subscribe frame hands
+// the connection to one shard's shipper; stats returns a JSON metrics
+// snapshot.
 package lvmd
 
 import (
@@ -61,7 +62,7 @@ type ServerConfig struct {
 	// the connection, PolicyDrop kills immediately.
 	Policy       logship.Policy
 	StallTimeout time.Duration
-	// MaxTxnStores bounds a session's buffered stores per segment
+	// MaxTxnStores bounds the writes one commit frame may carry
 	// (default 1024); WriteQueue the outbound frames queued per session
 	// (default 256).
 	MaxTxnStores int
@@ -446,16 +447,20 @@ func (s *Server) session(conn net.Conn) {
 			}
 		}
 	}()
+	// send runs on the shard goroutine for every reply, so the stall
+	// timer is armed only once the queue is found full.
 	send := func(frame []byte) {
-		if s.cfg.Policy == logship.PolicyDrop {
-			select {
-			case out <- frame:
-			case <-sessDone:
-			default:
+		select {
+		case out <- frame:
+			return
+		case <-sessDone:
+			return
+		default:
+			if s.cfg.Policy == logship.PolicyDrop {
 				s.killedDrop.Add(1)
 				conn.Close()
+				return
 			}
-			return
 		}
 		t := time.NewTimer(s.cfg.StallTimeout)
 		defer t.Stop()
@@ -469,10 +474,9 @@ func (s *Server) session(conn net.Conn) {
 		}
 	}
 
-	pending := make(map[uint64][]Write)
 	r := bufio.NewReader(conn)
 	for {
-		if err := s.handleFrame(conn, typ, payload, pending, send); err != nil {
+		if err := s.handleFrame(conn, typ, payload, send); err != nil {
 			break
 		}
 		_ = conn.SetReadDeadline(time.Now().Add(s.cfg.IdleTimeout)) //errgate:ok — a conn that can't set deadlines fails the read instead
@@ -503,8 +507,7 @@ func (s *Server) stall() time.Duration {
 	return s.cfg.StallTimeout
 }
 
-func (s *Server) handleFrame(conn net.Conn, typ byte, payload []byte,
-	pending map[uint64][]Write, send func([]byte)) error {
+func (s *Server) handleFrame(conn net.Conn, typ byte, payload []byte, send func([]byte)) error {
 	m, err := wire.Decode(typ, payload)
 	if err != nil {
 		s.badFrames.Add(1)
@@ -522,20 +525,20 @@ func (s *Server) handleFrame(conn net.Conn, typ byte, payload []byte,
 		if !sh.submit(shardOp{kind: opOpen, segID: m.SegID, t0: time.Now(), reply: send}, s.stall()) {
 			return s.overloaded(conn)
 		}
-	case *wire.Store:
-		buf := pending[m.SegID]
-		if len(buf) >= s.cfg.MaxTxnStores {
-			s.badFrames.Add(1)
-			return fmt.Errorf("lvmd: transaction exceeds %d stores", s.cfg.MaxTxnStores)
-		}
-		pending[m.SegID] = append(buf, Write{Off: m.Off, Val: m.Val})
 	case *wire.Commit:
-		writes := pending[m.SegID]
-		delete(pending, m.SegID)
+		n := len(m.Writes) / wire.WriteSize
+		if n > s.cfg.MaxTxnStores {
+			s.badFrames.Add(1)
+			return fmt.Errorf("lvmd: transaction of %d stores exceeds %d", n, s.cfg.MaxTxnStores)
+		}
 		if draining {
 			s.refused.Add(1)
 			send(wire.Encode(&wire.CommitResp{SegID: m.SegID, ClientSeq: m.ClientSeq, Status: StatusDraining}))
 			return nil
+		}
+		writes := make([]Write, n)
+		for i := range writes {
+			writes[i].Off, writes[i].Val = m.Write(i)
 		}
 		sh := s.route(m.SegID)
 		if !sh.submit(shardOp{kind: opCommit, segID: m.SegID, writes: writes,

@@ -1,6 +1,11 @@
 package lvmd
 
 import (
+	"bytes"
+	"encoding/binary"
+	"errors"
+	"io"
+	"net"
 	"os"
 	"path/filepath"
 	"strings"
@@ -13,6 +18,7 @@ import (
 	"lvm/internal/metrics"
 	"lvm/internal/ramdisk"
 	"lvm/internal/recovery"
+	"lvm/internal/wire"
 )
 
 func testServer(t *testing.T, dir string, shards int) (*Server, logship.DialFunc) {
@@ -282,6 +288,110 @@ func TestServerDrainRefusesNewWork(t *testing.T) {
 	// than hang.
 	if err := cl.Commit(7, []Write{{Off: 0, Val: 2}}); err == nil {
 		t.Fatal("commit succeeded against a drained server")
+	}
+}
+
+// wroteConn keeps a copy of every byte written through it.
+type wroteConn struct {
+	net.Conn
+	wrote bytes.Buffer
+}
+
+func (c *wroteConn) Write(b []byte) (int, error) {
+	c.wrote.Write(b)
+	return c.Conn.Write(b)
+}
+
+// frames counts the whole wire frames in b.
+func frames(t *testing.T, b []byte) int {
+	t.Helper()
+	r := bytes.NewReader(b)
+	n := 0
+	for {
+		if _, _, err := wire.ReadFrame(r); err == io.EOF {
+			return n
+		} else if err != nil {
+			t.Fatalf("frame %d: %v", n, err)
+		}
+		n++
+	}
+}
+
+// TestCommitIsOneFrame: a transaction crosses the wire as one commit
+// frame carrying all its writes, up to MaxTxnStores of them. One write
+// more, or a frame of the retired per-word store type, is a bad frame
+// that ends the session.
+func TestCommitIsOneFrame(t *testing.T) {
+	const maxStores = 64
+	srv, err := NewServer(ServerConfig{Dir: t.TempDir(), Shards: 2, MaxTxnStores: maxStores,
+		Shard: ShardConfig{Core: CoreConfig{Slots: 32, SlotSize: 1024, LogPages: 64}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Drain()
+	ln, dial := logship.NewMemTransport()
+	srv.Serve(ln)
+
+	var conn *wroteConn
+	cl, err := DialClient(func() (net.Conn, error) {
+		c, err := dial()
+		conn = &wroteConn{Conn: c}
+		return conn, err
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cl.Close()
+	if _, err := cl.Open(7); err != nil {
+		t.Fatal(err)
+	}
+	writes := make([]Write, maxStores)
+	for i := range writes {
+		writes[i] = Write{Off: uint32(4 * i), Val: 0xC0DE0000 + uint32(i)}
+	}
+	conn.wrote.Reset()
+	if err := cl.Commit(7, writes); err != nil {
+		t.Fatal(err)
+	}
+	if n := frames(t, conn.wrote.Bytes()); n != 1 {
+		t.Fatalf("a %d-write commit crossed as %d frames, want 1", maxStores, n)
+	}
+	got, err := cl.Read(7, 0, 4*maxStores)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, w := range writes {
+		if v := binary.LittleEndian.Uint32(got[4*i:]); v != w.Val {
+			t.Fatalf("word %d reads %#x, want %#x", i, v, w.Val)
+		}
+	}
+
+	if err := cl.Commit(7, append(writes, Write{Off: 4 * maxStores})); err == nil {
+		t.Fatalf("a %d-write commit was accepted", maxStores+1)
+	}
+	if _, err := cl.Read(7, 0, 4); err == nil {
+		t.Fatal("the session outlived its oversize commit")
+	}
+	if bad := srv.Stats().BadFrames; bad != 1 {
+		t.Fatalf("BadFrames = %d after the oversize commit, want 1", bad)
+	}
+
+	// The retired store frame's layout was a read's: segment, offset, value.
+	store := wire.Encode(&wire.Read{SegID: 7, Off: 0, N: 1})
+	store[5] = 18
+	raw, err := dial()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer raw.Close()
+	if _, err := raw.Write(store); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := raw.Read(make([]byte, 1)); !errors.Is(err, io.EOF) {
+		t.Fatalf("read after a type-18 frame: %v, want EOF", err)
+	}
+	if bad := srv.Stats().BadFrames; bad != 2 {
+		t.Fatalf("BadFrames = %d after the type-18 frame, want 2", bad)
 	}
 }
 

@@ -161,14 +161,15 @@ func NewShard(id int, cfg ShardConfig, img []byte, info RecoverInfo) (*Shard, er
 // means the queue stayed full (or the shard is gone) — the session
 // applies its backpressure policy (PolicyStall kills the connection
 // after the stall; PolicyDrop passes stall=0 and kills immediately).
+// The stall timer is armed only once the queue is found full.
 func (s *Shard) submit(op shardOp, stall time.Duration) bool {
-	if stall <= 0 {
-		select {
-		case s.ops <- op:
-			return true
-		case <-s.done:
-			return false
-		default:
+	select {
+	case s.ops <- op:
+		return true
+	case <-s.done:
+		return false
+	default:
+		if stall <= 0 {
 			return false
 		}
 	}

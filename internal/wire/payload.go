@@ -1,6 +1,7 @@
 package wire
 
 import (
+	"encoding/binary"
 	"fmt"
 
 	"lvm/internal/logrec"
@@ -178,22 +179,43 @@ func (r *OpenResp) fields(c codec) codec {
 	return c
 }
 
-// Store is one buffered word write of the session's open transaction.
-type Store struct {
-	SegID uint64
-	Off   uint32
-	Val   uint32
-}
-
-func (s *Store) fields(c codec) codec { c.u64(&s.SegID); c.u32(&s.Off); c.u32(&s.Val); return c }
-
-// Commit applies the session's buffered stores to SegID.
+// Commit is one whole transaction on SegID: Writes holds its word
+// writes as WriteSize-byte (off u32, val u32) pairs, applied in order
+// behind the marker protocol.
 type Commit struct {
 	SegID     uint64
 	ClientSeq uint64
+	Writes    []byte
 }
 
-func (m *Commit) fields(c codec) codec { c.u64(&m.SegID); c.u64(&m.ClientSeq); return c }
+// WriteSize is the bytes of one (off, val) pair in Commit.Writes.
+const WriteSize = 8
+
+func (m *Commit) fields(c codec) codec {
+	c.u64(&m.SegID)
+	c.u64(&m.ClientSeq)
+	c.rest(&m.Writes)
+	return c
+}
+
+func (m *Commit) check() error {
+	if len(m.Writes)%WriteSize != 0 {
+		return fmt.Errorf("%w: commit writes tail of %d bytes", ErrCorrupt, len(m.Writes))
+	}
+	return nil
+}
+
+// AppendWrite appends one (off, val) pair in Commit.Writes layout.
+func AppendWrite(b []byte, off, val uint32) []byte {
+	b = binary.LittleEndian.AppendUint32(b, off)
+	return binary.LittleEndian.AppendUint32(b, val)
+}
+
+// Write returns the i-th (off, val) pair of m.Writes.
+func (m *Commit) Write(i int) (off, val uint32) {
+	w := m.Writes[i*WriteSize:]
+	return binary.LittleEndian.Uint32(w), binary.LittleEndian.Uint32(w[4:])
+}
 
 // CommitResp acknowledges a commit; ShardSeq is its marker-protocol
 // transaction sequence.
@@ -263,7 +285,6 @@ func (*Beat) Type() byte       { return TypeLease }
 func (*BeatAck) Type() byte    { return TypeBeatAck }
 func (*Open) Type() byte       { return TypeOpen }
 func (*OpenResp) Type() byte   { return TypeOpenResp }
-func (*Store) Type() byte      { return TypeStore }
 func (*Commit) Type() byte     { return TypeCommit }
 func (*CommitResp) Type() byte { return TypeCommitResp }
 func (*Read) Type() byte       { return TypeRead }

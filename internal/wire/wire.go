@@ -19,7 +19,12 @@
 // Version history: 2 added the snapshot frame (catch-up across log
 // compactions), 3 the lease heartbeat frame, 4 the hello observer flag
 // and the beat-ack frame (lease delivery evidence). The serving types
-// ride the same version.
+// ride the same version. Within version 4 the commit frame grew its
+// writes tail and the store frame (type 18) was retired; the version
+// did not move because every mismatch already fails closed: an old
+// client's first store frame is an unknown type, which ends its
+// session, and a new commit sent to an old server fails that server's
+// exact-length check with ErrCorrupt.
 package wire
 
 import (
@@ -62,10 +67,11 @@ const (
 	TypeLease    = byte(6) // shipper → replica: serving-lease heartbeat
 	TypeBeatAck  = byte(7) // replica → shipper: heartbeat observed
 
-	TypeOpen       = byte(16) // map a segment ID to a shard slot
-	TypeOpenResp   = byte(17)
-	TypeStore      = byte(18) // buffer one word write of the open transaction
-	TypeCommit     = byte(19) // apply the buffered writes behind the marker protocol
+	TypeOpen     = byte(16) // map a segment ID to a shard slot
+	TypeOpenResp = byte(17)
+	// 18 is retired, never reused: it was the per-word store frame of
+	// the buffered transaction that Commit now carries whole.
+	TypeCommit     = byte(19) // apply one transaction's writes behind the marker protocol
 	TypeCommitResp = byte(20) // durable acknowledgement
 	TypeRead       = byte(21) // read committed segment bytes
 	TypeReadResp   = byte(22)
@@ -89,7 +95,6 @@ var table = [...]struct {
 	TypeBeatAck:    {"beatack", func() Msg { return new(BeatAck) }},
 	TypeOpen:       {"open", func() Msg { return new(Open) }},
 	TypeOpenResp:   {"openResp", func() Msg { return new(OpenResp) }},
-	TypeStore:      {"store", func() Msg { return new(Store) }},
 	TypeCommit:     {"commit", func() Msg { return new(Commit) }},
 	TypeCommitResp: {"commitResp", func() Msg { return new(CommitResp) }},
 	TypeRead:       {"read", func() Msg { return new(Read) }},
