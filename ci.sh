@@ -14,7 +14,6 @@ if [ -n "$unformatted" ]; then
 fi
 
 go build ./...
-go build -tags lvm_notrace ./...
 go vet ./...
 # Ignored-error gate: stdlib-only checker for the curated call list whose
 # dropped errors corrupt log state (full errcheck runs in the CI lint job).

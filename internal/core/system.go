@@ -107,7 +107,7 @@ func (s *System) DeviceShard() *metrics.Shard { return s.K.M.DeviceShard() }
 func (s *System) MetricsSnapshot() *metrics.Snapshot { return s.K.M.Metrics.Snapshot() }
 
 // Trace exposes the machine's control-plane event tracer (disabled until
-// Tracer.Enable is called; a no-op under the lvm_notrace build tag).
+// Tracer.Enable is called).
 func (s *System) Trace() *metrics.Tracer { return s.K.M.Metrics.Tracer() }
 
 // NewAddressSpace creates an empty address space.

@@ -3,15 +3,18 @@ package experiments_test
 import (
 	"flag"
 	"fmt"
+	"hash/fnv"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 
+	"lvm/internal/core"
 	"lvm/internal/experiments"
+	"lvm/internal/metrics"
 )
 
-var update = flag.Bool("update", false, "rewrite testdata/sweep_small.golden from this run")
+var update = flag.Bool("update", false, "rewrite the testdata goldens from this run")
 
 // sweepSmall regenerates every section of `lvmbench all`, in its order, at
 // the reduced parameters bench/ uses for smoke (events 20, iters 100,
@@ -101,7 +104,70 @@ func TestSweepGolden(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	path := filepath.Join("testdata", "sweep_small.golden")
+	checkGolden(t, "sweep_small.golden", got)
+}
+
+// storeLoopSteps is TestStoreLoopGolden's run length after Warm: long
+// enough to cross many log truncations, rewinds and group commits.
+const storeLoopSteps = 200_000
+
+// storeLoopLine runs the sim_store workload for a fixed number of steps,
+// drains the logger, and renders everything the modelled machine decided
+// on one line: the clock, the bus, the logger's ledger and faults, and a
+// digest of the data and log segments.
+func storeLoopLine() (string, error) {
+	sl, err := experiments.NewStoreLoop()
+	if err != nil {
+		return "", err
+	}
+	if err := sl.Warm(); err != nil {
+		return "", err
+	}
+	for i := 0; i < storeLoopSteps; i++ {
+		sl.Step()
+	}
+	if err := sl.Err(); err != nil {
+		return "", err
+	}
+	sl.Sys.Sync()
+	busy, acq, _ := sl.Sys.Machine().Bus.Stats()
+	c := sl.Sys.MetricsSnapshot().Counters
+	data, log := sl.Segments()
+	digest := func(s *core.Segment) uint64 {
+		h := fnv.New64a()
+		h.Write(s.RawRead(0, s.NumPages()*core.PageSize))
+		return h.Sum64()
+	}
+	var b strings.Builder
+	fmt.Fprintf(&b, "elapsed=%d bus_busy=%d bus_acquisitions=%d", sl.Sys.Elapsed(), busy, acq)
+	for _, name := range []string{
+		metrics.HWRecordsDMAed.Name(), metrics.HWRecordsAbsorbed.Name(), metrics.HWGroupCommits.Name(),
+		metrics.HWLoggingFaultsPMT.Name(), metrics.HWLoggingFaultsLogAddr.Name(), metrics.VMLoggingFaults.Name(),
+		metrics.VMLogRewinds.Name(), metrics.HWFIFOHighWater.Name(),
+	} {
+		fmt.Fprintf(&b, " %s=%d", name, c[name])
+	}
+	fmt.Fprintf(&b, " data_fnv=%016x log_fnv=%016x\n", digest(data), digest(log))
+	return b.String(), nil
+}
+
+// TestStoreLoopGolden pins sim_store's simulated results in tier-1: the
+// host-speed work on the store path (machine, vm, phys, hwlogger,
+// logcore, logrec) must leave every cycle, counter and byte of this run
+// where it was.
+func TestStoreLoopGolden(t *testing.T) {
+	got, err := storeLoopLine()
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkGolden(t, "store_loop.golden", got)
+}
+
+// checkGolden compares got with testdata/name, or rewrites the file under
+// -update.
+func checkGolden(t *testing.T, name, got string) {
+	t.Helper()
+	path := filepath.Join("testdata", name)
 	if *update {
 		if err := os.MkdirAll("testdata", 0o755); err != nil {
 			t.Fatal(err)
@@ -121,10 +187,10 @@ func TestSweepGolden(t *testing.T) {
 	gl, wl := strings.Split(got, "\n"), strings.Split(string(want), "\n")
 	for i := 0; i < len(gl) && i < len(wl); i++ {
 		if gl[i] != wl[i] {
-			t.Fatalf("sweep differs from %s at line %d:\n got: %s\nwant: %s", path, i+1, gl[i], wl[i])
+			t.Fatalf("run differs from %s at line %d:\n got: %s\nwant: %s", path, i+1, gl[i], wl[i])
 		}
 	}
-	t.Fatalf("sweep differs from %s in length: got %d lines, want %d", path, len(gl), len(wl))
+	t.Fatalf("run differs from %s in length: got %d lines, want %d", path, len(gl), len(wl))
 }
 
 // BenchmarkSweepPass is one `lvmbench all` pass at its default parameters

@@ -498,7 +498,8 @@ func (l *Logger) serviceOne() {
 // per-record path, which charges the full fault cost.
 func (l *Logger) serviceBatch(start uint64, drain bool) {
 	head := l.At(0)
-	logIndex, ok := l.LookupPMT(phys.PPN(head.Addr))
+	ppn := phys.PPN(head.Addr)
+	logIndex, ok := l.LookupPMT(ppn)
 	if !ok {
 		l.serviceOne()
 		return
@@ -516,8 +517,13 @@ func (l *Logger) serviceBatch(start uint64, drain bool) {
 		if !drain && e.Time > start {
 			break
 		}
-		if li, ok2 := l.LookupPMT(phys.PPN(e.Addr)); !ok2 || li != logIndex {
-			break
+		// The tables hold still during a batch, so a record on the page
+		// of the one before it routes the same way.
+		if p := phys.PPN(e.Addr); p != ppn {
+			if li, ok2 := l.LookupPMT(p); !ok2 || li != logIndex {
+				break
+			}
+			ppn = p
 		}
 		youngest = max(youngest, e.Time)
 		n++

@@ -111,6 +111,27 @@ func TestAuthorityAcquireRenewExpire(t *testing.T) {
 	}
 }
 
+// TestAuthorityRenewDeadlineBoundary pins where a late renewal starts:
+// a renewal on the deadline tick itself is in time and pushes the
+// deadline a TTL on; one tick past the deadline it refuses with
+// ErrExpired.
+func TestAuthorityRenewDeadlineBoundary(t *testing.T) {
+	clk := NewManual(0)
+	au := NewAuthority(&logship.Authority{}, clk, 100)
+	g, err := au.Acquire("p1")
+	if err != nil {
+		t.Fatalf("acquire: %v", err)
+	}
+	clk.Advance(100) // exactly the deadline
+	if dl, err := au.Renew("p1", g); err != nil || dl != 200 {
+		t.Fatalf("renew on the deadline = %d, %v; want 200, nil", dl, err)
+	}
+	clk.Advance(101) // one tick past the renewed deadline
+	if _, err := au.Renew("p1", g); !errors.Is(err, ErrExpired) {
+		t.Fatalf("renew one tick late = %v, want ErrExpired", err)
+	}
+}
+
 func TestHolderRenewAndLoss(t *testing.T) {
 	clk := NewManual(0)
 	h := NewHolder(clk, 100, 7)

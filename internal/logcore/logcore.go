@@ -130,7 +130,15 @@ func (c *Core) Push(w *machine.LoggedWrite, limit int) {
 		copy(grown[k:], c.ring[:c.head])
 		c.ring, c.head = grown, 0
 	}
-	c.ring[c.slot(c.n)] = *w
+	// The rule on the store path: a struct written field by field is
+	// never read back whole. Snoop has just spilled w one field at a
+	// time; a whole-struct copy reads those fields back with wider loads
+	// than the stores that wrote them, which the host cannot forward from
+	// its store buffer and stalls on. The compiler fuses copies of
+	// neighbouring fields of one width into one wider load, so the fields
+	// go in an order that never puts two of one width side by side.
+	s := &c.ring[c.slot(c.n)]
+	s.Addr, s.Size, s.VAddr, s.CPU, s.Value, s.Time = w.Addr, w.Size, w.VAddr, w.CPU, w.Value, w.Time
 	c.n++
 }
 
@@ -193,9 +201,25 @@ func (c *Core) record(w *machine.LoggedWrite) logrec.Record {
 	return logrec.Record{Addr: addr, Value: w.Value, WriteSize: w.Size, CPU: w.CPU, Timestamp: cycles.ToTimestamp(w.Time)}
 }
 
+// put encodes w's record into dst straight from w's fields: no Record
+// temp is built and copied whole (see Push).
+func (c *Core) put(dst *[logrec.Size]byte, w *machine.LoggedWrite) {
+	addr := w.Addr
+	if c.model.Virtual {
+		addr = w.VAddr
+	}
+	logrec.Put(dst, addr, w.Value, w.Size, w.CPU, cycles.ToTimestamp(w.Time))
+}
+
 // Put DMAs w's record to dst through DMAHook and reports whether it
 // reached memory; a dropped record is already on the ledger.
 func (c *Core) Put(w *machine.LoggedWrite, dst phys.Addr) bool {
+	if off := dst & phys.PageMask; c.DMAHook == nil && off <= phys.PageSize-logrec.Size {
+		// Encode straight from the write into the frame.
+		c.put((*[logrec.Size]byte)(c.mem.Frame(phys.PPN(dst))[off:]), w)
+		c.Written(1)
+		return true
+	}
 	rec := c.record(w)
 	if c.DMAHook != nil {
 		c.hookRec = rec
@@ -228,8 +252,7 @@ func (c *Core) PutRun(n int, dst phys.Addr) (written phys.Addr) {
 		frame := c.mem.Frame(phys.PPN(dst))
 		off := dst & phys.PageMask
 		for i, j := 0, c.head; i < n; i++ {
-			rec := c.record(&c.ring[j])
-			rec.Encode(frame[off+written:][:logrec.Size])
+			c.put((*[logrec.Size]byte)(frame[off+written:]), &c.ring[j])
 			written += logrec.Size
 			if j++; j == len(c.ring) {
 				j = 0

@@ -38,13 +38,16 @@ type Record struct {
 
 // Encode writes the record into dst, which must be at least Size bytes.
 func (r Record) Encode(dst []byte) {
-	_ = dst[Size-1]
+	Put((*[Size]byte)(dst), r.Addr, r.Value, r.WriteSize, r.CPU, r.Timestamp)
+}
+
+// Put writes one record into dst straight from its fields, as two
+// little-endian 64-bit words: the one place the layout above is written.
+// A logger encodes from the write it holds, never through a Record temp.
+func Put(dst *[Size]byte, addr, value uint32, size, cpu uint16, ts uint32) {
 	le := binary.LittleEndian
-	le.PutUint32(dst[0:], r.Addr)
-	le.PutUint32(dst[4:], r.Value)
-	le.PutUint16(dst[8:], r.WriteSize)
-	le.PutUint16(dst[10:], r.CPU)
-	le.PutUint32(dst[12:], r.Timestamp)
+	le.PutUint64(dst[0:], uint64(addr)|uint64(value)<<32)
+	le.PutUint64(dst[8:], uint64(size)|uint64(cpu)<<16|uint64(ts)<<32)
 }
 
 // Decode parses a record from src, which must be at least Size bytes.

@@ -429,3 +429,80 @@ func BenchmarkNewServerRestart(b *testing.B) {
 		})
 	}
 }
+
+// TestRecoverImageStaleCheckpointNotIntact: a checkpoint whose watermark
+// sits below the mirror's cut base does not cover the records the cut
+// dropped, so the files are not one recovered state. The walk must say
+// so (Intact false) and the restart must rewrite both files, not keep
+// them. The stale checkpoint is the shard's own, restored from before a
+// later compaction cut the mirror past it.
+func TestRecoverImageStaleCheckpointNotIntact(t *testing.T) {
+	dir := t.TempDir()
+	cfg, tail := testCfg(t, dir)
+	c, err := NewCore(cfg, nil, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rig := &restartRig{t: t, c: c}
+	rig.open()
+	commit := func(n int) {
+		for i := 0; i < n; i++ {
+			w := make([]Write, 30)
+			for k := range w {
+				w[k] = Write{Off: uint32(k * 4), Val: uint32(rig.commits<<8 | k)}
+			}
+			if _, err := rig.c.Commit(1, w); err != nil {
+				t.Fatal(err)
+			}
+			rig.commits++
+		}
+		rig.fence()
+	}
+	commit(4)
+	if err := c.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	ckpt := filepath.Join(dir, "ckpt")
+	stale, err := os.ReadFile(ckpt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, old, err := compact.LoadCheckpoint(cfg.Disk, 0, c.Arena.Size())
+	if err != nil || old.Watermark == 0 {
+		t.Fatalf("first checkpoint: watermark %d (%v)", old.Watermark, err)
+	}
+	for did := false; !did; {
+		commit(4)
+		if did, err = c.MaybeCompact(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	commit(2)
+	if tail.CutBase() <= old.Watermark {
+		t.Fatalf("compaction cut the mirror to %d, not past the first checkpoint's %d", tail.CutBase(), old.Watermark)
+	}
+	if err := os.WriteFile(ckpt, stale, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	cfg2, tail2 := testCfg(t, dir)
+	img, info, err := RecoverImage(cfg2, tail2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if info.Quarantined() || info.Watermark != old.Watermark {
+		t.Fatalf("walk over the stale checkpoint: %+v", info)
+	}
+	if info.Intact {
+		t.Fatalf("watermark %d below cut base %d reads intact", info.Watermark, tail2.CutBase())
+	}
+	end := tail2.CutBase() + tail2.Size()
+	if _, err := RestartCore(cfg2, img, info); err != nil {
+		t.Fatal(err)
+	}
+	_, rr, err := compact.LoadCheckpoint(cfg2.Disk, 0, uint32(len(img)))
+	if err != nil || rr.Watermark != end || tail2.CutBase() != end || tail2.Size() != 0 {
+		t.Fatalf("restart kept the files: checkpoint watermark %d (%v), mirror %d bytes at %d, want both rewritten at %d",
+			rr.Watermark, err, tail2.Size(), tail2.CutBase(), end)
+	}
+}

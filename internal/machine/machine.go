@@ -20,6 +20,7 @@
 package machine
 
 import (
+	"math"
 	"strconv"
 
 	"lvm/internal/bus"
@@ -89,9 +90,10 @@ type Machine struct {
 	// watchAt/watchFn is a one-shot cycle watchpoint: the first time a CPU
 	// clock reaches watchAt at a watch site (Compute, write-through
 	// stores), watchFn fires once and the watch disarms. The fault
-	// injector uses it to crash the machine at a chosen cycle. The check
-	// is a single predictable compare, and firing never adjusts any clock,
-	// so an armed (or disarmed) watch cannot perturb cycle accounting.
+	// injector uses it to crash the machine at a chosen cycle. Disarmed,
+	// watchAt is math.MaxUint64, so the check is a single predictable
+	// compare; firing never adjusts any clock, so an armed (or disarmed)
+	// watch cannot perturb cycle accounting.
 	watchAt uint64
 	watchFn func(c *CPU)
 }
@@ -110,6 +112,7 @@ func New(cfg Config) *Machine {
 		Phys:    phys.NewMemory(cfg.MemFrames),
 		Bus:     bus.New(),
 		Metrics: metrics.New(cfg.NumCPUs + 1),
+		watchAt: disarmed,
 	}
 	for i := 0; i < cfg.NumCPUs; i++ {
 		m.CPUs = append(m.CPUs, &CPU{ID: i, D1: cache.NewL1(), m: m, MS: m.Metrics.Shard(i)})
@@ -182,25 +185,35 @@ func (c *CPU) Machine() *Machine { return c.m }
 func (c *CPU) Compute(n uint64) {
 	c.Now += n
 	c.ComputeCycles += n
-	if c.m.watchAt != 0 && c.Now >= c.m.watchAt {
+	if c.Now >= c.m.watchAt {
 		c.m.fireWatch(c)
 	}
 }
+
+// disarmed is watchAt with no watch set: no clock reaches it.
+const disarmed = math.MaxUint64
 
 // SetCycleWatch arms fn to fire once, the first time any CPU's clock
 // reaches cycle t at a watch site. t == 0 disarms. Watch sites cover
 // Compute and write-through stores — the paths every logged workload goes
 // through — not the write-back store hit, which is the machine's hot path.
 func (m *Machine) SetCycleWatch(t uint64, fn func(c *CPU)) {
+	if t == 0 {
+		t = disarmed
+	}
 	m.watchAt = t
 	m.watchFn = fn
 }
 
 // fireWatch disarms the watch before invoking it, so a callback that
-// panics (a simulated crash) or issues more work cannot re-enter.
+// panics (a simulated crash) or issues more work cannot re-enter. It is
+// kept out of line: inlined, its body would push Compute past the
+// inliner's budget.
+//
+//go:noinline
 func (m *Machine) fireWatch(c *CPU) {
 	fn := m.watchFn
-	m.watchAt, m.watchFn = 0, nil
+	m.watchAt, m.watchFn = disarmed, nil
 	if fn != nil {
 		fn(c)
 	}
@@ -245,7 +258,7 @@ func (c *CPU) WordWrite(paddr phys.Addr, vaddr uint32, value uint32, size uint16
 				c.Now = stall
 			}
 		}
-		if c.m.watchAt != 0 && c.Now >= c.m.watchAt {
+		if c.Now >= c.m.watchAt {
 			c.m.fireWatch(c)
 		}
 		return

@@ -131,18 +131,16 @@ func TestHotPathAllocationFree(t *testing.T) {
 		t.Fatalf("disabled-trace instrumented path allocates %v/op", avg)
 	}
 	tr.Enable()
-	if metrics.Built() {
-		if avg := testing.AllocsPerRun(10000, func() {
-			i++
-			tr.Emit(i, metrics.EvPageFault, 1, i, i) // ring wraps: still free
-		}); avg != 0 {
-			t.Fatalf("enabled tracer allocates %v/op", avg)
-		}
+	if avg := testing.AllocsPerRun(10000, func() {
+		i++
+		tr.Emit(i, metrics.EvPageFault, 1, i, i) // ring wraps: still free
+	}); avg != 0 {
+		t.Fatalf("enabled tracer allocates %v/op", avg)
 	}
 }
 
 // TestTracerRing pins ring semantics: capacity bound, oldest-first order,
-// drop accounting, reset, nil safety, and the build/runtime gates.
+// drop accounting, reset, nil safety, and the runtime gate.
 func TestTracerRing(t *testing.T) {
 	tr := metrics.NewTracer(4)
 	tr.Emit(1, metrics.EvPageFault, 0, 0, 0)
@@ -150,12 +148,6 @@ func TestTracerRing(t *testing.T) {
 		t.Fatalf("disabled tracer recorded an event")
 	}
 	tr.Enable()
-	if !metrics.Built() {
-		if tr.Enabled() {
-			t.Fatalf("lvm_notrace build must not enable")
-		}
-		return
-	}
 	for i := uint64(1); i <= 6; i++ {
 		tr.Emit(i, metrics.EvLogRewind, 2, i*10, i*100)
 	}

@@ -8,13 +8,9 @@ package metrics
 // not for per-store tracing — the per-store signal is what the counters
 // and histograms are for.
 //
-// Two switches compile or gate it away:
-//
-//   - the lvm_notrace build tag turns every Emit into dead code
-//     (traceBuilt is an untyped false constant, so the compiler deletes
-//     the body); and
-//   - at runtime the tracer starts disabled, so an Emit in a hot-ish path
-//     costs one predictable branch until Enable is called.
+// The tracer starts disabled, so an Emit costs one predictable branch
+// until Enable is called. Every Emit site is on an event path, none on
+// the per-store path.
 
 // EventKind identifies a traced event.
 type EventKind uint16
@@ -98,10 +94,8 @@ func NewTracer(capacity int) *Tracer {
 }
 
 // Enable turns event recording on, allocating the ring the first time.
-// No-op (and no allocation) when the binary was built with the
-// lvm_notrace tag.
 func (t *Tracer) Enable() {
-	if !traceBuilt || t == nil {
+	if t == nil {
 		return
 	}
 	if t.buf == nil {
@@ -120,14 +114,10 @@ func (t *Tracer) Disable() {
 // Enabled reports whether Emit currently records.
 func (t *Tracer) Enabled() bool { return t != nil && t.enabled }
 
-// Built reports whether tracing support was compiled in (false under the
-// lvm_notrace build tag).
-func Built() bool { return traceBuilt }
-
 // Emit records an event, overwriting the oldest when the ring is full.
-// It is safe on a nil tracer and compiles to nothing under lvm_notrace.
+// It is safe on a nil tracer.
 func (t *Tracer) Emit(time uint64, kind EventKind, cpu int, a, b uint64) {
-	if !traceBuilt || t == nil || !t.enabled {
+	if t == nil || !t.enabled {
 		return
 	}
 	if len(t.buf) == 0 {

@@ -4,8 +4,8 @@ import "testing"
 
 // TestTracerRingAllocatedOnEnable: a machine's tracer is almost never
 // enabled and a sweep builds hundreds of machines, so the 128 KiB ring
-// must not exist until Enable asks for it — and not at all when tracing is
-// compiled out. Once it exists it is the fixed ring it always was.
+// must not exist until Enable asks for it. Once it exists it is the fixed
+// ring it always was.
 func TestTracerRingAllocatedOnEnable(t *testing.T) {
 	tr := New(1).Tracer()
 	tr.Emit(1, EvPageFault, 0, 0, 0)
@@ -14,12 +14,6 @@ func TestTracerRingAllocatedOnEnable(t *testing.T) {
 		t.Fatalf("a never-enabled tracer holds a %d-event ring", len(tr.buf))
 	}
 	tr.Enable()
-	if !Built() {
-		if tr.buf != nil || tr.Enabled() {
-			t.Fatalf("Enable under lvm_notrace: ring = %d events, enabled = %v", len(tr.buf), tr.Enabled())
-		}
-		return
-	}
 	if len(tr.buf) != DefaultTraceCapacity {
 		t.Fatalf("enabled ring holds %d events, want %d", len(tr.buf), DefaultTraceCapacity)
 	}

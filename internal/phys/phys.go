@@ -129,10 +129,20 @@ func (m *Memory) Frame(frame uint32) *[PageSize]byte {
 // page returns an allocated frame's storage for reading: possibly the
 // shared zero page, so it must not escape the package.
 func (m *Memory) page(frame uint32) *[PageSize]byte {
-	if int(frame) >= len(m.frames) || m.frames[frame] == nil {
-		panic(fmt.Sprintf("phys: access to unallocated frame %d", frame))
+	if int(frame) < len(m.frames) {
+		if p := m.frames[frame]; p != nil {
+			return p
+		}
 	}
-	return m.frames[frame]
+	panic(unallocatedFrame(frame))
+}
+
+// unallocatedFrame is page's panic value. Building it is a conversion,
+// not a call, which keeps page within the inliner's budget.
+type unallocatedFrame uint32
+
+func (f unallocatedFrame) Error() string {
+	return fmt.Sprintf("phys: access to unallocated frame %d", uint32(f))
 }
 
 // FrameBase returns the physical address of the first byte of a frame.

@@ -41,7 +41,17 @@ func (p *Process) Compute(n uint64) { p.CPU.Compute(n) }
 // Now returns the process's CPU clock.
 func (p *Process) Now() uint64 { return p.CPU.Now }
 
+// mustLookup returns va's PTE. It tests the one-entry TLB hit itself, so
+// the common access makes no further call; the alignment panic and the
+// page-table walk are lookupSlow's.
 func (p *Process) mustLookup(va Addr, size uint32) *pte {
+	if e := p.AS.lastPTE; e != nil && p.AS.lastVP == va>>PageShift && va&(size-1) == 0 && e.resident {
+		return e
+	}
+	return p.lookupSlow(va, size)
+}
+
+func (p *Process) lookupSlow(va Addr, size uint32) *pte {
 	if va&(size-1) != 0 {
 		panic(fmt.Sprintf("vm: unaligned %d-byte access at %#x", size, va))
 	}
@@ -54,9 +64,16 @@ func (p *Process) mustLookup(va Addr, size uint32) *pte {
 
 // chargeWPFault charges the write-protect trap + page-copy cost when the
 // store below will hit a Li/Appel-protected page (Section 5.1); the data
-// capture itself happens in the segment's write path.
+// capture itself happens in the segment's write path. Only the test for
+// a checkpoint at all is inline.
 func (p *Process) chargeWPFault(e *pte) {
-	if wp := e.seg.wp; wp != nil && wp.protectedPage(e.segPage) {
+	if e.seg.wp != nil {
+		p.chargeWP(e)
+	}
+}
+
+func (p *Process) chargeWP(e *pte) {
+	if e.seg.wp.protectedPage(e.segPage) {
 		p.CPU.Compute(FaultCost())
 	}
 }
@@ -66,9 +83,9 @@ func (p *Process) Store32(va Addr, v uint32) {
 	e := p.mustLookup(va, 4)
 	p.chargeWPFault(e)
 	po := va & PageMask
-	paddr := phys.FrameBase(e.seg.pages[e.segPage].frame) + po
-	p.CPU.WordWrite(paddr, va, v, 4, e.writeThrough, e.logged)
-	e.seg.store32(e.segPage, po, v)
+	pg := &e.seg.pages[e.segPage]
+	p.CPU.WordWrite(phys.FrameBase(pg.frame)+po, va, v, 4, e.writeThrough, e.logged)
+	e.seg.store32(pg, e.segPage, po, v)
 }
 
 // Store16 writes a 16-bit halfword at va.

@@ -421,12 +421,12 @@ func (s *Segment) fillLine(page, line uint32, f *[PageSize]byte) {
 }
 
 // store32 is the hot-path word store used by Process.Store32 and
-// Write32: it assumes the page is resident and the offset word-aligned.
-func (s *Segment) store32(page, po uint32, v uint32) {
+// Write32: it assumes p (s.pages[page]) is resident and the offset
+// word-aligned.
+func (s *Segment) store32(p *pageInfo, page, po uint32, v uint32) {
 	if s.wp != nil {
 		s.wp.fault(page)
 	}
-	p := &s.pages[page]
 	f := s.k.M.Phys.Frame(p.frame)
 	p.dirty = true
 	line := po >> cycles.LineShift
@@ -502,7 +502,7 @@ func (s *Segment) Write32(off uint32, v uint32) {
 		if _, err := s.ensureFrame(page); err != nil {
 			panic(err)
 		}
-		s.store32(page, off&PageMask, v)
+		s.store32(&s.pages[page], page, off&PageMask, v)
 		return
 	}
 	b := [4]byte{byte(v), byte(v >> 8), byte(v >> 16), byte(v >> 24)}
