@@ -217,14 +217,8 @@ func runCheck(dir string, shards int, coreCfg lvmd.CoreConfig, out io.Writer) in
 	}
 	fail := 0
 	for i := 0; i < shards; i++ {
-		disk, err := lvmd.OpenFileDisk(filepath.Join(dir, fmt.Sprintf("shard-%d.ckpt", i)))
+		disk, tail, err := lvmd.OpenShardFiles(dir, i)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "lvmd: shard %d: %v\n", i, err)
-			return 1
-		}
-		tail, err := lvmd.OpenTail(filepath.Join(dir, fmt.Sprintf("shard-%d.tail", i)))
-		if err != nil {
-			disk.Close()
 			fmt.Fprintf(os.Stderr, "lvmd: shard %d: %v\n", i, err)
 			return 1
 		}

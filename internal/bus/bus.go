@@ -41,19 +41,7 @@ func (b *Bus) Acquire(earliest uint64, busCycles uint32) (grant uint64) {
 	return grant
 }
 
-// FreeAt reports the first cycle at which the bus is idle.
-func (b *Bus) FreeAt() uint64 { return b.freeAt }
-
 // Stats reports cumulative bus statistics.
 func (b *Bus) Stats() (busy, acquisitions, waited uint64) {
 	return b.busyCycles, b.acquisitions, b.waitCycles
-}
-
-// Utilization reports the fraction of cycles the bus was busy over the
-// first `now` cycles.
-func (b *Bus) Utilization(now uint64) float64 {
-	if now == 0 {
-		return 0
-	}
-	return float64(b.busyCycles) / float64(now)
 }

@@ -7,8 +7,8 @@ func TestUncontendedGrant(t *testing.T) {
 	if g := b.Acquire(10, 5); g != 10 {
 		t.Fatalf("grant = %d, want 10", g)
 	}
-	if b.FreeAt() != 15 {
-		t.Fatalf("FreeAt = %d, want 15", b.FreeAt())
+	if b.freeAt != 15 {
+		t.Fatalf("freeAt = %d, want 15", b.freeAt)
 	}
 }
 
@@ -38,8 +38,5 @@ func TestStats(t *testing.T) {
 	busy, acq, waited := b.Stats()
 	if busy != 16 || acq != 2 || waited != 8 {
 		t.Fatalf("stats = (%d,%d,%d), want (16,2,8)", busy, acq, waited)
-	}
-	if u := b.Utilization(32); u != 0.5 {
-		t.Fatalf("Utilization = %v, want 0.5", u)
 	}
 }

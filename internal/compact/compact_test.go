@@ -538,8 +538,12 @@ func FuzzLoadCheckpoint(f *testing.F) {
 			var h [hdrSize]byte
 			copy(h[:hdrSeal], raw)
 			le.PutUint32(h[hdrSeal:], [2]uint32{seal0, seal1}[slot])
-			disk.WriteAt(nil, uint64(slot)*ramdisk.BlockSize, h[:])
-			disk.WriteAt(nil, imgOff(0, uint64(slot), size), bytes.Repeat([]byte{byte(slot + 1)}, size))
+			if err := disk.TryWriteAt(nil, uint64(slot)*ramdisk.BlockSize, h[:]); err != nil {
+				t.Fatal(err)
+			}
+			if err := disk.TryWriteAt(nil, imgOff(0, uint64(slot), size), bytes.Repeat([]byte{byte(slot + 1)}, size)); err != nil {
+				t.Fatal(err)
+			}
 			seq[slot], imgLen[slot] = le.Uint32(h[hdrSeq:]), le.Uint32(h[hdrImgLen:])
 			wm, cut := le.Uint64(h[hdrWatermark:]), le.Uint64(h[hdrCutBase:])
 			valid[slot] = le.Uint32(h[:]) == Magic && seq[slot] != 0 && imgLen[slot] == size &&

@@ -9,11 +9,11 @@ import (
 
 // buildLogged is the Section 2.2 example: a logged region bound into an
 // address space.
-func buildLogged(t *testing.T, segPages, logPages uint32) (*System, *Region, *Segment, *Process, Addr) {
+func buildLogged(t *testing.T, segPages, logPages uint32) (*System, *region, *Segment, *Process, Addr) {
 	t.Helper()
 	sys := NewSystem(Config{NumCPUs: 2, MemFrames: 2048})
 	seg := NewStdSegment(sys, segPages*PageSize, nil)
-	reg := NewStdRegion(sys, seg)
+	reg := newRegion(sys, seg)
 	ls := NewLogSegment(sys, logPages)
 	if err := reg.Log(ls); err != nil {
 		t.Fatal(err)
@@ -274,10 +274,10 @@ func TestPropertyLogMatchesWrites(t *testing.T) {
 	}
 }
 
-func buildLoggedQuick() (*System, *Region, *Segment, *Process, Addr) {
+func buildLoggedQuick() (*System, *region, *Segment, *Process, Addr) {
 	sys := NewSystem(Config{NumCPUs: 1, MemFrames: 2048})
 	seg := NewStdSegment(sys, PageSize, nil)
-	reg := NewStdRegion(sys, seg)
+	reg := newRegion(sys, seg)
 	ls := NewLogSegment(sys, 32)
 	if err := reg.Log(ls); err != nil {
 		panic(err)

@@ -20,15 +20,6 @@ type Record struct {
 	SegOff uint32
 }
 
-// VAIn returns the virtual address of the write as seen through region r
-// (which must map Record.Seg), ok=false otherwise.
-func (rec Record) VAIn(r *Region) (Addr, bool) {
-	if rec.Seg == nil || r.Segment() != rec.Seg || rec.SegOff >= r.Size() {
-		return 0, false
-	}
-	return r.Base() + rec.SegOff, true
-}
-
 // LogReader iterates over the records of a (record-mode) log segment in
 // write order: "These log records are arranged sequentially in the log
 // segment so that an earlier write is stored in a lower offset than a

@@ -62,16 +62,20 @@ func TestReaderSeekMisaligned(t *testing.T) {
 	}
 }
 
-// TestReaderNextUnresolvable: a record whose physical frame no longer
-// belongs to any segment (the owner was freed) still decodes, but its
-// reverse translation comes back empty — rec.Seg is nil and consumers
-// must skip it rather than crash.
+// TestReaderNextUnresolvable: a record whose physical frame belongs to
+// no segment still decodes, but its reverse translation comes back
+// empty — rec.Seg is nil and consumers must skip it rather than crash.
 func TestReaderNextUnresolvable(t *testing.T) {
 	sys, reg, ls, p, base := buildLogged(t, 1, 2)
 	p.Store32(base+8, 0xDEAD)
 	r := NewLogReader(sys, ls)
 
-	reg.Segment().Free() // drops frame ownership: reverse translation fails
+	// Point the logged record at a frame no segment owns.
+	logged := logrec.Decode(ls.RawRead(0, logrec.Size))
+	logged.Addr = 0xFFFF_F000 + logged.Addr&0xFFF
+	var raw [logrec.Size]byte
+	logged.Encode(raw[:])
+	ls.RawWrite(0, raw[:])
 
 	rec, ok := r.Next()
 	if !ok {
@@ -81,7 +85,7 @@ func TestReaderNextUnresolvable(t *testing.T) {
 		t.Fatalf("raw record still decodes: value = %#x", rec.Value)
 	}
 	if rec.Seg != nil {
-		t.Fatalf("freed owner resolved to %v", rec.Seg)
+		t.Fatalf("unowned frame resolved to %v", rec.Seg)
 	}
 	if _, ok := rec.VAIn(reg); ok {
 		t.Fatal("VAIn resolved an unresolvable record")

@@ -4,11 +4,11 @@ import (
 	"testing"
 )
 
-func buildOnChipLogged(t *testing.T, segPages, logPages uint32) (*System, *Region, *Segment, *Process, Addr) {
+func buildOnChipLogged(t *testing.T, segPages, logPages uint32) (*System, *region, *Segment, *Process, Addr) {
 	t.Helper()
 	sys := NewSystemOnChip(Config{NumCPUs: 2, MemFrames: 2048})
 	seg := NewStdSegment(sys, segPages*PageSize, nil)
-	reg := NewStdRegion(sys, seg)
+	reg := newRegion(sys, seg)
 	ls := NewLogSegment(sys, logPages)
 	if err := reg.Log(ls); err != nil {
 		t.Fatal(err)

@@ -39,8 +39,6 @@ type (
 	SegmentManager = vm.SegmentManager
 	// Addr is a 32-bit virtual address.
 	Addr = vm.Addr
-	// ResetStats reports the work done by a ResetDeferredCopy.
-	ResetStats = vm.ResetStats
 	// Config describes the simulated machine.
 	Config = machine.Config
 )

@@ -172,8 +172,5 @@ const (
 // (L1 hit).
 const MemSpeed = L1HitCycles
 
-// ToSeconds converts a cycle count to seconds of simulated time.
-func ToSeconds(c uint64) float64 { return float64(c) / CyclesPerSecond }
-
 // ToTimestamp converts a cycle count to a logger timestamp (6.25 MHz).
 func ToTimestamp(c uint64) uint32 { return uint32(c >> TimestampShift) }

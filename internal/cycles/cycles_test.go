@@ -35,15 +35,6 @@ func TestTimestampClock(t *testing.T) {
 	}
 }
 
-func TestToSeconds(t *testing.T) {
-	if got := ToSeconds(CyclesPerSecond); got != 1.0 {
-		t.Fatalf("ToSeconds(1s) = %v", got)
-	}
-	if got := ToSeconds(25); got != 1e-6 {
-		t.Fatalf("ToSeconds(25 cycles) = %v, want 1µs", got)
-	}
-}
-
 func TestResetCrossoverCalibration(t *testing.T) {
 	// Figure 9's two-thirds crossover is a pure function of these two
 	// constants.

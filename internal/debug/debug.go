@@ -63,19 +63,6 @@ func (w *Watcher) WritesTo(off, n uint32) []WriteInfo {
 	}
 }
 
-// LastWriterBefore finds the most recent write to [off, off+n) with a
-// timestamp strictly before ts — "determine when data was erroneously
-// overwritten".
-func (w *Watcher) LastWriterBefore(off, n uint32, ts uint32) (WriteInfo, bool) {
-	writes := w.WritesTo(off, n)
-	for i := len(writes) - 1; i >= 0; i-- {
-		if writes[i].Timestamp < ts {
-			return writes[i], true
-		}
-	}
-	return WriteInfo{}, false
-}
-
 // FirstOverwriteAfter finds the first write to [off, off+n) at or after
 // record index start — the "who clobbered my variable" query.
 func (w *Watcher) FirstOverwriteAfter(off, n uint32, start int) (WriteInfo, bool) {
@@ -126,9 +113,6 @@ func NewReverseExecutor(sys *core.System, seg, ls, ckpt *core.Segment) (*Reverse
 
 // Records reports the total record count.
 func (re *ReverseExecutor) Records() int { return re.total }
-
-// Pos reports the current position (number of records applied).
-func (re *ReverseExecutor) Pos() int { return re.pos }
 
 // Goto reconstructs the state after the first n records.
 func (re *ReverseExecutor) Goto(n int) error {

@@ -147,3 +147,16 @@ func TestReverseExecutorForwardSeek(t *testing.T) {
 		t.Fatalf("state at 7 = %d", re.Word(0))
 	}
 }
+
+// LastWriterBefore finds the most recent write to [off, off+n) with a
+// timestamp strictly before ts — "determine when data was erroneously
+// overwritten".
+func (w *Watcher) LastWriterBefore(off, n uint32, ts uint32) (WriteInfo, bool) {
+	writes := w.WritesTo(off, n)
+	for i := len(writes) - 1; i >= 0; i-- {
+		if writes[i].Timestamp < ts {
+			return writes[i], true
+		}
+	}
+	return WriteInfo{}, false
+}

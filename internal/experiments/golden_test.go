@@ -11,7 +11,6 @@ import (
 
 	"lvm/internal/core"
 	"lvm/internal/experiments"
-	"lvm/internal/metrics"
 )
 
 var update = flag.Bool("update", false, "rewrite the testdata goldens from this run")
@@ -141,9 +140,9 @@ func storeLoopLine() (string, error) {
 	var b strings.Builder
 	fmt.Fprintf(&b, "elapsed=%d bus_busy=%d bus_acquisitions=%d", sl.Sys.Elapsed(), busy, acq)
 	for _, name := range []string{
-		metrics.HWRecordsDMAed.Name(), metrics.HWRecordsAbsorbed.Name(), metrics.HWGroupCommits.Name(),
-		metrics.HWLoggingFaultsPMT.Name(), metrics.HWLoggingFaultsLogAddr.Name(), metrics.VMLoggingFaults.Name(),
-		metrics.VMLogRewinds.Name(), metrics.HWFIFOHighWater.Name(),
+		"hwlogger.records_dmaed", "hwlogger.records_absorbed", "hwlogger.group_commits",
+		"hwlogger.logging_faults_pmt", "hwlogger.logging_faults_log_addr", "vm.logging_faults",
+		"vm.log_rewinds", "hwlogger.fifo_high_water",
 	} {
 		fmt.Fprintf(&b, " %s=%d", name, c[name])
 	}

@@ -344,31 +344,6 @@ func (in *Injector) Arm(sys *core.System, disk *ramdisk.Disk, ls, data *core.Seg
 	}
 }
 
-// Disarm removes every installed hook, restoring the handlers it
-// wrapped. The simulation continues cycle-exactly from here.
-func (in *Injector) Disarm() {
-	if in.sys == nil {
-		return
-	}
-	in.sys.Machine().SetCycleWatch(0, nil)
-	if c := in.sys.K.LogCore(); c != nil {
-		c.DMAHook = nil
-	}
-	if log := in.sys.K.Log; log != nil {
-		if in.savedFault != nil {
-			log.OnFault = in.savedFault
-			in.savedFault = nil
-		}
-		if in.savedOverload != nil {
-			log.OnOverload = in.savedOverload
-			in.savedOverload = nil
-		}
-	}
-	if in.disk != nil {
-		in.disk.FailHook = nil
-	}
-}
-
 // dmaHook implements drop/corrupt injection on the logger's record DMA
 // path (either logger: the hook lives in the shared logcore.Core).
 func (in *Injector) dmaHook(rec *logrec.Record, dst phys.Addr) (drop bool) {

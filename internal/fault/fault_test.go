@@ -63,7 +63,6 @@ func runWorkload(t *testing.T, plan Plan, n int) (*Injector, *core.System, *core
 		p.Store32(base+off, uint32(wr.Next()))
 	}
 	sys.Sync()
-	in.Disarm()
 	return in, sys, ls, fmt.Sprintf("%+v", *in.Report())
 }
 
@@ -233,11 +232,6 @@ func TestDiskFailWindowAndCrashAtOp(t *testing.T) {
 	if fails != 4 || in.Report().DiskErrors != 4 {
 		t.Fatalf("fails=%d reported=%d, want 4/4", fails, in.Report().DiskErrors)
 	}
-	in.Disarm()
-	if disk.FailHook != nil {
-		t.Fatalf("Disarm left the disk hook installed")
-	}
-
 	// Crash at the Kth disk op, disabled in recovery mode.
 	sys2, _, _, _, _ := logRig(t)
 	disk2 := ramdisk.New()

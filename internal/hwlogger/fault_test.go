@@ -32,9 +32,9 @@ func TestDMAHookDropKeepsLogDense(t *testing.T) {
 	if l.RecordsLost != 1 || l.RecordsWritten != 2 {
 		t.Fatalf("lost=%d written=%d, want 1/2", l.RecordsLost, l.RecordsWritten)
 	}
-	recs := logrec.DecodeAll(mem.Frame(2)[:2*logrec.Size])
-	if recs[0].Value != 1 || recs[1].Value != 3 {
-		t.Fatalf("surviving records = %v, want values 1 then 3 (dense)", recs)
+	r0, r1 := logrec.Decode(mem.Frame(2)[:]), logrec.Decode(mem.Frame(2)[logrec.Size:])
+	if r0.Value != 1 || r1.Value != 3 {
+		t.Fatalf("surviving records = %v %v, want values 1 then 3 (dense)", r0, r1)
 	}
 	if h := l.LogHead(0); h.Addr != 0x2000+2*logrec.Size {
 		t.Fatalf("log head = %#x, want to advance by exactly 2 records", h.Addr)
@@ -61,12 +61,12 @@ func TestDMAHookMutatesRecord(t *testing.T) {
 	l.Snoop(machine.LoggedWrite{Addr: 0x1004, Value: 8, Size: 4, Time: 20})
 	l.DrainAll()
 
-	recs := logrec.DecodeAll(mem.Frame(2)[:2*logrec.Size])
-	if recs[0].Value != 7^0xdeadbeef {
-		t.Fatalf("corrupted record value = %#x, want %#x", recs[0].Value, uint32(7)^0xdeadbeef)
+	r0, r1 := logrec.Decode(mem.Frame(2)[:]), logrec.Decode(mem.Frame(2)[logrec.Size:])
+	if r0.Value != 7^0xdeadbeef {
+		t.Fatalf("corrupted record value = %#x, want %#x", r0.Value, uint32(7)^0xdeadbeef)
 	}
-	if recs[1].Value != 8 {
-		t.Fatalf("second record value = %#x, corruption leaked", recs[1].Value)
+	if r1.Value != 8 {
+		t.Fatalf("second record value = %#x, corruption leaked", r1.Value)
 	}
 }
 

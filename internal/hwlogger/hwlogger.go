@@ -235,9 +235,6 @@ func (l *Logger) SetAbsorbWindow(n int) {
 	l.absorbWindow = n
 }
 
-// AbsorbWindow reports the configured absorption window.
-func (l *Logger) AbsorbWindow() int { return l.absorbWindow }
-
 // SetGroupCommit configures batched DMA drains: records are held in the
 // FIFO until n are queued or the oldest has waited deadline cycles,
 // whichever comes first, then drained in one bus tenure. n <= 1 restores

@@ -61,13 +61,14 @@ func TestRecordsAreTimeOrdered(t *testing.T) {
 		l.Snoop(machine.LoggedWrite{Addr: 0x1000 + uint32(i*4), Value: uint32(i), Size: 4, Time: uint64(i * 6)})
 	}
 	l.DrainAll()
-	recs := logrec.DecodeAll(mem.Frame(2)[:10*logrec.Size])
-	for i := 1; i < len(recs); i++ {
-		if recs[i].Timestamp < recs[i-1].Timestamp {
-			t.Fatalf("records out of order at %d: %v then %v", i, recs[i-1], recs[i])
+	frame := mem.Frame(2)
+	for i := 1; i < 10; i++ {
+		prev, rec := logrec.Decode(frame[(i-1)*logrec.Size:]), logrec.Decode(frame[i*logrec.Size:])
+		if rec.Timestamp < prev.Timestamp {
+			t.Fatalf("records out of order at %d: %v then %v", i, prev, rec)
 		}
-		if recs[i].Value != uint32(i) {
-			t.Fatalf("record %d value = %d", i, recs[i].Value)
+		if rec.Value != uint32(i) {
+			t.Fatalf("record %d value = %d", i, rec.Value)
 		}
 	}
 }

@@ -323,9 +323,6 @@ func (h *Holder) Renew(engaged bool, acked uint64) (b wire.Beat, ok bool) {
 // Lost reports whether the holder missed a renewal and demoted itself.
 func (h *Holder) Lost() bool { return h.lost }
 
-// Beats reports how many heartbeats this holder has issued.
-func (h *Holder) Beats() uint64 { return h.seq }
-
 // Monitor is the standby-side observer: it watches the heartbeat stream
 // off a replica subscription and reports expiry. Observe is called from
 // the replica's consume goroutine while Expired polls from the standby's
@@ -383,13 +380,6 @@ func (m *Monitor) Expired() bool {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	return m.heard && m.clock.Now() > m.deadline
-}
-
-// Heard reports whether any heartbeat arrived yet.
-func (m *Monitor) Heard() bool {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.heard
 }
 
 // Epoch reports the highest epoch observed in a heartbeat.

@@ -148,8 +148,8 @@ func TestHolderRenewAndLoss(t *testing.T) {
 	if !ok || b.Kind != wire.BeatRenew || b.Seq != 2 {
 		t.Fatalf("second beat = %+v, ok=%v", b, ok)
 	}
-	if h.Lost() || h.Beats() != 2 {
-		t.Fatalf("lost=%v beats=%d after two renewals", h.Lost(), h.Beats())
+	if h.Lost() || h.seq != 2 {
+		t.Fatalf("lost=%v beats=%d after two renewals", h.Lost(), h.seq)
 	}
 
 	// A gap past the TTL loses the lease, permanently.
@@ -276,14 +276,14 @@ func TestMonitorObserveExpiry(t *testing.T) {
 	// Never-heard monitors never expire: promotion must not trigger
 	// before the primary proved itself on this stream.
 	clk.Advance(1000)
-	if m.Expired() || m.Heard() {
+	if m.Expired() || m.heard {
 		t.Fatal("silent monitor expired or heard")
 	}
 
 	m.Observe(wire.Beat{Kind: wire.BeatGrant, Epoch: 3, Seq: 1, TTL: 100})
-	if !m.Heard() || m.Expired() || m.Epoch() != 3 || m.Beats() != 1 {
+	if !m.heard || m.Expired() || m.Epoch() != 3 || m.Beats() != 1 {
 		t.Fatalf("after first beat: heard=%v expired=%v epoch=%d beats=%d",
-			m.Heard(), m.Expired(), m.Epoch(), m.Beats())
+			m.heard, m.Expired(), m.Epoch(), m.Beats())
 	}
 	clk.Advance(100) // deadline inclusive
 	if m.Expired() {

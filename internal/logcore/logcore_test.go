@@ -87,11 +87,13 @@ func TestRingGrowsToHighWater(t *testing.T) {
 	}
 
 	c, _ = newCore(t, testModel)
+	reg := metrics.New(1)
+	c.SetMetrics(reg.Shard(0), nil)
 	for i := 0; i < 120; i++ {
 		c.Push(&machine.LoggedWrite{}, 100)
 	}
-	if len(c.ring) != 100 || c.Pending() != 100 || c.RecordsLost != 20 || c.ms.Get(metrics.HWRecordsLost) != 20 {
+	if lost := reg.Snapshot().Counters["hwlogger.records_lost"]; len(c.ring) != 100 || c.Pending() != 100 || c.RecordsLost != 20 || lost != 20 {
 		t.Fatalf("ring %d, pending %d, lost %d (counter %d); want 100, 100, 20",
-			len(c.ring), c.Pending(), c.RecordsLost, c.ms.Get(metrics.HWRecordsLost))
+			len(c.ring), c.Pending(), c.RecordsLost, lost)
 	}
 }

@@ -269,9 +269,6 @@ func (w *Walker) finish(buffered int) Stats {
 	return w.st
 }
 
-// Stats returns the walk counters accumulated so far.
-func (w *Walker) Stats() Stats { return w.st }
-
 func (w *Walker) quarantine(r *Rec, buffered int) bool {
 	w.st.InvalidRecords++
 	w.st.QuarantinedFrom = r.LogOff

@@ -182,11 +182,11 @@ func TestWalkerApplyAllView(t *testing.T) {
 }
 
 func TestWalkerDryRunAndStats(t *testing.T) {
-	// nil Apply validates and counts only; Stats() reads mid-walk.
+	// nil Apply validates and counts only; the counters read mid-walk.
 	w := NewWalker(Config{View: Committed, MarkerLimit: 16})
 	w.Feed(rec(0, 1, 4))
 	w.Feed(rec(0x100, 11, 4))
-	if st := w.Stats(); st.Scanned != 2 || st.Applied != 0 {
+	if st := w.st; st.Scanned != 2 || st.Applied != 0 {
 		t.Fatalf("mid-walk stats: %+v", st)
 	}
 	w.Feed(rec(0, 1|MarkerCommit, 4))
@@ -344,8 +344,8 @@ func TestMachineSource(t *testing.T) {
 	if err := src2.Seek(logrec.Size); err != nil {
 		t.Fatal(err)
 	}
-	if src2.Offset() != logrec.Size {
-		t.Fatalf("Offset() = %d", src2.Offset())
+	if src2.r.Offset() != logrec.Size {
+		t.Fatalf("Offset() = %d", src2.r.Offset())
 	}
 	src2.SetEnd(2 * logrec.Size)
 	n := 0
@@ -403,8 +403,7 @@ func TestWrapReaderAndEachData(t *testing.T) {
 	p2.Store32(base2+0x400, 44) // lands in the shared log, foreign to seg
 	sys.Sync()
 
-	r := core.NewLogReader(sys, ls)
-	src := WrapReader(r, seg)
+	src := NewMachineSource(sys, ls, seg)
 	rec, ok := src.Next()
 	if !ok || rec.Off != 0x100 || !rec.Data {
 		t.Fatalf("wrapped read: %+v ok=%v", rec, ok)

@@ -34,13 +34,6 @@ func NewMachineSourceAt(sys *core.System, log, data *core.Segment, start, end ui
 	return &MachineSource{r: core.NewLogReaderAt(sys, log, start, end), data: data}
 }
 
-// WrapReader adopts an existing, already-positioned core.LogReader —
-// for consumers that interleave cursor iteration with reader-level
-// operations (seeks, truncation) of their own.
-func WrapReader(r *core.LogReader, data *core.Segment) *MachineSource {
-	return &MachineSource{r: r, data: data}
-}
-
 // SetEnd overrides the source's view of the log end (clamped to the
 // segment size) — crash recovery scanning a log whose hardware append
 // state did not survive.
@@ -48,9 +41,6 @@ func (s *MachineSource) SetEnd(end uint32) { s.r.SetEnd(end) }
 
 // End reports the source's view of the log end offset.
 func (s *MachineSource) End() uint32 { return s.r.End() }
-
-// Offset reports the source's current byte offset within the log.
-func (s *MachineSource) Offset() uint32 { return s.r.Offset() }
 
 // Seek positions the source at the given byte offset (must be record
 // aligned).

@@ -82,14 +82,3 @@ func (r Record) ValueBytes() []byte {
 	}
 	return b
 }
-
-// DecodeAll parses a packed sequence of records. Trailing bytes that do not
-// form a full record are ignored.
-func DecodeAll(src []byte) []Record {
-	n := len(src) / Size
-	out := make([]Record, 0, n)
-	for i := 0; i < n; i++ {
-		out = append(out, Decode(src[i*Size:]))
-	}
-	return out
-}

@@ -46,22 +46,6 @@ func TestValueBytes(t *testing.T) {
 	}
 }
 
-func TestDecodeAll(t *testing.T) {
-	var buf [Size*3 + 7]byte // trailing partial record ignored
-	for i := 0; i < 3; i++ {
-		Record{Addr: uint32(i), Value: uint32(i * 10), WriteSize: 4}.Encode(buf[i*Size:])
-	}
-	recs := DecodeAll(buf[:])
-	if len(recs) != 3 {
-		t.Fatalf("DecodeAll returned %d records, want 3", len(recs))
-	}
-	for i, r := range recs {
-		if r.Addr != uint32(i) || r.Value != uint32(i*10) {
-			t.Fatalf("record %d = %+v", i, r)
-		}
-	}
-}
-
 func TestStringFormat(t *testing.T) {
 	// The worked example of Section 3.1.1: write of 0x4321 to 0x1250.
 	r := Record{Addr: 0x1250, Value: 0x4321, WriteSize: 4, CPU: 0, Timestamp: 7}

@@ -123,8 +123,8 @@ func TestCorruptBeatQuarantines(t *testing.T) {
 		t.Fatal(err)
 	}
 	r.Kill()
-	if !errors.Is(r.Err(), wire.ErrCorrupt) {
-		t.Fatalf("session error = %v, want ErrCorrupt", r.Err())
+	if !errors.Is(r.err, wire.ErrCorrupt) {
+		t.Fatalf("session error = %v, want ErrCorrupt", r.err)
 	}
 	if r.Stats.QuarantinedFrames.Load() != 1 {
 		t.Fatalf("quarantined frames = %d, want 1", r.Stats.QuarantinedFrames.Load())

@@ -119,7 +119,7 @@ func TestShipKillReconnect(t *testing.T) {
 	if snap.Counters["logship.batches_shipped"] == 0 {
 		t.Fatal("producer snapshot missing logship counters")
 	}
-	if rb.System().MetricsSnapshot().Counters["logship.replica_records_applied"] == 0 {
+	if rb.sys.MetricsSnapshot().Counters["logship.replica_records_applied"] == 0 {
 		t.Fatal("replica snapshot missing logship counters")
 	}
 
@@ -316,8 +316,8 @@ func TestReplicaQuarantinesCorruptFrame(t *testing.T) {
 		t.Fatal(err)
 	}
 	r.Kill() // joins the consume goroutine, which quarantined and exited
-	if !errors.Is(r.Err(), wire.ErrCorrupt) {
-		t.Fatalf("session error = %v, want ErrCorrupt", r.Err())
+	if !errors.Is(r.err, wire.ErrCorrupt) {
+		t.Fatalf("session error = %v, want ErrCorrupt", r.err)
 	}
 	if r.LastSeq() != 2 {
 		t.Fatalf("lastSeq = %d, want 2 (corrupt frame must not ack)", r.LastSeq())
@@ -355,7 +355,7 @@ func TestReplicaQuarantinesInvalidRecord(t *testing.T) {
 		t.Fatal(err)
 	}
 	r.Kill()
-	if r.Err() == nil {
+	if r.err == nil {
 		t.Fatal("invalid record did not end the session")
 	}
 	if r.LastSeq() != 0 {
@@ -369,42 +369,6 @@ func TestReplicaQuarantinesInvalidRecord(t *testing.T) {
 	}
 	if r.Stats.QuarantinedRecords.Load() != 2 {
 		t.Fatalf("quarantined records = %d, want 2", r.Stats.QuarantinedRecords.Load())
-	}
-}
-
-// TestRebaseForcesResync: after the producer rewinds its log generation,
-// a reconnecting replica's stale-epoch hello negotiates a full replay
-// from sequence zero, which converges because records apply in order.
-func TestRebaseForcesResync(t *testing.T) {
-	ln, dial := NewMemTransport()
-	_, prod, ship := newProducer(t, ln, Config{FlushRecords: 8})
-	r := connectReplica(t, dial)
-
-	for i := uint32(0); i < 50; i++ {
-		prod.Write((i*28)%shared&^3, 0xE000+i)
-	}
-	if err := ship.ReleaseShip(5 * time.Second); err != nil {
-		t.Fatal(err)
-	}
-	r.Kill()
-	if r.LastSeq() == 0 {
-		t.Fatal("replica never acked")
-	}
-
-	if err := ship.Rebase(); err != nil {
-		t.Fatal(err)
-	}
-	if err := r.Connect(); err != nil {
-		t.Fatal(err)
-	}
-	if err := ship.ReleaseShip(5 * time.Second); err != nil {
-		t.Fatal(err)
-	}
-	if err := dsm.Verify(prod.Segment(), r.Consumer(), shared); err != nil {
-		t.Fatal(err)
-	}
-	if ship.Epoch() != 2 {
-		t.Fatalf("epoch = %d, want 2", ship.Epoch())
 	}
 }
 
@@ -457,11 +421,11 @@ func TestShipAcrossCompaction(t *testing.T) {
 	if err := mgr.Compact(nil); err != nil {
 		t.Fatal(err)
 	}
-	if ship.Base() == 0 {
+	if ship.base.Load() == 0 {
 		t.Fatal("compaction did not advance the shipper base")
 	}
-	if bSeq >= ship.Base() {
-		t.Fatalf("test premise broken: B's cursor %d survived the cut at %d", bSeq, ship.Base())
+	if bSeq >= ship.base.Load() {
+		t.Fatalf("test premise broken: B's cursor %d survived the cut at %d", bSeq, ship.base.Load())
 	}
 
 	// Post-compaction writes ship with logical sequences continuing past

@@ -208,7 +208,7 @@ func TestPromoteAckAtCompactionCut(t *testing.T) {
 	if err := ship.Compacted(w.recs); err != nil {
 		t.Fatal(err)
 	}
-	if got := ship.Base(); got != w.recs {
+	if got := ship.base.Load(); got != w.recs {
 		t.Fatalf("compaction base = %d, want %d", got, w.recs)
 	}
 

@@ -106,19 +106,12 @@ func (r *Replica) TrackMarkers(markerLimit uint32) { r.markerLimit = markerLimit
 // goroutine. Call while disconnected, before Connect.
 func (r *Replica) TrackLease(obs func(wire.Beat)) { r.leaseObs = obs }
 
-// System exposes the replica's simulated machine (for metrics snapshots).
-func (r *Replica) System() *core.System { return r.sys }
-
 // Consumer exposes the replica state for verification (dsm.Verify).
 func (r *Replica) Consumer() *dsm.Consumer { return r.cons }
 
 // LastSeq reports the last acknowledged sequence. Call only while
 // disconnected (after Kill or a session end).
 func (r *Replica) LastSeq() uint64 { return r.lastSeq }
-
-// Err reports how the last session ended (nil for a clean Kill). Call
-// only while disconnected.
-func (r *Replica) Err() error { return r.err }
 
 // Connect dials the shipper, performs the handshake, and starts a
 // consume goroutine. A second Connect after a session ended resumes from

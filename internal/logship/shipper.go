@@ -203,19 +203,6 @@ func (s *Shipper) Epoch() uint32 { return s.epoch.Load() }
 // and broadcast. Pump thread only.
 func (s *Shipper) SealedSeq() uint64 { return s.sealedSeq }
 
-// Consumers reports how many live consumers are attached. Pump thread
-// only; joined-but-unadmitted connections don't count until the next
-// Flush.
-func (s *Shipper) Consumers() int {
-	n := 0
-	for _, c := range s.conns {
-		if !c.dead.Load() {
-			n++
-		}
-	}
-	return n
-}
-
 func (s *Shipper) acceptLoop() {
 	defer s.wg.Done()
 	for {
@@ -716,11 +703,6 @@ func (s *Shipper) MinAcked() uint64 {
 	return min
 }
 
-// Base reports the logical sequence of physical log byte 0 — how many
-// records compaction has cut. Producer thread only (reads are exact only
-// there; elsewhere it is a monotonic lower bound).
-func (s *Shipper) Base() uint64 { return s.base.Load() }
-
 // Compacted tells the shipper the producer cut cutRecords records off
 // the log's head (internal/compact): the base advances so logical
 // sequence numbers stay monotonic, and the reader re-seeks its physical
@@ -812,28 +794,6 @@ func (s *Shipper) ReleaseShip(timeout time.Duration) error {
 		return err
 	}
 	return s.WaitAcked(s.sealedSeq, timeout)
-}
-
-// Rebase tells the shipper the producer truncated or rewound its log:
-// the epoch bumps, the reader returns to the log start, and every
-// consumer is disconnected so it rejoins under the new generation (a
-// stale-epoch hello negotiates a full resync). Producer thread only.
-func (s *Shipper) Rebase() error {
-	s.epoch.Add(1)
-	s.reader.Sync()
-	if err := s.reader.Seek(0); err != nil {
-		return err
-	}
-	s.sealedSeq = 0
-	s.seq.Store(0)
-	s.base.Store(0)
-	s.batch = s.batch[:0]
-	s.batchCount = 0
-	for _, c := range s.conns {
-		c.kill()
-	}
-	s.conns = s.conns[:0]
-	return nil
 }
 
 // Close stops accepting, disconnects every consumer, and joins all

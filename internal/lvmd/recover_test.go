@@ -15,7 +15,6 @@ import (
 	"lvm/internal/compact"
 	"lvm/internal/core"
 	"lvm/internal/logrec"
-	"lvm/internal/metrics"
 	"lvm/internal/ramdisk"
 	"lvm/internal/recovery"
 )
@@ -197,7 +196,7 @@ func (r *restartRig) boot(dir string, tune func(*CoreConfig), img []byte, info R
 	}
 	c.EnableTuning()
 	if img != nil {
-		if got := c.sh.Get(metrics.LvmdRestartSyncs); got != 1 {
+		if got := c.Sys.MetricsSnapshot().Counters["lvmd.restart_syncs"]; got != 1 {
 			r.t.Fatalf("intact restart issued %d syncs, want 1 (the epoch)", got)
 		}
 	}

@@ -237,7 +237,7 @@ func bootServer(cfg ServerConfig) (*Server, error) {
 // boot image) and starts the shard, filling slot i of the server's
 // per-shard slices. It touches no other slot, so boots run concurrently.
 func (s *Server) bootShard(i int) error {
-	disk, tail, err := openShardFiles(s.cfg.Dir, i)
+	disk, tail, err := OpenShardFiles(s.cfg.Dir, i)
 	if err != nil {
 		return err
 	}
@@ -297,7 +297,9 @@ func shardFileNames(i int) [2]string {
 	return [2]string{fmt.Sprintf("shard-%d.ckpt", i), fmt.Sprintf("shard-%d.tail", i)}
 }
 
-func openShardFiles(dir string, i int) (*FileDisk, *TailFile, error) {
+// OpenShardFiles opens shard i's checkpoint disk and tail mirror in dir,
+// closing the disk again if the tail does not open.
+func OpenShardFiles(dir string, i int) (*FileDisk, *TailFile, error) {
 	names := shardFileNames(i)
 	disk, err := OpenFileDisk(filepath.Join(dir, names[0]))
 	if err != nil {
@@ -328,9 +330,6 @@ func (s *Server) closeFiles() {
 
 // RecoverInfos reports what each shard's boot recovery did.
 func (s *Server) RecoverInfos() []RecoverInfo { return s.info }
-
-// Shards reports the shard count.
-func (s *Server) Shards() int { return len(s.shards) }
 
 // homeShard is a segment ID's hash home among `shards` shards (splitmix
 // finalizer — the same hash everywhere, or restarts would scatter

@@ -15,7 +15,6 @@ import (
 	"lvm/internal/core"
 	"lvm/internal/dsm"
 	"lvm/internal/logship"
-	"lvm/internal/metrics"
 	"lvm/internal/ramdisk"
 	"lvm/internal/recovery"
 	"lvm/internal/wire"
@@ -72,7 +71,7 @@ func TestServerLoadDrainRestart(t *testing.T) {
 	var commits uint64
 	for _, sh := range rep.Shards {
 		if sh.Metrics != nil {
-			commits += sh.Metrics.Counters[metrics.LvmdCommits.Name()]
+			commits += sh.Metrics.Counters["lvmd.commits"]
 		}
 	}
 	if commits < res.Acked {
@@ -179,7 +178,7 @@ func TestBootRefusesOtherShardCount(t *testing.T) {
 func TestBootRefusesFlaggedDirectory(t *testing.T) {
 	dir := t.TempDir()
 	cfg := CoreConfig{Slots: 4, SlotSize: 256, LogPages: 16}
-	disk, tail, err := openShardFiles(dir, 0)
+	disk, tail, err := OpenShardFiles(dir, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -248,11 +247,6 @@ func TestServerSubscriber(t *testing.T) {
 	}
 	report := srv.Drain() // drain hands the last batches to the replica
 	rep.Kill()
-	if rep.Err() != nil {
-		// The drain disconnect races the last ack; a closed-conn error is
-		// the expected way a shipper session ends.
-		t.Logf("replica session end: %v", rep.Err())
-	}
 	if rep.LastSeq() == 0 {
 		t.Fatal("replica never consumed a batch")
 	}

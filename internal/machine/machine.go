@@ -178,9 +178,6 @@ type CPU struct {
 	StallCycles   uint64
 }
 
-// Machine returns the machine this CPU belongs to.
-func (c *CPU) Machine() *Machine { return c.m }
-
 // Compute advances the CPU clock by n cycles of pure computation.
 func (c *CPU) Compute(n uint64) {
 	c.Now += n

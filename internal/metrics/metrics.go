@@ -176,9 +176,6 @@ var counterMeta = [NumIDs]struct {
 	LvmdRestartSyncs: {"lvmd.restart_syncs", KindSum},
 }
 
-// Name returns a counter's snapshot name.
-func (id ID) Name() string { return counterMeta[id].name }
-
 // HistID keys the fixed set of power-of-two histograms.
 type HistID uint16
 
@@ -215,9 +212,6 @@ var histName = [NumHistIDs]string{
 	HistLvmdCommitAck: "lvmd.commit_ack_ns",
 }
 
-// Name returns a histogram's snapshot name.
-func (id HistID) Name() string { return histName[id] }
-
 // histBuckets is one bucket per possible bits.Len64 result: bucket i
 // counts observations v with bits.Len64(v) == i, i.e. v == 0 for bucket 0
 // and 2^(i-1) <= v < 2^i otherwise.
@@ -253,10 +247,6 @@ func (s *Shard) SetMax(id ID, v uint64) {
 	}
 }
 
-// Get reads a counter (test and snapshot use; reads race with nothing
-// because shards are single-writer and readers quiesce first).
-func (s *Shard) Get(id ID) uint64 { return s.c[id] }
-
 // Observe records v into a power-of-two histogram.
 func (s *Shard) Observe(id HistID, v uint64) { s.h[id][bits.Len64(v)]++ }
 
@@ -287,9 +277,6 @@ func New(nshards int) *Registry {
 		tracer: NewTracer(DefaultTraceCapacity),
 	}
 }
-
-// NumShards reports the shard count.
-func (r *Registry) NumShards() int { return len(r.shards) }
 
 // Shard returns shard i. The caller must ensure single-writer discipline
 // per shard.

@@ -104,13 +104,6 @@ func (t *Tracer) Enable() {
 	t.enabled = true
 }
 
-// Disable turns event recording off.
-func (t *Tracer) Disable() {
-	if t != nil {
-		t.enabled = false
-	}
-}
-
 // Enabled reports whether Emit currently records.
 func (t *Tracer) Enabled() bool { return t != nil && t.enabled }
 
@@ -141,14 +134,6 @@ func (t *Tracer) Emit(time uint64, kind EventKind, cpu int, a, b uint64) {
 	}
 }
 
-// Len reports how many events the ring currently holds.
-func (t *Tracer) Len() int {
-	if t == nil {
-		return 0
-	}
-	return t.n
-}
-
 // Dropped reports how many events were overwritten or discarded.
 func (t *Tracer) Dropped() uint64 {
 	if t == nil {
@@ -171,12 +156,4 @@ func (t *Tracer) Events() []TraceEvent {
 		out[i] = t.buf[idx]
 	}
 	return out
-}
-
-// Reset empties the ring and clears the drop count.
-func (t *Tracer) Reset() {
-	if t == nil {
-		return
-	}
-	t.head, t.n, t.dropped = 0, 0, 0
 }

@@ -70,7 +70,7 @@ func TestAbortUndoesCreateAndIndex(t *testing.T) {
 		if _, ok := s.Lookup(1234); ok {
 			t.Fatalf("aborted create visible in index")
 		}
-		if s.Allocated(0) {
+		if s.p.Load32(s.bitmapVA(0)) != 0 {
 			t.Fatalf("slot still allocated after abort")
 		}
 		// The slot is reusable.

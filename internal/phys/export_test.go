@@ -3,3 +3,9 @@ package phys
 // ZeroPageIsZero reports whether the shared zero page still reads all
 // zeroes, for the external test that runs the simulator over it.
 func ZeroPageIsZero() bool { return zeroPage == [PageSize]byte{} }
+
+// Allocated reports how many frames are currently allocated.
+func (m *Memory) Allocated() int { return len(m.frames) - 1 - len(m.released) }
+
+// Free reports how many frames remain allocatable.
+func (m *Memory) Free() int { return m.numFrames - len(m.frames) + len(m.released) }

@@ -76,15 +76,6 @@ func NewMemory(numFrames int) *Memory {
 	return &Memory{frames: make([]*[PageSize]byte, 1), numFrames: numFrames}
 }
 
-// NumFrames reports the total number of frames, including reserved frame 0.
-func (m *Memory) NumFrames() int { return m.numFrames }
-
-// Allocated reports how many frames are currently allocated.
-func (m *Memory) Allocated() int { return len(m.frames) - 1 - len(m.released) }
-
-// Free reports how many frames remain allocatable.
-func (m *Memory) Free() int { return m.numFrames - len(m.frames) + len(m.released) }
-
 // Alloc allocates one zeroed page frame and returns its frame number.
 func (m *Memory) Alloc() (uint32, error) {
 	if n := len(m.released); n > 0 {

@@ -8,8 +8,8 @@ import (
 
 func TestAllocReleaseCycle(t *testing.T) {
 	m := NewMemory(8)
-	if m.NumFrames() != 8 {
-		t.Fatalf("NumFrames = %d, want 8", m.NumFrames())
+	if m.numFrames != 8 {
+		t.Fatalf("NumFrames = %d, want 8", m.numFrames)
 	}
 	seen := map[uint32]bool{}
 	var frames []uint32
@@ -220,8 +220,8 @@ func (r *freeListModel) release(f uint32) {
 func TestAllocatorMatchesFreeListModel(t *testing.T) {
 	for _, numFrames := range []int{0, 2, 3, 7, 100, 1000} {
 		m, ref := NewMemory(numFrames), newFreeListModel(numFrames)
-		if m.NumFrames() != len(ref.free)+1 {
-			t.Fatalf("numFrames %d: NumFrames = %d, want %d", numFrames, m.NumFrames(), len(ref.free)+1)
+		if m.numFrames != len(ref.free)+1 {
+			t.Fatalf("numFrames %d: NumFrames = %d, want %d", numFrames, m.numFrames, len(ref.free)+1)
 		}
 		rng := rand.New(rand.NewSource(int64(numFrames) + 1))
 		var held []uint32

@@ -89,13 +89,6 @@ type Disk struct {
 // New creates an empty RAM disk.
 func New() *Disk { return &Disk{blocks: make(map[uint32][]byte)} }
 
-// WriteAt stores data starting at the given byte offset, charging the
-// device cost to cpu (nil = uncharged, e.g. during recovery replay).
-// Injected failures are dropped; fault-aware callers use TryWriteAt.
-func (d *Disk) WriteAt(cpu *machine.CPU, off uint64, data []byte) {
-	_ = d.TryWriteAt(cpu, off, data)
-}
-
 // TryWriteAt implements Device.
 func (d *Disk) TryWriteAt(cpu *machine.CPU, off uint64, data []byte) error {
 	nblocks := d.span(off, len(data))
@@ -121,12 +114,6 @@ func (d *Disk) TryWriteAt(cpu *machine.CPU, off uint64, data []byte) error {
 	return nil
 }
 
-// ReadAt reads len(out) bytes starting at off, dropping injected
-// failures; fault-aware callers use TryReadAt.
-func (d *Disk) ReadAt(cpu *machine.CPU, off uint64, out []byte) {
-	_ = d.TryReadAt(cpu, off, out)
-}
-
 // TryReadAt implements Device.
 func (d *Disk) TryReadAt(cpu *machine.CPU, off uint64, out []byte) error {
 	nblocks := d.span(off, len(out))
@@ -150,11 +137,6 @@ func (d *Disk) TryReadAt(cpu *machine.CPU, off uint64, out []byte) error {
 		off += uint64(n)
 	}
 	return nil
-}
-
-// Sync charges a flush barrier, dropping injected failures.
-func (d *Disk) Sync(cpu *machine.CPU) {
-	_ = d.TrySync(cpu)
 }
 
 // TrySync implements Device.

@@ -15,7 +15,7 @@ import (
 // ckptShadow captures a segment's full contents into a shadow.
 func ckptShadow(seg *core.Segment) *Shadow {
 	sh := NewShadow(seg.Size())
-	sh.Write(0, seg.RawRead(0, seg.Size()))
+	copy(sh.data, seg.RawRead(0, seg.Size()))
 	return sh
 }
 

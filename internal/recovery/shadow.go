@@ -24,23 +24,10 @@ func NewShadow(size uint32) *Shadow {
 // Size returns the shadow's size in bytes.
 func (s *Shadow) Size() uint32 { return uint32(len(s.data)) }
 
-// Write copies b into the shadow at off.
-func (s *Shadow) Write(off uint32, b []byte) {
-	copy(s.data[off:], b)
-}
-
 // Write32 stores a little-endian word, mirroring Process.Store32.
 func (s *Shadow) Write32(off, v uint32) {
 	binary.LittleEndian.PutUint32(s.data[off:], v)
 }
-
-// Read32 loads a little-endian word.
-func (s *Shadow) Read32(off uint32) uint32 {
-	return binary.LittleEndian.Uint32(s.data[off:])
-}
-
-// Bytes returns the backing slice (callers must not resize it).
-func (s *Shadow) Bytes() []byte { return s.data }
 
 // Clone returns an independent copy.
 func (s *Shadow) Clone() *Shadow {

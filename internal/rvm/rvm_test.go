@@ -166,7 +166,9 @@ func TestWALScanStopsAtTorn(t *testing.T) {
 	w.AppendCommit(nil, 1, []WALRange{{Off: 0, Data: []byte{1, 2, 3, 4}}})
 	// Corrupt the end marker of a hand-written second record: write a
 	// header with no end magic.
-	d.WriteAt(nil, w.Tail(), []byte{0x31, 0x4D, 0x56, 0x52, 2, 0, 0, 0, 0, 0, 0, 0})
+	if err := d.TryWriteAt(nil, w.tail, []byte{0x31, 0x4D, 0x56, 0x52, 2, 0, 0, 0, 0, 0, 0, 0}); err != nil {
+		t.Fatal(err)
+	}
 	n := 0
 	if err := w.Scan(func(seq uint32, ranges []WALRange) { n++ }); err != nil {
 		t.Fatal(err)

@@ -43,9 +43,6 @@ type WAL struct {
 // NewWAL creates a write-ahead log at the given disk offset.
 func NewWAL(d ramdisk.Device, base uint64) *WAL { return &WAL{disk: d, base: base} }
 
-// Tail reports the current log size in bytes.
-func (w *WAL) Tail() uint64 { return w.tail }
-
 // AppendCommit durably appends one committed transaction: the record body
 // is written first, then the commit seal (the trailing magic), then the
 // device is synced — the classic write-ahead discipline, and two device

@@ -55,14 +55,14 @@ func TestWALScanStopsAtStaleEpoch(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	tail := w.Tail()
+	tail := w.tail
 
 	seqs := scanSeqs(t, w)
 	if len(seqs) != 2 || seqs[0] != 6 || seqs[1] != 7 {
 		t.Fatalf("scan = %v, want exactly the new epoch [6 7]", seqs)
 	}
-	if w.Tail() != tail {
-		t.Fatalf("scan moved the tail to %d (into the stale epoch), want %d", w.Tail(), tail)
+	if w.tail != tail {
+		t.Fatalf("scan moved the tail to %d (into the stale epoch), want %d", w.tail, tail)
 	}
 }
 
@@ -72,17 +72,19 @@ func TestWALScanIgnoresTornSeal(t *testing.T) {
 	if err := w.AppendCommit(nil, 1, []WALRange{{Off: 0, Data: []byte{1, 2, 3, 4}}}); err != nil {
 		t.Fatal(err)
 	}
-	tail := w.Tail()
+	tail := w.tail
 	if err := w.AppendCommit(nil, 2, []WALRange{{Off: 8, Data: []byte{5, 6, 7, 8}}}); err != nil {
 		t.Fatal(err)
 	}
 	// Tear the second record's seal.
-	d.WriteAt(nil, w.Tail()-4, make([]byte, 4))
+	if err := d.TryWriteAt(nil, w.tail-4, make([]byte, 4)); err != nil {
+		t.Fatal(err)
+	}
 	seqs := scanSeqs(t, w)
 	if len(seqs) != 1 || seqs[0] != 1 {
 		t.Fatalf("scan = %v, want the intact record only", seqs)
 	}
-	if w.Tail() != tail {
-		t.Fatalf("tail = %d after torn scan, want %d", w.Tail(), tail)
+	if w.tail != tail {
+		t.Fatalf("tail = %d after torn scan, want %d", w.tail, tail)
 	}
 }

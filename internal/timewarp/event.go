@@ -57,12 +57,6 @@ func (e Event) before(o Event) bool {
 	return e.ID.Seq < o.ID.Seq
 }
 
-// sameEvent reports whether two events are the same logical event
-// (ignoring the Anti flag).
-func sameEvent(a, b Event) bool {
-	return a.ID == b.ID && a.Time == b.Time && a.Obj == b.Obj
-}
-
 // inputQueue is a binary min-heap of events ordered by before, with
 // annihilation support. Its sift steps are container/heap's, typed, so
 // nothing is boxed and the layout matches a container/heap of the same

@@ -90,10 +90,10 @@ func TestGVTMonotone(t *testing.T) {
 		if sim.RunSteps(PolicyRoundRobin, 16) == 0 {
 			break
 		}
-		if sim.GVT() < last {
-			t.Fatalf("GVT went backwards: %d -> %d", last, sim.GVT())
+		if sim.gvt < last {
+			t.Fatalf("GVT went backwards: %d -> %d", last, sim.gvt)
 		}
-		last = sim.GVT()
+		last = sim.gvt
 	}
 }
 
@@ -130,7 +130,7 @@ func TestChargeCULTOption(t *testing.T) {
 		if sim.TotalStats().CULTRecords == 0 {
 			t.Fatalf("no CULT records")
 		}
-		return sim.Elapsed()
+		return sim.sys.Elapsed()
 	}
 	free := run(false)
 	charged := run(true)
@@ -142,8 +142,8 @@ func TestChargeCULTOption(t *testing.T) {
 func TestFourSchedulersFourCPUs(t *testing.T) {
 	sim := buildSimN(t, 4, SaverLVM, 120, 8)
 	sim.Run(PolicyLeastCycles)
-	if len(sim.System().Machine().CPUs) != 4 {
-		t.Fatalf("machine CPUs = %d", len(sim.System().Machine().CPUs))
+	if len(sim.sys.Machine().CPUs) != 4 {
+		t.Fatalf("machine CPUs = %d", len(sim.sys.Machine().CPUs))
 	}
 	ref := buildSimN(t, 1, SaverLVM, 120, 8)
 	ref.Run(PolicyGlobalOrder)
@@ -322,7 +322,7 @@ func TestLazyStaleSendsCancelledOnAnnihilation(t *testing.T) {
 // not silently reset as if the cut had happened.
 func TestQuiescenceTruncateFailureSurfaces(t *testing.T) {
 	sim := buildSim(t, 1, SaverLVM, 80)
-	sc := sim.Scheduler(0)
+	sc := sim.scheds[0]
 	sc.cm.FailHook = func() error { return errors.New("injected truncation failure") }
 	sim.Run(PolicyGlobalOrder)
 

@@ -178,9 +178,6 @@ func newScheduler(sim *Sim, id int) (*Scheduler, error) {
 	return s, nil
 }
 
-// Process exposes the scheduler's simulated process (for examples).
-func (s *Scheduler) Process() *core.Process { return s.p }
-
 // objVA returns the address of word `word` of local object `local`.
 func (s *Scheduler) objVA(local uint32, word int) core.Addr {
 	return s.base + markerBytes + local*s.sim.cfg.ObjectBytes + uint32(word*4)

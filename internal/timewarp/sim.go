@@ -140,20 +140,6 @@ func New(cfg Config, h Handler) (*Sim, error) {
 	return sim, nil
 }
 
-// System exposes the underlying LVM system.
-func (s *Sim) System() *core.System { return s.sys }
-
-// Config returns the simulation configuration.
-func (s *Sim) Config() Config { return s.cfg }
-
-// Scheduler returns scheduler i.
-func (s *Sim) Scheduler(i int) *Scheduler { return s.scheds[i] }
-
-// NumObjects is the total object count.
-func (s *Sim) NumObjects() uint32 {
-	return uint32(s.cfg.Schedulers * s.cfg.ObjectsPerScheduler)
-}
-
 // owner returns the scheduler owning a global object index (objects are
 // striped across schedulers).
 func (s *Sim) owner(obj uint32) *Scheduler {
@@ -169,9 +155,6 @@ func (s *Sim) Inject(t VT, obj uint32, data uint32) {
 	s.injectSeq++
 	s.deliver(ev)
 }
-
-// GVT returns the last computed global virtual time.
-func (s *Sim) GVT() VT { return s.gvt }
 
 // computeGVT: with the synchronous in-memory transport, every event is in
 // some input queue between steps, so GVT is the minimum pending event time
@@ -311,6 +294,3 @@ func (s *Sim) TotalStats() SchedStats {
 	}
 	return t
 }
-
-// Elapsed returns the machine's elapsed cycles (max CPU clock).
-func (s *Sim) Elapsed() uint64 { return s.sys.Elapsed() }

@@ -175,9 +175,9 @@ func TestDMAHookDropAndCorrupt(t *testing.T) {
 	if l.RecordsWritten != 2 || l.RecordsLost != 1 {
 		t.Fatalf("written=%d lost=%d, want 2/1", l.RecordsWritten, l.RecordsLost)
 	}
-	recs := logrec.DecodeAll(mem.Frame(2)[:2*logrec.Size])
-	if recs[0].Value != 1 || recs[1].Value != 0x30003 {
-		t.Fatalf("records = %v, want value 1 then corrupted 0x30003 (dense)", recs)
+	r0, r1 := logrec.Decode(mem.Frame(2)[:]), logrec.Decode(mem.Frame(2)[logrec.Size:])
+	if r0.Value != 1 || r1.Value != 0x30003 {
+		t.Fatalf("records = %v %v, want value 1 then corrupted 0x30003 (dense)", r0, r1)
 	}
 	if d := l.Descriptor(0); d.Addr != 0x2000+2*logrec.Size {
 		t.Fatalf("descriptor = %#x, dropped record must not advance it", d.Addr)

@@ -115,22 +115,6 @@ func (a Analysis) Format() string {
 	return b.String()
 }
 
-// AddressTrace exports the log as a plain (offset, size, value, timestamp)
-// trace suitable as memory-system-simulator input.
-func AddressTrace(sys *core.System, seg, ls *core.Segment) []core.Record {
-	r := core.NewLogReader(sys, ls)
-	var out []core.Record
-	for {
-		rec, ok := r.Next()
-		if !ok {
-			return out
-		}
-		if rec.Seg == seg {
-			out = append(out, rec)
-		}
-	}
-}
-
 // CacheSim is a trace-driven set-associative cache simulator fed by LVM
 // write logs — the paper's Section 1 use: "a detailed address trace of a
 // program, which can be useful... as input to memory system simulators."

@@ -197,3 +197,19 @@ func TestCacheSimBadGeometry(t *testing.T) {
 		t.Fatalf("zero capacity accepted")
 	}
 }
+
+// AddressTrace exports the log as a plain (offset, size, value, timestamp)
+// trace suitable as memory-system-simulator input.
+func AddressTrace(sys *core.System, seg, ls *core.Segment) []core.Record {
+	r := core.NewLogReader(sys, ls)
+	var out []core.Record
+	for {
+		rec, ok := r.Next()
+		if !ok {
+			return out
+		}
+		if rec.Seg == seg {
+			out = append(out, rec)
+		}
+	}
+}

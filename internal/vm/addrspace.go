@@ -6,7 +6,6 @@ import (
 	"lvm/internal/cycles"
 	"lvm/internal/hwlogger"
 	"lvm/internal/metrics"
-	"lvm/internal/phys"
 )
 
 // PTE is a software page-table entry: one mapped virtual page.
@@ -50,9 +49,6 @@ func (k *Kernel) NewAddressSpace() *AddressSpace {
 	return as
 }
 
-// Kernel returns the owning kernel.
-func (a *AddressSpace) Kernel() *Kernel { return a.k }
-
 // Region represents a mapping of a segment into an address space
 // (Section 2.1). A region becomes active when bound. Logging is specified
 // at the region level (Region::log, Table 1) and can be enabled and
@@ -75,18 +71,6 @@ type Region struct {
 func (k *Kernel) NewRegion(seg *Segment) *Region {
 	return &Region{seg: seg, size: seg.size, mode: hwlogger.ModeRecord}
 }
-
-// Segment returns the mapped segment.
-func (r *Region) Segment() *Segment { return r.seg }
-
-// Base returns the region's bound base virtual address (0 before Bind).
-func (r *Region) Base() Addr { return r.base }
-
-// Size returns the region size in bytes.
-func (r *Region) Size() uint32 { return r.size }
-
-// LogSegment returns the region's log segment, if logging is enabled.
-func (r *Region) LogSegment() *Segment { return r.logSeg }
 
 // SetLogMode selects the logging mode (record, direct-mapped or indexed;
 // Section 2.6). It must be called before Log.
@@ -135,28 +119,6 @@ func (r *Region) Log(ls *Segment) error {
 	return k.Activate(r, nil)
 }
 
-// Unlog dynamically disables logging for the region (Section 2.7: "The
-// logging of a region can be dynamically enabled and disabled").
-func (r *Region) Unlog() {
-	if r.logSeg == nil {
-		return
-	}
-	k := r.seg.k
-	if k.Chip != nil {
-		k.unlogOnChip(r)
-		return
-	}
-	ls := r.logSeg
-	if r.seg.logTo == ls {
-		k.Deactivate(r.seg)
-	}
-	ls.loggedRegion = nil
-	r.logSeg = nil
-	if r.as != nil {
-		r.as.invalidateRange(r.base, r.size)
-	}
-}
-
 // Bind maps the region into the address space at virtaddr (0 = let the
 // kernel choose), returning the bound address (Table 1: Region::bind).
 func (r *Region) Bind(a *AddressSpace, virtaddr Addr) (Addr, error) {
@@ -191,30 +153,6 @@ func (r *Region) Bind(a *AddressSpace, virtaddr Addr) (Addr, error) {
 	return virtaddr, nil
 }
 
-// Unbind removes the region's mapping from its address space.
-func (r *Region) Unbind() {
-	if r.as == nil {
-		return
-	}
-	a := r.as
-	npages := (r.size + PageSize - 1) / PageSize
-	for p := uint32(0); p < npages; p++ {
-		delete(a.pt, (r.base>>PageShift)+p)
-		if a.k.Chip != nil && r.logSeg != nil {
-			a.k.Chip.UnmapPage((r.base >> PageShift) + p)
-		}
-	}
-	a.lastPTE = nil
-	for i, rr := range a.regions {
-		if rr == r {
-			a.regions = append(a.regions[:i], a.regions[i+1:]...)
-			break
-		}
-	}
-	r.as = nil
-	r.base = 0
-}
-
 // invalidateRange forces the pages of [base, base+size) to re-fault.
 func (a *AddressSpace) invalidateRange(base Addr, size uint32) {
 	npages := (size + PageSize - 1) / PageSize
@@ -226,16 +164,6 @@ func (a *AddressSpace) invalidateRange(base Addr, size uint32) {
 		}
 	}
 	a.lastPTE = nil
-}
-
-// Translate resolves a virtual address without faulting; ok is false if
-// the page is unmapped.
-func (a *AddressSpace) Translate(va Addr) (seg *Segment, off uint32, ok bool) {
-	e, found := a.pt[va>>PageShift]
-	if !found {
-		return nil, 0, false
-	}
-	return e.seg, e.segPage*PageSize + va&PageMask, true
 }
 
 // lookup returns the PTE for va, handling the page fault if needed; the
@@ -313,24 +241,4 @@ func (k *Kernel) pageFault(e *pte, cpu *machineCPU) error {
 	}
 	e.resident = true
 	return nil
-}
-
-// SetWriteThrough forces the region's pages into write-through mode
-// independent of logging (experimental control for the Section 4.5
-// measurements).
-func (r *Region) SetWriteThrough(wt bool) {
-	r.writeThrough = wt
-	if r.as != nil {
-		r.as.invalidateRange(r.base, r.size)
-	}
-}
-
-// PAddr returns the physical address backing va, faulting the page in
-// (uncharged) if needed.
-func (a *AddressSpace) PAddr(va Addr) (phys.Addr, error) {
-	e, err := a.lookup(va, nil)
-	if err != nil {
-		return 0, err
-	}
-	return phys.FrameBase(e.seg.pages[e.segPage].frame) + va&PageMask, nil
 }

@@ -69,9 +69,23 @@ func (k *Kernel) Activate(r *Region, cpu *machineCPU) error {
 	return nil
 }
 
-// Deactivate stops logging for a segment without forgetting its regions'
+// invalidateSegmentMappings forces every PTE of a segment, in every
+// address space, to re-fault so cache-mode and logging bits are
+// recomputed.
+func (k *Kernel) invalidateSegmentMappings(s *Segment) {
+	for _, as := range k.asList {
+		for _, e := range as.pt {
+			if e.seg == s {
+				e.resident = false
+			}
+		}
+		as.lastPTE = nil
+	}
+}
+
+// deactivate stops logging for a segment without forgetting its regions'
 // registered logs.
-func (k *Kernel) Deactivate(s *Segment) {
+func (k *Kernel) deactivate(s *Segment) {
 	if !s.logged {
 		return
 	}
@@ -87,41 +101,4 @@ func (k *Kernel) Deactivate(s *Segment) {
 	s.logged = false
 	s.logTo = nil
 	k.invalidateSegmentMappings(s)
-}
-
-// invalidateSegmentMappings forces every PTE of a segment, in every
-// address space, to re-fault so cache-mode and logging bits are
-// recomputed.
-func (k *Kernel) invalidateSegmentMappings(s *Segment) {
-	for _, as := range k.asList {
-		for _, e := range as.pt {
-			if e.seg == s {
-				e.resident = false
-			}
-		}
-		as.lastPTE = nil
-	}
-}
-
-// ContextSwitch installs an address space on a CPU: the on-chip cache is
-// invalidated, the switch cost charged, and — on the prototype — every
-// registered log of the incoming address space's regions is activated so
-// the process's writes land in its own logs (per-process logs,
-// Section 3.1.2 / Section 2.5: "Using a separate log per region means
-// that each process can have a separate log").
-func (k *Kernel) ContextSwitch(p *Process, as *AddressSpace) error {
-	p.CPU.Compute(ContextSwitchCycles)
-	p.CPU.D1.InvalidateAll()
-	p.AS = as
-	if k.Log == nil {
-		return nil // on-chip logging is per virtual page: nothing to do
-	}
-	for _, r := range as.regions {
-		if r.logSeg != nil {
-			if err := k.Activate(r, p.CPU); err != nil {
-				return err
-			}
-		}
-	}
-	return nil
 }

@@ -18,54 +18,6 @@ type ResetStats struct {
 	Cycles uint64
 }
 
-// ResetDeferredCopy undoes all modifications to deferred-copy destination
-// pages in the virtual address range [start, end): for each address mapped
-// in deferred-copy mode, the next read returns the datum from the
-// deferred-copy source (Table 1: AddressSpace::resetDeferredCopy).
-//
-// Per Section 3.3, the implementation checks the per-page dirty bit to
-// skip clean pages, and for dirty pages it invalidates the modified cache
-// lines and re-points their sources at the source segment — no data is
-// copied. The cost charged is therefore proportional to the amount of
-// dirty data, which is what gives Figure 9 its shape.
-func (a *AddressSpace) ResetDeferredCopy(start, end Addr, cpu *machine.CPU) (ResetStats, error) {
-	var st ResetStats
-	if end < start {
-		return st, fmt.Errorf("vm: ResetDeferredCopy: end %#x < start %#x", end, start)
-	}
-	for vp := start >> PageShift; vp < (end+PageSize-1)>>PageShift; vp++ {
-		e, ok := a.pt[vp]
-		if !ok || e.seg.source == nil {
-			continue
-		}
-		st.PagesScanned++
-		st.Cycles += cycles.ResetPageCheckCycles
-		p := &e.seg.pages[e.segPage]
-		if p.frame == 0 || !p.dirty {
-			continue
-		}
-		st.DirtyPages++
-		lines := 0
-		for w := range p.lineDirty {
-			lines += bits.OnesCount64(p.lineDirty[w])
-			p.lineDirty[w] = 0
-			p.fromSource[w] = ^uint64(0)
-		}
-		p.dirty = false
-		st.LinesReset += lines
-		st.Cycles += uint64(lines) * cycles.ResetLineCycles
-		if cpu != nil {
-			// The processor's own cached copies of the page must go too.
-			cpu.D1.InvalidatePage(uint32(vp) << PageShift)
-		}
-	}
-	if cpu != nil {
-		cpu.Compute(st.Cycles)
-	}
-	a.k.noteDeferredReset(cpu, st)
-	return st, nil
-}
-
 // noteDeferredReset publishes one reset's work to the metrics layer
 // (Figure 9's quantities: resets, dirty pages found, lines re-pointed).
 func (k *Kernel) noteDeferredReset(cpu *machineCPU, st ResetStats) {

@@ -35,9 +35,6 @@ func NewKernelOnChip(cfg machine.Config) *Kernel {
 	return k
 }
 
-// OnChip reports whether this kernel uses the Section 4.6 logger.
-func (k *Kernel) OnChip() bool { return k.Chip != nil }
-
 // handleChipFull advances a log to its next page when the descriptor's
 // space is exhausted (the on-chip analogue of the invalid-log-address
 // logging fault).

@@ -3,7 +3,6 @@ package vm
 import (
 	"fmt"
 
-	"lvm/internal/cycles"
 	"lvm/internal/metrics"
 )
 
@@ -17,7 +16,7 @@ type PageStore interface {
 	StorePage(seg *Segment, page uint32, data *[PageSize]byte)
 }
 
-// EvictPage removes a page's frame, writing its contents to the segment
+// evictPage removes a page's frame, writing its contents to the segment
 // manager's backing store when one exists. All mappings of the page are
 // invalidated so the next touch re-faults; the hardware logger's
 // page-mapping entry for the frame is removed (the next logged write to
@@ -26,7 +25,7 @@ type PageStore interface {
 // Pages of deferred-copy destinations cannot be evicted: their per-line
 // source state lives in the second-level cache and has no backing-store
 // representation (the prototype pinned such working segments as well).
-func (k *Kernel) EvictPage(s *Segment, page uint32) error {
+func (k *Kernel) evictPage(s *Segment, page uint32) error {
 	if page >= s.NumPages() {
 		return fmt.Errorf("vm: evict: page %d out of range", page)
 	}
@@ -78,32 +77,3 @@ func (k *Kernel) invalidateMappingsOf(s *Segment, page uint32) {
 		}
 	}
 }
-
-// ReclaimFrames evicts up to n clean-evictable resident pages across all
-// segments (a trivial page-replacement sweep for tests and long-running
-// workloads). It returns how many frames were reclaimed.
-func (k *Kernel) ReclaimFrames(n int) int {
-	reclaimed := 0
-	for _, s := range k.segments {
-		if s.source != nil {
-			continue
-		}
-		for page := uint32(0); page < s.NumPages() && reclaimed < n; page++ {
-			if s.pages[page].frame == 0 {
-				continue
-			}
-			if err := k.EvictPage(s, page); err == nil {
-				reclaimed++
-			}
-		}
-		if reclaimed >= n {
-			break
-		}
-	}
-	return reclaimed
-}
-
-// PageInCost is the cycle cost charged for a page fault that found its
-// data in a backing store (same as any fault; the transfer itself is the
-// manager's business).
-const PageInCost = cycles.PageFaultCycles

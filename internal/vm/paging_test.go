@@ -30,11 +30,11 @@ func TestEvictAndRefaultPreservesData(t *testing.T) {
 	base, _ := r.Bind(as, 0)
 	p := k.NewProcess(0, as)
 	p.Store32(base+8, 1234)
-	frames := k.M.Phys.Allocated()
-	if err := k.EvictPage(s, 0); err != nil {
+	frames := len(k.owners)
+	if err := k.evictPage(s, 0); err != nil {
 		t.Fatal(err)
 	}
-	if k.M.Phys.Allocated() != frames-1 {
+	if len(k.owners) != frames-1 {
 		t.Fatalf("frame not released")
 	}
 	if s.Resident(0) {
@@ -54,7 +54,7 @@ func TestEvictWithoutStoreLosesData(t *testing.T) {
 	base, _ := r.Bind(as, 0)
 	p := k.NewProcess(0, as)
 	p.Store32(base, 7)
-	if err := k.EvictPage(s, 0); err != nil {
+	if err := k.evictPage(s, 0); err != nil {
 		t.Fatal(err)
 	}
 	if got := p.Load32(base); got != 0 {
@@ -76,7 +76,7 @@ func TestEvictLoggedPageReloadsPMT(t *testing.T) {
 	p := k.NewProcess(0, as)
 	p.Store32(base, 1)
 	k.Sync()
-	if err := k.EvictPage(s, 0); err != nil {
+	if err := k.evictPage(s, 0); err != nil {
 		t.Fatal(err)
 	}
 	// After refault, logging continues into the same log.
@@ -96,7 +96,7 @@ func TestEvictDeferredCopyDestinationRejected(t *testing.T) {
 	dst := k.NewSegment("dst", PageSize, nil)
 	mustSource(t, dst, src, 0)
 	dst.Write32(0, 1)
-	if err := k.EvictPage(dst, 0); err == nil {
+	if err := k.evictPage(dst, 0); err == nil {
 		t.Fatalf("evicted a deferred-copy destination")
 	}
 }
@@ -106,7 +106,7 @@ func TestEvictActiveLogHeadRejected(t *testing.T) {
 	_, _, ls, p, base := setupLogged(t, k, 1, 4)
 	p.Store32(base, 1)
 	k.Sync()
-	if err := k.EvictPage(ls, 0); err == nil {
+	if err := k.evictPage(ls, 0); err == nil {
 		t.Fatalf("evicted the active log head page")
 	}
 }
@@ -152,7 +152,7 @@ func TestEvictInvalidatesAllMappings(t *testing.T) {
 	if got := p2.Load32(b2); got != 5 {
 		t.Fatalf("sharing broken")
 	}
-	if err := k.EvictPage(s, 0); err != nil {
+	if err := k.evictPage(s, 0); err != nil {
 		t.Fatal(err)
 	}
 	// Both mappings must re-fault onto the (possibly new) frame and see

@@ -32,9 +32,6 @@ func (k *Kernel) NewProcess(cpuID int, as *AddressSpace) *Process {
 	return &Process{k: k, CPU: k.M.CPUs[cpuID], AS: as}
 }
 
-// Kernel returns the owning kernel.
-func (p *Process) Kernel() *Kernel { return p.k }
-
 // Compute charges n cycles of computation.
 func (p *Process) Compute(n uint64) { p.CPU.Compute(n) }
 
@@ -121,55 +118,4 @@ func (p *Process) Load32(va Addr) uint32 {
 	paddr := phys.FrameBase(e.seg.pages[e.segPage].frame) + po
 	p.CPU.WordRead(paddr)
 	return e.seg.load32(e.segPage, po)
-}
-
-// Load16 reads a 16-bit halfword at va.
-func (p *Process) Load16(va Addr) uint16 {
-	e := p.mustLookup(va, 2)
-	po := va & PageMask
-	paddr := phys.FrameBase(e.seg.pages[e.segPage].frame) + po
-	p.CPU.WordRead(paddr)
-	var b [2]byte
-	e.seg.readPage(e.segPage, po, b[:])
-	return uint16(b[0]) | uint16(b[1])<<8
-}
-
-// Load8 reads a byte at va.
-func (p *Process) Load8(va Addr) uint8 {
-	e := p.mustLookup(va, 1)
-	po := va & PageMask
-	paddr := phys.FrameBase(e.seg.pages[e.segPage].frame) + po
-	p.CPU.WordRead(paddr)
-	var b [1]byte
-	e.seg.readPage(e.segPage, po, b[:])
-	return b[0]
-}
-
-// StoreBytes writes b starting at va, word by word (charging each store).
-func (p *Process) StoreBytes(va Addr, b []byte) {
-	i := 0
-	for ; i+4 <= len(b) && (va+Addr(i))%4 == 0; i += 4 {
-		p.Store32(va+Addr(i), uint32(b[i])|uint32(b[i+1])<<8|uint32(b[i+2])<<16|uint32(b[i+3])<<24)
-	}
-	for ; i < len(b); i++ {
-		p.Store8(va+Addr(i), b[i])
-	}
-}
-
-// LoadBytes reads n bytes starting at va, word by word (charging each
-// load).
-func (p *Process) LoadBytes(va Addr, n int) []byte {
-	out := make([]byte, n)
-	i := 0
-	for ; i+4 <= n && (va+Addr(i))%4 == 0; i += 4 {
-		v := p.Load32(va + Addr(i))
-		out[i] = byte(v)
-		out[i+1] = byte(v >> 8)
-		out[i+2] = byte(v >> 16)
-		out[i+3] = byte(v >> 24)
-	}
-	for ; i < n; i++ {
-		out[i] = p.Load8(va + Addr(i))
-	}
-	return out
 }

@@ -2,7 +2,6 @@ package vm
 
 import (
 	"fmt"
-	"math/bits"
 
 	"lvm/internal/cycles"
 	"lvm/internal/hwlogger"
@@ -131,9 +130,6 @@ func (k *Kernel) NewLogSegment(name string, pages uint32) *Segment {
 	return s
 }
 
-// Name returns the segment's debug name.
-func (s *Segment) Name() string { return s.name }
-
 // Size returns the segment size in bytes.
 func (s *Segment) Size() uint32 { return s.size }
 
@@ -190,9 +186,6 @@ func (s *Segment) SetSourceSegment(source *Segment, offset uint32) error {
 	return nil
 }
 
-// Source returns the deferred-copy source, if any.
-func (s *Segment) Source() (*Segment, uint32) { return s.source, s.sourceOff }
-
 // Extend grows the segment by n pages, returning the new size. For log
 // segments this provides the next pages for the hardware head ("the user
 // explicitly extends the log segment, normally in advance of a fault at
@@ -240,37 +233,6 @@ func (s *Segment) ensureFrame(page uint32) (uint32, error) {
 // (pre-faulting for warmups and tools).
 func (s *Segment) EnsureResident(page uint32) (uint32, error) {
 	return s.ensureFrame(page)
-}
-
-// Resident reports whether a page is resident.
-func (s *Segment) Resident(page uint32) bool {
-	return page < uint32(len(s.pages)) && s.pages[page].frame != 0
-}
-
-// Frame returns the physical frame of a resident page (0 if absent).
-func (s *Segment) Frame(page uint32) uint32 {
-	if page >= uint32(len(s.pages)) {
-		return 0
-	}
-	return s.pages[page].frame
-}
-
-// PageDirty reports the page's dirty bit (set by the first modifying write
-// since the last resetDeferredCopy).
-func (s *Segment) PageDirty(page uint32) bool {
-	return page < uint32(len(s.pages)) && s.pages[page].dirty
-}
-
-// DirtyLines counts modified lines in a page.
-func (s *Segment) DirtyLines(page uint32) int {
-	if page >= uint32(len(s.pages)) {
-		return 0
-	}
-	n := 0
-	for _, w := range s.pages[page].lineDirty {
-		n += bits.OnesCount64(w)
-	}
-	return n
 }
 
 // --- Data access (functional semantics, no cycle charging) ---
@@ -509,8 +471,8 @@ func (s *Segment) Write32(off uint32, v uint32) {
 	s.RawWrite(off, b[:])
 }
 
-// Free releases the segment's frames and logger resources.
-func (s *Segment) Free() {
+// free releases the segment's frames and logger resources.
+func (s *Segment) free() {
 	for i := range s.pages {
 		p := &s.pages[i]
 		if p.frame != 0 {

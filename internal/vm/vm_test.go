@@ -154,7 +154,11 @@ func TestLoggedWritesProduceRecords(t *testing.T) {
 	if end != 4*logrec.Size {
 		t.Fatalf("append offset = %d, want %d", end, 4*logrec.Size)
 	}
-	recs := logrec.DecodeAll(ls.RawRead(0, end))
+	raw := ls.RawRead(0, end)
+	var recs []logrec.Record
+	for off := 0; off < len(raw); off += logrec.Size {
+		recs = append(recs, logrec.Decode(raw[off:]))
+	}
 	wantVals := []uint32{111, 222, 333, 44}
 	wantSizes := []uint16{4, 4, 2, 1}
 	for i, rec := range recs {
@@ -274,6 +278,12 @@ func TestWriteThroughModeSetOnLoggedPages(t *testing.T) {
 	if got := p.CPU.Now - start; got != cycles.WordWriteThroughTotal {
 		t.Fatalf("logged write cost = %d, want %d", got, cycles.WordWriteThroughTotal)
 	}
+}
+
+func TestUnlogIdempotent(t *testing.T) {
+	r, _, _, _, _ := setupLogged(t, testKernel(), 1, 4)
+	r.Unlog()
+	r.Unlog() // second Unlog is a no-op
 }
 
 func TestDynamicUnlogAndRelog(t *testing.T) {
@@ -397,7 +407,7 @@ func TestDeactivateStopsLogging(t *testing.T) {
 	}()
 	p.Store32(base, 1)
 	k.Sync()
-	k.Deactivate(s)
+	k.deactivate(s)
 	p.Store32(base+4, 2)
 	k.Sync()
 	if got := k.LogAppendOffset(ls) / 16; got != 1 {
@@ -636,17 +646,17 @@ func TestReverseTranslate(t *testing.T) {
 
 func TestSegmentFreeReleasesFrames(t *testing.T) {
 	k := testKernel()
-	before := k.M.Phys.Allocated()
+	before := len(k.owners)
 	s := k.NewSegment("s", 4*PageSize, nil)
 	for i := uint32(0); i < 4; i++ {
 		s.Write32(i*PageSize, 1)
 	}
-	if k.M.Phys.Allocated() != before+4 {
+	if len(k.owners) != before+4 {
 		t.Fatalf("frames not allocated")
 	}
-	s.Free()
-	if k.M.Phys.Allocated() != before {
-		t.Fatalf("frames not released: %d != %d", k.M.Phys.Allocated(), before)
+	s.free()
+	if len(k.owners) != before {
+		t.Fatalf("frames not released: %d != %d", len(k.owners), before)
 	}
 }
 

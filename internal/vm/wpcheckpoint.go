@@ -62,21 +62,6 @@ func (k *Kernel) NewWPCheckpoint(seg *Segment) (*WPCheckpoint, error) {
 	return c, nil
 }
 
-// Close detaches the checkpointer from its segment.
-func (c *WPCheckpoint) Close() {
-	if c.seg != nil && c.seg.wp == c {
-		c.seg.wp = nil
-	}
-	c.active = false
-}
-
-// Active reports whether a checkpoint is in effect.
-func (c *WPCheckpoint) Active() bool { return c.active }
-
-// DirtyPages reports how many pages have been modified (and saved) since
-// the checkpoint.
-func (c *WPCheckpoint) DirtyPages() int { return len(c.saved) }
-
 // Checkpoint establishes a new checkpoint: every page of the region is
 // write-protected. Prior saved pages are discarded (the previous
 // checkpoint is replaced).
@@ -136,15 +121,4 @@ func (c *WPCheckpoint) Rollback(cpu *machine.CPU) error {
 	}
 	c.saved = map[uint32][]byte{}
 	return nil
-}
-
-// Commit abandons the checkpoint, keeping the current contents: saved
-// copies are discarded and protection lifted.
-func (c *WPCheckpoint) Commit(cpu *machine.CPU) {
-	c.saved = map[uint32][]byte{}
-	for i := range c.protected {
-		c.protected[i] = false
-	}
-	c.active = false
-	_ = cpu
 }
