@@ -76,7 +76,7 @@ var watched = map[string]bool{
 	"Flush":            true, // logship pump: a dropped error loses admissions
 	"FlushAll":         true,
 	"ReleaseShip":      true,
-	"Rebase":           true,
+	"Compacted":        true, // compaction cut forwarded to the shipper: a dropped error leaves its sequence base behind the cut log
 	"Connect":          true, // replica session start
 }
 

@@ -33,8 +33,7 @@ type Options struct {
 	// Short shrinks the workloads (CI smoke).
 	Short bool
 	// Only, when non-empty, restricts the matrix to templates whose name
-	// contains it (the CI failover job runs just the failover rows at full
-	// depth).
+	// contains it (rerun one family, e.g. "failover/", at full depth).
 	Only string
 }
 
@@ -49,10 +48,14 @@ const (
 	ctGroupDeadline = 1024
 )
 
+// markerLimit is the marker area of the log, compact and failover
+// workloads: word 0 carries the begin and commit markers.
+const markerLimit = 16
+
 // template is one row of the fault matrix.
 type template struct {
-	name     string
-	scenario string // "log", "compact", "rvm" or "rlvm"
+	name string
+	run  func(t template, plan fault.Plan, short bool) (outcome, uint64)
 	// maxBatch bounds the stores per transaction of the log workload.
 	maxBatch int
 	// hotset > 0 draws store offsets from a seeded pool of that many hot
@@ -85,38 +88,51 @@ func seedIndex(ti int) int {
 	return ti
 }
 
+// noFaults is the plan of the fault-free rows.
+func noFaults(seed, dry uint64) fault.Plan { return fault.Plan{} }
+
+// seedPhase is the failover rows' plan: CrashAtCycle carries the raw
+// seed, from which the scenario picks the handshake phase to kill.
+func seedPhase(seed, dry uint64) fault.Plan { return fault.Plan{CrashAtCycle: seed} }
+
+// crashMidRun crashes at a seeded 20–80 % of the dry run's cycles.
+func crashMidRun(seed, dry uint64) fault.Plan {
+	return fault.Plan{CrashAtCycle: dry * (20 + seed*7%61) / 100}
+}
+
+// diskTransient fails bursts of two disk operations at a seeded period.
+func diskTransient(seed, dry uint64) fault.Plan {
+	return fault.Plan{DiskFailEveryN: 40 + int(seed%20), DiskFailBurst: 2}
+}
+
 func templates() []template {
 	return []template{
-		{name: "log/clean", scenario: "log", maxBatch: 24,
-			plan: func(seed, dry uint64) fault.Plan { return fault.Plan{} }},
-		{name: "log/crash-cycle", scenario: "log", maxBatch: 24, needsDry: true,
-			plan: func(seed, dry uint64) fault.Plan {
-				return fault.Plan{CrashAtCycle: dry * (20 + seed*7%61) / 100}
-			}},
-		{name: "log/crash-fault", scenario: "log", maxBatch: 24,
+		{name: "log/clean", run: runLog, maxBatch: 24, plan: noFaults},
+		{name: "log/crash-cycle", run: runLog, maxBatch: 24, needsDry: true, plan: crashMidRun},
+		{name: "log/crash-fault", run: runLog, maxBatch: 24,
 			plan: func(seed, dry uint64) fault.Plan {
 				return fault.Plan{CrashAtFault: 1 + int(seed%4)}
 			}},
-		{name: "log/crash-overload", scenario: "log", maxBatch: 200,
+		{name: "log/crash-overload", run: runLog, maxBatch: 200,
 			plan: func(seed, dry uint64) fault.Plan {
 				return fault.Plan{OverloadThreshold: 24, CrashAtOverload: 1 + int(seed%4)}
 			}},
-		{name: "log/drop", scenario: "log", maxBatch: 24, needsDry: true,
+		{name: "log/drop", run: runLog, maxBatch: 24, needsDry: true,
 			plan: func(seed, dry uint64) fault.Plan {
 				return fault.Plan{DropEveryN: 61 + int(seed%7)*10, CrashAtCycle: dry * 7 / 10}
 			}},
-		{name: "log/corrupt", scenario: "log", maxBatch: 24,
+		{name: "log/corrupt", run: runLog, maxBatch: 24,
 			plan: func(seed, dry uint64) fault.Plan {
 				return fault.Plan{CorruptEveryN: 97 + int(seed%5)*16}
 			}},
-		{name: "log/truncate", scenario: "log", maxBatch: 24, needsDry: true,
+		{name: "log/truncate", run: runLog, maxBatch: 24, needsDry: true,
 			plan: func(seed, dry uint64) fault.Plan {
 				return fault.Plan{
 					CrashAtCycle:      dry * (60 + seed*11%30) / 100,
 					TruncateTailBytes: 24 + uint32(seed*37%400),
 				}
 			}},
-		{name: "log/storm", scenario: "log", maxBatch: 256,
+		{name: "log/storm", run: runLog, maxBatch: 256,
 			plan: func(seed, dry uint64) fault.Plan {
 				return fault.Plan{OverloadThreshold: 8}
 			}},
@@ -131,36 +147,26 @@ func templates() []template {
 		// of the short workload's cycle budget, and a crash in there lands
 		// before the first commit — a degenerate empty-expectation pass
 		// instead of a crash with coalesced records pending.
-		{name: "log/absorb-window", scenario: "log", maxBatch: 24, hotset: 6, needsDry: true,
+		{name: "log/absorb-window", run: runLog, maxBatch: 24, hotset: 6, needsDry: true,
 			plan: func(seed, dry uint64) fault.Plan {
 				return fault.Plan{CrashAtCycle: dry * (58 + seed*17%38) / 100}
 			}},
-		{name: "rvm/crash-diskop", scenario: "rvm",
+		{name: "rvm/crash-diskop", run: runTPCA,
 			plan: func(seed, dry uint64) fault.Plan {
 				return fault.Plan{CrashAtDiskOp: 17 + int(seed%40)*7}
 			}},
-		{name: "rvm/disk-transient", scenario: "rvm",
-			plan: func(seed, dry uint64) fault.Plan {
-				return fault.Plan{DiskFailEveryN: 40 + int(seed%20), DiskFailBurst: 2}
-			}},
-		{name: "rlvm/crash-cycle", scenario: "rlvm", needsDry: true,
-			plan: func(seed, dry uint64) fault.Plan {
-				return fault.Plan{CrashAtCycle: dry * (20 + seed*7%61) / 100}
-			}},
-		{name: "rlvm/crash-overload", scenario: "rlvm",
+		{name: "rvm/disk-transient", run: runTPCA, plan: diskTransient},
+		{name: "rlvm/crash-cycle", run: runTPCA, needsDry: true, plan: crashMidRun},
+		{name: "rlvm/crash-overload", run: runTPCA,
 			plan: func(seed, dry uint64) fault.Plan {
 				return fault.Plan{OverloadThreshold: 3 + int(seed%3), CrashAtOverload: 2 + int(seed%6)}
 			}},
-		{name: "rlvm/disk-transient", scenario: "rlvm",
-			plan: func(seed, dry uint64) fault.Plan {
-				return fault.Plan{DiskFailEveryN: 40 + int(seed%20), DiskFailBurst: 2}
-			}},
+		{name: "rlvm/disk-transient", run: runTPCA, plan: diskTransient},
 		// The regression row for the swallowed-TruncateLog bug: die inside
 		// Truncate's WAL-reset-to-log-truncation window — the WAL is
 		// already empty, the durable image already rolled forward, the LVM
 		// log not yet cut. Committed state must recover exactly.
-		{name: "rlvm/trunc-window", scenario: "rlvm",
-			plan: func(seed, dry uint64) fault.Plan { return fault.Plan{} },
+		{name: "rlvm/trunc-window", run: runTPCA, plan: noFaults,
 			armExtra: func(in *fault.Injector, eng engine, plan fault.Plan) {
 				e, isRLVM := eng.(rlvmEngine)
 				if !isRLVM {
@@ -168,7 +174,7 @@ func templates() []template {
 				}
 				target := 1 + int(plan.Seed%2)
 				truncs := 0
-				e.m.CompactManager().FailHook = func() error {
+				e.CompactManager().FailHook = func() error {
 					truncs++
 					if truncs == target {
 						in.CrashNow("trunc-window")
@@ -181,7 +187,7 @@ func templates() []template {
 		// the kill lands. Acked state must recover exactly; the gap to the
 		// recovered image must be an in-order prefix of the in-flight
 		// ledger (see classifyPrefix).
-		{name: "lvmd/kill-mid-commit", scenario: "lvmd", maxBatch: 12, needsDry: true,
+		{name: "lvmd/kill-mid-commit", run: runLvmd, maxBatch: 12, needsDry: true,
 			plan: func(seed, dry uint64) fault.Plan {
 				return fault.Plan{CrashAtCycle: dry * (25 + seed*13%70) / 100}
 			}},
@@ -190,41 +196,33 @@ func templates() []template {
 		// resume it; no acked record may be lost and no moment may hold two
 		// validating grants. CrashAtCycle carries the raw seed so eight
 		// seeds sweep every phase (the scenario never arms an injector).
-		{name: "failover/crash-during-promotion", scenario: "failover", maxBatch: 8,
-			plan: func(seed, dry uint64) fault.Plan { return fault.Plan{CrashAtCycle: seed} }},
+		{name: "failover/crash-during-promotion", run: runFailover, maxBatch: 8, plan: seedPhase},
 		// Lease-driven failure detection: nobody signals anybody. The
 		// primary dies with an unshipped tail, the manual lease clock runs
 		// out, and the standby's monitor authorizes the promotion — still
 		// killed and resumed at the phase the seed selects. Promotion must
 		// refuse while the lease is current, and the resumed zombie must be
 		// refused with ErrFenced and self-demote.
-		{name: "failover/lease-expiry", scenario: "lease-expiry", maxBatch: 8,
-			plan: func(seed, dry uint64) fault.Plan { return fault.Plan{CrashAtCycle: seed} }},
+		{name: "failover/lease-expiry", run: runLeaseExpiry, maxBatch: 8, plan: seedPhase},
 		// The pause/partition shape: the primary survives but cannot renew;
 		// the standby promotes at zero loss and the healed primary's own
 		// renewal, grant, and late heartbeat are all refused — exactly one
 		// writable primary throughout.
-		{name: "failover/partition-pause", scenario: "lease-partition", maxBatch: 8,
-			plan: func(seed, dry uint64) fault.Plan { return fault.Plan{CrashAtCycle: seed} }},
+		{name: "failover/partition-pause", run: runLeasePartition, maxBatch: 8, plan: seedPhase},
 		// The true-partition shape: the primary's renewal loop stays
 		// alive, only its messages die. The holder must demote on the
 		// delivery-evidence rule no later than the standby's monitor
 		// expires — at no step may a promoted standby and a renewing
 		// primary coexist.
-		{name: "failover/partition-drop", scenario: "lease-drop", maxBatch: 8,
-			plan: func(seed, dry uint64) fault.Plan { return fault.Plan{CrashAtCycle: seed} }},
-		{name: "compact/clean", scenario: "compact", maxBatch: 24,
-			plan: func(seed, dry uint64) fault.Plan { return fault.Plan{} }},
-		{name: "compact/crash-diskop", scenario: "compact", maxBatch: 24,
+		{name: "failover/partition-drop", run: runLeaseDrop, maxBatch: 8, plan: seedPhase},
+		{name: "compact/clean", run: runCompact, maxBatch: 24, plan: noFaults},
+		{name: "compact/crash-diskop", run: runCompact, maxBatch: 24,
 			plan: func(seed, dry uint64) fault.Plan {
 				// 6 device ops per compaction cycle: the seeds land crashes
 				// before the marker commit, mid-snapshot, and after it.
 				return fault.Plan{CrashAtDiskOp: 1 + int(seed*5%28)}
 			}},
-		{name: "compact/crash-cycle", scenario: "compact", maxBatch: 24, needsDry: true,
-			plan: func(seed, dry uint64) fault.Plan {
-				return fault.Plan{CrashAtCycle: dry * (20 + seed*7%61) / 100}
-			}},
+		{name: "compact/crash-cycle", run: runCompact, maxBatch: 24, needsDry: true, plan: crashMidRun},
 	}
 }
 
@@ -272,6 +270,29 @@ type write struct {
 	off, val uint32
 }
 
+// wordOff draws a word-aligned offset past the marker area of a
+// size-byte segment.
+func wordOff(wr *fault.RNG, size uint32) uint32 {
+	return markerLimit + uint32(wr.Intn(int(size-markerLimit)/4))*4
+}
+
+// untilCrash runs a workload until it returns or the injector kills the
+// machine, and returns the Crash it unwound with (nil if none). Any
+// other panic propagates to runPlan.
+func untilCrash(workload func()) (crash *fault.Crash) {
+	defer func() {
+		if r := recover(); r != nil {
+			c, isCrash := r.(*fault.Crash)
+			if !isCrash {
+				panic(r)
+			}
+			crash = c
+		}
+	}()
+	workload()
+	return nil
+}
+
 // runPlan executes one (template, seed) cell: optional dry run, then the
 // faulted run.
 func runPlan(t template, ti int, seed uint64, short bool) (out outcome) {
@@ -302,194 +323,89 @@ func runPlan(t template, ti int, seed uint64, short bool) (out outcome) {
 	return out
 }
 
-func runScenario(t template, plan fault.Plan, short bool) (outcome, uint64) {
-	switch t.scenario {
-	case "log":
-		return runLog(t, plan, short)
-	case "compact":
-		return runCompact(t, plan, short)
-	case "lvmd":
-		return runLvmd(t, plan, short)
-	case "failover":
-		return runFailover(t, plan, short)
-	case "lease-expiry":
-		return runLeaseExpiry(t, plan, short)
-	case "lease-partition":
-		return runLeasePartition(t, plan, short)
-	case "lease-drop":
-		return runLeaseDrop(t, plan, short)
-	}
-	return runTPCA(t, plan, short)
-}
-
-// runLog drives the raw logged-segment workload: batches of seeded
-// stores bracketed by marker words, one Sync per batch as the
-// durability fence, recovery by log replay into a fresh segment.
-func runLog(t template, plan fault.Plan, short bool) (outcome, uint64) {
-	const segSize = 64 * 1024
-	const markerLimit = 16
-	stores := 4096
-	if short {
-		stores = 1024
-	}
-	// Worst case ~3 records per store (tiny batches: marker, store,
-	// commit marker); oversize so the log never wraps into absorb mode.
-	logPages := uint32(3*stores*16/int(core.PageSize)) + 8
-	sys := core.NewSystem(core.Config{
-		NumCPUs:   1,
-		MemFrames: int(segSize/core.PageSize) + int(logPages) + 4096,
-	})
-	seg := core.NewNamedSegment(sys, "ct-data", segSize, nil)
-	seg.SetNoAbsorbLimit(markerLimit) // marker words are barriers, never coalesced
-	reg := core.NewStdRegion(sys, seg)
-	ls := core.NewLogSegment(sys, logPages)
-	if err := reg.Log(ls); err != nil {
-		return failf(plan, "setup err=%v", err), 0
-	}
-	as := sys.NewAddressSpace()
-	base, err := reg.Bind(as, 0)
-	if err != nil {
-		return failf(plan, "setup err=%v", err), 0
-	}
-	p := sys.NewProcess(0, as)
-	sys.EnableWriteAbsorption(ctAbsorbWindow)
-	sys.EnableGroupCommit(ctGroupSize, ctGroupDeadline)
-
-	in := fault.New(plan)
-	in.Arm(sys, nil, ls, seg, markerLimit)
-
-	type logBatch struct {
-		endOff uint32
-		writes []write
-	}
-	var committed []logBatch
-	var pending []write
-	var crash *fault.Crash
-
-	func() {
-		defer func() {
-			if r := recover(); r != nil {
-				c, isCrash := r.(*fault.Crash)
-				if !isCrash {
-					panic(r)
-				}
-				crash = c
+// runScenario runs one execution of a plan. A setupError unwinding out
+// of the template becomes the plan's FAIL-setup line.
+func runScenario(t template, plan fault.Plan, short bool) (out outcome, elapsed uint64) {
+	defer func() {
+		if r := recover(); r != nil {
+			se, isSetup := r.(setupError)
+			if !isSetup {
+				panic(r)
 			}
-		}()
-		wr := fault.NewRNG(plan.Seed + 1)
-		var hot []uint32
-		if t.hotset > 0 {
-			hot = make([]uint32, t.hotset)
-			for i := range hot {
-				hot[i] = uint32(markerLimit) + uint32(wr.Intn((segSize-markerLimit)/4))*4
-			}
-		}
-		seq := uint32(0)
-		for s := 0; s < stores; {
-			seq++
-			pending = pending[:0]
-			p.Store32(base, seq) // begin marker
-			n := 1 + wr.Intn(t.maxBatch)
-			for j := 0; j < n; j++ {
-				off := uint32(markerLimit) + uint32(wr.Intn((segSize-markerLimit)/4))*4
-				if hot != nil {
-					off = hot[wr.Intn(len(hot))]
-				}
-				val := uint32(wr.Next())
-				p.Store32(base+off, val)
-				pending = append(pending, write{off, val})
-				s++
-			}
-			p.Store32(base, seq|recovery.MarkerCommit) // commit marker
-			sys.Sync()                                 // durability fence
-			committed = append(committed, logBatch{
-				endOff: sys.K.LogAppendOffset(ls),
-				writes: append([]write(nil), pending...),
-			})
-			pending = pending[:0]
+			out = outcome{line: fmt.Sprintf("plan=%s seed=%#x verdict=FAIL-setup %s", plan.Name, plan.Seed, se.msg)}
 		}
 	}()
-	elapsed := sys.Elapsed()
-
-	// Recovery: replay the surviving log into a fresh segment.
-	in.SetRecoveryMode(true)
-	dst := core.NewNamedSegment(sys, "ct-recovered", segSize, nil)
-	res := recovery.Replay(sys, recovery.ReplayOptions{
-		Log: ls, Data: seg, Dst: dst, MarkerLimit: markerLimit,
-	})
-	rep := in.Report()
-
-	// Reference state: batches whose log extent survived undamaged. A
-	// batch replays fully iff its commit marker lies before the
-	// quarantine point.
-	expected := recovery.NewShadow(segSize)
-	for _, b := range committed {
-		if res.Quarantined() && b.endOff > res.QuarantinedFrom {
-			continue
-		}
-		for _, wv := range b.writes {
-			expected.Write32(wv.off, wv.val)
-		}
-	}
-	verdict, diffs := classify(expected, pending, dst, markerLimit, res, rep)
-	return mkOutcome(t.name, plan, verdict, crash, "", rep, res, diffs), elapsed
+	return t.run(t, plan, short)
 }
 
-// engine abstracts the two recoverable-memory managers for the TPC-A
-// workload (mirrors internal/tpca's private engine, plus SetRange).
+// setupError unwinds a scenario whose machine failed before it could be
+// judged, the way the injector's Crash unwinds a killed workload. Setup
+// runs on in-memory devices and transports of fixed size, so only a bug
+// in the code under test (or a wall-clock wait outliving releaseWait)
+// gets here.
+type setupError struct{ msg string }
+
+// setupFail unwinds the scenario with a setupError.
+func setupFail(format string, a ...any) {
+	panic(setupError{fmt.Sprintf(format, a...)})
+}
+
+// must unwinds the scenario with a setupError naming what failed when
+// err is set.
+func must(err error, what string) {
+	if err != nil {
+		setupFail("%s err=%v", what, err)
+	}
+}
+
+// engine is the recoverable-memory manager the TPC-A workload drives
+// (internal/tpca's private engine, plus SetRange): *rvm.Manager, or
+// *rlvm.Manager as an rlvmEngine.
 type engine interface {
 	Begin() error
-	Write32(va core.Addr, v uint32) error
+	RecoverableWrite32(va core.Addr, v uint32) error
 	SetRange(va core.Addr, n uint32) error
 	Commit() error
 	Base() core.Addr
 	Segment() *core.Segment
 }
 
-type rvmEngine struct{ m *rvm.Manager }
+type rlvmEngine struct{ *rlvm.Manager }
 
-func (e rvmEngine) Begin() error                          { return e.m.Begin() }
-func (e rvmEngine) Write32(va core.Addr, v uint32) error  { return e.m.RecoverableWrite32(va, v) }
-func (e rvmEngine) SetRange(va core.Addr, n uint32) error { return e.m.SetRange(va, n) }
-func (e rvmEngine) Commit() error                         { return e.m.Commit() }
-func (e rvmEngine) Base() core.Addr                       { return e.m.Base() }
-func (e rvmEngine) Segment() *core.Segment                { return e.m.Segment() }
-
-type rlvmEngine struct{ m *rlvm.Manager }
-
-func (e rlvmEngine) Begin() error                          { return e.m.Begin() }
-func (e rlvmEngine) Write32(va core.Addr, v uint32) error  { return e.m.RecoverableWrite32(va, v) }
-func (e rlvmEngine) SetRange(va core.Addr, n uint32) error { return nil } // logged writes need no ranges
-func (e rlvmEngine) Commit() error                         { return e.m.Commit() }
-func (e rlvmEngine) Base() core.Addr                       { return e.m.Base() }
-func (e rlvmEngine) Segment() *core.Segment                { return e.m.Segment() }
+func (rlvmEngine) SetRange(core.Addr, uint32) error { return nil } // logged writes need no ranges
 
 // bootTPCA boots a system, process and manager of the given kind over
-// disk d.
-func bootTPCA(kind string, size uint32, d ramdisk.Device) (*core.System, *core.Process, engine, error) {
+// disk; retry first wraps the disk with bounded retry, as recovery does.
+func bootTPCA(kind string, size uint32, disk *ramdisk.Disk, retry bool) (*core.System, *core.Process, engine) {
 	frames := int(size/core.PageSize) + 4096
+	var sys *core.System
 	if kind == "rvm" {
-		sys := core.NewSystemNoLogger(core.Config{NumCPUs: 1, MemFrames: frames})
-		p := sys.NewProcess(0, sys.NewAddressSpace())
-		m, err := rvm.New(sys, p, size, d, rvm.Options{})
-		if err != nil {
-			return nil, nil, nil, err
-		}
-		return sys, p, rvmEngine{m}, nil
+		sys = core.NewSystemNoLogger(core.Config{NumCPUs: 1, MemFrames: frames})
+	} else {
+		sys = core.NewSystem(core.Config{NumCPUs: 1, MemFrames: frames + 8192})
 	}
-	sys := core.NewSystem(core.Config{NumCPUs: 1, MemFrames: frames + 8192})
 	p := sys.NewProcess(0, sys.NewAddressSpace())
-	m, err := rlvm.New(sys, p, size, d, rlvm.Options{LogPages: 512})
-	if err != nil {
-		return nil, nil, nil, err
+	var d ramdisk.Device = disk
+	what := "boot"
+	if retry {
+		d, what = recovery.NewRetryDisk(disk, nil, sys.DeviceShard()), "recovery"
 	}
-	return sys, p, rlvmEngine{m}, nil
+	if kind == "rvm" {
+		m, err := rvm.New(sys, p, size, d, rvm.Options{})
+		must(err, what)
+		return sys, p, m
+	}
+	m, err := rlvm.New(sys, p, size, d, rlvm.Options{LogPages: 512})
+	must(err, what)
+	return sys, p, rlvmEngine{m}
 }
 
 // runTPCA drives the TPC-A debit-credit workload over RVM or RLVM with
 // the plan armed, then recovers from the surviving ramdisk on a freshly
-// booted system through a retry-wrapped device.
+// booted system through a retry-wrapped device. The row's family names
+// the engine: rvm/… or rlvm/….
 func runTPCA(t template, plan fault.Plan, short bool) (outcome, uint64) {
+	kind, _, _ := strings.Cut(t.name, "/")
 	cfg := tpca.DefaultConfig()
 	cfg.Txns = 120
 	if short {
@@ -497,19 +413,16 @@ func runTPCA(t template, plan fault.Plan, short bool) (outcome, uint64) {
 	}
 	lay := tpca.NewLayout(cfg)
 	markerAdj := uint32(0)
-	if t.scenario == "rlvm" {
+	if kind == "rlvm" {
 		markerAdj = rlvm.MarkerBytes
 	}
 	disk := ramdisk.New()
 
-	sys, p, eng, err := bootTPCA(t.scenario, lay.Size, disk)
-	if err != nil {
-		return failf(plan, "boot err=%v", err), 0
-	}
+	sys, p, eng := bootTPCA(kind, lay.Size, disk, false)
 
 	in := fault.New(plan)
 	if e, isRLVM := eng.(rlvmEngine); isRLVM {
-		in.Arm(sys, disk, e.m.LogSegment(), e.m.Segment(), rlvm.MarkerBytes)
+		in.Arm(sys, disk, e.LogSegment(), e.Segment(), rlvm.MarkerBytes)
 	} else {
 		in.Arm(sys, disk, nil, nil, 0)
 	}
@@ -519,19 +432,8 @@ func runTPCA(t template, plan fault.Plan, short bool) (outcome, uint64) {
 
 	shadow := recovery.NewShadow(lay.Size + markerAdj)
 	var pending []write
-	var crash *fault.Crash
 	var stopErr error
-
-	func() {
-		defer func() {
-			if r := recover(); r != nil {
-				c, isCrash := r.(*fault.Crash)
-				if !isCrash {
-					panic(r)
-				}
-				crash = c
-			}
-		}()
+	crash := untilCrash(func() {
 		wr := fault.NewRNG(plan.Seed + 1)
 		base := eng.Base()
 		histSlot := 0
@@ -548,20 +450,20 @@ func runTPCA(t template, plan fault.Plan, short bool) (outcome, uint64) {
 				va := base + off
 				p.Compute(tpca.LookupCycles)
 				old := p.Load32(va)
-				if err := eng.Write32(va, old+delta); err != nil {
+				if err := eng.RecoverableWrite32(va, old+delta); err != nil {
 					return err
 				}
 				pending = append(pending, write{off + markerAdj, old + delta})
 				return nil
 			}
-			if stopErr = update(lay.AccountOff + uint32(account)*lay.BalanceRecBytes); stopErr != nil {
-				return
-			}
-			if stopErr = update(lay.TellerOff + uint32(teller)*lay.BalanceRecBytes); stopErr != nil {
-				return
-			}
-			if stopErr = update(lay.BranchOff + uint32(b)*lay.BalanceRecBytes); stopErr != nil {
-				return
+			for _, off := range [...]uint32{
+				lay.AccountOff + uint32(account)*lay.BalanceRecBytes,
+				lay.TellerOff + uint32(teller)*lay.BalanceRecBytes,
+				lay.BranchOff + uint32(b)*lay.BalanceRecBytes,
+			} {
+				if stopErr = update(off); stopErr != nil {
+					return
+				}
 			}
 			hOff := lay.HistoryOff + uint32(histSlot)*lay.HistoryRecBytes
 			histSlot = (histSlot + 1) % cfg.HistorySlots
@@ -582,44 +484,16 @@ func runTPCA(t template, plan fault.Plan, short bool) (outcome, uint64) {
 			}
 			pending = pending[:0]
 		}
-	}()
+	})
 	elapsed := sys.Elapsed()
 	// Recovery: boot a fresh machine over the surviving disk, wrapped
 	// with bounded retry so armed transient failures are absorbed.
 	in.SetRecoveryMode(true)
-	var sys2 *core.System
-	var eng2 engine
-	{
-		frames := int(lay.Size/core.PageSize) + 4096
-		if t.scenario == "rvm" {
-			sys2 = core.NewSystemNoLogger(core.Config{NumCPUs: 1, MemFrames: frames})
-		} else {
-			sys2 = core.NewSystem(core.Config{NumCPUs: 1, MemFrames: frames + 8192})
-		}
-		p2 := sys2.NewProcess(0, sys2.NewAddressSpace())
-		rd := recovery.NewRetryDisk(disk, nil, sys2.DeviceShard())
-		if t.scenario == "rvm" {
-			m, err := rvm.New(sys2, p2, lay.Size, rd, rvm.Options{})
-			if err != nil {
-				return failf(plan, "recovery err=%v", err), elapsed
-			}
-			eng2 = rvmEngine{m}
-		} else {
-			m, err := rlvm.New(sys2, p2, lay.Size, rd, rlvm.Options{LogPages: 512})
-			if err != nil {
-				return failf(plan, "recovery err=%v", err), elapsed
-			}
-			eng2 = rlvmEngine{m}
-		}
-	}
+	_, _, eng2 := bootTPCA(kind, lay.Size, disk, true)
 	rep := in.Report()
 	res := recovery.Result{QuarantinedFrom: recovery.NoQuarantine}
 	verdict, diffs := classify(shadow, pending, eng2.Segment(), markerAdj, res, rep)
-	errNote := ""
-	if stopErr != nil {
-		errNote = "commit-error"
-	}
-	return mkOutcome(t.name, plan, verdict, crash, errNote, rep, res, diffs), elapsed
+	return mkOutcome(t.name, plan, verdict, crash, stopErr, rep, res, diffs), elapsed
 }
 
 // classify turns (reference state, recovered state, injector ground
@@ -680,13 +554,15 @@ func passVerdict(v string) bool {
 	return false
 }
 
+// mkOutcome formats a recovery verdict's line. A workload stopped by a
+// refused commit (stopErr) rather than a crash reports crash=commit-error.
 func mkOutcome(name string, plan fault.Plan, verdict string, crash *fault.Crash,
-	errNote string, rep *fault.Report, res recovery.Result, diffs int) outcome {
+	stopErr error, rep *fault.Report, res recovery.Result, diffs int) outcome {
 	crashS := "none"
 	if crash != nil {
 		crashS = fmt.Sprintf("%s@%d", crash.Cause, crash.Cycle)
-	} else if errNote != "" {
-		crashS = errNote
+	} else if stopErr != nil {
+		crashS = "commit-error"
 	}
 	q := "none"
 	if res.Quarantined() {
@@ -698,11 +574,4 @@ func mkOutcome(name string, plan fault.Plan, verdict string, crash *fault.Crash,
 		rep.DiskErrors, res.Scanned, res.Applied, res.Txns, res.InvalidRecords,
 		res.IncompleteTail, q, res.LostRecords, diffs)
 	return outcome{line: line, ok: passVerdict(verdict)}
-}
-
-func failf(plan fault.Plan, format string, a ...any) outcome {
-	return outcome{
-		line: fmt.Sprintf("plan=%s seed=%#x verdict=FAIL-setup %s", plan.Name, plan.Seed, fmt.Sprintf(format, a...)),
-		ok:   false,
-	}
 }

@@ -1,57 +1,13 @@
 package crashtest
 
 import (
-	"encoding/binary"
 	"errors"
-	"fmt"
-	"time"
 
-	"lvm/internal/core"
-	"lvm/internal/dsm"
 	"lvm/internal/fault"
 	"lvm/internal/lease"
 	"lvm/internal/logship"
-	"lvm/internal/recovery"
 	"lvm/internal/wire"
 )
-
-// leaseTTL is the serving-lease TTL in manual-clock ticks. The clock
-// only moves when a scenario advances it, so every deadline comparison
-// is cycle-deterministic: both executions of a plan see identical
-// expiry decisions regardless of wall-clock scheduling.
-const leaseTTL = 1000
-
-// waitBeats blocks until the monitor has observed n heartbeats. The
-// wait is wall-clock (frame delivery is asynchronous) but leaves no
-// trace in the outcome line; the count itself is deterministic because
-// beats are only broadcast while the subscription queue is drained.
-func waitBeats(m *lease.Monitor, n uint64) bool {
-	deadline := time.Now().Add(releaseWait)
-	for m.Beats() < n {
-		if time.Now().After(deadline) {
-			return false
-		}
-		time.Sleep(time.Millisecond)
-	}
-	return true
-}
-
-// waitAck blocks until the shipper's delivery evidence covers beat seq
-// n. Wall-clock like waitBeats, and equally trace-free: the manual
-// clock does not move while we spin, so pinning the ack before any
-// advance makes every later renewal verdict cycle-deterministic.
-func waitAck(ship *logship.Shipper, n uint64) bool {
-	deadline := time.Now().Add(releaseWait)
-	for {
-		if _, acked := ship.LeaseEvidence(); acked >= n {
-			return true
-		}
-		if time.Now().After(deadline) {
-			return false
-		}
-		time.Sleep(time.Millisecond)
-	}
-}
 
 // runLeaseExpiry is the automatic-failure-detection analogue of
 // runFailover. The primary renews a serving lease by heartbeat; it then
@@ -71,239 +27,55 @@ func waitAck(ship *logship.Shipper, n uint64) bool {
 //     the dead primary logged but never shipped. Acked state survives
 //     byte-for-byte.
 func runLeaseExpiry(t template, plan fault.Plan, short bool) (outcome, uint64) {
-	const segSize = 8 * core.PageSize
-	const markerLimit = 16
 	txns := 48
 	if short {
 		txns = 16
 	}
-	phases := []string{logship.PhaseFreeze, logship.PhasePrepare, logship.PhaseCommit, logship.PhaseActivate}
-	killPhase := phases[plan.CrashAtCycle%uint64(len(phases))]
-
-	clk := lease.NewManual(0)
-	au := lease.NewAuthority(&logship.Authority{}, clk, leaseTTL)
-	grant, err := au.Acquire("primary")
-	if err != nil {
-		return failf(plan, "acquire err=%v", err), 0
-	}
-	holder := lease.NewHolder(clk, leaseTTL, grant.Epoch)
-	mon := lease.NewMonitor(clk, leaseTTL)
-
-	ln, dial := logship.NewMemTransport()
-	sys := core.NewSystem(core.Config{NumCPUs: 1, MemFrames: 8192})
-	p := sys.NewProcess(0, sys.NewAddressSpace())
-	prod, err := dsm.NewLVMProducer(sys, p, segSize, 512)
-	if err != nil {
-		return failf(plan, "producer err=%v", err), 0
-	}
-	ship := logship.NewShipper(sys, prod.Segment(), prod.LogSegment(), ln,
-		logship.Config{FlushRecords: 8, Epoch: grant.Epoch})
-	defer ship.Close()
-	r, err := logship.NewReplica(dial, segSize)
-	if err != nil {
-		return failf(plan, "replica err=%v", err), 0
-	}
-	r.TrackMarkers(markerLimit)
-	r.TrackLease(mon.Observe)
-	if err := r.Connect(); err != nil {
-		return failf(plan, "connect err=%v", err), 0
-	}
-
-	// beat renews the lease and broadcasts it. Called only at points
-	// where the subscription queue is drained (post-connect, post-
-	// release), so the non-blocking enqueue never drops and the beat
-	// count stays deterministic. Evidence is gathered (and joiners
-	// admitted) before each renewal, as the real shard loop does; under
-	// the frozen manual clock the renewal verdict cannot depend on how
-	// many acks have raced back yet, so determinism holds.
-	beats := uint64(0)
-	beat := func() error {
-		engaged, acked := ship.LeaseEvidence()
-		b, ok := holder.Renew(engaged, acked)
-		if !ok {
-			return fmt.Errorf("holder lost the lease mid-workload")
-		}
-		if err := ship.Heartbeat(b); err != nil {
-			return err
-		}
-		beats++
-		return nil
-	}
-	if err := beat(); err != nil {
-		return failf(plan, "beat err=%v", err), 0
-	}
-
-	wr := fault.NewRNG(plan.Seed + 1)
-	shadow := make(map[uint32]uint32)
-	recs := uint64(0)
-	seq := uint32(0)
-	commitTxn := func(acked bool) {
-		seq++
-		prod.Write(0, seq)
-		recs++
-		n := 1 + wr.Intn(t.maxBatch)
-		for j := 0; j < n; j++ {
-			off := uint32(markerLimit) + uint32(wr.Intn((segSize-markerLimit)/4))*4
-			val := uint32(wr.Next())
-			prod.Write(off, val)
-			if acked {
-				shadow[off] = val
-			}
-			recs++
-		}
-		prod.Write(0, seq|recovery.MarkerCommit)
-		recs++
-	}
-	for i := 0; i < txns; i++ {
-		commitTxn(true)
-		if i%6 == 5 {
-			if err := ship.Flush(); err != nil {
-				return failf(plan, "flush err=%v", err), 0
-			}
-		}
-	}
-	if err := ship.ReleaseShip(releaseWait); err != nil {
-		return failf(plan, "release err=%v", err), 0
-	}
-	if err := beat(); err != nil {
-		return failf(plan, "beat err=%v", err), 0
-	}
-
-	// Half-replicated transaction (the commit marker never ships) —
-	// promotion must roll it back.
-	seq++
-	prod.Write(0, seq)
-	recs++
-	partial := 1 + int(plan.Seed%3)
-	for j := 0; j < partial; j++ {
-		off := uint32(markerLimit) + uint32(wr.Intn((segSize-markerLimit)/4))*4
-		prod.Write(off, uint32(wr.Next()))
-		recs++
-	}
-	if err := ship.Flush(); err != nil {
-		return failf(plan, "flush err=%v", err), 0
-	}
-	if err := ship.ReleaseShip(releaseWait); err != nil {
-		return failf(plan, "release err=%v", err), 0
-	}
-	watermark := recs
-	if err := beat(); err != nil {
-		return failf(plan, "beat err=%v", err), 0
-	}
-	if !waitBeats(mon, beats) {
-		return failf(plan, "monitor saw %d/%d beats", mon.Beats(), beats), 0
-	}
-
-	// Unshipped tail: the dead primary's head runs ahead of the acked
-	// watermark by exactly these records — the measured loss bound.
-	for i := 0; i < 4+int(plan.Seed%5); i++ {
-		commitTxn(false)
-	}
-	head := recs
-
-	verdict := "RECOVERED"
-	note := ""
-	fail := func(f string, args ...any) {
-		if verdict == "RECOVERED" {
-			verdict, note = "FAIL", fmt.Sprintf(f, args...)
-		}
-	}
+	rg := newPromotionRig(t, plan, true)
+	defer rg.ship.Close()
+	rg.commitAcked(txns, true)
+	rg.beat()
+	rg.shipHalfTxn()
+	watermark := rg.recs
+	rg.beat()
+	rg.awaitBeats()
+	head := rg.unshippedTail()
 
 	// The lease is still current: automatic promotion must refuse. A
 	// standby that promotes early forks the timeline; ErrHeld is the
 	// safety half of the protocol.
-	if _, err := au.AutoPromote(r, "standby", head, logship.PromoteHooks{}); !errors.Is(err, lease.ErrHeld) {
-		fail("promotion under a live lease = %v, want ErrHeld", err)
-	}
-	if mon.Expired() {
-		fail("monitor expired while beats were current")
-	}
+	_, err := rg.promote(head, logship.PromoteHooks{})
+	rg.want(errors.Is(err, lease.ErrHeld), "promotion under a live lease = %v, want ErrHeld", err)
+	rg.want(!rg.mon.Expired(), "monitor expired while beats were current")
 
 	// The primary dies: no more beats, and the clock runs the TTL out.
-	clk.Advance(leaseTTL + 1)
-	if !mon.Expired() {
-		fail("monitor not expired after the TTL ran out")
-	}
+	rg.clk.Advance(leaseTTL + 1)
+	rg.want(rg.mon.Expired(), "monitor not expired after the TTL ran out")
 	// Self-demotion: the resumed zombie's own holder measures the same
 	// gap on its own clock and refuses to renew, permanently.
-	engaged, acked := ship.LeaseEvidence()
-	if _, ok := holder.Renew(engaged, acked); ok || !holder.Lost() {
-		fail("dead primary's holder renewed across the expiry gap")
-	}
+	_, renewed := rg.holder.Renew(rg.ship.LeaseEvidence())
+	rg.want(!renewed && rg.holder.Lost(), "dead primary's holder renewed across the expiry gap")
 
 	// The standby promotes on the monitor's word alone, with the
 	// handshake killed at the seed's phase and resumed.
-	errKill := errors.New("crashtest: simulated kill")
-	_, err = au.AutoPromote(r, "standby", head, logship.PromoteHooks{
-		After: func(ph string) error {
-			if ph == killPhase {
-				return errKill
-			}
-			return nil
-		},
-	})
-	if !errors.Is(err, errKill) {
-		return failf(plan, "kill at %s not delivered: err=%v", killPhase, err), 0
-	}
-	res, err := au.AutoPromote(r, "standby", head, logship.PromoteHooks{})
-	if err != nil {
-		return failf(plan, "promotion resume err=%v", err), 0
-	}
-
-	if res.Watermark != watermark {
-		fail("watermark=%d want %d", res.Watermark, watermark)
-	}
-	if res.Lost != head-watermark {
-		fail("lost=%d want %d", res.Lost, head-watermark)
-	}
-	if au.Epochs.Validate(grant) {
-		fail("stale grant still validates: split-brain")
-	}
-	if !au.Epochs.Validate(res.Grant) {
-		fail("promoted grant does not validate")
-	}
-	if h, ok := au.Holder(); h != "standby" || !ok {
-		fail("lease holder=%q/%v after promotion", h, ok)
-	}
-	if r.Stats.RolledBack.Load() == 0 {
-		fail("half-replicated transaction was never rolled back")
-	}
-	img := r.Image()
-	diffs := 0
-	for off, val := range shadow {
-		if got := binary.LittleEndian.Uint32(img[off:]); got != val {
-			diffs++
-		}
-	}
-	if diffs != 0 {
-		fail("acked words lost diff=%d", diffs)
-	}
+	res := rg.promoteThroughKill(head)
+	rg.want(res.Watermark == watermark, "watermark=%d want %d", res.Watermark, watermark)
+	rg.want(res.Lost == head-watermark, "lost=%d want %d", res.Lost, head-watermark)
+	rg.checkGrants(res)
+	h, held := rg.au.Holder()
+	rg.want(h == "standby" && held, "lease holder=%q/%v after promotion", h, held)
+	rg.want(rg.r.Stats.RolledBack.Load() != 0, "half-replicated transaction was never rolled back")
+	_, diffs := rg.checkAcked()
 
 	// The resumed zombie is refused loudly: a promoted-generation
 	// subscriber dialing the old primary's shipper learns the refusal is
 	// epoch fencing (ErrFenced), not a flaky network.
-	r2, err := logship.NewReplica(dial, segSize)
-	if err != nil {
-		return failf(plan, "fence replica err=%v", err), 0
-	}
-	r2.SetEpoch(res.Grant.Epoch)
-	if ferr := r2.Connect(); !errors.Is(ferr, logship.ErrFenced) {
-		r2.Kill()
-		fail("zombie refusal = %v, want ErrFenced", ferr)
-	}
-	fenced := ship.Stats.FencedHellos.Load()
-	if fenced == 0 {
-		fail("zombie shipper did not count the fenced hello")
-	}
-
-	line := fmt.Sprintf(
-		"plan=%s seed=%#x verdict=%s phase=%s watermark=%d head=%d lost=%d beats=%d epoch=%d fenced=%d diff=%d",
-		t.name, plan.Seed, verdict, killPhase, res.Watermark, head, res.Lost,
-		mon.Beats(), res.Grant.Epoch, fenced, diffs)
-	if note != "" {
-		line += " err=" + note
-	}
-	return outcome{line: line, ok: verdict == "RECOVERED"}, sys.Elapsed()
+	refusal := rg.dialZombie(res.Grant.Epoch)
+	rg.want(errors.Is(refusal, logship.ErrFenced), "zombie refusal = %v, want ErrFenced", refusal)
+	fenced := rg.ship.Stats.FencedHellos.Load()
+	rg.want(fenced != 0, "zombie shipper did not count the fenced hello")
+	return rg.report("watermark=%d head=%d lost=%d beats=%d epoch=%d fenced=%d diff=%d",
+		res.Watermark, head, res.Lost, rg.mon.Beats(), res.Grant.Epoch, fenced, diffs)
 }
 
 // runLeasePartition models the stall half of the safety argument: the
@@ -323,173 +95,46 @@ func runLeaseExpiry(t template, plan fault.Plan, short bool) (outcome, uint64) {
 //   - nothing was in flight (everything acked before the pause), so the
 //     measured loss is exactly zero.
 func runLeasePartition(t template, plan fault.Plan, short bool) (outcome, uint64) {
-	const segSize = 8 * core.PageSize
-	const markerLimit = 16
 	txns := 32
 	if short {
 		txns = 12
 	}
-	phases := []string{logship.PhaseFreeze, logship.PhasePrepare, logship.PhaseCommit, logship.PhaseActivate}
-	killPhase := phases[plan.CrashAtCycle%uint64(len(phases))]
-
-	clk := lease.NewManual(0)
-	au := lease.NewAuthority(&logship.Authority{}, clk, leaseTTL)
-	grant, err := au.Acquire("primary")
-	if err != nil {
-		return failf(plan, "acquire err=%v", err), 0
-	}
-	holder := lease.NewHolder(clk, leaseTTL, grant.Epoch)
-	mon := lease.NewMonitor(clk, leaseTTL)
-
-	ln, dial := logship.NewMemTransport()
-	sys := core.NewSystem(core.Config{NumCPUs: 1, MemFrames: 8192})
-	p := sys.NewProcess(0, sys.NewAddressSpace())
-	prod, err := dsm.NewLVMProducer(sys, p, segSize, 512)
-	if err != nil {
-		return failf(plan, "producer err=%v", err), 0
-	}
-	ship := logship.NewShipper(sys, prod.Segment(), prod.LogSegment(), ln,
-		logship.Config{FlushRecords: 8, Epoch: grant.Epoch})
-	defer ship.Close()
-	r, err := logship.NewReplica(dial, segSize)
-	if err != nil {
-		return failf(plan, "replica err=%v", err), 0
-	}
-	r.TrackMarkers(markerLimit)
-	r.TrackLease(mon.Observe)
-	if err := r.Connect(); err != nil {
-		return failf(plan, "connect err=%v", err), 0
-	}
-	engaged, acked := ship.LeaseEvidence()
-	b, ok := holder.Renew(engaged, acked)
-	if !ok {
-		return failf(plan, "first renewal refused"), 0
-	}
-	if err := ship.Heartbeat(b); err != nil {
-		return failf(plan, "beat err=%v", err), 0
-	}
-
+	rg := newPromotionRig(t, plan, true)
+	defer rg.ship.Close()
 	// Fully-acked workload: every transaction ships and acks before the
 	// pause, so a correct failover loses nothing at all.
-	wr := fault.NewRNG(plan.Seed + 1)
-	shadow := make(map[uint32]uint32)
-	recs := uint64(0)
-	seq := uint32(0)
-	for i := 0; i < txns; i++ {
-		seq++
-		prod.Write(0, seq)
-		recs++
-		n := 1 + wr.Intn(t.maxBatch)
-		for j := 0; j < n; j++ {
-			off := uint32(markerLimit) + uint32(wr.Intn((segSize-markerLimit)/4))*4
-			val := uint32(wr.Next())
-			prod.Write(off, val)
-			shadow[off] = val
-			recs++
-		}
-		prod.Write(0, seq|recovery.MarkerCommit)
-		recs++
-	}
-	if err := ship.ReleaseShip(releaseWait); err != nil {
-		return failf(plan, "release err=%v", err), 0
-	}
-	if !waitBeats(mon, 1) {
-		return failf(plan, "monitor saw no beat"), 0
-	}
-
-	verdict := "RECOVERED"
-	note := ""
-	fail := func(f string, args ...any) {
-		if verdict == "RECOVERED" {
-			verdict, note = "FAIL", fmt.Sprintf(f, args...)
-		}
-	}
+	rg.commitAcked(txns, false)
+	rg.awaitBeats()
 
 	// The pause: the clock advances past the TTL with no renewals. The
 	// primary process is alive the whole time — it just can't prove it.
-	clk.Advance(leaseTTL + 1)
-	if !mon.Expired() {
-		fail("monitor not expired after the pause")
-	}
-	errKill := errors.New("crashtest: simulated kill")
-	_, err = au.AutoPromote(r, "standby", recs, logship.PromoteHooks{
-		After: func(ph string) error {
-			if ph == killPhase {
-				return errKill
-			}
-			return nil
-		},
-	})
-	if !errors.Is(err, errKill) {
-		return failf(plan, "kill at %s not delivered: err=%v", killPhase, err), 0
-	}
-	res, err := au.AutoPromote(r, "standby", recs, logship.PromoteHooks{})
-	if err != nil {
-		return failf(plan, "promotion resume err=%v", err), 0
-	}
-	if res.Lost != 0 {
-		fail("lost=%d want 0: everything was acked before the pause", res.Lost)
-	}
-	if res.Watermark != recs {
-		fail("watermark=%d want %d", res.Watermark, recs)
-	}
+	rg.clk.Advance(leaseTTL + 1)
+	rg.want(rg.mon.Expired(), "monitor not expired after the pause")
+	res := rg.promoteThroughKill(rg.recs)
+	rg.want(res.Lost == 0, "lost=%d want 0: everything was acked before the pause", res.Lost)
+	rg.want(res.Watermark == rg.recs, "watermark=%d want %d", res.Watermark, rg.recs)
 
 	// The pause heals; the old primary resumes mid-heartbeat-loop.
 	// Exactly one writable primary, enforced from three directions:
-	eng, ack := ship.LeaseEvidence()
-	if _, renewed := holder.Renew(eng, ack); renewed || !holder.Lost() {
-		fail("resumed primary renewed across the pause: two writable primaries")
-	}
-	if _, err := au.Renew("primary", grant); !errors.Is(err, lease.ErrNotHolder) {
-		fail("authority accepted the zombie's renewal: %v", err)
-	}
-	if au.Epochs.Validate(grant) {
-		fail("stale grant still validates: split-brain")
-	}
-	if !au.Epochs.Validate(res.Grant) {
-		fail("promoted grant does not validate")
-	}
+	_, renewed := rg.holder.Renew(rg.ship.LeaseEvidence())
+	rg.want(!renewed && rg.holder.Lost(), "resumed primary renewed across the pause: two writable primaries")
+	_, err := rg.au.Renew("primary", rg.grant)
+	rg.want(errors.Is(err, lease.ErrNotHolder), "authority accepted the zombie's renewal: %v", err)
+	rg.checkGrants(res)
 	// Its late beat — queued before the pause, delivered after — must
 	// not re-arm the superseded generation's deadline.
-	mon.Observe(wire.Beat{Kind: wire.BeatRenew, Epoch: res.Grant.Epoch, Seq: 1, TTL: leaseTTL})
-	mon.Observe(wire.Beat{Kind: wire.BeatRenew, Epoch: grant.Epoch, Seq: 99, TTL: leaseTTL})
-	if mon.Stale() != 1 {
-		fail("late zombie beat not classified stale (stale=%d)", mon.Stale())
-	}
-	if mon.Epoch() != res.Grant.Epoch {
-		fail("monitor epoch=%d want the promoted %d", mon.Epoch(), res.Grant.Epoch)
-	}
+	rg.mon.Observe(wire.Beat{Kind: wire.BeatRenew, Epoch: res.Grant.Epoch, Seq: 1, TTL: leaseTTL})
+	rg.mon.Observe(wire.Beat{Kind: wire.BeatRenew, Epoch: rg.grant.Epoch, Seq: 99, TTL: leaseTTL})
+	rg.want(rg.mon.Stale() == 1, "late zombie beat not classified stale (stale=%d)", rg.mon.Stale())
+	rg.want(rg.mon.Epoch() == res.Grant.Epoch, "monitor epoch=%d want the promoted %d", rg.mon.Epoch(), res.Grant.Epoch)
 
 	// Zero loss means byte-exact: every acked word survives.
-	img := r.Image()
-	diffs := 0
-	for off, val := range shadow {
-		if got := binary.LittleEndian.Uint32(img[off:]); got != val {
-			diffs++
-		}
-	}
-	if diffs != 0 {
-		fail("acked words lost diff=%d", diffs)
-	}
+	_, diffs := rg.checkAcked()
 	// And the refused zombie is told why.
-	r2, err := logship.NewReplica(dial, segSize)
-	if err != nil {
-		return failf(plan, "fence replica err=%v", err), 0
-	}
-	r2.SetEpoch(res.Grant.Epoch)
-	if ferr := r2.Connect(); !errors.Is(ferr, logship.ErrFenced) {
-		r2.Kill()
-		fail("zombie refusal = %v, want ErrFenced", ferr)
-	}
-
-	line := fmt.Sprintf(
-		"plan=%s seed=%#x verdict=%s phase=%s watermark=%d lost=%d stale=%d epoch=%d diff=%d",
-		t.name, plan.Seed, verdict, killPhase, res.Watermark, res.Lost,
-		mon.Stale(), res.Grant.Epoch, diffs)
-	if note != "" {
-		line += " err=" + note
-	}
-	return outcome{line: line, ok: verdict == "RECOVERED"}, sys.Elapsed()
+	refusal := rg.dialZombie(res.Grant.Epoch)
+	rg.want(errors.Is(refusal, logship.ErrFenced), "zombie refusal = %v, want ErrFenced", refusal)
+	return rg.report("watermark=%d lost=%d stale=%d epoch=%d diff=%d",
+		res.Watermark, res.Lost, rg.mon.Stale(), res.Grant.Epoch, diffs)
 }
 
 // runLeaseDrop models the partition half of the safety argument — the
@@ -512,96 +157,27 @@ func runLeasePartition(t template, plan fault.Plan, short bool) (outcome, uint64
 //     zombie's shipper refuses a promoted-generation subscriber with
 //     ErrFenced.
 func runLeaseDrop(t template, plan fault.Plan, short bool) (outcome, uint64) {
-	const segSize = 8 * core.PageSize
-	const markerLimit = 16
 	txns := 32
 	if short {
 		txns = 12
 	}
-	phases := []string{logship.PhaseFreeze, logship.PhasePrepare, logship.PhaseCommit, logship.PhaseActivate}
-	killPhase := phases[plan.CrashAtCycle%uint64(len(phases))]
-
-	clk := lease.NewManual(0)
-	au := lease.NewAuthority(&logship.Authority{}, clk, leaseTTL)
-	grant, err := au.Acquire("primary")
-	if err != nil {
-		return failf(plan, "acquire err=%v", err), 0
-	}
-	holder := lease.NewHolder(clk, leaseTTL, grant.Epoch)
-	mon := lease.NewMonitor(clk, leaseTTL)
-
-	ln, dial := logship.NewMemTransport()
-	sys := core.NewSystem(core.Config{NumCPUs: 1, MemFrames: 8192})
-	p := sys.NewProcess(0, sys.NewAddressSpace())
-	prod, err := dsm.NewLVMProducer(sys, p, segSize, 512)
-	if err != nil {
-		return failf(plan, "producer err=%v", err), 0
-	}
-	ship := logship.NewShipper(sys, prod.Segment(), prod.LogSegment(), ln,
-		logship.Config{FlushRecords: 8, Epoch: grant.Epoch})
-	defer ship.Close()
-	r, err := logship.NewReplica(dial, segSize)
-	if err != nil {
-		return failf(plan, "replica err=%v", err), 0
-	}
-	r.TrackMarkers(markerLimit)
-	r.TrackLease(mon.Observe)
-	if err := r.Connect(); err != nil {
-		return failf(plan, "connect err=%v", err), 0
-	}
-	engaged, acked := ship.LeaseEvidence()
-	b, ok := holder.Renew(engaged, acked)
-	if !ok {
-		return failf(plan, "first renewal refused"), 0
-	}
-	if err := ship.Heartbeat(b); err != nil {
-		return failf(plan, "beat err=%v", err), 0
-	}
-
+	rg := newPromotionRig(t, plan, true)
+	defer rg.ship.Close()
 	// Fully-acked workload: everything ships and acks before the cut,
 	// so a correct failover loses nothing at all.
-	wr := fault.NewRNG(plan.Seed + 1)
-	shadow := make(map[uint32]uint32)
-	recs := uint64(0)
-	seq := uint32(0)
-	for i := 0; i < txns; i++ {
-		seq++
-		prod.Write(0, seq)
-		recs++
-		n := 1 + wr.Intn(t.maxBatch)
-		for j := 0; j < n; j++ {
-			off := uint32(markerLimit) + uint32(wr.Intn((segSize-markerLimit)/4))*4
-			val := uint32(wr.Next())
-			prod.Write(off, val)
-			shadow[off] = val
-			recs++
-		}
-		prod.Write(0, seq|recovery.MarkerCommit)
-		recs++
-	}
-	if err := ship.ReleaseShip(releaseWait); err != nil {
-		return failf(plan, "release err=%v", err), 0
-	}
-	if !waitBeats(mon, 1) {
-		return failf(plan, "monitor saw no beat"), 0
-	}
+	rg.commitAcked(txns, false)
+	rg.awaitBeats()
 	// Pin beat 1's acknowledgement before the cut: that ack, dated by
 	// its issue tick (0), is all the evidence the cut-off holder's
-	// renewals will live on for exactly one TTL.
-	if !waitAck(ship, 1) {
-		return failf(plan, "beat 1 never acknowledged"), 0
-	}
-
-	verdict := "RECOVERED"
-	note := ""
-	fail := func(f string, args ...any) {
-		if verdict == "RECOVERED" {
-			verdict, note = "FAIL", fmt.Sprintf(f, args...)
-		}
+	// renewals will live on for exactly one TTL. The manual clock does
+	// not move while we spin, so pinning the ack before any advance
+	// makes every later renewal verdict cycle-deterministic.
+	if !waitFor(func() bool { _, acked := rg.ship.LeaseEvidence(); return acked >= 1 }) {
+		setupFail("beat 1 never acknowledged")
 	}
 
 	// The partition: the connection dies; the renewal loop does not.
-	r.Kill()
+	rg.r.Kill()
 
 	// The loop keeps ticking at TTL/4 — the stall rule never fires —
 	// but its beats reach nobody and earn no acks, so the evidence rule
@@ -611,98 +187,39 @@ func runLeaseDrop(t template, plan fault.Plan, short bool) (outcome, uint64) {
 	// step may the monitor be expired while the holder still renews.
 	demoteStep := 0
 	for step := 1; step <= 6 && demoteStep == 0; step++ {
-		clk.Advance(leaseTTL / 4)
-		engaged, acked = ship.LeaseEvidence()
-		hb, ok := holder.Renew(engaged, acked)
+		rg.clk.Advance(leaseTTL / 4)
+		hb, ok := rg.holder.Renew(rg.ship.LeaseEvidence())
 		if !ok {
 			demoteStep = step
-			if !holder.Lost() {
-				fail("renewal refused at step %d but holder not lost", step)
-			}
+			rg.want(rg.holder.Lost(), "renewal refused at step %d but holder not lost", step)
 			break
 		}
-		_ = ship.Heartbeat(hb) //errgate:ok — broadcast into the partition; non-delivery is the thing under test
-		if mon.Expired() {
-			fail("monitor expired at step %d while the holder still renews: split-brain window", step)
-		}
-		if _, err := au.AutoPromote(r, "standby", recs, logship.PromoteHooks{}); !errors.Is(err, lease.ErrHeld) {
-			fail("promotion at step %d = %v, want ErrHeld", step, err)
-		}
+		_ = rg.ship.Heartbeat(hb) //errgate:ok — broadcast into the partition; non-delivery is the thing under test
+		rg.want(!rg.mon.Expired(), "monitor expired at step %d while the holder still renews: split-brain window", step)
+		_, err := rg.promote(rg.recs, logship.PromoteHooks{})
+		rg.want(errors.Is(err, lease.ErrHeld), "promotion at step %d = %v, want ErrHeld", step, err)
 	}
-	if demoteStep != 5 {
-		fail("cut-off holder demoted at step %d, want 5 (one TTL after the last acked beat)", demoteStep)
-	}
-	if !mon.Expired() {
-		fail("monitor not expired after the holder gave up")
-	}
+	rg.want(demoteStep == 5, "cut-off holder demoted at step %d, want 5 (one TTL after the last acked beat)", demoteStep)
+	rg.want(rg.mon.Expired(), "monitor not expired after the holder gave up")
 
 	// The standby promotes, with the handshake killed at the seed's
 	// phase and resumed.
-	errKill := errors.New("crashtest: simulated kill")
-	_, err = au.AutoPromote(r, "standby", recs, logship.PromoteHooks{
-		After: func(ph string) error {
-			if ph == killPhase {
-				return errKill
-			}
-			return nil
-		},
-	})
-	if !errors.Is(err, errKill) {
-		return failf(plan, "kill at %s not delivered: err=%v", killPhase, err), 0
-	}
-	res, err := au.AutoPromote(r, "standby", recs, logship.PromoteHooks{})
-	if err != nil {
-		return failf(plan, "promotion resume err=%v", err), 0
-	}
-	if res.Lost != 0 {
-		fail("lost=%d want 0: everything was acked before the cut", res.Lost)
-	}
-	if res.Watermark != recs {
-		fail("watermark=%d want %d", res.Watermark, recs)
-	}
+	res := rg.promoteThroughKill(rg.recs)
+	rg.want(res.Lost == 0, "lost=%d want 0: everything was acked before the cut", res.Lost)
+	rg.want(res.Watermark == rg.recs, "watermark=%d want %d", res.Watermark, rg.recs)
 
 	// Exactly one writable primary, from the remaining directions:
-	if _, err := au.Renew("primary", grant); !errors.Is(err, lease.ErrNotHolder) {
-		fail("authority accepted the zombie's renewal: %v", err)
-	}
-	if au.Epochs.Validate(grant) {
-		fail("stale grant still validates: split-brain")
-	}
-	if !au.Epochs.Validate(res.Grant) {
-		fail("promoted grant does not validate")
-	}
-	if h, ok := au.Holder(); h != "standby" || !ok {
-		fail("lease holder=%q/%v after promotion", h, ok)
-	}
+	_, err := rg.au.Renew("primary", rg.grant)
+	rg.want(errors.Is(err, lease.ErrNotHolder), "authority accepted the zombie's renewal: %v", err)
+	rg.checkGrants(res)
+	h, held := rg.au.Holder()
+	rg.want(h == "standby" && held, "lease holder=%q/%v after promotion", h, held)
 
 	// Zero loss means byte-exact: every acked word survives.
-	img := r.Image()
-	diffs := 0
-	for off, val := range shadow {
-		if got := binary.LittleEndian.Uint32(img[off:]); got != val {
-			diffs++
-		}
-	}
-	if diffs != 0 {
-		fail("acked words lost diff=%d", diffs)
-	}
+	_, diffs := rg.checkAcked()
 	// And the refused zombie is told why.
-	r2, err := logship.NewReplica(dial, segSize)
-	if err != nil {
-		return failf(plan, "fence replica err=%v", err), 0
-	}
-	r2.SetEpoch(res.Grant.Epoch)
-	if ferr := r2.Connect(); !errors.Is(ferr, logship.ErrFenced) {
-		r2.Kill()
-		fail("zombie refusal = %v, want ErrFenced", ferr)
-	}
-
-	line := fmt.Sprintf(
-		"plan=%s seed=%#x verdict=%s phase=%s demote_step=%d watermark=%d lost=%d beats=%d epoch=%d diff=%d",
-		t.name, plan.Seed, verdict, killPhase, demoteStep, res.Watermark, res.Lost,
-		mon.Beats(), res.Grant.Epoch, diffs)
-	if note != "" {
-		line += " err=" + note
-	}
-	return outcome{line: line, ok: verdict == "RECOVERED"}, sys.Elapsed()
+	refusal := rg.dialZombie(res.Grant.Epoch)
+	rg.want(errors.Is(refusal, logship.ErrFenced), "zombie refusal = %v, want ErrFenced", refusal)
+	return rg.report("demote_step=%d watermark=%d lost=%d beats=%d epoch=%d diff=%d",
+		demoteStep, res.Watermark, res.Lost, rg.mon.Beats(), res.Grant.Epoch, diffs)
 }

@@ -39,14 +39,10 @@ func runLvmd(t template, plan fault.Plan, short bool) (outcome, uint64) {
 		AbsorbWindow: ctAbsorbWindow, GroupSize: ctGroupSize, GroupDeadline: ctGroupDeadline,
 	}
 	c, err := lvmd.NewCore(cfg, nil, 0)
-	if err != nil {
-		return failf(plan, "setup err=%v", err), 0
-	}
+	must(err, "setup")
 	c.EnableTuning()
 	arenaSize, err := cfg.ArenaSize()
-	if err != nil {
-		return failf(plan, "setup err=%v", err), 0
-	}
+	must(err, "setup")
 
 	in := fault.New(plan)
 	in.Arm(c.Sys, disk, c.LogSeg, c.Arena, lvmd.MarkerLimit)
@@ -54,19 +50,8 @@ func runLvmd(t template, plan fault.Plan, short bool) (outcome, uint64) {
 	acked := recovery.NewShadow(arenaSize)
 	var ackedSeq uint32
 	var inflight [][]write // applied-but-unfenced transactions, in order
-	var crash *fault.Crash
 	var stopErr error
-
-	func() {
-		defer func() {
-			if r := recover(); r != nil {
-				cr, isCrash := r.(*fault.Crash)
-				if !isCrash {
-					panic(r)
-				}
-				crash = cr
-			}
-		}()
+	crash := untilCrash(func() {
 		fence := func() bool {
 			if stopErr = c.SyncBatch(); stopErr != nil {
 				return false
@@ -130,7 +115,7 @@ func runLvmd(t template, plan fault.Plan, short bool) (outcome, uint64) {
 			}
 		}
 		fence()
-	}()
+	})
 	elapsed := c.Sys.Elapsed()
 
 	// Recovery: the shard's restart path — checkpoint image election plus
@@ -141,17 +126,11 @@ func runLvmd(t template, plan fault.Plan, short bool) (outcome, uint64) {
 		Disk: recovery.NewRetryDisk(disk, nil, c.Sys.DeviceShard()),
 		Log:  c.LogSeg, Data: c.Arena, Dst: dst, MarkerLimit: lvmd.MarkerLimit,
 	})
-	if err != nil {
-		return failf(plan, "recovery err=%v", err), elapsed
-	}
+	must(err, "recovery")
 	rep := in.Report()
 
-	verdict, diffs := classifyPrefix(acked, ackedSeq, inflight, dst, rr, rep)
-	errNote := ""
-	if stopErr != nil {
-		errNote = "commit-error"
-	}
-	return mkOutcome(t.name, plan, verdict, crash, errNote, rep, rr.Result, diffs), elapsed
+	verdict, diffs := classifyPrefix(acked, ackedSeq, inflight, dst, rr.Result, rep)
+	return mkOutcome(t.name, plan, verdict, crash, stopErr, rep, rr.Result, diffs), elapsed
 }
 
 // classifyPrefix verdicts a shard-core recovery against the ack fence
@@ -163,8 +142,7 @@ func runLvmd(t template, plan fault.Plan, short bool) (outcome, uint64) {
 // from the image would be a durability lie, reported distinctly as
 // FAIL-acked.
 func classifyPrefix(acked *recovery.Shadow, ackedSeq uint32, inflight [][]write,
-	dst *core.Segment, rr compact.RecoverResult, rep *fault.Report) (string, int) {
-	res := rr.Result
+	dst *core.Segment, res recovery.Result, rep *fault.Report) (string, int) {
 	if res.Quarantined() && !rep.ExplainsQuarantine(res.QuarantinedFrom) {
 		return "FAIL-quarantine", 0
 	}

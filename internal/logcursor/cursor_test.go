@@ -386,7 +386,7 @@ func TestMachineSource(t *testing.T) {
 	}
 }
 
-func TestWrapReaderAndEachData(t *testing.T) {
+func TestMachineSourceAndEachData(t *testing.T) {
 	sys, seg, ls, p, base := machine(t)
 	other := core.NewNamedSegment(sys, "other", segSize, nil)
 	reg2 := core.NewStdRegion(sys, other)

@@ -122,7 +122,7 @@ func (c *shipConn) kill() {
 //
 // Threading: the accept loop and per-connection writer/ack goroutines are
 // host-side and touch only the network and atomics. Everything that reads
-// the simulated machine — Flush, FlushAll, ReleaseShip, Rebase, Close —
+// the simulated machine — Flush, FlushAll, ReleaseShip, Compacted, Close —
 // must be called from the producer's (simulation) thread, because log
 // readers walk kernel state that the machine mutates on every store.
 type Shipper struct {
