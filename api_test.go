@@ -16,14 +16,17 @@ import (
 	"path/filepath"
 	"sort"
 	"strings"
+	"sync"
 	"testing"
 )
 
-// listedPkg is the part of `go list -json` the API gate reads.
+// listedPkg is the part of `go list -json` the root tests read.
 type listedPkg struct {
 	ImportPath   string
 	Name         string
 	Dir          string
+	ForTest      string            // set on a test variant: the package under test
+	ImportMap    map[string]string // import path -> test variant that replaces it
 	GoFiles      []string
 	TestGoFiles  []string
 	XTestGoFiles []string
@@ -31,73 +34,85 @@ type listedPkg struct {
 	Standard     bool
 }
 
-// goList lists the packages matching pattern in dir and every package
-// they import, dependencies first, with each one's compiled export data.
-func goList(t *testing.T, dir, pattern string) []listedPkg {
-	t.Helper()
-	cmd := exec.Command("go", "list", "-export", "-deps", "-json", pattern)
+// goList lists the packages matching patterns in dir, their test
+// variants and every package they import, dependencies first, with
+// each one's compiled export data.
+func goList(dir string, patterns ...string) ([]listedPkg, error) {
+	cmd := exec.Command("go", append([]string{"list", "-export", "-test", "-deps", "-json"}, patterns...)...)
 	cmd.Dir = dir
 	var stderr bytes.Buffer
 	cmd.Stderr = &stderr
 	out, err := cmd.Output()
 	if err != nil {
-		t.Fatalf("go list in %s: %v\n%s", dir, err, stderr.Bytes())
+		return nil, fmt.Errorf("go list in %s: %v\n%s", dir, err, stderr.Bytes())
 	}
 	var pkgs []listedPkg
 	dec := json.NewDecoder(bytes.NewReader(out))
 	for {
 		var p listedPkg
 		if err := dec.Decode(&p); err == io.EOF {
-			break
+			return pkgs, nil
 		} else if err != nil {
-			t.Fatal(err)
+			return nil, err
 		}
 		pkgs = append(pkgs, p)
 	}
-	return pkgs
 }
 
-// moduleAPI is the module type-checked from source: every non-test file
-// of the root module and of bench/, which imports the same internal
-// packages. The standard library comes from its export data.
-type moduleAPI struct {
-	fset  *token.FileSet
-	pkgs  []listedPkg // module packages, dependencies first
-	types map[string]*types.Package
-	used  map[types.Object]bool // referenced from a non-test file
-	ifs   map[string][]*types.Interface
+// module is the root module and bench/, which imports the same internal
+// packages, type-checked from source: every package and every test
+// variant, so each .go file of both modules is checked with its own
+// test files in scope. The standard library comes from its export data.
+type module struct {
+	fset     *token.FileSet
+	pkgs     []*loadedPkg           // module packages and test variants, dependencies first
+	files    map[string]checkedFile // by absolute path; each file once
+	importer types.Importer         // the module's non-test packages and the standard library
+}
+
+type loadedPkg struct {
+	listedPkg
+	files []*ast.File
+	info  *types.Info
+	types *types.Package
+}
+
+// checkedFile is one parsed file with the type information of a package
+// it was checked in.
+type checkedFile struct {
+	*ast.File
+	info *types.Info
 }
 
 type importerFunc func(path string) (*types.Package, error)
 
 func (f importerFunc) Import(path string) (*types.Package, error) { return f(path) }
 
-func loadModuleAPI(t *testing.T) *moduleAPI {
+var loaded struct {
+	sync.Once
+	m   *module
+	err error
+}
+
+// loadModule loads the module once per test binary.
+func loadModule(t *testing.T) *module {
 	t.Helper()
-	var listed []listedPkg
-	seen := map[string]bool{}
-	for _, l := range []struct{ dir, pattern string }{{".", "./..."}, {"bench", "."}} {
-		for _, p := range goList(t, l.dir, l.pattern) {
-			if !seen[p.ImportPath] {
-				seen[p.ImportPath] = true
-				listed = append(listed, p)
-			}
-		}
+	loaded.Do(func() { loaded.m, loaded.err = load() })
+	if loaded.err != nil {
+		t.Fatal(loaded.err)
 	}
-	m := &moduleAPI{
-		fset:  token.NewFileSet(),
-		types: map[string]*types.Package{},
-		used:  map[types.Object]bool{},
-		ifs:   map[string][]*types.Interface{},
+	return loaded.m
+}
+
+func load() (*module, error) {
+	// bench/ replaces lvm with the root module, so one listing there
+	// covers both modules.
+	listed, err := goList("bench", "lvm/...", ".")
+	if err != nil {
+		return nil, err
 	}
+	m := &module{fset: token.NewFileSet(), files: map[string]checkedFile{}}
 	exports := map[string]string{}
-	for _, p := range listed {
-		if p.Standard {
-			exports[p.ImportPath] = p.Export
-		} else {
-			m.pkgs = append(m.pkgs, p)
-		}
-	}
 	std := importer.ForCompiler(m.fset, "gc", func(path string) (io.ReadCloser, error) {
 		f, ok := exports[path]
 		if !ok {
@@ -105,41 +120,95 @@ func loadModuleAPI(t *testing.T) *moduleAPI {
 		}
 		return os.Open(f)
 	})
-	imp := importerFunc(func(path string) (*types.Package, error) {
-		if p, ok := m.types[path]; ok {
-			return p, nil
+	checked := map[string]*types.Package{}
+	m.importer = importerFunc(func(path string) (*types.Package, error) {
+		if tp, ok := checked[path]; ok {
+			return tp, nil
 		}
 		return std.Import(path)
 	})
-	for _, p := range m.pkgs {
-		var files []*ast.File
-		for _, name := range p.GoFiles {
-			f, err := parser.ParseFile(m.fset, filepath.Join(p.Dir, name), nil, 0)
-			if err != nil {
-				t.Fatal(err)
-			}
-			files = append(files, f)
+	for _, p := range listed {
+		if p.Standard {
+			exports[p.ImportPath] = p.Export
+			continue
 		}
-		info := &types.Info{
+		if strings.HasSuffix(p.ImportPath, ".test") { // generated test main
+			continue
+		}
+		// A package recompiled for another package's test only because it
+		// imports it is checked for its types alone; its files are checked
+		// in full as part of the package itself.
+		pkgPath, _, _ := strings.Cut(p.ImportPath, " ")
+		typesOnly := p.ForTest != "" && pkgPath != p.ForTest && pkgPath != p.ForTest+"_test"
+		lp := &loadedPkg{listedPkg: p, info: &types.Info{
 			Defs:       map[*ast.Ident]types.Object{},
 			Uses:       map[*ast.Ident]types.Object{},
 			Selections: map[*ast.SelectorExpr]*types.Selection{},
 			Types:      map[ast.Expr]types.TypeAndValue{},
+		}}
+		m.pkgs = append(m.pkgs, lp)
+		for _, name := range p.GoFiles {
+			path := filepath.Join(p.Dir, name)
+			cf, ok := m.files[path]
+			if !ok {
+				if cf.File, err = parser.ParseFile(m.fset, path, nil, parser.ParseComments); err != nil {
+					return nil, err
+				}
+			}
+			if cf.info == nil && !typesOnly {
+				cf.info = lp.info
+			}
+			m.files[path] = cf
+			lp.files = append(lp.files, cf.File)
 		}
-		conf := types.Config{Importer: imp}
-		tp, err := conf.Check(p.ImportPath, m.fset, files, info)
+		if len(lp.files) == 0 {
+			continue
+		}
+		conf := types.Config{IgnoreFuncBodies: typesOnly, Importer: importerFunc(func(path string) (*types.Package, error) {
+			if id, ok := p.ImportMap[path]; ok {
+				path = id
+			}
+			return m.importer.Import(path)
+		})}
+		tp, err := conf.Check(pkgPath, m.fset, lp.files, lp.info)
 		if err != nil {
-			t.Fatalf("type-check %s: %v", p.ImportPath, err)
+			return nil, fmt.Errorf("type-check %s: %v", p.ImportPath, err)
 		}
-		m.types[p.ImportPath] = tp
-		m.recordUses(files, info)
-		for _, tv := range info.Types {
+		lp.types = tp
+		checked[p.ImportPath] = tp
+	}
+	return m, nil
+}
+
+// moduleAPI is what the API gate derives from the module's non-test
+// packages: which objects a non-test file refers to, and every
+// interface a method might implement.
+type moduleAPI struct {
+	*module
+	nonTest []*loadedPkg // library and main packages, without test files
+	used    map[types.Object]bool
+	ifs     map[string][]*types.Interface
+}
+
+func newModuleAPI(m *module) *moduleAPI {
+	a := &moduleAPI{
+		module: m,
+		used:   map[types.Object]bool{},
+		ifs:    map[string][]*types.Interface{},
+	}
+	for _, p := range m.pkgs {
+		if p.ForTest != "" || p.types == nil {
+			continue
+		}
+		a.nonTest = append(a.nonTest, p)
+		a.recordUses(p.files, p.info)
+		for _, tv := range p.info.Types {
 			if it, ok := tv.Type.(*types.Interface); ok {
-				m.addInterface(it)
+				a.addInterface(it)
 			}
 		}
 	}
-	m.addInterface(types.Universe.Lookup("error").Type().Underlying().(*types.Interface))
+	a.addInterface(types.Universe.Lookup("error").Type().Underlying().(*types.Interface))
 	done := map[*types.Package]bool{}
 	var walk func(*types.Package)
 	walk = func(p *types.Package) {
@@ -156,17 +225,17 @@ func loadModuleAPI(t *testing.T) *moduleAPI {
 				continue
 			}
 			if it, ok := tn.Type().Underlying().(*types.Interface); ok {
-				m.addInterface(it)
+				a.addInterface(it)
 			}
 		}
 		for _, q := range p.Imports() {
 			walk(q)
 		}
 	}
-	for _, p := range m.types {
-		walk(p)
+	for _, p := range a.nonTest {
+		walk(p.types)
 	}
-	return m
+	return a
 }
 
 func (m *moduleAPI) addInterface(it *types.Interface) {
@@ -228,7 +297,7 @@ func (m *moduleAPI) use(obj types.Object) {
 type apiName struct {
 	key string // pkg.Name or pkg.Type.Method
 	pos token.Position
-	pkg listedPkg
+	pkg *loadedPkg
 }
 
 // unreferenced lists the exported package-level functions and types and
@@ -237,11 +306,11 @@ type apiName struct {
 // the interface cannot name it.
 func (m *moduleAPI) unreferenced() []apiName {
 	var out []apiName
-	for _, p := range m.pkgs {
+	for _, p := range m.nonTest {
 		if p.Name == "main" {
 			continue
 		}
-		tp := m.types[p.ImportPath]
+		tp := p.types
 		add := func(obj types.Object, key string) {
 			if obj.Exported() && !m.used[obj] {
 				out = append(out, apiName{tp.Name() + "." + key, m.fset.Position(obj.Pos()), p})
@@ -318,15 +387,9 @@ func readAllowlist(t *testing.T) []allowEntry {
 
 // exampleMentions reports whether package p's test files declare the
 // Example function example and its body names ident.
-func exampleMentions(t *testing.T, p listedPkg, example, ident string) (found, mentions bool) {
-	t.Helper()
-	fset := token.NewFileSet()
+func (m *moduleAPI) exampleMentions(p *loadedPkg, example, ident string) (found, mentions bool) {
 	for _, name := range append(append([]string(nil), p.TestGoFiles...), p.XTestGoFiles...) {
-		f, err := parser.ParseFile(fset, filepath.Join(p.Dir, name), nil, 0)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, d := range f.Decls {
+		for _, d := range m.files[filepath.Join(p.Dir, name)].Decls {
 			fd, ok := d.(*ast.FuncDecl)
 			if !ok || fd.Recv != nil || fd.Name.Name != example {
 				continue
@@ -349,9 +412,9 @@ func exampleMentions(t *testing.T, p listedPkg, example, ident string) (found, m
 // bench/ counts as a caller; main packages export nothing. Constants,
 // variables and struct fields are out of scope.
 func TestExportedNamesHaveCallers(t *testing.T) {
-	m := loadModuleAPI(t)
-	pkgs := map[string]listedPkg{}
-	for _, p := range m.pkgs {
+	m := newModuleAPI(loadModule(t))
+	pkgs := map[string]*loadedPkg{}
+	for _, p := range m.nonTest {
 		if p.Name != "main" {
 			pkgs[p.Name] = p
 		}
@@ -374,7 +437,7 @@ func TestExportedNamesHaveCallers(t *testing.T) {
 			p, example = pkgs[example[:i]], example[i+1:]
 		}
 		ident := e.name[strings.LastIndexByte(e.name, '.')+1:]
-		switch found, mentions := exampleMentions(t, p, example, ident); {
+		switch found, mentions := m.exampleMentions(p, example, ident); {
 		case !found:
 			t.Errorf("api_allowlist.txt:%d: no %s in package %s", e.line, e.example, p.ImportPath)
 		case !mentions:

@@ -30,7 +30,6 @@ var (
 	stride   = flag.Int("stride", 3, "compute-cycle stride for fig11/fig12 (1 = full resolution)")
 	csv      = flag.Bool("csv", false, "emit comma-separated values instead of text tables")
 	seeds    = flag.Int("seeds", 8, "seeds per fault template for crashtest")
-	tmplOnly = flag.String("template", "", "restrict crashtest to templates whose name contains this")
 	short    = flag.Bool("short", false, "shrink the crashtest workloads (CI smoke)")
 	parallel = flag.Int("parallel", 0, "sweep workers (0 = GOMAXPROCS, 1 = sequential); host-side only, results are identical at any setting")
 )
@@ -214,7 +213,7 @@ func run(name string) error {
 		fmt.Print(experiments.FormatStats(r))
 	case "crashtest":
 		banner("Crash-recovery fault matrix (seeded, deterministic)")
-		return runCrashtest(*seeds, *short, *tmplOnly)
+		return runCrashtest(*seeds, *short)
 	case "extension-oodb":
 		banner("Extension: object database, RLVM speedup vs transaction length (Section 4.2 prediction)")
 		pts, err := experiments.OODB(nil, *txns/8)

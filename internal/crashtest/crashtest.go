@@ -32,9 +32,6 @@ type Options struct {
 	Seeds int
 	// Short shrinks the workloads (CI smoke).
 	Short bool
-	// Only, when non-empty, restricts the matrix to templates whose name
-	// contains it (rerun one family, e.g. "failover/", at full depth).
-	Only string
 }
 
 // Every log and compact scenario runs with the FIFO write-absorption
@@ -236,9 +233,6 @@ func Run(opts Options, w io.Writer) (bool, error) {
 	ts := templates()
 	plans, passed, failed, nondet := 0, 0, 0, 0
 	for ti, t := range ts {
-		if opts.Only != "" && !strings.Contains(t.name, opts.Only) {
-			continue
-		}
 		for seed := 0; seed < opts.Seeds; seed++ {
 			plans++
 			o1 := runPlan(t, seedIndex(ti), uint64(seed), opts.Short)
@@ -296,24 +290,25 @@ func untilCrash(workload func()) (crash *fault.Crash) {
 // runPlan executes one (template, seed) cell: optional dry run, then the
 // faulted run.
 func runPlan(t template, ti int, seed uint64, short bool) (out outcome) {
+	// The workload RNG is derived from Plan.Seed, so the dry run (zero
+	// triggers, same Seed) replays the exact same workload. Every line,
+	// failures included, names it: it is the seed that replays the plan.
+	wseed := (uint64(ti)+1)*0x9E3779B97F4A7C15 ^ (seed+1)*0x85EBCA77C2B2AE63
 	defer func() {
 		// The binary must never die on a plan: anything but the
 		// injector's Crash sentinel (handled inside the scenarios) is a
 		// verdict, not a panic.
 		if r := recover(); r != nil {
-			out = outcome{line: fmt.Sprintf("plan=%s seed=%d verdict=FAIL-panic err=%v", t.name, seed, r), ok: false}
+			out = outcome{line: fmt.Sprintf("plan=%s seed=%#x verdict=FAIL-panic err=%v", t.name, wseed, r), ok: false}
 		}
 	}()
-	// The workload RNG is derived from Plan.Seed, so the dry run (zero
-	// triggers, same Seed) replays the exact same workload.
-	wseed := (uint64(ti)+1)*0x9E3779B97F4A7C15 ^ (seed+1)*0x85EBCA77C2B2AE63
 	var dry uint64
 	if t.needsDry {
 		dryPlan := fault.Plan{Name: t.name + "/dry", Seed: wseed}
 		var d outcome
 		d, dry = runScenario(t, dryPlan, short)
 		if !d.ok {
-			return outcome{line: fmt.Sprintf("plan=%s seed=%d verdict=FAIL-dry %s", t.name, seed, d.line), ok: false}
+			return outcome{line: fmt.Sprintf("plan=%s seed=%#x verdict=FAIL-dry %s", t.name, wseed, d.line), ok: false}
 		}
 	}
 	plan := t.plan(seed, dry)

@@ -3,10 +3,13 @@ package crashtest
 import (
 	"bytes"
 	"flag"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"lvm/internal/fault"
 )
 
 var update = flag.Bool("update", false, "rewrite the testdata goldens from this run")
@@ -32,6 +35,32 @@ func TestRunShortMatrixIsDeterministic(t *testing.T) {
 	}
 	if strings.Contains(a.String(), "FAIL") {
 		t.Fatalf("report contains FAIL verdicts:\n%s", a.String())
+	}
+}
+
+// TestFailLinesNameWorkloadSeed: a plan that panics, or whose dry run
+// fails, reports the workload seed its scenario ran with, like every
+// other verdict line, so the line alone replays the plan.
+func TestFailLinesNameWorkloadSeed(t *testing.T) {
+	var seen uint64
+	for _, c := range []struct {
+		verdict string
+		t       template
+	}{
+		{"FAIL-panic", template{name: "t/panic", plan: noFaults, run: func(_ template, plan fault.Plan, _ bool) (outcome, uint64) {
+			seen = plan.Seed
+			panic("boom")
+		}}},
+		{"FAIL-dry", template{name: "t/dry", plan: noFaults, needsDry: true, run: func(_ template, plan fault.Plan, _ bool) (outcome, uint64) {
+			seen = plan.Seed
+			return outcome{line: "dry failed"}, 0
+		}}},
+	} {
+		out := runPlan(c.t, 3, 5, true)
+		want := fmt.Sprintf("plan=%s seed=%#x verdict=%s ", c.t.name, seen, c.verdict)
+		if out.ok || !strings.HasPrefix(out.line, want) {
+			t.Errorf("got %q (ok=%v), want a failing line starting %q", out.line, out.ok, want)
+		}
 	}
 }
 
