@@ -135,3 +135,44 @@ func TestCheckRefusesShardCountMismatch(t *testing.T) {
 		}
 	}
 }
+
+// FuzzDrainManifest feeds -check's manifest decoder arbitrary bytes and
+// shard counts, seeded with a real two-shard drain. It must never panic,
+// anything it accepts must list exactly the requested shards, and an
+// accepted report must survive encoding and decoding again unchanged.
+// Reports compare by their encoding: omitempty writes an empty
+// histogram map and a missing one alike, so they are the same report.
+func FuzzDrainManifest(f *testing.F) {
+	cfg := lvmd.CoreConfig{Slots: 8, SlotSize: 256, LogPages: 16}
+	srv, err := lvmd.NewServer(lvmd.ServerConfig{Dir: f.TempDir(), Shards: 2, Shard: lvmd.ShardConfig{Core: cfg}})
+	if err != nil {
+		f.Fatal(err)
+	}
+	b, err := json.Marshal(srv.Drain())
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(b, 2)
+	f.Add(b, 3)
+	f.Add([]byte(`{"shards":[{"metrics":{"counters":{},"histograms":{}}}]}`), 1)
+	f.Fuzz(func(t *testing.T, b []byte, shards int) {
+		rep, err := decodeManifest(b, shards)
+		if err != nil {
+			return
+		}
+		if len(rep.Shards) != shards {
+			t.Fatalf("accepted a manifest of %d shards for -shards %d", len(rep.Shards), shards)
+		}
+		enc, err := json.Marshal(rep)
+		if err != nil {
+			t.Fatalf("accepted report does not encode: %v", err)
+		}
+		again, err := decodeManifest(enc, shards)
+		if err != nil {
+			t.Fatalf("re-encoded report refused: %v", err)
+		}
+		if enc2, err := json.Marshal(again); err != nil || !bytes.Equal(enc, enc2) {
+			t.Fatalf("round trip changed the report (%v):\n%s\n%s", err, enc, enc2)
+		}
+	})
+}

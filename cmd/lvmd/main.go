@@ -197,21 +197,28 @@ func sameRecovery(img1 []byte, info1 lvmd.RecoverInfo, img2 []byte, info2 lvmd.R
 	return bytes.Equal(img1[lvmd.MarkerLimit:], img2[lvmd.MarkerLimit:]) && info1 == info2
 }
 
+// decodeManifest parses a drain manifest and refuses one that does not
+// list exactly shards shards: a manifest vouches for every shard it
+// lists, and checking fewer would leave the rest unverified.
+func decodeManifest(b []byte, shards int) (*lvmd.DrainReport, error) {
+	man := &lvmd.DrainReport{}
+	if err := json.Unmarshal(b, man); err != nil {
+		return nil, fmt.Errorf("lvmd: manifest unreadable: %w", err)
+	}
+	if len(man.Shards) != shards {
+		return nil, fmt.Errorf("lvmd: check FAILED: manifest lists %d shards, -shards is %d",
+			len(man.Shards), shards)
+	}
+	return man, nil
+}
+
 // runCheck recovers every shard twice from the durable files, proving
 // recovery deterministic, and checks the drain manifest if one exists.
 func runCheck(dir string, shards int, coreCfg lvmd.CoreConfig, out io.Writer) int {
 	var man *lvmd.DrainReport
 	if b, err := os.ReadFile(filepath.Join(dir, "manifest.json")); err == nil {
-		man = &lvmd.DrainReport{}
-		if err := json.Unmarshal(b, man); err != nil {
-			fmt.Fprintf(os.Stderr, "lvmd: manifest unreadable: %v\n", err)
-			return 1
-		}
-		// A manifest vouches for every shard it lists; checking fewer
-		// would leave the rest unverified.
-		if len(man.Shards) != shards {
-			fmt.Fprintf(os.Stderr, "lvmd: check FAILED: manifest lists %d shards, -shards is %d\n",
-				len(man.Shards), shards)
+		if man, err = decodeManifest(b, shards); err != nil {
+			fmt.Fprintln(os.Stderr, err)
 			return 1
 		}
 	}

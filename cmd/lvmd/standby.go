@@ -1,7 +1,6 @@
 package main
 
 import (
-	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
@@ -15,7 +14,6 @@ import (
 	"lvm/internal/lease"
 	"lvm/internal/logship"
 	"lvm/internal/lvmd"
-	"lvm/internal/recovery"
 )
 
 // runStandby follows a primary lvmd: one subscribed marker-tracking
@@ -155,24 +153,20 @@ func runStandby(upstream string, shards int, shCfg lvmd.ShardConfig, leaseTTL ti
 	}
 	fmt.Fprintln(out, "lvmd: primary lease expired on every shard: promoting automatically")
 
-	// Promote every shard at its acked watermark. The authority is local:
-	// the lease expiry IS the coordination in this topology (one standby
-	// per primary); the grant still bumps the epoch so the promoted
-	// shippers fence zombie-generation subscribers.
+	// Promote every shard at its acked watermark. The lease expiry IS
+	// the coordination in this topology (one standby per primary); the
+	// grant still bumps the epoch so the promoted shippers fence
+	// zombie-generation subscribers.
 	boot := make([]lvmd.BootShard, shards)
 	for i, r := range reps {
-		a := &logship.Authority{Cur: logship.Grant{Epoch: r.Epoch(), Token: 1}}
-		res, err := logship.Promote(a, r, fmt.Sprintf("standby-%d", i), 0, logship.PromoteHooks{})
+		b, res, err := lvmd.PromoteReplica(r, fmt.Sprintf("standby-%d", i))
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "lvmd: shard %d promotion: %v\n", i, err)
 			return 1
 		}
-		img := r.Image()
-		seq := binary.LittleEndian.Uint32(img) &^ recovery.MarkerCommit
-		binary.LittleEndian.PutUint32(img, seq|recovery.MarkerCommit)
-		boot[i] = lvmd.BootShard{Img: img, Seq: seq, Epoch: res.Grant.Epoch}
+		boot[i] = b
 		fmt.Fprintf(out, "lvmd: shard %d promoted at watermark %d (seq=%d epoch=%d rolled=%d)\n",
-			i, res.Watermark, seq, res.Grant.Epoch, res.RolledBack)
+			i, res.Watermark, b.Seq, b.Epoch, res.RolledBack)
 	}
 	return serve(boot)
 }

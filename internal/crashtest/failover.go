@@ -4,6 +4,7 @@ import (
 	"lvm/internal/core"
 	"lvm/internal/dsm"
 	"lvm/internal/fault"
+	"lvm/internal/lease"
 	"lvm/internal/logship"
 	"lvm/internal/ramdisk"
 	"lvm/internal/recovery"
@@ -37,7 +38,7 @@ func runFailover(t template, plan fault.Plan, short bool) (outcome, uint64) {
 	rg := newPromotionRig(t, plan, false)
 	defer rg.ship.Close()
 	side := "coordinator"
-	if rg.killPhase == logship.PhaseFreeze || rg.killPhase == logship.PhaseActivate {
+	if rg.killPhase == lease.PhaseFreeze || rg.killPhase == lease.PhaseActivate {
 		side = "candidate"
 	}
 
@@ -73,7 +74,7 @@ func runFailover(t template, plan fault.Plan, short bool) (outcome, uint64) {
 	// converges on it (snapshot catch-up: its ack floor is below the
 	// watermark the new log starts at).
 	ln2, dial2 := logship.NewMemTransport()
-	pr, err := logship.Takeover(img, res.Grant, res.Watermark, ln2, logship.TakeoverConfig{
+	pr, err := logship.Takeover(img, res.Grant.Epoch, res.Watermark, ln2, logship.TakeoverConfig{
 		Disk: ramdisk.New(),
 		Ship: logship.Config{FlushRecords: 8},
 	})

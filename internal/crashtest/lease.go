@@ -44,7 +44,7 @@ func runLeaseExpiry(t template, plan fault.Plan, short bool) (outcome, uint64) {
 	// The lease is still current: automatic promotion must refuse. A
 	// standby that promotes early forks the timeline; ErrHeld is the
 	// safety half of the protocol.
-	_, err := rg.promote(head, logship.PromoteHooks{})
+	_, err := rg.au.Promote(rg.r, "standby", head, lease.PromoteHooks{})
 	rg.want(errors.Is(err, lease.ErrHeld), "promotion under a live lease = %v, want ErrHeld", err)
 	rg.want(!rg.mon.Expired(), "monitor expired while beats were current")
 
@@ -196,7 +196,7 @@ func runLeaseDrop(t template, plan fault.Plan, short bool) (outcome, uint64) {
 		}
 		_ = rg.ship.Heartbeat(hb) //errgate:ok — broadcast into the partition; non-delivery is the thing under test
 		rg.want(!rg.mon.Expired(), "monitor expired at step %d while the holder still renews: split-brain window", step)
-		_, err := rg.promote(rg.recs, logship.PromoteHooks{})
+		_, err := rg.au.Promote(rg.r, "standby", rg.recs, lease.PromoteHooks{})
 		rg.want(errors.Is(err, lease.ErrHeld), "promotion at step %d = %v, want ErrHeld", step, err)
 	}
 	rg.want(demoteStep == 5, "cut-off holder demoted at step %d, want 5 (one TTL after the last acked beat)", demoteStep)

@@ -49,12 +49,11 @@ type promotionRig struct {
 	r    *logship.Replica
 	dial logship.DialFunc
 
-	epochs *logship.Authority
-	grant  logship.Grant // the primary's grant
+	clk   *lease.Manual
+	au    *lease.Authority
+	grant lease.Grant // the primary's grant
 
 	// Leased rigs only.
-	clk    *lease.Manual
-	au     *lease.Authority
 	holder *lease.Holder
 	mon    *lease.Monitor
 	beats  uint64
@@ -69,24 +68,26 @@ type promotionRig struct {
 // newPromotionRig builds the rig and connects the replica; a leased rig
 // also sends the first beat.
 func newPromotionRig(t template, plan fault.Plan, leased bool) *promotionRig {
-	phases := []string{logship.PhaseFreeze, logship.PhasePrepare, logship.PhaseCommit, logship.PhaseActivate}
+	phases := []string{lease.PhaseFreeze, lease.PhasePrepare, lease.PhaseCommit, lease.PhaseActivate}
 	rg := &promotionRig{
 		t: t, plan: plan, killPhase: phases[plan.CrashAtCycle%uint64(len(phases))],
 		wr: fault.NewRNG(plan.Seed + 1), shadow: make(map[uint32]uint32),
 	}
 	cfg := logship.Config{FlushRecords: 8}
 	var err error
+	rg.clk = lease.NewManual(0)
 	if leased {
-		rg.clk = lease.NewManual(0)
-		rg.au = lease.NewAuthority(&logship.Authority{}, rg.clk, leaseTTL)
+		rg.au = lease.NewAuthority(rg.clk, leaseTTL, lease.Grant{})
 		rg.grant, err = rg.au.Acquire("primary")
 		must(err, "acquire")
-		rg.epochs, cfg.Epoch = rg.au.Epochs, rg.grant.Epoch
+		cfg.Epoch = rg.grant.Epoch
 		rg.holder = lease.NewHolder(rg.clk, leaseTTL, rg.grant.Epoch)
 		rg.mon = lease.NewMonitor(rg.clk, leaseTTL)
 	} else {
-		rg.epochs = &logship.Authority{Cur: logship.Grant{Epoch: 1, Token: 0x1D}}
-		rg.grant = rg.epochs.Cur
+		// No lease was ever granted, so promotion runs at once: an
+		// operator's failover.
+		rg.grant = lease.Grant{Epoch: 1, Token: 0x1D}
+		rg.au = lease.NewAuthority(rg.clk, leaseTTL, rg.grant)
 	}
 
 	ln, dial := logship.NewMemTransport()
@@ -218,20 +219,11 @@ func waitFor(cond func() bool) bool {
 	return true
 }
 
-// promote runs the handshake once: AutoPromote on the monitor's word
-// when the rig is leased, an operator's Promote otherwise.
-func (rg *promotionRig) promote(head uint64, hooks logship.PromoteHooks) (logship.PromoteResult, error) {
-	if rg.au != nil {
-		return rg.au.AutoPromote(rg.r, "standby", head, hooks)
-	}
-	return logship.Promote(rg.epochs, rg.r, "standby", head, hooks)
-}
-
 // promoteThroughKill kills the promotion handshake at the seed's phase,
 // then simply runs it again — Promote is idempotent.
-func (rg *promotionRig) promoteThroughKill(head uint64) logship.PromoteResult {
+func (rg *promotionRig) promoteThroughKill(head uint64) lease.PromoteResult {
 	errKill := errors.New("crashtest: simulated kill")
-	_, err := rg.promote(head, logship.PromoteHooks{
+	_, err := rg.au.Promote(rg.r, "standby", head, lease.PromoteHooks{
 		After: func(ph string) error {
 			if ph == rg.killPhase {
 				return errKill
@@ -242,16 +234,16 @@ func (rg *promotionRig) promoteThroughKill(head uint64) logship.PromoteResult {
 	if !errors.Is(err, errKill) {
 		setupFail("kill at %s not delivered: err=%v", rg.killPhase, err)
 	}
-	res, err := rg.promote(head, logship.PromoteHooks{})
+	res, err := rg.au.Promote(rg.r, "standby", head, lease.PromoteHooks{})
 	must(err, "promotion resume")
 	return res
 }
 
 // checkGrants: no split-brain — the primary's grant stops validating the
 // moment the promoted one commits.
-func (rg *promotionRig) checkGrants(res logship.PromoteResult) {
-	rg.want(!rg.epochs.Validate(rg.grant), "stale grant still validates: split-brain")
-	rg.want(rg.epochs.Validate(res.Grant), "promoted grant does not validate")
+func (rg *promotionRig) checkGrants(res lease.PromoteResult) {
+	rg.want(!rg.au.Validate(rg.grant), "stale grant still validates: split-brain")
+	rg.want(rg.au.Validate(res.Grant), "promoted grant does not validate")
 }
 
 // checkAcked counts the acked words the replica image lost: acked state

@@ -3,15 +3,17 @@
 // a standby-side monitor that promotes when renewals stop — the classic
 // lease / fencing-token pattern, and the only way a standby promotes.
 //
-// A lease grant is just an epoch grant with a deadline. The Authority
-// here wraps logship.Authority: acquiring a lease prepares and commits a
-// fencing grant (bumping the epoch), so the persisted-epoch machinery —
-// ErrFenced on a stale welcome, FencedHellos on a future-epoch hello,
-// the checkpointed serving epoch that survives restart — is what keeps a
-// paused-then-resumed primary from ever splitting the brain. Renewal is
-// cheap and grant-free: the holder broadcasts heartbeat frames
-// (wire.Beat) down the same logship subscription stream that ships log
-// batches, and each standby re-arms its expiry deadline at receipt.
+// A lease grant is just an epoch grant with a deadline, and one
+// Authority owns both: acquiring a lease and promoting a replica
+// (Authority.Promote, the one promotion entry point) each prepare and
+// commit a fencing grant (bumping the epoch), so the persisted-epoch
+// machinery — ErrFenced on a stale welcome, FencedHellos on a
+// future-epoch hello, the checkpointed serving epoch that survives
+// restart — is what keeps a paused-then-resumed primary from ever
+// splitting the brain. Renewal is cheap and grant-free: the holder
+// broadcasts heartbeat frames (wire.Beat) down the same logship
+// subscription stream that ships log batches, and each standby
+// re-arms its expiry deadline at receipt.
 //
 // The safety argument needs no clock synchronization, only comparable
 // clock *rates*, and it has two halves — one per failure shape:
@@ -129,53 +131,115 @@ var (
 	ErrNotHolder = errors.New("lease: not the holder")
 )
 
-// Authority is the deterministic lease authority: logship's promotion
-// Authority plus a deadline. Exactly one unexpired grant exists at any
-// moment; acquiring after expiry commits a fresh grant through
-// Epochs.CommitGrant, so the new lease and the fencing epoch are the
-// same atomic step. Like logship.Authority it is tiny, single-threaded
-// coordinator state — durable by contract in the crash tests.
-type Authority struct {
-	// Epochs is the underlying fencing-grant authority; its current
-	// grant is the lease's token.
-	Epochs *logship.Authority
+// Grant is a fencing token: the authority's permission to act as primary
+// for one epoch.
+type Grant struct {
+	Epoch uint32
+	Token uint64
+}
 
-	clock   Clock
-	ttl     uint64
+// Authority is the one promotion coordinator: the durable arbiter of
+// which fencing grant is current, and of the serving lease that grant
+// carries. Exactly one grant validates at any moment — the old
+// primary's until the commit, the new one's after it — and at most one
+// lease is unexpired. Acquiring a lease afresh and promoting a replica
+// both prepare and commit the next grant, so the new lease and the
+// fencing epoch are the same atomic step. It is tiny, single-threaded
+// coordinator state, durable by contract: in production it would live
+// in a lease service; in the crash tests it survives the simulated kill.
+type Authority struct {
+	clock Clock
+	ttl   uint64
+
+	cur      Grant
+	prepared bool
+	proposed Grant
+	cand     string
+
 	holder  string
 	expiry  uint64
 	granted bool
 }
 
-// NewAuthority wraps epochs with lease semantics: grants expire ttl
-// ticks after acquisition or last renewal.
-func NewAuthority(epochs *logship.Authority, clock Clock, ttl uint64) *Authority {
-	return &Authority{Epochs: epochs, clock: clock, ttl: ttl}
+// NewAuthority starts an authority whose current grant is cur (the zero
+// Grant: no primary granted yet) and whose leases expire ttl ticks after
+// acquisition or last renewal. No lease is outstanding until Acquire or
+// Promote grants one.
+func NewAuthority(clock Clock, ttl uint64, cur Grant) *Authority {
+	return &Authority{clock: clock, ttl: ttl, cur: cur}
 }
+
+// splitmix64 is the token mixer (deterministic, seeded by epoch+cand).
+func splitmix64(x uint64) uint64 {
+	x += 0x9E3779B97F4A7C15
+	x = (x ^ x>>30) * 0xBF58476D1CE4E5B9
+	x = (x ^ x>>27) * 0x94D049BB133111EB
+	return x ^ x>>31
+}
+
+// prepare proposes the next grant for candidate cand. Re-preparing for
+// the same candidate returns the same proposal (idempotent resume); a
+// different candidate supersedes it.
+func (a *Authority) prepare(cand string) Grant {
+	if a.prepared && a.cand == cand {
+		return a.proposed
+	}
+	h := uint64(14695981039346656037)
+	for i := 0; i < len(cand); i++ {
+		h = (h ^ uint64(cand[i])) * 1099511628211
+	}
+	a.proposed = Grant{
+		Epoch: a.cur.Epoch + 1,
+		Token: splitmix64(uint64(a.cur.Epoch+1)<<32 ^ h),
+	}
+	a.cand = cand
+	a.prepared = true
+	return a.proposed
+}
+
+// commitGrant installs the prepared grant as current: the moment of
+// promotion. The old grant stops validating here, atomically.
+func (a *Authority) commitGrant() (Grant, error) {
+	if !a.prepared {
+		return Grant{}, fmt.Errorf("lease: commit without a prepared grant")
+	}
+	a.cur = a.proposed
+	a.prepared = false
+	return a.cur, nil
+}
+
+// Validate reports whether g is the current grant — the check every
+// write path makes before acting as primary.
+func (a *Authority) Validate(g Grant) bool { return g == a.cur && g.Epoch != 0 }
 
 // Acquire grants holder the serving lease. A first acquisition or one
 // after expiry prepares and commits a fresh fencing grant (epoch bump:
 // the previous holder's grant stops validating here); re-acquiring an
 // unexpired lease by the same holder just pushes the deadline and keeps
 // the grant. Another holder's unexpired lease refuses with ErrHeld.
-func (a *Authority) Acquire(holder string) (logship.Grant, error) {
+func (a *Authority) Acquire(holder string) (Grant, error) {
 	now := a.clock.Now()
 	if a.granted && now <= a.expiry {
 		if a.holder != holder {
-			return logship.Grant{}, fmt.Errorf("%w: %q holds until tick %d", ErrHeld, a.holder, a.expiry)
+			return Grant{}, fmt.Errorf("%w: %q holds until tick %d", ErrHeld, a.holder, a.expiry)
 		}
 		a.expiry = now + a.ttl
-		return a.Epochs.Cur, nil
+		return a.cur, nil
 	}
-	a.Epochs.Prepare(holder)
-	g, err := a.Epochs.CommitGrant()
+	a.prepare(holder)
+	g, err := a.commitGrant()
 	if err != nil {
-		return logship.Grant{}, err
+		return Grant{}, err
 	}
+	a.adopt(holder, now)
+	return g, nil
+}
+
+// adopt makes holder the lease's holder from tick now.
+func (a *Authority) adopt(holder string, now uint64) {
 	a.holder = holder
 	a.expiry = now + a.ttl
 	a.granted = true
-	return g, nil
 }
 
 // Renew pushes the deadline of an unexpired lease. The grant must be
@@ -183,8 +247,8 @@ func (a *Authority) Acquire(holder string) (logship.Grant, error) {
 // and the deadline not yet passed (a late renewal refuses with
 // ErrExpired — the holder must re-Acquire, burning an epoch, so anything
 // it did after the deadline is fenced by its stale grant).
-func (a *Authority) Renew(holder string, g logship.Grant) (uint64, error) {
-	if !a.granted || a.holder != holder || !a.Epochs.Validate(g) {
+func (a *Authority) Renew(holder string, g Grant) (uint64, error) {
+	if !a.granted || a.holder != holder || !a.Validate(g) {
 		return 0, fmt.Errorf("%w: renewal by %q epoch %d", ErrNotHolder, holder, g.Epoch)
 	}
 	now := a.clock.Now()
@@ -195,34 +259,86 @@ func (a *Authority) Renew(holder string, g logship.Grant) (uint64, error) {
 	return a.expiry, nil
 }
 
-// Expired reports whether no unexpired lease is outstanding.
-func (a *Authority) Expired() bool {
-	return !a.granted || a.clock.Now() > a.expiry
-}
-
 // Holder reports the current holder and whether its lease is unexpired.
 func (a *Authority) Holder() (string, bool) {
 	return a.holder, a.granted && a.clock.Now() <= a.expiry
 }
 
-// AutoPromote is the no-operator promotion rule: run the existing
-// logship.Promote handshake if and only if the serving lease has
-// expired. The grant Promote commits through Epochs is adopted as the
-// candidate's new lease, so detection, fencing, and the new serving
-// grant are one state machine. Idempotent like Promote itself: a crash
-// at any phase leaves the lease expired (adoption is the last step), so
-// running AutoPromote again finishes the job.
-func (a *Authority) AutoPromote(r *logship.Replica, cand string, deadHead uint64, hooks logship.PromoteHooks) (logship.PromoteResult, error) {
-	if !a.Expired() {
-		return logship.PromoteResult{}, fmt.Errorf("%w: refusing automatic promotion of %q", ErrHeld, cand)
+// Promotion phase names, in order; PromoteHooks.After sees each one.
+const (
+	PhaseFreeze   = "freeze"
+	PhasePrepare  = "prepare"
+	PhaseCommit   = "commit"
+	PhaseActivate = "activate"
+)
+
+// PromoteHooks injects crash points for the crash tests: After runs once
+// the named phase's state has settled, and an error aborts the promotion
+// right there (the simulated kill).
+type PromoteHooks struct {
+	After func(phase string) error
+}
+
+// PromoteResult reports a completed promotion.
+type PromoteResult struct {
+	Grant      Grant
+	Watermark  uint64 // acked sequence the new primary serves from
+	RolledBack int    // words undone to reach the last transaction boundary
+	// Lost is the bounded data loss: records between the watermark and
+	// the dead primary's head (deadHead), i.e. writes the dead primary
+	// logged but never got acknowledged by this replica.
+	Lost uint64
+}
+
+// Promote turns replica r into the primary at its acked watermark. It
+// refuses with ErrHeld while a lease is unexpired (a slow primary is not
+// a dead one until its TTL says so); an authority that never granted a
+// lease promotes at once. The handshake: freeze (end the session, roll
+// half-replicated transactions back to the last commit marker), prepare
+// and commit the next grant, activate (the replica adopts the granted
+// epoch, so its sessions fence the zombie), then adopt the grant as
+// cand's lease. deadHead is the dead primary's last known head; its
+// distance to the watermark is the measured loss. Every phase is
+// idempotent and the lease is adopted last, so a coordinator that dies
+// mid-promotion runs Promote again and finishes, possibly burning an
+// extra epoch: epochs only need to move forward.
+func (a *Authority) Promote(r *logship.Replica, cand string, deadHead uint64, hooks PromoteHooks) (PromoteResult, error) {
+	if _, held := a.Holder(); held {
+		return PromoteResult{}, fmt.Errorf("%w: refusing promotion of %q", ErrHeld, cand)
 	}
-	res, err := logship.Promote(a.Epochs, r, cand, deadHead, hooks)
+	after := hooks.After
+	if after == nil {
+		after = func(string) error { return nil }
+	}
+	// Freeze: no session may be applying records while we settle state.
+	r.Kill()
+	rolled, err := r.Rollback()
 	if err != nil {
-		return res, err
+		return PromoteResult{}, err
 	}
-	a.holder = cand
-	a.expiry = a.clock.Now() + a.ttl
-	a.granted = true
+	if err := after(PhaseFreeze); err != nil {
+		return PromoteResult{}, err
+	}
+	a.prepare(cand)
+	if err := after(PhasePrepare); err != nil {
+		return PromoteResult{}, err
+	}
+	g, err := a.commitGrant()
+	if err != nil {
+		return PromoteResult{}, err
+	}
+	if err := after(PhaseCommit); err != nil {
+		return PromoteResult{}, err
+	}
+	r.SetEpoch(g.Epoch)
+	if err := after(PhaseActivate); err != nil {
+		return PromoteResult{}, err
+	}
+	a.adopt(cand, a.clock.Now())
+	res := PromoteResult{Grant: g, Watermark: r.LastSeq(), RolledBack: rolled}
+	if deadHead > res.Watermark {
+		res.Lost = deadHead - res.Watermark
+	}
 	return res, nil
 }
 

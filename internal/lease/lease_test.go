@@ -2,11 +2,13 @@ package lease
 
 import (
 	"errors"
-	"net"
 	"testing"
 	"time"
 
+	"lvm/internal/core"
+	"lvm/internal/dsm"
 	"lvm/internal/logship"
+	"lvm/internal/recovery"
 	"lvm/internal/wire"
 )
 
@@ -35,9 +37,9 @@ func TestWallClockAdvances(t *testing.T) {
 
 func TestAuthorityAcquireRenewExpire(t *testing.T) {
 	clk := NewManual(0)
-	au := NewAuthority(&logship.Authority{}, clk, 100)
-	if !au.Expired() {
-		t.Fatal("fresh authority should report expired (no lease yet)")
+	au := NewAuthority(clk, 100, Grant{})
+	if _, ok := au.Holder(); ok {
+		t.Fatal("fresh authority reports a held lease")
 	}
 
 	g, err := au.Acquire("p1")
@@ -46,9 +48,6 @@ func TestAuthorityAcquireRenewExpire(t *testing.T) {
 	}
 	if g.Epoch != 1 {
 		t.Fatalf("first grant epoch = %d, want 1", g.Epoch)
-	}
-	if au.Expired() {
-		t.Fatal("freshly granted lease reports expired")
 	}
 	if h, ok := au.Holder(); h != "p1" || !ok {
 		t.Fatalf("holder = %q/%v, want p1/true", h, ok)
@@ -68,8 +67,8 @@ func TestAuthorityAcquireRenewExpire(t *testing.T) {
 	if dl != 190 {
 		t.Fatalf("renewed deadline = %d, want 190", dl)
 	}
-	if au.Epochs.Cur.Epoch != 1 {
-		t.Fatalf("renewal bumped the epoch to %d", au.Epochs.Cur.Epoch)
+	if !au.Validate(g) {
+		t.Fatal("renewal replaced the epoch-1 grant")
 	}
 
 	// Same-holder re-acquire of an unexpired lease keeps the grant.
@@ -83,9 +82,6 @@ func TestAuthorityAcquireRenewExpire(t *testing.T) {
 	if _, err := au.Renew("p1", g); !errors.Is(err, ErrExpired) {
 		t.Fatalf("late renew = %v, want ErrExpired", err)
 	}
-	if !au.Expired() {
-		t.Fatal("lease past deadline not expired")
-	}
 	if _, ok := au.Holder(); ok {
 		t.Fatal("expired lease still reports a valid holder")
 	}
@@ -98,10 +94,10 @@ func TestAuthorityAcquireRenewExpire(t *testing.T) {
 	if g3.Epoch != 2 {
 		t.Fatalf("successor epoch = %d, want 2", g3.Epoch)
 	}
-	if au.Epochs.Validate(g) {
+	if au.Validate(g) {
 		t.Fatal("superseded grant still validates")
 	}
-	if !au.Epochs.Validate(g3) {
+	if !au.Validate(g3) {
 		t.Fatal("successor grant does not validate")
 	}
 
@@ -117,7 +113,7 @@ func TestAuthorityAcquireRenewExpire(t *testing.T) {
 // ErrExpired.
 func TestAuthorityRenewDeadlineBoundary(t *testing.T) {
 	clk := NewManual(0)
-	au := NewAuthority(&logship.Authority{}, clk, 100)
+	au := NewAuthority(clk, 100, Grant{})
 	g, err := au.Acquire("p1")
 	if err != nil {
 		t.Fatalf("acquire: %v", err)
@@ -349,44 +345,44 @@ func TestMonitorClampsWireTTL(t *testing.T) {
 	}
 }
 
+// TestAutoPromoteOnlyAfterExpiry pins the automatic-promotion rule: a
+// standby asking to take over while the lease is current is refused
+// with ErrHeld; after expiry Promote commits the next epoch and adopts
+// the lease, and a crashed promotion leaves the lease expired.
 func TestAutoPromoteOnlyAfterExpiry(t *testing.T) {
 	clk := NewManual(0)
-	au := NewAuthority(&logship.Authority{}, clk, 100)
+	au := NewAuthority(clk, 100, Grant{})
 	g, err := au.Acquire("primary")
 	if err != nil {
 		t.Fatalf("acquire: %v", err)
 	}
 
-	// Promotion itself runs disconnected; the replica never dials.
-	r, err := logship.NewReplica(func() (net.Conn, error) { return nil, errors.New("unused") }, 4096)
-	if err != nil {
-		t.Fatalf("replica: %v", err)
-	}
+	r, _, recs := ackedReplica(t, 3, 2)
 
 	// Held lease: automatic promotion refuses.
-	if _, err := au.AutoPromote(r, "standby", 0, logship.PromoteHooks{}); !errors.Is(err, ErrHeld) {
-		t.Fatalf("AutoPromote under a held lease = %v, want ErrHeld", err)
+	if _, err := au.Promote(r, "standby", 0, PromoteHooks{}); !errors.Is(err, ErrHeld) {
+		t.Fatalf("Promote under a held lease = %v, want ErrHeld", err)
 	}
 
 	// Expired lease: promotion runs, commits epoch 2, adopts the lease.
 	clk.Advance(101)
-	res, err := au.AutoPromote(r, "standby", 5, logship.PromoteHooks{})
+	res, err := au.Promote(r, "standby", recs+5, PromoteHooks{})
 	if err != nil {
-		t.Fatalf("AutoPromote: %v", err)
+		t.Fatalf("Promote: %v", err)
 	}
 	if res.Grant.Epoch != g.Epoch+1 {
 		t.Fatalf("promoted epoch = %d, want %d", res.Grant.Epoch, g.Epoch+1)
 	}
-	if res.Lost != 5 {
-		t.Fatalf("lost = %d, want 5 (deadHead 5, watermark 0)", res.Lost)
+	if res.Watermark != recs || res.Lost != 5 {
+		t.Fatalf("watermark=%d lost=%d, want %d and 5", res.Watermark, res.Lost, recs)
 	}
-	if au.Expired() {
-		t.Fatal("adopted lease reports expired")
+	if res.RolledBack == 0 {
+		t.Fatal("the open transaction's words were not reported rolled back")
 	}
 	if h, ok := au.Holder(); h != "standby" || !ok {
 		t.Fatalf("holder = %q/%v, want standby/true", h, ok)
 	}
-	if au.Epochs.Validate(g) {
+	if au.Validate(g) {
 		t.Fatal("old primary's grant survived the automatic promotion")
 	}
 
@@ -394,15 +390,148 @@ func TestAutoPromoteOnlyAfterExpiry(t *testing.T) {
 	// a retry proceeds (idempotence is Promote's own property).
 	clk.Advance(101)
 	boom := errors.New("crash")
-	if _, err := au.AutoPromote(r, "standby2", 0, logship.PromoteHooks{
+	if _, err := au.Promote(r, "standby2", 0, PromoteHooks{
 		After: func(phase string) error { return boom },
 	}); !errors.Is(err, boom) {
-		t.Fatalf("crashed AutoPromote = %v, want injected error", err)
+		t.Fatalf("crashed Promote = %v, want injected error", err)
 	}
-	if !au.Expired() {
+	if _, ok := au.Holder(); ok {
 		t.Fatal("crashed promotion adopted the lease anyway")
 	}
-	if _, err := au.AutoPromote(r, "standby2", 0, logship.PromoteHooks{}); err != nil {
-		t.Fatalf("AutoPromote retry: %v", err)
+	if _, err := au.Promote(r, "standby2", 0, PromoteHooks{}); err != nil {
+		t.Fatalf("Promote retry: %v", err)
+	}
+}
+
+// TestAuthorityGrantLifecycle pins the coordinator invariants: exactly
+// one grant validates at a time, prepare is idempotent per candidate,
+// and committing without a proposal is an explicit error.
+func TestAuthorityGrantLifecycle(t *testing.T) {
+	a := NewAuthority(NewManual(0), 100, Grant{})
+	if a.Validate(Grant{}) {
+		t.Fatal("zero grant must never validate")
+	}
+	if _, err := a.commitGrant(); err == nil {
+		t.Fatal("commit without a prepared grant must fail")
+	}
+	g1 := a.prepare("cand-a")
+	if g1.Epoch != 1 {
+		t.Fatalf("first epoch = %d, want 1", g1.Epoch)
+	}
+	if again := a.prepare("cand-a"); again != g1 {
+		t.Fatalf("re-prepare for the same candidate changed the proposal: %+v != %+v", again, g1)
+	}
+	g2 := a.prepare("cand-b")
+	if g2 == g1 {
+		t.Fatal("a different candidate must supersede the proposal")
+	}
+	cur, err := a.commitGrant()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if cur != g2 {
+		t.Fatalf("committed %+v, want the prepared %+v", cur, g2)
+	}
+	if !a.Validate(g2) {
+		t.Fatal("current grant must validate")
+	}
+	if a.Validate(g1) {
+		t.Fatal("superseded proposal must not validate")
+	}
+	g3 := a.prepare("cand-c")
+	if g3.Epoch != 2 {
+		t.Fatalf("next epoch = %d, want 2", g3.Epoch)
+	}
+	if _, err := a.commitGrant(); err != nil {
+		t.Fatal(err)
+	}
+	if a.Validate(g2) {
+		t.Fatal("old grant must stop validating at the commit")
+	}
+}
+
+// ackedReplica builds a primary (an LVM producer and its shipper) and
+// one marker-tracking replica that has acknowledged txns complete
+// transactions, then the begin marker and open stores of one that never
+// commits. It returns the replica, the primary's epoch and the records
+// the primary logged.
+func ackedReplica(t *testing.T, txns, open int) (*logship.Replica, uint32, uint64) {
+	t.Helper()
+	const segSize, markerLimit = 8 * core.PageSize, 16
+	ln, dial := logship.NewMemTransport()
+	sys := core.NewSystem(core.Config{NumCPUs: 1, MemFrames: 4096})
+	prod, err := dsm.NewLVMProducer(sys, sys.NewProcess(0, sys.NewAddressSpace()), segSize, 256)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ship := logship.NewShipper(sys, prod.Segment(), prod.LogSegment(), ln, logship.Config{FlushRecords: 8})
+	t.Cleanup(func() { ship.Close() })
+	r, err := logship.NewReplica(dial, segSize)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r.TrackMarkers(markerLimit)
+	if err := r.Connect(); err != nil {
+		t.Fatal(err)
+	}
+	var recs uint64
+	for i := uint32(1); i <= uint32(txns); i++ {
+		prod.Write(0, i)
+		prod.Write(markerLimit+4*i, 0xBEEF0000+i)
+		prod.Write(0, i|recovery.MarkerCommit)
+		recs += 3
+	}
+	if open > 0 {
+		prod.Write(0, uint32(txns+1))
+		for j := 0; j < open; j++ {
+			prod.Write(markerLimit+4*uint32(j), 0xDEAD0000)
+		}
+		recs += 1 + uint64(open)
+		if err := ship.Flush(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := ship.ReleaseShip(5 * time.Second); err != nil {
+		t.Fatal(err)
+	}
+	return r, ship.Epoch(), recs
+}
+
+// TestPromoteResumesAfterCoordinatorCrash kills the coordinator right
+// after the grant commits and runs Promote again: the second run must
+// finish, burning one epoch (epochs only move forward), and leave
+// exactly one valid grant. The authority never granted a lease, so it
+// promotes at once.
+func TestPromoteResumesAfterCoordinatorCrash(t *testing.T) {
+	r, epoch, recs := ackedReplica(t, 6, 0)
+	a := NewAuthority(NewManual(0), 100, Grant{Epoch: epoch, Token: 7})
+	boom := errors.New("coordinator crash")
+	_, err := a.Promote(r, "standby", recs, PromoteHooks{
+		After: func(phase string) error {
+			if phase == PhaseCommit {
+				return boom
+			}
+			return nil
+		},
+	})
+	if !errors.Is(err, boom) {
+		t.Fatalf("crash hook did not abort the promotion: %v", err)
+	}
+
+	res, err := a.Promote(r, "standby", recs, PromoteHooks{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !a.Validate(res.Grant) {
+		t.Fatal("resumed promotion's grant must validate")
+	}
+	if res.Grant.Epoch != epoch+2 {
+		t.Fatalf("resumed epoch = %d, want %d (the crashed commit burns one)", res.Grant.Epoch, epoch+2)
+	}
+	if res.Watermark != recs || res.Lost != 0 {
+		t.Fatalf("resumed watermark=%d lost=%d, want %d and 0", res.Watermark, res.Lost, recs)
+	}
+	if got := r.Epoch(); got != res.Grant.Epoch {
+		t.Fatalf("replica epoch = %d, want %d", got, res.Grant.Epoch)
 	}
 }

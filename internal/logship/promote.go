@@ -10,150 +10,6 @@ import (
 	"lvm/internal/ramdisk"
 )
 
-// Promotion turns a surviving replica into the primary at its acked
-// watermark. The coordinator state (Authority) is tiny and durable by
-// contract — in production it would live in a lease service; in the
-// crash tests it survives the simulated kill — and every phase of
-// Promote is idempotent, so a coordinator that dies mid-promotion simply
-// runs Promote again and finishes (possibly burning an extra epoch,
-// which is harmless: epochs only need to move forward).
-//
-// The no-split-brain argument: exactly one Grant validates at any
-// moment. Until CommitGrant the old primary's grant is current (there is
-// one primary, even if dead); after it, only the candidate's. A zombie
-// ex-primary that wakes up holds a grant that no longer validates, and
-// its wire sessions are refused on epoch alone — replicas that learned
-// the promoted generation refuse its stale welcome (ErrFenced), and its
-// own listener refuses hellos from the future (FencedHellos).
-
-// Grant is a fencing token: the authority's permission to act as primary
-// for one epoch.
-type Grant struct {
-	Epoch uint32
-	Token uint64
-}
-
-// Authority is the promotion coordinator: the single durable arbiter of
-// which grant is current. Zero value: no primary granted yet.
-type Authority struct {
-	Cur      Grant
-	prepared bool
-	proposed Grant
-	cand     string
-}
-
-// splitmix64 is the token mixer (deterministic, seeded by epoch+cand).
-func splitmix64(x uint64) uint64 {
-	x += 0x9E3779B97F4A7C15
-	x = (x ^ x>>30) * 0xBF58476D1CE4E5B9
-	x = (x ^ x>>27) * 0x94D049BB133111EB
-	return x ^ x>>31
-}
-
-// Prepare proposes the next grant for candidate cand. Re-preparing for
-// the same candidate returns the same proposal (idempotent resume); a
-// different candidate supersedes it.
-func (a *Authority) Prepare(cand string) Grant {
-	if a.prepared && a.cand == cand {
-		return a.proposed
-	}
-	h := uint64(14695981039346656037)
-	for i := 0; i < len(cand); i++ {
-		h = (h ^ uint64(cand[i])) * 1099511628211
-	}
-	a.proposed = Grant{
-		Epoch: a.Cur.Epoch + 1,
-		Token: splitmix64(uint64(a.Cur.Epoch+1)<<32 ^ h),
-	}
-	a.cand = cand
-	a.prepared = true
-	return a.proposed
-}
-
-// CommitGrant installs the prepared grant as current: the moment of
-// promotion. The old grant stops validating here, atomically.
-func (a *Authority) CommitGrant() (Grant, error) {
-	if !a.prepared {
-		return Grant{}, fmt.Errorf("logship: commit without a prepared grant")
-	}
-	a.Cur = a.proposed
-	a.prepared = false
-	return a.Cur, nil
-}
-
-// Validate reports whether g is the current grant — the check every
-// write path makes before acting as primary.
-func (a *Authority) Validate(g Grant) bool { return g == a.Cur && g.Epoch != 0 }
-
-// Promotion phase names, in order; PromoteHooks.After sees each one.
-const (
-	PhaseFreeze   = "freeze"
-	PhasePrepare  = "prepare"
-	PhaseCommit   = "commit"
-	PhaseActivate = "activate"
-)
-
-// PromoteHooks injects crash points for the crash tests: After runs once
-// the named phase's state has settled, and an error aborts the promotion
-// right there (the simulated kill).
-type PromoteHooks struct {
-	After func(phase string) error
-}
-
-// PromoteResult reports a completed promotion.
-type PromoteResult struct {
-	Grant      Grant
-	Watermark  uint64 // acked sequence the new primary serves from
-	RolledBack int    // words undone to reach the last transaction boundary
-	// Lost is the bounded data loss: records between the watermark and
-	// the dead primary's head (deadHead), i.e. writes the dead primary
-	// logged but never got acknowledged by this replica.
-	Lost uint64
-}
-
-// Promote runs the promotion state machine over replica r: freeze (end
-// the session, roll half-replicated transaction state back to the last
-// commit marker), prepare and commit a grant with a bumped epoch, then
-// activate (teach the replica the granted generation so every session it
-// opens from now on fences the zombie). deadHead is the dead primary's
-// last known head sequence; the difference to the watermark is the
-// measured loss bound. Safe to call again after a crash at any phase.
-func Promote(a *Authority, r *Replica, cand string, deadHead uint64, hooks PromoteHooks) (PromoteResult, error) {
-	after := hooks.After
-	if after == nil {
-		after = func(string) error { return nil }
-	}
-	// Freeze: no session may be applying records while we settle state.
-	r.Kill()
-	rolled, err := r.Rollback()
-	if err != nil {
-		return PromoteResult{}, err
-	}
-	if err := after(PhaseFreeze); err != nil {
-		return PromoteResult{}, err
-	}
-	g := a.Prepare(cand)
-	if err := after(PhasePrepare); err != nil {
-		return PromoteResult{}, err
-	}
-	g, err = a.CommitGrant()
-	if err != nil {
-		return PromoteResult{}, err
-	}
-	if err := after(PhaseCommit); err != nil {
-		return PromoteResult{}, err
-	}
-	r.SetEpoch(g.Epoch)
-	if err := after(PhaseActivate); err != nil {
-		return PromoteResult{}, err
-	}
-	res := PromoteResult{Grant: g, Watermark: r.LastSeq(), RolledBack: rolled}
-	if deadHead > res.Watermark {
-		res.Lost = deadHead - res.Watermark
-	}
-	return res, nil
-}
-
 // TakeoverConfig configures the re-seeding of a primary from a promoted
 // replica image.
 type TakeoverConfig struct {
@@ -165,7 +21,7 @@ type TakeoverConfig struct {
 	Disk     ramdisk.Device
 	DiskBase uint64
 	// Ship tunes the new primary's shipper; Epoch and StartSeq are
-	// overwritten from the grant and watermark.
+	// overwritten from the granted epoch and the watermark.
 	Ship Config
 }
 
@@ -182,14 +38,15 @@ type Primary struct {
 	Ship   *Shipper
 }
 
-// Takeover builds the new primary from a promoted replica image: the
-// image lands raw in a fresh logged segment, a compact.Manager is seeded
-// with the watermark as its cut base and immediately checkpoints (making
-// the promoted state durable before the first client write), and a
-// shipper starts at the watermark under the granted epoch — a replica of
-// the old primary that connects resumes exactly where its acks left off;
-// anything behind the watermark is caught up by snapshot.
-func Takeover(img []byte, g Grant, watermark uint64, ln net.Listener, cfg TakeoverConfig) (*Primary, error) {
+// Takeover builds the new primary from a replica image promoted by
+// lease.Authority.Promote at its acked watermark: the image lands raw
+// in a fresh logged segment, a compact.Manager is seeded with the
+// watermark as its cut base and immediately checkpoints (making the
+// promoted state durable before the first client write), and a
+// shipper starts at the watermark under the granted epoch — a replica
+// of the old primary that connects resumes exactly where its acks
+// left off; anything behind the watermark is caught up by snapshot.
+func Takeover(img []byte, epoch uint32, watermark uint64, ln net.Listener, cfg TakeoverConfig) (*Primary, error) {
 	if cfg.Disk == nil {
 		return nil, fmt.Errorf("logship: takeover needs a checkpoint device")
 	}
@@ -215,12 +72,12 @@ func Takeover(img []byte, g Grant, watermark uint64, ln net.Listener, cfg Takeov
 	}
 	seg.RawWrite(0, img)
 	shipCfg := cfg.Ship
-	shipCfg.Epoch = g.Epoch
+	shipCfg.Epoch = epoch
 	shipCfg.StartSeq = watermark
 	ship := NewShipper(sys, seg, ls, ln, shipCfg)
 	mgr, err := compact.New(sys, compact.Options{
 		Data: seg, Log: ls, Disk: cfg.Disk, DiskBase: cfg.DiskBase,
-		Ship: ship, CutBase: watermark * logrec.Size, Epoch: g.Epoch,
+		Ship: ship, CutBase: watermark * logrec.Size, Epoch: epoch,
 	})
 	if err != nil {
 		ship.Close()

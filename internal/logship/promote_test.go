@@ -54,51 +54,19 @@ func (w *txnWriter) open(n int) {
 	}
 }
 
-// TestAuthorityGrantLifecycle pins the coordinator invariants: exactly
-// one grant validates at a time, Prepare is idempotent per candidate,
-// and committing without a proposal is an explicit error.
-func TestAuthorityGrantLifecycle(t *testing.T) {
-	var a Authority
-	if a.Validate(Grant{}) {
-		t.Fatal("zero grant must never validate")
-	}
-	if _, err := a.CommitGrant(); err == nil {
-		t.Fatal("commit without a prepared grant must fail")
-	}
-	g1 := a.Prepare("cand-a")
-	if g1.Epoch != 1 {
-		t.Fatalf("first epoch = %d, want 1", g1.Epoch)
-	}
-	if again := a.Prepare("cand-a"); again != g1 {
-		t.Fatalf("re-prepare for the same candidate changed the proposal: %+v != %+v", again, g1)
-	}
-	g2 := a.Prepare("cand-b")
-	if g2 == g1 {
-		t.Fatal("a different candidate must supersede the proposal")
-	}
-	cur, err := a.CommitGrant()
+// promoteReplica is the replica half of a promotion, the calls
+// lease.Authority.Promote makes around its grant: end the session, roll
+// back to the last commit marker, and adopt the granted epoch. It
+// returns the words rolled back.
+func promoteReplica(t *testing.T, r *Replica, epoch uint32) int {
+	t.Helper()
+	r.Kill()
+	rolled, err := r.Rollback()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if cur != g2 {
-		t.Fatalf("committed %+v, want the prepared %+v", cur, g2)
-	}
-	if !a.Validate(g2) {
-		t.Fatal("current grant must validate")
-	}
-	if a.Validate(g1) {
-		t.Fatal("superseded proposal must not validate")
-	}
-	g3 := a.Prepare("cand-c")
-	if g3.Epoch != 2 {
-		t.Fatalf("next epoch = %d, want 2", g3.Epoch)
-	}
-	if _, err := a.CommitGrant(); err != nil {
-		t.Fatal(err)
-	}
-	if a.Validate(g2) {
-		t.Fatal("old grant must stop validating at CommitGrant")
-	}
+	r.SetEpoch(epoch)
+	return rolled
 }
 
 // TestPromoteZeroTail promotes a replica that acknowledged everything
@@ -119,25 +87,16 @@ func TestPromoteZeroTail(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	a := &Authority{Cur: Grant{Epoch: ship.Epoch(), Token: 7}}
-	res, err := Promote(a, r, "standby", w.recs, PromoteHooks{})
-	if err != nil {
-		t.Fatal(err)
+	epoch := ship.Epoch() + 1
+	rolled := promoteReplica(t, r, epoch)
+	if got := r.LastSeq(); got != w.recs {
+		t.Fatalf("watermark = %d, want head %d (zero unshipped tail)", got, w.recs)
 	}
-	if res.Watermark != w.recs {
-		t.Fatalf("watermark = %d, want head %d", res.Watermark, w.recs)
+	if rolled != 0 {
+		t.Fatalf("rolled back %d words, want 0 (no open transaction)", rolled)
 	}
-	if res.Lost != 0 {
-		t.Fatalf("lost = %d, want 0 (zero unshipped tail)", res.Lost)
-	}
-	if res.RolledBack != 0 {
-		t.Fatalf("rolled back %d words, want 0 (no open transaction)", res.RolledBack)
-	}
-	if !a.Validate(res.Grant) {
-		t.Fatal("promotion grant must validate")
-	}
-	if got := r.Epoch(); got != res.Grant.Epoch {
-		t.Fatalf("replica epoch = %d, want granted %d", got, res.Grant.Epoch)
+	if got := r.Epoch(); got != epoch {
+		t.Fatalf("replica epoch = %d, want granted %d", got, epoch)
 	}
 
 	// The zombie ex-primary refuses the promoted replica's hello: its
@@ -170,12 +129,7 @@ func TestPromoteRollsBackOpenTxn(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	a := &Authority{Cur: Grant{Epoch: ship.Epoch(), Token: 7}}
-	res, err := Promote(a, r, "standby", w.recs, PromoteHooks{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.RolledBack == 0 {
+	if promoteReplica(t, r, ship.Epoch()+1) == 0 {
 		t.Fatal("open transaction was not rolled back")
 	}
 	// The image must end at the last transaction boundary: the marker
@@ -212,17 +166,15 @@ func TestPromoteAckAtCompactionCut(t *testing.T) {
 		t.Fatalf("compaction base = %d, want %d", got, w.recs)
 	}
 
-	a := &Authority{Cur: Grant{Epoch: ship.Epoch(), Token: 7}}
-	res, err := Promote(a, r, "standby", w.recs, PromoteHooks{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Watermark != w.recs || res.Lost != 0 {
-		t.Fatalf("watermark=%d lost=%d, want %d and 0", res.Watermark, res.Lost, w.recs)
+	epoch := ship.Epoch() + 1
+	promoteReplica(t, r, epoch)
+	watermark := r.LastSeq()
+	if watermark != w.recs {
+		t.Fatalf("watermark=%d, want the head %d", watermark, w.recs)
 	}
 
 	ln2, dial2 := NewMemTransport()
-	pr, err := Takeover(r.Image(), res.Grant, res.Watermark, ln2, TakeoverConfig{
+	pr, err := Takeover(r.Image(), epoch, watermark, ln2, TakeoverConfig{
 		Disk: ramdisk.New(),
 		Ship: Config{FlushRecords: 8},
 	})
@@ -296,20 +248,18 @@ func TestPromoteLaggardCandidate(t *testing.T) {
 		t.Fatalf("survivor acked %d, want head %d", got, head)
 	}
 
-	a := &Authority{Cur: Grant{Epoch: ship.Epoch(), Token: 7}}
-	res, err := Promote(a, cand, "laggard", head, PromoteHooks{})
-	if err != nil {
-		t.Fatal(err)
+	epoch := ship.Epoch() + 1
+	promoteReplica(t, cand, epoch)
+	watermark := cand.LastSeq()
+	if watermark != candMark {
+		t.Fatalf("watermark = %d, want the candidate's ack %d", watermark, candMark)
 	}
-	if res.Watermark != candMark {
-		t.Fatalf("watermark = %d, want the candidate's ack %d", res.Watermark, candMark)
-	}
-	if res.Lost != head-candMark {
-		t.Fatalf("lost = %d, want head-watermark = %d", res.Lost, head-candMark)
+	if head-watermark != 8*5 {
+		t.Fatalf("lost = %d, want the 8 five-record transactions only the survivor acked", head-watermark)
 	}
 
 	ln2, dial2 := NewMemTransport()
-	pr, err := Takeover(cand.Image(), res.Grant, res.Watermark, ln2, TakeoverConfig{
+	pr, err := Takeover(cand.Image(), epoch, watermark, ln2, TakeoverConfig{
 		Disk: ramdisk.New(),
 		Ship: Config{FlushRecords: 8},
 	})
@@ -339,55 +289,8 @@ func TestPromoteLaggardCandidate(t *testing.T) {
 	if err := dsm.Verify(pr.Seg, ahead.Consumer(), shared); err != nil {
 		t.Fatalf("survivor did not converge on the promoted timeline: %v", err)
 	}
-	if got := ahead.Epoch(); got != res.Grant.Epoch {
-		t.Fatalf("survivor epoch = %d, want granted %d", got, res.Grant.Epoch)
-	}
-}
-
-// TestPromoteResumesAfterCoordinatorCrash kills the coordinator right
-// after CommitGrant and runs Promote again: the second run must finish
-// (burning one epoch is fine — epochs only move forward) and leave
-// exactly one valid grant.
-func TestPromoteResumesAfterCoordinatorCrash(t *testing.T) {
-	ln, dial := NewMemTransport()
-	_, prod, ship := newProducer(t, ln, Config{FlushRecords: 8})
-	r := connectReplica(t, dial)
-	r.TrackMarkers(markerLimit)
-
-	w := &txnWriter{prod: prod}
-	for i := 0; i < 6; i++ {
-		w.commit(2)
-	}
-	if err := ship.ReleaseShip(5 * time.Second); err != nil {
-		t.Fatal(err)
-	}
-
-	a := &Authority{Cur: Grant{Epoch: ship.Epoch(), Token: 7}}
-	boom := errors.New("coordinator crash")
-	_, err := Promote(a, r, "standby", w.recs, PromoteHooks{
-		After: func(phase string) error {
-			if phase == PhaseCommit {
-				return boom
-			}
-			return nil
-		},
-	})
-	if !errors.Is(err, boom) {
-		t.Fatalf("crash hook did not abort the promotion: %v", err)
-	}
-
-	res, err := Promote(a, r, "standby", w.recs, PromoteHooks{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !a.Validate(res.Grant) {
-		t.Fatal("resumed promotion's grant must validate")
-	}
-	if res.Watermark != w.recs || res.Lost != 0 {
-		t.Fatalf("resumed watermark=%d lost=%d, want %d and 0", res.Watermark, res.Lost, w.recs)
-	}
-	if got := r.Epoch(); got != res.Grant.Epoch {
-		t.Fatalf("replica epoch = %d, want %d", got, res.Grant.Epoch)
+	if got := ahead.Epoch(); got != epoch {
+		t.Fatalf("survivor epoch = %d, want granted %d", got, epoch)
 	}
 }
 

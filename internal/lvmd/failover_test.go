@@ -1,7 +1,6 @@
 package lvmd
 
 import (
-	"encoding/binary"
 	"testing"
 	"time"
 
@@ -71,22 +70,22 @@ func TestPromoteFromRecoveredPrimary(t *testing.T) {
 		t.Fatalf("load under sync replication: acked=%d deaths=%d", res.Acked, res.Deaths)
 	}
 
-	// Promote: roll each replica back to its last committed marker,
-	// stamp the commit word, and boot a fresh server from the images —
-	// the same sequence cmd/lvmd's standby mode runs on lease expiry.
+	// Promote each replica and boot a fresh server from the images,
+	// through the call cmd/lvmd's standby mode makes on lease expiry.
 	boot := make([]BootShard, 2)
 	for i, r := range reps {
-		r.Kill()
-		if _, err := r.Rollback(); err != nil {
+		epoch := r.Epoch()
+		b, _, err := PromoteReplica(r, "standby")
+		if err != nil {
 			t.Fatal(err)
 		}
 		if r.Stats.SnapshotsApplied.Load() == 0 {
 			t.Fatalf("replica %d seeded without a snapshot: recovered state was never shipped", i)
 		}
-		img := r.Image()
-		seq := binary.LittleEndian.Uint32(img) &^ 0x80000000
-		binary.LittleEndian.PutUint32(img, seq|0x80000000)
-		boot[i] = BootShard{Img: img, Seq: seq, Epoch: r.Epoch() + 1}
+		if b.Epoch != epoch+1 {
+			t.Fatalf("replica %d promoted at epoch %d, want %d", i, b.Epoch, epoch+1)
+		}
+		boot[i] = b
 	}
 	srv.Drain()
 

@@ -20,6 +20,7 @@ package lvmd
 
 import (
 	"bufio"
+	"encoding/binary"
 	"encoding/hex"
 	"encoding/json"
 	"errors"
@@ -32,8 +33,10 @@ import (
 	"sync/atomic"
 	"time"
 
+	"lvm/internal/lease"
 	"lvm/internal/logship"
 	"lvm/internal/metrics"
+	"lvm/internal/recovery"
 	"lvm/internal/wire"
 )
 
@@ -90,6 +93,22 @@ type BootShard struct {
 	Img   []byte
 	Seq   uint32
 	Epoch uint32
+}
+
+// PromoteReplica turns a shard replica tracking markers at MarkerLimit
+// into the BootShard a promoted server boots from: promotion at once by
+// an authority at the replica's epoch (the caller saw the primary's
+// lease expire), then the marker word stamped committed.
+func PromoteReplica(r *logship.Replica, cand string) (BootShard, lease.PromoteResult, error) {
+	a := lease.NewAuthority(lease.Wall{}, 0, lease.Grant{Epoch: r.Epoch(), Token: 1})
+	res, err := a.Promote(r, cand, 0, lease.PromoteHooks{})
+	if err != nil {
+		return BootShard{}, res, err
+	}
+	img := r.Image()
+	seq := binary.LittleEndian.Uint32(img) &^ recovery.MarkerCommit
+	binary.LittleEndian.PutUint32(img, seq|recovery.MarkerCommit)
+	return BootShard{Img: img, Seq: seq, Epoch: res.Grant.Epoch}, res, nil
 }
 
 func (c *ServerConfig) fill() {
