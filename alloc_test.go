@@ -1,13 +1,11 @@
 package lvm_test
 
 import (
-	"reflect"
 	"runtime"
 	"testing"
 
 	"lvm/internal/core"
 	"lvm/internal/experiments"
-	"lvm/internal/phys"
 )
 
 // TestLoggedStoreZeroAlloc pins the simulated store path at zero host
@@ -35,12 +33,10 @@ func TestLoggedStoreZeroAlloc(t *testing.T) {
 	}
 }
 
-// allocatedFrames counts the frames m has handed out and not taken back:
-// its frame table less reserved frame 0 and the free list. No program asks
-// phys for this count, so the test reads it from the fields.
-func allocatedFrames(m *phys.Memory) int {
-	v := reflect.ValueOf(m).Elem()
-	return v.FieldByName("frames").Len() - 1 - v.FieldByName("released").Len()
+// allocatedFrames counts the frames sys's physical memory has handed out
+// and not taken back, as its metrics snapshot reports them.
+func allocatedFrames(sys *core.System) int {
+	return int(sys.MetricsSnapshot().Counters["phys.frames_allocated"])
 }
 
 // allocatedBy reports the host bytes f allocates (TotalAlloc only grows,
@@ -103,7 +99,7 @@ func TestNewSystemAllocBudget(t *testing.T) {
 		}
 		sys.Sync()
 	})
-	frames := allocatedFrames(sys.Machine().Phys)
+	frames := allocatedFrames(sys)
 	if frames < pages {
 		t.Fatalf("%d frames allocated after touching %d pages", frames, pages)
 	}
@@ -138,7 +134,7 @@ func TestReadOnlyPagesAllocBudget(t *testing.T) {
 	if sum != 0 {
 		t.Fatalf("fresh pages read %#x, want zeroes", sum)
 	}
-	if frames := allocatedFrames(sys.Machine().Phys); frames < pages {
+	if frames := allocatedFrames(sys); frames < pages {
 		t.Fatalf("%d frames allocated after loading from %d pages", frames, pages)
 	}
 	if got > budget {

@@ -136,6 +136,8 @@ func (s *System) EnableWriteAbsorption(window int) {
 func (s *System) EnableGroupCommit(batch int, deadline uint64) {
 	if s.K.Log != nil {
 		s.K.Log.SetGroupCommit(batch, deadline)
+		// Records may now be due sooner than the logger last reported.
+		s.K.M.WakeLog()
 	}
 }
 

@@ -45,7 +45,7 @@ func LoggerModels(sweep []uint64, iterations int) []LoggerModelPoint {
 			}
 			logBase := phys.FrameBase(allocFrames(m, 64))
 			lg.SetDescriptor(0, logBase, logBase+64*phys.PageSize)
-			m.Log = lg
+			m.AttachLog(lg)
 		}
 		dataBase := phys.FrameBase(allocFrames(m, 64))
 		cpu := m.CPUs[0]
@@ -114,7 +114,7 @@ func newPrototypeShim(m *machine.Machine) *hwlogger.Logger {
 		}
 		return false
 	}
-	m.Log = lg
+	m.AttachLog(lg)
 	return lg
 }
 

@@ -85,9 +85,10 @@ func TestFIFOGrowthMatchesFullRing(t *testing.T) {
 			full.PumpUntil(now)
 		}
 		absorbed := small.RecordsAbsorbed
-		stallSmall, stallFull := small.Snoop(w), full.Snoop(w)
-		if stallSmall != stallFull {
-			t.Fatalf("step %d: Snoop stalls until %d, full ring %d", step, stallSmall, stallFull)
+		stallSmall, wakeSmall := small.Snoop(w)
+		stallFull, wakeFull := full.Snoop(w)
+		if stallSmall != stallFull || wakeSmall != wakeFull {
+			t.Fatalf("step %d: Snoop stalls until %d wake %d, full ring %d wake %d", step, stallSmall, wakeSmall, stallFull, wakeFull)
 		}
 		if (small.RecordsAbsorbed != absorbed) != (full.RecordsAbsorbed != absorbed) {
 			t.Fatalf("step %d: absorption differs", step)

@@ -28,6 +28,7 @@ package hwlogger
 
 import (
 	"encoding/binary"
+	"math"
 
 	"lvm/internal/bus"
 	"lvm/internal/cycles"
@@ -239,7 +240,9 @@ func (l *Logger) SetAbsorbWindow(n int) {
 // FIFO until n are queued or the oldest has waited deadline cycles,
 // whichever comes first, then drained in one bus tenure. n <= 1 restores
 // per-record DMA (the default). Durability fences (Sync, DrainAll,
-// overload drains) still flush everything immediately.
+// overload drains) still flush everything immediately. A smaller batch or
+// deadline can make records due sooner than the logger last told its
+// machine, so an attached logger's machine needs Machine.WakeLog after it.
 func (l *Logger) SetGroupCommit(n int, deadline uint64) {
 	if n < 1 {
 		n = 1
@@ -287,13 +290,26 @@ func (l *Logger) NumLogs() int { return len(l.logTable) }
 // occupancy exceeds the overload threshold, the logger interrupts the
 // kernel, which suspends the processors until the FIFOs drain; Snoop
 // models that by returning the resume cycle.
-func (l *Logger) Snoop(w machine.LoggedWrite) (stallUntil uint64) {
+//
+// A queued write can make work due sooner only when it becomes the head
+// or completes the head's group; then Snoop returns the logger's wake,
+// otherwise math.MaxUint64 (see machine.LogDevice). An absorbed write
+// changes no arrival time, and an overload drains everything.
+func (l *Logger) Snoop(w machine.LoggedWrite) (stallUntil, wake uint64) {
 	ms := l.Shard()
 	ms.Inc(metrics.HWSnoops)
-	if l.absorbWindow > 0 && l.tryAbsorb(&w) {
-		l.RecordsAbsorbed++
-		ms.Inc(metrics.HWRecordsAbsorbed)
-		return w.Time
+	if l.absorbWindow > 0 {
+		// A write to a page whose PMT entry is missing or has absorb
+		// disabled is a barrier: no later write may coalesce into an
+		// entry at or before it. Otherwise a clear signature bit proves
+		// there is nothing to scan for.
+		if l.absorbBarrier(w.Addr) {
+			l.absorbBase = l.Seq() + uint64(l.Pending()) + 1
+		} else if l.absorbSig&(1<<((w.Addr>>2)&63)) != 0 && l.tryAbsorb(&w) {
+			l.RecordsAbsorbed++
+			ms.Inc(metrics.HWRecordsAbsorbed)
+			return w.Time, math.MaxUint64
+		}
 	}
 	if l.Pending() == 0 {
 		l.absorbSig = 0
@@ -306,7 +322,10 @@ func (l *Logger) Snoop(w machine.LoggedWrite) (stallUntil uint64) {
 	ms.Observe(metrics.HistFIFODepth, depth)
 	ms.SetMax(metrics.HWFIFOHighWater, depth)
 	if l.Pending() < l.Threshold {
-		return w.Time
+		if n := l.Pending(); n == 1 || n == l.groupSize {
+			return w.Time, l.wake()
+		}
+		return w.Time, math.MaxUint64
 	}
 	l.Overloads++
 	ms.Inc(metrics.HWOverloads)
@@ -320,28 +339,28 @@ func (l *Logger) Snoop(w machine.LoggedWrite) (stallUntil uint64) {
 		ms.Add(metrics.HWOverloadDrainCycles, resume-w.Time)
 	}
 	l.Tracer().Emit(w.Time, metrics.EvOverload, int(w.CPU), drained, resume)
-	return resume
+	return resume, math.MaxUint64
 }
 
-// tryAbsorb attempts to coalesce w into a pending FIFO entry: the youngest
-// absorbWindow entries are scanned newest-first for a matching address and
-// size, bounded below by the head and by absorbBase (the last barrier).
-// A write to a page whose PMT entry is missing or has absorb disabled is a
-// barrier: it raises absorbBase past itself so no later write can coalesce
-// into an entry at or before it.
+// absorbBarrier reports whether a write to addr is an absorption
+// barrier: its page has no PMT entry (an index never loaded is a miss) or
+// the entry has absorb disabled. It is LookupPMT's test plus the Absorb
+// bit, small enough to inline into Snoop.
+func (l *Logger) absorbBarrier(addr phys.Addr) bool {
+	ppn := phys.PPN(addr)
+	if idx := int(ppn & pmtIndexMask); idx < len(l.pmt) {
+		e := l.pmt[idx]
+		return !e.Valid || !e.Absorb || e.Tag != uint8(ppn>>pmtIndexBits)
+	}
+	return true
+}
+
+// tryAbsorb attempts to coalesce w, a write to an absorb-enabled page,
+// into a pending FIFO entry: the youngest absorbWindow entries are scanned
+// newest-first for a matching address and size, bounded below by the head
+// and by absorbBase (the last barrier).
 func (l *Logger) tryAbsorb(w *machine.LoggedWrite) bool {
-	// LookupPMT's test plus the Absorb bit, spelled out so the hit path
-	// stays straight-line (an index never loaded is a miss: a barrier).
-	ppn := phys.PPN(w.Addr)
-	idx := int(ppn & pmtIndexMask)
 	top := l.Seq() + uint64(l.Pending())
-	if idx >= len(l.pmt) || !l.pmt[idx].Valid || !l.pmt[idx].Absorb || l.pmt[idx].Tag != uint8(ppn>>pmtIndexBits) {
-		l.absorbBase = top + 1
-		return false
-	}
-	if l.absorbSig&(1<<((uint32(w.Addr)>>2)&63)) == 0 {
-		return false
-	}
 	floor := max(l.Seq(), l.absorbBase)
 	if floor >= top {
 		return false
@@ -361,35 +380,48 @@ func (l *Logger) tryAbsorb(w *machine.LoggedWrite) bool {
 
 // PumpUntil services queued writes whose DMA would request the bus before
 // cycle t (the arrival time of the next competing bus request; see
-// logcore.Core.Due).
+// logcore.Core.Due) and returns the logger's wake.
 //
 // Under group commit a record additionally waits until its batch is ready:
 // either groupSize records are queued, or the head record has aged
 // groupDeadline cycles.
-func (l *Logger) PumpUntil(t uint64) {
+func (l *Logger) PumpUntil(t uint64) (wake uint64) {
 	if l.groupSize > 1 {
-		l.pumpGrouped(t)
-		return
+		for l.Pending() > 0 {
+			start := l.groupStart()
+			if start+cycles.LoggerLookupCycles >= t {
+				break
+			}
+			l.serviceBatch(start, false)
+		}
+	} else {
+		for l.Due(t) {
+			l.serviceOne()
+		}
 	}
-	for l.Due(t) {
-		l.serviceOne()
-	}
+	return l.wake()
 }
 
-func (l *Logger) pumpGrouped(t uint64) {
-	for l.Pending() > 0 {
-		// The batch is ready at the earlier of "groupSize records queued"
-		// (the arrival of the Nth) and "the head aged out".
-		ready := l.At(0).Time + l.groupDeadline
-		if l.Pending() >= l.groupSize {
-			ready = min(ready, l.At(l.groupSize-1).Time)
-		}
-		start := max(l.FreeAt(), ready)
-		if start+cycles.LoggerLookupCycles >= t {
-			return
-		}
-		l.serviceBatch(start, false)
+// groupStart is when the head's batch can begin service under group
+// commit: once the logger is free and the batch is ready, at the earlier
+// of "groupSize records queued" (the arrival of the Nth) and "the head
+// aged out".
+func (l *Logger) groupStart() uint64 {
+	ready := l.At(0).Time + l.groupDeadline
+	if l.Pending() >= l.groupSize {
+		ready = min(ready, l.At(l.groupSize-1).Time)
 	}
+	return max(l.FreeAt(), ready)
+}
+
+// wake is the earliest cycle t at which PumpUntil(t) services anything:
+// the head's (or its batch's) service start plus the table lookup, or
+// math.MaxUint64 with nothing queued.
+func (l *Logger) wake() uint64 {
+	if l.groupSize <= 1 || l.Pending() == 0 {
+		return l.Wake()
+	}
+	return l.groupStart() + cycles.LoggerLookupCycles
 }
 
 // DrainAll services everything queued and returns the idle cycle.

@@ -157,7 +157,7 @@ func TestOverloadDrainsAndStalls(t *testing.T) {
 	}
 	var stall uint64
 	for i := 0; ; i++ {
-		s := l.Snoop(machine.LoggedWrite{Addr: 0x1000, Value: uint32(i), Size: 4, Time: uint64(i)})
+		s, _ := l.Snoop(machine.LoggedWrite{Addr: 0x1000, Value: uint32(i), Size: 4, Time: uint64(i)})
 		if s > uint64(i) {
 			stall = s
 			break

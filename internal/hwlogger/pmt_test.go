@@ -142,7 +142,7 @@ func TestNeverLoadedPPNIsAMiss(t *testing.T) {
 		return true
 	}
 	snoopW(l, 0x1100, 1, 10)
-	snoopW(l, far, 9, 20) // tryAbsorb on a never-loaded index: a barrier
+	snoopW(l, far, 9, 20) // a never-loaded index: an absorb barrier
 	snoopW(l, 0x1100, 2, 30)
 	if l.Pending() != 3 || l.RecordsAbsorbed != 0 {
 		t.Fatalf("Pending = %d, absorbed = %d, want 3, 0", l.Pending(), l.RecordsAbsorbed)

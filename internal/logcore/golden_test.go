@@ -184,7 +184,7 @@ func runHW(c hwCase) string {
 			l.InvalidatePMT(dataPage2)
 		}
 		l.PumpUntil(now)
-		if s := l.Snoop(w); s > now {
+		if s, _ := l.Snoop(w); s > now {
 			stalls += s - now
 			now = s
 		}
@@ -270,7 +270,7 @@ func runChip(c chipCase) string {
 			l.MapPage(0x41, 1)
 		}
 		l.PumpUntil(now)
-		if s := l.Snoop(w); s > now {
+		if s, _ := l.Snoop(w); s > now {
 			stalls += s - now
 			now = s
 		}

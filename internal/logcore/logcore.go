@@ -15,6 +15,8 @@
 package logcore
 
 import (
+	"math"
+
 	"lvm/internal/bus"
 	"lvm/internal/cycles"
 	"lvm/internal/logrec"
@@ -177,8 +179,16 @@ func (c *Core) Start(w *machine.LoggedWrite) uint64 { return max(c.freeAt, w.Tim
 // before cycle t, the arrival of the next competing request: arbitration
 // is first-come-first-served, so the device never reserves the bus ahead
 // of an earlier CPU request.
-func (c *Core) Due(t uint64) bool {
-	return c.n > 0 && c.Start(&c.ring[c.head])+c.model.Lead < t
+func (c *Core) Due(t uint64) bool { return c.Wake() < t }
+
+// Wake is the cycle of the oldest pending write's bus request, past which
+// Due holds (math.MaxUint64 with nothing pending): the wake a device with
+// per-record service reports to the machine (see machine.LogDevice).
+func (c *Core) Wake() uint64 {
+	if c.n == 0 {
+		return math.MaxUint64
+	}
+	return c.Start(&c.ring[c.head]) + c.model.Lead
 }
 
 // Transfer charges the bus for n records whose service begins at start,

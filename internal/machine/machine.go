@@ -46,17 +46,35 @@ type LoggedWrite struct {
 // LogDevice is the interface between the machine and a logging device.
 // The prototype's bus logger (package hwlogger) and the next-generation
 // on-chip logger (package tlblog) both satisfy it.
+//
+// A device tells the machine when it next has work due, so the machine
+// calls it only then, as the logger of Section 3.1 runs on its own beside
+// the CPUs. Both Snoop and PumpUntil return a wake cycle, and the machine
+// keeps the least wake it has been told; it calls PumpUntil(t) only when
+// t is past that wake.
+// A wake may be too early, which costs one call that services nothing,
+// but never too late, which would let a CPU take the bus ahead of due
+// device work and move simulated cycles. Servicing and discarding only
+// ever make a device's work due later, so DrainAll, a crash's discard or
+// an overload drain need not report anything. A change of a device's
+// configuration that can make its work due sooner (hwlogger's
+// SetGroupCommit) must be followed by Machine.WakeLog, and AttachLog
+// forgets any wake an earlier device reported.
 type LogDevice interface {
 	// Snoop delivers a logged write to the device. If the device must
 	// stall the processors (FIFO overload in the prototype, write-buffer
-	// stall on-chip), it returns the cycle until which the issuing CPU
-	// is stalled; otherwise it returns w.Time.
-	Snoop(w LoggedWrite) (stallUntil uint64)
+	// stall on-chip), stallUntil is the cycle until which the issuing CPU
+	// is stalled; otherwise it is w.Time. wake is the earliest cycle at
+	// which PumpUntil could service something, if the write made that
+	// earlier than the device last reported, and math.MaxUint64 if it did
+	// not.
+	Snoop(w LoggedWrite) (stallUntil, wake uint64)
 	// PumpUntil lets the device perform any internal processing whose
-	// service would begin before cycle t, acquiring the bus as needed.
-	// The machine calls this before every CPU bus request so the
-	// device's DMA traffic interleaves with CPU traffic.
-	PumpUntil(t uint64)
+	// service would begin before cycle t, acquiring the bus as needed, so
+	// the device's DMA traffic interleaves with CPU traffic. It returns
+	// the earliest cycle t' at which PumpUntil(t') could service anything
+	// (math.MaxUint64 with nothing queued).
+	PumpUntil(t uint64) (wake uint64)
 	// DrainAll completes all pending device work and returns the cycle
 	// at which the device went idle.
 	DrainAll() uint64
@@ -80,8 +98,13 @@ func DefaultConfig() Config {
 type Machine struct {
 	Phys *phys.Memory
 	Bus  *bus.Bus
-	Log  LogDevice // nil when no logger is attached
 	CPUs []*CPU
+
+	// logDev is the attached log device (nil without one) and logWake
+	// the least wake it has reported: pump calls it only past logWake
+	// (see LogDevice). Without a device logWake is math.MaxUint64.
+	logDev  LogDevice
+	logWake uint64
 
 	// Metrics is the machine's counter/histogram registry: one shard per
 	// CPU plus a final shard for bus devices (the hardware logger).
@@ -98,9 +121,9 @@ type Machine struct {
 	watchFn func(c *CPU)
 }
 
-// New creates a machine. The log device, if any, is attached afterwards by
-// assigning Machine.Log (the virtual-memory layer does this, since the
-// logger's fault handling lives in the kernel).
+// New creates a machine. The log device, if any, is attached afterwards
+// with AttachLog (the virtual-memory layer does this, since the logger's
+// fault handling lives in the kernel).
 func New(cfg Config) *Machine {
 	if cfg.NumCPUs <= 0 {
 		cfg.NumCPUs = 1
@@ -112,6 +135,7 @@ func New(cfg Config) *Machine {
 		Phys:    phys.NewMemory(cfg.MemFrames),
 		Bus:     bus.New(),
 		Metrics: metrics.New(cfg.NumCPUs + 1),
+		logWake: math.MaxUint64,
 		watchAt: disarmed,
 	}
 	for i := 0; i < cfg.NumCPUs; i++ {
@@ -119,6 +143,25 @@ func New(cfg Config) *Machine {
 	}
 	m.Metrics.AddCollector(m.collectStats)
 	return m
+}
+
+// AttachLog makes dev the machine's log device (nil detaches it). The
+// next bus request calls the new device whatever the old one reported.
+func (m *Machine) AttachLog(dev LogDevice) {
+	m.logDev = dev
+	m.logWake = 0
+	if dev == nil {
+		m.logWake = math.MaxUint64
+	}
+}
+
+// WakeLog makes the next bus request call the log device: its
+// configuration changed in a way that may make work due sooner than it
+// last reported.
+func (m *Machine) WakeLog() {
+	if m.logDev != nil {
+		m.logWake = 0
+	}
 }
 
 // DeviceShard is the metrics shard bus devices (the hardware logger)
@@ -157,6 +200,7 @@ func (m *Machine) collectStats(emit func(name string, v uint64)) {
 	emit("cache.l1_writebacks", wbacks)
 	emit("cache.page_sweeps", sweeps)
 	emit("cache.sweep_dirty_dropped", dirtyDropped)
+	emit("phys.frames_allocated", uint64(m.Phys.Allocated()))
 }
 
 // CPU is one simulated processor with its own cycle clock and on-chip data
@@ -217,10 +261,11 @@ func (m *Machine) fireWatch(c *CPU) {
 }
 
 // pump lets the log device claim bus slots that become serviceable before
-// the CPU's next request.
+// the CPU's next request. Until its wake the device has nothing it could
+// service, so it is not called.
 func (m *Machine) pump(t uint64) {
-	if m.Log != nil {
-		m.Log.PumpUntil(t)
+	if t > m.logWake {
+		m.logWake = m.logDev.PumpUntil(t)
 	}
 }
 
@@ -245,11 +290,13 @@ func (c *CPU) WordWrite(paddr phys.Addr, vaddr uint32, value uint32, size uint16
 		c.Now = done
 		// Write-through, no allocate: the L1 is untouched and a cached
 		// copy of the line stays clean, since the bus write updates memory.
-		if logged && c.m.Log != nil {
-			if stall := c.m.Log.Snoop(LoggedWrite{
+		if logged && c.m.logDev != nil {
+			stall, wake := c.m.logDev.Snoop(LoggedWrite{
 				Addr: paddr, VAddr: vaddr, Value: value, Size: size,
 				CPU: uint16(c.ID), Time: done,
-			}); stall > c.Now {
+			})
+			c.m.logWake = min(c.m.logWake, wake)
+			if stall > c.Now {
 				c.StallCycles += stall - c.Now
 				c.MS.Observe(metrics.HistStallCycles, stall-c.Now)
 				c.Now = stall
@@ -267,14 +314,16 @@ func (c *CPU) WordWrite(paddr phys.Addr, vaddr uint32, value uint32, size uint16
 	} else {
 		c.chargeL1(c.D1.Access(paddr, true))
 	}
-	if logged && c.m.Log != nil {
+	if logged && c.m.logDev != nil {
 		// Write-back logged writes exist only with on-chip logging
 		// support (Section 4.6): the CPU itself emits the record, so no
 		// write-through is needed to make the write visible.
-		if stall := c.m.Log.Snoop(LoggedWrite{
+		stall, wake := c.m.logDev.Snoop(LoggedWrite{
 			Addr: paddr, VAddr: vaddr, Value: value, Size: size,
 			CPU: uint16(c.ID), Time: c.Now,
-		}); stall > c.Now {
+		})
+		c.m.logWake = min(c.m.logWake, wake)
+		if stall > c.Now {
 			c.StallCycles += stall - c.Now
 			c.MS.Observe(metrics.HistStallCycles, stall-c.Now)
 			c.Now = stall
@@ -348,8 +397,8 @@ func (m *Machine) MaxNow() uint64 {
 // which the whole machine (CPUs and devices) went idle.
 func (m *Machine) Drain() uint64 {
 	idle := m.MaxNow()
-	if m.Log != nil {
-		if t := m.Log.DrainAll(); t > idle {
+	if m.logDev != nil {
+		if t := m.logDev.DrainAll(); t > idle {
 			idle = t
 		}
 	}

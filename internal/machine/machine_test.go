@@ -1,6 +1,7 @@
 package machine
 
 import (
+	"math"
 	"testing"
 
 	"lvm/internal/cycles"
@@ -87,27 +88,33 @@ func TestStallAll(t *testing.T) {
 	}
 }
 
-// fakeLog records snoops and exercises the LogDevice plumbing.
+// fakeLog records snoops and exercises the LogDevice plumbing. It
+// reports wake as its next due cycle: 0 (call on every bus request)
+// unless a test sets it.
 type fakeLog struct {
 	snooped []LoggedWrite
 	pumped  []uint64
 	stall   uint64
+	wake    uint64
 }
 
-func (f *fakeLog) Snoop(w LoggedWrite) uint64 {
+func (f *fakeLog) Snoop(w LoggedWrite) (uint64, uint64) {
 	f.snooped = append(f.snooped, w)
 	if f.stall > w.Time {
-		return f.stall
+		return f.stall, f.wake
 	}
-	return w.Time
+	return w.Time, f.wake
 }
-func (f *fakeLog) PumpUntil(t uint64) { f.pumped = append(f.pumped, t) }
-func (f *fakeLog) DrainAll() uint64   { return 0 }
+func (f *fakeLog) PumpUntil(t uint64) uint64 {
+	f.pumped = append(f.pumped, t)
+	return f.wake
+}
+func (f *fakeLog) DrainAll() uint64 { return 0 }
 
 func TestLoggedWriteSnoops(t *testing.T) {
 	m := New(Config{NumCPUs: 1, MemFrames: 16})
 	fl := &fakeLog{}
-	m.Log = fl
+	m.AttachLog(fl)
 	f, _ := m.Phys.Alloc()
 	addr := phys.FrameBase(f) + 0x10
 	m.CPUs[0].WordWrite(addr, addr, 0x42, 4, true, true)
@@ -123,11 +130,65 @@ func TestLoggedWriteSnoops(t *testing.T) {
 	}
 }
 
+// TestPumpWaitsForDeviceWake: the machine calls the device only on a bus
+// request past the least wake it was told, a snoop can only lower that
+// wake, and WakeLog forgets it.
+func TestPumpWaitsForDeviceWake(t *testing.T) {
+	m := New(Config{NumCPUs: 1, MemFrames: 16})
+	fl := &fakeLog{wake: 1000}
+	m.AttachLog(fl)
+	f, _ := m.Phys.Alloc()
+	addr := phys.FrameBase(f)
+	c := m.CPUs[0]
+	c.Compute(1)
+	// Unlogged write-through stores: each makes one bus request at c.Now.
+	store := func() (pumped bool) {
+		n := len(fl.pumped)
+		c.WordWrite(addr, addr, 1, 4, true, false)
+		return len(fl.pumped) > n
+	}
+	if !store() {
+		t.Fatal("first bus request after AttachLog did not call the device")
+	}
+	for c.Now <= 1000 {
+		if at := c.Now; store() {
+			t.Fatalf("device called at cycle %d, before its wake 1000", at)
+		}
+	}
+	fl.wake = math.MaxUint64
+	if !store() || fl.pumped[len(fl.pumped)-1] <= 1000 {
+		t.Fatalf("device not called past its wake: pumped at %v", fl.pumped)
+	}
+	if store() {
+		t.Fatal("device called with nothing queued")
+	}
+	// A logged write that makes work due at wake lowers the machine's.
+	wake := c.Now + 50
+	fl.wake = wake
+	c.WordWrite(addr, addr, 2, 4, true, true)
+	fl.wake = math.MaxUint64
+	c.WordWrite(addr, addr, 3, 4, true, true) // reports no wake: keeps the lower one
+	for c.Now <= wake {
+		if at := c.Now; store() {
+			t.Fatalf("device called at cycle %d, before the snooped wake %d", at, wake)
+		}
+	}
+	if !store() {
+		t.Fatal("device not called past the snooped wake")
+	}
+	m.WakeLog()
+	if !store() {
+		t.Fatal("WakeLog did not make the next bus request call the device")
+	}
+}
+
 func TestUnloggedWriteThroughDoesNotSnoop(t *testing.T) {
 	m := New(Config{NumCPUs: 1, MemFrames: 16})
 	fl := &fakeLog{}
-	m.Log = fl
+	m.AttachLog(fl)
 	f, _ := m.Phys.Alloc()
+	// Past cycle 0: PumpUntil(0) could service nothing, so it is skipped.
+	m.CPUs[0].Compute(1)
 	m.CPUs[0].WordWrite(phys.FrameBase(f), phys.FrameBase(f), 1, 4, true, false)
 	if len(fl.snooped) != 0 {
 		t.Fatalf("unlogged write snooped")
@@ -140,7 +201,7 @@ func TestUnloggedWriteThroughDoesNotSnoop(t *testing.T) {
 func TestSnoopStallAppliesToCPU(t *testing.T) {
 	m := New(Config{NumCPUs: 1, MemFrames: 16})
 	fl := &fakeLog{stall: 5000}
-	m.Log = fl
+	m.AttachLog(fl)
 	f, _ := m.Phys.Alloc()
 	m.CPUs[0].WordWrite(phys.FrameBase(f), phys.FrameBase(f), 1, 4, true, true)
 	if m.CPUs[0].Now != 5000 {
@@ -165,7 +226,7 @@ func TestLoggedWriteBackSnoops(t *testing.T) {
 	// record itself).
 	m := New(Config{NumCPUs: 1, MemFrames: 16})
 	fl := &fakeLog{}
-	m.Log = fl
+	m.AttachLog(fl)
 	f, _ := m.Phys.Alloc()
 	addr := phys.FrameBase(f)
 	m.CPUs[0].WordWrite(addr, 0x77770000, 5, 4, false, true)
@@ -180,7 +241,7 @@ func TestLoggedWriteBackSnoops(t *testing.T) {
 func TestDrainWaitsForLogDevice(t *testing.T) {
 	m := New(Config{NumCPUs: 1, MemFrames: 16})
 	fl := &fakeLog{}
-	m.Log = fl
+	m.AttachLog(fl)
 	m.CPUs[0].Compute(50)
 	if got := m.Drain(); got != 50 {
 		t.Fatalf("Drain = %d, want 50 (device idle)", got)

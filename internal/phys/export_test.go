@@ -4,8 +4,5 @@ package phys
 // zeroes, for the external test that runs the simulator over it.
 func ZeroPageIsZero() bool { return zeroPage == [PageSize]byte{} }
 
-// Allocated reports how many frames are currently allocated.
-func (m *Memory) Allocated() int { return len(m.frames) - 1 - len(m.released) }
-
 // Free reports how many frames remain allocatable.
 func (m *Memory) Free() int { return m.numFrames - len(m.frames) + len(m.released) }

@@ -105,6 +105,9 @@ func (m *Memory) Release(frame uint32) {
 	m.frames[frame] = nil
 }
 
+// Allocated reports how many frames are handed out and not released.
+func (m *Memory) Allocated() int { return len(m.frames) - 1 - len(m.released) }
+
 // Frame returns the writable backing bytes of an allocated frame, giving
 // it its own storage on first use. A frame that was never handed out, or
 // has been released, panics.

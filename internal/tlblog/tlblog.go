@@ -116,8 +116,10 @@ func (l *Logger) Descriptor(logIndex uint16) Descriptor { return l.desc[logIndex
 func (l *Logger) Invalidate(logIndex uint16) { l.desc[logIndex] = Descriptor{} }
 
 // Snoop accepts a logged write. If the on-chip write buffer is full the
-// CPU stalls until the oldest buffered record drains.
-func (l *Logger) Snoop(w machine.LoggedWrite) (stallUntil uint64) {
+// CPU stalls until the oldest buffered record drains. The write can make
+// work due sooner only by becoming the head of an empty buffer; otherwise
+// the wake is math.MaxUint64 (see machine.LogDevice).
+func (l *Logger) Snoop(w machine.LoggedWrite) (stallUntil, wake uint64) {
 	// The buffer stalls instead of overflowing, so the push never refuses.
 	l.Push(&w, math.MaxInt)
 	stall := w.Time
@@ -131,15 +133,19 @@ func (l *Logger) Snoop(w machine.LoggedWrite) (stallUntil uint64) {
 		l.Shard().Add(metrics.ChipStallCycles, stall-w.Time)
 		l.Tracer().Emit(w.Time, metrics.EvChipStall, int(w.CPU), stall-w.Time, 0)
 	}
-	return stall
+	if l.Pending() == 1 {
+		return stall, l.Wake()
+	}
+	return stall, math.MaxUint64
 }
 
 // PumpUntil drains buffered records whose bus request precedes cycle t
-// (see logcore.Core.Due).
-func (l *Logger) PumpUntil(t uint64) {
+// (see logcore.Core.Due) and returns the next one's.
+func (l *Logger) PumpUntil(t uint64) (wake uint64) {
 	for l.Due(t) {
 		l.serviceOne()
 	}
+	return l.Wake()
 }
 
 // DrainAll drains everything and returns the idle cycle.

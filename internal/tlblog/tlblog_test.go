@@ -79,7 +79,7 @@ func TestStallInsteadOfOverload(t *testing.T) {
 	// the CPU must stall, but by the *drain rate of one record*, never by
 	// an overload-interrupt-sized penalty.
 	for i := uint32(0); i < 100; i++ {
-		s := l.Snoop(machine.LoggedWrite{VAddr: i * 4, Value: i, Size: 4, Time: uint64(i * 2)})
+		s, _ := l.Snoop(machine.LoggedWrite{VAddr: i * 4, Value: i, Size: 4, Time: uint64(i * 2)})
 		if s-uint64(i*2) > maxStall {
 			maxStall = s - uint64(i*2)
 		}

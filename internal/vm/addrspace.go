@@ -27,10 +27,21 @@ type AddressSpace struct {
 	regions []*Region
 	nextVA  Addr
 
-	// lastVP/lastPTE is a one-entry software TLB for the hot path.
-	lastVP  uint32
-	lastPTE *pte
+	// lastBase/lastPTE is a one-entry software TLB for the hot path:
+	// lastPTE is resident and maps the page at virtual address lastBase.
+	// Empty, lastBase is noPage, which no page address equals, so the
+	// hit test needs no nil or residency check.
+	lastBase Addr
+	lastPTE  *pte
 }
+
+// noPage is an empty software TLB's lastBase: its offset bits are set,
+// and a page address has none.
+const noPage Addr = PageMask
+
+// flushTLB empties the one-entry software TLB. Every path that makes a
+// PTE non-resident calls it.
+func (a *AddressSpace) flushTLB() { a.lastBase, a.lastPTE = noPage, nil }
 
 // NewAddressSpace creates an empty address space. Each address space gets
 // a distinct default allocation base so that kernel-chosen bindings in
@@ -40,9 +51,10 @@ type AddressSpace struct {
 // alone.
 func (k *Kernel) NewAddressSpace() *AddressSpace {
 	as := &AddressSpace{
-		k:      k,
-		pt:     make(map[uint32]*pte),
-		nextVA: 0x1000_0000 + uint32(k.addressSpaces)*0x0800_0000,
+		k:        k,
+		pt:       make(map[uint32]*pte),
+		nextVA:   0x1000_0000 + uint32(k.addressSpaces)*0x0800_0000,
+		lastBase: noPage,
 	}
 	k.addressSpaces++
 	k.asList = append(k.asList, as)
@@ -163,14 +175,14 @@ func (a *AddressSpace) invalidateRange(base Addr, size uint32) {
 			e.logged = false
 		}
 	}
-	a.lastPTE = nil
+	a.flushTLB()
 }
 
 // lookup returns the PTE for va, handling the page fault if needed; the
 // fault cost is charged to cpu.
 func (a *AddressSpace) lookup(va Addr, cpu *machineCPU) (*pte, error) {
 	vp := va >> PageShift
-	if a.lastPTE != nil && a.lastVP == vp && a.lastPTE.resident {
+	if a.lastBase == va&^PageMask {
 		return a.lastPTE, nil
 	}
 	e, found := a.pt[vp]
@@ -182,7 +194,7 @@ func (a *AddressSpace) lookup(va Addr, cpu *machineCPU) (*pte, error) {
 			return nil, err
 		}
 	}
-	a.lastVP = vp
+	a.lastBase = va &^ PageMask
 	a.lastPTE = e
 	return e, nil
 }

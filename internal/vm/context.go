@@ -79,7 +79,7 @@ func (k *Kernel) invalidateSegmentMappings(s *Segment) {
 				e.resident = false
 			}
 		}
-		as.lastPTE = nil
+		as.flushTLB()
 	}
 }
 

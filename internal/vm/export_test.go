@@ -62,7 +62,7 @@ func (r *Region) Unbind() {
 			a.k.Chip.UnmapPage((r.base >> PageShift) + p)
 		}
 	}
-	a.lastPTE = nil
+	a.flushTLB()
 	for i, rr := range a.regions {
 		if rr == r {
 			a.regions = append(a.regions[:i], a.regions[i+1:]...)

@@ -109,7 +109,7 @@ func NewKernelNoLogger(cfg machine.Config) *Kernel {
 // attachLogger makes dev (k.Log or k.Chip) the machine's logging device,
 // with logs hardware log indices and the absorb frame.
 func (k *Kernel) attachLogger(dev machine.LogDevice, logs int) {
-	k.M.Log = dev
+	k.M.AttachLog(dev)
 	k.LogCore().SetMetrics(k.M.DeviceShard(), k.M.Metrics.Tracer())
 	for i := logs - 1; i >= 0; i-- {
 		k.freeLogIdx = append(k.freeLogIdx, uint16(i))

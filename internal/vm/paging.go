@@ -52,6 +52,7 @@ func (k *Kernel) evictPage(s *Segment, page uint32) error {
 	delete(k.owners, p.frame)
 	k.M.Phys.Release(p.frame)
 	p.frame = 0
+	p.data = nil // phys hands this storage to the next frame it allocates
 	p.dirty = false
 	for i := range p.lineDirty {
 		p.lineDirty[i] = 0
@@ -70,7 +71,7 @@ func (k *Kernel) invalidateMappingsOf(s *Segment, page uint32) {
 			if e.seg == s && e.segPage == page {
 				e.resident = false
 				if as.lastPTE == e {
-					as.lastPTE = nil
+					as.flushTLB()
 				}
 				_ = vp
 			}

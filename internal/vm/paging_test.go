@@ -165,3 +165,51 @@ func TestEvictInvalidatesAllMappings(t *testing.T) {
 		t.Fatalf("as1 after evict = %d", got)
 	}
 }
+
+// TestReleasedFrameNotWrittenThroughCache: a store writes through its
+// page's cached frame storage, and phys hands a released frame's storage
+// to the next frame it allocates. Once page A's frame is released
+// (evicted or freed) and that storage backs page B, a store to A must
+// fault A into a frame of its own and leave B's bytes alone.
+func TestReleasedFrameNotWrittenThroughCache(t *testing.T) {
+	for _, release := range []string{"evict", "free"} {
+		t.Run(release, func(t *testing.T) {
+			k := testKernel()
+			a := k.NewSegment("a", PageSize, nil)
+			r := k.NewRegion(a)
+			as := k.NewAddressSpace()
+			base, _ := r.Bind(as, 0)
+			p := k.NewProcess(0, as)
+			p.Store32(base+8, 1) // caches A's frame storage
+			old := a.Frame(0)
+			switch release {
+			case "evict":
+				if err := k.evictPage(a, 0); err != nil {
+					t.Fatal(err)
+				}
+			case "free":
+				a.free()
+			}
+			b := k.NewSegment("b", PageSize, nil)
+			b.Write32(8, 0xB0B0)
+			if b.Frame(0) != old {
+				t.Fatalf("B got frame %d, want A's released frame %d", b.Frame(0), old)
+			}
+			if release == "free" {
+				// free leaves A's mappings resident: drop them so the
+				// store below re-faults.
+				as.invalidateRange(base, PageSize)
+			}
+			p.Store32(base+8, 2) // re-faults A into a new frame
+			if got := b.Read32(8); got != 0xB0B0 {
+				t.Fatalf("B's word = %#x after a store to A, want 0xb0b0", got)
+			}
+			if a.Frame(0) == old || a.Read32(8) != 2 {
+				t.Fatalf("A: frame %d (released %d), word %d; want a new frame holding 2", a.Frame(0), old, a.Read32(8))
+			}
+			if got := p.Load32(base + 8); got != 2 {
+				t.Fatalf("A loads %d, want 2", got)
+			}
+		})
+	}
+}

@@ -38,12 +38,14 @@ func (p *Process) Compute(n uint64) { p.CPU.Compute(n) }
 // Now returns the process's CPU clock.
 func (p *Process) Now() uint64 { return p.CPU.Now }
 
-// mustLookup returns va's PTE. It tests the one-entry TLB hit itself, so
-// the common access makes no further call; the alignment panic and the
-// page-table walk are lookupSlow's.
+// mustLookup returns va's PTE. It tests the one-entry TLB hit itself and
+// is small enough to inline, so the common access makes no call; the
+// alignment panic and the page-table walk are lookupSlow's. Masking va
+// keeps its page bits and its misaligned low bits, so one compare with
+// the TLB's page address tests both the page and the alignment.
 func (p *Process) mustLookup(va Addr, size uint32) *pte {
-	if e := p.AS.lastPTE; e != nil && p.AS.lastVP == va>>PageShift && va&(size-1) == 0 && e.resident {
-		return e
+	if va&^(PageMask^(size-1)) == p.AS.lastBase {
+		return p.AS.lastPTE
 	}
 	return p.lookupSlow(va, size)
 }

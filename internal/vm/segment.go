@@ -27,6 +27,12 @@ func (ZeroFill) FillPage(*Segment, uint32, *[PageSize]byte) {}
 type pageInfo struct {
 	frame uint32 // 0 = not resident
 	dirty bool
+	// data is the frame's writable storage, cached the first time a
+	// store asks phys for it (so a page only ever read stays on phys's
+	// shared zero page). It is nil until then and is cleared wherever the
+	// frame is released, since phys hands released storage to the next
+	// frame it allocates.
+	data *[PageSize]byte
 	// fromSource: bit set = the line is still sourced from the
 	// deferred-copy source segment (reads redirect there). Only
 	// meaningful while the segment has a source.
@@ -328,7 +334,10 @@ func (s *Segment) writePage(page, po uint32, b []byte) error {
 		return err
 	}
 	p := &s.pages[page]
-	f := s.k.M.Phys.Frame(p.frame)
+	if p.data == nil {
+		p.data = s.k.M.Phys.Frame(p.frame)
+	}
+	f := p.data
 	p.dirty = true
 	if s.source == nil {
 		copy(f[po:], b)
@@ -384,25 +393,36 @@ func (s *Segment) fillLine(page, line uint32, f *[PageSize]byte) {
 
 // store32 is the hot-path word store used by Process.Store32 and
 // Write32: it assumes p (s.pages[page]) is resident and the offset
-// word-aligned.
+// word-aligned, and writes through p's cached frame.
 func (s *Segment) store32(p *pageInfo, page, po uint32, v uint32) {
-	if s.wp != nil {
-		s.wp.fault(page)
-	}
-	f := s.k.M.Phys.Frame(p.frame)
-	p.dirty = true
 	line := po >> cycles.LineShift
 	w, bit := lineIdx(line)
-	if s.source != nil && p.fromSource[w]&(1<<bit) != 0 {
-		s.fillLine(page, line, f)
-		p.fromSource[w] &^= 1 << bit
+	if s.wp != nil || p.data == nil || s.source != nil && p.fromSource[w]&(1<<bit) != 0 {
+		s.prepareStore(p, page, line)
 	}
+	p.dirty = true
 	p.lineDirty[w] |= 1 << bit
-	b := f[po : po+4 : po+4]
+	b := p.data[po : po+4 : po+4]
 	b[0] = byte(v)
 	b[1] = byte(v >> 8)
 	b[2] = byte(v >> 16)
 	b[3] = byte(v >> 24)
+}
+
+// prepareStore does what store32 needs before a store to line of page
+// (p) when there is more to do than the store: the write-protect fault,
+// caching the frame, and filling a deferred-copy line from its source.
+func (s *Segment) prepareStore(p *pageInfo, page, line uint32) {
+	if s.wp != nil {
+		s.wp.fault(page)
+	}
+	if p.data == nil {
+		p.data = s.k.M.Phys.Frame(p.frame)
+	}
+	if w, bit := lineIdx(line); s.source != nil && p.fromSource[w]&(1<<bit) != 0 {
+		s.fillLine(page, line, p.data)
+		p.fromSource[w] &^= 1 << bit
+	}
 }
 
 // load32 is the hot-path word load used by Process.Load32.
@@ -481,7 +501,7 @@ func (s *Segment) free() {
 			}
 			delete(s.k.owners, p.frame)
 			s.k.M.Phys.Release(p.frame)
-			p.frame = 0
+			p.frame, p.data = 0, nil
 		}
 	}
 	if s.isLog && s.logIdxValid {
