@@ -27,6 +27,7 @@ type listedPkg struct {
 	Dir          string
 	ForTest      string            // set on a test variant: the package under test
 	ImportMap    map[string]string // import path -> test variant that replaces it
+	Deps         []string          // every package it imports, directly or not
 	GoFiles      []string
 	TestGoFiles  []string
 	XTestGoFiles []string
@@ -293,26 +294,26 @@ func (m *moduleAPI) use(obj types.Object) {
 	m.used[obj] = true
 }
 
-// apiName is one exported function, type or method of a library package.
+// apiName is one function, type or method of a package.
 type apiName struct {
 	key string // pkg.Name or pkg.Type.Method
 	pos token.Position
 	pkg *loadedPkg
 }
 
-// unreferenced lists the exported package-level functions and types and
-// the exported methods that no non-test file refers to. A method its
-// receiver type needs to implement an interface is exempt: calls through
-// the interface cannot name it.
+// unreferenced lists the package-level functions and methods, exported
+// or not, and the exported types that no non-test file refers to. init
+// and a command's main are called by the runtime. A method its receiver
+// type needs to implement an interface is exempt: calls through the
+// interface cannot name it.
 func (m *moduleAPI) unreferenced() []apiName {
 	var out []apiName
 	for _, p := range m.nonTest {
-		if p.Name == "main" {
-			continue
-		}
 		tp := p.types
 		add := func(obj types.Object, key string) {
-			if obj.Exported() && !m.used[obj] {
+			_, isFunc := obj.(*types.Func)
+			entry := key == "init" || key == "main" && p.Name == "main"
+			if (isFunc || obj.Exported()) && !entry && !m.used[obj] {
 				out = append(out, apiName{tp.Name() + "." + key, m.fset.Position(obj.Pos()), p})
 			}
 		}
@@ -406,11 +407,11 @@ func (m *moduleAPI) exampleMentions(p *loadedPkg, example, ident string) (found,
 	return found, mentions
 }
 
-// TestExportedNamesHaveCallers fails on any exported function, type or
-// method of a library package that no non-test code refers to, unless
+// TestExportedNamesHaveCallers fails on any function or method, exported
+// or not, and any exported type that no non-test code refers to, unless
 // testdata/api_allowlist.txt keeps it for an Example that calls it.
-// bench/ counts as a caller; main packages export nothing. Constants,
-// variables and struct fields are out of scope.
+// bench/ counts as a caller, and commands are checked too. Unexported
+// types, constants, variables and struct fields are out of scope.
 func TestExportedNamesHaveCallers(t *testing.T) {
 	m := newModuleAPI(loadModule(t))
 	pkgs := map[string]*loadedPkg{}
@@ -428,7 +429,7 @@ func TestExportedNamesHaveCallers(t *testing.T) {
 	for _, e := range readAllowlist(t) {
 		n, ok := unref[e.name]
 		if !ok {
-			t.Errorf("api_allowlist.txt:%d: %s is not an exported name without a caller", e.line, e.name)
+			t.Errorf("api_allowlist.txt:%d: %s is not a name without a caller", e.line, e.name)
 			continue
 		}
 		allowed[e.name] = true

@@ -445,6 +445,31 @@ func TestEveryPackageTested(t *testing.T) {
 	}
 }
 
+// TestEveryInternalPackageHasAProgram fails on an internal package that
+// neither a command nor bench/ imports, directly or not: code that only
+// tests and Examples reach is not part of the system.
+func TestEveryInternalPackageHasAProgram(t *testing.T) {
+	pkgs := loadModule(t).pkgs
+	reached := map[string]bool{}
+	programs := 0
+	for _, p := range pkgs {
+		if p.ForTest == "" && (strings.HasPrefix(p.ImportPath, "lvm/cmd/") || p.ImportPath == "lvm/bench") {
+			programs++
+			for _, dep := range p.Deps {
+				reached[dep] = true
+			}
+		}
+	}
+	if programs < 2 {
+		t.Fatalf("found %d programs; want the commands and bench/", programs)
+	}
+	for _, p := range pkgs {
+		if p.ForTest == "" && strings.HasPrefix(p.ImportPath, "lvm/internal/") && !reached[p.ImportPath] {
+			t.Errorf("%s: no command and not bench/ imports it", p.ImportPath)
+		}
+	}
+}
+
 // TestGofmt fails on any file `gofmt -l .` would list.
 func TestGofmt(t *testing.T) {
 	for _, path := range goFiles(t) {

@@ -251,13 +251,6 @@ func (l *Logger) SetGroupCommit(n int, deadline uint64) {
 	l.groupDeadline = deadline
 }
 
-// InvalidatePMT removes the entry for ppn if it maps that page.
-func (l *Logger) InvalidatePMT(ppn uint32) {
-	if _, ok := l.LookupPMT(ppn); ok {
-		l.pmt[ppn&pmtIndexMask].Valid = false
-	}
-}
-
 // LookupPMT reports the log index for ppn, if mapped.
 func (l *Logger) LookupPMT(ppn uint32) (logIndex uint16, ok bool) {
 	// The length guard stands in for the slice bounds check (a lookup
@@ -274,9 +267,6 @@ func (l *Logger) LookupPMT(ppn uint32) (logIndex uint16, ok bool) {
 func (l *Logger) SetLogHead(logIndex uint16, addr phys.Addr, mode Mode) {
 	l.logTable[logIndex] = LogTableEntry{Valid: true, Mode: mode, Addr: addr}
 }
-
-// InvalidateLog marks a log-table entry invalid.
-func (l *Logger) InvalidateLog(logIndex uint16) { l.logTable[logIndex].Valid = false }
 
 // LogHead reports a log's table entry (for tests and the kernel).
 func (l *Logger) LogHead(logIndex uint16) LogTableEntry { return l.logTable[logIndex] }

@@ -181,7 +181,8 @@ func runHW(c hwCase) string {
 			w.Size = 2
 		}
 		if rng.Intn(500) == 0 {
-			l.InvalidatePMT(dataPage2)
+			// An alias of dataPage2 displaces its direct-mapped entry.
+			l.LoadPMT(dataPage2^1<<15, 1)
 		}
 		l.PumpUntil(now)
 		if s, _ := l.Snoop(w); s > now {
@@ -233,6 +234,9 @@ func runChip(c chipCase) string {
 	nextFrame := [2]uint32{logFirst + 1, logFirst + 11}
 	fulls := 0
 	l.OnFull = func(l *tlblog.Logger, i uint16) bool {
+		if i > 1 {
+			return false // descriptor 2 is never set: its records are lost
+		}
 		fulls++
 		if c.declineEvery > 0 && fulls%c.declineEvery == 0 {
 			return false
@@ -265,7 +269,7 @@ func runChip(c chipCase) string {
 			Value: rng.Uint32(), Size: 4, CPU: uint16(step % 3), Time: now,
 		}
 		if rng.Intn(700) == 0 {
-			l.UnmapPage(0x41)
+			l.MapPage(0x41, 2) // retag to a log with no space
 		} else if rng.Intn(300) == 0 {
 			l.MapPage(0x41, 1)
 		}

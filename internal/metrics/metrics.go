@@ -61,7 +61,6 @@ const (
 	VMLogHeadAdvances    // log head moved to a fresh log-segment page
 	VMAbsorbedPages      // head pointed at the absorb page (records lost)
 	VMLogRewinds         // RewindLog/TruncateLog calls (Sections 2.4, 4.2)
-	VMEvictions          // page frames evicted
 	VMDeferredResets     // resetDeferredCopy calls (Figure 9)
 	VMDeferredDirtyPages // dirty pages encountered by resets
 	VMDeferredLinesReset // cache lines re-pointed at the source by resets
@@ -144,7 +143,6 @@ var counterMeta = [NumIDs]struct {
 	VMLogHeadAdvances:      {"vm.log_head_advances", KindSum},
 	VMAbsorbedPages:        {"vm.absorbed_pages", KindSum},
 	VMLogRewinds:           {"vm.log_rewinds", KindSum},
-	VMEvictions:            {"vm.evictions", KindSum},
 	VMDeferredResets:       {"vm.deferred_resets", KindSum},
 	VMDeferredDirtyPages:   {"vm.deferred_dirty_pages", KindSum},
 	VMDeferredLinesReset:   {"vm.deferred_lines_reset", KindSum},

@@ -173,7 +173,7 @@ func TestTracerRing(t *testing.T) {
 		t.Fatalf("reset left len=%d dropped=%d", tr.Len(), tr.Dropped())
 	}
 	tr.Disable()
-	tr.Emit(9, metrics.EvEviction, 0, 0, 0)
+	tr.Emit(9, metrics.EvChipStall, 0, 0, 0)
 	if tr.Len() != 0 {
 		t.Fatalf("disabled tracer recorded after Disable")
 	}
@@ -216,7 +216,7 @@ func TestNames(t *testing.T) {
 	kinds := []metrics.EventKind{
 		metrics.EvPageFault, metrics.EvLoggingFault, metrics.EvOverload,
 		metrics.EvLogAdvance, metrics.EvLogAbsorb, metrics.EvLogRewind,
-		metrics.EvEviction, metrics.EvChipStall,
+		metrics.EvChipStall,
 	}
 	ks := map[string]bool{}
 	for _, k := range kinds {

@@ -4,7 +4,7 @@ package metrics
 // first Enable allocates the ring (almost no machine enables its tracer,
 // and a sweep builds hundreds of machines); nothing allocates after that,
 // and each Emit is a few stores into the ring. It is for control-plane
-// events (page faults, logging faults, overloads, truncations, evictions),
+// events (page faults, logging faults, overloads, log advances, rewinds),
 // not for per-store tracing — the per-store signal is what the counters
 // and histograms are for.
 //
@@ -28,8 +28,6 @@ const (
 	EvLogAbsorb
 	// EvLogRewind: A = log segment id, B = new append offset.
 	EvLogRewind
-	// EvEviction: A = segment id, B = page number.
-	EvEviction
 	// EvChipStall: A = stall cycles.
 	EvChipStall
 
@@ -43,7 +41,6 @@ var eventKindName = [numEventKinds]string{
 	EvLogAdvance:   "log_advance",
 	EvLogAbsorb:    "log_absorb",
 	EvLogRewind:    "log_rewind",
-	EvEviction:     "eviction",
 	EvChipStall:    "chip_stall",
 }
 

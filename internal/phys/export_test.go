@@ -5,4 +5,4 @@ package phys
 func ZeroPageIsZero() bool { return zeroPage == [PageSize]byte{} }
 
 // Free reports how many frames remain allocatable.
-func (m *Memory) Free() int { return m.numFrames - len(m.frames) + len(m.released) }
+func (m *Memory) Free() int { return m.numFrames - len(m.frames) }

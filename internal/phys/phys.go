@@ -3,7 +3,8 @@
 //
 // Frames are allocated lazily and stored on first write: a Memory's host
 // cost is a frame-table pointer per frame it has handed out plus 4 KiB per
-// frame ever written, not its nominal capacity. A frame that has only been
+// frame ever written, not its nominal capacity. A frame once handed out
+// stays allocated for the Memory's lifetime. A frame that has only been
 // read is backed by one shared all-zero page (the kernel's demand-zero
 // page); no pointer to it leaves this package. The hardware logger and the
 // virtual-memory system both address this memory by physical address; the
@@ -36,35 +37,26 @@ func PageBase(addr Addr) Addr { return addr &^ Addr(PageMask) }
 // ErrOutOfMemory is returned when no free frame remains.
 var ErrOutOfMemory = errors.New("phys: out of page frames")
 
-// Memory is the machine's physical memory: an array of page frames with a
-// simple free-list allocator. Frame 0 is reserved (never allocated) so that
+// Memory is the machine's physical memory: an array of page frames
+// handed out in order. Frame 0 is reserved (never allocated) so that
 // physical address 0 can serve as an "invalid" sentinel.
 //
 // Frame numbering is part of the simulated machine, not a host detail: the
 // logger's page-mapping table is direct-mapped on the frame number, so the
 // order frames are handed out decides its conflicts and hence cycles.
-// Never-used frames go out low-to-high; released frames are reused first,
-// last-in-first-out.
+// Frames go out low-to-high.
 type Memory struct {
-	// frames[f] is frame f's storage: nil while f is not allocated,
-	// &zeroPage until Frame, the write accessor, gives it its own (Read
-	// and Read32 copy out of it). It covers frames below the lowest
-	// never-used one and grows on demand.
-	frames []*[PageSize]byte
-	// released is the LIFO of released frames, each with its storage kept
-	// for the next owner.
-	released  []releasedFrame
+	// frames[f] is allocated frame f's storage: &zeroPage until Frame,
+	// the write accessor, gives it its own (Read and Read32 copy out of
+	// it). It covers frame 0 (nil) and every frame handed out, and grows
+	// by one at each Alloc.
+	frames    []*[PageSize]byte
 	numFrames int
 }
 
 // zeroPage backs every allocated, never-written frame. It is only ever
 // read: Frame replaces it before handing out a writable page.
 var zeroPage [PageSize]byte
-
-type releasedFrame struct {
-	frame uint32
-	page  *[PageSize]byte
-}
 
 // NewMemory creates a physical memory with the given number of 4 KiB page
 // frames. A frame's table slot is allocated on its first Alloc, its
@@ -78,15 +70,6 @@ func NewMemory(numFrames int) *Memory {
 
 // Alloc allocates one zeroed page frame and returns its frame number.
 func (m *Memory) Alloc() (uint32, error) {
-	if n := len(m.released); n > 0 {
-		r := m.released[n-1]
-		m.released = m.released[:n-1]
-		if r.page != &zeroPage {
-			*r.page = [PageSize]byte{}
-		}
-		m.frames[r.frame] = r.page
-		return r.frame, nil
-	}
 	if len(m.frames) == m.numFrames {
 		return 0, ErrOutOfMemory
 	}
@@ -94,23 +77,12 @@ func (m *Memory) Alloc() (uint32, error) {
 	return uint32(len(m.frames) - 1), nil
 }
 
-// Release returns a frame to the free list. Releasing frame 0 or a frame
-// that is not allocated (never handed out, or already released) panics:
-// it indicates a kernel bug.
-func (m *Memory) Release(frame uint32) {
-	if int(frame) >= len(m.frames) || m.frames[frame] == nil {
-		panic(fmt.Sprintf("phys: release of invalid frame %d", frame))
-	}
-	m.released = append(m.released, releasedFrame{frame, m.frames[frame]})
-	m.frames[frame] = nil
-}
-
-// Allocated reports how many frames are handed out and not released.
-func (m *Memory) Allocated() int { return len(m.frames) - 1 - len(m.released) }
+// Allocated reports how many frames are handed out.
+func (m *Memory) Allocated() int { return len(m.frames) - 1 }
 
 // Frame returns the writable backing bytes of an allocated frame, giving
-// it its own storage on first use. A frame that was never handed out, or
-// has been released, panics.
+// it its own storage on first use. Frame 0 and a frame never handed out
+// panic.
 func (m *Memory) Frame(frame uint32) *[PageSize]byte {
 	p := m.page(frame)
 	if p == &zeroPage {

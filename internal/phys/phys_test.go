@@ -1,72 +1,37 @@
 package phys
 
 import (
-	"math/rand"
 	"testing"
 	"testing/quick"
 )
 
-func TestAllocReleaseCycle(t *testing.T) {
+// TestAllocHandsOutFramesLowToHigh: frames go out low-to-high from 1,
+// each once, until out-of-memory. Frame order decides the logger's
+// page-mapping-table conflicts.
+func TestAllocHandsOutFramesLowToHigh(t *testing.T) {
 	m := NewMemory(8)
 	if m.numFrames != 8 {
 		t.Fatalf("NumFrames = %d, want 8", m.numFrames)
 	}
-	seen := map[uint32]bool{}
-	var frames []uint32
-	for i := 0; i < 7; i++ {
+	for want := uint32(1); want < 8; want++ {
 		f, err := m.Alloc()
 		if err != nil {
-			t.Fatalf("Alloc %d: %v", i, err)
+			t.Fatalf("Alloc %d: %v", want, err)
 		}
-		if f == 0 {
-			t.Fatalf("Alloc returned reserved frame 0")
+		if f != want {
+			t.Fatalf("Alloc = %d, want %d", f, want)
 		}
-		if seen[f] {
-			t.Fatalf("Alloc returned duplicate frame %d", f)
-		}
-		seen[f] = true
-		frames = append(frames, f)
 	}
 	if _, err := m.Alloc(); err != ErrOutOfMemory {
 		t.Fatalf("Alloc on full memory: err = %v, want ErrOutOfMemory", err)
 	}
-	m.Release(frames[3])
-	f, err := m.Alloc()
-	if err != nil {
-		t.Fatalf("Alloc after release: %v", err)
+	if m.Allocated() != 7 || m.Free() != 0 {
+		t.Fatalf("full memory: Allocated = %d, Free = %d, want 7, 0", m.Allocated(), m.Free())
 	}
-	if f != frames[3] {
-		t.Fatalf("Alloc after release = %d, want %d", f, frames[3])
+	// The smallest memory still has one frame to hand out.
+	if m := NewMemory(0); m.Free() != 1 {
+		t.Fatalf("NewMemory(0): Free = %d, want 1", m.Free())
 	}
-}
-
-func TestAllocZeroesRecycledFrames(t *testing.T) {
-	m := NewMemory(4)
-	f, _ := m.Alloc()
-	m.Frame(f)[123] = 0xAB
-	m.Release(f)
-	g, _ := m.Alloc()
-	for g != f {
-		// Drain until we get the same frame back.
-		var err error
-		g, err = m.Alloc()
-		if err != nil {
-			t.Fatalf("never got frame %d back", f)
-		}
-	}
-	if m.Frame(g)[123] != 0 {
-		t.Fatalf("recycled frame not zeroed")
-	}
-}
-
-func TestReleaseInvalidPanics(t *testing.T) {
-	m := NewMemory(4)
-	defer func() {
-		if recover() == nil {
-			t.Fatalf("Release(0) did not panic")
-		}
-	}()
-	m.Release(0)
 }
 
 func TestReadWriteRoundTrip(t *testing.T) {
@@ -153,128 +118,24 @@ func mustPanic(t *testing.T, what string, f func()) {
 	f()
 }
 
-// TestReleaseAndFrameRejectFramesNotInUse: a frame that was never handed
-// out, or was already released, has no owner — releasing it again would
-// put it on the free list twice (two later owners of one frame), and
-// reading it would be a use after free.
-func TestReleaseAndFrameRejectFramesNotInUse(t *testing.T) {
+// TestFrameRejectsFramesNotAllocated: frame 0 and a frame never handed
+// out have no owner, so accessing one is a kernel bug.
+func TestFrameRejectsFramesNotAllocated(t *testing.T) {
 	m := NewMemory(8)
-	f, _ := m.Alloc()
+	m.Alloc()
 	g, _ := m.Alloc()
-	mustPanic(t, "Release of a never-allocated frame", func() { m.Release(g + 1) })
 	mustPanic(t, "Frame of a never-allocated frame", func() { m.Frame(g + 1) })
-	mustPanic(t, "Release past the last frame", func() { m.Release(8) })
+	mustPanic(t, "Read32 of a never-allocated frame", func() { m.Read32(FrameBase(g + 1)) })
+	mustPanic(t, "Frame past the last frame", func() { m.Frame(8) })
 	mustPanic(t, "Frame(0)", func() { m.Frame(0) })
-
-	m.Release(f)
-	mustPanic(t, "second Release of one frame", func() { m.Release(f) })
-	mustPanic(t, "Frame of a released frame", func() { m.Frame(f) })
-	mustPanic(t, "Read32 of a released frame", func() { m.Read32(FrameBase(f)) })
-	if m.Allocated() != 1 || m.Free() != 6 {
-		t.Fatalf("after rejected releases: Allocated = %d, Free = %d, want 1, 6", m.Allocated(), m.Free())
-	}
-	// The frame has one slot on the free list: it comes back once.
-	if h, _ := m.Alloc(); h != f {
-		t.Fatalf("Alloc after release = %d, want %d", h, f)
-	}
-	if h, _ := m.Alloc(); h == f {
-		t.Fatalf("frame %d handed to two owners", f)
-	}
-}
-
-// freeListModel is the allocator phys had before its tables went
-// on-demand: every frame on an explicit free list, highest first, popped
-// from the end. Memory must hand out the same frame numbers as it does —
-// the logger's page-mapping table is direct-mapped on them.
-type freeListModel struct {
-	free      []uint32
-	allocated int
-}
-
-func newFreeListModel(numFrames int) *freeListModel {
-	if numFrames < 2 {
-		numFrames = 2
-	}
-	r := &freeListModel{}
-	for f := numFrames - 1; f >= 1; f-- {
-		r.free = append(r.free, uint32(f))
-	}
-	return r
-}
-
-func (r *freeListModel) alloc() (uint32, bool) {
-	if len(r.free) == 0 {
-		return 0, false
-	}
-	f := r.free[len(r.free)-1]
-	r.free = r.free[:len(r.free)-1]
-	r.allocated++
-	return f, true
-}
-
-func (r *freeListModel) release(f uint32) {
-	r.allocated--
-	r.free = append(r.free, f)
-}
-
-func TestAllocatorMatchesFreeListModel(t *testing.T) {
-	for _, numFrames := range []int{0, 2, 3, 7, 100, 1000} {
-		m, ref := NewMemory(numFrames), newFreeListModel(numFrames)
-		if m.numFrames != len(ref.free)+1 {
-			t.Fatalf("numFrames %d: NumFrames = %d, want %d", numFrames, m.numFrames, len(ref.free)+1)
-		}
-		rng := rand.New(rand.NewSource(int64(numFrames) + 1))
-		var held []uint32
-		ooms := 0
-		for step := 0; step < 100_000; step++ {
-			// Lean towards Alloc so the run reaches out-of-memory, then
-			// away from it so it also drains.
-			allocBias := 6
-			if step/10_000%2 == 1 {
-				allocBias = 3
-			}
-			if len(held) == 0 || rng.Intn(10) < allocBias {
-				want, ok := ref.alloc()
-				got, err := m.Alloc()
-				if (err == nil) != ok || (err != nil && err != ErrOutOfMemory) {
-					t.Fatalf("numFrames %d step %d: Alloc err = %v, model ok = %v", numFrames, step, err, ok)
-				}
-				if !ok {
-					ooms++
-				} else {
-					if got != want {
-						t.Fatalf("numFrames %d step %d: Alloc = %d, model %d", numFrames, step, got, want)
-					}
-					page := m.Frame(got)
-					if page[0] != 0 || page[PageSize-1] != 0 {
-						t.Fatalf("numFrames %d step %d: frame %d not zeroed", numFrames, step, got)
-					}
-					page[0], page[PageSize-1] = 0xAB, 0xCD
-					held = append(held, got)
-				}
-			} else {
-				i := rng.Intn(len(held))
-				f := held[i]
-				held[i] = held[len(held)-1]
-				held = held[:len(held)-1]
-				ref.release(f)
-				m.Release(f)
-			}
-			if m.Free() != len(ref.free) || m.Allocated() != ref.allocated {
-				t.Fatalf("numFrames %d step %d: Free, Allocated = %d, %d; model %d, %d",
-					numFrames, step, m.Free(), m.Allocated(), len(ref.free), ref.allocated)
-			}
-		}
-		if ooms == 0 {
-			t.Fatalf("numFrames %d: the run never reached out-of-memory", numFrames)
-		}
+	if m.Allocated() != 2 || m.Free() != 5 {
+		t.Fatalf("Allocated = %d, Free = %d, want 2, 5", m.Allocated(), m.Free())
 	}
 }
 
 // TestFramesStoreOnFirstWrite: an allocated frame reads as zeroes from
 // the shared zero page until its first write gives it storage of its own
-// — that frame only — and a written frame released and allocated again
-// reads zero while keeping its storage.
+// — that frame only.
 func TestFramesStoreOnFirstWrite(t *testing.T) {
 	writes := map[string]func(m *Memory, f uint32){
 		"Write32":      func(m *Memory, f uint32) { m.Write32(FrameBase(f)+8, 0xDEADBEEF) },
@@ -322,21 +183,6 @@ func TestFramesStoreOnFirstWrite(t *testing.T) {
 		}
 		if !ZeroPageIsZero() {
 			t.Fatalf("%s reached the shared zero page", name)
-		}
-
-		page := m.frames[fs[1]]
-		m.Release(fs[1])
-		if g, _ := m.Alloc(); g != fs[1] || m.frames[g] != page {
-			t.Fatalf("%s: Alloc after Release = %d (own storage kept: %v), want %d", name, g, m.frames[g] == page, fs[1])
-		}
-		if !readsZero(m, fs[1]) {
-			t.Fatalf("%s: a written frame reallocated does not read zero", name)
-		}
-
-		// A never-written frame goes round Release/Alloc on the zero page.
-		m.Release(fs[2])
-		if g, _ := m.Alloc(); g != fs[2] || !shared(2) {
-			t.Fatalf("%s: never-written frame %d came back as %d, shared %v", name, fs[2], g, shared(2))
 		}
 	}
 }

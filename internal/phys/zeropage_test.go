@@ -8,8 +8,8 @@ import (
 )
 
 // TestZeroPageSurvivesSweep runs the paper's experiments at TestSweepGolden's
-// reduced parameters — loads, deferred-copy resets, bcopy, logging, paging,
-// on the sim worker pool — and then checks that nothing wrote through the
+// reduced parameters — loads, deferred-copy resets, bcopy, logging, on the
+// sim worker pool — and then checks that nothing wrote through the
 // page every never-written frame shares.
 func TestZeroPageSurvivesSweep(t *testing.T) {
 	experiments.Table2()

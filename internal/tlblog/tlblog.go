@@ -100,9 +100,6 @@ func New(b *bus.Bus, mem *phys.Memory) *Logger {
 // descriptor, as the extended TLB entry of Figure 13 does.
 func (l *Logger) MapPage(vpn uint32, logIndex uint16) { l.tlb[vpn] = logIndex }
 
-// UnmapPage removes a virtual page's log association.
-func (l *Logger) UnmapPage(vpn uint32) { delete(l.tlb, vpn) }
-
 // SetDescriptor provides log space [addr, limit) for a log.
 func (l *Logger) SetDescriptor(logIndex uint16, addr, limit phys.Addr) {
 	l.desc[logIndex] = Descriptor{Valid: true, Addr: addr, Limit: limit}
@@ -110,10 +107,6 @@ func (l *Logger) SetDescriptor(logIndex uint16, addr, limit phys.Addr) {
 
 // Descriptor returns a log's descriptor.
 func (l *Logger) Descriptor(logIndex uint16) Descriptor { return l.desc[logIndex] }
-
-// Invalidate disables a log; subsequent records for it are dropped
-// (after OnFull declines).
-func (l *Logger) Invalidate(logIndex uint16) { l.desc[logIndex] = Descriptor{} }
 
 // Snoop accepts a logged write. If the on-chip write buffer is full the
 // CPU stalls until the oldest buffered record drains. The write can make

@@ -126,32 +126,6 @@ func TestPerRegionLogsViaVirtualPages(t *testing.T) {
 	}
 }
 
-func TestInvalidateStopsLog(t *testing.T) {
-	l, _ := newRig(t)
-	l.MapPage(0, 0)
-	l.SetDescriptor(0, 0x2000, 0x3000)
-	l.Snoop(machine.LoggedWrite{VAddr: 0, Value: 1, Size: 4, Time: 1})
-	l.DrainAll()
-	l.Invalidate(0)
-	l.Snoop(machine.LoggedWrite{VAddr: 4, Value: 2, Size: 4, Time: 2})
-	l.DrainAll()
-	if l.RecordsWritten != 1 || l.RecordsLost != 1 {
-		t.Fatalf("written=%d lost=%d after invalidate", l.RecordsWritten, l.RecordsLost)
-	}
-}
-
-func TestUnmapPage(t *testing.T) {
-	l, _ := newRig(t)
-	l.MapPage(3, 0)
-	l.SetDescriptor(0, 0x2000, 0x3000)
-	l.UnmapPage(3)
-	l.Snoop(machine.LoggedWrite{VAddr: 3 << 12, Value: 1, Size: 4, Time: 1})
-	l.DrainAll()
-	if l.RecordsWritten != 0 {
-		t.Fatalf("unmapped page still logged")
-	}
-}
-
 // TestDMAHookDropAndCorrupt mirrors the hwlogger fault-injection contract
 // on the on-chip unit: a drop is tallied as a lost record and does not
 // advance the descriptor; an in-place mutation lands in memory.

@@ -63,8 +63,7 @@ func (k *Kernel) NewAddressSpace() *AddressSpace {
 
 // Region represents a mapping of a segment into an address space
 // (Section 2.1). A region becomes active when bound. Logging is specified
-// at the region level (Region::log, Table 1) and can be enabled and
-// disabled dynamically (Section 2.7).
+// at the region level (Region::log, Table 1); once enabled it stays on.
 type Region struct {
 	seg    *Segment
 	logSeg *Segment

@@ -48,7 +48,7 @@ func (k *Kernel) Activate(r *Region, cpu *machineCPU) error {
 	// the previous process's tail of writes into the new log.
 	k.Sync()
 	if !ls.started {
-		if err := k.setLogHeadAt(ls, ls.savedOff); err != nil {
+		if err := k.setLogHeadAt(ls, 0); err != nil {
 			return err
 		}
 	}
@@ -81,24 +81,4 @@ func (k *Kernel) invalidateSegmentMappings(s *Segment) {
 		}
 		as.flushTLB()
 	}
-}
-
-// deactivate stops logging for a segment without forgetting its regions'
-// registered logs.
-func (k *Kernel) deactivate(s *Segment) {
-	if !s.logged {
-		return
-	}
-	k.Sync()
-	if s.logTo != nil {
-		k.parkLog(s.logTo)
-	}
-	for page := range s.pages {
-		if f := s.pages[page].frame; f != 0 {
-			k.Log.InvalidatePMT(f)
-		}
-	}
-	s.logged = false
-	s.logTo = nil
-	k.invalidateSegmentMappings(s)
 }

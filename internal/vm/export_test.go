@@ -58,9 +58,6 @@ func (r *Region) Unbind() {
 	npages := (r.size + PageSize - 1) / PageSize
 	for p := uint32(0); p < npages; p++ {
 		delete(a.pt, (r.base>>PageShift)+p)
-		if a.k.Chip != nil && r.logSeg != nil {
-			a.k.Chip.UnmapPage((r.base >> PageShift) + p)
-		}
 	}
 	a.flushTLB()
 	for i, rr := range a.regions {
@@ -71,28 +68,6 @@ func (r *Region) Unbind() {
 	}
 	r.as = nil
 	r.base = 0
-}
-
-// Unlog dynamically disables logging for the region (Section 2.7: "The
-// logging of a region can be dynamically enabled and disabled").
-func (r *Region) Unlog() {
-	if r.logSeg == nil {
-		return
-	}
-	k := r.seg.k
-	if k.Chip != nil {
-		k.unlogOnChip(r)
-		return
-	}
-	ls := r.logSeg
-	if r.seg.logTo == ls {
-		k.deactivate(r.seg)
-	}
-	ls.loggedRegion = nil
-	r.logSeg = nil
-	if r.as != nil {
-		r.as.invalidateRange(r.base, r.size)
-	}
 }
 
 // ResetDeferredCopy undoes all modifications to deferred-copy destination
@@ -164,30 +139,6 @@ func (k *Kernel) ContextSwitch(p *Process, as *AddressSpace) error {
 		}
 	}
 	return nil
-}
-
-// ReclaimFrames evicts up to n clean-evictable resident pages across all
-// segments (a trivial page-replacement sweep for tests and long-running
-// workloads). It returns how many frames were reclaimed.
-func (k *Kernel) ReclaimFrames(n int) int {
-	reclaimed := 0
-	for _, s := range k.segments {
-		if s.source != nil {
-			continue
-		}
-		for page := uint32(0); page < s.NumPages() && reclaimed < n; page++ {
-			if s.pages[page].frame == 0 {
-				continue
-			}
-			if err := k.evictPage(s, page); err == nil {
-				reclaimed++
-			}
-		}
-		if reclaimed >= n {
-			break
-		}
-	}
-	return reclaimed
 }
 
 // Kernel returns the owning kernel.

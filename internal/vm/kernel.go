@@ -64,7 +64,10 @@ type Kernel struct {
 
 	owners map[uint32]frameOwner // ppn -> owner
 
-	freeLogIdx    []uint16
+	// logIdxs is the device's log-table size. Indices go out in order
+	// and are never freed: nextLogIdx is the next one.
+	logIdxs, nextLogIdx int
+
 	segments      []*Segment
 	addressSpaces int
 	asList        []*AddressSpace
@@ -78,7 +81,6 @@ type Kernel struct {
 	LoggingFaults uint64
 	Overloads     uint64
 	AbsorbedPages uint64
-	Evictions     uint64
 }
 
 // NewKernel builds a machine per cfg, attaches a hardware logger to its
@@ -111,9 +113,7 @@ func NewKernelNoLogger(cfg machine.Config) *Kernel {
 func (k *Kernel) attachLogger(dev machine.LogDevice, logs int) {
 	k.M.AttachLog(dev)
 	k.LogCore().SetMetrics(k.M.DeviceShard(), k.M.Metrics.Tracer())
-	for i := logs - 1; i >= 0; i-- {
-		k.freeLogIdx = append(k.freeLogIdx, uint16(i))
-	}
+	k.logIdxs = logs
 	f, err := k.M.Phys.Alloc()
 	if err != nil {
 		panic("vm: cannot allocate absorb frame")
@@ -146,27 +146,11 @@ func (k *Kernel) collectStats(emit func(name string, v uint64)) {
 
 // allocLogIndex reserves a hardware log-table slot.
 func (k *Kernel) allocLogIndex() (uint16, error) {
-	if len(k.freeLogIdx) == 0 {
+	if k.nextLogIdx == k.logIdxs {
 		return 0, fmt.Errorf("vm: out of hardware log-table entries")
 	}
-	i := k.freeLogIdx[len(k.freeLogIdx)-1]
-	k.freeLogIdx = k.freeLogIdx[:len(k.freeLogIdx)-1]
-	return i, nil
-}
-
-func (k *Kernel) releaseLogIndex(i uint16) {
-	k.invalidateLogHead(i)
-	k.freeLogIdx = append(k.freeLogIdx, i)
-}
-
-// invalidateLogHead disables a hardware log's head.
-func (k *Kernel) invalidateLogHead(i uint16) {
-	if k.Log != nil {
-		k.Log.InvalidateLog(i)
-	}
-	if k.Chip != nil {
-		k.Chip.Invalidate(i)
-	}
+	k.nextLogIdx++
+	return uint16(k.nextLogIdx - 1), nil
 }
 
 // kshard picks the metrics shard kernel work is charged to: the faulting
@@ -318,8 +302,8 @@ func (k *Kernel) advanceLogIndex(logIndex uint16) bool {
 }
 
 // settleAbsorbLoss ends an absorb episode: the records the head wrote into
-// the absorb frame go on the log's loss ledger. Every path that moves or
-// parks the head settles first, so each absorbed record counts once.
+// the absorb frame go on the log's loss ledger. Every path that moves the
+// head settles first, so each absorbed record counts once.
 func (k *Kernel) settleAbsorbLoss(ls *Segment) {
 	if ls.absorbing {
 		ls.lostRecords += uint64(k.headPageOff(ls) / ls.recordSize())
@@ -328,9 +312,8 @@ func (k *Kernel) settleAbsorbLoss(ls *Segment) {
 }
 
 // setLogHeadAt points the device head at byte offset off of the log
-// segment (used when logging is (re-)enabled: the head resumes at the end
-// of the log segment data, Section 3.2). An offset past the segment's end
-// starts the head on the absorb page.
+// segment (used when logging starts and when the log is rewound). An
+// offset past the segment's end starts the head on the absorb page.
 func (k *Kernel) setLogHeadAt(ls *Segment, off uint32) error {
 	k.settleAbsorbLoss(ls)
 	if page := off >> PageShift; page >= ls.NumPages() {
@@ -351,24 +334,13 @@ func (k *Kernel) setLogHeadAt(ls *Segment, off uint32) error {
 	return nil
 }
 
-// parkLog stops a log's device head (logging disabled), saving its
-// append offset and settling its absorb loss.
-func (k *Kernel) parkLog(ls *Segment) {
-	ls.savedOff = k.LogAppendOffset(ls)
-	k.settleAbsorbLoss(ls)
-	if ls.logIdxValid {
-		k.invalidateLogHead(ls.logIndex)
-	}
-	ls.started = false
-}
-
 // LogAppendOffset reports the byte offset within the log segment at which
 // the next record will be written (i.e. the current end of the log data).
 // Call Sync first to account for in-flight records.
 func (k *Kernel) LogAppendOffset(ls *Segment) uint32 {
 	switch {
 	case !ls.logIdxValid || !ls.started:
-		return ls.savedOff
+		return 0
 	case ls.absorbing:
 		return ls.NumPages() * PageSize
 	}
@@ -389,11 +361,10 @@ func (k *Kernel) RewindLog(ls *Segment, off uint32) error {
 		return fmt.Errorf("vm: RewindLog on non-log segment %q", ls.name)
 	}
 	k.Sync()
-	ls.savedOff = off
 	k.kshard(nil).Inc(metrics.VMLogRewinds)
 	k.tracer().Emit(k.M.MaxNow(), metrics.EvLogRewind, -1, uint64(ls.id), uint64(off))
 	if !ls.logIdxValid {
-		return nil
+		return nil // no region logs here yet: the head will start at 0
 	}
 	return k.setLogHeadAt(ls, off)
 }

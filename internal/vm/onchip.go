@@ -60,8 +60,10 @@ func (k *Kernel) logOnChip(r *Region, ls *Segment) error {
 		ls.logIndex = idx
 		ls.logIdxValid = true
 	}
-	if err := k.setLogHeadAt(ls, ls.savedOff); err != nil {
-		return err
+	if !ls.started {
+		if err := k.setLogHeadAt(ls, 0); err != nil {
+			return err
+		}
 	}
 	r.logSeg = ls
 	ls.loggedRegion = r
@@ -79,22 +81,6 @@ func (r *Region) mapChipPages() {
 	for p := uint32(0); p < npages; p++ {
 		k.Chip.MapPage((r.base>>PageShift)+p, r.logSeg.logIndex)
 	}
-}
-
-// unlogOnChip disables on-chip logging for the region.
-func (k *Kernel) unlogOnChip(r *Region) {
-	ls := r.logSeg
-	k.Sync()
-	k.parkLog(ls)
-	if r.as != nil {
-		npages := (r.size + PageSize - 1) / PageSize
-		for p := uint32(0); p < npages; p++ {
-			k.Chip.UnmapPage((r.base >> PageShift) + p)
-		}
-		r.as.invalidateRange(r.base, r.size)
-	}
-	ls.loggedRegion = nil
-	r.logSeg = nil
 }
 
 // ResolveLogAddr maps a log record's address field to the segment and

@@ -157,28 +157,6 @@ func TestOnChipNoOverloadEver(t *testing.T) {
 	}
 }
 
-func TestOnChipUnlogAndRelog(t *testing.T) {
-	k := chipKernel()
-	r, _, ls, p, base := setupChipLogged(t, k, 1, 4)
-	p.Store32(base, 1)
-	k.Sync()
-	off1 := k.LogAppendOffset(ls)
-	r.Unlog()
-	p.Store32(base+4, 2)
-	k.Sync()
-	if got := k.LogAppendOffset(ls); got != off1 {
-		t.Fatalf("log grew while disabled")
-	}
-	if err := r.Log(ls); err != nil {
-		t.Fatal(err)
-	}
-	p.Store32(base+8, 3)
-	k.Sync()
-	if got := k.LogAppendOffset(ls); got != off1+logrec.Size {
-		t.Fatalf("log after re-enable = %d", got)
-	}
-}
-
 func TestOnChipRewind(t *testing.T) {
 	k := chipKernel()
 	_, _, ls, p, base := setupChipLogged(t, k, 1, 4)

@@ -29,9 +29,8 @@ type pageInfo struct {
 	dirty bool
 	// data is the frame's writable storage, cached the first time a
 	// store asks phys for it (so a page only ever read stays on phys's
-	// shared zero page). It is nil until then and is cleared wherever the
-	// frame is released, since phys hands released storage to the next
-	// frame it allocates.
+	// shared zero page), and nil until then. Frames are never released,
+	// so it stays the frame's storage for the segment's lifetime.
 	data *[PageSize]byte
 	// fromSource: bit set = the line is still sourced from the
 	// deferred-copy source segment (reads redirect there). Only
@@ -84,8 +83,7 @@ type Segment struct {
 	nextPage     uint32 // next page to hand to the hardware
 	absorbing    bool
 	lostRecords  uint64
-	started      bool   // hardware head has been initialized
-	savedOff     uint32 // append offset saved while logging is disabled
+	started      bool // hardware head has been initialized
 
 	// noAbsorbLimit: offsets below this are transaction marker words, so
 	// pages overlapping [0, noAbsorbLimit) get their PMT absorb-enable
@@ -489,23 +487,4 @@ func (s *Segment) Write32(off uint32, v uint32) {
 	}
 	b := [4]byte{byte(v), byte(v >> 8), byte(v >> 16), byte(v >> 24)}
 	s.RawWrite(off, b[:])
-}
-
-// free releases the segment's frames and logger resources.
-func (s *Segment) free() {
-	for i := range s.pages {
-		p := &s.pages[i]
-		if p.frame != 0 {
-			if s.k.Log != nil {
-				s.k.Log.InvalidatePMT(p.frame)
-			}
-			delete(s.k.owners, p.frame)
-			s.k.M.Phys.Release(p.frame)
-			p.frame, p.data = 0, nil
-		}
-	}
-	if s.isLog && s.logIdxValid {
-		s.k.releaseLogIndex(s.logIndex)
-		s.logIdxValid = false
-	}
 }

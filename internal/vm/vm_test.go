@@ -280,38 +280,6 @@ func TestWriteThroughModeSetOnLoggedPages(t *testing.T) {
 	}
 }
 
-func TestUnlogIdempotent(t *testing.T) {
-	r, _, _, _, _ := setupLogged(t, testKernel(), 1, 4)
-	r.Unlog()
-	r.Unlog() // second Unlog is a no-op
-}
-
-func TestDynamicUnlogAndRelog(t *testing.T) {
-	k := testKernel()
-	r, _, ls, p, base := setupLogged(t, k, 1, 4)
-	p.Store32(base, 1)
-	k.Sync()
-	off1 := k.LogAppendOffset(ls)
-	r.Unlog()
-	p.Store32(base+4, 2) // not logged
-	k.Sync()
-	if got := k.LogAppendOffset(ls); got != off1 {
-		t.Fatalf("log grew while disabled: %d -> %d", off1, got)
-	}
-	if err := r.Log(ls); err != nil {
-		t.Fatal(err)
-	}
-	p.Store32(base+8, 3)
-	k.Sync()
-	if got := k.LogAppendOffset(ls); got != off1+logrec.Size {
-		t.Fatalf("log after re-enable = %d, want %d", got, off1+logrec.Size)
-	}
-	rec := logrec.Decode(ls.RawRead(off1, logrec.Size))
-	if rec.Value != 3 {
-		t.Fatalf("record after re-enable = %+v", rec)
-	}
-}
-
 func TestOneActiveLogPerSegment(t *testing.T) {
 	// The prototype's physical page-mapping table supports one ACTIVE
 	// log per segment; a second region's log registers but stays
@@ -398,26 +366,6 @@ func TestContextSwitchSelectsPerProcessLog(t *testing.T) {
 	if s.Read32(0) != 101 || s.Read32(8) != 201 || s.Read32(12) != 103 {
 		t.Fatalf("shared data wrong")
 	}
-}
-
-func TestDeactivateStopsLogging(t *testing.T) {
-	k := testKernel()
-	_, s, ls, p, base := func() (*Region, *Segment, *Segment, *Process, Addr) {
-		return setupLoggedHelper(t, k)
-	}()
-	p.Store32(base, 1)
-	k.Sync()
-	k.deactivate(s)
-	p.Store32(base+4, 2)
-	k.Sync()
-	if got := k.LogAppendOffset(ls) / 16; got != 1 {
-		t.Fatalf("records after deactivate = %d, want 1", got)
-	}
-}
-
-func setupLoggedHelper(t *testing.T, k *Kernel) (*Region, *Segment, *Segment, *Process, Addr) {
-	t.Helper()
-	return setupLogged(t, k, 1, 4)
 }
 
 func TestSharedSegmentTwoAddressSpaces(t *testing.T) {
@@ -641,22 +589,6 @@ func TestReverseTranslate(t *testing.T) {
 	}
 	if _, _, ok := k.ReverseTranslate(0xFFFF_F000); ok {
 		t.Fatalf("reverse translate of unowned frame succeeded")
-	}
-}
-
-func TestSegmentFreeReleasesFrames(t *testing.T) {
-	k := testKernel()
-	before := len(k.owners)
-	s := k.NewSegment("s", 4*PageSize, nil)
-	for i := uint32(0); i < 4; i++ {
-		s.Write32(i*PageSize, 1)
-	}
-	if len(k.owners) != before+4 {
-		t.Fatalf("frames not allocated")
-	}
-	s.free()
-	if len(k.owners) != before {
-		t.Fatalf("frames not released: %d != %d", len(k.owners), before)
 	}
 }
 
