@@ -16,14 +16,15 @@ go build ./...
 go vet ./...
 go test -race -count=1 ./...
 # The benchmarks that size sweep-pass, restart-replay (one shard's, and
-# the walk into each sink) and whole-restart host cost must keep
-# compiling and running; one iteration, no timing claims. `go test`
+# the walk into each sink), whole-restart and commit-fence host cost
+# must keep compiling and running; one iteration, no timing claims. `go test`
 # compiles them but runs none; a test could drive one only through
 # testing.Benchmark, which runs it for a second, not one iteration.
 go test -run '^$' -bench SweepPass -benchtime 1x ./internal/experiments
 go test -run '^$' -bench RecoverImage -benchtime 1x ./internal/lvmd
 go test -run '^$' -bench RunBytes -benchtime 1x ./internal/logcursor
 go test -run '^$' -bench NewServerRestart -benchtime 1x ./internal/lvmd
+go test -run '^$' -bench CoreCommitSync -benchtime 1x ./internal/lvmd
 # bench/ is a nested module the commands above never see, and it imports
 # internal packages: build, vet and test it so an API break fails here,
 # not in the benchmark's acceptance run. Root tests type-check bench/'s

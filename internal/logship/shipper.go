@@ -190,10 +190,19 @@ func NewShipper(sys *core.System, data, ls *core.Segment, ln net.Listener, cfg C
 		s.seq.Store(cfg.StartSeq)
 		s.base.Store(cfg.StartSeq)
 	}
-	sys.Metrics().AddCollector(s.Stats.Collect)
+	sys.Metrics().AddCollector(s.collect)
 	s.wg.Add(1)
 	go s.acceptLoop()
 	return s
+}
+
+// collect is the shipper's metrics.Collector: its counters, and
+// logship.frame_base, the logical index of physical log byte 0 that a
+// compaction cut moves (a restart seeds it at the manager's logical
+// base, so the two frames must agree).
+func (s *Shipper) collect(emit func(name string, v uint64)) {
+	s.Stats.Collect(emit)
+	emit("logship.frame_base", s.base.Load())
 }
 
 // Epoch reports the current log generation.

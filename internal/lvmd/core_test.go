@@ -7,6 +7,8 @@ import (
 	"fmt"
 	"path/filepath"
 	"testing"
+
+	"lvm/internal/logrec"
 )
 
 func testCfg(t *testing.T, dir string) (CoreConfig, *TailFile) {
@@ -326,6 +328,11 @@ func TestCoreSlotExhaustion(t *testing.T) {
 	}
 }
 
+// TestTailTornFinalRecord: a crash mid-flush can leave a later sector
+// of the flush durable and an earlier one still zero. The mirror's end
+// lies past the later sector's records, so the zero records inside it
+// are damage: the walk quarantines from the gap, the recovered image is
+// the committed prefix before it, and the damage is reported.
 func TestTailTornFinalRecord(t *testing.T) {
 	dir := t.TempDir()
 	cfg, tail := testCfg(t, dir)
@@ -343,14 +350,39 @@ func TestTailTornFinalRecord(t *testing.T) {
 		t.Fatal(err)
 	}
 	want := c.Digest()
+	prefix := tail.Size()
 
-	// Torn append: 7 garbage bytes past the last full record.
-	if _, err := tail.f.WriteAt([]byte{1, 2, 3, 4, 5, 6, 7}, int64(tailHdrSize+tail.size)); err != nil {
+	// The torn flush: one transaction of 64 stores, 1056 record bytes,
+	// so a whole 512-byte sector lies inside it with records after it.
+	w := make([]Write, cfg.SlotSize/4)
+	for k := range w {
+		w[k] = Write{Off: uint32(4 * k), Val: uint32(0x7000 + k)}
+	}
+	if _, err := c.Commit(1, w); err != nil {
 		t.Fatal(err)
 	}
-	c2, _ := reopen(t, dir)
+	if err := c.SyncBatch(); err != nil {
+		t.Fatal(err)
+	}
+	sector := (tailHdrSize + prefix + 511) / 512 * 512
+	if sector+512 >= tailHdrSize+tail.Size() {
+		t.Fatalf("no durable sector after the gap: sector at %d, mirror ends at %d", sector, tailHdrSize+tail.Size())
+	}
+	if _, err := tail.f.WriteAt(make([]byte, 512), int64(sector)); err != nil {
+		t.Fatal(err)
+	}
+
+	c2, info := reopen(t, dir)
 	if got := c2.Digest(); got != want {
-		t.Fatal("torn tail bytes changed the recovered image")
+		t.Fatal("the recovered image is not the committed prefix before the gap")
+	}
+	gap := uint32(sector - tailHdrSize)
+	if !info.Quarantined() || info.QuarantinedFrom != gap {
+		t.Fatalf("damage not reported at tail offset %d: %+v", gap, info)
+	}
+	if uint64(info.TailRecords)*logrec.Size != tail.Size() || info.ReissuedRecords != int(gap/logrec.Size) {
+		t.Fatalf("records %d accepted of %d, want %d of %d", info.ReissuedRecords, info.TailRecords,
+			gap/logrec.Size, tail.Size()/logrec.Size)
 	}
 }
 
@@ -383,7 +415,7 @@ func BenchmarkCoreCommitSync(b *testing.B) {
 		if _, err := c.Commit(seg, []Write{{Off: uint32(i % 1024 * 4), Val: uint32(i)}}); err != nil {
 			b.Fatal(err)
 		}
-		if i%16 == 15 {
+		if i%16 == 15 || i == b.N-1 { // the last commit fences too, so -benchtime 1x runs one fence
 			if err := c.SyncBatch(); err != nil {
 				b.Fatal(err)
 			}

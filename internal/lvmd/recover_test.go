@@ -332,6 +332,18 @@ func refReplay(base, body []byte, start int) ([]byte, int, uint32) {
 	return img, stop, seq
 }
 
+// refTailEnd is the end rule, written out record by record: how many
+// whole records of a tail body lie before the end, which is just past
+// the last record with a non-zero size field. Zero records inside the
+// end are damage, not the end.
+func refTailEnd(body []byte) int {
+	end := len(body) / logrec.Size
+	for end > 0 && binary.LittleEndian.Uint16(body[end*logrec.Size-8:]) == 0 {
+		end--
+	}
+	return end
+}
+
 // tailBody builds a short real tail on a fresh core over cfg.Disk: a
 // few committed transactions (sub-word stores included) with two
 // non-truncating checkpoints among them, so both slots hold a valid
@@ -456,9 +468,10 @@ func TestRecoverImageReportsDamagedTail(t *testing.T) {
 
 // FuzzRecoverImageTail feeds RecoverImage arbitrary tail bytes and
 // arbitrary checkpoint header blocks over two valid images. It must
-// never panic or write outside the image, and whatever checkpoint it
+// never panic or write outside the image, the mirror must end past its
+// last record with a non-zero size field, and whatever checkpoint it
 // elects, the result is that image plus the committed prefix of the tail
-// up to the first invalid record.
+// up to the first invalid record (a zero record inside the end is one).
 func FuzzRecoverImageTail(f *testing.F) {
 	cfg := smallCore
 	seedDisk := ramdisk.New()
@@ -518,6 +531,18 @@ func FuzzRecoverImageTail(f *testing.F) {
 	f.Add(badSize, h0, h1)
 	f.Add(body, h1, h0)
 	f.Add(body, []byte{}, []byte{})
+	// Version 2 files: the records, then their zero-filled extent; a
+	// torn flush whose earlier sector stayed zero while a later one, and
+	// a record past it, reached the disk; a lone record past a zero gap
+	// in the extent.
+	extent := append(append([]byte(nil), body...), make([]byte, 4096)...)
+	sectorGap := append([]byte(nil), extent...)
+	clear(sectorGap[512-tailHdrSize : 1024-tailHdrSize]) // file bytes 512..1024, mid-body
+	pastGap := append([]byte(nil), extent...)
+	copy(pastGap[len(body)+2*logrec.Size:], body[len(body)-logrec.Size:])
+	f.Add(extent, h0, h1)
+	f.Add(sectorGap, h0, h1)
+	f.Add(pastGap, h0, h1)
 
 	path := filepath.Join(f.TempDir(), "tail")
 	f.Fuzz(func(t *testing.T, body, h0, h1 []byte) {
@@ -545,7 +570,7 @@ func FuzzRecoverImageTail(f *testing.F) {
 		if uint32(len(img)) != arena {
 			t.Fatalf("image is %d bytes, arena %d", len(img), arena)
 		}
-		if info.TailRecords != len(body)/logrec.Size || info.ReissuedRecords > info.TailRecords {
+		if info.TailRecords != refTailEnd(body) || info.ReissuedRecords > info.TailRecords {
 			t.Fatalf("record accounting: %+v over %d bytes", info, len(body))
 		}
 		if info.Start%logrec.Size != 0 || int(info.Start) > len(body) {

@@ -7,22 +7,13 @@ import (
 	"net"
 	"os"
 	"path/filepath"
-	"reflect"
 	"testing"
 	"time"
 
 	"lvm/internal/compact"
 	"lvm/internal/logrec"
-	"lvm/internal/logship"
 	"lvm/internal/wire"
 )
-
-// shipperBase reads the logical sequence of a closed shipper's physical
-// log byte 0. No program asks the shipper for it, so the test reads the
-// field.
-func shipperBase(s *logship.Shipper) uint64 {
-	return reflect.ValueOf(s).Elem().FieldByName("base").FieldByName("v").Uint()
-}
 
 // crashImage writes a daemon data directory as a SIGKILL leaves it: each
 // shard's core opened the first three segment IDs whose hash home it is
@@ -197,8 +188,9 @@ func TestGrantedEpochStampOnly(t *testing.T) {
 
 // TestFirstCompactionCutsOldGeneration: an intact restart keeps the old
 // generation's records in the mirror, and the first compaction after it
-// cuts them together with its own — the mirror ends smaller than the
-// restart found it, and a later walk covers only the post-cut bytes.
+// cuts them together with its own — the mirror holds fewer record bytes
+// than the restart found, a reopen reads back exactly the post-cut
+// records, and a later walk covers only those.
 func TestFirstCompactionCutsOldGeneration(t *testing.T) {
 	dir := t.TempDir()
 	cfg, tail := testCfg(t, dir)
@@ -225,11 +217,7 @@ func TestFirstCompactionCutsOldGeneration(t *testing.T) {
 	if did, err := c.MaybeCompact(); did || err != nil {
 		t.Fatalf("first generation compacted (%v, %v)", did, err)
 	}
-	st, err := os.Stat(tail.path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	before := st.Size()
+	before := tail.Size()
 
 	cfg2, tail2 := testCfg(t, dir)
 	img, info, err := RecoverImage(cfg2, tail2)
@@ -252,10 +240,14 @@ func TestFirstCompactionCutsOldGeneration(t *testing.T) {
 	if tail2.CutBase() < base {
 		t.Fatalf("first compaction cut the mirror to %d, below the restart's base %d", tail2.CutBase(), base)
 	}
-	if st, err = os.Stat(tail2.path); err != nil || st.Size() >= before {
-		t.Fatalf("mirror is %d bytes after the first compaction, %d before the restart (%v)", st.Size(), before, err)
+	if tail2.Size() >= before {
+		t.Fatalf("mirror holds %d record bytes after the first compaction, %d before the restart", tail2.Size(), before)
 	}
 	commit(3)
+	kept, err := tail2.Load()
+	if err != nil {
+		t.Fatal(err)
+	}
 
 	cfg3, tail3 := testCfg(t, dir)
 	rig.recover(dir, "after the first compaction")
@@ -265,6 +257,11 @@ func TestFirstCompactionCutsOldGeneration(t *testing.T) {
 	}
 	if uint64(info3.TailRecords)*logrec.Size != tail3.Size() || tail3.CutBase() != tail2.CutBase() || info3.Start != 0 {
 		t.Fatalf("walk after the cut: %+v over a %d-byte mirror at %d", info3, tail3.Size(), tail3.CutBase())
+	}
+	// Reopened, the mirror holds exactly the post-cut records, all past
+	// the old generation's end.
+	if got, err := tail3.Load(); err != nil || !bytes.Equal(got, kept) {
+		t.Fatalf("reopened mirror holds %d record bytes (%v), want the %d the cut left", len(got), err, len(kept))
 	}
 }
 
@@ -385,7 +382,7 @@ func TestRestartShipFrame(t *testing.T) {
 	// checkpoint beyond it.
 	standby.Close()
 	s.Close()
-	cut, base := s.Core.Mgr.CutBase(), shipperBase(s.Shipper)
+	cut, base := s.Core.Mgr.CutBase(), s.Core.Sys.MetricsSnapshot().Counters["logship.frame_base"]
 	if s.Core.Mgr.Stats.Checkpoints-booted < 2 {
 		t.Fatal("no compaction ran: the test proves nothing")
 	}

@@ -6,6 +6,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"syscall"
 
 	"lvm/internal/logrec"
 )
@@ -14,9 +15,16 @@ import (
 const tailMagic = uint32(0x4C54564C)
 
 const (
-	tailVersion = 1
+	tailVersion = 2
 	tailHdrSize = 16
+	// extentChunk is the zero-filled extent the file grows by. A Flush
+	// that stays inside the extent overwrites zeros in place, so the
+	// file's size, and with it its metadata, does not change.
+	extentChunk = 64 << 10
 )
+
+// tailZeros is one chunk of the zeros the extent is filled with.
+var tailZeros [extentChunk]byte
 
 // TailFile durably mirrors one shard's log in the log's logical frame:
 // the record at file offset tailHdrSize+k is the record at logical log
@@ -30,22 +38,37 @@ const (
 // compaction cuts the mirror up to the manager's new logical base,
 // dropping earlier generations' records with the current one's.
 //
-// Cuts and resets rewrite the file through a temp-file rename, so a
-// crash leaves either the old or the new mirror, never a torn one. A
-// crash mid-append can leave a partial final record; OpenTail sizes the
-// mirror to a record boundary — the partial record was never acked (the
-// fsync that would have acked it did not complete).
+// The file (version 2) is preallocated: past the records lies a
+// zero-filled extent, grown in whole extentChunks, and a Flush overwrites
+// it in place and syncs with fdatasync, so a fence is a data write plus
+// a device flush and never a journal commit for a new file size (only a
+// Flush that passes the extent grows it). The end of the mirror is
+// therefore read from the records, not from the file size: it lies just
+// past the last record whose size field is non-zero. No legal record has
+// size 0, and a 16-byte record at a 16-byte-aligned file offset never
+// straddles a 512-byte sector, so a torn flush leaves whole zero records
+// — possibly before a later sector that did reach the disk. Such a gap
+// inside the end is damage: RecoverImage's walk quarantines from it.
+//
+// Cuts and resets rewrite the file, zero-filled extent included, through
+// a temp-file rename, so a crash leaves either the old or the new
+// mirror, never a torn one.
 type TailFile struct {
 	path    string
 	f       *os.File
 	cutBase uint64
-	size    uint64 // record bytes currently in the file (excl. header)
+	size    uint64 // flushed record bytes: the mirror's end (excl. header)
+	extent  uint64 // record bytes the file holds, zero-filled past size
 	buf     []byte // appended but not yet flushed
-	syncs   uint64 // fsyncs issued, the file's and its directory's
+	syncs   uint64 // syncs issued, the file's and its directory's
 }
 
-// OpenTail opens (creating if needed) the tail file and reads its
-// header. A fresh or header-less file starts at cutBase 0.
+// OpenTail opens (creating if needed) the tail file, reads its header
+// and finds the mirror's end by reading back from EOF over the
+// zero-filled extent: an intact file costs one read of at most
+// extentChunk bytes, and RecoverImage's walk is the only full pass. A
+// fresh or header-less file starts at cutBase 0 with an empty extent. A
+// file of another version is refused: there is no conversion.
 func OpenTail(path string) (*TailFile, error) {
 	f, err := os.OpenFile(path, os.O_RDWR|os.O_CREATE, 0o644)
 	if err != nil {
@@ -69,14 +92,52 @@ func OpenTail(path string) (*TailFile, error) {
 		f.Close()
 		return nil, fmt.Errorf("lvmd: tail header read: %w", err)
 	}
-	t.cutBase = binary.LittleEndian.Uint64(hdr[8:])
-	if hdr != tailHeader(t.cutBase) { // magic or version differs
+	if binary.LittleEndian.Uint32(hdr[:]) != tailMagic {
 		f.Close()
 		return nil, fmt.Errorf("lvmd: tail file %s: bad header", path)
 	}
+	if v := binary.LittleEndian.Uint32(hdr[4:]); v != tailVersion {
+		f.Close()
+		return nil, fmt.Errorf("lvmd: tail file %s is version %d; this build reads only version %d", path, v, tailVersion)
+	}
+	t.cutBase = binary.LittleEndian.Uint64(hdr[8:])
 	body := uint64(st.Size()) - tailHdrSize
-	t.size = body - body%logrec.Size // ignore a torn final record
+	t.extent = body
+	if t.size, err = t.findEnd(body - body%logrec.Size); err != nil {
+		f.Close()
+		return nil, err
+	}
 	return t, nil
+}
+
+// findEnd applies the end rule to the body's first end bytes, whole
+// records only, reading back from end one chunk at a time: on an intact
+// file the first read holds the last record.
+func (t *TailFile) findEnd(end uint64) (uint64, error) {
+	buf := make([]byte, min(end, extentChunk))
+	for end > 0 {
+		b := buf[:min(end, uint64(len(buf)))]
+		from := end - uint64(len(b))
+		if _, err := t.f.ReadAt(b, int64(tailHdrSize+from)); err != nil {
+			return 0, fmt.Errorf("lvmd: tail end read: %w", err)
+		}
+		if n := lastRecordEnd(b); n > 0 {
+			return from + n, nil
+		}
+		end = from
+	}
+	return 0, nil
+}
+
+// lastRecordEnd is the end rule over whole records b: just past the last
+// record whose size field (bytes 8..10) is non-zero, or 0 if none is.
+func lastRecordEnd(b []byte) uint64 {
+	for i := len(b); i > 0; i -= logrec.Size {
+		if b[i-8]|b[i-7] != 0 {
+			return uint64(i)
+		}
+	}
+	return 0
 }
 
 // tailHeader is the file preamble: magic(4) version(4) cutBase(8).
@@ -99,7 +160,7 @@ func (t *TailFile) writeHeader(cutBase uint64) error {
 // CutBase reports the logical log offset of the first mirrored byte.
 func (t *TailFile) CutBase() uint64 { return t.cutBase }
 
-// Syncs reports how many fsyncs the file has issued (its own and its
+// Syncs reports how many syncs the file has issued (its own and its
 // directory's).
 func (t *TailFile) Syncs() uint64 { return t.syncs }
 
@@ -111,22 +172,36 @@ func (t *TailFile) Append(records []byte) {
 	t.buf = append(t.buf, records...)
 }
 
-// Flush writes the buffered bytes and fsyncs. This is the durability
-// point a commit acknowledgement waits behind.
+// Flush writes the buffered bytes over the zero-filled extent and
+// syncs them with fdatasync. This is the durability point a commit
+// acknowledgement waits behind. A Flush that passes the extent first
+// grows it to the next whole chunk; the one sync covers both writes.
 func (t *TailFile) Flush() error {
 	if len(t.buf) > 0 {
-		if _, err := t.f.WriteAt(t.buf, int64(tailHdrSize+t.size)); err != nil {
-			return fmt.Errorf("lvmd: tail append: %w", err)
+		end := t.size + uint64(len(t.buf))
+		if end > t.extent {
+			grown := chunkExtent(end)
+			if _, err := t.f.WriteAt(tailZeros[:grown-end], int64(tailHdrSize+end)); err != nil {
+				return fmt.Errorf("lvmd: tail extent write: %w", err)
+			}
+			t.extent = grown
 		}
-		t.size += uint64(len(t.buf))
+		if _, err := t.f.WriteAt(t.buf, int64(tailHdrSize+t.size)); err != nil {
+			return fmt.Errorf("lvmd: tail write: %w", err)
+		}
+		t.size = end
 		t.buf = t.buf[:0]
 	}
 	t.syncs++
-	if err := t.f.Sync(); err != nil {
-		return fmt.Errorf("lvmd: tail fsync: %w", err)
+	if err := syscall.Fdatasync(int(t.f.Fd())); err != nil {
+		return fmt.Errorf("lvmd: tail fdatasync: %w", err)
 	}
 	return nil
 }
+
+// chunkExtent is the extent a file of n record bytes gets: the next
+// whole chunk past n, so some zeros always follow the records.
+func chunkExtent(n uint64) uint64 { return (n/extentChunk + 1) * extentChunk }
 
 // Cut drops the first cutBytes mirrored bytes (a compaction truncated
 // the physical log) and advances cutBase accordingly, atomically via a
@@ -157,7 +232,8 @@ func (t *TailFile) Reset(cutBase uint64) error {
 	return t.rewrite(cutBase, nil)
 }
 
-// rewrite replaces the file with header(cutBase)+body via temp+rename,
+// rewrite replaces the file with header(cutBase)+body and the body's
+// zero-filled extent via temp+rename,
 // and the temp file's handle becomes the mirror's: there is no reopen
 // that could fail after the rename and leave t writing to the unlinked
 // old file. Any failure before the rename removes the temp file and
@@ -180,6 +256,11 @@ func (t *TailFile) rewrite(cutBase uint64, body []byte) error {
 	if _, err := tmp.WriteAt(body, tailHdrSize); err != nil {
 		return fail("body", err)
 	}
+	size := uint64(len(body))
+	extent := chunkExtent(size)
+	if _, err := tmp.WriteAt(tailZeros[:extent-size], int64(tailHdrSize+size)); err != nil {
+		return fail("extent", err)
+	}
 	t.syncs++
 	if err := tmp.Sync(); err != nil {
 		return fail("sync", err)
@@ -190,7 +271,7 @@ func (t *TailFile) rewrite(cutBase uint64, body []byte) error {
 	t.f.Close()
 	t.f = tmp
 	t.cutBase = cutBase
-	t.size = uint64(len(body))
+	t.size, t.extent = size, extent
 	// Make the rename durable (directory entry).
 	if dir, err := os.Open(filepath.Dir(t.path)); err == nil {
 		t.syncs++
