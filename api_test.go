@@ -182,27 +182,39 @@ func load() (*module, error) {
 }
 
 // moduleAPI is what the API gate derives from the module's non-test
-// packages: which objects a non-test file refers to, and every
-// interface a method might implement.
+// packages: which objects reached code refers to, and every interface a
+// method might implement.
 type moduleAPI struct {
 	*module
 	nonTest []*loadedPkg // library and main packages, without test files
 	used    map[types.Object]bool
 	ifs     map[string][]*types.Interface
+	// refs holds what each package-level function, method and type
+	// refers to; a reference counts once its holder is reached.
+	refs map[types.Object][]types.Object
+	// roots are reached whether or not anything refers to them.
+	roots []types.Object
 }
 
-func newModuleAPI(m *module) *moduleAPI {
+// newModuleAPI derives the module's API from its non-test packages. Code
+// is reached from the roots: init, a command's main, package-level
+// variable and constant initializers, the methods an interface requires
+// and the names allowed (pkg.Name or pkg.Type.Method, kept by an
+// Example). A use counts only from reached code, so a function that only
+// dead functions call is dead too.
+func newModuleAPI(m *module, allowed []string) *moduleAPI {
 	a := &moduleAPI{
 		module: m,
 		used:   map[types.Object]bool{},
 		ifs:    map[string][]*types.Interface{},
+		refs:   map[types.Object][]types.Object{},
 	}
 	for _, p := range m.pkgs {
 		if p.ForTest != "" || p.types == nil {
 			continue
 		}
 		a.nonTest = append(a.nonTest, p)
-		a.recordUses(p.files, p.info)
+		a.recordRefs(p)
 		for _, tv := range p.info.Types {
 			if it, ok := tv.Type.(*types.Interface); ok {
 				a.addInterface(it)
@@ -236,6 +248,16 @@ func newModuleAPI(m *module) *moduleAPI {
 	for _, p := range a.nonTest {
 		walk(p.types)
 	}
+	allow := map[string]bool{}
+	for _, name := range allowed {
+		allow[name] = true
+	}
+	a.eachName(func(obj types.Object, key string, n *types.Named) {
+		if allow[key] || n != nil && a.implements(n, obj.Name()) {
+			a.roots = append(a.roots, obj)
+		}
+	})
+	a.reach()
 	return a
 }
 
@@ -246,52 +268,89 @@ func (m *moduleAPI) addInterface(it *types.Interface) {
 	}
 }
 
-// recordUses marks every object a file refers to, except a function's
-// references to itself and a method receiver's reference to its own
-// type: neither is a caller.
-func (m *moduleAPI) recordUses(files []*ast.File, info *types.Info) {
-	for _, f := range files {
+// recordRefs records what each declaration of package p refers to,
+// except a function's references to itself and a method receiver's
+// reference to its own type: neither is a caller. A function, method or
+// type holds its references; init, a command's main and every variable
+// and constant declaration are roots.
+func (m *moduleAPI) recordRefs(p *loadedPkg) {
+	info := p.info
+	collect := func(n ast.Node, self types.Object, recv ast.Node) []types.Object {
+		var out []types.Object
+		ast.Inspect(n, func(n ast.Node) bool {
+			if n == recv {
+				return false
+			}
+			switch n := n.(type) {
+			case *ast.Ident:
+				if obj := info.Uses[n]; obj != nil && obj != self {
+					out = append(out, obj)
+				}
+			case *ast.SelectorExpr:
+				if sel := info.Selections[n]; sel != nil && sel.Obj() != self {
+					out = append(out, sel.Obj())
+				}
+			}
+			return true
+		})
+		return out
+	}
+	// hold files obj's references; a nil obj is a root.
+	hold := func(obj types.Object, refs []types.Object) {
+		if obj == nil {
+			obj = types.NewLabel(token.NoPos, nil, "root")
+			m.roots = append(m.roots, obj)
+		}
+		m.refs[obj] = append(m.refs[obj], refs...)
+	}
+	for _, f := range p.files {
 		for _, d := range f.Decls {
-			var self types.Object
-			var recv ast.Node
 			switch d := d.(type) {
 			case *ast.FuncDecl:
-				self = info.Defs[d.Name]
+				self := info.Defs[d.Name]
+				var recv ast.Node
 				if d.Recv != nil {
 					recv = d.Recv
 				}
+				refs := collect(d, self, recv)
+				if d.Recv == nil && (d.Name.Name == "init" || d.Name.Name == "main" && p.Name == "main") {
+					self = nil
+				}
+				hold(self, refs)
 			case *ast.GenDecl:
-				if len(d.Specs) == 1 {
-					if ts, ok := d.Specs[0].(*ast.TypeSpec); ok {
-						self = info.Defs[ts.Name]
+				for _, spec := range d.Specs {
+					switch spec := spec.(type) {
+					case *ast.TypeSpec:
+						self := info.Defs[spec.Name]
+						hold(self, collect(spec, self, nil))
+					case *ast.ValueSpec:
+						hold(nil, collect(spec, nil, nil))
 					}
 				}
 			}
-			ast.Inspect(d, func(n ast.Node) bool {
-				if n == recv {
-					return false
-				}
-				switch n := n.(type) {
-				case *ast.Ident:
-					if obj := info.Uses[n]; obj != nil && obj != self {
-						m.use(obj)
-					}
-				case *ast.SelectorExpr:
-					if sel := info.Selections[n]; sel != nil && sel.Obj() != self {
-						m.use(sel.Obj())
-					}
-				}
-				return true
-			})
 		}
 	}
 }
 
-func (m *moduleAPI) use(obj types.Object) {
-	if fn, ok := obj.(*types.Func); ok {
-		obj = fn.Origin()
+// reach marks everything reached code refers to, to a fixpoint.
+func (m *moduleAPI) reach() {
+	seen := map[types.Object]bool{}
+	work := append([]types.Object(nil), m.roots...)
+	for len(work) > 0 {
+		obj := work[len(work)-1]
+		work = work[:len(work)-1]
+		if seen[obj] {
+			continue
+		}
+		seen[obj] = true
+		for _, ref := range m.refs[obj] {
+			if fn, ok := ref.(*types.Func); ok {
+				ref = fn.Origin()
+			}
+			m.used[ref] = true
+			work = append(work, ref)
+		}
 	}
-	m.used[obj] = true
 }
 
 // apiName is one function, type or method of a package.
@@ -301,41 +360,52 @@ type apiName struct {
 	pkg *loadedPkg
 }
 
-// unreferenced lists the package-level functions and methods, exported
-// or not, and the exported types that no non-test file refers to. init
-// and a command's main are called by the runtime. A method its receiver
-// type needs to implement an interface is exempt: calls through the
-// interface cannot name it.
-func (m *moduleAPI) unreferenced() []apiName {
-	var out []apiName
+// eachName calls f for every package-level function and type of the
+// non-test packages and every method of their named types (n is the
+// receiver's type for a method, nil otherwise), with its key: the name,
+// or Type.Method, qualified by its package's name.
+func (m *moduleAPI) eachName(f func(obj types.Object, key string, n *types.Named)) {
 	for _, p := range m.nonTest {
 		tp := p.types
-		add := func(obj types.Object, key string) {
-			_, isFunc := obj.(*types.Func)
-			entry := key == "init" || key == "main" && p.Name == "main"
-			if (isFunc || obj.Exported()) && !entry && !m.used[obj] {
-				out = append(out, apiName{tp.Name() + "." + key, m.fset.Position(obj.Pos()), p})
-			}
-		}
 		for _, name := range tp.Scope().Names() {
-			obj := tp.Scope().Lookup(name)
-			switch obj := obj.(type) {
+			switch obj := tp.Scope().Lookup(name).(type) {
 			case *types.Func:
-				add(obj, name)
+				f(obj, tp.Name()+"."+name, nil)
 			case *types.TypeName:
-				add(obj, name)
+				f(obj, tp.Name()+"."+name, nil)
 				n, ok := obj.Type().(*types.Named)
 				if !ok || obj.IsAlias() {
 					continue
 				}
 				for i := 0; i < n.NumMethods(); i++ {
-					if fn := n.Method(i); !m.implements(n, fn.Name()) {
-						add(fn, name+"."+fn.Name())
-					}
+					fn := n.Method(i)
+					f(fn, tp.Name()+"."+name+"."+fn.Name(), n)
 				}
 			}
 		}
 	}
+}
+
+// unreferenced lists the package-level functions and methods, exported
+// or not, and the exported types that no reached non-test code refers
+// to. init and a command's main are called by the runtime. A method its
+// receiver type needs to implement an interface is exempt: calls through
+// the interface cannot name it.
+func (m *moduleAPI) unreferenced() []apiName {
+	var out []apiName
+	pkgOf := map[*types.Package]*loadedPkg{}
+	for _, p := range m.nonTest {
+		pkgOf[p.types] = p
+	}
+	m.eachName(func(obj types.Object, key string, n *types.Named) {
+		p := pkgOf[obj.Pkg()]
+		_, isFunc := obj.(*types.Func)
+		name := key[strings.IndexByte(key, '.')+1:]
+		entry := name == "init" || name == "main" && p.Name == "main"
+		if (isFunc || obj.Exported()) && !entry && !m.used[obj] && (n == nil || !m.implements(n, obj.Name())) {
+			out = append(out, apiName{key, m.fset.Position(obj.Pos()), p})
+		}
+	})
 	sort.Slice(out, func(i, j int) bool { return out[i].key < out[j].key })
 	return out
 }
@@ -413,7 +483,12 @@ func (m *moduleAPI) exampleMentions(p *loadedPkg, example, ident string) (found,
 // bench/ counts as a caller, and commands are checked too. Unexported
 // types, constants, variables and struct fields are out of scope.
 func TestExportedNamesHaveCallers(t *testing.T) {
-	m := newModuleAPI(loadModule(t))
+	allow := readAllowlist(t)
+	var names []string
+	for _, e := range allow {
+		names = append(names, e.name)
+	}
+	m := newModuleAPI(loadModule(t), names)
 	pkgs := map[string]*loadedPkg{}
 	for _, p := range m.nonTest {
 		if p.Name != "main" {
@@ -426,7 +501,7 @@ func TestExportedNamesHaveCallers(t *testing.T) {
 		unref[n.key] = n
 	}
 	allowed := map[string]bool{}
-	for _, e := range readAllowlist(t) {
+	for _, e := range allow {
 		n, ok := unref[e.name]
 		if !ok {
 			t.Errorf("api_allowlist.txt:%d: %s is not a name without a caller", e.line, e.name)

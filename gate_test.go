@@ -24,8 +24,7 @@ import (
 // a function some file of the module calls, so renaming or deleting one
 // fails the test instead of leaving a silent gap.
 var watched = []string{
-	"(*lvm/internal/core.LogReader).Seek", // log reader repositioning: a dropped error replays the wrong window
-	"(*lvm/internal/logcursor.MachineSource).Seek",
+	"(*lvm/internal/core.LogReader).Seek",     // log reader repositioning: a dropped error replays the wrong window
 	"(*lvm/internal/core.LogReader).Truncate", // log truncation
 	"(*lvm/internal/rlvm.Manager).Truncate",
 	"(*lvm/internal/rvm.Manager).Truncate",

@@ -22,7 +22,6 @@ import (
 
 	"lvm/internal/core"
 	"lvm/internal/cycles"
-	"lvm/internal/logcursor"
 )
 
 // Cost model for the software consistency layer.
@@ -220,20 +219,23 @@ func (l *LVMProducer) Write(off uint32, val uint32) {
 }
 
 // Release synchronizes with the log and emits one entry per record since
-// the last release. The enumeration is the shared logcursor selection
-// walk; the producer reads its own log, so the records are in-domain and
-// the current-word widening below is correct (entries are applied as
-// whole messages, never partially).
+// the last release. The producer reads its own log, so the records are
+// in-domain and the current-word widening below is correct (entries are
+// applied as whole messages, never partially).
 func (l *LVMProducer) Release() (UpdateMsg, ReleaseStats) {
 	start := l.p.Now()
 	l.reader.Sync()
 	var msg UpdateMsg
-	_ = logcursor.EachData(l.reader, l.seg, func(rec core.Record, isData bool) error {
-		if !isData {
+	for {
+		rec, ok := l.reader.Next()
+		if !ok {
+			break
+		}
+		if rec.Seg != l.seg {
 			// Records from other segments sharing this log cost only
 			// the skip, not a full entry build.
 			l.p.Compute(SkipCycles)
-			return nil
+			continue
 		}
 		l.p.Compute(RecordCycles)
 		w := rec.SegOff &^ 3
@@ -241,8 +243,7 @@ func (l *LVMProducer) Release() (UpdateMsg, ReleaseStats) {
 			Off: w,
 			Val: mergeWord(l.seg.Read32(w), rec.SegOff, rec.Value, rec.WriteSize),
 		})
-		return nil
-	})
+	}
 	msg.Bytes = MsgHeaderBytes + len(msg.Entries)*EntryBytes
 	st := ReleaseStats{Cycles: l.p.Now() - start, Bytes: msg.Bytes, Entries: len(msg.Entries)}
 	return msg, st

@@ -6,6 +6,7 @@ package dsm
 import (
 	"lvm/internal/core"
 	"lvm/internal/logcursor"
+	"lvm/internal/logrec"
 )
 
 // StreamingConsumer pulls updates from an LVM producer's log *during* the
@@ -16,7 +17,7 @@ import (
 type StreamingConsumer struct {
 	*Consumer
 	prod   *LVMProducer
-	src    *logcursor.MachineSource
+	log    *core.LogReader // PullN's cursor
 	reader *core.LogReader // legacyPullN's cursor
 
 	Pulls   uint64
@@ -39,7 +40,7 @@ func NewStreamingConsumer(sys *core.System, p *core.Process, prod *LVMProducer, 
 	return &StreamingConsumer{
 		Consumer: c,
 		prod:     prod,
-		src:      logcursor.NewMachineSource(sys, prod.ls, prod.seg),
+		log:      core.NewLogReader(sys, prod.ls),
 		reader:   core.NewLogReader(sys, prod.ls),
 	}, nil
 }
@@ -63,11 +64,16 @@ func (s *StreamingConsumer) PullN(max int) int {
 		return 0
 	}
 	s.sys.Sync()
-	s.src.SetEnd(s.sys.K.LogAppendOffset(s.prod.ls))
+	end := s.sys.K.LogAppendOffset(s.prod.ls)
+	stop := uint64(end)
+	if max >= 0 {
+		stop = min(stop, uint64(s.log.Offset())+uint64(max)*logrec.Size)
+	}
+	s.log.SetEnd(uint32(stop))
 	n := 0
 	w := logcursor.NewWalker(logcursor.Config{
 		View: logcursor.ApplyAll,
-		End:  s.src.End(),
+		End:  end,
 		Apply: func(r logcursor.Rec) {
 			s.p.Compute(ApplyWordCycles)
 			wd := r.Off &^ 3
@@ -75,16 +81,9 @@ func (s *StreamingConsumer) PullN(max int) int {
 			n++
 		},
 	})
-	for scanned := 0; max < 0 || scanned < max; scanned++ {
-		rec, ok := s.src.Next()
-		if !ok {
-			break
-		}
-		if !w.Feed(rec) {
-			break
-		}
-	}
-	if st := w.Finish(); st.Quarantined() {
+	// A MachineReader fails only at its end (io.EOF), so the walk
+	// returns no read error.
+	if st, _ := logcursor.RunReader(logcursor.NewMachineReader(s.log, s.prod.seg), s.prod.seg.Size(), w); st.Quarantined() {
 		s.Quarantined = true
 		s.InvalidRecords += st.InvalidRecords
 	}

@@ -11,15 +11,23 @@
 // consistency; this package is the one place its records are decoded,
 // validated, bracketed into transactions, and quarantined when damaged.
 //
-// The model is a push-style state machine: a Source yields records as
-// the uniform Rec form (segment offset, value, size, validity), a
-// Walker consumes them under one of two views —
+// Every walk is over one form: the paper's 16-byte record (Section 3.1)
+// as wire bytes, its address word a data-segment offset. A logship batch
+// and the lvmd tail mirror already hold records that way (AppendData
+// writes them), and MachineReader turns a range of a hardware log into
+// it through the kernel's reverse translation. One loop walks those
+// bytes, behind Run (a stream held whole) and RunReader (an io.Reader,
+// through one fixed-size buffer, so a walk's memory is a chunk, not the
+// stream), under one of two views —
 //
 //   - Committed: marker-word transaction bracketing. A store to the
 //     marker area (offset < MarkerLimit) with MarkerCommit clear opens
 //     a transaction, one with it set commits; records in between are
 //     buffered and applied only at their commit marker, so an
-//     uncommitted tail is discarded rather than half-applied.
+//     uncommitted tail is discarded rather than half-applied. An open
+//     transaction's records are contiguous in the stream, so it is
+//     buffered as a byte range — validated once as it is scanned,
+//     decoded again only when its commit marker applies it.
 //   - ApplyAll: every valid record applies immediately, markers
 //     included. Replication replicas use this (the replica image keeps
 //     the producer's marker words; rollback is a separate ledger), as
@@ -29,17 +37,16 @@
 // the stream: nothing past the damage applies, and Stats reports the
 // quarantine anchor and extent. The walker never panics on damaged
 // input; degrade-don't-panic is the contract every consumer inherits.
+// With an Image sink (Config.Image) no Rec is built at all: each applied
+// write is stored from the stream's bytes straight into the image.
 //
-// A packed byte stream of wire records (a logship batch, the lvmd tail
-// mirror) has one walk loop of its own, behind Run(*BytesSource) and
-// RunReader. It applies the same rules without building a Rec per
-// record: an open transaction's records are contiguous in the stream,
-// so it is buffered as a byte range — validated once as it is scanned,
-// decoded again only when its commit marker applies it. With an Image
-// sink (Config.Image) no Rec is built at all: each applied write is
-// stored from the stream's bytes straight into the image. RunReader
-// walks an io.Reader through one fixed-size buffer, so a walk's memory
-// is a chunk, not the stream.
+// A machine log can hold records the bytes of a shipped batch never do:
+// ones whose address no longer resolves (or resolves to a log segment),
+// and ones of another segment sharing the log. MachineReader writes the
+// first in a form ValidWrite rejects and the second in a foreign form
+// that the walk counts as Skipped — but only on a stream MachineReader
+// produced. On any other stream the foreign form is just invalid, so no
+// byte pattern in a tail file or a shipped batch changes verdict.
 package logcursor
 
 // MarkerCommit is the high bit of a marker-word value: set = the store
@@ -50,9 +57,9 @@ const MarkerCommit = uint32(0x8000_0000)
 // walked cleanly.
 const NoQuarantine = ^uint32(0)
 
-// Rec is one log record in the cursor's uniform form: addressed by its
-// offset within the data segment being walked, with validity and
-// segment membership already classified by the Source that yielded it.
+// Rec is one log record as the walk hands it to Apply (and reports the
+// record that quarantined it in Stats.Bad): addressed by its offset
+// within the data segment being walked.
 type Rec struct {
 	// Off is the byte offset of the write within the data segment.
 	Off uint32
@@ -66,12 +73,11 @@ type Rec struct {
 	// Idx is the ordinal of the record within this walk (0-based).
 	Idx int
 	// Valid reports that the record passed validation: a write size the
-	// hardware emits, a size-aligned in-bounds offset, an address that
-	// still resolves, and not a write into a log segment.
+	// hardware emits, a size-aligned in-bounds offset and, on a machine
+	// stream, an address that still resolves and is not a write into a
+	// log segment. Only Stats.Bad can be invalid; it is valid when the
+	// record broke the marker protocol instead.
 	Valid bool
-	// Data reports that the record resolves to the data segment being
-	// walked (false = it belongs to another segment sharing the log).
-	Data bool
 }
 
 // IsMarker is the canonical marker-word classifier: a whole-word store
@@ -140,7 +146,7 @@ type Config struct {
 // field meanings mirror recovery.Result exactly — recovery builds its
 // Result from these counters.
 type Stats struct {
-	Scanned        int // records fed to the walker
+	Scanned        int // records walked
 	Applied        int // records applied (handed to Apply or stored into Image)
 	Skipped        int // records resolving to other segments
 	Txns           int // committed transactions walked
@@ -168,13 +174,12 @@ type Stats struct {
 // Quarantined reports whether the walk hit a damaged tail.
 func (s *Stats) Quarantined() bool { return s.QuarantinedFrom != NoQuarantine }
 
-// Walker is the cursor's record-consuming state machine. Feed it
-// records in log order; it validates, brackets transactions, applies
-// per its view, and halts at the first damaged record.
+// Walker is the cursor's state machine: it validates the records of a
+// stream in log order, brackets transactions, applies per its view, and
+// halts at the first damaged record. Run and RunReader drive it.
 type Walker struct {
 	cfg    Config
 	st     Stats
-	batch  []Rec
 	halted bool
 }
 
@@ -187,63 +192,6 @@ func NewWalker(cfg Config) *Walker {
 	return &Walker{cfg: cfg, st: Stats{QuarantinedFrom: NoQuarantine}}
 }
 
-// Feed consumes one record. It reports false once the walk has halted
-// (quarantine): the caller must stop feeding and call Finish.
-func (w *Walker) Feed(r Rec) bool { return w.feed(&r) }
-
-// feed is Feed on a caller-owned record (read, never retained). It is
-// the generic Source walk; a byte stream goes through scan, which
-// applies the same rules to records it never copies out.
-func (w *Walker) feed(r *Rec) bool {
-	if w.halted {
-		return false
-	}
-	w.st.Scanned++
-	if !r.Valid {
-		return w.quarantine(r, len(w.batch))
-	}
-	if !r.Data {
-		w.st.Skipped++
-		return true
-	}
-	if w.cfg.View == Committed && w.cfg.MarkerLimit > 0 && r.Off < w.cfg.MarkerLimit {
-		if r.Size != 4 {
-			// A sub-word store into the marker area is a protocol
-			// violation: no writer emits one, so it can only be damage.
-			// Treating it as a marker (or as data) would corrupt the
-			// transaction bracketing — quarantine instead.
-			return w.quarantine(r, len(w.batch))
-		}
-		if r.Value&MarkerCommit != 0 {
-			w.commit(r.Value &^ MarkerCommit)
-			for i := range w.batch {
-				w.apply(&w.batch[i])
-			}
-			w.st.Applied += len(w.batch)
-		}
-		// A begin marker after an uncommitted transaction drops that
-		// transaction's buffered writes, same as a commit flush.
-		w.batch = w.batch[:0]
-		return true
-	}
-	if w.cfg.View == ApplyAll {
-		w.apply(r)
-		w.st.Applied++
-		return true
-	}
-	w.batch = append(w.batch, *r)
-	return true
-}
-
-// apply hands r to the walk's sink.
-func (w *Walker) apply(r *Rec) {
-	if w.cfg.Image != nil {
-		put(w.cfg.Image, r.Off, r.Value, r.Size)
-	} else if w.cfg.Apply != nil {
-		w.cfg.Apply(*r)
-	}
-}
-
 // commit counts a commit marker carrying sequence number seq.
 func (w *Walker) commit(seq uint32) {
 	if seq >= w.st.LastSeq {
@@ -254,56 +202,35 @@ func (w *Walker) commit(seq uint32) {
 	w.st.Txns++
 }
 
-// Finish ends the walk: records still buffered without a commit marker
-// are discarded into IncompleteTail, and the final Stats are returned.
-func (w *Walker) Finish() Stats { return w.finish(len(w.batch)) }
-
-// finish is Finish with the walk's buffered record count (the batch, or
-// a byte stream's open transaction).
+// finish ends the walk: the open transaction's buffered records, which
+// no commit marker reached, are discarded into IncompleteTail, and the
+// final Stats are returned.
 func (w *Walker) finish(buffered int) Stats {
 	if !w.halted {
 		w.st.IncompleteTail += buffered
-		w.batch = nil
 		w.halted = true
 	}
 	return w.st
 }
 
-func (w *Walker) quarantine(r *Rec, buffered int) bool {
+// quarantine halts the walk at r, the first damaged record, discarding
+// the open transaction's buffered records.
+func (w *Walker) quarantine(r *Rec, buffered int) {
 	w.st.InvalidRecords++
 	w.st.QuarantinedFrom = r.LogOff
 	w.st.QuarantinedBytes = w.cfg.End - r.LogOff
 	w.st.IncompleteTail += buffered
 	w.st.Bad = *r
-	w.batch = nil
 	w.halted = true
-	return false
 }
 
-// Source yields successive records of a log stream in write order.
-type Source interface {
-	Next() (Rec, bool)
-}
-
-// Run drives every record of src through w and returns the final stats
-// — the whole cursor in one call for consumers that need no per-record
-// interleaving of their own. A *BytesSource is walked by RunReader's
-// loop over its bytes as one final chunk: no copy, no interface call,
-// and no Rec built for a record until it is applied.
-func Run(src Source, w *Walker) Stats {
-	if b, ok := src.(*BytesSource); ok {
-		s := &b.s
-		s.open = s.pos // records Next already yielded belong to no transaction here
-		if !w.halted {
-			w.scan(s)
-		}
-		return w.finish(s.pending())
+// Run walks every record of src through w and returns the final stats:
+// the whole cursor in one call, RunReader's loop over the source's bytes
+// as one final chunk, with no copy and no Rec built for a record until
+// it is applied.
+func Run(src *BytesSource, w *Walker) Stats {
+	if !w.halted {
+		w.scan(&src.s)
 	}
-	for {
-		r, ok := src.Next()
-		if !ok || !w.feed(&r) {
-			break
-		}
-	}
-	return w.Finish()
+	return w.finish(src.s.pending())
 }

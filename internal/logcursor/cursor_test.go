@@ -1,6 +1,8 @@
 package logcursor
 
 import (
+	"bytes"
+	"io"
 	"reflect"
 	"testing"
 
@@ -9,11 +11,6 @@ import (
 )
 
 const segSize = 4 * core.PageSize
-
-// rec builds a valid data record for walker tests.
-func rec(off, val uint32, size uint16) Rec {
-	return Rec{Off: off, Value: val, Size: size, Valid: true, Data: true}
-}
 
 func TestIsMarker(t *testing.T) {
 	cases := []struct {
@@ -66,25 +63,40 @@ func TestValidWrite(t *testing.T) {
 	}
 }
 
+// rec builds a wire record for walker tests.
+func rec(off, val uint32, size uint16) logrec.Record {
+	return logrec.Record{Addr: off, Value: val, WriteSize: size}
+}
+
+// wire encodes records into a packed stream.
+func wire(recs ...logrec.Record) []byte {
+	b := make([]byte, 0, len(recs)*logrec.Size)
+	for _, r := range recs {
+		var s [logrec.Size]byte
+		r.Encode(s[:])
+		b = append(b, s[:]...)
+	}
+	return b
+}
+
+// walk runs recs through a walker over cfg as one byte stream.
+func walk(cfg Config, recs ...logrec.Record) Stats {
+	return Run(NewBytesSource(wire(recs...), segSize), NewWalker(cfg))
+}
+
 func TestWalkerCommittedView(t *testing.T) {
 	var applied []Rec
-	w := NewWalker(Config{View: Committed, MarkerLimit: 16, End: 160,
+	w := NewWalker(Config{View: Committed, MarkerLimit: 16, End: 112,
 		Apply: func(r Rec) { applied = append(applied, r) }})
-	feed := []Rec{
+	st := Run(NewMachineBytes(wire(
 		rec(0, 1, 4), // begin 1
 		rec(0x100, 11, 4),
 		rec(0x104, 0xBEEF, 2),
-		rec(0, 1|MarkerCommit, 4), // commit 1
-		{Off: 0x500, Value: 9, Size: 4, Valid: true, Data: false}, // foreign
-		rec(4, 2, 4),      // begin 2 via a non-zero marker word
-		rec(0x200, 22, 4), // never commits
-	}
-	for _, r := range feed {
-		if !w.Feed(r) {
-			t.Fatalf("clean record halted the walk: %+v", r)
-		}
-	}
-	st := w.Finish()
+		rec(0, 1|MarkerCommit, 4),  // commit 1
+		rec(0x500, 9, foreignSize), // another segment's
+		rec(4, 2, 4),               // begin 2 via a non-zero marker word
+		rec(0x200, 22, 4),          // never commits
+	), 0, segSize), w)
 	if st.Quarantined() {
 		t.Fatalf("clean walk quarantined: %+v", st)
 	}
@@ -99,80 +111,110 @@ func TestWalkerCommittedView(t *testing.T) {
 	}
 }
 
+// TestWalkerForeignInsideTransaction: another segment's records inside
+// an open transaction are neither applied at its commit nor counted in
+// an incomplete tail, into either sink.
+func TestWalkerForeignInsideTransaction(t *testing.T) {
+	b := wire(
+		rec(0, 1, 4),
+		rec(0x100, 11, 4),
+		rec(0x500, 9, foreignSize),
+		rec(0x104, 12, 4),
+		rec(0, 1|MarkerCommit, 4),
+		rec(0, 2, 4),
+		rec(0x108, 21, 4),
+		rec(0x600, 9, foreignSize),
+		rec(0x600, 9, foreignSize),
+	)
+	var offs []uint32
+	st := Run(NewMachineBytes(b, 0, segSize), NewWalker(Config{View: Committed, MarkerLimit: 16,
+		Apply: func(r Rec) { offs = append(offs, r.Off) }}))
+	if !reflect.DeepEqual(offs, []uint32{0x100, 0x104}) || st.Applied != 2 || st.Skipped != 3 || st.IncompleteTail != 1 {
+		t.Fatalf("apply walk: applied %#x, %+v", offs, st)
+	}
+	img := make([]byte, segSize)
+	st = Run(NewMachineBytes(b, 0, segSize), NewWalker(Config{View: Committed, MarkerLimit: 16, Image: img}))
+	if img[0x100] != 11 || img[0x104] != 12 || img[0x108] != 0 || st.Applied != 2 || st.IncompleteTail != 1 {
+		t.Fatalf("image walk: %+v", st)
+	}
+}
+
+// TestForeignFormQuarantinesOffMachine: only a MachineReader stream has
+// foreign records; in a tail mirror or a shipped batch the same bytes
+// are damage.
+func TestForeignFormQuarantinesOffMachine(t *testing.T) {
+	b := wire(rec(0x100, 11, 4), rec(0x500, 9, foreignSize), rec(0x104, 12, 4))
+	cfg := Config{View: ApplyAll, End: uint32(len(b))}
+	if st := Run(NewBytesSource(b, segSize), NewWalker(cfg)); !st.Quarantined() || st.QuarantinedFrom != logrec.Size || st.Skipped != 0 {
+		t.Fatalf("foreign form off the machine: %+v", st)
+	}
+	st, err := RunReader(bytes.NewReader(b), segSize, NewWalker(cfg))
+	if err != nil || !st.Quarantined() || st.Applied != 1 {
+		t.Fatalf("foreign form through RunReader: %v %+v", err, st)
+	}
+	if st := Run(NewMachineBytes(b, 0, segSize), NewWalker(cfg)); st.Quarantined() || st.Skipped != 1 || st.Applied != 2 {
+		t.Fatalf("foreign form on the machine: %+v", st)
+	}
+}
+
 func TestWalkerBeginDropsUncommittedPredecessor(t *testing.T) {
 	n := 0
-	w := NewWalker(Config{View: Committed, MarkerLimit: 16,
-		Apply: func(Rec) { n++ }})
-	w.Feed(rec(0, 1, 4)) // begin 1
-	w.Feed(rec(0x100, 11, 4))
-	w.Feed(rec(0, 2, 4)) // begin 2: txn 1 never committed
-	w.Feed(rec(0x104, 22, 4))
-	w.Feed(rec(0, 2|MarkerCommit, 4))
-	st := w.Finish()
+	st := walk(Config{View: Committed, MarkerLimit: 16, Apply: func(Rec) { n++ }},
+		rec(0, 1, 4), // begin 1
+		rec(0x100, 11, 4),
+		rec(0, 2, 4), // begin 2: txn 1 never committed
+		rec(0x104, 22, 4),
+		rec(0, 2|MarkerCommit, 4))
 	if n != 1 || st.Applied != 1 || st.IncompleteTail != 0 || st.Txns != 1 {
 		t.Fatalf("begin-after-uncommitted: applied %d, %+v", n, st)
 	}
 }
 
 func TestWalkerNonMonotonicCommit(t *testing.T) {
-	w := NewWalker(Config{View: Committed, MarkerLimit: 16})
-	w.Feed(rec(0, 5|MarkerCommit, 4))
-	w.Feed(rec(0, 3|MarkerCommit, 4)) // regression: counted, LastSeq holds
-	w.Feed(rec(0, 5|MarkerCommit, 4)) // equal: not a regression
-	st := w.Finish()
+	st := walk(Config{View: Committed, MarkerLimit: 16},
+		rec(0, 5|MarkerCommit, 4),
+		rec(0, 3|MarkerCommit, 4), // regression: counted, LastSeq holds
+		rec(0, 5|MarkerCommit, 4)) // equal: not a regression
 	if st.LastSeq != 5 || st.NonMonotonicCommits != 1 || st.Txns != 3 {
 		t.Fatalf("non-monotonic accounting: %+v", st)
 	}
 }
 
 func TestWalkerQuarantinesInvalid(t *testing.T) {
-	w := NewWalker(Config{View: Committed, MarkerLimit: 16, End: 160})
-	w.Feed(rec(0, 1, 4))
-	w.Feed(rec(0x100, 11, 4))
-	bad := Rec{Off: 0x300, Value: 5, Size: 7, LogOff: 32, Idx: 2}
-	if w.Feed(bad) {
-		t.Fatal("invalid record did not halt the walk")
-	}
-	if w.Feed(rec(0x104, 22, 4)) {
-		t.Fatal("halted walker accepted another record")
-	}
-	st := w.Finish()
+	st := walk(Config{View: Committed, MarkerLimit: 16, End: 160},
+		rec(0, 1, 4),
+		rec(0x100, 11, 4),
+		rec(0x300, 5, 7),
+		rec(0x104, 22, 4))
 	if !st.Quarantined() || st.QuarantinedFrom != 32 || st.QuarantinedBytes != 128 {
 		t.Fatalf("quarantine anchor: %+v", st)
 	}
 	if st.InvalidRecords != 1 || st.IncompleteTail != 1 || st.Applied != 0 {
 		t.Fatalf("quarantine counters: %+v", st)
 	}
-	if st.Bad != bad {
+	if bad := (Rec{Off: 0x300, Value: 5, Size: 7, LogOff: 32, Idx: 2}); st.Bad != bad {
 		t.Fatalf("Bad = %+v, want %+v", st.Bad, bad)
 	}
-	// Scanned counts the damaged record; the post-halt one was refused.
+	// Scanned counts the damaged record; the walk stops there.
 	if st.Scanned != 3 {
 		t.Fatalf("scanned %d, want 3", st.Scanned)
 	}
 }
 
 func TestWalkerSubWordMarkerAreaStoreQuarantines(t *testing.T) {
-	w := NewWalker(Config{View: Committed, MarkerLimit: 16, End: 64})
-	w.Feed(rec(0, 1, 4))
-	if w.Feed(Rec{Off: 4, Value: 9, Size: 2, LogOff: 16, Valid: true, Data: true}) {
-		t.Fatal("sub-word marker-area store did not quarantine")
-	}
-	st := w.Finish()
-	if !st.Quarantined() || st.QuarantinedFrom != 16 {
+	st := walk(Config{View: Committed, MarkerLimit: 16, End: 64}, rec(0, 1, 4), rec(4, 9, 2))
+	if !st.Quarantined() || st.QuarantinedFrom != 16 || !st.Bad.Valid {
 		t.Fatalf("quarantine: %+v", st)
 	}
 }
 
 func TestWalkerApplyAllView(t *testing.T) {
 	var offs []uint32
-	w := NewWalker(Config{View: ApplyAll, MarkerLimit: 16,
-		Apply: func(r Rec) { offs = append(offs, r.Off) }})
-	w.Feed(rec(0, 1, 4)) // markers apply too
-	w.Feed(rec(0x100, 11, 4))
-	w.Feed(Rec{Off: 4, Value: 9, Size: 2, Valid: true, Data: true}) // not a violation here
-	w.Feed(rec(0, 1|MarkerCommit, 4))
-	st := w.Finish()
+	st := walk(Config{View: ApplyAll, MarkerLimit: 16, Apply: func(r Rec) { offs = append(offs, r.Off) }},
+		rec(0, 1, 4), // markers apply too
+		rec(0x100, 11, 4),
+		rec(4, 9, 2), // not a violation here
+		rec(0, 1|MarkerCommit, 4))
 	if st.Quarantined() || st.Applied != 4 || len(offs) != 4 {
 		t.Fatalf("apply-all: %+v offs=%v", st, offs)
 	}
@@ -184,13 +226,14 @@ func TestWalkerApplyAllView(t *testing.T) {
 func TestWalkerDryRunAndStats(t *testing.T) {
 	// nil Apply validates and counts only; the counters read mid-walk.
 	w := NewWalker(Config{View: Committed, MarkerLimit: 16})
-	w.Feed(rec(0, 1, 4))
-	w.Feed(rec(0x100, 11, 4))
+	s := stream{buf: wire(rec(0, 1, 4), rec(0x100, 11, 4)), segSize: segSize}
+	w.scan(&s)
 	if st := w.st; st.Scanned != 2 || st.Applied != 0 {
 		t.Fatalf("mid-walk stats: %+v", st)
 	}
-	w.Feed(rec(0, 1|MarkerCommit, 4))
-	if st := w.Finish(); st.Applied != 1 || st.Txns != 1 {
+	s.buf = append(s.buf, wire(rec(0, 1|MarkerCommit, 4))...)
+	w.scan(&s)
+	if st := w.finish(s.pending()); st.Applied != 1 || st.Txns != 1 {
 		t.Fatalf("dry run: %+v", st)
 	}
 }
@@ -207,30 +250,16 @@ func TestWalkerRefusesTwoSinks(t *testing.T) {
 func TestWalkerNoMarkerLimitBuffersForever(t *testing.T) {
 	// MarkerLimit 0 in the Committed view: nothing ever commits, every
 	// data record lands in the incomplete tail.
-	w := NewWalker(Config{View: Committed})
-	w.Feed(rec(0, 1, 4))
-	w.Feed(rec(0x100, 11, 4))
-	if st := w.Finish(); st.Applied != 0 || st.IncompleteTail != 2 {
+	if st := walk(Config{View: Committed}, rec(0, 1, 4), rec(0x100, 11, 4)); st.Applied != 0 || st.IncompleteTail != 2 {
 		t.Fatalf("limit-0 walk: %+v", st)
 	}
 }
 
-// wire encodes records into a packed stream for BytesSource tests.
-func wire(recs ...logrec.Record) []byte {
-	b := make([]byte, 0, len(recs)*logrec.Size)
-	for _, r := range recs {
-		var s [logrec.Size]byte
-		r.Encode(s[:])
-		b = append(b, s[:]...)
-	}
-	return b
-}
-
 func TestBytesSource(t *testing.T) {
 	b := wire(
-		logrec.Record{Addr: 0, Value: 1, WriteSize: 4},
-		logrec.Record{Addr: 0x100, Value: 11, WriteSize: 4},
-		logrec.Record{Addr: 0x300, Value: 5, WriteSize: 7}, // invalid
+		rec(0, 1, 4),
+		rec(0x100, 11, 4),
+		rec(0x300, 5, 7), // invalid
 	)
 	b = append(b, 0xEE, 0xEE) // trailing partial record: ignored
 	src := NewBytesSource(b, segSize)
@@ -238,60 +267,47 @@ func TestBytesSource(t *testing.T) {
 		t.Fatalf("End() = %d, want %d", src.End(), 3*logrec.Size)
 	}
 	var got []Rec
-	for {
-		r, ok := src.Next()
-		if !ok {
-			break
-		}
-		got = append(got, r)
+	st := Run(src, NewWalker(Config{View: ApplyAll, End: src.End(), Apply: func(r Rec) { got = append(got, r) }}))
+	want := []Rec{
+		{Off: 0, Value: 1, Size: 4, LogOff: 0, Idx: 0, Valid: true},
+		{Off: 0x100, Value: 11, Size: 4, LogOff: logrec.Size, Idx: 1, Valid: true},
 	}
-	if len(got) != 3 {
-		t.Fatalf("yielded %d records, want 3", len(got))
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("applied %+v, want %+v", got, want)
 	}
-	if !got[0].Valid || !got[0].Data || got[0].LogOff != 0 || got[0].Idx != 0 {
-		t.Fatalf("record 0: %+v", got[0])
-	}
-	if got[1].Off != 0x100 || got[1].Value != 11 || got[1].LogOff != logrec.Size {
-		t.Fatalf("record 1: %+v", got[1])
-	}
-	if got[2].Valid {
-		t.Fatalf("size-7 record classified valid: %+v", got[2])
+	if st.Scanned != 3 || st.Bad.Valid || st.Bad.Size != 7 || st.QuarantinedFrom != 2*logrec.Size || st.QuarantinedBytes != logrec.Size {
+		t.Fatalf("size-7 record: %+v", st)
 	}
 }
 
-// nextOnly hides a source's concrete type, forcing Run's generic loop.
-type nextOnly struct{ s Source }
-
-func (n nextOnly) Next() (Rec, bool) { return n.s.Next() }
-
-// TestRunBytesLoopMatchesGenericLoop pins Run's concrete *BytesSource
-// loop to the interface loop: same applied records, same Stats, on a
-// clean stream and on one that quarantines mid-transaction.
+// TestRunBytesLoopMatchesGenericLoop pins Run's byte-stream loop to the
+// record-at-a-time reference walk: same applied records, same Stats, on
+// a clean stream and on one that quarantines mid-transaction.
 func TestRunBytesLoopMatchesGenericLoop(t *testing.T) {
 	clean := wire(
-		logrec.Record{Addr: 0, Value: 1, WriteSize: 4},
-		logrec.Record{Addr: 0x100, Value: 11, WriteSize: 4},
-		logrec.Record{Addr: 0x102, Value: 0xBEEF, WriteSize: 2},
-		logrec.Record{Addr: 0, Value: 1 | MarkerCommit, WriteSize: 4},
-		logrec.Record{Addr: 0, Value: 2, WriteSize: 4},
-		logrec.Record{Addr: 0x200, Value: 21, WriteSize: 1},
-		logrec.Record{Addr: 0, Value: 2 | MarkerCommit, WriteSize: 4},
-		logrec.Record{Addr: 0, Value: 3, WriteSize: 4},
-		logrec.Record{Addr: 0x300, Value: 31, WriteSize: 4}, // never committed
+		rec(0, 1, 4),
+		rec(0x100, 11, 4),
+		rec(0x102, 0xBEEF, 2),
+		rec(0, 1|MarkerCommit, 4),
+		rec(0, 2, 4),
+		rec(0x200, 21, 1),
+		rec(0, 2|MarkerCommit, 4),
+		rec(0, 3, 4),
+		rec(0x300, 31, 4), // never committed
 	)
 	damaged := append([]byte(nil), clean...)
 	damaged[5*logrec.Size+8] = 3 // bad size inside transaction 2
 	for name, b := range map[string][]byte{"clean": clean, "damaged": damaged} {
-		walk := func(src Source) ([]Rec, Stats) {
+		walk := func(run func(*Walker) Stats) ([]Rec, Stats) {
 			var got []Rec
 			w := NewWalker(Config{View: Committed, MarkerLimit: 16, End: uint32(len(b)),
 				Apply: func(r Rec) { got = append(got, r) }})
-			return got, Run(src, w)
+			return got, run(w)
 		}
-		fast, fastStats := walk(NewBytesSource(b, segSize))
-		slow, slowStats := walk(nextOnly{NewBytesSource(b, segSize)})
+		fast, fastStats := walk(func(w *Walker) Stats { return Run(NewBytesSource(b, segSize), w) })
+		slow, slowStats := walk(func(w *Walker) Stats { return refRun(w, b, segSize, false) })
 		if !reflect.DeepEqual(fast, slow) || fastStats != slowStats {
-			t.Fatalf("%s: concrete loop diverges:\n %+v\n %+v", name, fastStats, slowStats)
+			t.Fatalf("%s: byte loop diverges:\n %+v\n %+v", name, fastStats, slowStats)
 		}
 		if name == "damaged" && (!fastStats.Quarantined() || fastStats.QuarantinedFrom != 5*logrec.Size ||
 			fastStats.Applied != 2 || fastStats.IncompleteTail != 0) {
@@ -321,7 +337,17 @@ func machine(t *testing.T) (*core.System, *core.Segment, *core.Segment, *core.Pr
 	return sys, seg, ls, sys.NewProcess(0, as), base
 }
 
-func TestMachineSource(t *testing.T) {
+// machineWalk walks r's range of ls as writes into seg.
+func machineWalk(t *testing.T, r *core.LogReader, seg *core.Segment, cfg Config) Stats {
+	t.Helper()
+	st, err := RunReader(NewMachineReader(r, seg), segSize, NewWalker(cfg))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return st
+}
+
+func TestMachineReader(t *testing.T) {
 	sys, seg, ls, p, base := machine(t)
 	p.Store32(base, 1)
 	p.Store32(base+0x100, 11)
@@ -330,63 +356,64 @@ func TestMachineSource(t *testing.T) {
 	p.Store32(base, 1|MarkerCommit)
 	sys.Sync()
 
-	src := NewMachineSource(sys, ls, seg)
-	if src.End() != 5*logrec.Size {
-		t.Fatalf("End() = %d, want %d", src.End(), 5*logrec.Size)
+	r := core.NewLogReader(sys, ls)
+	if r.End() != 5*logrec.Size {
+		t.Fatalf("End() = %d, want %d", r.End(), 5*logrec.Size)
 	}
-	st := Run(src, NewWalker(Config{View: Committed, MarkerLimit: 16, End: src.End()}))
+	st := machineWalk(t, r, seg, Config{View: Committed, MarkerLimit: 16, End: r.End()})
 	if st.Quarantined() || st.Applied != 3 || st.Txns != 1 || st.LastSeq != 1 {
 		t.Fatalf("machine walk: %+v", st)
 	}
 
-	// Seek/Offset/SetEnd drive a bounded rewalk.
-	src2 := NewMachineSource(sys, ls, seg)
-	if err := src2.Seek(logrec.Size); err != nil {
+	// The reader's bytes are the records re-addressed to segment
+	// offsets, CPU and timestamp kept.
+	raw, got := ls.RawRead(0, 5*logrec.Size), make([]byte, 5*logrec.Size)
+	if n, err := io.ReadFull(NewMachineReader(core.NewLogReader(sys, ls), seg), got); err != nil || n != len(got) {
+		t.Fatalf("read %d: %v", n, err)
+	}
+	for i := 0; i < 5; i++ {
+		w, l := logrec.Decode(got[i*logrec.Size:]), logrec.Decode(raw[i*logrec.Size:])
+		if l.Addr = w.Addr; w != l || w.Addr != []uint32{0, 0x100, 0x104, 0x107, 0}[i] {
+			t.Fatalf("record %d: read %+v, logged %+v", i, w, logrec.Decode(raw[i*logrec.Size:]))
+		}
+	}
+	if _, err := NewMachineReader(core.NewLogReader(sys, ls), seg).Read(got[:logrec.Size-1]); err != io.ErrShortBuffer {
+		t.Fatalf("read into a short buffer: %v", err)
+	}
+
+	// A seek and an end override bound the walk, and anchor it at the
+	// reader's offset.
+	r2 := core.NewLogReader(sys, ls)
+	if err := r2.Seek(logrec.Size); err != nil {
 		t.Fatal(err)
 	}
-	if src2.r.Offset() != logrec.Size {
-		t.Fatalf("Offset() = %d", src2.r.Offset())
+	r2.SetEnd(2 * logrec.Size)
+	if st := machineWalk(t, r2, seg, Config{View: ApplyAll}); st.Scanned != 1 || st.Applied != 1 {
+		t.Fatalf("bounded rewalk: %+v", st)
 	}
-	src2.SetEnd(2 * logrec.Size)
-	n := 0
-	for {
-		if _, ok := src2.Next(); !ok {
-			break
-		}
-		n++
-	}
-	if n != 1 {
-		t.Fatalf("bounded rewalk yielded %d records, want 1", n)
+	r3 := core.NewLogReaderAt(sys, ls, logrec.Size, 4*logrec.Size)
+	if st := machineWalk(t, r3, seg, Config{View: Committed, MarkerLimit: 16, End: 4 * logrec.Size}); st.Scanned != 3 || st.IncompleteTail != 3 {
+		t.Fatalf("windowed walk: %+v", st)
 	}
 
-	// NewMachineSourceAt walks an explicit window without syncing.
-	at := NewMachineSourceAt(sys, ls, seg, logrec.Size, 4*logrec.Size)
-	n = 0
-	for {
-		r, ok := at.Next()
-		if !ok {
-			break
-		}
-		if !r.Valid || !r.Data {
-			t.Fatalf("windowed record invalid: %+v", r)
-		}
-		n++
-	}
-	if n != 3 {
-		t.Fatalf("windowed walk yielded %d records, want 3", n)
-	}
-
-	// Corrupt a record's WriteSize in the log image: the source must
-	// classify it invalid, never panic.
+	// Corrupt a record's WriteSize in the log image: the walk must
+	// quarantine at that record's log offset, never panic.
 	ls.RawWrite(1*logrec.Size+8, []byte{7, 0})
-	src3 := NewMachineSource(sys, ls, seg)
-	st = Run(src3, NewWalker(Config{View: Committed, MarkerLimit: 16, End: src3.End()}))
-	if !st.Quarantined() || st.QuarantinedFrom != 1*logrec.Size {
+	r4 := core.NewLogReader(sys, ls)
+	st = machineWalk(t, r4, seg, Config{View: Committed, MarkerLimit: 16, End: r4.End()})
+	if !st.Quarantined() || st.QuarantinedFrom != 1*logrec.Size || st.Bad.Valid {
 		t.Fatalf("corrupt log walk: %+v", st)
+	}
+	r5 := core.NewLogReader(sys, ls)
+	if err := r5.Seek(logrec.Size); err != nil {
+		t.Fatal(err)
+	}
+	if st := machineWalk(t, r5, seg, Config{View: ApplyAll, End: r5.End()}); st.QuarantinedFrom != 1*logrec.Size {
+		t.Fatalf("quarantine anchor past a seek: %+v", st)
 	}
 }
 
-func TestMachineSourceAndEachData(t *testing.T) {
+func TestMachineReaderForeignAndAppendData(t *testing.T) {
 	sys, seg, ls, p, base := machine(t)
 	other := core.NewNamedSegment(sys, "other", segSize, nil)
 	reg2 := core.NewStdRegion(sys, other)
@@ -401,66 +428,39 @@ func TestMachineSourceAndEachData(t *testing.T) {
 	p2 := sys.NewProcess(0, as2)
 	p.Store32(base+0x100, 11)
 	p2.Store32(base2+0x400, 44) // lands in the shared log, foreign to seg
-	sys.Sync()
-
-	src := NewMachineSource(sys, ls, seg)
-	rec, ok := src.Next()
-	if !ok || rec.Off != 0x100 || !rec.Data {
-		t.Fatalf("wrapped read: %+v ok=%v", rec, ok)
-	}
-	rec, ok = src.Next()
-	if !ok || !rec.Valid || rec.Data {
-		t.Fatalf("foreign record not classified: %+v ok=%v", rec, ok)
-	}
-
-	// Wire re-addresses a machine record to its segment offset.
 	p.Store32(base+0x200, 22)
-	sys.Sync()
-	r2 := core.NewLogReader(sys, ls)
-	r2.Sync()
-	raw, ok := r2.Next()
-	if !ok {
-		t.Fatal("no record")
-	}
-	w := Wire(raw)
-	if w.Addr != raw.SegOff || w.Value != raw.Value || w.WriteSize != raw.WriteSize {
-		t.Fatalf("Wire(%+v) = %+v", raw, w)
-	}
-
-	// EachData walks to the end, classifying segment membership, and
-	// stops on a callback error.
 	p.Store32(base+0x300, 33)
 	sys.Sync()
-	r3 := core.NewLogReader(sys, ls)
-	r3.Sync()
-	data, foreign := 0, 0
-	err = EachData(r3, seg, func(rec core.Record, isData bool) error {
-		if isData {
-			data++
-		} else {
-			foreign++
-		}
-		return nil
-	})
-	if err != nil || data != 3 || foreign != 1 {
-		t.Fatalf("EachData: err=%v data=%d foreign=%d", err, data, foreign)
+
+	got := make([]byte, 4*logrec.Size)
+	if _, err := io.ReadFull(NewMachineReader(core.NewLogReader(sys, ls), seg), got); err != nil {
+		t.Fatal(err)
 	}
-	r4 := core.NewLogReader(sys, ls)
-	r4.Sync()
-	stop := 0
-	sentinel := errSentinel{}
-	err = EachData(r4, seg, func(core.Record, bool) error {
-		stop++
-		return sentinel
-	})
-	if err != sentinel || stop != 1 {
-		t.Fatalf("EachData error stop: err=%v calls=%d", err, stop)
+	if f := logrec.Decode(got[logrec.Size:]); f.Addr != 0x400 || f.Value != 44 || f.WriteSize != foreignSize {
+		t.Fatalf("foreign record read as %+v", f)
+	}
+	r := core.NewLogReader(sys, ls)
+	if st := machineWalk(t, r, seg, Config{View: ApplyAll, End: r.End()}); st.Quarantined() || st.Skipped != 1 || st.Applied != 3 {
+		t.Fatalf("walk with a foreign record: %+v", st)
+	}
+
+	// AppendData emits data records only, in wire form, up to max.
+	r = core.NewLogReader(sys, ls)
+	out, n := AppendData([]byte("x"), r, seg, 2)
+	if n != 2 || len(out) != 1+2*logrec.Size || r.Offset() != 3*logrec.Size {
+		t.Fatalf("AppendData(max 2): n=%d len=%d offset=%d", n, len(out), r.Offset())
+	}
+	if w := logrec.Decode(out[1+logrec.Size:]); w.Addr != 0x200 || w.Value != 22 || w.WriteSize != 4 {
+		t.Fatalf("second data record: %+v", w)
+	}
+	out, n = AppendData(out[:0], r, seg, 5)
+	if n != 1 || logrec.Decode(out).Addr != 0x300 || r.Offset() != 4*logrec.Size {
+		t.Fatalf("AppendData to the end: n=%d offset=%d", n, r.Offset())
+	}
+	if out, n = AppendData(out[:0], r, seg, 5); n != 0 || len(out) != 0 {
+		t.Fatalf("AppendData at the end: n=%d", n)
 	}
 }
-
-type errSentinel struct{}
-
-func (errSentinel) Error() string { return "stop" }
 
 // BenchmarkRunBytes times the restart path's walk: a packed stream of
 // 64-record committed transactions through Run's *BytesSource loop, into

@@ -1,79 +1,95 @@
 package logcursor
 
 import (
+	"io"
+
 	"lvm/internal/core"
 	"lvm/internal/logrec"
 )
 
-// MachineSource yields the records of a hardware log segment as seen
-// through the kernel's reverse address translation (core.LogReader):
-// each record is resolved back to its owning segment, classified
-// against the data segment being walked, and validated with the shared
-// ValidWrite rules plus the machine-only checks (the frame must still
-// be owned, and a "write" into a log segment is never real — the
-// logger does not log its own log).
-type MachineSource struct {
+// foreignSize is the size field MachineReader writes into a record of
+// another segment sharing the log. ValidWrite rejects it; the walk
+// counts it Skipped on a stream MachineReader produced, and quarantines
+// it on any other.
+const foreignSize = 0xFFFF
+
+// MachineReader reads a range of a hardware log segment, as seen through
+// the kernel's reverse address translation (core.LogReader), as a stream
+// of wire records: each record's 16 bytes with the address word replaced
+// by its offset in the segment it resolves to, CPU and timestamp kept.
+// A record that resolves to data is written as it is. One that does not
+// resolve, resolves to a log segment (the logger does not log its own
+// log) or fails ValidWrite in its own segment gets size 0, which
+// ValidWrite rejects. One of another segment gets the foreign form.
+type MachineReader struct {
 	r    *core.LogReader
 	data *core.Segment
-	idx  int
 }
 
-// NewMachineSource opens a synced source over log's records, walking
-// them as writes into data. It synchronizes with the logger to find
-// the log end.
-func NewMachineSource(sys *core.System, log, data *core.Segment) *MachineSource {
-	return &MachineSource{r: core.NewLogReader(sys, log), data: data}
+// NewMachineReader reads r's records from its offset to its end, walked
+// as writes into data. RunReader anchors a walk of it at r's offset.
+func NewMachineReader(r *core.LogReader, data *core.Segment) *MachineReader {
+	return &MachineReader{r: r, data: data}
 }
 
-// NewMachineSourceAt opens a source over [start, end) of the log
-// WITHOUT synchronizing with the logger or touching kernel or device
-// state, so any number may run concurrently over a quiescent machine —
-// the partitioned parallel replay depends on exactly that. Bounds must
-// have been established beforehand (typically from a synced source).
-func NewMachineSourceAt(sys *core.System, log, data *core.Segment, start, end uint32) *MachineSource {
-	return &MachineSource{r: core.NewLogReaderAt(sys, log, start, end), data: data}
-}
-
-// SetEnd overrides the source's view of the log end (clamped to the
-// segment size) — crash recovery scanning a log whose hardware append
-// state did not survive.
-func (s *MachineSource) SetEnd(end uint32) { s.r.SetEnd(end) }
-
-// End reports the source's view of the log end offset.
-func (s *MachineSource) End() uint32 { return s.r.End() }
-
-// Seek positions the source at the given byte offset (must be record
-// aligned).
-func (s *MachineSource) Seek(off uint32) error { return s.r.Seek(off) }
-
-// Next yields the next record in the cursor's uniform form.
-func (s *MachineSource) Next() (Rec, bool) {
-	off := s.r.Offset()
-	rec, ok := s.r.Next()
-	if !ok {
-		return Rec{}, false
+// Read fills p with whole records, as many as fit and remain; it returns
+// io.EOF at the end of the range, and io.ErrShortBuffer when p cannot
+// hold one record.
+func (m *MachineReader) Read(p []byte) (int, error) {
+	if len(p) < logrec.Size {
+		return 0, io.ErrShortBuffer
 	}
-	r := Rec{
-		Off:    rec.SegOff,
-		Value:  rec.Value,
-		Size:   rec.WriteSize,
-		LogOff: off,
-		Idx:    s.idx,
-		Valid: rec.Seg != nil &&
-			ValidWrite(rec.SegOff, rec.WriteSize, rec.Seg.Size()) &&
-			!rec.Seg.IsLog(),
-		Data: rec.Seg == s.data,
+	n := 0
+	for ; n+logrec.Size <= len(p); n += logrec.Size {
+		rec, ok := m.r.Next()
+		if !ok {
+			break
+		}
+		size := rec.WriteSize
+		switch {
+		case rec.Seg == nil || rec.Seg.IsLog() || !ValidWrite(rec.SegOff, size, rec.Seg.Size()):
+			size = 0
+		case rec.Seg != m.data:
+			size = foreignSize
+		}
+		logrec.Put((*[logrec.Size]byte)(p[n:]), rec.SegOff, rec.Value, size, rec.CPU, rec.Timestamp)
 	}
-	s.idx++
-	return r, true
+	if n == 0 {
+		return 0, io.EOF
+	}
+	return n, nil
 }
 
-// BytesSource yields records from a packed byte stream of 16-byte wire
-// records whose Addr field is already a data-segment offset — the form
-// records take once shipped off-machine (logship batches, the lvmd
-// durable tail mirror). Validation is ValidWrite against the segment
-// size; there is no kernel to resolve addresses against, so every
-// record is Data.
+// AppendData appends to dst the records r yields next that resolve to
+// data, in wire form (the record's bytes with the address word replaced
+// by its segment offset, the form a replica or the tail mirror walks),
+// and returns the extended buffer and how many it appended. It stops
+// after max of them or at r's end; records of other segments sharing
+// the log are passed over. This is the one encode loop of the log
+// shipper's batches and the lvmd tail mirror.
+func AppendData(dst []byte, r *core.LogReader, data *core.Segment, max int) ([]byte, int) {
+	n := 0
+	for n < max {
+		rec, ok := r.Next()
+		if !ok {
+			break
+		}
+		if rec.Seg != data {
+			continue
+		}
+		var b [logrec.Size]byte
+		logrec.Put(&b, rec.SegOff, rec.Value, rec.WriteSize, rec.CPU, rec.Timestamp)
+		dst = append(dst, b[:]...)
+		n++
+	}
+	return dst, n
+}
+
+// BytesSource is a packed byte stream of 16-byte wire records whose Addr
+// field is already a data-segment offset — the form records take once
+// shipped off-machine (logship batches, the lvmd durable tail mirror).
+// Validation is ValidWrite against the segment size; there is no kernel
+// to resolve addresses against.
 type BytesSource struct {
 	s stream
 }
@@ -84,46 +100,14 @@ func NewBytesSource(b []byte, segSize uint32) *BytesSource {
 	return &BytesSource{stream{buf: b, segSize: segSize}}
 }
 
+// NewMachineBytes opens a source over b, records a MachineReader read
+// from log offset start (the parallel replay's decoded range): its
+// foreign records are skipped, and its quarantine anchor is a log offset.
+func NewMachineBytes(b []byte, start, segSize uint32) *BytesSource {
+	return &BytesSource{stream{buf: b, segSize: segSize, base: start, machine: true}}
+}
+
 // End reports the byte length of the whole records in the stream.
 func (b *BytesSource) End() uint32 {
 	return uint32(len(b.s.buf) - len(b.s.buf)%logrec.Size)
-}
-
-// Next yields the next record in the cursor's uniform form.
-func (b *BytesSource) Next() (Rec, bool) {
-	s := &b.s
-	if s.pos+logrec.Size > len(s.buf) {
-		return Rec{}, false
-	}
-	r := s.rec(s.pos, false)
-	r.Valid = ValidWrite(r.Off, r.Size, s.segSize)
-	s.pos += logrec.Size
-	return r, true
-}
-
-// Wire returns rec re-addressed to its segment offset — the canonical
-// form for shipping a data record off-machine (a BytesSource on the
-// other end addresses it back into the replica segment).
-func Wire(rec core.Record) logrec.Record {
-	w := rec.Record
-	w.Addr = rec.SegOff
-	return w
-}
-
-// EachData drives r to the end of the log, calling f for every record
-// with isData reporting whether it resolves to data. This is the
-// selection walk shared by the log shippers (emit data records in wire
-// form, ignore foreign ones), the lvmd durable tail mirror (foreign
-// records are a configuration error there), and the DSM producer's
-// release enumeration. f returning an error stops the walk.
-func EachData(r *core.LogReader, data *core.Segment, f func(rec core.Record, isData bool) error) error {
-	for {
-		rec, ok := r.Next()
-		if !ok {
-			return nil
-		}
-		if err := f(rec, rec.Seg == data); err != nil {
-			return err
-		}
-	}
 }

@@ -16,13 +16,17 @@ const chunkSize = 256 << 10
 // one buffer: buf[0] is stream offset base and record ordinal idx, pos is
 // the next record to scan, and in the Committed view buf[open:pos] are
 // the open transaction's records — validated once, kept as bytes, and
-// decoded again only to apply them at the commit marker.
+// decoded again only to apply them at the commit marker. machine marks a
+// stream MachineReader produced, the one kind whose foreign records are
+// skipped; foreign counts those inside buf[open:pos].
 type stream struct {
 	buf       []byte
 	segSize   uint32
 	base      uint32
 	idx       int
 	pos, open int
+	machine   bool
+	foreign   int
 }
 
 // rec decodes the record at buf[p:], whose validity the caller knows. It
@@ -40,18 +44,17 @@ func (s *stream) rec(p int, valid bool) Rec {
 		LogOff: s.base + uint32(p),
 		Idx:    s.idx + p/logrec.Size,
 		Valid:  valid,
-		Data:   true,
 	}
 }
 
 // pending is how many records the open transaction holds.
-func (s *stream) pending() int { return (s.pos - s.open) / logrec.Size }
+func (s *stream) pending() int { return (s.pos-s.open)/logrec.Size - s.foreign }
 
-// scan is the one byte-stream walk: every whole record of buf[pos:]
-// through w, with Walker.feed's rules. It stops at the end of the buffer
-// (a partial record waits for the next refill) or at the first record
-// that quarantines the walk. With an Image sink it stores each applied
-// write from the buffer's bytes; only Apply gets a Rec.
+// scan is the one walk loop: every whole record of buf[pos:] through w.
+// It stops at the end of the buffer (a partial record waits for the next
+// refill) or at the first record that quarantines the walk. With an
+// Image sink it stores each applied write from the buffer's bytes; only
+// Apply gets a Rec.
 func (w *Walker) scan(s *stream) {
 	committed, limit := w.cfg.View == Committed, w.cfg.MarkerLimit
 	img, apply := w.cfg.Image, w.cfg.Apply
@@ -61,6 +64,20 @@ func (w *Walker) scan(s *stream) {
 		w.st.Scanned++
 		valid := ValidWrite(off, size, s.segSize)
 		if !valid || committed && off < limit && size != 4 {
+			if s.machine && size == foreignSize {
+				// Another segment's record, in the log this one shares.
+				w.st.Skipped++
+				if s.open == s.pos {
+					s.open += logrec.Size
+				} else {
+					s.foreign++
+				}
+				continue
+			}
+			// An invalid record, or a sub-word store into the marker
+			// area: no writer emits one, so it can only be damage, and
+			// taking it for a marker or for data would corrupt the
+			// transaction bracketing.
 			r := s.rec(s.pos, valid)
 			w.quarantine(&r, s.pending())
 			return
@@ -80,7 +97,9 @@ func (w *Walker) scan(s *stream) {
 		}
 		if val := binary.LittleEndian.Uint32(b[4:]); val&MarkerCommit != 0 {
 			w.commit(val &^ MarkerCommit)
-			if img != nil {
+			if s.foreign > 0 {
+				w.applyMixed(s)
+			} else if img != nil {
 				for p := s.open; p < s.pos; p += logrec.Size {
 					r := s.buf[p : p+logrec.Size : p+logrec.Size]
 					put(img, binary.LittleEndian.Uint32(r[0:]), binary.LittleEndian.Uint32(r[4:]), binary.LittleEndian.Uint16(r[8:]))
@@ -92,7 +111,26 @@ func (w *Walker) scan(s *stream) {
 			}
 			w.st.Applied += s.pending()
 		}
-		s.open = s.pos + logrec.Size
+		// A begin marker after an uncommitted transaction drops that
+		// transaction's buffered writes, same as a commit flush.
+		s.open, s.foreign = s.pos+logrec.Size, 0
+	}
+}
+
+// applyMixed applies a committed transaction whose records share
+// buf[open:pos] with another segment's, passing over those.
+func (w *Walker) applyMixed(s *stream) {
+	for p := s.open; p < s.pos; p += logrec.Size {
+		r := s.buf[p : p+logrec.Size : p+logrec.Size]
+		off, size := binary.LittleEndian.Uint32(r[0:]), binary.LittleEndian.Uint16(r[8:])
+		if size == foreignSize {
+			continue
+		}
+		if w.cfg.Image != nil {
+			put(w.cfg.Image, off, binary.LittleEndian.Uint32(r[4:]), size)
+		} else if w.cfg.Apply != nil {
+			w.cfg.Apply(s.rec(p, true))
+		}
 	}
 }
 
@@ -116,17 +154,23 @@ func put(img []byte, off, val uint32, size uint16) {
 // the stream. When the buffer fills, the open transaction's bytes and
 // any partial record move to its front; it doubles only when a single
 // open transaction fills it. Rec.LogOff, Idx and the quarantine anchor
-// are positions in the whole stream; a trailing partial record is
-// ignored. A read error other than io.EOF ends the walk there: it is
-// returned with the walk's stats up to it, and no transaction whose
-// commit marker lies past it is applied.
+// are positions in the whole stream, offset by the log offset a
+// *MachineReader starts at; a trailing partial record is ignored. A read
+// error other than io.EOF ends the walk there: it is returned with the
+// walk's stats up to it, and no transaction whose commit marker lies
+// past it is applied.
 func RunReader(r io.Reader, segSize uint32, w *Walker) (Stats, error) {
-	return runReader(r, segSize, w, chunkSize)
+	s := stream{segSize: segSize}
+	if m, ok := r.(*MachineReader); ok {
+		s.machine, s.base = true, m.r.Offset()
+	}
+	return w.run(r, s, chunkSize)
 }
 
-// runReader is RunReader with a first buffer of size bytes.
-func runReader(r io.Reader, segSize uint32, w *Walker, size int) (Stats, error) {
-	s := stream{buf: make([]byte, 0, size), segSize: segSize}
+// run is RunReader over s, a stream with no buffer yet, from a first
+// buffer of size bytes.
+func (w *Walker) run(r io.Reader, s stream, size int) (Stats, error) {
+	s.buf = make([]byte, 0, size)
 	for !w.halted {
 		if len(s.buf) == cap(s.buf) {
 			s.shift()

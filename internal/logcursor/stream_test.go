@@ -16,16 +16,16 @@ import (
 // record: the first picks the kind, the other two its offset and value.
 // Kinds cover begin and commit markers (commit sequences in any order),
 // word, halfword and byte stores (anywhere, or in the segment's last
-// word), sub-word stores into the marker area, bad sizes, and raw
-// offsets (misaligned or out of range). torn%16 bytes of a partial final
-// record follow.
+// word), sub-word stores into the marker area, bad sizes, raw offsets
+// (misaligned or out of range), and MachineReader's foreign form.
+// torn%16 bytes of a partial final record follow.
 func fuzzStream(ops []byte, torn uint8) []byte {
 	var out []byte
 	var buf [logrec.Size]byte
 	for i := 0; i+3 <= len(ops); i += 3 {
 		a, v := uint32(ops[i+1]), uint32(ops[i+2])
 		var r logrec.Record
-		switch ops[i] % 12 {
+		switch ops[i] % 13 {
 		case 0:
 			r = logrec.Record{Addr: a % 4 * 4, Value: v, WriteSize: 4}
 		case 1:
@@ -45,6 +45,8 @@ func fuzzStream(ops []byte, torn uint8) []byte {
 		case 10:
 			size := uint32(1) << (v % 3)
 			r = logrec.Record{Addr: segSize - 4 + a%4&^(size-1), Value: v<<16 | a<<8 | v, WriteSize: uint16(size)}
+		case 11:
+			r = logrec.Record{Addr: a<<8 | v, Value: v, WriteSize: foreignSize}
 		default:
 			r = logrec.Record{Addr: 16 + a*4, Value: v, WriteSize: 4}
 		}
@@ -52,6 +54,95 @@ func fuzzStream(ops []byte, torn uint8) []byte {
 		out = append(out, buf[:]...)
 	}
 	return append(out, bytes.Repeat([]byte{0xA5}, int(torn%logrec.Size))...)
+}
+
+// The record-at-a-time walk the byte-stream scan replaced — Walker.feed
+// over the records BytesSource.Next decoded one by one — kept as the
+// reference FuzzRunChunked and TestRunBytesLoopMatchesGenericLoop pin
+// the scan to.
+
+// refWalker is a Walker driven one record at a time, its open
+// transaction buffered as decoded records.
+type refWalker struct {
+	*Walker
+	batch []Rec
+}
+
+// feed consumes one record; data is false for another segment's. It
+// reports false once the walk has halted.
+func (w *refWalker) feed(r *Rec, data bool) bool {
+	if w.halted {
+		return false
+	}
+	w.st.Scanned++
+	if !r.Valid {
+		w.quarantine(r, len(w.batch))
+		return false
+	}
+	if !data {
+		w.st.Skipped++
+		return true
+	}
+	if w.cfg.View == Committed && w.cfg.MarkerLimit > 0 && r.Off < w.cfg.MarkerLimit {
+		if r.Size != 4 {
+			w.quarantine(r, len(w.batch))
+			return false
+		}
+		if r.Value&MarkerCommit != 0 {
+			w.commit(r.Value &^ MarkerCommit)
+			for i := range w.batch {
+				w.apply(&w.batch[i])
+			}
+			w.st.Applied += len(w.batch)
+		}
+		w.batch = w.batch[:0]
+		return true
+	}
+	if w.cfg.View == ApplyAll {
+		w.apply(r)
+		w.st.Applied++
+		return true
+	}
+	w.batch = append(w.batch, *r)
+	return true
+}
+
+// apply hands r to the walk's sink.
+func (w *refWalker) apply(r *Rec) {
+	if w.cfg.Image != nil {
+		put(w.cfg.Image, r.Off, r.Value, r.Size)
+	} else if w.cfg.Apply != nil {
+		w.cfg.Apply(*r)
+	}
+}
+
+// refNext decodes the record at b[*pos:] and advances past it. On a
+// machine stream the foreign form is a valid record of another segment;
+// on any other it fails ValidWrite like any bad size.
+func refNext(b []byte, pos *int, segSize uint32, machine bool) (r Rec, data, ok bool) {
+	if *pos+logrec.Size > len(b) {
+		return Rec{}, false, false
+	}
+	d := logrec.Decode(b[*pos:])
+	r = Rec{Off: d.Addr, Value: d.Value, Size: d.WriteSize, LogOff: uint32(*pos), Idx: *pos / logrec.Size}
+	r.Valid, data = ValidWrite(r.Off, r.Size, segSize), true
+	if machine && r.Size == foreignSize {
+		r.Valid, data = true, false
+	}
+	*pos += logrec.Size
+	return r, data, true
+}
+
+// refRun walks b record by record through w.
+func refRun(w *Walker, b []byte, segSize uint32, machine bool) Stats {
+	rw := &refWalker{Walker: w}
+	for pos := 0; ; {
+		r, data, ok := refNext(b, &pos, segSize, machine)
+		if !ok || !rw.feed(&r, data) {
+			break
+		}
+	}
+	return rw.finish(len(rw.batch))
 }
 
 // splitReader yields b in pieces whose lengths the fuzzer picks.
@@ -77,6 +168,12 @@ func (r *splitReader) Read(p []byte) (int, error) {
 }
 
 var errRead = errors.New("read failed")
+
+// runChunked is RunReader's loop over r from a first buffer of size
+// bytes, walking a MachineReader's stream when machine is set.
+func runChunked(w *Walker, r io.Reader, machine bool, size int) (Stats, error) {
+	return w.run(r, stream{segSize: segSize, machine: machine}, size)
+}
 
 // walkWith runs one walk over a fresh walker and returns what it applied.
 func walkWith(view View, lim, end uint32, run func(*Walker) (Stats, error)) ([]Rec, Stats, error) {
@@ -106,17 +203,17 @@ func imageOf(recs []Rec) []byte {
 	return img
 }
 
-// FuzzRunChunked pins the byte-stream walk to the generic one. Each
-// stream is walked in every view three ways — the generic Source loop
-// over Walker.Feed (the reference), Run over one *BytesSource, and
-// RunReader behind readers that split it differently, at the real chunk
-// size and from a buffer of bufSize bytes, small enough that shifting
-// and growing happen on every few records. Every walk runs into both
-// sinks: with Apply it must get the reference's records, with Image it
-// must write them, applied in order to a zero image, and either way it
-// must return the reference's Stats. A reader failing after failAt bytes
-// must surface its error and match the reference walk of the bytes
-// before it.
+// FuzzRunChunked pins the byte-stream walk to the record-at-a-time
+// reference (refRun). Each stream is walked in every view, both as a
+// plain stream and as one MachineReader produced, three ways — the
+// reference, Run over one *BytesSource, and RunReader's loop behind
+// readers that split it differently, at the real chunk size and from a
+// buffer of bufSize bytes, small enough that shifting and growing happen
+// on every few records. Every walk runs into both sinks: with Apply it
+// must get the reference's records, with Image it must write them,
+// applied in order to a zero image, and either way it must return the
+// reference's Stats. A reader failing after failAt bytes must surface its
+// error and match the reference walk of the bytes before it.
 func FuzzRunChunked(f *testing.F) {
 	txn := []byte{
 		0, 0, 1, // begin 1
@@ -139,6 +236,10 @@ func FuzzRunChunked(f *testing.F) {
 	// halfword store over parts of it.
 	f.Add(with(0, 0, 3, 10, 0, 0x35, 10, 3, 0x30, 10, 1, 0x31, 1, 0, 3),
 		uint8(0), []byte{7, 3}, uint16(300), uint8(20))
+	// Foreign records inside a committed transaction, between two, and
+	// inside the open one at the end.
+	f.Add(with(11, 1, 1, 0, 0, 3, 2, 1, 1, 11, 5, 5, 2, 2, 2, 1, 0, 3, 11, 3, 3, 0, 0, 4, 2, 4, 4, 11, 6, 6),
+		uint8(0), []byte{5, 9}, uint16(250), uint8(24))
 	f.Fuzz(func(t *testing.T, ops []byte, torn uint8, cuts []byte, failAt uint16, bufSize uint8) {
 		if len(ops) > 3<<10 {
 			ops = ops[:3<<10]
@@ -156,13 +257,21 @@ func FuzzRunChunked(f *testing.F) {
 		}
 		sizes := []int{chunkSize, 1 + int(bufSize)}
 		for _, c := range []struct {
-			name string
-			view View
-			lim  uint32
-		}{{"committed", Committed, 16}, {"apply-all", ApplyAll, 16}, {"no-markers", Committed, 0}} {
+			name    string
+			view    View
+			lim     uint32
+			machine bool
+		}{
+			{"committed", Committed, 16, false}, {"apply-all", ApplyAll, 16, false}, {"no-markers", Committed, 0, false},
+			{"machine/committed", Committed, 16, true}, {"machine/apply-all", ApplyAll, 16, true},
+		} {
+			source := NewBytesSource
+			if c.machine {
+				source = func(b []byte, segSize uint32) *BytesSource { return NewMachineBytes(b, 0, segSize) }
+			}
 			reference := func(b []byte) ([]Rec, Stats) {
 				got, st, _ := walkWith(c.view, c.lim, end, func(w *Walker) (Stats, error) {
-					return Run(nextOnly{NewBytesSource(b, segSize)}, w), nil
+					return refRun(w, b, segSize, c.machine), nil
 				})
 				return got, st
 			}
@@ -189,16 +298,16 @@ func FuzzRunChunked(f *testing.F) {
 			}
 			want, wantSt := reference(stream)
 			walk("reference", want, wantSt, func(w *Walker) (Stats, error) {
-				return Run(nextOnly{NewBytesSource(stream, segSize)}, w), nil
+				return refRun(w, stream, segSize, c.machine), nil
 			})
 			walk("Run", want, wantSt, func(w *Walker) (Stats, error) {
-				return Run(NewBytesSource(stream, segSize), w), nil
+				return Run(source(stream, segSize), w), nil
 			})
 			for name, open := range readers {
 				for _, size := range sizes {
 					what := fmt.Sprintf("RunReader/%s/%d", name, size)
 					for _, err := range walk(what, want, wantSt, func(w *Walker) (Stats, error) {
-						return runReader(open(), segSize, w, size)
+						return runChunked(w, open(), c.machine, size)
 					}) {
 						if err != nil {
 							t.Fatalf("%s/%s: %v", c.name, what, err)
@@ -212,7 +321,7 @@ func FuzzRunChunked(f *testing.F) {
 				what := fmt.Sprintf("read error at %d/%d", cut, size)
 				for _, err := range walk(what, want, wantSt, func(w *Walker) (Stats, error) {
 					r := io.MultiReader(&splitReader{b: stream[:cut], cuts: cuts}, iotest.ErrReader(errRead))
-					return runReader(r, segSize, w, size)
+					return runChunked(w, r, c.machine, size)
 				}) {
 					if !errors.Is(err, errRead) && (err != nil || !wantSt.Quarantined()) {
 						t.Fatalf("%s/%s: RunReader returned %v", c.name, what, err)

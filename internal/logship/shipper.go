@@ -418,23 +418,7 @@ func (s *Shipper) Flush() error {
 		s.seq.Store(s.sealedSeq)
 		return nil
 	}
-	var scratch [logrec.Size]byte
-	if err := logcursor.EachData(s.reader, s.data, func(rec core.Record, isData bool) error {
-		if isData {
-			// Rewrite the address to a segment offset (logcursor.Wire):
-			// replicas cannot resolve producer physical addresses, and
-			// offsets are what their apply path wants.
-			logcursor.Wire(rec).Encode(scratch[:])
-			s.batch = append(s.batch, scratch[:]...)
-			s.batchCount++
-		}
-		if s.batchCount >= s.cfg.FlushRecords {
-			s.seal()
-		}
-		return nil
-	}); err != nil {
-		return err
-	}
+	s.pack(s.reader, &s.batch, &s.batchCount, s.seal)
 	s.seq.Store(s.base.Load() + uint64(s.reader.Offset())/logrec.Size)
 	return nil
 }
@@ -552,7 +536,6 @@ func (s *Shipper) catchUp(c *shipConn) error {
 		return fmt.Errorf("logship: catch-up seek: %w", err)
 	}
 	r.SetEnd(hi)
-	var scratch [logrec.Size]byte
 	var records []byte
 	base := c.start
 	count := 0
@@ -571,23 +554,29 @@ func (s *Shipper) catchUp(c *shipConn) error {
 		records = records[:0]
 		count = 0
 	}
-	if err := logcursor.EachData(r, s.data, func(rec core.Record, isData bool) error {
-		if isData {
-			logcursor.Wire(rec).Encode(scratch[:])
-			records = append(records, scratch[:]...)
-			count++
-		}
-		if count >= s.cfg.FlushRecords {
-			flush()
-		}
-		return nil
-	}); err != nil {
-		return err
-	}
+	s.pack(r, &records, &count, flush)
 	if count > 0 || base < s.sealedSeq {
 		flush()
 	}
 	return nil
+}
+
+// pack appends the data records r yields, in wire form, to the open
+// batch (*records, holding *count of them), and calls seal each time the
+// batch reaches FlushRecords: the one batch loop of Flush and catch-up.
+// Wire form addresses a record by its segment offset: replicas cannot
+// resolve producer physical addresses, and offsets are what their apply
+// path wants.
+func (s *Shipper) pack(r *core.LogReader, records *[]byte, count *int, seal func()) {
+	for {
+		var n int
+		*records, n = logcursor.AppendData(*records, r, s.data, s.cfg.FlushRecords-*count)
+		*count += n
+		if *count < s.cfg.FlushRecords {
+			return
+		}
+		seal()
+	}
 }
 
 // physRange maps the logical sequence range [start, end) onto physical

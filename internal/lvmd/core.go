@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"math"
 
 	"lvm/internal/compact"
 	"lvm/internal/core"
@@ -122,11 +123,10 @@ type ShardCore struct {
 	slots    map[uint64]uint32 // segID → slot index
 	nextSlot uint32
 
-	reader  *core.LogReader // tail-capture cursor (Tail != nil only)
-	ship    *coreShip
-	sh      *metrics.Shard
-	scratch [logrec.Size]byte
-	lost    uint64 // LostRecords watermark already accounted
+	reader *core.LogReader // tail-capture cursor (Tail != nil only)
+	ship   *coreShip
+	sh     *metrics.Shard
+	lost   uint64 // LostRecords watermark already accounted
 }
 
 // coreShip is the compact.Shipper the manager notifies: it cuts the
@@ -507,23 +507,17 @@ func (c *ShardCore) SyncBatch() error {
 		return nil
 	}
 	c.reader.Sync()
-	appended := uint64(0)
-	err := logcursor.EachData(c.reader, c.Arena, func(rec core.Record, isData bool) error {
-		if !isData {
-			return fmt.Errorf("lvmd: log record for foreign segment at offset %d", c.reader.Offset())
-		}
-		logcursor.Wire(rec).Encode(c.scratch[:])
-		c.cfg.Tail.Append(c.scratch[:])
-		appended += logrec.Size
-		return nil
-	})
-	if err != nil {
+	t := c.cfg.Tail
+	from := c.reader.Offset()
+	var n int
+	t.buf, n = logcursor.AppendData(t.buf, c.reader, c.Arena, math.MaxInt)
+	if foreign := int((c.reader.Offset()-from)/logrec.Size) - n; foreign > 0 {
+		return fmt.Errorf("lvmd: %d log records for foreign segments before offset %d", foreign, c.reader.Offset())
+	}
+	if err := t.Flush(); err != nil {
 		return err
 	}
-	if err := c.cfg.Tail.Flush(); err != nil {
-		return err
-	}
-	c.sh.Add(metrics.LvmdTailBytes, appended)
+	c.sh.Add(metrics.LvmdTailBytes, uint64(n)*logrec.Size)
 	return nil
 }
 

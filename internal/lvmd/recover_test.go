@@ -529,6 +529,12 @@ func FuzzRecoverImageTail(f *testing.F) {
 	f.Add(torn, h0, h1)
 	f.Add(subMarker, h0, h1)
 	f.Add(badSize, h0, h1)
+	// The size field MachineReader gives another segment's record: on the
+	// machine it is skipped, in a tail mirror it is damage. No checkpoint,
+	// so the replay walks it.
+	foreign := mutate(mid, 0xFF)
+	foreign[mid+9] = 0xFF
+	f.Add(foreign, []byte{}, []byte{})
 	f.Add(body, h1, h0)
 	f.Add(body, []byte{}, []byte{})
 	// Version 2 files: the records, then their zero-filled extent; a

@@ -1,6 +1,8 @@
 package recovery
 
 import (
+	"io"
+
 	"lvm/internal/core"
 	"lvm/internal/logcursor"
 	"lvm/internal/logrec"
@@ -19,11 +21,12 @@ import (
 // So the parallel path runs three phases:
 //
 //	A. decode: the record range is cut into one contiguous chunk per
-//	   worker; each worker runs its own logcursor.MachineSource over a
-//	   quiescent machine (reads only) and fills a preallocated slot per
-//	   record with the cursor's uniform Rec form.
-//	B. walk: one sequential pass over the decoded slots feeds the SAME
-//	   logcursor.Walker the sequential scan uses — identical Scanned/
+//	   worker; each worker runs its own logcursor.MachineReader over a
+//	   quiescent machine (reads only) and fills its chunk's part of one
+//	   preallocated buffer with the wire records the sequential scan
+//	   walks.
+//	B. walk: one sequential pass over that buffer runs the SAME
+//	   logcursor walk the sequential scan does — identical Scanned/
 //	   Txns/Skipped/quarantine accounting by construction — and routes
 //	   each committed write, in log order, to the partition owning its
 //	   destination page (page number mod workers).
@@ -57,17 +60,10 @@ func replayParallel(sys *core.System, o ReplayOptions) (Result, bool) {
 	}
 
 	// Establish the scan bounds exactly as the sequential path does: one
-	// synced source, then everything below runs against a quiescent
+	// synced reader, then everything below runs against a quiescent
 	// machine.
-	bounds := logcursor.NewMachineSource(sys, o.Log, o.Data)
-	if o.End != 0 {
-		bounds.SetEnd(o.End)
-	}
-	end := bounds.End()
-	start := o.Start - o.Start%logrec.Size
-	if start > end {
-		start = end
-	}
+	lr, start := openRange(sys, o)
+	end := lr.End()
 	if start > 0 {
 		sh.Add(metrics.RecoverySkippedBytes, uint64(start))
 	}
@@ -76,32 +72,22 @@ func replayParallel(sys *core.System, o ReplayOptions) (Result, bool) {
 		return res, true
 	}
 
-	// Phase A: parallel decode + validate into preallocated slots.
-	recs := make([]logcursor.Rec, total)
+	// Phase A: parallel decode + validate into one wire-record buffer.
+	buf := make([]byte, total*logrec.Size)
 	chunk := (total + workers - 1) / workers
 	nchunks := (total + chunk - 1) / chunk
 	_, _ = sim.MapWorkers(workers, nchunks, func(ci int) (struct{}, error) {
 		lo := ci * chunk
-		hi := lo + chunk
-		if hi > total {
-			hi = total
-		}
-		src := logcursor.NewMachineSourceAt(sys, o.Log, o.Data,
-			start+uint32(lo)*logrec.Size, end)
-		for i := lo; i < hi; i++ {
-			rec, ok := src.Next()
-			if !ok {
-				break
-			}
-			rec.Idx = i
-			recs[i] = rec
-		}
-		return struct{}{}, nil
+		hi := min(lo+chunk, total)
+		r := core.NewLogReaderAt(sys, o.Log, start+uint32(lo)*logrec.Size, start+uint32(hi)*logrec.Size)
+		// The range lies inside the log end, so the read fills the chunk;
+		// a short one would leave zero records, which quarantine.
+		_, err := io.ReadFull(logcursor.NewMachineReader(r, o.Data), buf[lo*logrec.Size:hi*logrec.Size])
+		return struct{}{}, err
 	})
 
-	// Phase B: sequential walk through the shared cursor state machine,
-	// routing committed writes to page partitions instead of applying
-	// them.
+	// Phase B: sequential walk through the shared cursor, routing
+	// committed writes to page partitions instead of applying them.
 	parts := make([][]applyRec, workers)
 	w := logcursor.NewWalker(logcursor.Config{
 		View:        view(o),
@@ -112,15 +98,7 @@ func replayParallel(sys *core.System, o ReplayOptions) (Result, bool) {
 			parts[p] = append(parts[p], applyRec{segOff: r.Off, value: r.Value, size: r.Size})
 		},
 	})
-	for i := 0; i < total; i++ {
-		// The slot's log offset is positional; recompute it rather than
-		// trusting a possibly-zero slot a phase-A early exit left behind.
-		recs[i].LogOff = start + uint32(i)*logrec.Size
-		if !w.Feed(recs[i]) {
-			break
-		}
-	}
-	fillResult(&res, sh, w.Finish())
+	fillResult(&res, sh, logcursor.Run(logcursor.NewMachineBytes(buf, start, o.Data.Size()), w))
 	applied := res.Applied
 
 	// Phase C: parallel apply over disjoint page partitions.

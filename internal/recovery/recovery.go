@@ -115,20 +115,14 @@ func Replay(sys *core.System, o ReplayOptions) Result {
 		res.LostRecords = sys.K.Log.RecordsLost
 	}
 
-	src := logcursor.NewMachineSource(sys, o.Log, o.Data)
-	if o.End != 0 {
-		src.SetEnd(o.End)
-	}
-	if start := o.Start - o.Start%logrec.Size; start > 0 {
-		if start > src.End() {
-			start = src.End()
-		}
-		if err := src.Seek(start); err != nil {
-			// Unreachable (start is record-aligned by construction), but a
-			// misplaced scan must never be papered over: replay nothing and
-			// report the whole range as an unrecovered tail.
+	lr, start := openRange(sys, o)
+	if start > 0 {
+		if err := lr.Seek(start); err != nil {
+			// A start past an end that is not record-aligned: replay
+			// nothing and report the whole range as an unrecovered tail,
+			// never a misplaced scan.
 			res.QuarantinedFrom = 0
-			res.QuarantinedBytes = src.End()
+			res.QuarantinedBytes = lr.End()
 			return res
 		}
 		sh.Add(metrics.RecoverySkippedBytes, uint64(start))
@@ -136,15 +130,29 @@ func Replay(sys *core.System, o ReplayOptions) Result {
 	w := logcursor.NewWalker(logcursor.Config{
 		View:        view(o),
 		MarkerLimit: o.MarkerLimit,
-		End:         src.End(),
+		End:         lr.End(),
 		Apply: func(r logcursor.Rec) {
 			if o.Dst != nil {
 				applyRecTo(o.Dst, r.Off, r.Value, r.Size)
 			}
 		},
 	})
-	fillResult(&res, sh, logcursor.Run(src, w))
+	// A MachineReader fails only at its end (io.EOF), so the walk
+	// returns no read error.
+	st, _ := logcursor.RunReader(logcursor.NewMachineReader(lr, o.Data), o.Data.Size(), w)
+	fillResult(&res, sh, st)
 	return res
+}
+
+// openRange opens o's log for a replay: synced with the logger, its end
+// overridden by o.End, and the start offset o.Start rounded down to a
+// record and clamped to the end.
+func openRange(sys *core.System, o ReplayOptions) (*core.LogReader, uint32) {
+	lr := core.NewLogReader(sys, o.Log)
+	if o.End != 0 {
+		lr.SetEnd(o.End)
+	}
+	return lr, min(o.Start-o.Start%logrec.Size, lr.End())
 }
 
 // view maps the replay options onto the cursor's view.

@@ -119,7 +119,6 @@ func (r *Region) Log(ls *Segment) error {
 		ls.logMode = r.mode
 	}
 	r.logSeg = ls
-	ls.loggedRegion = r
 	if r.seg.logged {
 		// Another region's log is currently active for this segment: the
 		// bus logger maps physical pages, so this registration takes

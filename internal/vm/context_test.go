@@ -57,9 +57,8 @@ func TestActivateRequiresLoggedRegion(t *testing.T) {
 
 func TestActivateIdempotent(t *testing.T) {
 	k := testKernel()
-	_, _, ls, p, base := setupLogged(t, k, 1, 4)
+	reg, _, ls, p, base := setupLogged(t, k, 1, 4)
 	p.Store32(base, 1)
-	reg := ls.loggedRegion
 	if err := k.Activate(reg, p.CPU); err != nil {
 		t.Fatal(err)
 	}

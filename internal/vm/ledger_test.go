@@ -1,10 +1,6 @@
 package vm
 
-import (
-	"testing"
-
-	"lvm/internal/logrec"
-)
+import "testing"
 
 // Both kernels keep one log-head ledger: the same append offset and the
 // same absorb-loss count for the same store stream, whichever logger
@@ -70,34 +66,6 @@ func TestLogLedgerFullThenExtend(t *testing.T) {
 		k.Sync()
 		if off, lost := k.LogAppendOffset(ls), ls.LostRecords(); off != PageSize+160 || lost != 54 {
 			t.Errorf("%s: extended: append offset %d, lost %d; want %d, 54", lk.name, off, lost, PageSize+160)
-		}
-	}
-}
-
-// TestLogLedgerTwoRegionsOneLog: a region that starts logging to a log
-// another region already fills appends after its records; the head does
-// not move back.
-func TestLogLedgerTwoRegionsOneLog(t *testing.T) {
-	for _, lk := range ledgerKernels {
-		k, _, ls, p, base := lk.setup(t, 2)
-		storeN(p, base, 5)
-		r2 := k.NewRegion(k.NewSegment("data2", PageSize, nil))
-		if err := r2.Log(ls); err != nil {
-			t.Fatal(err)
-		}
-		base2, err := r2.Bind(p.AS, 0)
-		if err != nil {
-			t.Fatal(err)
-		}
-		storeN(p, base2, 3)
-		k.Sync()
-		if off := k.LogAppendOffset(ls); off != 8*logrec.Size {
-			t.Errorf("%s: append offset %d, want %d", lk.name, off, 8*logrec.Size)
-		}
-		for i, want := range []uint32{0, 1, 2, 3, 4, 0, 1, 2} {
-			if got := logrec.Decode(ls.RawRead(uint32(i)*logrec.Size, logrec.Size)).Value; got != want {
-				t.Errorf("%s: record %d holds %d, want %d", lk.name, i, got, want)
-			}
 		}
 	}
 }

@@ -66,7 +66,7 @@ func (k *Kernel) logOnChip(r *Region, ls *Segment) error {
 		}
 	}
 	r.logSeg = ls
-	ls.loggedRegion = r
+	ls.loggedRegions = append(ls.loggedRegions, r)
 	if r.as != nil {
 		r.mapChipPages()
 		r.as.invalidateRange(r.base, r.size)
@@ -85,18 +85,21 @@ func (r *Region) mapChipPages() {
 
 // ResolveLogAddr maps a log record's address field to the segment and
 // offset it names: physical reverse translation for the prototype logger,
-// direct virtual resolution through the logged region for the on-chip
-// logger (whose records hold virtual addresses).
+// direct virtual resolution through the regions logging to ls for the
+// on-chip logger (whose records hold virtual addresses). Regions of
+// different address spaces may overlap; the newest one holding addr
+// names it.
 func (k *Kernel) ResolveLogAddr(ls *Segment, addr uint32) (seg *Segment, off uint32, ok bool) {
-	if k.Chip != nil {
-		if ls == nil {
-			return nil, 0, false
-		}
-		r := ls.loggedRegion
-		if r == nil || addr < r.base || addr >= r.base+r.size {
-			return nil, 0, false
-		}
-		return r.seg, addr - r.base, true
+	if k.Chip == nil {
+		return k.ReverseTranslate(addr)
 	}
-	return k.ReverseTranslate(addr)
+	if ls == nil {
+		return nil, 0, false
+	}
+	for i := len(ls.loggedRegions) - 1; i >= 0; i-- {
+		if r := ls.loggedRegions[i]; addr >= r.base && addr < r.base+r.size {
+			return r.seg, addr - r.base, true
+		}
+	}
+	return nil, 0, false
 }

@@ -75,15 +75,16 @@ type Segment struct {
 	// Log-segment state.
 	isLog       bool
 	logIdxValid bool
-	// loggedRegion is the region whose writes fill this log (used for
-	// virtual-address resolution with the on-chip logger).
-	loggedRegion *Region
-	logMode      hwlogger.Mode
-	hwPage       uint32 // page currently under the hardware head
-	nextPage     uint32 // next page to hand to the hardware
-	absorbing    bool
-	lostRecords  uint64
-	started      bool // hardware head has been initialized
+	// loggedRegions are the regions whose writes the on-chip logger puts
+	// in this log, oldest first: its records hold virtual addresses, and
+	// these resolve them.
+	loggedRegions []*Region
+	logMode       hwlogger.Mode
+	hwPage        uint32 // page currently under the hardware head
+	nextPage      uint32 // next page to hand to the hardware
+	absorbing     bool
+	lostRecords   uint64
+	started       bool // hardware head has been initialized
 
 	// noAbsorbLimit: offsets below this are transaction marker words, so
 	// pages overlapping [0, noAbsorbLimit) get their PMT absorb-enable
