@@ -31,6 +31,12 @@ go test -run '^$' -bench CoreCommitSync -benchtime 1x ./internal/lvmd
 # source, but its tests run only from inside its module, and they take
 # 5.4 s, half of tier-1's wall time again.
 (cd bench && go vet . && go test -count=1 .)
+# scripts/ab.sh, the one-command A/B of the working tree against a
+# revision, must keep working: one 1-second pair of sim_store against
+# HEAD, which must end in the script's summary line.
+ab=$(sh scripts/ab.sh -pairs 1 -seconds 1 -workload sim_store HEAD)
+echo "$ab"
+echo "$ab" | grep -q '^ab: summary: .*every run correct'
 # bench/'s own tests sweep at reduced parameters and do not read
 # bench/golden/sweep.txt; this runs `lvmbench all`'s sections at their
 # default parameters and exits non-zero if any pass differs from it. At

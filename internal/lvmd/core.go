@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"syscall"
 
 	"lvm/internal/compact"
 	"lvm/internal/core"
@@ -190,7 +191,8 @@ func slotBaseFor(slots int) uint32 {
 // NewCore boots a fresh shard (img nil), or one from an arena image
 // whose provenance it cannot check — a promoted replica's, or any image
 // not paired with the RecoverImage walk of this shard's own files. Such
-// an image is installed raw, the slot directory and transaction sequence
+// an image becomes the arena (the core takes ownership of it, as
+// RestartCore does), the slot directory and transaction sequence
 // are rebuilt from it, and, because the state must be durable before
 // anything is acknowledged on top of it, a checkpoint of it is committed
 // and then the tail mirror is emptied (RestartCore's rewriting path).
@@ -202,9 +204,12 @@ func NewCore(cfg CoreConfig, img []byte, seq uint32) (*ShardCore, error) {
 }
 
 // RestartCore boots a shard from RecoverImage's result over the same
-// cfg.Disk and cfg.Tail. The serving epoch is elected first: a grant
-// (cfg.Epoch) exactly, otherwise one past the checkpoint generation and
-// every epoch the checkpoint area persisted (headers and stamps).
+// cfg.Disk and cfg.Tail. It takes ownership of img: the image becomes
+// the arena's memory (vm.Segment.AdoptImage), page for page, with no
+// copy, so the caller must not use img afterwards. The serving epoch is
+// elected first: a grant (cfg.Epoch) exactly, otherwise one past the
+// checkpoint generation and every epoch the checkpoint area persisted
+// (headers and stamps).
 //
 // When the walk was intact (info.Intact), the sealed checkpoint plus the
 // mirror already are the recovered state, in one logical frame. The
@@ -310,7 +315,7 @@ func RestartCore(cfg CoreConfig, img []byte, info RecoverInfo) (*ShardCore, erro
 	if err := c.rebuildSlots(img); err != nil {
 		return nil, err
 	}
-	arena.RawWrite(0, img)
+	arena.AdoptImage(img)
 	c.seq = info.Seq
 	c.sh.Inc(metrics.LvmdRecoveries)
 	var tailSyncs uint64
@@ -593,14 +598,16 @@ type RecoverInfo struct {
 // record carries the address, the datum and its size, and the tail
 // mirror's addresses are already arena offsets, so the image is the last
 // committed checkpoint (compact.LoadCheckpoint) plus the mirrored bytes
-// past its watermark, streamed from the file in fixed-size chunks
-// through the shared cursor (logcursor.RunReader; marker-committed
-// transactions only) into an image sink (logcursor.Config.Image): the
-// walk stores each committed write from the chunk's bytes straight into
-// the image, with no per-record Rec or call, and memory is the arena
-// plus one chunk, not the tail. The first invalid record quarantines
-// the rest of the tail: the image is then checkpoint + committed
-// prefix, and the info says where the damage began. Pure:
+// past its watermark, walked in place through a read-only mapping of
+// the file (TailFile.mapRecords, released before it returns) by the
+// shared cursor (logcursor.Run; marker-committed transactions only)
+// into an image sink (logcursor.Config.Image): the walk stores each
+// committed write from the mapped bytes straight into the image, with
+// no per-record Rec or call, and the heap it takes is the image, not
+// the tail. A file truncated below the mirror's end, before the walk or
+// during it, is an error (walkMapped). The first invalid record
+// quarantines the rest of the tail: the image is then checkpoint +
+// committed prefix, and the info says where the damage began. Pure:
 // calling it twice must produce identical images — the -check mode's
 // determinism probe.
 func RecoverImage(cfg CoreConfig, tail *TailFile) ([]byte, RecoverInfo, error) {
@@ -632,20 +639,23 @@ func RecoverImage(cfg CoreConfig, tail *TailFile) ([]byte, RecoverInfo, error) {
 	}
 	start -= start % logrec.Size
 	rr.Start = uint32(start)
-	n := tail.size - start
-	st, err := logcursor.RunReader(tail.section(start), arenaSize, logcursor.NewWalker(logcursor.Config{
+	recs, mapping, err := tail.mapRecords(start)
+	if err != nil {
+		return nil, info, err
+	}
+	st, err := walkMapped(recs, arenaSize, logcursor.NewWalker(logcursor.Config{
 		View:        logcursor.Committed,
 		MarkerLimit: MarkerLimit,
-		End:         uint32(n),
+		End:         uint32(len(recs)),
 		Image:       img,
 	}))
-	if err != nil {
-		return nil, info, fmt.Errorf("lvmd: tail load: %w", err)
+	if mapping != nil {
+		if uerr := syscall.Munmap(mapping); err == nil && uerr != nil {
+			err = fmt.Errorf("lvmd: tail unmap: %w", uerr)
+		}
 	}
-	if !st.Quarantined() && uint64(st.Scanned)*logrec.Size != n {
-		// The file is shorter than OpenTail sized it (truncated under the
-		// open handle): an error, not a shorter tail.
-		return nil, info, fmt.Errorf("lvmd: tail load: %d of %d record bytes", uint64(st.Scanned)*logrec.Size, n)
+	if err != nil {
+		return nil, info, err
 	}
 	rr.Result = recovery.FromStats(st)
 	info.ReissuedRecords = info.TailRecords

@@ -10,10 +10,12 @@ import (
 	"path/filepath"
 	"reflect"
 	"runtime"
+	"syscall"
 	"testing"
 
 	"lvm/internal/compact"
 	"lvm/internal/core"
+	"lvm/internal/logcursor"
 	"lvm/internal/logrec"
 	"lvm/internal/ramdisk"
 	"lvm/internal/recovery"
@@ -523,20 +525,8 @@ func FuzzRecoverImageTail(f *testing.F) {
 		nextGen = append(nextGen, rec[:]...)
 	}
 	nextGen = appendTxn(nextGen, rng, arena, last+1, 3)
-	f.Add(nextGen, h0, h1)
-	f.Add(nextGen, h1, h0)
-	f.Add(body, h0, h1)
-	f.Add(torn, h0, h1)
-	f.Add(subMarker, h0, h1)
-	f.Add(badSize, h0, h1)
-	// The size field MachineReader gives another segment's record: on the
-	// machine it is skipped, in a tail mirror it is damage. No checkpoint,
-	// so the replay walks it.
 	foreign := mutate(mid, 0xFF)
 	foreign[mid+9] = 0xFF
-	f.Add(foreign, []byte{}, []byte{})
-	f.Add(body, h1, h0)
-	f.Add(body, []byte{}, []byte{})
 	// Version 2 files: the records, then their zero-filled extent; a
 	// torn flush whose earlier sector stayed zero while a later one, and
 	// a record past it, reached the disk; a lone record past a zero gap
@@ -546,67 +536,108 @@ func FuzzRecoverImageTail(f *testing.F) {
 	clear(sectorGap[512-tailHdrSize : 1024-tailHdrSize]) // file bytes 512..1024, mid-body
 	pastGap := append([]byte(nil), extent...)
 	copy(pastGap[len(body)+2*logrec.Size:], body[len(body)-logrec.Size:])
-	f.Add(extent, h0, h1)
-	f.Add(sectorGap, h0, h1)
-	f.Add(pastGap, h0, h1)
-
+	none := []byte{}
+	// Each seed states whether its walk quarantines, so a damage seed
+	// that stops reaching the walk (say, behind a checkpoint's
+	// watermark) fails here instead of fuzzing nothing. The damage seeds
+	// run without a checkpoint, so the replay walks the whole tail.
+	seeds := []struct {
+		name         string
+		body, h0, h1 []byte
+		quarantined  bool
+	}{
+		{"next-generation", nextGen, h0, h1, false},
+		{"next-generation-other-slot", nextGen, h1, h0, false},
+		{"clean", body, h0, h1, false},
+		{"torn-final-record", torn, h0, h1, false},
+		// A halfword store into the marker word; a bad size mid-tail.
+		{"sub-word-marker", subMarker, none, none, true},
+		{"bad-size", badSize, none, none, true},
+		// The size field MachineReader gives another segment's record: on
+		// the machine it is skipped, in a tail mirror it is damage.
+		{"foreign-form", foreign, none, none, true},
+		{"clean-other-slot", body, h1, h0, false},
+		{"clean-no-checkpoint", body, none, none, false},
+		{"extent", extent, h0, h1, false},
+		{"sector-gap", sectorGap, h0, h1, true},
+		{"past-gap", pastGap, h0, h1, true},
+	}
 	path := filepath.Join(f.TempDir(), "tail")
+	for _, sd := range seeds {
+		info, ok := checkRecoverTail(f, path, imgs, sd.body, sd.h0, sd.h1)
+		if !ok || info.Quarantined() != sd.quarantined {
+			f.Fatalf("seed %s: refused %v, quarantined %v (from %d, start %d), want quarantined %v",
+				sd.name, !ok, info.Quarantined(), info.QuarantinedFrom, info.Start, sd.quarantined)
+		}
+		f.Add(sd.body, sd.h0, sd.h1)
+	}
 	f.Fuzz(func(t *testing.T, body, h0, h1 []byte) {
-		if len(body) > 1<<16 {
-			body = body[:1<<16]
-		}
-		disk := ramdisk.New()
-		for slot, h := range [][]byte{h0, h1} {
-			if len(h) > ramdisk.BlockSize {
-				h = h[:ramdisk.BlockSize]
-			}
-			if err := disk.TryWriteAt(nil, uint64(slot)*ramdisk.BlockSize, h); err != nil {
-				t.Fatal(err)
-			}
-		}
-		if err := disk.TryWriteAt(nil, 2*ramdisk.BlockSize, imgs); err != nil {
-			t.Fatal(err)
-		}
-		cfg := smallCore
-		cfg.Disk = disk
-		img, info, err := recoverBytes(t, cfg, path, body)
-		if err != nil {
-			return // a sealed checkpoint of another arena size: refused, not guessed at
-		}
-		if uint32(len(img)) != arena {
-			t.Fatalf("image is %d bytes, arena %d", len(img), arena)
-		}
-		if info.TailRecords != refTailEnd(body) || info.ReissuedRecords > info.TailRecords {
-			t.Fatalf("record accounting: %+v over %d bytes", info, len(body))
-		}
-		if info.Start%logrec.Size != 0 || int(info.Start) > len(body) {
-			t.Fatalf("replay start %d over %d tail bytes", info.Start, len(body))
-		}
-		// Which slot the fuzzed headers elected is theirs to say; the
-		// image must be one of the two (or empty) plus the prefix.
-		bases := [][]byte{make([]byte, arena)}
-		if info.FromCheckpoint {
-			bases = [][]byte{imgs[:arena], imgs[arena:]}
-		}
-		want, stop, seq := refReplay(bases[0], body, int(info.Start))
-		if !bytes.Equal(img, want) && len(bases) == 2 {
-			want, stop, seq = refReplay(bases[1], body, int(info.Start))
-		}
-		if !bytes.Equal(img, want) {
-			t.Fatalf("image is not checkpoint + committed prefix (info %+v)", info)
-		}
-		if info.Seq != seq || info.ReissuedRecords != stop || info.Quarantined() != (stop < info.TailRecords) {
-			t.Fatalf("info %+v, want seq %d and %d accepted records", info, seq, stop)
-		}
-		img2, info2, err := recoverBytes(t, cfg, path, body)
-		if err != nil || !bytes.Equal(img, img2) || !reflect.DeepEqual(info, info2) {
-			t.Fatalf("second recovery differs: %v", err)
-		}
+		checkRecoverTail(t, path, imgs, body, h0, h1)
 	})
 }
 
+// checkRecoverTail is FuzzRecoverImageTail's check of one input: body
+// as the tail file, h0 and h1 as the checkpoint header blocks over the
+// two images imgs. It reports the recovery's info, and false when
+// RecoverImage refused the input.
+func checkRecoverTail(t testing.TB, path string, imgs, body, h0, h1 []byte) (RecoverInfo, bool) {
+	t.Helper()
+	if len(body) > 1<<16 {
+		body = body[:1<<16]
+	}
+	disk := ramdisk.New()
+	for slot, h := range [][]byte{h0, h1} {
+		if len(h) > ramdisk.BlockSize {
+			h = h[:ramdisk.BlockSize]
+		}
+		if err := disk.TryWriteAt(nil, uint64(slot)*ramdisk.BlockSize, h); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := disk.TryWriteAt(nil, 2*ramdisk.BlockSize, imgs); err != nil {
+		t.Fatal(err)
+	}
+	cfg := smallCore
+	cfg.Disk = disk
+	arena := uint32(len(imgs) / 2)
+	img, info, err := recoverBytes(t, cfg, path, body)
+	if err != nil {
+		return info, false // a sealed checkpoint of another arena size: refused, not guessed at
+	}
+	if uint32(len(img)) != arena {
+		t.Fatalf("image is %d bytes, arena %d", len(img), arena)
+	}
+	if info.TailRecords != refTailEnd(body) || info.ReissuedRecords > info.TailRecords {
+		t.Fatalf("record accounting: %+v over %d bytes", info, len(body))
+	}
+	if info.Start%logrec.Size != 0 || int(info.Start) > len(body) {
+		t.Fatalf("replay start %d over %d tail bytes", info.Start, len(body))
+	}
+	// Which slot the fuzzed headers elected is theirs to say; the
+	// image must be one of the two (or empty) plus the prefix.
+	bases := [][]byte{make([]byte, arena)}
+	if info.FromCheckpoint {
+		bases = [][]byte{imgs[:arena], imgs[arena:]}
+	}
+	want, stop, seq := refReplay(bases[0], body, int(info.Start))
+	if !bytes.Equal(img, want) && len(bases) == 2 {
+		want, stop, seq = refReplay(bases[1], body, int(info.Start))
+	}
+	if !bytes.Equal(img, want) {
+		t.Fatalf("image is not checkpoint + committed prefix (info %+v)", info)
+	}
+	if info.Seq != seq || info.ReissuedRecords != stop || info.Quarantined() != (stop < info.TailRecords) {
+		t.Fatalf("info %+v, want seq %d and %d accepted records", info, seq, stop)
+	}
+	img2, info2, err := recoverBytes(t, cfg, path, body)
+	if err != nil || !bytes.Equal(img, img2) || !reflect.DeepEqual(info, info2) {
+		t.Fatalf("second recovery differs: %v", err)
+	}
+	return info, true
+}
+
 // tailChunk is logcursor's refill unit (its unexported chunkSize), which
-// the tests below size their tails in.
+// the tests below size their tails in: long tails, whatever reads them.
 const tailChunk = 256 << 10
 
 // appendTxn appends one committed transaction of stores word stores at
@@ -626,9 +657,14 @@ func appendTxn(body []byte, rng *rand.Rand, arena, seq uint32, stores int) []byt
 }
 
 // TestRecoverImageCrossesChunks is the damage oracle over a tail of
-// several read chunks, with the damage in the fourth. The image,
-// sequence, accepted records and absolute quarantine offset must match
-// refReplay over the whole body, from a replay start mid-tail.
+// several of logcursor's read chunks, with the damage in the fourth. The
+// image, sequence, accepted records and absolute quarantine offset must
+// match refReplay over the whole body, from a replay start mid-tail.
+// RecoverImage walks the mapped mirror in one piece, so the chunk
+// boundaries no longer cut its walk; the sizes keep the tail long, with
+// mapping pages, open transactions and a transaction longer than a chunk
+// all crossing each other. The chunk buffer's refills and doubling now
+// serve only MachineReader walks, which logcursor's tests cover.
 func TestRecoverImageCrossesChunks(t *testing.T) {
 	cfg := smallCore
 	disk := ramdisk.New()
@@ -643,9 +679,8 @@ func TestRecoverImageCrossesChunks(t *testing.T) {
 		t.Fatalf("no checkpoint to start mid-tail from: %v", err)
 	}
 	start := int(rr.Start - rr.Start%logrec.Size)
-	// Transactions of 3–202 records, so each refill (the buffer filled
-	// from the oldest open transaction on) ends inside one, and one
-	// longer than a chunk, which the buffer must double to hold.
+	// Transactions of 3–202 records, and one longer than a chunk that
+	// straddles the first chunk boundary.
 	rng := rand.New(rand.NewSource(29))
 	long := false
 	for seq := uint32(1000); len(body) < start+4*tailChunk+tailChunk/2; seq++ {
@@ -656,7 +691,7 @@ func TestRecoverImageCrossesChunks(t *testing.T) {
 		body = appendTxn(body, rng, arena, seq, stores)
 	}
 	if !long {
-		t.Fatal("the long transaction does not straddle the first refill")
+		t.Fatal("the long transaction does not straddle the first chunk boundary")
 	}
 	bad := (start + 3*tailChunk + tailChunk/2) / logrec.Size
 	for binary.LittleEndian.Uint32(body[bad*logrec.Size:]) < MarkerLimit {
@@ -686,9 +721,9 @@ func TestRecoverImageCrossesChunks(t *testing.T) {
 	}
 }
 
-// TestRecoverImageHeapBounded pins restart memory to the arena plus a
-// few read chunks, however long the tail: the mirror is streamed, never
-// loaded whole.
+// TestRecoverImageHeapBounded pins restart heap below the arena plus
+// four read chunks, however long the tail: the mirror is read through a
+// mapping of the page cache, never loaded into the heap.
 func TestRecoverImageHeapBounded(t *testing.T) {
 	cfg := smallCore
 	cfg.Disk = ramdisk.New()
@@ -713,6 +748,56 @@ func TestRecoverImageHeapBounded(t *testing.T) {
 	}
 	if got, limit := after.TotalAlloc-before.TotalAlloc, uint64(arena)+4*tailChunk; got >= limit {
 		t.Fatalf("RecoverImage allocated %d bytes over a %d-byte tail, limit %d (arena + 4 chunks)", got, len(body), limit)
+	}
+}
+
+// TestRecoverImageTruncatedTail: a mirror file cut below the end
+// OpenTail found is an error ("N of M record bytes"), never a shorter
+// tail and never a fault — whether the cut comes before the walk, which
+// refuses the short file before mapping it, or during it, when a page of
+// the mapping past the new end faults and the fault becomes that error.
+func TestRecoverImageTruncatedTail(t *testing.T) {
+	cfg := smallCore
+	cfg.Disk = ramdisk.New()
+	arena, err := cfg.ArenaSize()
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(59))
+	var body []byte
+	for seq := uint32(1); len(body) < 4*os.Getpagesize(); seq++ {
+		body = appendTxn(body, rng, arena, seq, 20)
+	}
+	path := filepath.Join(t.TempDir(), "tail")
+	tail := openTailBytes(t, path, body)
+	defer tail.Close()
+	cut := int64(2 * os.Getpagesize()) // the file's bytes; the mapping starts at file offset 0
+	want := fmt.Sprintf("lvmd: tail load: %d of %d record bytes", cut-tailHdrSize, len(body))
+
+	if err := os.Truncate(path, cut); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := RecoverImage(cfg, tail); err == nil || err.Error() != want {
+		t.Fatalf("RecoverImage over a file cut before the walk: %v, want %q", err, want)
+	}
+
+	hdr := tailHeader(0)
+	if err := os.WriteFile(path, append(hdr[:], body...), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	recs, mapping, err := tail.mapRecords(0)
+	if err != nil || len(recs) != len(body) {
+		t.Fatalf("mapping the restored file: %v, %d of %d bytes", err, len(recs), len(body))
+	}
+	defer syscall.Munmap(mapping)
+	if err := os.Truncate(path, cut); err != nil {
+		t.Fatal(err)
+	}
+	_, err = walkMapped(recs, arena, logcursor.NewWalker(logcursor.Config{
+		View: logcursor.Committed, MarkerLimit: MarkerLimit, End: uint32(len(recs)), Image: make([]byte, arena),
+	}))
+	if err == nil || err.Error() != want {
+		t.Fatalf("walk over a file cut under its mapping: %v, want %q", err, want)
 	}
 }
 

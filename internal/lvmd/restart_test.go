@@ -405,6 +405,7 @@ func BenchmarkNewServerRestart(b *testing.B) {
 	for _, damaged := range []bool{false, true} {
 		name := map[bool]string{false: "intact", true: "quarantined"}[damaged]
 		b.Run(name, func(b *testing.B) {
+			b.ReportAllocs()
 			src := image
 			if damaged {
 				src = b.TempDir()

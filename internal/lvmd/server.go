@@ -80,7 +80,8 @@ type ServerConfig struct {
 	IdleTimeout time.Duration
 	// Boot, when non-nil (one entry per shard), seeds each shard from a
 	// promoted replica image instead of recovering from Dir's files: the
-	// image is installed as the shard's arena, its first checkpoint makes
+	// image becomes the shard's arena (the server takes ownership of it:
+	// RestartCore), its first checkpoint makes
 	// the promoted state durable in Dir, and the shard's shipper serves
 	// the granted epoch so zombie-generation subscribers are fenced.
 	Boot []BootShard

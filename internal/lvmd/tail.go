@@ -3,11 +3,13 @@ package lvmd
 import (
 	"encoding/binary"
 	"fmt"
-	"io"
 	"os"
 	"path/filepath"
+	"runtime/debug"
 	"syscall"
+	"unsafe"
 
+	"lvm/internal/logcursor"
 	"lvm/internal/logrec"
 )
 
@@ -292,9 +294,58 @@ func (t *TailFile) Load() ([]byte, error) {
 	return body, nil
 }
 
-// section reads the flushed mirror bytes from offset from on.
-func (t *TailFile) section(from uint64) *io.SectionReader {
-	return io.NewSectionReader(t.f, int64(tailHdrSize+from), int64(t.size-from))
+// mapRecords maps the flushed mirror bytes from record offset from to
+// the end read-only, shared with the page cache, and returns them with
+// the mapping they lie in, which the caller releases (syscall.Munmap);
+// an empty range maps nothing. A file shorter than the mirror's end
+// (truncated under the open handle) is refused before anything is
+// mapped: an error, not a shorter tail.
+func (t *TailFile) mapRecords(from uint64) (recs, mapping []byte, err error) {
+	var st syscall.Stat_t
+	if err := syscall.Fstat(int(t.f.Fd()), &st); err != nil {
+		return nil, nil, fmt.Errorf("lvmd: stat tail file: %w", err)
+	}
+	if held := uint64(max(st.Size-tailHdrSize, 0)); held < t.size {
+		held = max(held, from) - from
+		return nil, nil, shortTail(held-held%logrec.Size, t.size-from)
+	}
+	if from == t.size {
+		return nil, nil, nil
+	}
+	at := tailHdrSize + from
+	page := at &^ uint64(os.Getpagesize()-1)
+	mapping, err = syscall.Mmap(int(t.f.Fd()), int64(page), int(tailHdrSize+t.size-page), syscall.PROT_READ, syscall.MAP_SHARED)
+	if err != nil {
+		return nil, nil, fmt.Errorf("lvmd: tail map: %w", err)
+	}
+	return mapping[at-page:], mapping, nil
+}
+
+// walkMapped walks recs, mirror bytes mapRecords mapped, through w into
+// a data segment of segSize bytes. A page of recs past the file's end
+// (the file was truncated under the mapping) faults; that fault is
+// recovered into the error a short file gets, counting the record bytes
+// before the faulting one. Any other panic goes on.
+func walkMapped(recs []byte, segSize uint32, w *logcursor.Walker) (st logcursor.Stats, err error) {
+	defer debug.SetPanicOnFault(debug.SetPanicOnFault(true))
+	defer func() {
+		if r := recover(); r != nil {
+			f, ok := r.(interface{ Addr() uintptr })
+			base := uintptr(unsafe.Pointer(unsafe.SliceData(recs)))
+			if !ok || f.Addr() < base || f.Addr()-base >= uintptr(len(recs)) {
+				panic(r)
+			}
+			at := uint64(f.Addr() - base)
+			err = shortTail(at-at%logrec.Size, uint64(len(recs)))
+		}
+	}()
+	return logcursor.Run(logcursor.NewBytesSource(recs, segSize), w), nil
+}
+
+// shortTail is the error for a mirror whose file holds only have of the
+// want record bytes a walk needs.
+func shortTail(have, want uint64) error {
+	return fmt.Errorf("lvmd: tail load: %d of %d record bytes", have, want)
 }
 
 // Close closes the backing file.

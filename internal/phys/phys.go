@@ -92,6 +92,19 @@ func (m *Memory) Frame(frame uint32) *[PageSize]byte {
 	return p
 }
 
+// Adopt makes p the storage of an allocated frame that has none of its
+// own yet (it was never written), with no copy, and reports whether it
+// did: a frame already written keeps its storage. The frame then aliases
+// p, so the caller hands p over. Frame 0 and a frame never handed out
+// panic.
+func (m *Memory) Adopt(frame uint32, p *[PageSize]byte) bool {
+	if m.page(frame) != &zeroPage {
+		return false
+	}
+	m.frames[frame] = p
+	return true
+}
+
 // page returns an allocated frame's storage for reading: possibly the
 // shared zero page, so it must not escape the package.
 func (m *Memory) page(frame uint32) *[PageSize]byte {

@@ -186,3 +186,27 @@ func TestFramesStoreOnFirstWrite(t *testing.T) {
 		}
 	}
 }
+
+// TestAdoptTakesOnlyUnwrittenFrames: Adopt makes a page the storage of a
+// frame never written, with no copy, and refuses a frame that has
+// storage of its own.
+func TestAdoptTakesOnlyUnwrittenFrames(t *testing.T) {
+	m := NewMemory(4)
+	fresh, err1 := m.Alloc()
+	written, err2 := m.Alloc()
+	if err1 != nil || err2 != nil {
+		t.Fatal(err1, err2)
+	}
+	m.Write32(FrameBase(written), 7)
+	p := new([PageSize]byte)
+	p[0] = 5
+	if !m.Adopt(fresh, p) || m.Frame(fresh) != p || m.Read32(FrameBase(fresh)) != 5 {
+		t.Fatal("a never-written frame did not adopt the page")
+	}
+	if m.Adopt(fresh, new([PageSize]byte)) || m.Frame(fresh) != p {
+		t.Fatal("an adopted frame adopted a second page")
+	}
+	if m.Adopt(written, new([PageSize]byte)) || m.Read32(FrameBase(written)) != 7 {
+		t.Fatal("a written frame adopted a page")
+	}
+}

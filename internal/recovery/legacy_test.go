@@ -53,7 +53,7 @@ func legacyReplay(sys *core.System, o ReplayOptions) Result {
 	}
 	if start := o.Start - o.Start%logrec.Size; start > 0 {
 		if start > r.End() {
-			start = r.End()
+			start = r.End() - r.End()%logrec.Size
 		}
 		if err := r.Seek(start); err != nil {
 			res.QuarantinedFrom = 0
@@ -115,7 +115,7 @@ func legacyDivergences(sys *core.System, o ReplayOptions) (markerViolation, nonM
 	}
 	start := o.Start - o.Start%logrec.Size
 	if start > r.End() {
-		start = r.End()
+		start = r.End() - r.End()%logrec.Size
 	}
 	if r.Seek(start) != nil {
 		return false, false
@@ -268,6 +268,23 @@ func TestReplayMatchesLegacy(t *testing.T) {
 		diffReplay(t, sys, ReplayOptions{
 			Log: ls, Data: seg, MarkerLimit: markerLimit, End: 2 * logrec.Size,
 		}, segSize)
+	})
+
+	t.Run("start-past-unaligned-end", func(t *testing.T) {
+		sys, seg, ls, p, base, _ := build(t)
+		p.Store32(base, 1)
+		p.Store32(base+0x100, 11)
+		p.Store32(base, 1|MarkerCommit)
+		sys.Sync()
+		o := ReplayOptions{Log: ls, Data: seg, MarkerLimit: markerLimit, End: 40, Start: 48}
+		for _, workers := range []int{1, 2} {
+			o.Workers = workers
+			if res := Replay(sys, o); res.Scanned != 0 || res.Quarantined() {
+				t.Fatalf("Workers %d: %+v, want a clean empty replay", workers, res)
+			}
+		}
+		o.Workers = 0
+		diffReplay(t, sys, o, segSize)
 	})
 
 	t.Run("checkpoint-start", func(t *testing.T) {

@@ -117,14 +117,6 @@ func Replay(sys *core.System, o ReplayOptions) Result {
 
 	lr, start := openRange(sys, o)
 	if start > 0 {
-		if err := lr.Seek(start); err != nil {
-			// A start past an end that is not record-aligned: replay
-			// nothing and report the whole range as an unrecovered tail,
-			// never a misplaced scan.
-			res.QuarantinedFrom = 0
-			res.QuarantinedBytes = lr.End()
-			return res
-		}
 		sh.Add(metrics.RecoverySkippedBytes, uint64(start))
 	}
 	w := logcursor.NewWalker(logcursor.Config{
@@ -145,14 +137,17 @@ func Replay(sys *core.System, o ReplayOptions) Result {
 }
 
 // openRange opens o's log for a replay: synced with the logger, its end
-// overridden by o.End, and the start offset o.Start rounded down to a
-// record and clamped to the end.
+// overridden by o.End, and positioned at o.Start rounded down to a
+// record and clamped to the end's last whole record, so a start past an
+// end that is not record-aligned replays nothing, cleanly. It returns
+// the reader and that start.
 func openRange(sys *core.System, o ReplayOptions) (*core.LogReader, uint32) {
 	lr := core.NewLogReader(sys, o.Log)
 	if o.End != 0 {
 		lr.SetEnd(o.End)
 	}
-	return lr, min(o.Start-o.Start%logrec.Size, lr.End())
+	start := min(o.Start, lr.End()) / logrec.Size * logrec.Size
+	return core.NewLogReaderAt(sys, o.Log, start, lr.End()), start
 }
 
 // view maps the replay options onto the cursor's view.

@@ -134,3 +134,85 @@ func twinsAgree(t *testing.T, op int, a, b *Segment, model []byte) {
 		}
 	}
 }
+
+// TestAdoptImageMatchesRawWrite: a segment that adopts an image is, field
+// for field, the segment RawWrite(0, img) leaves — frame numbers and
+// owners, page and line dirty state, contents — with each whole page
+// whose frame held no data backed by the image itself. The cases cover a
+// partial last page, a page already written before the install, a page
+// resident but never written, and a deferred-copy segment, which copies.
+func TestAdoptImageMatchesRawWrite(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		size uint32
+		pre  func(s *Segment)
+	}{
+		{"whole-pages", 3 * PageSize, nil},
+		{"partial-last-page", 3*PageSize + 528, nil},
+		{"written-and-resident-pages", 4*PageSize + 16, func(s *Segment) {
+			s.Write32(PageSize+40, 0xABCD)
+			if _, err := s.EnsureResident(2); err != nil {
+				t.Fatal(err)
+			}
+		}},
+		{"deferred-copy-source", 2*PageSize + 100, func(s *Segment) {
+			src := s.k.NewSegment("source", 2*PageSize+100, nil)
+			src.Write32(8, 7)
+			mustSource(t, s, src, 0)
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			img := make([]byte, tc.size)
+			rand.New(rand.NewSource(int64(tc.size))).Read(img)
+			ka, kb := testKernel(), testKernel()
+			a := ka.NewSegment("copied", tc.size, nil)
+			b := kb.NewSegment("adopted", tc.size, nil)
+			if tc.pre != nil {
+				tc.pre(a)
+				tc.pre(b)
+			}
+			a.RawWrite(0, img)
+			b.AdoptImage(bytes.Clone(img))
+			if ka.M.Phys.Allocated() != kb.M.Phys.Allocated() {
+				t.Fatalf("frames allocated: copy %d, adopt %d", ka.M.Phys.Allocated(), kb.M.Phys.Allocated())
+			}
+			for page := range a.pages {
+				pa, pb := &a.pages[page], &b.pages[page]
+				if pa.frame != pb.frame || pa.dirty != pb.dirty || pa.lineDirty != pb.lineDirty ||
+					pa.fromSource != pb.fromSource || (pa.data == nil) != (pb.data == nil) {
+					t.Fatalf("page %d: copy %+v, adopt %+v", page, *pa, *pb)
+				}
+				oa, ob := ka.owners[pa.frame], kb.owners[pb.frame]
+				if oa.seg != a || ob.seg != b || oa.page != ob.page {
+					t.Fatalf("page %d: frame owners differ: %+v vs %+v", page, oa, ob)
+				}
+			}
+			got := make([]byte, tc.size)
+			b.ReadInto(0, got)
+			if !bytes.Equal(got, a.RawRead(0, tc.size)) || !bytes.Equal(got, img) {
+				t.Fatal("adopted contents differ from the copied ones")
+			}
+		})
+	}
+}
+
+// TestAdoptImageAliasesFreshPages: a whole page whose frame held no data
+// is the image's own bytes, not a copy; a page written before the
+// install and the partial last page are copies.
+func TestAdoptImageAliasesFreshPages(t *testing.T) {
+	k := testKernel()
+	s := k.NewSegment("arena", 3*PageSize+8, nil)
+	s.Write32(PageSize, 1)
+	img := make([]byte, 3*PageSize+8)
+	s.AdoptImage(img)
+	for page, aliased := range []bool{true, false, true, false} {
+		d := s.pages[page].data
+		if got := d != nil && &d[0] == &img[page*PageSize]; got != aliased {
+			t.Fatalf("page %d backed by the image: %v, want %v", page, got, aliased)
+		}
+	}
+	img[2*PageSize] = 9
+	if s.RawRead(2*PageSize, 1)[0] != 9 {
+		t.Fatal("an adopted page does not read the image's bytes")
+	}
+}

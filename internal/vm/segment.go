@@ -465,6 +465,39 @@ func (s *Segment) RawWrite(off uint32, b []byte) {
 	}
 }
 
+// AdoptImage stores img at offset 0 as RawWrite(0, img) does (the same
+// frames, allocated in page order, the same owners and the same dirty
+// and line-dirty state) but backs each whole page whose frame holds no
+// data yet with that page of img itself instead of a copy; a trailing
+// partial page is copied. The segment takes ownership of img: the
+// caller must not use it afterwards. A segment with a deferred-copy
+// source or a write-protect checkpointer copies, as RawWrite does.
+func (s *Segment) AdoptImage(img []byte) {
+	if s.source != nil || s.wp != nil {
+		s.RawWrite(0, img)
+		return
+	}
+	whole := uint32(len(img)) &^ PageMask
+	for off := uint32(0); off < whole; off += PageSize {
+		page := off >> PageShift
+		if _, err := s.ensureFrame(page); err != nil {
+			panic(err)
+		}
+		p := &s.pages[page]
+		data := (*[PageSize]byte)(img[off:])
+		if p.data != nil || !s.k.M.Phys.Adopt(p.frame, data) {
+			s.RawWrite(off, data[:])
+			continue
+		}
+		p.data = data
+		p.dirty = true
+		for w := range p.lineDirty {
+			p.lineDirty[w] = ^uint64(0)
+		}
+	}
+	s.RawWrite(whole, img[whole:])
+}
+
 // Read32 reads a little-endian word at off (raw).
 func (s *Segment) Read32(off uint32) uint32 {
 	var b [4]byte
