@@ -426,11 +426,10 @@ func TestNoDroppedErrors(t *testing.T) {
 }
 
 // TestEveryPackageTested fails on a package without test files, so a
-// demo or a command cannot rot unnoticed. Exempt: lvmbench's main, which
-// only dispatches to the experiments package and bench/ (both tested),
-// and lvmload, whose tests await a hermetic black-box process harness.
+// demo or a command cannot rot unnoticed. Exempt: lvmload, whose tests
+// await a hermetic black-box process harness.
 func TestEveryPackageTested(t *testing.T) {
-	exempt := map[string]bool{"lvm/cmd/lvmbench": true, "lvm/cmd/lvmload": true}
+	exempt := map[string]bool{"lvm/cmd/lvmload": true}
 	for _, p := range loadModule(t).pkgs {
 		if p.ForTest != "" {
 			continue

@@ -1,20 +1,9 @@
 // Package experiments regenerates every table and figure of the paper's
-// evaluation (Section 4) as structured data. cmd/lvmbench prints them;
+// evaluation (Section 4) as structured data, plus the ablations called out
+// in DESIGN.md. Registry lists them in order, each with its fixed
+// arguments; cmd/lvmbench prints them and the sweep golden pins them.
 // bench_test.go wraps them as testing.B benchmarks; EXPERIMENTS.md records
 // paper-vs-measured values.
-//
-// The experiments:
-//
-//	Table 2  — basic machine operations (calibration check)
-//	Table 3  — RVM vs RLVM: single recoverable write; TPC-A throughput
-//	Figure 7 — LVM vs copy-based checkpointing speedup vs compute grain
-//	Figure 8 — speedup vs fraction of object written
-//	Figure 9 — resetDeferredCopy() vs bcopy vs dirty data
-//	Figure 10 — CPU cost of logged vs unlogged writes (write clusters)
-//	Figure 11 — total cost per iteration incl. overload penalty
-//	Figure 12 — overload events per 1000 iterations
-//
-// plus the ablations called out in DESIGN.md.
 package experiments
 
 import (

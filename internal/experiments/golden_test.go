@@ -19,76 +19,21 @@ var update = flag.Bool("update", false, "rewrite the testdata goldens from this 
 // the reduced parameters bench/ uses for smoke (events 20, iters 100,
 // txns 32, stride 9). Every number in it is a simulated cycle count or a
 // ratio of two, so the text is a function of the modelled machine alone.
-func sweepSmall() (string, error) { return sweep(20, 100, 32, 9) }
+func sweepSmall() (string, error) {
+	return sweep(experiments.Params{Events: 20, Iters: 100, Txns: 32, Stride: 9})
+}
 
-func sweep(events, iters, txns, stride int) (string, error) {
+// sweep runs every Registry entry and writes each section's name and body;
+// the notes lvmbench prints after some bodies are left out.
+func sweep(p experiments.Params) (string, error) {
 	var b strings.Builder
-	section := func(name, body string) { fmt.Fprintf(&b, "=== %s ===\n%s\n", name, body) }
-
-	section("table2", experiments.FormatTable2(experiments.Table2()))
-	t3, err := experiments.Table3(txns)
-	if err != nil {
-		return "", err
+	for _, e := range experiments.Registry {
+		s, err := e.Run(p)
+		if err != nil {
+			return "", fmt.Errorf("%s: %w", e.Name, err)
+		}
+		fmt.Fprintf(&b, "=== %s ===\n%s\n", e.Name, s.Body)
 	}
-	section("table3", experiments.FormatTable3(t3))
-	f7, err := experiments.Fig7(events)
-	if err != nil {
-		return "", err
-	}
-	section("fig7", experiments.FormatFig7(f7))
-	f8, err := experiments.Fig8(events)
-	if err != nil {
-		return "", err
-	}
-	section("fig8", experiments.FormatFig8(f8))
-	f9, err := experiments.Fig9()
-	if err != nil {
-		return "", err
-	}
-	section("fig9", experiments.FormatFig9(f9))
-	f10, err := experiments.Fig10(iters)
-	if err != nil {
-		return "", err
-	}
-	section("fig10", experiments.FormatFig10(f10))
-	f11, err := experiments.Fig11(experiments.Fig11ComputeSweep(stride), iters)
-	if err != nil {
-		return "", err
-	}
-	section("fig11", experiments.FormatFig11(f11))
-	section("fig12", experiments.FormatFig12(f11))
-	grain := []uint64{0, 10, 25, 50, 100, 200, 400, 800}
-	section("ablation-logger", experiments.FormatLoggerModels(experiments.LoggerModels(grain, iters)))
-	fs, err := experiments.FullStackOnChip(grain, iters)
-	if err != nil {
-		return "", err
-	}
-	section("ablation-onchip", experiments.FormatFullStack(fs))
-	cs, err := experiments.Consistency(200)
-	if err != nil {
-		return "", err
-	}
-	section("ablation-consistency", experiments.FormatConsistency(cs))
-	sr, err := experiments.SetRangeAblation(64)
-	if err != nil {
-		return "", err
-	}
-	section("ablation-setrange", experiments.FormatSetRange(sr))
-	ck, err := experiments.CheckpointStyles(64, []int{1, 2, 4, 8, 16, 32, 64})
-	if err != nil {
-		return "", err
-	}
-	section("ablation-checkpoint", experiments.FormatCheckpointStyles(ck))
-	ps, err := experiments.ParallelSim(4, 400, true)
-	if err != nil {
-		return "", err
-	}
-	section("extension-parallel", experiments.FormatParallelSim(ps))
-	od, err := experiments.OODB(nil, txns/8)
-	if err != nil {
-		return "", err
-	}
-	section("extension-oodb", experiments.FormatOODB(od))
 	return b.String(), nil
 }
 
@@ -193,13 +138,14 @@ func checkGolden(t *testing.T, name, got string) {
 }
 
 // BenchmarkSweepPass is one `lvmbench all` pass at its default parameters
-// (what bench/'s sim_sweep times), for -benchmem and -memprofile:
+// (what bench/'s sim_sweep times: both Figures 11 and 12 run the Figure 11
+// sweep), for -benchmem and -memprofile:
 //
 //	go test -run '^$' -bench SweepPass -benchmem ./internal/experiments
 func BenchmarkSweepPass(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if _, err := sweep(300, 2000, 400, 3); err != nil {
+		if _, err := sweep(experiments.DefaultParams); err != nil {
 			b.Fatal(err)
 		}
 	}
