@@ -468,6 +468,40 @@ func TestEveryInternalPackageHasAProgram(t *testing.T) {
 	}
 }
 
+// TestOneLogWalk fails if a non-test file of the root module outside
+// internal/logcursor refers to (*core.LogReader).Next: every consumer of
+// the hardware log walks it through logcursor, which validates each
+// record and quarantines the first bad one, so a hand-written walk with
+// its own rule cannot grow back. bench/ is another module; its
+// core.logreader_next probe times the reader itself.
+func TestOneLogWalk(t *testing.T) {
+	const next = "(*lvm/internal/core.LogReader).Next"
+	const cursor = "lvm/internal/logcursor"
+	m := loadModule(t)
+	wd, _ := os.Getwd()
+	inCursor := 0
+	for _, p := range m.pkgs {
+		if p.ForTest != "" || p.ImportPath == "lvm/bench" {
+			continue
+		}
+		for sel, s := range p.info.Selections {
+			if fn, ok := s.Obj().(*types.Func); !ok || fn.FullName() != next {
+				continue
+			}
+			if p.ImportPath == cursor {
+				inCursor++
+				continue
+			}
+			pos := m.fset.Position(sel.Pos())
+			rel, _ := filepath.Rel(wd, pos.Filename)
+			t.Errorf("%s:%d: walks the log by hand with %s; use logcursor", rel, pos.Line, next)
+		}
+	}
+	if inCursor == 0 {
+		t.Errorf("%s does not call %s; the gate checks nothing", cursor, next)
+	}
+}
+
 // TestGofmt fails on any file `gofmt -l .` would list.
 func TestGofmt(t *testing.T) {
 	for _, path := range goFiles(t) {

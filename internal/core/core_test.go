@@ -1,6 +1,7 @@
 package core
 
 import (
+	"encoding/binary"
 	"testing"
 	"testing/quick"
 
@@ -73,6 +74,24 @@ func TestLogReaderOrderAndSync(t *testing.T) {
 	}
 }
 
+// rollForward reads up to max records of r and writes each that landed
+// in src into dst at the same offset, the CULT primitive; it returns how
+// many it wrote.
+func rollForward(r *LogReader, src, dst *Segment, max int) int {
+	n := 0
+	for i := 0; i < max; i++ {
+		rec, ok := r.Next()
+		if !ok {
+			break
+		}
+		if rec.Seg == src {
+			dst.RawWrite(rec.SegOff, binary.LittleEndian.AppendUint32(nil, rec.Value)[:rec.WriteSize])
+			n++
+		}
+	}
+	return n
+}
+
 func TestApplyRollsForward(t *testing.T) {
 	// The CULT primitive: applying log records to a checkpoint segment
 	// makes it equal to the working segment.
@@ -82,7 +101,7 @@ func TestApplyRollsForward(t *testing.T) {
 		p.Store32(base+(i*12)%(2*PageSize), i)
 	}
 	r := NewLogReader(sys, ls)
-	applied := r.ApplyWhile(reg.Segment(), ckpt, func(Record) bool { return true })
+	applied := rollForward(r, reg.Segment(), ckpt, r.Remaining())
 	if applied != 200 {
 		t.Fatalf("applied %d records, want 200", applied)
 	}
@@ -93,28 +112,33 @@ func TestApplyRollsForward(t *testing.T) {
 	}
 }
 
-func TestApplyWhileStopsAtPredicate(t *testing.T) {
+func TestPartialRollForwardResumes(t *testing.T) {
 	sys, reg, ls, p, base := buildLogged(t, 1, 8)
 	ckpt := NewNamedSegment(sys, "ckpt", PageSize, nil)
 	for i := uint32(0); i < 10; i++ {
 		p.Store32(base+i*4, 100+i)
 	}
 	r := NewLogReader(sys, ls)
-	n := 0
-	applied := r.ApplyWhile(reg.Segment(), ckpt, func(Record) bool {
-		n++
-		return n <= 5
-	})
-	if applied != 5 {
+	if applied := rollForward(r, reg.Segment(), ckpt, 5); applied != 5 {
 		t.Fatalf("applied = %d, want 5", applied)
 	}
 	if ckpt.Read32(16) != 104 || ckpt.Read32(20) != 0 {
 		t.Fatalf("partial apply wrong: %d %d", ckpt.Read32(16), ckpt.Read32(20))
 	}
-	// The reader must not have consumed the failing record.
+	if r.Offset() != 5*logrec.Size || r.Remaining() != 5 {
+		t.Fatalf("reader at %d with %d left, want %d and 5", r.Offset(), r.Remaining(), 5*logrec.Size)
+	}
+	// The reader resumes at the first record not applied.
 	rec, ok := r.Next()
 	if !ok || rec.Value != 105 {
 		t.Fatalf("next after stop = %+v", rec)
+	}
+	// A reader sought past its end has nothing left, not 2^28 records.
+	if err := r.Seek(r.End() + logrec.Size); err != nil {
+		t.Fatal(err)
+	}
+	if n := r.Remaining(); n != 0 {
+		t.Fatalf("Remaining past the end = %d, want 0", n)
 	}
 }
 
@@ -261,7 +285,7 @@ func TestPropertyLogMatchesWrites(t *testing.T) {
 			return false
 		}
 		replay := NewNamedSegment(sys, "replay", PageSize, nil)
-		r.ApplyWhile(reg.Segment(), replay, func(Record) bool { return true })
+		rollForward(r, reg.Segment(), replay, len(ops))
 		for off := uint32(0); off < PageSize; off += 4 {
 			if replay.Read32(off) != reg.Segment().Read32(off) {
 				return false

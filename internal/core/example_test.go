@@ -63,30 +63,6 @@ func ExampleSegment_SetSourceSegment() {
 	// after reset: 42
 }
 
-// ExampleLogReader_ApplyWhile shows checkpoint roll-forward (the CULT
-// primitive of Section 2.4).
-func ExampleLogReader_ApplyWhile() {
-	sys := core.NewSystem(core.Config{NumCPUs: 1, MemFrames: 1024})
-	seg := core.NewStdSegment(sys, core.PageSize, nil)
-	reg := core.NewStdRegion(sys, seg)
-	ls := core.NewLogSegment(sys, 4)
-	if err := reg.Log(ls); err != nil {
-		panic(err)
-	}
-	as := sys.NewAddressSpace()
-	base, _ := reg.Bind(as, 0)
-	p := sys.NewProcess(0, as)
-	p.Store32(base, 7)
-	p.Store32(base+4, 8)
-
-	ckpt := core.NewNamedSegment(sys, "ckpt", core.PageSize, nil)
-	r := core.NewLogReader(sys, ls)
-	n := r.ApplyWhile(seg, ckpt, func(core.Record) bool { return true })
-	fmt.Println("applied", n, "records:", ckpt.Read32(0), ckpt.Read32(4))
-	// Output:
-	// applied 2 records: 7 8
-}
-
 // Example_visualize is the visualization use of Section 2.6: "A program
 // supporting visualization can set the segment containing its state to
 // be logged. A separate process can then interpret this log and display

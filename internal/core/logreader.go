@@ -88,8 +88,9 @@ func (r *LogReader) Seek(off uint32) error {
 	return nil
 }
 
-// Remaining reports how many whole records remain.
-func (r *LogReader) Remaining() int { return int((r.end - r.off) / logrec.Size) }
+// Remaining reports how many whole records remain: none once the reader
+// is at or past its end.
+func (r *LogReader) Remaining() int { return int((max(r.end, r.off) - r.off) / logrec.Size) }
 
 // Next returns the next record, resolving its address. ok is false at the
 // end of the log.
@@ -106,39 +107,6 @@ func (r *LogReader) Next() (rec Record, ok bool) {
 		rec.SegOff = off
 	}
 	return rec, true
-}
-
-// Apply replays a record into dst at the record's segment offset: the
-// basic operation of checkpoint roll-forward ("the scheduler applies all
-// logged updates older than T to the checkpoint segment", Section 2.4).
-// dst is typically a different segment (a checkpoint) with the same
-// layout as the logged segment.
-func (rec Record) Apply(dst *Segment) {
-	dst.RawWrite(rec.SegOff, rec.ValueBytes())
-}
-
-// ApplyWhile replays records into dst while pred returns true, stopping
-// (without consuming) at the first record for which pred is false. It
-// returns how many records were applied. Records that resolve to a
-// different segment than src are skipped (they belong to other data
-// logged into the same log, e.g. marker words elsewhere).
-func (r *LogReader) ApplyWhile(src, dst *Segment, pred func(Record) bool) int {
-	n := 0
-	for {
-		save := r.off
-		rec, ok := r.Next()
-		if !ok {
-			return n
-		}
-		if !pred(rec) {
-			r.off = save
-			return n
-		}
-		if rec.Seg == src {
-			rec.Apply(dst)
-			n++
-		}
-	}
 }
 
 // Truncate discards the log contents and resets both the hardware append

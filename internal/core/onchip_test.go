@@ -49,7 +49,7 @@ func TestOnChipApplyRollsForward(t *testing.T) {
 		p.Store32(base+(i*20)%(2*PageSize), i)
 	}
 	r := NewLogReader(sys, ls)
-	if n := r.ApplyWhile(reg.Segment(), ckpt, func(Record) bool { return true }); n != 150 {
+	if n := rollForward(r, reg.Segment(), ckpt, r.Remaining()); n != 150 {
 		t.Fatalf("applied %d", n)
 	}
 	for off := uint32(0); off < 2*PageSize; off += 4 {

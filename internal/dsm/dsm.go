@@ -22,6 +22,7 @@ import (
 
 	"lvm/internal/core"
 	"lvm/internal/cycles"
+	"lvm/internal/logcursor"
 )
 
 // Cost model for the software consistency layer.
@@ -170,6 +171,7 @@ type LVMProducer struct {
 	seg    *core.Segment
 	ls     *core.Segment
 	reader *core.LogReader
+	buf    []byte // Release's records, kept between releases
 	base   core.Addr
 
 	writeCycles uint64
@@ -226,23 +228,22 @@ func (l *LVMProducer) Release() (UpdateMsg, ReleaseStats) {
 	start := l.p.Now()
 	l.reader.Sync()
 	var msg UpdateMsg
-	for {
-		rec, ok := l.reader.Next()
-		if !ok {
-			break
-		}
-		if rec.Seg != l.seg {
-			// Records from other segments sharing this log cost only
-			// the skip, not a full entry build.
-			l.p.Compute(SkipCycles)
-			continue
-		}
+	ws := logcursor.WalkLog(&l.buf, l.reader, l.seg, func(rec logcursor.Rec) {
 		l.p.Compute(RecordCycles)
-		w := rec.SegOff &^ 3
+		w := rec.Off &^ 3
 		msg.Entries = append(msg.Entries, Entry{
 			Off: w,
-			Val: mergeWord(l.seg.Read32(w), rec.SegOff, rec.Value, rec.WriteSize),
+			Val: mergeWord(l.seg.Read32(w), rec.Off, rec.Value, rec.Size),
 		})
+	}, func() {
+		// Records from other segments sharing this log cost only the
+		// skip, not a full entry build.
+		l.p.Compute(SkipCycles)
+	})
+	if ws.Quarantined() {
+		// Only a simulator bug can damage the producer's own log.
+		panic(fmt.Sprintf("dsm: log record %d (offset %d, size %d) is not a write into the shared segment",
+			ws.Bad.Idx, ws.Bad.Off, ws.Bad.Size))
 	}
 	msg.Bytes = MsgHeaderBytes + len(msg.Entries)*EntryBytes
 	st := ReleaseStats{Cycles: l.p.Now() - start, Bytes: msg.Bytes, Entries: len(msg.Entries)}

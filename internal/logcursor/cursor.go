@@ -1,13 +1,12 @@
 // Package logcursor is the single validated cursor over the hardware
-// log's record stream. Five subsystems consume that stream — crash
-// recovery's marker-protocol replay (internal/recovery, sequential and
-// page-partitioned parallel), log-shipping catch-up and replica apply
-// (internal/logship), the DSM consumer (internal/dsm), compaction's
-// tail replay after checkpoint election (internal/compact), and the
-// daemon's restart over its tail mirror (internal/lvmd) — and every
-// past divergence between their hand-rolled walks has been a shipped
-// bug. The paper's argument (Sections 2.4, 4.5) is that one log is the
-// single source of truth for recovery, replication, and distributed
+// log's record stream, and every consumer of that stream walks it here:
+// crash recovery's marker-protocol replay (internal/recovery, sequential
+// and page-partitioned parallel), log-shipping catch-up and replica
+// apply (internal/logship), the DSM consumer and producer (internal/dsm),
+// compaction's tail replay (internal/compact), the daemon's restart over
+// its tail mirror (internal/lvmd), RLVM's commit (internal/rlvm) and Time
+// Warp's roll-forward and CULT (internal/timewarp). The paper's argument (Sections 2.4, 4.5) is that one log is the single
+// source of truth for recovery, replication, and distributed
 // consistency; this package is the one place its records are decoded,
 // validated, bracketed into transactions, and quarantined when damaged.
 //
@@ -31,12 +30,17 @@
 //   - ApplyAll: every valid record applies immediately, markers
 //     included. Replication replicas use this (the replica image keeps
 //     the producer's marker words; rollback is a separate ledger), as
-//     do edge tests that replay raw logs.
+//     do WalkLog's consumers — RLVM's commit, whose marker word goes
+//     into its write-ahead-log record, Time Warp and the DSM producer.
 //
 // — and the first record that fails validation quarantines the rest of
 // the stream: nothing past the damage applies, and Stats reports the
 // quarantine anchor and extent. The walker never panics on damaged
-// input; degrade-don't-panic is the contract every consumer inherits.
+// input; each consumer says what a quarantine means to it. Recovery,
+// the replica, the DSM consumer, compaction and the daemon's restart
+// degrade, applying what precedes the damage; RLVM's commit fails and leaves the
+// transaction open; Time Warp and the DSM producer panic, since only a
+// simulator bug can damage a log that only their own stores wrote.
 // With an Image sink (Config.Image) no Rec is built at all: each applied
 // write is stored from the stream's bytes straight into the image.
 //
@@ -95,9 +99,9 @@ func IsMarker(off uint32, size uint16, limit uint32) bool {
 // ValidWrite reports whether (off, size) can describe a real logged
 // write into a segment of segSize bytes: a size the hardware emits, a
 // size-aligned offset, and a range inside the segment. This is the
-// record-validation core shared by crash-recovery replay, the logship
-// replica, and the DSM consumer, all of which quarantine on the first
-// record that fails it.
+// record-validation rule of every walk of the log (see the package doc
+// for the consumers), all of which quarantine on the first record that
+// fails it.
 func ValidWrite(off uint32, size uint16, segSize uint32) bool {
 	switch size {
 	case 1, 2, 4:

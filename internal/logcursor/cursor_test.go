@@ -2,6 +2,7 @@ package logcursor
 
 import (
 	"bytes"
+	"fmt"
 	"io"
 	"reflect"
 	"testing"
@@ -443,6 +444,28 @@ func TestMachineReaderForeignAndAppendData(t *testing.T) {
 	if st := machineWalk(t, r, seg, Config{View: ApplyAll, End: r.End()}); st.Quarantined() || st.Skipped != 1 || st.Applied != 3 {
 		t.Fatalf("walk with a foreign record: %+v", st)
 	}
+
+	// WalkLog hands each record to apply or skip in log order, leaves
+	// the reader at its end and keeps its buffer; the invalid record that
+	// quarantines the walk goes to neither.
+	var buf []byte
+	trace := func() (string, Stats) {
+		r := core.NewLogReader(sys, ls)
+		got := ""
+		st := WalkLog(&buf, r, seg, func(rec Rec) { got += fmt.Sprintf("a%x ", rec.Off) }, func() { got += "s " })
+		if r.Offset() != r.End() {
+			t.Fatalf("WalkLog left the reader at %d of %d", r.Offset(), r.End())
+		}
+		return got, st
+	}
+	if got, st := trace(); got != "a100 s a200 a300 " || st.Skipped != 1 || st.Applied != 3 || cap(buf) != 4*logrec.Size {
+		t.Fatalf("WalkLog: %q, %+v, buffer %d", got, st, cap(buf))
+	}
+	ls.RawWrite(2*logrec.Size+8, []byte{7, 0})
+	if got, st := trace(); got != "a100 s " || st.QuarantinedFrom != 2*logrec.Size {
+		t.Fatalf("WalkLog over a damaged record: %q, %+v", got, st)
+	}
+	ls.RawWrite(2*logrec.Size+8, []byte{4, 0})
 
 	// AppendData emits data records only, in wire form, up to max.
 	r = core.NewLogReader(sys, ls)

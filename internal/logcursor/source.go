@@ -60,6 +60,36 @@ func (m *MachineReader) Read(p []byte) (int, error) {
 	return n, nil
 }
 
+// WalkLog walks r's records, from its offset to its end, as writes into
+// data in the ApplyAll view: in log order, each valid record goes to
+// apply and each of another segment sharing the log to skip (if not
+// nil), and the first invalid one quarantines the rest. The records are
+// read into *buf, which the caller keeps between walks; r is left at its
+// end. RLVM's commit, Time Warp and the DSM producer walk with it.
+func WalkLog(buf *[]byte, r *core.LogReader, data *core.Segment, apply func(Rec), skip func()) Stats {
+	start, n := r.Offset(), r.Remaining()*logrec.Size
+	if cap(*buf) < n {
+		*buf = make([]byte, n)
+	}
+	b := (*buf)[:n]
+	m := MachineReader{r: r, data: data}
+	m.Read(b) // the range holds n bytes of whole records: one read fills b
+	next := 0 // records handed to apply or skip so far
+	skipTo := func(idx int) {
+		for ; skip != nil && next < idx; next++ {
+			skip()
+		}
+	}
+	w := NewWalker(Config{View: ApplyAll, End: r.End(), Apply: func(rec Rec) {
+		skipTo(rec.Idx)
+		next = rec.Idx + 1
+		apply(rec)
+	}})
+	st := Run(NewMachineBytes(b, start, data.Size()), w)
+	skipTo(st.Scanned - st.InvalidRecords) // the invalid record is no skip
+	return st
+}
+
 // AppendData appends to dst the records r yields next that resolve to
 // data, in wire form (the record's bytes with the address word replaced
 // by its segment offset, the form a replica or the tail mirror walks),

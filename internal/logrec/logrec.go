@@ -68,17 +68,3 @@ func Decode(src []byte) Record {
 func (r Record) String() string {
 	return fmt.Sprintf("%08x %08x %04x cpu%d @%d", r.Addr, r.Value, r.WriteSize, r.CPU, r.Timestamp)
 }
-
-// ValueBytes returns the WriteSize low-order bytes of Value in
-// little-endian order, i.e. the bytes that were stored at Addr.
-func (r Record) ValueBytes() []byte {
-	n := int(r.WriteSize)
-	if n > 4 {
-		n = 4
-	}
-	b := make([]byte, n)
-	for i := 0; i < n; i++ {
-		b[i] = byte(r.Value >> (8 * i))
-	}
-	return b
-}

@@ -27,25 +27,6 @@ func TestRoundTripProperty(t *testing.T) {
 	}
 }
 
-func TestValueBytes(t *testing.T) {
-	r := Record{Value: 0x11223344, WriteSize: 4}
-	b := r.ValueBytes()
-	want := []byte{0x44, 0x33, 0x22, 0x11}
-	for i := range want {
-		if b[i] != want[i] {
-			t.Fatalf("ValueBytes[%d] = %#x, want %#x", i, b[i], want[i])
-		}
-	}
-	r2 := Record{Value: 0xAB, WriteSize: 1}
-	if b := r2.ValueBytes(); len(b) != 1 || b[0] != 0xAB {
-		t.Fatalf("ValueBytes size 1 = %v", b)
-	}
-	r3 := Record{Value: 0xBEEF, WriteSize: 2}
-	if b := r3.ValueBytes(); len(b) != 2 || b[0] != 0xEF || b[1] != 0xBE {
-		t.Fatalf("ValueBytes size 2 = %v", b)
-	}
-}
-
 func TestStringFormat(t *testing.T) {
 	// The worked example of Section 3.1.1: write of 0x4321 to 0x1250.
 	r := Record{Addr: 0x1250, Value: 0x4321, WriteSize: 4, CPU: 0, Timestamp: 7}

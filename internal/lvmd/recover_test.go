@@ -320,7 +320,7 @@ func refReplay(base, body []byte, start int) ([]byte, int, uint32) {
 		}
 		if rec.Value&recovery.MarkerCommit != 0 {
 			for _, p := range pending {
-				copy(img[p.Addr:], p.ValueBytes())
+				copy(img[p.Addr:], binary.LittleEndian.AppendUint32(nil, p.Value)[:p.WriteSize])
 			}
 			if s := rec.Value &^ recovery.MarkerCommit; s > seq {
 				seq = s

@@ -379,9 +379,13 @@ func TestRestartShipFrame(t *testing.T) {
 	}
 	// The shard's state is the test's to read once Close returns. The
 	// drain commits one checkpoint and cuts nothing; a compaction is any
-	// checkpoint beyond it.
-	standby.Close()
+	// checkpoint beyond it. The loop compacts after it replies, so the
+	// standby stays up until the shard is closed: a dead consumer's ack
+	// no longer bounds the cut, and a compaction after the last reply
+	// could then cut past it. The drain waits out its 2 s ship release
+	// for the standby, which never acks.
 	s.Close()
+	standby.Close()
 	cut, base := s.Core.Mgr.CutBase(), s.Core.Sys.MetricsSnapshot().Counters["logship.frame_base"]
 	if s.Core.Mgr.Stats.Checkpoints-booted < 2 {
 		t.Fatal("no compaction ran: the test proves nothing")

@@ -13,6 +13,7 @@ package recovery
 
 import (
 	"bytes"
+	"encoding/binary"
 	"testing"
 
 	"lvm/internal/core"
@@ -35,7 +36,7 @@ func legacyValid(rec core.Record) bool {
 
 func legacyApply(res *Result, dst *core.Segment, rec core.Record) {
 	if dst != nil {
-		rec.Apply(dst)
+		dst.RawWrite(rec.SegOff, binary.LittleEndian.AppendUint32(nil, rec.Value)[:rec.WriteSize])
 	}
 	res.Applied++
 }

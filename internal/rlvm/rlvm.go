@@ -21,11 +21,13 @@
 package rlvm
 
 import (
+	"encoding/binary"
 	"fmt"
 
 	"lvm/internal/compact"
 	"lvm/internal/core"
 	"lvm/internal/cycles"
+	"lvm/internal/logcursor"
 	"lvm/internal/ramdisk"
 	"lvm/internal/rvm"
 )
@@ -47,7 +49,6 @@ type Options struct {
 type Stats struct {
 	Txns         uint64
 	Records      uint64 // LVM log records consumed at commit
-	BadRecords   uint64 // records rejected by commit-time validation
 	InTxnCycles  uint64
 	CommitCycles uint64
 	TruncCycles  uint64
@@ -67,7 +68,6 @@ type Manager struct {
 	ls   *core.Segment    // LVM log segment
 	cm   *compact.Manager // owns the LVM log's prefix lifecycle
 	base core.Addr
-	size uint32
 
 	seq       uint32
 	inTxn     bool
@@ -75,6 +75,8 @@ type Manager struct {
 	commitOff uint32 // LVM log offset at the last commit
 
 	dirtyImage []rvm.WALRange
+	recs       []rvm.WALRange // the commit's records, kept between commits
+	buf        []byte         // the commit walk's records
 	commits    int
 	opts       Options
 
@@ -100,7 +102,6 @@ func New(sys *core.System, p *core.Process, size uint32, disk ramdisk.Device, op
 		p:    p,
 		disk: disk,
 		wal:  rvm.NewWAL(disk, walBase(total)),
-		size: total,
 		opts: opts,
 	}
 	m.ckpt = core.NewNamedSegment(sys, "rlvm-checkpoint", total, nil)
@@ -191,7 +192,15 @@ func (m *Manager) RecoverableWrite32(va core.Addr, v uint32) error {
 // Commit makes the transaction durable: the commit daemon consumes the
 // LVM log records written since the previous commit, emits them as one
 // write-ahead-log record (same device discipline as RVM), and rolls the
-// checkpoint segment forward so it holds the committed state.
+// checkpoint segment forward so it holds the committed state. The
+// records are walked by logcursor's rule (logcursor.WalkLog): if one is
+// not a valid write into the segment, Commit returns an error before
+// anything reaches the write-ahead log or the checkpoint. If the
+// write-ahead log refuses the record, Commit returns that error and the
+// checkpoint is not rolled forward. Either way the transaction stays
+// open, and Abort rolls it back in memory. (A refused sync leaves the
+// sealed record on the device, where a recovery before the next commit
+// still finds it.)
 func (m *Manager) Commit() error {
 	if !m.inTxn {
 		return fmt.Errorf("rlvm: Commit outside transaction")
@@ -203,34 +212,26 @@ func (m *Manager) Commit() error {
 	if err := r.Seek(m.commitOff); err != nil {
 		return err
 	}
-	var recs []rvm.WALRange
-	for {
-		rec, ok := r.Next()
-		if !ok {
-			break
-		}
-		m.p.Compute(cycles.CommitPerRecordCycles)
-		m.Stats.Records++
-		if rec.Seg != m.seg {
-			continue
-		}
-		val := rec.ValueBytes()
-		if uint64(rec.SegOff)+uint64(len(val)) > uint64(m.size) {
-			// A record whose range leaves the segment cannot be a real
-			// logged write (corrupted addr/size bits): skip it rather
-			// than let it wreck the checkpoint.
-			m.Stats.BadRecords++
-			continue
-		}
-		recs = append(recs, rvm.WALRange{Off: rec.SegOff, Data: val})
-		// Roll the checkpoint forward (CULT for the committed txn).
-		m.ckpt.RawWrite(rec.SegOff, val)
+	// Every record walked costs the commit daemon its scan.
+	scan := func() { m.p.Compute(cycles.CommitPerRecordCycles) }
+	recs := m.recs[:0]
+	st := logcursor.WalkLog(&m.buf, r, m.seg, func(rec logcursor.Rec) {
+		scan()
+		data := binary.LittleEndian.AppendUint32(nil, rec.Value)[:rec.Size]
+		recs = append(recs, rvm.WALRange{Off: rec.Off, Data: data})
+	}, scan)
+	m.recs = recs
+	m.Stats.Records += uint64(st.Scanned)
+	if st.Quarantined() {
+		return fmt.Errorf("rlvm: commit: log record %d (offset %d, size %d) is not a write into the segment",
+			st.Bad.Idx, st.Bad.Off, st.Bad.Size)
 	}
 	if err := m.wal.AppendCommit(m.p.CPU, m.seq, recs); err != nil {
-		// The commit never became durable; the transaction stays open and
-		// the checkpoint roll-forward is undone at the next recovery (the
-		// checkpoint is volatile — disk state is untouched).
 		return err
+	}
+	// Roll the checkpoint forward (CULT for the committed txn).
+	for _, r := range recs {
+		m.ckpt.RawWrite(r.Off, r.Data)
 	}
 	m.dirtyImage = append(m.dirtyImage, recs...)
 	m.p.Compute(cycles.TxnMgmtCycles / 2)

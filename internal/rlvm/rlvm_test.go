@@ -7,6 +7,7 @@ import (
 	"testing/quick"
 
 	"lvm/internal/core"
+	"lvm/internal/logrec"
 	"lvm/internal/ramdisk"
 	"lvm/internal/rvm"
 )
@@ -275,5 +276,74 @@ func TestTruncateFailurePropagates(t *testing.T) {
 	}
 	if got := p2.Load32(m2.Base() + 20); got != 0xBB {
 		t.Fatalf("recovered word 20 = %#x, want 0xBB", got)
+	}
+}
+
+// A commit the write-ahead log refuses leaves the transaction open and
+// the checkpoint at the last committed state, so Abort rolls the
+// transaction's writes back.
+func TestAbortAfterRefusedCommit(t *testing.T) {
+	_, p, d, m := setup(t)
+	must(t, m.Begin())
+	must(t, m.RecoverableWrite32(m.Base(), 1))
+	must(t, m.Commit())
+	must(t, m.Begin())
+	must(t, m.RecoverableWrite32(m.Base(), 99))
+	boom := fmt.Errorf("injected write failure")
+	d.FailHook = func(op ramdisk.Op, _ uint64, _ int) error {
+		if op == ramdisk.OpWrite {
+			return boom
+		}
+		return nil
+	}
+	if err := m.Commit(); !errors.Is(err, boom) {
+		t.Fatalf("Commit error = %v, want the injected failure", err)
+	}
+	d.FailHook = nil
+	must(t, m.Abort())
+	if got := p.Load32(m.Base()); got != 1 {
+		t.Fatalf("word after abort = %d, want the committed 1", got)
+	}
+}
+
+// A record that fails logcursor.ValidWrite between two valid ones makes
+// Commit fail: none of the transaction's records reaches the
+// write-ahead log or the checkpoint, and the transaction stays open for
+// Abort.
+func TestCommitRefusesInvalidRecord(t *testing.T) {
+	sys, p, d, m := setup(t)
+	must(t, m.Begin())
+	must(t, m.RecoverableWrite32(m.Base()+8, 5))
+	must(t, m.Commit())
+	start := sys.K.LogAppendOffset(m.LogSegment())
+
+	must(t, m.Begin()) // record 0: the marker word
+	must(t, m.RecoverableWrite32(m.Base(), 1))
+	must(t, m.RecoverableWrite32(m.Base()+4, 2))
+	must(t, m.RecoverableWrite32(m.Base()+8, 3))
+	sys.Sync()
+	// Record 2 (the write of 2) gets size 3, which no store emits.
+	m.LogSegment().RawWrite(start+2*logrec.Size+8, []byte{3, 0})
+	if err := m.Commit(); err == nil {
+		t.Fatal("Commit applied a log holding an invalid record")
+	}
+	if err := m.Begin(); err == nil {
+		t.Fatal("the transaction was closed by a refused commit")
+	}
+	must(t, m.Abort())
+	for off, want := range map[uint32]uint32{0: 0, 4: 0, 8: 5} {
+		if got := p.Load32(m.Base() + core.Addr(off)); got != want {
+			t.Errorf("word %d after abort = %d, want %d", off, got, want)
+		}
+	}
+	p2 := sys.NewProcess(0, sys.NewAddressSpace())
+	m2, err := New(sys, p2, 8*core.PageSize, d, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for off, want := range map[uint32]uint32{0: 0, 4: 0, 8: 5} {
+		if got := p2.Load32(m2.Base() + core.Addr(off)); got != want {
+			t.Errorf("recovered word %d = %d, want %d", off, got, want)
+		}
 	}
 }

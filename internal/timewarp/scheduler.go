@@ -1,11 +1,13 @@
 package timewarp
 
 import (
+	"encoding/binary"
 	"fmt"
 
 	"lvm/internal/compact"
 	"lvm/internal/core"
 	"lvm/internal/cycles"
+	"lvm/internal/logcursor"
 	"lvm/internal/logrec"
 )
 
@@ -121,6 +123,7 @@ type Scheduler struct {
 	recordsIssued uint32
 	ckptPos       uint32 // log offset corresponding to the checkpoint state
 	ckptTime      VT
+	walkBuf       []byte // replay's records, kept between walks
 
 	q         inputQueue
 	processed []processedEvent
@@ -430,19 +433,10 @@ func (s *Scheduler) resetAndRollForward(rewindOff uint32) {
 	if _, err := k.ResetDeferredCopySegment(s.working, s.p.CPU); err != nil {
 		panic(err)
 	}
-	r := core.NewLogReader(s.sim.sys, s.logSeg)
-	if err := r.Seek(s.ckptPos); err != nil {
-		panic(err)
-	}
-	for r.Offset() < rewindOff {
-		rec, ok := r.Next()
-		if !ok {
-			break
-		}
-		rec.Apply(s.working)
+	s.replay(rewindOff, s.working, func() {
 		s.p.Compute(ReplayRecordCycles)
 		s.Stats.Replayed++
-	}
+	})
 	if err := k.RewindLog(s.logSeg, rewindOff); err != nil {
 		panic(err)
 	}
@@ -468,16 +462,7 @@ func (s *Scheduler) cult(gvt VT) {
 		end = s.processed[idx].logStart
 	}
 	if end > s.ckptPos {
-		r := core.NewLogReader(s.sim.sys, s.logSeg)
-		if err := r.Seek(s.ckptPos); err != nil {
-			panic(err)
-		}
-		for r.Offset() < end {
-			rec, ok := r.Next()
-			if !ok {
-				break
-			}
-			rec.Apply(s.ckpt)
+		s.replay(end, s.ckpt, func() {
 			s.Stats.CULTRecords++
 			switch {
 			case s.sim.cultCPU != nil:
@@ -486,7 +471,7 @@ func (s *Scheduler) cult(gvt VT) {
 			case s.sim.cfg.ChargeCULT:
 				s.p.Compute(ReplayRecordCycles)
 			}
-		}
+		})
 		s.ckptPos = end
 	}
 	s.ckptTime = gvt
@@ -504,6 +489,29 @@ func (s *Scheduler) cult(gvt VT) {
 			s.ckptPos = 0
 			s.recordsIssued = 0
 		}
+	}
+}
+
+// replay applies the logged writes from the checkpoint's log position to
+// end (or the log's end) to dst, calling each after every one. Only a
+// simulator bug can damage the scheduler's log, so a quarantine panics.
+func (s *Scheduler) replay(end uint32, dst *core.Segment, each func()) {
+	r := core.NewLogReader(s.sim.sys, s.logSeg)
+	if err := r.Seek(s.ckptPos); err != nil {
+		panic(err)
+	}
+	if end < r.End() {
+		r.SetEnd(end)
+	}
+	st := logcursor.WalkLog(&s.walkBuf, r, s.working, func(rec logcursor.Rec) {
+		var b [4]byte
+		binary.LittleEndian.PutUint32(b[:], rec.Value)
+		dst.RawWrite(rec.Off, b[:rec.Size])
+		each()
+	}, nil)
+	if st.Quarantined() {
+		panic(fmt.Sprintf("timewarp: scheduler %d: log record %d (offset %d, size %d) is not a write into its segment",
+			s.id, st.Bad.Idx, st.Bad.Off, st.Bad.Size))
 	}
 }
 
